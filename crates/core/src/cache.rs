@@ -3,18 +3,19 @@
 //! The paper's central economy is amortization: the one-time artifacts of the
 //! pipeline — the signature profile and the barrierpoint selection — serve
 //! *many* detailed simulations, and (Figure 6) even transfer across machine
-//! configurations.  [`ArtifactCache`] keeps all three stage artifacts so that
+//! configurations.  [`ArtifactCache`] keeps four artifact kinds — profiles,
+//! selections, simulated legs, and region-segment checkpoints — so that
 //! design-space sweeps pay their one-time costs exactly once, in **two
 //! tiers**:
 //!
 //! * a **memory tier**: decoded artifacts (`Arc<ApplicationProfile>`,
-//!   `Arc<BarrierPointSelection>`, `Arc<Simulated>`) held in-process, shared
-//!   across clones of the cache like the stat counters.  A memory hit is a
-//!   pointer clone — no I/O, no deserialization — which is what makes warm
-//!   *in-process* re-sweeps drop below the disk tier's decode floor.  The
-//!   tier has its own LRU order and byte bound
-//!   ([`ArtifactCache::with_memory_max_bytes`], charged at serialized entry
-//!   size).
+//!   `Arc<BarrierPointSelection>`, `Arc<Simulated>`,
+//!   `Arc<WorkloadCheckpoints>`) held in-process, shared across clones of
+//!   the cache like the stat counters.  A memory hit is a pointer clone — no
+//!   I/O, no deserialization — which is what makes warm *in-process*
+//!   re-sweeps drop below the disk tier's decode floor.  The tier has its
+//!   own LRU order and byte bound ([`ArtifactCache::with_memory_max_bytes`],
+//!   charged at serialized entry size).
 //! * a **disk tier**: the persistent, self-validating entry files that
 //!   survive the process and carry the amortization across runs.
 //!
@@ -36,6 +37,13 @@
 //! * **Simulated legs** are keyed by the leg workload's fingerprint, the
 //!   selection *content* fingerprint, and a fingerprint of the
 //!   `(SimConfig, WarmupKind)` pair.
+//! * **Checkpoints** are keyed like profiles, under their own extension:
+//!   they depend on the trace alone.
+//!
+//! Each kind is declared in one place, its key type's `ArtifactKind` impl
+//! (magic, extension, key echo, artifact type, memory-tier variant, stat
+//! counters); one generic path does every lookup, store and encode for all
+//! four.
 //!
 //! Disk entries are self-validating: a magic number, a format version, and
 //! the full key are stored in the header, and every entry carries a trailing
@@ -84,7 +92,7 @@
 //! corrupt-tolerant `cache-state` file written by [`ArtifactCache::flush`]
 //! (and on drop of the last handle) and merged into
 //! [`ArtifactCache::lifetime_stats`] — a bad state file resets the lifetime
-//! view, it never errors.
+//! view, it never errors.  It uses the same sealed container as the entries.
 
 use crate::error::{classify_io_error, Error, IoErrorClass};
 use crate::memtier::MemoryTier;
@@ -100,29 +108,18 @@ use bp_exec::ExecutionPolicy;
 use bp_signature::SignatureConfig;
 use bp_sim::SimConfig;
 use bp_workload::{FingerprintHasher, Workload};
+use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-/// Magic bytes at the start of every profile cache file.
-const PROFILE_MAGIC: &[u8; 4] = b"BPPF";
-/// Magic bytes at the start of every selection cache file.
-const SELECTION_MAGIC: &[u8; 4] = b"BPSL";
-/// Magic bytes at the start of every simulated-leg cache file.
-const SIMULATED_MAGIC: &[u8; 4] = b"BPSM";
-/// Magic bytes at the start of every region-segment checkpoint cache file.
-const CHECKPOINT_MAGIC: &[u8; 4] = b"BPCK";
 /// Bump whenever the serialized layout of a cached artifact (or the entry
-/// header) changes; old entries then read as misses and are overwritten.
-/// Version 3 added the trailing integrity checksum (see [`seal`]).
-/// Version 4 added the region-segment checkpoint (`ckpt`) artifact kind.
+/// header) changes, or an artifact kind is added; old entries then read as
+/// misses and are overwritten.  Version 3 added the trailing integrity
+/// checksum (see [`encode_sealed`]).  Version 4 added the region-segment
+/// checkpoint (`ckpt`) artifact kind.
 const FORMAT_VERSION: u32 = 4;
-/// File extensions of the four artifact kinds (also the eviction scan
-/// filter).
-const PROFILE_EXT: &str = "bpprof";
-const SELECTION_EXT: &str = "bpsel";
-const SIMULATED_EXT: &str = "bpsim";
-const CHECKPOINT_EXT: &str = "bpckpt";
 
 /// Name of the persisted-statistics file inside the cache directory.  No
 /// artifact extension, so the eviction scan neither counts nor deletes it.
@@ -131,8 +128,8 @@ const STATE_FILE: &str = "cache-state";
 const STATE_MAGIC: &[u8; 4] = b"BPST";
 /// Version of the persisted-statistics layout; a mismatch resets the
 /// lifetime view instead of erroring.  Version 2 added the trailing
-/// integrity checksum (see [`seal`]); version 3 added the checkpoint-kind
-/// counters.
+/// integrity checksum (see [`encode_sealed`]); version 3 added the
+/// checkpoint-kind counters.
 const STATE_VERSION: u32 = 3;
 /// Name of the advisory lock file serializing eviction and orphan cleanup
 /// across processes.  Leading dot: `Path::extension` is `None`, so the scan
@@ -203,17 +200,6 @@ impl ProfileCacheKey {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// File name of this entry inside a cache directory: human-readable
-    /// prefix plus the full fingerprint in hex.
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}.{PROFILE_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.fingerprint
-        )
-    }
 }
 
 /// The content address of one workload's region-segment checkpoints
@@ -225,39 +211,22 @@ impl ProfileCacheKey {
 /// on the trace itself, so one cold walk's checkpoints serve every later
 /// re-walk of that workload regardless of why it re-walks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CheckpointCacheKey {
-    workload_name: String,
-    threads: usize,
-    fingerprint: u64,
-}
+pub struct CheckpointCacheKey(ProfileCacheKey);
 
 impl CheckpointCacheKey {
     /// Computes the key for `workload`.
     pub fn for_workload<W: Workload + ?Sized>(workload: &W) -> Self {
-        Self {
-            workload_name: workload.name().to_string(),
-            threads: workload.num_threads(),
-            fingerprint: workload.profile_fingerprint(),
-        }
+        Self(ProfileCacheKey::for_workload(workload))
     }
 
     /// The workload name component.
     pub fn workload_name(&self) -> &str {
-        &self.workload_name
+        self.0.workload_name()
     }
 
     /// The content fingerprint component.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}.{CHECKPOINT_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.fingerprint
-        )
+        self.0.fingerprint
     }
 }
 
@@ -315,16 +284,6 @@ impl SelectionCacheKey {
     /// The fingerprint of the `(SignatureConfig, SelectionStrategy)` pair.
     pub fn config_fingerprint(&self) -> u64 {
         self.config_fingerprint
-    }
-
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}-{:016x}.{SELECTION_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.profile_fingerprint,
-            self.config_fingerprint
-        )
     }
 }
 
@@ -405,17 +364,6 @@ impl SimulatedCacheKey {
     pub fn config_fingerprint(&self) -> u64 {
         self.config_fingerprint
     }
-
-    fn file_name(&self) -> String {
-        format!(
-            "{}-{}t-{:016x}-{:016x}-{:016x}.{SIMULATED_EXT}",
-            sanitize(&self.workload_name),
-            self.threads,
-            self.workload_fingerprint,
-            self.selection_fingerprint,
-            self.config_fingerprint
-        )
-    }
 }
 
 /// The fingerprint of one `(SimConfig, WarmupKind)` pair — the machine
@@ -431,6 +379,261 @@ fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
         .collect()
+}
+
+/// One artifact kind of the cache, declared in exactly one place: the impl
+/// of this trait on the kind's key type names the entry magic, the file
+/// extension, the key echo, the artifact type, the memory-tier variant, and
+/// the kind's statistics counters.  Everything else — the tiered lookup,
+/// the strict and degrading loads and stores, probe accounting, and the
+/// sealed entry codec — is one generic path over this trait.  Adding a kind
+/// means one impl, one magic, one extension, and a [`FORMAT_VERSION`] bump.
+pub(crate) trait ArtifactKind {
+    /// The decoded artifact stored under keys of this kind.
+    type Artifact: Serialize + Deserialize + Clone;
+    /// The key's fingerprints, as a fixed-size array.
+    type Fingerprints: AsRef<[u64]>;
+    /// Magic bytes at the start of every entry of this kind.
+    const MAGIC: &'static [u8; 4];
+    /// File extension of this kind's entries (also the eviction scan filter).
+    const EXT: &'static str;
+    /// Index of this kind's memory-hit counter in [`CacheStats::as_array`]
+    /// order; its disk-hit and miss counters follow it.
+    const STATS: usize;
+
+    /// The key echo — workload name, thread count, fingerprints — in the
+    /// order both the file name and the entry header carry it.
+    fn echo(&self) -> (&str, usize, Self::Fingerprints);
+
+    /// This key in the memory tier's key space.
+    fn memory_key(&self) -> MemoryKey;
+
+    /// Wraps an artifact of this kind for the memory tier.
+    fn into_memory(artifact: Arc<Self::Artifact>) -> MemoryArtifact;
+
+    /// Unwraps a memory-tier artifact of this kind.
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<Self::Artifact>>;
+
+    /// File name of this entry inside a cache directory: human-readable
+    /// prefix plus the full fingerprints in hex.
+    fn file_name(&self) -> String {
+        let (name, threads, fingerprints) = self.echo();
+        let mut file = format!("{}-{threads}t", sanitize(name));
+        for fingerprint in fingerprints.as_ref() {
+            let _ = write!(file, "-{fingerprint:016x}");
+        }
+        let _ = write!(file, ".{}", Self::EXT);
+        file
+    }
+
+    /// Encodes `artifact` as this key's sealed entry: the key echo, then the
+    /// serialized artifact.
+    fn encode(&self, artifact: &Self::Artifact) -> Vec<u8> {
+        let (name, threads, fingerprints) = self.echo();
+        encode_sealed(Self::MAGIC, FORMAT_VERSION, |out| {
+            out.write_str(name);
+            out.write_u64(threads as u64);
+            for &fingerprint in fingerprints.as_ref() {
+                out.write_u64(fingerprint);
+            }
+            artifact.serialize(out);
+        })
+    }
+
+    /// Decodes an entry, returning `None` for anything that does not match
+    /// this key exactly (wrong magic/version/key, torn or trailing bytes, a
+    /// broken seal).
+    fn decode(&self, bytes: &[u8]) -> Option<Self::Artifact> {
+        let (name, threads, fingerprints) = self.echo();
+        decode_sealed(bytes, Self::MAGIC, FORMAT_VERSION, |de| {
+            let name_len = de.read_len().ok()?;
+            let echoed = de.read_bytes(name_len).ok()? == name.as_bytes()
+                && de.read_u64().ok()? == threads as u64
+                && fingerprints.as_ref().iter().all(|&fp| de.read_u64().ok() == Some(fp));
+            if !echoed {
+                return None;
+            }
+            Self::Artifact::deserialize(de).ok()
+        })
+    }
+}
+
+impl ArtifactKind for ProfileCacheKey {
+    type Artifact = ApplicationProfile;
+    type Fingerprints = [u64; 1];
+    const MAGIC: &'static [u8; 4] = b"BPPF";
+    const EXT: &'static str = "bpprof";
+    const STATS: usize = 0;
+
+    fn echo(&self) -> (&str, usize, [u64; 1]) {
+        (&self.workload_name, self.threads, [self.fingerprint])
+    }
+
+    fn memory_key(&self) -> MemoryKey {
+        MemoryKey::Profile(self.clone())
+    }
+
+    fn into_memory(artifact: Arc<ApplicationProfile>) -> MemoryArtifact {
+        MemoryArtifact::Profile(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<ApplicationProfile>> {
+        let MemoryArtifact::Profile(artifact) = artifact else { return None };
+        Some(artifact)
+    }
+}
+
+impl ArtifactKind for SelectionCacheKey {
+    type Artifact = BarrierPointSelection;
+    type Fingerprints = [u64; 2];
+    const MAGIC: &'static [u8; 4] = b"BPSL";
+    const EXT: &'static str = "bpsel";
+    const STATS: usize = 3;
+
+    fn echo(&self) -> (&str, usize, [u64; 2]) {
+        (&self.workload_name, self.threads, [self.profile_fingerprint, self.config_fingerprint])
+    }
+
+    fn memory_key(&self) -> MemoryKey {
+        MemoryKey::Selection(self.clone())
+    }
+
+    fn into_memory(artifact: Arc<BarrierPointSelection>) -> MemoryArtifact {
+        MemoryArtifact::Selection(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<BarrierPointSelection>> {
+        let MemoryArtifact::Selection(artifact) = artifact else { return None };
+        Some(artifact)
+    }
+}
+
+impl ArtifactKind for SimulatedCacheKey {
+    type Artifact = Simulated;
+    type Fingerprints = [u64; 3];
+    const MAGIC: &'static [u8; 4] = b"BPSM";
+    const EXT: &'static str = "bpsim";
+    const STATS: usize = 6;
+
+    fn echo(&self) -> (&str, usize, [u64; 3]) {
+        let fingerprints =
+            [self.workload_fingerprint, self.selection_fingerprint, self.config_fingerprint];
+        (&self.workload_name, self.threads, fingerprints)
+    }
+
+    fn memory_key(&self) -> MemoryKey {
+        MemoryKey::Simulated(self.clone())
+    }
+
+    fn into_memory(artifact: Arc<Simulated>) -> MemoryArtifact {
+        MemoryArtifact::Simulated(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<Simulated>> {
+        let MemoryArtifact::Simulated(artifact) = artifact else { return None };
+        Some(artifact)
+    }
+}
+
+impl ArtifactKind for CheckpointCacheKey {
+    type Artifact = WorkloadCheckpoints;
+    type Fingerprints = [u64; 1];
+    const MAGIC: &'static [u8; 4] = b"BPCK";
+    const EXT: &'static str = "bpckpt";
+    const STATS: usize = 9;
+
+    fn echo(&self) -> (&str, usize, [u64; 1]) {
+        self.0.echo()
+    }
+
+    fn memory_key(&self) -> MemoryKey {
+        MemoryKey::Checkpoint(self.clone())
+    }
+
+    fn into_memory(artifact: Arc<WorkloadCheckpoints>) -> MemoryArtifact {
+        MemoryArtifact::Checkpoint(artifact)
+    }
+
+    fn from_memory(artifact: MemoryArtifact) -> Option<Arc<WorkloadCheckpoints>> {
+        let MemoryArtifact::Checkpoint(artifact) = artifact else { return None };
+        Some(artifact)
+    }
+}
+
+/// A cache hit: the shared artifact, and whether the memory tier served it.
+type Hit<T> = (Arc<T>, bool);
+
+/// File extensions of the artifact kinds: the eviction scan counts (and
+/// may delete) exactly these files.
+const KIND_EXTENSIONS: [&str; 4] =
+    [ProfileCacheKey::EXT, SelectionCacheKey::EXT, SimulatedCacheKey::EXT, CheckpointCacheKey::EXT];
+
+/// Encodes one sealed container — magic, version, `payload`'s bytes, then a
+/// trailing FNV-1a checksum of everything before it.  Every entry kind and
+/// the `cache-state` file use it.  Magic, version, and key echo catch
+/// truncation and foreign files; the checksum is what catches *payload*
+/// damage — a bit flip in the metrics region of an otherwise well-formed
+/// entry would decode cleanly and be served as truth without it.  FNV-1a
+/// because it is fixed forever (see [`FingerprintHasher`]); this is an
+/// integrity check against storage rot, not an adversarial MAC.
+fn encode_sealed(
+    magic: &[u8; 4],
+    version: u32,
+    payload: impl FnOnce(&mut serde::Serializer),
+) -> Vec<u8> {
+    let mut out = serde::Serializer::new();
+    out.write_bytes(magic);
+    out.write_u32(version);
+    payload(&mut out);
+    let mut bytes = out.into_bytes();
+    let mut hasher = FingerprintHasher::new();
+    hasher.write_bytes(&bytes);
+    bytes.extend_from_slice(&hasher.finish().to_le_bytes());
+    bytes
+}
+
+/// Decodes [`encode_sealed`]'s container: `None` unless the checksum
+/// verifies, magic and version match, and `payload` succeeds consuming the
+/// remaining bytes exactly.
+fn decode_sealed<T>(
+    bytes: &[u8],
+    magic: &[u8; 4],
+    version: u32,
+    payload: impl FnOnce(&mut serde::Deserializer<'_>) -> Option<T>,
+) -> Option<T> {
+    let (sealed, checksum) = bytes.split_at(bytes.len().checked_sub(8)?);
+    let mut hasher = FingerprintHasher::new();
+    hasher.write_bytes(sealed);
+    if hasher.finish().to_le_bytes() != checksum {
+        return None;
+    }
+    let mut de = serde::Deserializer::new(sealed);
+    if de.read_bytes(magic.len()).ok()? != magic || de.read_u32().ok()? != version {
+        return None;
+    }
+    let value = payload(&mut de)?;
+    (de.remaining() == 0).then_some(value)
+}
+
+/// Encodes the persisted-statistics file: the counters in
+/// [`CacheStats::as_array`] order, in a sealed container.
+fn encode_state(stats: &CacheStats) -> Vec<u8> {
+    encode_sealed(STATE_MAGIC, STATE_VERSION, |out| {
+        stats.as_array().into_iter().for_each(|value| out.write_u64(value));
+    })
+}
+
+/// Decodes a persisted-statistics file.  Anything unexpected — wrong magic,
+/// other version, torn or trailing bytes — returns `None`, which the caller
+/// treats as a zero base: statistics reset, they never fail the cache.
+fn decode_state(bytes: &[u8]) -> Option<CacheStats> {
+    decode_sealed(bytes, STATE_MAGIC, STATE_VERSION, |de| {
+        let mut values = [0u64; STATS_FIELDS];
+        for value in &mut values {
+            *value = de.read_u64().ok()?;
+        }
+        Some(CacheStats::from_array(values))
+    })
 }
 
 /// A point-in-time snapshot of a cache's hit/miss counters.
@@ -493,6 +696,15 @@ pub struct CacheStats {
 /// Number of `u64` counters in [`CacheStats`] (the persisted layout).
 const STATS_FIELDS: usize = 18;
 
+// Positions of the non-kind counters in `CacheStats::as_array` order (each
+// kind's three counters start at its `ArtifactKind::STATS`).
+const EVICTIONS: usize = 12;
+const MEMORY_EVICTIONS: usize = 13;
+const DEGRADED_LOADS: usize = 14;
+const DEGRADED_STORES: usize = 15;
+const RETRIES: usize = 16;
+const LOCK_CONTENDED: usize = 17;
+
 impl CacheStats {
     /// Total lookups served from the memory tier, over all artifact kinds.
     pub fn memory_hits(&self) -> u64 {
@@ -510,11 +722,8 @@ impl CacheStats {
     /// The field-wise (saturating) sum of two snapshots — how a persisted
     /// base merges with the current session's counters.
     pub fn merged(&self, other: &CacheStats) -> CacheStats {
-        let mut merged = [0u64; STATS_FIELDS];
-        for ((out, a), b) in merged.iter_mut().zip(self.as_array()).zip(other.as_array()) {
-            *out = a.saturating_add(b);
-        }
-        CacheStats::from_array(merged)
+        let (a, b) = (self.as_array(), other.as_array());
+        CacheStats::from_array(std::array::from_fn(|i| a[i].saturating_add(b[i])))
     }
 
     /// The counters in their fixed persisted order.
@@ -568,48 +777,35 @@ impl CacheStats {
 
 #[derive(Debug, Default)]
 struct StatCounters {
-    profile_memory_hits: AtomicU64,
-    profile_hits: AtomicU64,
-    profile_misses: AtomicU64,
-    selection_memory_hits: AtomicU64,
-    selection_hits: AtomicU64,
-    selection_misses: AtomicU64,
-    simulated_memory_hits: AtomicU64,
-    simulated_hits: AtomicU64,
-    simulated_misses: AtomicU64,
-    checkpoint_memory_hits: AtomicU64,
-    checkpoint_hits: AtomicU64,
-    checkpoint_misses: AtomicU64,
-    evictions: AtomicU64,
-    memory_evictions: AtomicU64,
-    degraded_loads: AtomicU64,
-    degraded_stores: AtomicU64,
-    retries: AtomicU64,
-    lock_contended: AtomicU64,
+    /// The session counters, in [`CacheStats::as_array`] order.
+    counters: [AtomicU64; STATS_FIELDS],
     /// The persisted base loaded (lazily, once) from the `cache-state`
     /// file; [`ArtifactCache::lifetime_stats`] adds the session counters.
     persisted_base: Mutex<Option<CacheStats>>,
 }
 
-/// Counts one event on a statistics counter.
-fn bump(counter: &AtomicU64) {
-    // ordering: Relaxed — monotonic telemetry with no release obligation;
-    // `stats()` snapshots carry no ordering relationship to the counted
-    // events, and cross-thread counts are reconciled by the caller's own
-    // joins (e.g. a sweep reads stats only after its legs complete).
-    counter.fetch_add(1, Ordering::Relaxed);
-}
+impl StatCounters {
+    /// Counts one event on the counter at `index`.
+    fn bump(&self, index: usize) {
+        // ordering: Relaxed — monotonic telemetry with no release
+        // obligation; `stats()` snapshots carry no ordering relationship to
+        // the counted events, and cross-thread counts are reconciled by the
+        // caller's own joins (e.g. a sweep reads stats only after its legs
+        // complete).
+        self.counters[index].fetch_add(1, Ordering::Relaxed);
+    }
 
-/// Snapshots a statistics counter.
-fn read(counter: &AtomicU64) -> u64 {
-    // ordering: Relaxed — see `bump`.
-    counter.load(Ordering::Relaxed)
+    /// Snapshots every counter.
+    fn snapshot(&self) -> CacheStats {
+        // ordering: Relaxed — see `bump`.
+        CacheStats::from_array(std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed)))
+    }
 }
 
 /// Key space of the memory tier — the same content addresses as the disk
 /// tier, one variant per artifact kind so kinds can never alias.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum MemoryKey {
+pub(crate) enum MemoryKey {
     Profile(ProfileCacheKey),
     Selection(SelectionCacheKey),
     Simulated(SimulatedCacheKey),
@@ -618,7 +814,7 @@ enum MemoryKey {
 
 /// A decoded artifact held by the memory tier.  Cloning is a pointer clone.
 #[derive(Debug, Clone)]
-enum MemoryArtifact {
+pub(crate) enum MemoryArtifact {
     Profile(Arc<ApplicationProfile>),
     Selection(Arc<BarrierPointSelection>),
     Simulated(Arc<Simulated>),
@@ -637,9 +833,10 @@ enum MemoryArtifact {
 // touched).
 
 /// A two-tier cache of pipeline artifacts — [`ApplicationProfile`]s,
-/// [`BarrierPointSelection`]s and [`Simulated`] legs — keyed by workload and
-/// configuration content: an in-process memory tier of decoded artifacts in
-/// front of a directory of serialized entries.
+/// [`BarrierPointSelection`]s, [`Simulated`] legs and region-segment
+/// [`WorkloadCheckpoints`] — keyed by workload and configuration content:
+/// an in-process memory tier of decoded artifacts in front of a directory
+/// of serialized entries.
 ///
 /// ```
 /// use barrierpoint::{ArtifactCache, ExecutionPolicy, SignatureConfig};
@@ -696,11 +893,6 @@ pub struct ArtifactCache {
     storage: Arc<dyn Storage>,
     lock_stale_after: Duration,
 }
-
-/// The pre-redesign name of [`ArtifactCache`], kept for continuity: the
-/// profile-caching API is unchanged, the type has only grown selection
-/// memoization, statistics and eviction.
-pub type ProfileCache = ArtifactCache;
 
 impl ArtifactCache {
     /// A cache rooted at `root` (created lazily on first store); both tiers
@@ -770,26 +962,7 @@ impl ArtifactCache {
     /// A snapshot of the hit/miss/eviction counters, aggregated over every
     /// clone of this cache.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            profile_memory_hits: read(&self.stats.profile_memory_hits),
-            profile_hits: read(&self.stats.profile_hits),
-            profile_misses: read(&self.stats.profile_misses),
-            selection_memory_hits: read(&self.stats.selection_memory_hits),
-            selection_hits: read(&self.stats.selection_hits),
-            selection_misses: read(&self.stats.selection_misses),
-            simulated_memory_hits: read(&self.stats.simulated_memory_hits),
-            simulated_hits: read(&self.stats.simulated_hits),
-            simulated_misses: read(&self.stats.simulated_misses),
-            checkpoint_memory_hits: read(&self.stats.checkpoint_memory_hits),
-            checkpoint_hits: read(&self.stats.checkpoint_hits),
-            checkpoint_misses: read(&self.stats.checkpoint_misses),
-            evictions: read(&self.stats.evictions),
-            memory_evictions: read(&self.stats.memory_evictions),
-            degraded_loads: read(&self.stats.degraded_loads),
-            degraded_stores: read(&self.stats.degraded_stores),
-            retries: read(&self.stats.retries),
-            lock_contended: read(&self.stats.lock_contended),
-        }
+        self.stats.snapshot()
     }
 
     /// The lifetime view of the counters: the persisted base from the
@@ -842,19 +1015,8 @@ impl ArtifactCache {
         }
     }
 
-    fn profile_path(&self, key: &ProfileCacheKey) -> PathBuf {
-        self.root.join(key.file_name())
-    }
-
-    fn selection_path(&self, key: &SelectionCacheKey) -> PathBuf {
-        self.root.join(key.file_name())
-    }
-
-    fn simulated_path(&self, key: &SimulatedCacheKey) -> PathBuf {
-        self.root.join(key.file_name())
-    }
-
-    fn checkpoint_path(&self, key: &CheckpointCacheKey) -> PathBuf {
+    /// The entry file of `key` inside the cache directory.
+    fn entry_path<K: ArtifactKind>(&self, key: &K) -> PathBuf {
         self.root.join(key.file_name())
     }
 
@@ -870,7 +1032,7 @@ impl ArtifactCache {
         for attempt in 1..MAX_IO_ATTEMPTS {
             match op() {
                 Err(e) if classify_io_error(e.kind()) == IoErrorClass::Transient => {
-                    bump(&self.stats.retries);
+                    self.stats.bump(RETRIES);
                     std::thread::sleep(RETRY_BACKOFF_BASE * (1 << (attempt - 1)));
                 }
                 other => return other,
@@ -885,7 +1047,8 @@ impl ArtifactCache {
     /// Deliberately does *not* touch the entry for LRU: a read alone proves
     /// nothing — the payload may be corrupt or stale-versioned, and marking
     /// it recently used would let garbage outlive valid entries under a size
-    /// bound.  The `lookup_*` paths touch only after a successful decode.
+    /// bound.  [`lookup`](Self::lookup) touches only after a successful
+    /// decode.
     fn read_entry(&self, path: &Path) -> Result<Option<Vec<u8>>, Error> {
         match self.retrying(|| self.storage.read(path)) {
             Ok(bytes) => Ok(Some(bytes)),
@@ -933,16 +1096,6 @@ impl ArtifactCache {
         Ok(())
     }
 
-    /// [`write_entry`](Self::write_entry) on the degrade-to-recompute
-    /// paths: a persistent failure skips the disk store (the memory tier
-    /// still retains the artifact for this process) and records it, instead
-    /// of failing the pipeline over a cache that is only an optimization.
-    fn write_entry_degraded(&self, path: &Path, bytes: &[u8]) {
-        if self.write_entry(path, bytes).is_err() {
-            bump(&self.stats.degraded_stores);
-        }
-    }
-
     /// Tries to acquire the directory's advisory lock: create-exclusive
     /// `.lock` file carrying `pid` and a millisecond timestamp.  A lock
     /// older than [`Self::with_lock_stale_after`]'s bound is presumed
@@ -968,7 +1121,7 @@ impl ArtifactCache {
                 Err(_) => break,
             }
         }
-        bump(&self.stats.lock_contended);
+        self.stats.bump(LOCK_CONTENDED);
         None
     }
 
@@ -1032,7 +1185,7 @@ impl ArtifactCache {
         for entry in entries {
             let ext = entry.path.extension().and_then(|e| e.to_str());
             match ext {
-                Some(PROFILE_EXT | SELECTION_EXT | SIMULATED_EXT | CHECKPOINT_EXT) => {
+                Some(ext) if KIND_EXTENSIONS.contains(&ext) => {
                     files.push((entry.modified, entry.len, entry.path));
                 }
                 _ => {
@@ -1057,35 +1210,103 @@ impl ArtifactCache {
             }
             if self.storage.remove_file(&path).is_ok() {
                 total = total.saturating_sub(len);
-                bump(&self.stats.evictions);
+                self.stats.bump(EVICTIONS);
             }
         }
     }
 
-    /// Tiered profile lookup: memory first, then disk (a successful disk
-    /// decode touches the entry and populates the memory tier).  The boolean
-    /// is `true` when the memory tier served the hit.
-    fn lookup_profile(
-        &self,
-        key: &ProfileCacheKey,
-    ) -> Result<Option<(Arc<ApplicationProfile>, bool)>, Error> {
-        if let Some(MemoryArtifact::Profile(profile)) =
-            self.memory.get(&MemoryKey::Profile(key.clone()))
-        {
-            return Ok(Some((profile, true)));
+    /// Inserts a decoded artifact into the memory tier, charged at its
+    /// encoded entry size.
+    fn remember<K: ArtifactKind>(&self, key: &K, artifact: Arc<K::Artifact>, bytes: usize) {
+        let evictions = &self.stats.counters[MEMORY_EVICTIONS];
+        self.memory.insert(key.memory_key(), K::into_memory(artifact), bytes as u64, evictions);
+    }
+
+    /// Tiered lookup of any artifact kind: memory first, then disk (a
+    /// successful disk decode touches the entry and populates the memory
+    /// tier).  The boolean is `true` when the memory tier served the hit.
+    /// Stale-version, corrupt, or foreign entries are misses; only I/O
+    /// failures other than the entry not existing are errors.
+    fn lookup<K: ArtifactKind>(&self, key: &K) -> Result<Option<Hit<K::Artifact>>, Error> {
+        if let Some(artifact) = self.memory.get(&key.memory_key()).and_then(K::from_memory) {
+            return Ok(Some((artifact, true)));
         }
-        let path = self.profile_path(key);
+        let path = self.entry_path(key);
         let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(profile) = decode_profile(&bytes, key) else { return Ok(None) };
+        let Some(artifact) = key.decode(&bytes) else { return Ok(None) };
         self.touch_entry(&path);
-        let profile = Arc::new(profile);
-        self.memory.insert(
-            MemoryKey::Profile(key.clone()),
-            MemoryArtifact::Profile(profile.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((profile, false)))
+        let artifact = Arc::new(artifact);
+        self.remember(key, artifact.clone(), bytes.len());
+        Ok(Some((artifact, false)))
+    }
+
+    /// The strict load behind every `load*` method: [`lookup`](Self::lookup)
+    /// without the tier flag and without hit/miss accounting.
+    fn load_kind<K: ArtifactKind>(&self, key: &K) -> Result<Option<Arc<K::Artifact>>, Error> {
+        Ok(self.lookup(key)?.map(|(artifact, _)| artifact))
+    }
+
+    /// The strict store behind every `store*` method: writes through both
+    /// tiers, creating the cache directory if needed.  Unlike the
+    /// `load_or_*` paths it does not degrade: the caller asked for
+    /// persistence and learns when it did not happen (and the memory tier
+    /// is then left untouched).
+    fn store_kind<K: ArtifactKind>(&self, key: &K, artifact: &K::Artifact) -> Result<(), Error> {
+        let artifact = Arc::new(artifact.clone());
+        let bytes = key.encode(&artifact);
+        self.write_entry(&self.entry_path(key), &bytes)?;
+        self.remember(key, artifact, bytes.len());
+        Ok(())
+    }
+
+    /// The logical lookup of any artifact kind, with per-tier hit/miss
+    /// accounting: every lookup of the `load_or_*` paths, the staged
+    /// pipeline and the sweep goes through here exactly once, bumping the
+    /// kind's memory-hit, disk-hit or miss counter.  A persistent read
+    /// failure is demoted to a miss (the artifact will be recomputed) and
+    /// recorded in [`CacheStats::degraded_loads`] instead of failing the
+    /// pipeline.
+    pub(crate) fn probe<K: ArtifactKind>(&self, key: &K) -> Option<Arc<K::Artifact>> {
+        let found = self.lookup(key).unwrap_or_else(|_| {
+            self.stats.bump(DEGRADED_LOADS);
+            None
+        });
+        let tier = match &found {
+            Some((_, true)) => 0,
+            Some((_, false)) => 1,
+            None => 2,
+        };
+        self.stats.bump(K::STATS + tier);
+        found.map(|(artifact, _)| artifact)
+    }
+
+    /// Write-through store of an already-shared artifact (no deep copy) on
+    /// the degrade-to-recompute paths: a persistent disk failure skips the
+    /// disk store and is recorded in [`CacheStats::degraded_stores`] instead
+    /// of failing the pipeline over a cache that is only an optimization.
+    /// The memory tier is populated either way.
+    pub(crate) fn store_arc<K: ArtifactKind>(&self, key: &K, artifact: &Arc<K::Artifact>) {
+        let bytes = key.encode(artifact);
+        if self.write_entry(&self.entry_path(key), &bytes).is_err() {
+            self.stats.bump(DEGRADED_STORES);
+        }
+        self.remember(key, artifact.clone(), bytes.len());
+    }
+
+    /// [`probe`](Self::probe), then on a miss `compute` and
+    /// [`store_arc`](Self::store_arc).  The boolean is `true` when the
+    /// artifact came from the cache.
+    fn load_or<K: ArtifactKind>(
+        &self,
+        key: &K,
+        compute: impl FnOnce() -> Result<Arc<K::Artifact>, Error>,
+    ) -> Result<(Arc<K::Artifact>, bool), Error> {
+        if let Some(artifact) = self.probe(key) {
+            return Ok((artifact, true));
+        }
+        let artifact = compute()?;
+        self.store_arc(key, &artifact);
+        Ok((artifact, false))
     }
 
     /// Looks up the profile stored under `key`, in either tier.
@@ -1098,7 +1319,7 @@ impl ArtifactCache {
     /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
     /// not existing.
     pub fn load(&self, key: &ProfileCacheKey) -> Result<Option<Arc<ApplicationProfile>>, Error> {
-        Ok(self.lookup_profile(key)?.map(|(profile, _)| profile))
+        self.load_kind(key)
     }
 
     /// Persists `profile` under `key` in both tiers, creating the cache
@@ -1111,101 +1332,7 @@ impl ArtifactCache {
     /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
     /// transient retries).
     pub fn store(&self, key: &ProfileCacheKey, profile: &ApplicationProfile) -> Result<(), Error> {
-        let profile = Arc::new(profile.clone());
-        let bytes = encode_profile(key, &profile);
-        self.write_entry(&self.profile_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Profile(key.clone()),
-            MemoryArtifact::Profile(profile),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// [`lookup_profile`](Self::lookup_profile) on the degrade-to-recompute
-    /// paths: a persistent read failure is demoted to a miss (the profile
-    /// will be recomputed) and recorded, instead of failing the pipeline.
-    fn lookup_profile_degraded(
-        &self,
-        key: &ProfileCacheKey,
-    ) -> Option<(Arc<ApplicationProfile>, bool)> {
-        match self.lookup_profile(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
-    }
-
-    /// [`load`](Self::load) with hit/miss accounting — the sweep's logical
-    /// profile lookup (the sweep stores the computed profile itself, because
-    /// a fused cold pass produces it together with the warmup state).
-    /// Degrades I/O failures to misses; the `Result` carries only future
-    /// error sources.
-    pub(crate) fn probe_profile(
-        &self,
-        key: &ProfileCacheKey,
-    ) -> Result<Option<Arc<ApplicationProfile>>, Error> {
-        match self.lookup_profile_degraded(key) {
-            Some((profile, true)) => {
-                bump(&self.stats.profile_memory_hits);
-                Ok(Some(profile))
-            }
-            Some((profile, false)) => {
-                bump(&self.stats.profile_hits);
-                Ok(Some(profile))
-            }
-            None => {
-                bump(&self.stats.profile_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Write-through store of an already-shared profile (no deep copy).
-    /// Disk failures degrade (see [`write_entry_degraded`]
-    /// (Self::write_entry_degraded)); the memory tier is populated either
-    /// way.
-    pub(crate) fn store_profile_arc(
-        &self,
-        key: &ProfileCacheKey,
-        profile: &Arc<ApplicationProfile>,
-    ) -> Result<(), Error> {
-        let bytes = encode_profile(key, profile);
-        self.write_entry_degraded(&self.profile_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Profile(key.clone()),
-            MemoryArtifact::Profile(profile.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// Tiered selection lookup; see [`lookup_profile`](Self::lookup_profile).
-    fn lookup_selection(
-        &self,
-        key: &SelectionCacheKey,
-    ) -> Result<Option<(Arc<BarrierPointSelection>, bool)>, Error> {
-        if let Some(MemoryArtifact::Selection(selection)) =
-            self.memory.get(&MemoryKey::Selection(key.clone()))
-        {
-            return Ok(Some((selection, true)));
-        }
-        let path = self.selection_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(selection) = decode_selection(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let selection = Arc::new(selection);
-        self.memory.insert(
-            MemoryKey::Selection(key.clone()),
-            MemoryArtifact::Selection(selection.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((selection, false)))
+        self.store_kind(key, profile)
     }
 
     /// Looks up the selection stored under `key`, in either tier; `Ok(None)`
@@ -1219,7 +1346,7 @@ impl ArtifactCache {
         &self,
         key: &SelectionCacheKey,
     ) -> Result<Option<Arc<BarrierPointSelection>>, Error> {
-        Ok(self.lookup_selection(key)?.map(|(selection, _)| selection))
+        self.load_kind(key)
     }
 
     /// Persists `selection` under `key` in both tiers.  Does not degrade;
@@ -1234,75 +1361,63 @@ impl ArtifactCache {
         key: &SelectionCacheKey,
         selection: &BarrierPointSelection,
     ) -> Result<(), Error> {
-        let selection = Arc::new(selection.clone());
-        let bytes = encode_selection(key, &selection);
-        self.write_entry(&self.selection_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Selection(key.clone()),
-            MemoryArtifact::Selection(selection),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
+        self.store_kind(key, selection)
     }
 
-    /// [`lookup_selection`](Self::lookup_selection) on the
-    /// degrade-to-recompute paths; see
-    /// [`lookup_profile_degraded`](Self::lookup_profile_degraded).
-    fn lookup_selection_degraded(
-        &self,
-        key: &SelectionCacheKey,
-    ) -> Option<(Arc<BarrierPointSelection>, bool)> {
-        match self.lookup_selection(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
+    /// Looks up the simulated leg stored under `key`, in either tier;
+    /// `Ok(None)` on any miss (stale version, corrupt payload, wrong key).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
+    /// not existing.
+    pub fn load_simulated(&self, key: &SimulatedCacheKey) -> Result<Option<Arc<Simulated>>, Error> {
+        self.load_kind(key)
     }
 
-    /// [`load_selection`](Self::load_selection) with hit/miss accounting —
-    /// the sweep's logical selection lookup.  The selection key is derivable
-    /// without the profile, so a sweep whose selection is cached never
-    /// touches (or recomputes) the profile at all.  Degrades I/O failures
-    /// to misses.
-    pub(crate) fn probe_selection(
+    /// Persists `simulated` under `key` in both tiers.  Does not degrade;
+    /// see [`store`](Self::store).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
+    /// transient retries).
+    pub fn store_simulated(
         &self,
-        key: &SelectionCacheKey,
-    ) -> Result<Option<Arc<BarrierPointSelection>>, Error> {
-        match self.lookup_selection_degraded(key) {
-            Some((selection, true)) => {
-                bump(&self.stats.selection_memory_hits);
-                Ok(Some(selection))
-            }
-            Some((selection, false)) => {
-                bump(&self.stats.selection_hits);
-                Ok(Some(selection))
-            }
-            None => {
-                bump(&self.stats.selection_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Write-through store of an already-shared selection (no deep copy).
-    /// Disk failures degrade; the memory tier is populated either way.
-    pub(crate) fn store_selection_arc(
-        &self,
-        key: &SelectionCacheKey,
-        selection: &Arc<BarrierPointSelection>,
+        key: &SimulatedCacheKey,
+        simulated: &Simulated,
     ) -> Result<(), Error> {
-        let bytes = encode_selection(key, selection);
-        self.write_entry_degraded(&self.selection_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Selection(key.clone()),
-            MemoryArtifact::Selection(selection.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
+        self.store_kind(key, simulated)
+    }
+
+    /// Looks up the region-segment checkpoints stored under `key`, in
+    /// either tier; `Ok(None)` on any miss (stale version, corrupt payload,
+    /// wrong key).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
+    /// not existing.
+    pub fn load_checkpoint(
+        &self,
+        key: &CheckpointCacheKey,
+    ) -> Result<Option<Arc<WorkloadCheckpoints>>, Error> {
+        self.load_kind(key)
+    }
+
+    /// Persists `checkpoints` under `key` in both tiers.  Does not degrade;
+    /// see [`store`](Self::store).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
+    /// transient retries).
+    pub fn store_checkpoint(
+        &self,
+        key: &CheckpointCacheKey,
+        checkpoints: &WorkloadCheckpoints,
+    ) -> Result<(), Error> {
+        self.store_kind(key, checkpoints)
     }
 
     /// Returns the cached profile for `workload`, profiling (under `policy`)
@@ -1322,303 +1437,9 @@ impl ArtifactCache {
         workload: &W,
         policy: &ExecutionPolicy,
     ) -> Result<(Arc<ApplicationProfile>, bool), Error> {
-        let key = ProfileCacheKey::for_workload(workload);
-        match self.lookup_profile_degraded(&key) {
-            Some((profile, true)) => {
-                bump(&self.stats.profile_memory_hits);
-                Ok((profile, true))
-            }
-            Some((profile, false)) => {
-                bump(&self.stats.profile_hits);
-                Ok((profile, true))
-            }
-            None => {
-                bump(&self.stats.profile_misses);
-                let profile = Arc::new(profile_application_with(workload, policy)?);
-                self.store_profile_arc(&key, &profile)?;
-                Ok((profile, false))
-            }
-        }
-    }
-
-    /// Drops the profile stored under `key` from **both** tiers, so the
-    /// next lookup recomputes (or re-walks) it.  Returns whether any tier
-    /// held the entry.  A disk removal failure other than the entry not
-    /// existing is swallowed — invalidation is best-effort, exactly like
-    /// eviction — but the memory tier drop always happens, so in-process
-    /// lookups can never resurrect the invalidated artifact.
-    ///
-    /// The segment-parallelism bench uses this to force a re-profile that
-    /// exercises the checkpoint path; the checkpoints themselves are keyed
-    /// separately and survive.
-    pub fn invalidate_profile(&self, key: &ProfileCacheKey) -> bool {
-        let in_memory = self.memory.remove(&MemoryKey::Profile(key.clone()));
-        let on_disk = self.storage.remove_file(&self.profile_path(key)).is_ok();
-        in_memory || on_disk
-    }
-
-    /// Tiered checkpoint lookup; see [`lookup_profile`](Self::lookup_profile).
-    fn lookup_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Result<Option<(Arc<WorkloadCheckpoints>, bool)>, Error> {
-        if let Some(MemoryArtifact::Checkpoint(checkpoints)) =
-            self.memory.get(&MemoryKey::Checkpoint(key.clone()))
-        {
-            return Ok(Some((checkpoints, true)));
-        }
-        let path = self.checkpoint_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(checkpoints) = decode_checkpoint(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let checkpoints = Arc::new(checkpoints);
-        self.memory.insert(
-            MemoryKey::Checkpoint(key.clone()),
-            MemoryArtifact::Checkpoint(checkpoints.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((checkpoints, false)))
-    }
-
-    /// Looks up the region-segment checkpoints stored under `key`, in
-    /// either tier; `Ok(None)` on any miss (stale version, corrupt payload,
-    /// wrong key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
-    /// not existing.
-    pub fn load_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Result<Option<Arc<WorkloadCheckpoints>>, Error> {
-        Ok(self.lookup_checkpoint(key)?.map(|(checkpoints, _)| checkpoints))
-    }
-
-    /// Persists `checkpoints` under `key` in both tiers.  Does not degrade;
-    /// see [`store`](Self::store).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
-    /// transient retries).
-    pub fn store_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-        checkpoints: &WorkloadCheckpoints,
-    ) -> Result<(), Error> {
-        let checkpoints = Arc::new(checkpoints.clone());
-        let bytes = encode_checkpoint(key, &checkpoints);
-        self.write_entry(&self.checkpoint_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Checkpoint(key.clone()),
-            MemoryArtifact::Checkpoint(checkpoints),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// [`lookup_checkpoint`](Self::lookup_checkpoint) on the
-    /// degrade-to-recompute paths; see
-    /// [`lookup_profile_degraded`](Self::lookup_profile_degraded).
-    fn lookup_checkpoint_degraded(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Option<(Arc<WorkloadCheckpoints>, bool)> {
-        match self.lookup_checkpoint(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
-    }
-
-    /// [`load_checkpoint`](Self::load_checkpoint) with hit/miss accounting
-    /// — the sweep's logical checkpoint lookup on a profile or warmup
-    /// re-walk.  Degrades I/O failures to misses: checkpoints are purely an
-    /// accelerator, a miss only costs the sequential walk.
-    pub(crate) fn probe_checkpoint(
-        &self,
-        key: &CheckpointCacheKey,
-    ) -> Result<Option<Arc<WorkloadCheckpoints>>, Error> {
-        match self.lookup_checkpoint_degraded(key) {
-            Some((checkpoints, true)) => {
-                bump(&self.stats.checkpoint_memory_hits);
-                Ok(Some(checkpoints))
-            }
-            Some((checkpoints, false)) => {
-                bump(&self.stats.checkpoint_hits);
-                Ok(Some(checkpoints))
-            }
-            None => {
-                bump(&self.stats.checkpoint_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Write-through store of already-shared checkpoints (no deep copy).
-    /// Disk failures degrade; the memory tier is populated either way.
-    pub(crate) fn store_checkpoint_arc(
-        &self,
-        key: &CheckpointCacheKey,
-        checkpoints: &Arc<WorkloadCheckpoints>,
-    ) -> Result<(), Error> {
-        let bytes = encode_checkpoint(key, checkpoints);
-        self.write_entry_degraded(&self.checkpoint_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Checkpoint(key.clone()),
-            MemoryArtifact::Checkpoint(checkpoints.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// Tiered simulated-leg lookup; see
-    /// [`lookup_profile`](Self::lookup_profile).
-    fn lookup_simulated(
-        &self,
-        key: &SimulatedCacheKey,
-    ) -> Result<Option<(Arc<Simulated>, bool)>, Error> {
-        if let Some(MemoryArtifact::Simulated(simulated)) =
-            self.memory.get(&MemoryKey::Simulated(key.clone()))
-        {
-            return Ok(Some((simulated, true)));
-        }
-        let path = self.simulated_path(key);
-        let Some(bytes) = self.read_entry(&path)? else { return Ok(None) };
-        let Some(simulated) = decode_simulated(&bytes, key) else { return Ok(None) };
-        self.touch_entry(&path);
-        let simulated = Arc::new(simulated);
-        self.memory.insert(
-            MemoryKey::Simulated(key.clone()),
-            MemoryArtifact::Simulated(simulated.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(Some((simulated, false)))
-    }
-
-    /// Looks up the simulated leg stored under `key`, in either tier;
-    /// `Ok(None)` on any miss (stale version, corrupt payload, wrong key).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] for I/O failures other than the entry
-    /// not existing.
-    pub fn load_simulated(&self, key: &SimulatedCacheKey) -> Result<Option<Arc<Simulated>>, Error> {
-        Ok(self.lookup_simulated(key)?.map(|(simulated, _)| simulated))
-    }
-
-    /// Persists `simulated` under `key` in both tiers.  Does not degrade;
-    /// see [`store`](Self::store).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ProfileCache`] on I/O failure (after bounded
-    /// transient retries).
-    pub fn store_simulated(
-        &self,
-        key: &SimulatedCacheKey,
-        simulated: &Simulated,
-    ) -> Result<(), Error> {
-        let simulated = Arc::new(simulated.clone());
-        let bytes = encode_simulated(key, &simulated);
-        self.write_entry(&self.simulated_path(key), &bytes)?;
-        self.memory.insert(
-            MemoryKey::Simulated(key.clone()),
-            MemoryArtifact::Simulated(simulated),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// Write-through store of an already-shared simulated leg (no deep
-    /// copy).  Disk failures degrade; the memory tier is populated either
-    /// way.
-    pub(crate) fn store_simulated_arc(
-        &self,
-        key: &SimulatedCacheKey,
-        simulated: &Arc<Simulated>,
-    ) -> Result<(), Error> {
-        let bytes = encode_simulated(key, simulated);
-        self.write_entry_degraded(&self.simulated_path(key), &bytes);
-        self.memory.insert(
-            MemoryKey::Simulated(key.clone()),
-            MemoryArtifact::Simulated(simulated.clone()),
-            bytes.len() as u64,
-            &self.stats.memory_evictions,
-        );
-        Ok(())
-    }
-
-    /// [`lookup_simulated`](Self::lookup_simulated) on the
-    /// degrade-to-recompute paths; see
-    /// [`lookup_profile_degraded`](Self::lookup_profile_degraded).
-    fn lookup_simulated_degraded(&self, key: &SimulatedCacheKey) -> Option<(Arc<Simulated>, bool)> {
-        match self.lookup_simulated(key) {
-            Ok(found) => found,
-            Err(_) => {
-                bump(&self.stats.degraded_loads);
-                None
-            }
-        }
-    }
-
-    /// [`load_simulated`](Self::load_simulated) with per-tier hit/miss
-    /// accounting: every *logical* simulated-leg lookup goes through here
-    /// exactly once (the sweep probes legs up front so it can skip the
-    /// warmup collection of fully cached legs; the staged API probes through
-    /// [`load_or_simulate`](Self::load_or_simulate)).  Degrades I/O
-    /// failures to misses.
-    pub(crate) fn probe_simulated(
-        &self,
-        key: &SimulatedCacheKey,
-    ) -> Result<Option<Arc<Simulated>>, Error> {
-        match self.lookup_simulated_degraded(key) {
-            Some((simulated, true)) => {
-                bump(&self.stats.simulated_memory_hits);
-                Ok(Some(simulated))
-            }
-            Some((simulated, false)) => {
-                bump(&self.stats.simulated_hits);
-                Ok(Some(simulated))
-            }
-            None => {
-                bump(&self.stats.simulated_misses);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Returns the cached simulated leg under `key`, running `simulate` and
-    /// populating both tiers on a miss.  The boolean is `true` when the leg
-    /// came from the cache — the detailed simulation (and its warmup
-    /// collection) was skipped entirely.  Cache I/O failures degrade to
-    /// recomputation; see [`load_or_profile`](Self::load_or_profile).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `simulate`'s error.
-    pub fn load_or_simulate<F>(
-        &self,
-        key: &SimulatedCacheKey,
-        simulate: F,
-    ) -> Result<(Arc<Simulated>, bool), Error>
-    where
-        F: FnOnce() -> Result<Arc<Simulated>, Error>,
-    {
-        if let Some(simulated) = self.probe_simulated(key)? {
-            return Ok((simulated, true));
-        }
-        let simulated = simulate()?;
-        self.store_simulated_arc(key, &simulated)?;
-        Ok((simulated, false))
+        self.load_or(&ProfileCacheKey::for_workload(workload), || {
+            Ok(Arc::new(profile_application_with(workload, policy)?))
+        })
     }
 
     /// Returns the cached barrierpoint selection of `profile` (profiled from
@@ -1639,23 +1460,45 @@ impl ArtifactCache {
         strategy: &dyn SelectionStrategy,
     ) -> Result<(Arc<BarrierPointSelection>, bool), Error> {
         let key = SelectionCacheKey::for_workload(workload, signature_config, strategy);
-        match self.lookup_selection_degraded(&key) {
-            Some((selection, true)) => {
-                bump(&self.stats.selection_memory_hits);
-                Ok((selection, true))
-            }
-            Some((selection, false)) => {
-                bump(&self.stats.selection_hits);
-                Ok((selection, true))
-            }
-            None => {
-                bump(&self.stats.selection_misses);
-                let selection =
-                    Arc::new(select_barrierpoints_with(profile, signature_config, strategy)?);
-                self.store_selection_arc(&key, &selection)?;
-                Ok((selection, false))
-            }
-        }
+        self.load_or(&key, || {
+            Ok(Arc::new(select_barrierpoints_with(profile, signature_config, strategy)?))
+        })
+    }
+
+    /// Returns the cached simulated leg under `key`, running `simulate` and
+    /// populating both tiers on a miss.  The boolean is `true` when the leg
+    /// came from the cache — the detailed simulation (and its warmup
+    /// collection) was skipped entirely.  Cache I/O failures degrade to
+    /// recomputation; see [`load_or_profile`](Self::load_or_profile).
+    ///
+    /// # Errors
+    ///
+    /// Propagates `simulate`'s error.
+    pub fn load_or_simulate<F>(
+        &self,
+        key: &SimulatedCacheKey,
+        simulate: F,
+    ) -> Result<(Arc<Simulated>, bool), Error>
+    where
+        F: FnOnce() -> Result<Arc<Simulated>, Error>,
+    {
+        self.load_or(key, simulate)
+    }
+
+    /// Drops the profile stored under `key` from **both** tiers, so the
+    /// next lookup recomputes (or re-walks) it.  Returns whether any tier
+    /// held the entry.  A disk removal failure other than the entry not
+    /// existing is swallowed — invalidation is best-effort, exactly like
+    /// eviction — but the memory tier drop always happens, so in-process
+    /// lookups can never resurrect the invalidated artifact.
+    ///
+    /// The segment-parallelism bench uses this to force a re-profile that
+    /// exercises the checkpoint path; the checkpoints themselves are keyed
+    /// separately and survive.
+    pub fn invalidate_profile(&self, key: &ProfileCacheKey) -> bool {
+        let in_memory = self.memory.remove(&key.memory_key());
+        let on_disk = self.storage.remove_file(&self.entry_path(key)).is_ok();
+        in_memory || on_disk
     }
 }
 
@@ -1695,219 +1538,6 @@ fn parse_lock_ts_ms(bytes: &[u8]) -> Option<u64> {
         }
     }
     None
-}
-
-/// Seals an encoded entry with a trailing FNV-1a checksum of everything
-/// before it.  Magic, version, and key echo catch truncation and foreign
-/// files; the checksum is what catches *payload* damage — a bit flip in the
-/// metrics region of an otherwise well-formed entry would decode cleanly
-/// and be served as truth without it.  FNV-1a because it is fixed forever
-/// (see [`FingerprintHasher`]); this is an integrity check against storage
-/// rot, not an adversarial MAC.
-fn seal(mut bytes: Vec<u8>) -> Vec<u8> {
-    let mut hasher = FingerprintHasher::new();
-    hasher.write_bytes(&bytes);
-    bytes.extend_from_slice(&hasher.finish().to_le_bytes());
-    bytes
-}
-
-/// Verifies and strips [`seal`]'s trailing checksum; `None` on any mismatch
-/// (including entries too short to carry one).
-fn verify_seal(bytes: &[u8]) -> Option<&[u8]> {
-    let (payload, tail) = bytes.split_at(bytes.len().checked_sub(8)?);
-    let mut hasher = FingerprintHasher::new();
-    hasher.write_bytes(payload);
-    (hasher.finish().to_le_bytes() == tail).then_some(payload)
-}
-
-/// Encodes the persisted-statistics file: magic, version, then the counters
-/// in [`CacheStats::as_array`] order, sealed with a checksum.
-fn encode_state(stats: &CacheStats) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(STATE_MAGIC);
-    out.write_u32(STATE_VERSION);
-    for value in stats.as_array() {
-        out.write_u64(value);
-    }
-    seal(out.into_bytes())
-}
-
-/// Decodes a persisted-statistics file.  Anything unexpected — wrong magic,
-/// other version, torn or trailing bytes — returns `None`, which the caller
-/// treats as a zero base: statistics reset, they never fail the cache.
-fn decode_state(bytes: &[u8]) -> Option<CacheStats> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(STATE_MAGIC.len()).ok()? != STATE_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != STATE_VERSION {
-        return None;
-    }
-    let mut values = [0u64; STATS_FIELDS];
-    for value in &mut values {
-        *value = de.read_u64().ok()?;
-    }
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(CacheStats::from_array(values))
-}
-
-fn encode_profile(key: &ProfileCacheKey, profile: &ApplicationProfile) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(PROFILE_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.fingerprint);
-    serde::Serialize::serialize(profile, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a profile entry, returning `None` for anything that does not match
-/// `key` exactly (wrong magic/version/key, torn or trailing bytes).
-fn decode_profile(bytes: &[u8], key: &ProfileCacheKey) -> Option<ApplicationProfile> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(PROFILE_MAGIC.len()).ok()? != PROFILE_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.fingerprint {
-        return None;
-    }
-    let profile: ApplicationProfile = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(profile)
-}
-
-fn encode_selection(key: &SelectionCacheKey, selection: &BarrierPointSelection) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(SELECTION_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.profile_fingerprint);
-    out.write_u64(key.config_fingerprint);
-    serde::Serialize::serialize(selection, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a selection entry; `None` on any mismatch, as for profiles.
-fn decode_selection(bytes: &[u8], key: &SelectionCacheKey) -> Option<BarrierPointSelection> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(SELECTION_MAGIC.len()).ok()? != SELECTION_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.profile_fingerprint {
-        return None;
-    }
-    if de.read_u64().ok()? != key.config_fingerprint {
-        return None;
-    }
-    let selection: BarrierPointSelection = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(selection)
-}
-
-fn encode_simulated(key: &SimulatedCacheKey, simulated: &Simulated) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(SIMULATED_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.workload_fingerprint);
-    out.write_u64(key.selection_fingerprint);
-    out.write_u64(key.config_fingerprint);
-    serde::Serialize::serialize(simulated, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a simulated-leg entry; `None` on any mismatch, as for profiles.
-fn decode_simulated(bytes: &[u8], key: &SimulatedCacheKey) -> Option<Simulated> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(SIMULATED_MAGIC.len()).ok()? != SIMULATED_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.workload_fingerprint {
-        return None;
-    }
-    if de.read_u64().ok()? != key.selection_fingerprint {
-        return None;
-    }
-    if de.read_u64().ok()? != key.config_fingerprint {
-        return None;
-    }
-    let simulated: Simulated = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(simulated)
-}
-
-fn encode_checkpoint(key: &CheckpointCacheKey, checkpoints: &WorkloadCheckpoints) -> Vec<u8> {
-    let mut out = serde::Serializer::new();
-    out.write_bytes(CHECKPOINT_MAGIC);
-    out.write_u32(FORMAT_VERSION);
-    out.write_str(&key.workload_name);
-    out.write_u64(key.threads as u64);
-    out.write_u64(key.fingerprint);
-    serde::Serialize::serialize(checkpoints, &mut out);
-    seal(out.into_bytes())
-}
-
-/// Decodes a checkpoint entry; `None` on any mismatch, as for profiles.
-fn decode_checkpoint(bytes: &[u8], key: &CheckpointCacheKey) -> Option<WorkloadCheckpoints> {
-    let mut de = serde::Deserializer::new(verify_seal(bytes)?);
-    if de.read_bytes(CHECKPOINT_MAGIC.len()).ok()? != CHECKPOINT_MAGIC {
-        return None;
-    }
-    if de.read_u32().ok()? != FORMAT_VERSION {
-        return None;
-    }
-    if de.read_string().ok()? != key.workload_name {
-        return None;
-    }
-    if de.read_u64().ok()? != key.threads as u64 {
-        return None;
-    }
-    if de.read_u64().ok()? != key.fingerprint {
-        return None;
-    }
-    let checkpoints: WorkloadCheckpoints = serde::Deserialize::deserialize(&mut de).ok()?;
-    if de.remaining() != 0 {
-        return None;
-    }
-    Some(checkpoints)
 }
 
 #[cfg(test)]
@@ -2025,6 +1655,73 @@ mod tests {
         );
     }
 
+    /// Golden pin for the on-disk entry layout: one entry of each artifact
+    /// kind plus the `cache-state` file, by file name, byte length and
+    /// FNV-1a fingerprint of the raw file bytes.  A reordered key echo, a
+    /// moved seal, a changed magic or version, or a changed payload encoding
+    /// each change a fingerprint.  The constants were captured before the
+    /// per-kind persistence paths were folded into one generic path.
+    #[test]
+    fn entry_bytes_match_golden_layout() {
+        let cache = temp_cache("golden-entries");
+        let w = workload(0.02);
+        let sig = SignatureConfig::combined();
+        let sim_config = SimConfig::scaled(2);
+        let selected = crate::BarrierPoint::new(&w)
+            .with_execution_policy(ExecutionPolicy::Serial)
+            .profile()
+            .unwrap()
+            .select()
+            .unwrap();
+        let profile_key = ProfileCacheKey::for_workload(&w);
+        let selection_key = selected.selection_cache_key();
+        let simulated_key =
+            SimulatedCacheKey::new(&w, selected.selection(), &sim_config, WarmupKind::MruReplay);
+        let checkpoint_key = CheckpointCacheKey::for_workload(&w);
+        cache.store(&profile_key, selected.profile()).unwrap();
+        cache.store_selection(&selection_key, selected.selection()).unwrap();
+        cache.store_simulated(&simulated_key, &selected.simulate(&sim_config).unwrap()).unwrap();
+        cache.store_checkpoint(&checkpoint_key, &checkpoints_for(&w)).unwrap();
+        // Nonzero, deterministic counters for the state file: one
+        // memory-tier hit each for the profile, selection and simulated leg.
+        assert!(cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap().1);
+        let strategy = SimPointStrategy::new(SimPointConfig::paper());
+        assert!(cache.load_or_select(selected.profile(), &w, &sig, &strategy).unwrap().1);
+        assert!(cache.load_or_simulate(&simulated_key, || unreachable!()).unwrap().1);
+        cache.flush();
+
+        let golden: [(&str, usize, u64); 5] = [
+            ("npb-is-2t-d6c371d7a20694b0.bpprof", 15124, 0x669e_4902_d17b_6b78),
+            ("npb-is-2t-d6c371d7a20694b0-854085e33a456c6e.bpsel", 764, 0xfbdf_68d1_ccb8_0e86),
+            (
+                "npb-is-2t-d6c371d7a20694b0-bb963799b9cbc17d-c0a950fcb52325b5.bpsim",
+                2118,
+                0x7924_63bb_608d_72c4,
+            ),
+            ("npb-is-2t-d6c371d7a20694b0.bpckpt", 48998, 0xb5c2_3887_2189_eb26),
+            ("cache-state", 160, 0x5945_0443_26f3_bbff),
+        ];
+        let names = [
+            profile_key.file_name(),
+            selection_key.file_name(),
+            simulated_key.file_name(),
+            checkpoint_key.file_name(),
+            STATE_FILE.to_string(),
+        ];
+        for ((name, len, fingerprint), actual_name) in golden.into_iter().zip(names) {
+            assert_eq!(actual_name, name, "file name");
+            let bytes = fs::read(cache.root().join(name)).unwrap();
+            let mut hasher = FingerprintHasher::new();
+            hasher.write_bytes(&bytes);
+            assert_eq!(
+                (bytes.len(), hasher.finish()),
+                (len, fingerprint),
+                "{name}: (length, FNV-1a of the raw bytes)"
+            );
+        }
+        fs::remove_dir_all(cache.root()).ok();
+    }
+
     #[test]
     fn miss_then_hit_round_trips_profile() {
         let cache = temp_cache("roundtrip");
@@ -2069,7 +1766,7 @@ mod tests {
         let (profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
 
         // Truncate the entry on disk; a cold-memory handle must miss.
-        let path = cache.profile_path(&key);
+        let path = cache.entry_path(&key);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         let reopened = reopen(&cache);
@@ -2088,7 +1785,7 @@ mod tests {
         let key = ProfileCacheKey::for_workload(&w);
         cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
 
-        let path = cache.profile_path(&key);
+        let path = cache.entry_path(&key);
         let mut bytes = fs::read(&path).unwrap();
         bytes[4] = bytes[4].wrapping_add(1); // bump the stored version
         fs::write(&path, &bytes).unwrap();
@@ -2172,7 +1869,7 @@ mod tests {
 
         // Corrupt the payload: flip a byte past the header.  A cold-memory
         // handle sees the corruption and must miss.
-        let path = cache.selection_path(&key);
+        let path = cache.entry_path(&key);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -2324,7 +2021,7 @@ mod tests {
 
         // Corrupt the payload: flip a byte past the header and add garbage.
         // A cold-memory handle sees the corruption and must miss.
-        let path = cache.simulated_path(&key);
+        let path = cache.entry_path(&key);
         let mut bytes = fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -2425,8 +2122,8 @@ mod tests {
         let (p_valid, _) = setup.load_or_profile(&w_valid, &ExecutionPolicy::Serial).unwrap();
         let key_corrupt = ProfileCacheKey::for_workload(&w_corrupt);
         let key_valid = ProfileCacheKey::for_workload(&w_valid);
-        let path_corrupt = setup.profile_path(&key_corrupt);
-        let path_valid = setup.profile_path(&key_valid);
+        let path_corrupt = setup.entry_path(&key_corrupt);
+        let path_valid = setup.entry_path(&key_valid);
 
         // Corrupt the first entry and back-date it far into the past: it is
         // now both garbage and the LRU victim-to-be.
@@ -2442,7 +2139,7 @@ mod tests {
         let selection_key =
             SelectionCacheKey::for_workload(&w_valid, &sig, &SimPointStrategy::new(sp));
         setup.store_selection(&selection_key, &selection).unwrap();
-        let path_selection = setup.selection_path(&selection_key);
+        let path_selection = setup.entry_path(&selection_key);
         let size_selection = fs::metadata(&path_selection).unwrap().len();
         let size_valid = fs::metadata(&path_valid).unwrap().len();
         fs::remove_file(&path_selection).unwrap();
@@ -2526,10 +2223,10 @@ mod tests {
         let sizing = temp_cache("mem-bound-sizing");
         sizing.load_or_profile(&w_a, &ExecutionPolicy::Serial).unwrap();
         let size_a =
-            fs::metadata(sizing.profile_path(&ProfileCacheKey::for_workload(&w_a))).unwrap().len();
+            fs::metadata(sizing.entry_path(&ProfileCacheKey::for_workload(&w_a))).unwrap().len();
         sizing.load_or_profile(&w_b, &ExecutionPolicy::Serial).unwrap();
         let size_b =
-            fs::metadata(sizing.profile_path(&ProfileCacheKey::for_workload(&w_b))).unwrap().len();
+            fs::metadata(sizing.entry_path(&ProfileCacheKey::for_workload(&w_b))).unwrap().len();
         fs::remove_dir_all(sizing.root()).ok();
 
         // Room for the larger entry but never both: inserting B evicts A
@@ -2559,9 +2256,9 @@ mod tests {
         let (profile, _) = sizing.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         sizing.load_or_select(&profile, &w, &sig, &sp).unwrap();
         let size_profile =
-            fs::metadata(sizing.profile_path(&ProfileCacheKey::for_workload(&w))).unwrap().len();
+            fs::metadata(sizing.entry_path(&ProfileCacheKey::for_workload(&w))).unwrap().len();
         let size_selection =
-            fs::metadata(sizing.selection_path(&SelectionCacheKey::for_workload(&w, &sig, &sp)))
+            fs::metadata(sizing.entry_path(&SelectionCacheKey::for_workload(&w, &sig, &sp)))
                 .unwrap()
                 .len();
         fs::remove_dir_all(sizing.root()).ok();
@@ -2600,7 +2297,7 @@ mod tests {
 
         // Delete the disk entry behind the cache's back: the memory tier
         // still serves the artifact to this process.
-        fs::remove_file(cache.profile_path(&key)).unwrap();
+        fs::remove_file(cache.entry_path(&key)).unwrap();
         let (hit, cached) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(cached, "memory tier survives disk deletion");
         assert_eq!(hit, profile);
@@ -2651,7 +2348,9 @@ mod tests {
         // EINTR twice on the entry read; the bounded retry absorbs both.
         let reopened = ArtifactCache::new(cache.root()).with_storage(faults.clone());
         faults.inject(
-            Fault::fail(FaultOp::Read, ErrorKind::Interrupted).on_path(PROFILE_EXT).times(2),
+            Fault::fail(FaultOp::Read, ErrorKind::Interrupted)
+                .on_path(ProfileCacheKey::EXT)
+                .times(2),
         );
         let (_, cached) = reopened.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(cached, "transient faults within the retry bound stay invisible");
@@ -2691,7 +2390,9 @@ mod tests {
         cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
 
         let reopened = ArtifactCache::new(cache.root()).with_storage(faults.clone());
-        faults.inject(Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied).on_path(PROFILE_EXT));
+        faults.inject(
+            Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied).on_path(ProfileCacheKey::EXT),
+        );
         let (_, cached) = reopened.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(!cached, "an unreadable entry is a miss, not an error");
         assert_eq!(reopened.stats().degraded_loads, 1);
@@ -2738,7 +2439,7 @@ mod tests {
         assert_eq!(cache.stats().lock_contended, 1);
         assert_eq!(cache.stats().evictions, 0, "the guarded eviction scan was skipped");
         let key = ProfileCacheKey::for_workload(&w);
-        assert!(cache.profile_path(&key).exists(), "the store itself must still land");
+        assert!(cache.entry_path(&key).exists(), "the store itself must still land");
         fs::remove_dir_all(cache.root()).ok();
     }
 
@@ -2816,14 +2517,11 @@ mod tests {
         trailing.push(0);
         assert_eq!(decode_state(&trailing), None, "trailing bytes");
 
-        let mut wrong_version = serde::Serializer::new();
-        wrong_version.write_bytes(STATE_MAGIC);
-        wrong_version.write_u32(STATE_VERSION + 1);
-        for _ in 0..STATS_FIELDS {
-            wrong_version.write_u64(0);
-        }
+        let wrong_version = encode_sealed(STATE_MAGIC, STATE_VERSION + 1, |out| {
+            (0..STATS_FIELDS).for_each(|_| out.write_u64(0));
+        });
         assert_eq!(
-            decode_state(&seal(wrong_version.into_bytes())),
+            decode_state(&wrong_version),
             None,
             "future version (validly sealed, so the version check is what rejects it)"
         );
@@ -2851,16 +2549,13 @@ mod tests {
         let w = workload(0.02);
         let key = ProfileCacheKey::for_workload(&w);
         let profile = profile_application(&w).unwrap();
-        let encoded = encode_profile(&key, &profile);
+        let encoded = key.encode(&profile);
         // Sampling every 97th bit keeps the profile sweep fast while still
         // covering header, payload, and checksum regions.
         for bit_index in (0..encoded.len() * 8).step_by(97) {
             let mut flipped = encoded.clone();
             flipped[bit_index / 8] ^= 1 << (bit_index % 8);
-            assert!(
-                decode_profile(&flipped, &key).is_none(),
-                "flip of bit {bit_index} must not decode"
-            );
+            assert!(key.decode(&flipped).is_none(), "flip of bit {bit_index} must not decode");
         }
     }
 
@@ -2893,20 +2588,20 @@ mod tests {
         let w = workload(0.02);
         let key = CheckpointCacheKey::for_workload(&w);
 
-        assert_eq!(cache.probe_checkpoint(&key).unwrap(), None);
+        assert_eq!(cache.probe(&key), None);
         assert_eq!(cache.stats().checkpoint_misses, 1);
 
         let ckpts = checkpoints_for(&w);
         cache.store_checkpoint(&key, &ckpts).unwrap();
         // Same handle: the store wrote through to the memory tier.
-        let hit = cache.probe_checkpoint(&key).unwrap().expect("stored entry must hit");
+        let hit = cache.probe(&key).expect("stored entry must hit");
         assert_eq!(*hit, ckpts);
         assert_eq!(cache.stats().checkpoint_memory_hits, 1);
         assert_eq!(cache.stats().checkpoint_hits, 0);
 
         // A reopened handle decodes the identical artifact from disk.
         let reopened = reopen(&cache);
-        let disk = reopened.probe_checkpoint(&key).unwrap().expect("disk tier must serve");
+        let disk = reopened.probe(&key).expect("disk tier must serve");
         assert_eq!(*disk, ckpts);
         assert_eq!(reopened.stats().checkpoint_hits, 1);
         assert_eq!(reopened.stats().checkpoint_memory_hits, 0);
@@ -2921,7 +2616,7 @@ mod tests {
         let key_large = CheckpointCacheKey::for_workload(&large);
         assert_ne!(key_small, key_large, "distinct content must not alias");
         assert_ne!(key_small.file_name(), key_large.file_name());
-        assert!(key_small.file_name().ends_with(CHECKPOINT_EXT));
+        assert!(key_small.file_name().ends_with(CheckpointCacheKey::EXT));
         // Same identity fields as the profile key: config knobs play no part.
         let profile_key = ProfileCacheKey::for_workload(&small);
         assert_eq!(key_small.workload_name(), profile_key.workload_name());
@@ -2935,7 +2630,7 @@ mod tests {
         let key = CheckpointCacheKey::for_workload(&w);
         let ckpts = checkpoints_for(&w);
         cache.store_checkpoint(&key, &ckpts).unwrap();
-        let path = cache.checkpoint_path(&key);
+        let path = cache.entry_path(&key);
         let pristine = fs::read(&path).unwrap();
 
         // Truncation, a payload bit flip plus trailing garbage, and a stale
@@ -2991,11 +2686,11 @@ mod tests {
 
         // Orphan cleanup: a stale bpckpt tmp file is reaped by the next
         // store's scan, a fresh one survives.
-        let orphan = cache.root().join(format!("x.{CHECKPOINT_EXT}.tmp-99999"));
+        let orphan = cache.root().join(format!("x.{}.tmp-99999", CheckpointCacheKey::EXT));
         fs::write(&orphan, b"torn").unwrap();
         let old = SystemTime::now() - Duration::from_secs(120);
         fs::OpenOptions::new().write(true).open(&orphan).unwrap().set_modified(old).unwrap();
-        let live = cache.root().join(format!("y.{CHECKPOINT_EXT}.tmp-88888"));
+        let live = cache.root().join(format!("y.{}.tmp-88888", CheckpointCacheKey::EXT));
         fs::write(&live, b"in-flight").unwrap();
         cache.store_checkpoint(&ckpt_key, &ckpts).unwrap();
         assert!(!orphan.exists(), "stale ckpt tmp orphan must be reaped");
@@ -3035,22 +2730,19 @@ mod tests {
 
         let reopened = ArtifactCache::new(cache.root()).with_storage(faults.clone());
         faults.inject(
-            Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied).on_path(CHECKPOINT_EXT),
+            Fault::fail(FaultOp::Read, ErrorKind::PermissionDenied)
+                .on_path(CheckpointCacheKey::EXT),
         );
-        assert_eq!(
-            reopened.probe_checkpoint(&key).unwrap(),
-            None,
-            "an unreadable checkpoint is a miss, not an error"
-        );
+        assert_eq!(reopened.probe(&key), None, "an unreadable checkpoint is a miss, not an error");
         assert_eq!(reopened.stats().degraded_loads, 1);
         assert_eq!(reopened.stats().checkpoint_misses, 1);
 
         // Stores degrade too: the memory tier still serves this process.
         faults.inject(Fault::fail(FaultOp::Write, ErrorKind::StorageFull));
         let degraded = ArtifactCache::new(cache.root()).with_storage(faults.clone());
-        degraded.store_checkpoint_arc(&key, &Arc::new(ckpts.clone())).unwrap();
+        degraded.store_arc(&key, &Arc::new(ckpts.clone()));
         assert_eq!(degraded.stats().degraded_stores, 1);
-        assert_eq!(*degraded.probe_checkpoint(&key).unwrap().unwrap(), ckpts);
+        assert_eq!(*degraded.probe(&key).unwrap(), ckpts);
         fs::remove_dir_all(cache.root()).ok();
     }
 }

@@ -127,8 +127,8 @@ pub mod storage;
 mod sweep;
 
 pub use cache::{
-    ArtifactCache, CacheStats, CheckpointCacheKey, ProfileCache, ProfileCacheKey,
-    SelectionCacheKey, SimulatedCacheKey,
+    ArtifactCache, CacheStats, CheckpointCacheKey, ProfileCacheKey, SelectionCacheKey,
+    SimulatedCacheKey,
 };
 pub use error::{classify_io_error, Error, IoErrorClass};
 pub use pipeline::{BarrierPoint, BarrierPointOutcome};

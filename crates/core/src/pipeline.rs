@@ -187,13 +187,14 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptyWorkload`] for a workload with no regions and
-    /// [`Error::ProfileCache`] for cache I/O failures.
+    /// Returns [`Error::EmptyWorkload`] for a workload with no regions.
+    /// Cache I/O failures never surface here: they degrade to a recompute
+    /// (see [`CacheStats::degraded_loads`](crate::CacheStats::degraded_loads)).
     pub fn profile(self) -> Result<Profiled<'a, W>, Error> {
         let cache = self.cache.clone();
         if let Some(cache) = &cache {
             let key = crate::cache::ProfileCacheKey::for_workload(self.workload);
-            if let Some(profile) = cache.probe_profile(&key)? {
+            if let Some(profile) = cache.probe(&key) {
                 return Ok(Profiled {
                     pipeline: self,
                     profile,
@@ -202,7 +203,7 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
                 });
             }
             let (profile, bank) = self.compute_profile()?;
-            cache.store_profile_arc(&key, &profile)?;
+            cache.store_arc(&key, &profile);
             let profiled =
                 Profiled { pipeline: self, profile, was_cached: false, warmup_bank: None };
             return Ok(match bank {

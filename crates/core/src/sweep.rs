@@ -372,15 +372,12 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         let mut selections: Vec<Option<Arc<BarrierPointSelection>>> = vec![None; strategies.len()];
         if let Some(cache) = self.base.cache() {
             for (slot, key) in selections.iter_mut().zip(&statics.selection_keys) {
-                *slot = cache.probe_selection(key)?;
+                *slot = cache.probe(key);
             }
         }
         let mut clustering_passes = 0;
         if selections.iter().any(Option::is_none) {
-            let cached_profile = match self.base.cache() {
-                Some(cache) => cache.probe_profile(&statics.profile_key)?,
-                None => None,
-            };
+            let cached_profile = self.base.cache().and_then(|c| c.probe(&statics.profile_key));
             let profile = match cached_profile {
                 Some(profile) => profile,
                 None => {
@@ -400,12 +397,11 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     // whose collection capacity cannot serve every base
                     // capacity fall through to the sequential walk, which
                     // re-stores refreshed (larger-capacity) checkpoints.
-                    let checkpoints = match self.base.cache() {
-                        Some(cache) => cache
-                            .probe_checkpoint(&statics.checkpoint_key)?
-                            .filter(|c| c.covers(workload, max_capacity)),
-                        None => None,
-                    };
+                    let checkpoints = self
+                        .base
+                        .cache()
+                        .and_then(|cache| cache.probe(&statics.checkpoint_key))
+                        .filter(|c| c.covers(workload, max_capacity));
                     let profile = match checkpoints {
                         Some(ckpts) => {
                             segment_walks += ckpts.segment_jobs();
@@ -449,10 +445,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                                 warmup_collections += 1;
                                 fused_bank = Some(bank);
                                 if let Some(cache) = self.base.cache() {
-                                    cache.store_checkpoint_arc(
-                                        &statics.checkpoint_key,
-                                        &Arc::new(ckpts),
-                                    )?;
+                                    cache.store_arc(&statics.checkpoint_key, &Arc::new(ckpts));
                                 }
                                 Arc::new(profile)
                             } else {
@@ -465,7 +458,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         }
                     };
                     if let Some(cache) = self.base.cache() {
-                        cache.store_profile_arc(&statics.profile_key, &profile)?;
+                        cache.store_arc(&statics.profile_key, &profile);
                     }
                     profile
                 }
@@ -479,7 +472,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     )?);
                     clustering_passes += 1;
                     if let Some(cache) = self.base.cache() {
-                        cache.store_selection_arc(&statics.selection_keys[s], &selection)?;
+                        cache.store_arc(&statics.selection_keys[s], &selection);
                     }
                     *slot = Some(selection);
                 }
@@ -542,7 +535,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         match self.base.cache() {
             Some(cache) => {
                 for (u, (rep, indices)) in unique.iter().enumerate() {
-                    match cache.probe_simulated(&keys[*rep])? {
+                    match cache.probe(&keys[*rep]) {
                         Some(simulated) => {
                             simulated_cache_hits += indices.len();
                             for &i in indices {
@@ -605,12 +598,11 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     // `threads × segments` jobs instead of a sequential
                     // walk, bit-identical by the stitching contract.
                     let group_max = capacities.iter().copied().max().unwrap_or(0);
-                    let checkpoints = match self.base.cache() {
-                        Some(cache) => cache
-                            .probe_checkpoint(&statics.checkpoint_key)?
-                            .filter(|c| c.covers(workload, group_max)),
-                        None => None,
-                    };
+                    let checkpoints = self
+                        .base
+                        .cache()
+                        .and_then(|cache| cache.probe(&statics.checkpoint_key))
+                        .filter(|c| c.covers(workload, group_max));
                     if let Some(ckpts) = checkpoints {
                         segment_walks += ckpts.segment_jobs();
                         checkpoint_hits += ckpts.checkpoint_restores();
@@ -701,7 +693,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             let simulated = Arc::new(result?);
             let (rep, indices) = &unique[u];
             if let Some(cache) = self.base.cache() {
-                cache.store_simulated_arc(&keys[*rep], &simulated)?;
+                cache.store_arc(&keys[*rep], &simulated);
             }
             for &i in indices {
                 results[i] = Some(simulated.clone());
