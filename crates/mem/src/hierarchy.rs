@@ -573,3 +573,104 @@ mod tests {
         let _ = MemoryHierarchy::new(&MemoryConfig::scaled(), 65);
     }
 }
+
+/// Coherence invariants of the whole hierarchy over random multi-core
+/// streams, checked after every access through the private fields.
+#[cfg(test)]
+mod coherence_invariants {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// One request: `(core, line, kind)` with kind 0 = load, 1 = store,
+    /// 2 = instruction fetch.
+    type Request = (usize, u64, u8);
+
+    /// Streams over a pool of 16 lines (heavy sharing and upgrades), 128
+    /// lines (private evictions) or twice the L3's lines (L3 evictions and
+    /// back-invalidations).
+    fn streams() -> impl Strategy<Value = (usize, Vec<Request>)> {
+        let l3_lines = MemoryConfig::tiny().l3.num_lines(64);
+        let requests = proptest::collection::vec((0usize..4, any::<u64>(), 0u8..3), 1..1500);
+        (1usize..5, proptest::sample::select(vec![16, 128, 2 * l3_lines]), requests).prop_map(
+            |(cores, pool, requests)| {
+                let requests = requests.into_iter().map(|(c, l, k)| (c % cores, l % pool, k));
+                (cores, requests.collect())
+            },
+        )
+    }
+
+    fn check(h: &MemoryHierarchy) -> Result<(), String> {
+        // line -> (core, holds a Modified copy) for every private holder.
+        let mut holders: BTreeMap<u64, Vec<(usize, bool)>> = BTreeMap::new();
+        for (core, caches) in h.cores.iter().enumerate() {
+            for (line, _) in caches.l1d.valid_lines() {
+                if !caches.l2.contains(line) {
+                    return Err(format!("core {core}: L1D line {line} missing from its L2"));
+                }
+            }
+            let mut lines: BTreeMap<u64, bool> = BTreeMap::new();
+            for (line, state) in caches
+                .l1i
+                .valid_lines()
+                .chain(caches.l1d.valid_lines())
+                .chain(caches.l2.valid_lines())
+            {
+                *lines.entry(line).or_default() |= state == LineState::Modified;
+            }
+            for (line, modified) in lines {
+                holders.entry(line).or_default().push((core, modified));
+            }
+        }
+        for (line, cores) in holders {
+            let modified: Vec<usize> = cores.iter().filter(|c| c.1).map(|c| c.0).collect();
+            if modified.len() > 1 {
+                return Err(format!("line {line}: Modified in cores {modified:?}"));
+            }
+            if modified.len() == 1 && cores.len() > 1 {
+                return Err(format!(
+                    "line {line}: Modified in core {} but held by {cores:?}",
+                    modified[0]
+                ));
+            }
+            let home = h.home_socket(line);
+            for (core, _) in cores {
+                match h.sockets[home].peek(line) {
+                    None => {
+                        return Err(format!("line {line}: held by core {core}, not in L3 {home}"))
+                    }
+                    Some(entry) if !entry.has_sharer(core) => {
+                        return Err(format!(
+                            "line {line}: core {core} missing from sharers {entry:?}"
+                        ))
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// L1D ⊆ L2 per core; at most one Modified private copy, which
+        /// excludes every other core's copy; every private holder is resident
+        /// in the home L3 and set in its sharer mask.
+        #[test]
+        fn coherence_holds_after_every_access((cores, stream) in streams()) {
+            let mut h = MemoryHierarchy::new(&MemoryConfig::tiny(), cores);
+            for (step, &(core, line, kind)) in stream.iter().enumerate() {
+                let addr = line * 64;
+                match kind {
+                    0 => h.access(core, addr, false),
+                    1 => h.access(core, addr, true),
+                    _ => h.fetch_instruction(core, addr),
+                };
+                if let Err(violation) = check(&h) {
+                    panic!("{cores} cores, step {step} {:?}: {violation}", stream[step]);
+                }
+            }
+        }
+    }
+}

@@ -45,5 +45,5 @@ mod stats;
 pub use cache::{Cache, EvictedLine, LineState};
 pub use config::{CacheConfig, MemoryConfig};
 pub use hierarchy::{AccessResult, HierarchySnapshot, MemoryHierarchy, ServiceLevel};
-pub use shared_cache::SharedCache;
+pub use shared_cache::{DirEntry, EvictedShared, SharedCache};
 pub use stats::MemoryStats;
