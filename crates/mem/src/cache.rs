@@ -44,12 +44,14 @@ impl Way {
 
 /// A set-associative cache with true-LRU replacement and per-line MSI state.
 ///
-/// The cache operates on *line addresses* (byte address / line size); address
-/// splitting into sets uses the low bits of the line address.
+/// The cache operates on *line addresses* (byte address / line size); the
+/// set is selected by the low bits of the line address, so the set count is
+/// a power of two (see [`CacheConfig::num_sets`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Cache {
     sets: Vec<Vec<Way>>,
-    num_sets: usize,
+    /// `num_sets - 1`: the set index is `line & set_mask`.
+    set_mask: u64,
     associativity: usize,
     latency: u64,
     tick: u64,
@@ -57,11 +59,16 @@ pub struct Cache {
 
 impl Cache {
     /// Builds an empty (all-invalid) cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate or its set count is not a power
+    /// of two (see [`CacheConfig::num_sets`]).
     pub fn new(config: &CacheConfig, line_bytes: u64) -> Self {
         let num_sets = config.num_sets(line_bytes);
         Self {
             sets: vec![vec![Way::invalid(); config.associativity]; num_sets],
-            num_sets,
+            set_mask: num_sets as u64 - 1,
             associativity: config.associativity,
             latency: config.latency_cycles,
             tick: 0,
@@ -75,11 +82,16 @@ impl Cache {
 
     /// Total number of ways in the cache.
     pub fn capacity_lines(&self) -> usize {
-        self.num_sets * self.associativity
+        self.sets.len() * self.associativity
     }
 
     fn set_index(&self, line: u64) -> usize {
-        (line % self.num_sets as u64) as usize
+        (line & self.set_mask) as usize
+    }
+
+    fn find(&mut self, line: u64) -> Option<&mut Way> {
+        let set = self.set_index(line);
+        self.sets[set].iter_mut().find(|w| w.state.is_valid() && w.line == line)
     }
 
     /// Looks up `line`; on a hit the LRU position is refreshed and the line's
@@ -87,14 +99,9 @@ impl Cache {
     pub fn lookup(&mut self, line: u64) -> Option<LineState> {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_index(line);
-        for way in &mut self.sets[set] {
-            if way.state.is_valid() && way.line == line {
-                way.lru = tick;
-                return Some(way.state);
-            }
-        }
-        None
+        let way = self.find(line)?;
+        way.lru = tick;
+        Some(way.state)
     }
 
     /// Returns the state of `line` without updating replacement metadata.
@@ -117,56 +124,42 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_index(line);
-        // Already present: update in place.
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.state.is_valid() && w.line == line)
-        {
-            way.state = state;
-            way.lru = tick;
-            return None;
+        let ways = &mut self.sets[set];
+        // One pass: a resident copy is updated in place; otherwise the first
+        // free way is filled, else the first way with the oldest touch.
+        let (mut free, mut victim, mut oldest) = (None, 0, u64::MAX);
+        for (idx, way) in ways.iter_mut().enumerate() {
+            if way.state.is_valid() {
+                if way.line == line {
+                    way.state = state;
+                    way.lru = tick;
+                    return None;
+                }
+                if way.lru < oldest {
+                    (victim, oldest) = (idx, way.lru);
+                }
+            } else if free.is_none() {
+                free = Some(idx);
+            }
         }
-        // Free way?
-        if let Some(way) = self.sets[set].iter_mut().find(|w| !w.state.is_valid()) {
-            *way = Way { line, state, lru: tick };
-            return None;
-        }
-        // Evict LRU.
-        // `map_or(0, ..)` instead of an unwrap: associativity is at least 1,
-        // and way 0 is the correct victim for a hypothetical 1-way tie.
-        let victim_idx =
-            self.sets[set].iter().enumerate().min_by_key(|(_, w)| w.lru).map_or(0, |(i, _)| i);
-        let victim = self.sets[set][victim_idx];
-        self.sets[set][victim_idx] = Way { line, state, lru: tick };
-        Some(EvictedLine { line: victim.line, dirty: victim.state == LineState::Modified })
+        let old =
+            std::mem::replace(&mut ways[free.unwrap_or(victim)], Way { line, state, lru: tick });
+        free.is_none()
+            .then_some(EvictedLine { line: old.line, dirty: old.state == LineState::Modified })
     }
 
     /// Changes the state of `line` if present; returns `true` on success.
     pub fn set_state(&mut self, line: u64, state: LineState) -> bool {
-        let set = self.set_index(line);
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.state.is_valid() && w.line == line)
-        {
-            if state.is_valid() {
-                way.state = state;
-            } else {
-                way.state = LineState::Invalid;
-            }
-            true
-        } else {
-            false
-        }
+        self.find(line).map(|way| way.state = state).is_some()
     }
 
     /// Invalidates `line` if present.  Returns `Some(dirty)` when a valid copy
     /// was removed, where `dirty` indicates the copy was modified.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_index(line);
-        for way in &mut self.sets[set] {
-            if way.state.is_valid() && way.line == line {
-                let dirty = way.state == LineState::Modified;
-                way.state = LineState::Invalid;
-                return Some(dirty);
-            }
-        }
-        None
+        let way = self.find(line)?;
+        let dirty = way.state == LineState::Modified;
+        way.state = LineState::Invalid;
+        Some(dirty)
     }
 
     /// Invalidates every line, returning the cache to its cold state.

@@ -19,21 +19,27 @@ impl CacheConfig {
 
     /// Number of sets for the given line size.
     ///
+    /// The set count must be a power of two: caches select a set by masking
+    /// the low bits of the line address.
+    ///
     /// # Panics
     ///
     /// Panics if the geometry is degenerate (zero size, zero ways, or a
-    /// capacity that is not a multiple of `associativity * line_bytes`).
+    /// capacity that is not a multiple of `associativity * line_bytes`) or
+    /// if the resulting set count is not a power of two.
     pub fn num_sets(&self, line_bytes: u64) -> usize {
         assert!(self.size_bytes > 0 && self.associativity > 0, "degenerate cache geometry");
         let lines = self.size_bytes / line_bytes;
+        let ways = self.associativity as u64;
         assert!(
-            lines >= self.associativity as u64 && lines.is_multiple_of(self.associativity as u64),
-            "cache size {} not divisible into {}-way sets of {}-byte lines",
+            lines >= ways && lines.is_multiple_of(ways) && (lines / ways).is_power_of_two(),
+            "cache size {} not divisible into a power-of-two number of {}-way sets of {}-byte \
+             lines",
             self.size_bytes,
             self.associativity,
             line_bytes
         );
-        (lines / self.associativity as u64) as usize
+        (lines / ways) as usize
     }
 
     /// Total number of cache lines.
@@ -185,6 +191,14 @@ mod tests {
     fn bad_geometry_panics() {
         // 1000 bytes is 15 lines, which does not divide into 4-way sets.
         let c = CacheConfig::new(1000, 4, 1);
+        let _ = c.num_sets(64);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number of 4-way sets")]
+    fn non_power_of_two_set_count_panics() {
+        // 12 lines make three 4-way sets.
+        let c = CacheConfig::new(12 * 64, 4, 1);
         let _ = c.num_sets(64);
     }
 

@@ -71,6 +71,8 @@ impl HierarchySnapshot {
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     config: MemoryConfig,
+    /// `log2(line_bytes)`: the line of byte address `addr` is `addr >> line_shift`.
+    line_shift: u32,
     cores: Vec<CoreCaches>,
     sockets: Vec<SharedCache>,
     stats: MemoryStats,
@@ -82,9 +84,13 @@ impl MemoryHierarchy {
     /// # Panics
     ///
     /// Panics if `num_cores` is zero or exceeds 64 (the directory uses a
-    /// 64-bit sharer mask).
+    /// 64-bit sharer mask), if the line size is not a power of two, or if a
+    /// cache geometry is rejected by [`CacheConfig::num_sets`].
+    ///
+    /// [`CacheConfig::num_sets`]: crate::CacheConfig::num_sets
     pub fn new(config: &MemoryConfig, num_cores: usize) -> Self {
         assert!(num_cores > 0 && num_cores <= 64, "1..=64 cores supported");
+        assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
         let cores = (0..num_cores)
             .map(|_| CoreCaches {
                 l1i: Cache::new(&config.l1i, config.line_bytes),
@@ -96,7 +102,13 @@ impl MemoryHierarchy {
         let sockets = (0..config.num_sockets(num_cores))
             .map(|_| SharedCache::with_interleave(&config.l3, config.line_bytes, num_sockets))
             .collect();
-        Self { config: *config, cores, sockets, stats: MemoryStats::new() }
+        Self {
+            config: *config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            cores,
+            sockets,
+            stats: MemoryStats::new(),
+        }
     }
 
     /// The hierarchy's configuration.
@@ -159,7 +171,7 @@ impl MemoryHierarchy {
 
     /// Issues a data access (load or store) from `core` to byte address `addr`.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool) -> AccessResult {
-        let line = addr / self.config.line_bytes;
+        let line = addr >> self.line_shift;
         self.stats.data_accesses += 1;
         if is_write {
             self.stats.writes += 1;
@@ -169,7 +181,7 @@ impl MemoryHierarchy {
 
     /// Issues an instruction fetch from `core` at byte address `addr`.
     pub fn fetch_instruction(&mut self, core: usize, addr: u64) -> AccessResult {
-        let line = addr / self.config.line_bytes;
+        let line = addr >> self.line_shift;
         self.stats.instruction_fetches += 1;
         self.access_line(core, line, false, true)
     }
@@ -236,11 +248,12 @@ impl MemoryHierarchy {
             latency += self.config.remote_penalty_cycles;
         }
 
-        let entry = self.sockets[home].lookup(line);
-        let (level, dram_access) = match entry {
-            Some(entry) => {
+        let (level, dram_access) = match self.sockets[home].lookup_slot(line) {
+            Some((slot, entry)) => {
                 let mut level = ServiceLevel::L3;
-                // Dirty data in another core's cache must be fetched from there.
+                // Dirty data in another core's cache must be fetched from
+                // there.  Only private caches change before the directory
+                // write, so `slot` still names the line.
                 if let Some(owner) = entry.owner {
                     if owner as usize != core {
                         latency += self.config.remote_penalty_cycles;
@@ -253,44 +266,36 @@ impl MemoryHierarchy {
                             self.cores[owner].l1d.set_state(line, LineState::Shared);
                             self.cores[owner].l2.set_state(line, LineState::Shared);
                         }
-                        self.sockets[home].update(line, |e| {
-                            e.dirty = true;
-                            if is_write {
-                                e.sharers = 1 << core;
-                                e.owner = Some(core as u32);
-                            } else {
-                                e.sharers |= 1 << core;
-                                e.owner = None;
-                            }
-                        });
+                        let e = self.sockets[home].entry_mut(slot);
+                        e.dirty = true;
+                        if is_write {
+                            e.sharers = 1 << core;
+                            e.owner = Some(core as u32);
+                        } else {
+                            e.sharers |= 1 << core;
+                            e.owner = None;
+                        }
                     } else {
                         // The requester itself is the registered owner (its L1/L2
                         // copy was silently evicted); just refresh the directory.
                         self.stats.l3_hits += 1;
-                        self.sockets[home].update(line, |e| {
-                            e.sharers |= 1 << core;
-                            if is_write {
-                                e.owner = Some(core as u32);
-                            }
-                        });
+                        let e = self.sockets[home].entry_mut(slot);
+                        e.sharers |= 1 << core;
+                        if is_write {
+                            e.owner = Some(core as u32);
+                        }
                     }
                 } else {
                     self.stats.l3_hits += 1;
                     if is_write {
                         let others = entry.sharers & !(1 << core);
                         self.invalidate_sharers(others, line);
-                        self.sockets[home].update(line, |e| {
-                            e.sharers = 1 << core;
-                            e.owner = Some(core as u32);
-                        });
+                        let e = self.sockets[home].entry_mut(slot);
+                        e.sharers = 1 << core;
+                        e.owner = Some(core as u32);
                     } else {
-                        self.sockets[home].update(line, |e| {
-                            e.sharers |= 1 << core;
-                        });
+                        self.sockets[home].entry_mut(slot).sharers |= 1 << core;
                     }
-                }
-                if entry.owner.map(|o| o as usize) == Some(core) && level == ServiceLevel::L3 {
-                    // handled above
                 }
                 (level, false)
             }
@@ -330,21 +335,24 @@ impl MemoryHierarchy {
         if home != local {
             latency += self.config.remote_penalty_cycles;
         }
-        let sharers = self.sockets[home].peek(line).map(|e| e.sharers).unwrap_or(0);
-        let others = sharers & !(1 << core);
-        self.invalidate_sharers(others, line);
         // Ensure the directory has an entry recording the new owner (the line
-        // may have been evicted from the inclusive L3; re-install it).
-        let updated = self.sockets[home].update(line, |e| {
-            e.sharers = 1 << core;
-            e.owner = Some(core as u32);
-        });
-        if !updated {
-            let entry = DirEntry { dirty: true, sharers: 1 << core, owner: Some(core as u32) };
-            if let Some(victim) = self.sockets[home].insert(line, entry) {
-                self.back_invalidate(victim.sharers, victim.line);
-                if victim.dirty {
-                    self.stats.dram_writebacks += 1;
+        // may have been evicted from the inclusive L3; re-install it).  Only
+        // private caches change before the directory write, so `slot` still
+        // names the line.
+        match self.sockets[home].peek_slot(line) {
+            Some((slot, entry)) => {
+                self.invalidate_sharers(entry.sharers & !(1 << core), line);
+                let e = self.sockets[home].entry_mut(slot);
+                e.sharers = 1 << core;
+                e.owner = Some(core as u32);
+            }
+            None => {
+                let entry = DirEntry { dirty: true, sharers: 1 << core, owner: Some(core as u32) };
+                if let Some(victim) = self.sockets[home].insert(line, entry) {
+                    self.back_invalidate(victim.sharers, victim.line);
+                    if victim.dirty {
+                        self.stats.dram_writebacks += 1;
+                    }
                 }
             }
         }

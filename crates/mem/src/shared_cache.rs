@@ -52,6 +52,14 @@ impl DirWay {
     }
 }
 
+/// Where a resident line sits: its set and way.  Valid until the next
+/// insert, invalidate or clear of the cache that returned it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Slot {
+    set: usize,
+    way: usize,
+}
+
 /// An inclusive, set-associative shared last-level cache with an embedded
 /// full-map MSI directory (up to 64 cores).
 ///
@@ -62,7 +70,8 @@ impl DirWay {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SharedCache {
     sets: Vec<Vec<DirWay>>,
-    num_sets: usize,
+    /// `num_sets - 1`: the set index is `(line / interleave) & set_mask`.
+    set_mask: u64,
     latency: u64,
     tick: u64,
     /// Socket-interleaving factor: set selection uses `line / interleave` so
@@ -80,11 +89,16 @@ impl SharedCache {
     /// Builds an empty shared cache whose set index is computed from
     /// `line / interleave`, for use in a machine that interleaves lines
     /// across `interleave` sockets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate or its set count is not a power
+    /// of two (see [`CacheConfig::num_sets`]).
     pub fn with_interleave(config: &CacheConfig, line_bytes: u64, interleave: u64) -> Self {
         let num_sets = config.num_sets(line_bytes);
         Self {
             sets: vec![vec![DirWay::invalid(); config.associativity]; num_sets],
-            num_sets,
+            set_mask: num_sets as u64 - 1,
             latency: config.latency_cycles,
             tick: 0,
             interleave: interleave.max(1),
@@ -97,32 +111,50 @@ impl SharedCache {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        ((line / self.interleave) % self.num_sets as u64) as usize
+        ((line / self.interleave) & self.set_mask) as usize
+    }
+
+    fn find(&self, line: u64) -> Option<Slot> {
+        let set = self.set_index(line);
+        let way = self.sets[set].iter().position(|w| w.valid && w.line == line)?;
+        Some(Slot { set, way })
+    }
+
+    /// [`lookup`](Self::lookup) that also returns where the line sits, so
+    /// the caller can [`update`](Self::entry_mut) it without a second scan.
+    pub(crate) fn lookup_slot(&mut self, line: u64) -> Option<(Slot, DirEntry)> {
+        self.tick += 1;
+        let slot = self.find(line)?;
+        let way = &mut self.sets[slot.set][slot.way];
+        way.lru = self.tick;
+        Some((slot, way.entry))
+    }
+
+    /// [`peek`](Self::peek) that also returns where the line sits.
+    pub(crate) fn peek_slot(&self, line: u64) -> Option<(Slot, DirEntry)> {
+        let slot = self.find(line)?;
+        Some((slot, self.sets[slot.set][slot.way].entry))
+    }
+
+    /// The directory entry of the line at `slot` (from
+    /// [`lookup_slot`](Self::lookup_slot) or [`peek_slot`](Self::peek_slot)).
+    pub(crate) fn entry_mut(&mut self, slot: Slot) -> &mut DirEntry {
+        &mut self.sets[slot.set][slot.way].entry
     }
 
     /// Looks up a line, refreshing its LRU position.
     pub fn lookup(&mut self, line: u64) -> Option<DirEntry> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line);
-        for way in &mut self.sets[set] {
-            if way.valid && way.line == line {
-                way.lru = tick;
-                return Some(way.entry);
-            }
-        }
-        None
+        self.lookup_slot(line).map(|(_, entry)| entry)
     }
 
     /// Reads a line's directory entry without touching LRU state.
     pub fn peek(&self, line: u64) -> Option<DirEntry> {
-        let set = self.set_index(line);
-        self.sets[set].iter().find(|w| w.valid && w.line == line).map(|w| w.entry)
+        self.peek_slot(line).map(|(_, entry)| entry)
     }
 
     /// Returns `true` if `line` is resident.
     pub fn contains(&self, line: u64) -> bool {
-        self.peek(line).is_some()
+        self.find(line).is_some()
     }
 
     /// Inserts a line with a fresh directory entry, evicting the LRU victim
@@ -131,51 +163,52 @@ impl SharedCache {
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_index(line);
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.valid && w.line == line) {
-            way.entry = entry;
-            way.lru = tick;
-            return None;
+        let ways = &mut self.sets[set];
+        // One pass, with the same choice as `Cache::insert`: the resident
+        // copy, else the first free way, else the first with the oldest touch.
+        let (mut free, mut victim, mut oldest) = (None, 0, u64::MAX);
+        for (idx, way) in ways.iter_mut().enumerate() {
+            if way.valid {
+                if way.line == line {
+                    way.entry = entry;
+                    way.lru = tick;
+                    return None;
+                }
+                if way.lru < oldest {
+                    (victim, oldest) = (idx, way.lru);
+                }
+            } else if free.is_none() {
+                free = Some(idx);
+            }
         }
-        if let Some(way) = self.sets[set].iter_mut().find(|w| !w.valid) {
-            *way = DirWay { line, valid: true, lru: tick, entry };
-            return None;
-        }
-        // `map_or(0, ..)` instead of an unwrap: associativity is at least 1,
-        // and way 0 is the correct victim for a hypothetical 1-way tie.
-        let victim_idx =
-            self.sets[set].iter().enumerate().min_by_key(|(_, w)| w.lru).map_or(0, |(i, _)| i);
-        let victim = self.sets[set][victim_idx];
-        self.sets[set][victim_idx] = DirWay { line, valid: true, lru: tick, entry };
-        Some(EvictedShared {
-            line: victim.line,
-            dirty: victim.entry.dirty || victim.entry.owner.is_some(),
-            sharers: victim.entry.sharers,
-            owner: victim.entry.owner,
+        let new = DirWay { line, valid: true, lru: tick, entry };
+        let old = std::mem::replace(&mut ways[free.unwrap_or(victim)], new);
+        free.is_none().then_some(EvictedShared {
+            line: old.line,
+            dirty: old.entry.dirty || old.entry.owner.is_some(),
+            sharers: old.entry.sharers,
+            owner: old.entry.owner,
         })
     }
 
     /// Applies `f` to the directory entry of `line`; returns `false` if the
     /// line is not resident.
     pub fn update<F: FnOnce(&mut DirEntry)>(&mut self, line: u64, f: F) -> bool {
-        let set = self.set_index(line);
-        if let Some(way) = self.sets[set].iter_mut().find(|w| w.valid && w.line == line) {
-            f(&mut way.entry);
-            true
-        } else {
-            false
+        match self.find(line) {
+            Some(slot) => {
+                f(self.entry_mut(slot));
+                true
+            }
+            None => false,
         }
     }
 
     /// Removes `line`; returns its entry if it was resident.
     pub fn invalidate(&mut self, line: u64) -> Option<DirEntry> {
-        let set = self.set_index(line);
-        for way in &mut self.sets[set] {
-            if way.valid && way.line == line {
-                way.valid = false;
-                return Some(way.entry);
-            }
-        }
-        None
+        let slot = self.find(line)?;
+        let way = &mut self.sets[slot.set][slot.way];
+        way.valid = false;
+        Some(way.entry)
     }
 
     /// Drops all lines.

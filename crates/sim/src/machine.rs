@@ -3,7 +3,7 @@ use crate::config::SimConfig;
 use crate::core_model::CoreModel;
 use crate::metrics::{RegionMetrics, RunMetrics};
 use bp_mem::{HierarchySnapshot, MemoryHierarchy};
-use bp_workload::Workload;
+use bp_workload::{BlockExecution, Workload};
 
 /// The simulated multi-core machine.
 ///
@@ -86,12 +86,13 @@ impl Machine {
         let mut models: Vec<CoreModel> =
             (0..cores).map(|c| CoreModel::new(&self.config.core, c)).collect();
         let mut traces: Vec<_> = (0..cores).map(|t| workload.region_trace(region, t)).collect();
+        let mut exec = BlockExecution::default();
         let mut live = cores;
         // Round-robin interleaving of block executions across threads.
         while live > 0 {
             live = 0;
             for (thread, trace) in traces.iter_mut().enumerate() {
-                if let Some(exec) = trace.next() {
+                if trace.next_into(&mut exec) {
                     models[thread].execute_block(&exec, &mut self.hierarchy);
                     live += 1;
                 }
@@ -121,9 +122,11 @@ impl Machine {
     /// are applied to the hierarchy, no timing): functional cache warming, the
     /// expensive warmup baseline of Section IV.
     pub fn functionally_warm_up_to<W: Workload + ?Sized>(&mut self, workload: &W, region: usize) {
+        let mut exec = BlockExecution::default();
         for r in 0..region {
             for thread in 0..workload.num_threads() {
-                for exec in workload.region_trace(r, thread) {
+                let mut trace = workload.region_trace(r, thread);
+                while trace.next_into(&mut exec) {
                     for access in &exec.accesses {
                         self.hierarchy.access(thread, access.addr, access.kind.is_write());
                     }

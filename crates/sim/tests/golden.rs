@@ -9,7 +9,7 @@
 //! must leave every one of them untouched.
 
 use bp_sim::{Machine, SimConfig};
-use bp_workload::{Benchmark, FingerprintHasher, Workload, WorkloadConfig};
+use bp_workload::{Benchmark, BlockExecution, FingerprintHasher, Workload, WorkloadConfig};
 
 const THREADS: usize = 8;
 const SCALE: f64 = 0.02;
@@ -32,17 +32,28 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hasher.finish()
 }
 
-fn trace_digest(workload: &impl Workload) -> u64 {
+/// Digest of every block execution of every `(region, thread)` trace, read
+/// through `Iterator::next` or, with one reused buffer, `next_into`.
+fn trace_digest(workload: &impl Workload, reuse_buffer: bool) -> u64 {
     let mut hasher = FingerprintHasher::new();
+    let mut digest = |exec: &BlockExecution| {
+        hasher.write_u64(u64::from(exec.block.0));
+        hasher.write_u64(u64::from(exec.instructions));
+        for access in &exec.accesses {
+            hasher.write_u64(access.addr);
+            hasher.write_bytes(&[u8::from(access.kind.is_write())]);
+        }
+    };
+    let mut exec = BlockExecution::default();
     for region in 0..workload.num_regions() {
         for thread in 0..workload.num_threads() {
-            for exec in workload.region_trace(region, thread) {
-                hasher.write_u64(u64::from(exec.block.0));
-                hasher.write_u64(u64::from(exec.instructions));
-                for access in &exec.accesses {
-                    hasher.write_u64(access.addr);
-                    hasher.write_bytes(&[u8::from(access.kind.is_write())]);
+            let mut trace = workload.region_trace(region, thread);
+            if reuse_buffer {
+                while trace.next_into(&mut exec) {
+                    digest(&exec);
                 }
+            } else {
+                trace.for_each(|exec| digest(&exec));
             }
         }
     }
@@ -56,7 +67,9 @@ fn run_full_and_trace_streams_match_golden_digests() {
     for &benchmark in Benchmark::all() {
         let workload = benchmark.build(&WorkloadConfig::new(THREADS).with_scale(SCALE));
         let run = Machine::new(&config).run_full(&workload);
-        actual.push((benchmark.name(), fnv1a(&serde::to_vec(&run)), trace_digest(&workload)));
+        let trace = trace_digest(&workload, false);
+        assert_eq!(trace_digest(&workload, true), trace, "{}: next_into stream", benchmark.name());
+        actual.push((benchmark.name(), fnv1a(&serde::to_vec(&run)), trace));
     }
     assert_eq!(actual, GOLDEN);
 }

@@ -1,6 +1,6 @@
 use crate::strategy::WarmupStrategy;
 use bp_mem::MemoryHierarchy;
-use bp_workload::{Workload, CACHE_LINE_BYTES};
+use bp_workload::{BlockExecution, Workload, CACHE_LINE_BYTES};
 
 /// Applies a warmup strategy to a (cold) memory hierarchy, then resets the
 /// hierarchy's statistics so that the subsequent detailed simulation measures
@@ -26,9 +26,11 @@ pub fn apply_warmup<W: Workload + ?Sized>(
         }
         WarmupStrategy::FunctionalReplay { region } => {
             hierarchy.clear();
+            let mut exec = BlockExecution::default();
             for r in 0..*region {
                 for thread in 0..workload.num_threads() {
-                    for exec in workload.region_trace(r, thread) {
+                    let mut trace = workload.region_trace(r, thread);
+                    while trace.next_into(&mut exec) {
                         for access in &exec.accesses {
                             hierarchy.access(thread, access.addr, access.kind.is_write());
                         }
@@ -79,8 +81,10 @@ mod tests {
     /// Counts the DRAM accesses a region performs on `hierarchy` as-is.
     fn region_dram<W: Workload>(w: &W, hierarchy: &mut MemoryHierarchy, region: usize) -> u64 {
         let before = hierarchy.stats().dram_accesses;
+        let mut exec = BlockExecution::default();
         for thread in 0..w.num_threads() {
-            for exec in w.region_trace(region, thread) {
+            let mut trace = w.region_trace(region, thread);
+            while trace.next_into(&mut exec) {
                 for access in &exec.accesses {
                     hierarchy.access(thread, access.addr, access.kind.is_write());
                 }

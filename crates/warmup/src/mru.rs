@@ -300,8 +300,10 @@ impl MruCollector {
 
     /// Walks every thread's trace of `region`, recording all its accesses.
     pub fn observe_region<W: Workload + ?Sized>(&mut self, workload: &W, region: usize) {
+        let mut exec = BlockExecution::default();
         for thread in 0..workload.num_threads() {
-            for exec in workload.region_trace(region, thread) {
+            let mut trace = workload.region_trace(region, thread);
+            while trace.next_into(&mut exec) {
                 for access in &exec.accesses {
                     self.record(thread, access.line(), access.kind.is_write());
                 }

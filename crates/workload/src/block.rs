@@ -5,7 +5,9 @@ use std::fmt;
 ///
 /// Basic block ids index into the workload's [`BlockTable`] and into the
 /// basic block vectors collected by `bp-signature`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct BasicBlockId(pub u32);
 
 impl BasicBlockId {

@@ -181,13 +181,15 @@ pub fn drive_segment<W: Workload + ?Sized>(
         from_region <= until_region,
         "segment start {from_region} past segment end {until_region}"
     );
+    let mut exec = BlockExecution::default();
     for region in from_region..until_region.min(workload.num_regions()) {
         for observer in observers.iter_mut() {
             observer.enter_region(region);
         }
         let active = observers.iter().any(|observer| observer.wants_more());
         if active {
-            for exec in workload.region_trace(region, thread) {
+            let mut trace = workload.region_trace(region, thread);
+            while trace.next_into(&mut exec) {
                 for observer in observers.iter_mut() {
                     observer.observe(thread, &exec);
                 }

@@ -1,12 +1,14 @@
 use crate::access::{AccessKind, MemoryAccess};
 use crate::block::BasicBlockId;
-use crate::phase::{private_base, shared_base, AccessPattern, Phase};
+use crate::phase::{private_base, shared_base, AccessPattern, Phase, PhaseBlock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// One dynamic execution of a basic block together with the memory accesses
 /// it performed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The default value is an empty buffer for [`RegionTrace::next_into`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlockExecution {
     /// Which static basic block executed.
     pub block: BasicBlockId,
@@ -22,9 +24,13 @@ pub struct BlockExecution {
 /// The stream is fully deterministic given the workload seed, the region
 /// index and the thread id, so repeated traversals (profiling, timing
 /// simulation, warmup collection) observe identical behaviour.
+///
+/// [`next_into`](RegionTrace::next_into) is the generator; it refills a
+/// caller-owned [`BlockExecution`] so a walk allocates nothing per block.
+/// The [`Iterator`] impl wraps it with a fresh, exactly sized buffer per item.
 #[derive(Debug)]
 pub struct RegionTrace {
-    phase: Phase,
+    blocks: Vec<PhaseBlock>,
     cursors: Vec<PatternCursor>,
     iterations: u64,
     iteration: u64,
@@ -42,37 +48,68 @@ impl RegionTrace {
             .enumerate()
             .map(|(idx, pattern)| {
                 PatternCursor::new(
-                    pattern.clone(),
+                    pattern,
                     threads,
                     thread,
                     seed.wrapping_add(idx as u64 * 0x9e37_79b9),
                 )
             })
             .collect();
-        Self { phase, cursors, iterations, iteration: 0, block_idx: 0 }
+        Self { blocks: phase.blocks, cursors, iterations, iteration: 0, block_idx: 0 }
     }
 
     /// Creates an empty trace (no block executions). Used for threads that do
     /// not participate in a region.
     pub fn empty() -> Self {
-        Self {
-            phase: Phase {
-                name: String::new(),
-                patterns: Vec::new(),
-                blocks: Vec::new(),
-                iterations: 0,
-                divide_by_threads: true,
-            },
-            cursors: Vec::new(),
-            iterations: 0,
-            iteration: 0,
-            block_idx: 0,
-        }
+        Self { blocks: Vec::new(), cursors: Vec::new(), iterations: 0, iteration: 0, block_idx: 0 }
     }
 
     /// Total number of block executions this trace will yield.
     pub fn total_block_executions(&self) -> u64 {
-        self.iterations * self.phase.blocks.len() as u64
+        self.iterations * self.blocks.len() as u64
+    }
+
+    /// The static block of the next execution, or `None` once exhausted.
+    fn pending(&self) -> Option<&PhaseBlock> {
+        if self.iteration < self.iterations {
+            self.blocks.get(self.block_idx)
+        } else {
+            None
+        }
+    }
+
+    /// Writes the next block execution into `exec`, replacing its block,
+    /// instruction count and accesses (the access buffer is cleared and
+    /// refilled, keeping its allocation).  Returns `false`, leaving `exec`
+    /// untouched, once the trace is exhausted.
+    ///
+    /// ```
+    /// use bp_workload::{Benchmark, BlockExecution, Workload, WorkloadConfig};
+    ///
+    /// let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.02));
+    /// let mut exec = BlockExecution::default();
+    /// let (mut trace, mut blocks) = (w.region_trace(1, 0), 0);
+    /// while trace.next_into(&mut exec) {
+    ///     blocks += 1;
+    /// }
+    /// assert_eq!(blocks, w.region_trace(1, 0).count());
+    /// ```
+    pub fn next_into(&mut self, exec: &mut BlockExecution) -> bool {
+        if self.iteration >= self.iterations {
+            return false;
+        }
+        let Some(pb) = self.blocks.get(self.block_idx) else { return false };
+        let cursor = &mut self.cursors[pb.pattern];
+        exec.block = pb.block;
+        exec.instructions = pb.instructions + pb.accesses;
+        exec.accesses.clear();
+        exec.accesses.extend((0..pb.accesses).map(|_| cursor.next_access()));
+        self.block_idx += 1;
+        if self.block_idx >= self.blocks.len() {
+            self.block_idx = 0;
+            self.iteration += 1;
+        }
+        true
     }
 }
 
@@ -80,136 +117,162 @@ impl Iterator for RegionTrace {
     type Item = BlockExecution;
 
     fn next(&mut self) -> Option<BlockExecution> {
-        if self.iteration >= self.iterations || self.phase.blocks.is_empty() {
-            return None;
-        }
-        let pb = &self.phase.blocks[self.block_idx];
-        let cursor = &mut self.cursors[pb.pattern];
-        let mut accesses = Vec::with_capacity(pb.accesses as usize);
-        for _ in 0..pb.accesses {
-            accesses.push(cursor.next_access());
-        }
-        let exec = BlockExecution {
-            block: pb.block,
-            instructions: pb.instructions + pb.accesses,
-            accesses,
-        };
-        self.block_idx += 1;
-        if self.block_idx >= self.phase.blocks.len() {
-            self.block_idx = 0;
-            self.iteration += 1;
-        }
-        Some(exec)
+        let capacity = self.pending()?.accesses as usize;
+        let mut exec =
+            BlockExecution { accesses: Vec::with_capacity(capacity), ..Default::default() };
+        self.next_into(&mut exec).then_some(exec)
     }
+}
+
+/// `(a + b) % m` for `a < m` and `b <= m`, without a division.
+fn wrapping_add(a: u64, b: u64, m: u64) -> u64 {
+    let sum = a + b;
+    if sum >= m {
+        sum - m
+    } else {
+        sum
+    }
+}
+
+/// A pattern's address and write rule with its constants resolved for one
+/// thread: buffer base, wrap length and write period are fixed per cursor.
+#[derive(Debug, Clone, Copy)]
+enum Generator {
+    /// Walk `[base, base + wrap)` in `stride` steps; the last access of
+    /// every `period` is a write (`u64::MAX`: never).
+    Stream { base: u64, stride: u64, wrap: u64, period: u64 },
+    /// Uniform 8-byte-aligned offsets below `span` from `base`.
+    Random { base: u64, span: u64, write_fraction: f64 },
+    /// Groups of three over a chunk wrapping at `wrap`: the centre, the
+    /// neighbour `ahead` bytes after it, the neighbour `behind` bytes before
+    /// it (as a forward distance); the centre then advances 8 bytes.
+    Stencil { base: u64, wrap: u64, ahead: u64, behind: u64, write_fraction: f64 },
+    /// Read a uniform offset below `span` from `base`, then write it back.
+    Reduce { base: u64, span: u64 },
 }
 
 /// Per-pattern address generation state.
 #[derive(Debug)]
 struct PatternCursor {
-    pattern: AccessPattern,
-    threads: usize,
-    thread: usize,
+    generator: Generator,
     rng: SmallRng,
     /// Byte offset of the next sequential access (streaming patterns).
     position: u64,
-    /// Running access count (used to interleave reads/writes deterministically).
-    count: u64,
+    /// Position within the pattern's access cycle (the write period of a
+    /// stream, the three accesses of a stencil group, a reduction's
+    /// read/write pair).
+    step: u64,
     /// Last generated address (used by read-modify-write patterns).
     last_addr: u64,
 }
 
 impl PatternCursor {
-    fn new(pattern: AccessPattern, threads: usize, thread: usize, seed: u64) -> Self {
-        Self {
-            pattern,
-            threads,
-            thread,
-            rng: SmallRng::seed_from_u64(seed),
-            position: 0,
-            count: 0,
-            last_addr: 0,
-        }
+    fn new(pattern: &AccessPattern, threads: usize, thread: usize, seed: u64) -> Self {
+        // The `[base, base + len)` byte range this thread addresses for a
+        // thread-chunked shared buffer of `bytes` bytes.
+        let chunk = |id: u32, bytes: u64| {
+            let len = (bytes / threads as u64).max(64);
+            (shared_base(id) + len * thread as u64, len)
+        };
+        let generator = match *pattern {
+            AccessPattern::PrivateStream { bytes, stride } => Generator::Stream {
+                base: private_base(thread),
+                stride,
+                wrap: bytes.max(stride),
+                period: 4,
+            },
+            AccessPattern::PrivateRandom { bytes, write_fraction } => Generator::Random {
+                base: private_base(thread),
+                span: bytes.max(8),
+                write_fraction: write_fraction.clamp(0.0, 1.0),
+            },
+            AccessPattern::SharedStream { id, bytes, stride, write_fraction, chunked } => {
+                let (base, len) =
+                    if chunked { chunk(id, bytes) } else { (shared_base(id), bytes.max(64)) };
+                let period = if write_fraction <= 0.0 {
+                    u64::MAX
+                } else {
+                    (1.0 / write_fraction.clamp(1e-9, 1.0)).round() as u64
+                };
+                Generator::Stream { base, stride, wrap: len.max(stride), period }
+            }
+            AccessPattern::SharedRandom { id, bytes, write_fraction } => Generator::Random {
+                base: shared_base(id),
+                span: bytes.max(8),
+                write_fraction: write_fraction.clamp(0.0, 1.0),
+            },
+            AccessPattern::Stencil { id, bytes, plane, write_fraction } => {
+                let (base, len) = chunk(id, bytes);
+                let wrap = len.max(8);
+                Generator::Stencil {
+                    base,
+                    wrap,
+                    ahead: plane % wrap,
+                    behind: len - plane % len.max(1),
+                    write_fraction: write_fraction.clamp(0.0, 1.0),
+                }
+            }
+            AccessPattern::ReduceShared { id, bytes } => {
+                Generator::Reduce { base: shared_base(id), span: bytes.max(8) }
+            }
+        };
+        Self { generator, rng: SmallRng::seed_from_u64(seed), position: 0, step: 0, last_addr: 0 }
     }
 
-    /// The `[base, base + len)` byte range this thread addresses for a
-    /// thread-chunked shared buffer of `bytes` bytes.
-    fn chunk(&self, id: u32, bytes: u64) -> (u64, u64) {
-        let len = (bytes / self.threads as u64).max(64);
-        let base = shared_base(id) + len * self.thread as u64;
-        (base, len)
+    /// Advances the access cycle of length `period`; returns the step the
+    /// current access occupies.
+    fn advance(&mut self, period: u64) -> u64 {
+        let step = self.step;
+        self.step = if step + 1 == period { 0 } else { step + 1 };
+        step
     }
 
     fn next_access(&mut self) -> MemoryAccess {
-        let count = self.count;
-        self.count += 1;
-        match self.pattern {
-            AccessPattern::PrivateStream { bytes, stride } => {
-                let base = private_base(self.thread);
+        match self.generator {
+            Generator::Stream { base, stride, wrap, period } => {
                 let addr = base + self.position;
-                self.position = (self.position + stride) % bytes.max(stride);
-                let kind = if count % 4 == 3 { AccessKind::Write } else { AccessKind::Read };
+                self.position = wrapping_add(self.position, stride, wrap);
+                let step = self.advance(period);
+                let kind = if period != u64::MAX && step == period - 1 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
                 MemoryAccess { addr, kind, size: 8 }
             }
-            AccessPattern::PrivateRandom { bytes, write_fraction } => {
-                let base = private_base(self.thread);
-                let off = self.rng.gen_range(0..bytes.max(8)) & !7;
-                let kind = if self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)) {
+            Generator::Random { base, span, write_fraction } => {
+                let off = self.rng.gen_range(0..span) & !7;
+                let kind = if self.rng.gen_bool(write_fraction) {
                     AccessKind::Write
                 } else {
                     AccessKind::Read
                 };
                 MemoryAccess { addr: base + off, kind, size: 8 }
             }
-            AccessPattern::SharedStream { id, bytes, stride, write_fraction, chunked } => {
-                let (base, len) =
-                    if chunked { self.chunk(id, bytes) } else { (shared_base(id), bytes.max(64)) };
-                let addr = base + self.position;
-                self.position = (self.position + stride) % len.max(stride);
-                let period = if write_fraction <= 0.0 {
-                    u64::MAX
-                } else {
-                    (1.0 / write_fraction.clamp(1e-9, 1.0)).round() as u64
-                };
-                let kind = if period != u64::MAX && count % period == period - 1 {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                MemoryAccess { addr, kind, size: 8 }
-            }
-            AccessPattern::SharedRandom { id, bytes, write_fraction } => {
-                let off = self.rng.gen_range(0..bytes.max(8)) & !7;
-                let kind = if self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)) {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
-                MemoryAccess { addr: shared_base(id) + off, kind, size: 8 }
-            }
-            AccessPattern::Stencil { id, bytes, plane, write_fraction } => {
-                let (base, len) = self.chunk(id, bytes);
-                let phase = count % 3;
-                let addr = match phase {
-                    0 => base + self.position,
-                    1 => base + (self.position + plane) % len.max(8),
+            Generator::Stencil { base, wrap, ahead, behind, write_fraction } => {
+                let (addr, kind) = match self.advance(3) {
+                    0 => {
+                        let kind = if self.rng.gen_bool(write_fraction) {
+                            AccessKind::Write
+                        } else {
+                            AccessKind::Read
+                        };
+                        (base + self.position, kind)
+                    }
+                    1 => (base + wrapping_add(self.position, ahead, wrap), AccessKind::Read),
                     _ => {
-                        let a = base + (self.position + len - (plane % len.max(1))) % len.max(8);
+                        let addr = base + wrapping_add(self.position, behind, wrap);
                         // Centre position advances once per 3-access group.
-                        self.position = (self.position + 8) % len.max(8);
-                        a
+                        self.position = wrapping_add(self.position, 8, wrap);
+                        (addr, AccessKind::Read)
                     }
                 };
-                let kind = if phase == 0 && self.rng.gen_bool(write_fraction.clamp(0.0, 1.0)) {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
                 MemoryAccess { addr, kind, size: 8 }
             }
-            AccessPattern::ReduceShared { id, bytes } => {
-                if count.is_multiple_of(2) {
-                    let off = self.rng.gen_range(0..bytes.max(8)) & !7;
-                    self.last_addr = shared_base(id) + off;
+            Generator::Reduce { base, span } => {
+                if self.advance(2) == 0 {
+                    let off = self.rng.gen_range(0..span) & !7;
+                    self.last_addr = base + off;
                     MemoryAccess { addr: self.last_addr, kind: AccessKind::Read, size: 8 }
                 } else {
                     MemoryAccess { addr: self.last_addr, kind: AccessKind::Write, size: 8 }
