@@ -3,6 +3,7 @@ use crate::block::BasicBlockId;
 use crate::phase::{private_base, shared_base, AccessPattern, Phase, PhaseBlock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// One dynamic execution of a basic block together with the memory accesses
 /// it performed.
@@ -30,7 +31,7 @@ pub struct BlockExecution {
 /// The [`Iterator`] impl wraps it with a fresh, exactly sized buffer per item.
 #[derive(Debug)]
 pub struct RegionTrace {
-    blocks: Vec<PhaseBlock>,
+    blocks: Arc<[PhaseBlock]>,
     cursors: Vec<PatternCursor>,
     iterations: u64,
     iteration: u64,
@@ -38,10 +39,15 @@ pub struct RegionTrace {
 }
 
 impl RegionTrace {
-    /// Builds the trace of `thread` (out of `threads`) executing `phase` with
-    /// iteration scale `scale`, using `seed` for any randomized pattern.
-    pub(crate) fn new(phase: Phase, scale: f64, threads: usize, thread: usize, seed: u64) -> Self {
-        let iterations = phase.iterations_per_thread(scale, threads);
+    /// Builds the trace of `thread` (out of `threads`) running `iterations`
+    /// traversals of `phase`, using `seed` for any randomized pattern.
+    pub(crate) fn new(
+        phase: &TracePhase,
+        iterations: u64,
+        threads: usize,
+        thread: usize,
+        seed: u64,
+    ) -> Self {
         let cursors = phase
             .patterns
             .iter()
@@ -55,13 +61,19 @@ impl RegionTrace {
                 )
             })
             .collect();
-        Self { blocks: phase.blocks, cursors, iterations, iteration: 0, block_idx: 0 }
+        Self { blocks: Arc::clone(&phase.blocks), cursors, iterations, iteration: 0, block_idx: 0 }
     }
 
     /// Creates an empty trace (no block executions). Used for threads that do
     /// not participate in a region.
     pub fn empty() -> Self {
-        Self { blocks: Vec::new(), cursors: Vec::new(), iterations: 0, iteration: 0, block_idx: 0 }
+        Self {
+            blocks: Arc::new([]),
+            cursors: Vec::new(),
+            iterations: 0,
+            iteration: 0,
+            block_idx: 0,
+        }
     }
 
     /// Total number of block executions this trace will yield.
@@ -121,6 +133,26 @@ impl Iterator for RegionTrace {
         let mut exec =
             BlockExecution { accesses: Vec::with_capacity(capacity), ..Default::default() };
         self.next_into(&mut exec).then_some(exec)
+    }
+}
+
+/// A phase as its traces consume it: the access patterns with the
+/// workload's working-set scale applied, and the loop body, shared by every
+/// `(region, thread)` trace of the phase instead of copied into each.
+#[derive(Debug, Clone)]
+pub(crate) struct TracePhase {
+    patterns: Vec<AccessPattern>,
+    blocks: Arc<[PhaseBlock]>,
+}
+
+impl TracePhase {
+    pub(crate) fn new(phase: &Phase, working_set_scale: f64) -> Self {
+        let patterns = if (working_set_scale - 1.0).abs() > f64::EPSILON {
+            phase.patterns.iter().map(|p| p.with_scaled_working_set(working_set_scale)).collect()
+        } else {
+            phase.patterns.clone()
+        };
+        Self { patterns, blocks: phase.blocks.as_slice().into() }
     }
 }
 
@@ -303,24 +335,30 @@ mod tests {
         }
     }
 
+    fn trace(scale: f64, threads: usize, thread: usize, seed: u64) -> RegionTrace {
+        let phase = test_phase();
+        let iterations = phase.iterations_per_thread(scale, threads);
+        RegionTrace::new(&TracePhase::new(&phase, 1.0), iterations, threads, thread, seed)
+    }
+
     #[test]
     fn trace_is_deterministic() {
-        let a: Vec<_> = RegionTrace::new(test_phase(), 1.0, 4, 1, 42).collect();
-        let b: Vec<_> = RegionTrace::new(test_phase(), 1.0, 4, 1, 42).collect();
+        let a: Vec<_> = trace(1.0, 4, 1, 42).collect();
+        let b: Vec<_> = trace(1.0, 4, 1, 42).collect();
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }
 
     #[test]
     fn different_seed_changes_random_pattern() {
-        let a: Vec<_> = RegionTrace::new(test_phase(), 1.0, 4, 1, 42).collect();
-        let b: Vec<_> = RegionTrace::new(test_phase(), 1.0, 4, 1, 43).collect();
+        let a: Vec<_> = trace(1.0, 4, 1, 42).collect();
+        let b: Vec<_> = trace(1.0, 4, 1, 43).collect();
         assert_ne!(a, b);
     }
 
     #[test]
     fn execution_counts_match_iterations() {
-        let trace = RegionTrace::new(test_phase(), 1.0, 4, 0, 1);
+        let trace = trace(1.0, 4, 0, 1);
         let expected = trace.total_block_executions();
         assert_eq!(trace.count() as u64, expected);
         // 16 iterations / 4 threads = 4 per thread, 2 blocks each.
@@ -329,19 +367,19 @@ mod tests {
 
     #[test]
     fn instructions_include_memory_ops() {
-        let exec = RegionTrace::new(test_phase(), 1.0, 4, 0, 1).next().unwrap();
+        let exec = trace(1.0, 4, 0, 1).next().unwrap();
         assert_eq!(exec.instructions, 14);
         assert_eq!(exec.accesses.len(), 4);
     }
 
     #[test]
     fn private_addresses_disjoint_across_threads() {
-        let a: Vec<_> = RegionTrace::new(test_phase(), 1.0, 4, 0, 42)
+        let a: Vec<_> = trace(1.0, 4, 0, 42)
             .flat_map(|e| e.accesses)
             .filter(|a| a.addr < crate::phase::SHARED_BASE)
             .map(|a| a.addr)
             .collect();
-        let b: Vec<_> = RegionTrace::new(test_phase(), 1.0, 4, 1, 42)
+        let b: Vec<_> = trace(1.0, 4, 1, 42)
             .flat_map(|e| e.accesses)
             .filter(|a| a.addr < crate::phase::SHARED_BASE)
             .map(|a| a.addr)

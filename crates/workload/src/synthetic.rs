@@ -1,6 +1,6 @@
 use crate::block::{BasicBlockId, BlockTable};
 use crate::phase::{AccessPattern, Phase, PhaseBlock, PhaseId, ScheduleEntry};
-use crate::region::RegionTrace;
+use crate::region::{RegionTrace, TracePhase};
 use crate::workload::{Workload, WorkloadConfig};
 
 /// A data-driven barrier-synchronized workload built from phases and a
@@ -15,6 +15,8 @@ pub struct SyntheticWorkload {
     phases: Vec<Phase>,
     schedule: Vec<ScheduleEntry>,
     blocks: BlockTable,
+    /// `phases`, prepared once for trace generation.
+    trace_phases: Vec<TracePhase>,
 }
 
 impl SyntheticWorkload {
@@ -70,19 +72,16 @@ impl Workload for SyntheticWorkload {
         assert!(region < self.schedule.len(), "region {region} out of range");
         assert!(thread < self.config.threads, "thread {thread} out of range");
         let entry = self.schedule[region];
-        let mut phase = self.phases[entry.phase.0].clone();
         // The workload-level scale shrinks both the per-region work and the
-        // working sets, so a scaled-down run behaves like a smaller input
-        // class (the regions still sweep their whole data set).  The
-        // schedule-entry scale only lengthens/shortens the region.
-        if (self.config.scale - 1.0).abs() > f64::EPSILON {
-            for pattern in &mut phase.patterns {
-                *pattern = pattern.with_scaled_working_set(self.config.scale);
-            }
-        }
+        // working sets (applied once, in `trace_phases`), so a scaled-down run
+        // behaves like a smaller input class (the regions still sweep their
+        // whole data set).  The schedule-entry scale only lengthens/shortens
+        // the region.
+        let iterations = self.phases[entry.phase.0]
+            .iterations_per_thread(entry.scale * self.config.scale, self.config.threads);
         RegionTrace::new(
-            phase,
-            entry.scale * self.config.scale,
+            &self.trace_phases[entry.phase.0],
+            iterations,
             self.config.threads,
             thread,
             self.trace_seed(region, thread),
@@ -215,12 +214,15 @@ impl SyntheticWorkloadBuilder {
         for entry in &self.schedule {
             assert!(entry.phase.0 < self.phases.len(), "schedule refers to unknown phase");
         }
+        let trace_phases =
+            self.phases.iter().map(|phase| TracePhase::new(phase, self.config.scale)).collect();
         SyntheticWorkload {
             name: self.name,
             config: self.config,
             phases: self.phases,
             schedule: self.schedule,
             blocks: self.blocks,
+            trace_phases,
         }
     }
 }
