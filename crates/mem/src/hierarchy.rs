@@ -193,16 +193,11 @@ impl MemoryHierarchy {
         is_write: bool,
         is_instr: bool,
     ) -> AccessResult {
-        let l1_latency =
-            if is_instr { self.cores[core].l1i.latency() } else { self.cores[core].l1d.latency() };
-
         // --- L1 ---
-        let l1_state = if is_instr {
-            self.cores[core].l1i.lookup(line)
-        } else {
-            self.cores[core].l1d.lookup(line)
-        };
-        if let Some(state) = l1_state {
+        let caches = &mut self.cores[core];
+        let l1 = if is_instr { &mut caches.l1i } else { &mut caches.l1d };
+        let l1_latency = l1.latency();
+        if let Some(state) = l1.lookup(line) {
             if !is_write || state == LineState::Modified {
                 self.stats.l1_hits += 1;
                 return AccessResult {
