@@ -107,10 +107,7 @@ impl RegionTrace {
     /// assert_eq!(blocks, w.region_trace(1, 0).count());
     /// ```
     pub fn next_into(&mut self, exec: &mut BlockExecution) -> bool {
-        if self.iteration >= self.iterations {
-            return false;
-        }
-        let Some(pb) = self.blocks.get(self.block_idx) else { return false };
+        let Some(pb) = self.pending().cloned() else { return false };
         let cursor = &mut self.cursors[pb.pattern];
         exec.block = pb.block;
         exec.instructions = pb.instructions + pb.accesses;
@@ -157,7 +154,7 @@ impl TracePhase {
 }
 
 /// `(a + b) % m` for `a < m` and `b <= m`, without a division.
-fn wrapping_add(a: u64, b: u64, m: u64) -> u64 {
+fn add_mod(a: u64, b: u64, m: u64) -> u64 {
     let sum = a + b;
     if sum >= m {
         sum - m
@@ -263,7 +260,7 @@ impl PatternCursor {
         match self.generator {
             Generator::Stream { base, stride, wrap, period } => {
                 let addr = base + self.position;
-                self.position = wrapping_add(self.position, stride, wrap);
+                self.position = add_mod(self.position, stride, wrap);
                 let step = self.advance(period);
                 let kind = if period != u64::MAX && step == period - 1 {
                     AccessKind::Write
@@ -291,11 +288,11 @@ impl PatternCursor {
                         };
                         (base + self.position, kind)
                     }
-                    1 => (base + wrapping_add(self.position, ahead, wrap), AccessKind::Read),
+                    1 => (base + add_mod(self.position, ahead, wrap), AccessKind::Read),
                     _ => {
-                        let addr = base + wrapping_add(self.position, behind, wrap);
+                        let addr = base + add_mod(self.position, behind, wrap);
                         // Centre position advances once per 3-access group.
-                        self.position = wrapping_add(self.position, 8, wrap);
+                        self.position = add_mod(self.position, 8, wrap);
                         (addr, AccessKind::Read)
                     }
                 };
