@@ -82,6 +82,11 @@ pub struct SharedCache {
 
 impl SharedCache {
     /// Builds an empty shared cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate or its set count is not a power
+    /// of two (see [`CacheConfig::num_sets`]).
     pub fn new(config: &CacheConfig, line_bytes: u64) -> Self {
         Self::with_interleave(config, line_bytes, 1)
     }
