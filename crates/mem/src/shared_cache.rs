@@ -126,7 +126,8 @@ impl SharedCache {
     }
 
     /// [`lookup`](Self::lookup) that also returns where the line sits, so
-    /// the caller can [`update`](Self::entry_mut) it without a second scan.
+    /// the caller can write its entry through [`entry_mut`](Self::entry_mut)
+    /// without a second scan.
     pub(crate) fn lookup_slot(&mut self, line: u64) -> Option<(Slot, DirEntry)> {
         self.tick += 1;
         let slot = self.find(line)?;
