@@ -584,68 +584,64 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 }
             }
             for (workload_fp, leg_workload, capacities) in groups {
-                if workload_fp == base_fp {
-                    if let Some(bank) = &fused_bank {
-                        for capacity in capacities {
-                            warmup_payloads
-                                .push(((workload_fp, capacity), bank.assemble(&regions, capacity)));
+                let mut per_capacity = 'collect: {
+                    if workload_fp == base_fp {
+                        if let Some(bank) = &fused_bank {
+                            break 'collect bank.assemble_multi(&regions, &capacities);
                         }
-                        continue;
-                    }
-                    // No fused bank (the profile and selections were
-                    // cache-served) but cached segment checkpoints whose
-                    // collection capacity covers this group: re-collect as
-                    // `threads × segments` jobs instead of a sequential
-                    // walk, bit-identical by the stitching contract.
-                    let group_max = capacities.iter().copied().max().unwrap_or(0);
-                    let checkpoints = self
-                        .base
-                        .cache()
-                        .and_then(|cache| cache.probe(&statics.checkpoint_key))
-                        .filter(|c| c.covers(workload, group_max));
-                    if let Some(ckpts) = checkpoints {
-                        segment_walks += ckpts.segment_jobs();
-                        checkpoint_hits += ckpts.checkpoint_restores();
-                        let bank = crate::segment::collect_warmup_bank_segmented(
-                            workload,
-                            &ckpts,
-                            &policy,
-                            Some(&budget),
-                        )?;
-                        warmup_collections += 1;
-                        for capacity in capacities {
-                            warmup_payloads
-                                .push(((workload_fp, capacity), bank.assemble(&regions, capacity)));
+                        // No fused bank (the profile and selections were
+                        // cache-served) but cached segment checkpoints whose
+                        // collection capacity covers this group: re-collect
+                        // as `threads × segments` jobs instead of a
+                        // sequential walk, bit-identical by the stitching
+                        // contract.
+                        let group_max = capacities.iter().copied().max().unwrap_or(0);
+                        let checkpoints = self
+                            .base
+                            .cache()
+                            .and_then(|cache| cache.probe(&statics.checkpoint_key))
+                            .filter(|c| c.covers(workload, group_max));
+                        if let Some(ckpts) = checkpoints {
+                            segment_walks += ckpts.segment_jobs();
+                            checkpoint_hits += ckpts.checkpoint_restores();
+                            let bank = crate::segment::collect_warmup_bank_segmented(
+                                workload,
+                                &ckpts,
+                                &policy,
+                                Some(&budget),
+                            )?;
+                            warmup_collections += 1;
+                            break 'collect bank.assemble_multi(&regions, &capacities);
                         }
-                        continue;
                     }
-                }
-                // A dedicated collection pass, thread-major from the shared
-                // budget (a cold cross-core-count leg's collection borrows
-                // workers idled by drained legs, and vice versa).
-                let mut per_capacity = match leg_workload {
-                    Some(leg_workload) => {
-                        trace_walks += leg_workload.num_threads();
-                        bp_warmup::collect_mru_warmup_multi_budgeted(
-                            leg_workload,
-                            &regions,
-                            &capacities,
-                            &policy,
-                            Some(&budget),
-                        )
-                    }
-                    None => {
-                        trace_walks += base_threads;
-                        bp_warmup::collect_mru_warmup_multi_budgeted(
-                            workload,
-                            &regions,
-                            &capacities,
-                            &policy,
-                            Some(&budget),
-                        )
+                    // A dedicated collection pass, thread-major from the
+                    // shared budget (a cold cross-core-count leg's
+                    // collection borrows workers idled by drained legs, and
+                    // vice versa).
+                    warmup_collections += 1;
+                    match leg_workload {
+                        Some(leg_workload) => {
+                            trace_walks += leg_workload.num_threads();
+                            bp_warmup::collect_mru_warmup_multi_budgeted(
+                                leg_workload,
+                                &regions,
+                                &capacities,
+                                &policy,
+                                Some(&budget),
+                            )
+                        }
+                        None => {
+                            trace_walks += base_threads;
+                            bp_warmup::collect_mru_warmup_multi_budgeted(
+                                workload,
+                                &regions,
+                                &capacities,
+                                &policy,
+                                Some(&budget),
+                            )
+                        }
                     }
                 };
-                warmup_collections += 1;
                 for capacity in capacities {
                     if let Some(data) = per_capacity.remove(&capacity) {
                         warmup_payloads.push(((workload_fp, capacity), data));

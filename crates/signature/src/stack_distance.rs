@@ -1,4 +1,5 @@
-use std::collections::HashMap;
+use bp_workload::LineMap;
+use std::collections::hash_map::Entry;
 
 /// Exact LRU stack distance (reuse distance) computation.
 ///
@@ -10,19 +11,37 @@ use std::collections::HashMap;
 /// each access is assigned a monotonically increasing timestamp, a binary
 /// indexed tree marks the timestamps that are currently the *most recent*
 /// access of some line, and the stack distance is the number of marked
-/// timestamps after the line's previous access.  Every access costs
-/// `O(log n)`.
+/// timestamps after the line's previous access.  Every line has exactly one
+/// mark, so that count is the number of distinct lines minus one prefix sum
+/// up to the previous access: every access costs one `O(log n)` query, two
+/// `O(log n)` updates and one [`LineMap`] lookup.
 #[derive(Debug, Clone, Default)]
 pub struct StackDistanceTracker {
     /// Fenwick tree over timestamps; `tree[i] == 1` iff timestamp `i` is the
     /// latest access of some line.
     tree: Vec<u64>,
     /// Last access timestamp of each line.
-    last: HashMap<u64, usize>,
+    last: LineMap<usize>,
     /// Next timestamp (1-based for the Fenwick tree); may shrink on compaction.
     time: usize,
     /// Total accesses recorded (monotonic, unaffected by compaction).
     total: usize,
+}
+
+fn tree_add(tree: &mut [u64], mut idx: usize, delta: i64) {
+    while idx < tree.len() {
+        tree[idx] = (tree[idx] as i64 + delta) as u64;
+        idx += idx & idx.wrapping_neg();
+    }
+}
+
+fn tree_prefix_sum(tree: &[u64], mut idx: usize) -> u64 {
+    let mut sum = 0;
+    while idx > 0 {
+        sum += tree[idx];
+        idx -= idx & idx.wrapping_neg();
+    }
+    sum
 }
 
 impl StackDistanceTracker {
@@ -41,20 +60,15 @@ impl StackDistanceTracker {
         self.total
     }
 
-    fn tree_add(&mut self, mut idx: usize, delta: i64) {
-        while idx < self.tree.len() {
-            self.tree[idx] = (self.tree[idx] as i64 + delta) as u64;
-            idx += idx & idx.wrapping_neg();
+    /// Rebuilds the Fenwick tree at `len` slots from the per-line marks.  (A
+    /// Fenwick tree cannot simply be zero-extended: appended internal nodes
+    /// cover existing timestamp ranges.)
+    fn rebuild_tree(&mut self, len: usize) {
+        self.tree.clear();
+        self.tree.resize(len, 0);
+        for &t in self.last.values() {
+            tree_add(&mut self.tree, t, 1);
         }
-    }
-
-    fn tree_prefix_sum(&self, mut idx: usize) -> u64 {
-        let mut sum = 0;
-        while idx > 0 {
-            sum += self.tree[idx];
-            idx -= idx & idx.wrapping_neg();
-        }
-        sum
     }
 
     /// Re-numbers all last-access timestamps to `1..=unique_lines`, keeping
@@ -65,17 +79,11 @@ impl StackDistanceTracker {
         let mut entries: Vec<(usize, u64)> =
             self.last.iter().map(|(&line, &t)| (t, line)).collect();
         entries.sort_unstable();
-        self.last.clear();
         for (new_time, (_, line)) in entries.iter().enumerate() {
             self.last.insert(*line, new_time + 1);
         }
         self.time = entries.len();
-        let new_len = (self.time + 2).next_power_of_two().max(64);
-        self.tree = vec![0; new_len];
-        let marks: Vec<usize> = self.last.values().copied().collect();
-        for t in marks {
-            self.tree_add(t, 1);
-        }
+        self.rebuild_tree((self.time + 2).next_power_of_two().max(64));
     }
 
     /// The tracker's carried state at a region boundary: `(time, total,
@@ -100,15 +108,12 @@ impl StackDistanceTracker {
     pub(crate) fn from_checkpoint(time: u64, total: u64, entries: &[(u64, u64)]) -> Self {
         let time = time as usize;
         let mut tracker = Self {
-            tree: vec![0; (time + 2).next_power_of_two().max(64)],
-            last: HashMap::with_capacity(entries.len()),
+            tree: Vec::new(),
+            last: entries.iter().map(|&(t, line)| (line, t as usize)).collect(),
             time,
             total: total as usize,
         };
-        for &(t, line) in entries {
-            tracker.last.insert(line, t as usize);
-            tracker.tree_add(t as usize, 1);
-        }
+        tracker.rebuild_tree((time + 2).next_power_of_two().max(64));
         tracker
     }
 
@@ -125,30 +130,25 @@ impl StackDistanceTracker {
         let now = self.time;
         // Grow the Fenwick tree (power-of-two sizing keeps growth amortized).
         if now >= self.tree.len() {
-            let new_len = (now + 1).next_power_of_two().max(64);
-            self.tree.resize(new_len, 0);
-            // Appended internal nodes must incorporate existing counts, so we
-            // rebuild from the per-line marks to stay safe.
-            let marks: Vec<usize> = self.last.values().copied().collect();
-            for v in self.tree.iter_mut() {
-                *v = 0;
-            }
-            for t in marks {
-                self.tree_add(t, 1);
-            }
+            self.rebuild_tree((now + 1).next_power_of_two().max(64));
         }
-        let distance = match self.last.get(&line).copied() {
-            Some(prev) => {
+        // Every line holds exactly one mark, so the tree total is the
+        // distinct-line count taken before this access.
+        let marked = self.last.len() as u64;
+        let distance = match self.last.entry(line) {
+            Entry::Occupied(mut slot) => {
+                let prev = slot.insert(now);
                 // Distinct lines accessed strictly after `prev`.
-                let marked_after_prev =
-                    self.tree_prefix_sum(self.tree.len() - 1) - self.tree_prefix_sum(prev);
-                self.tree_add(prev, -1);
+                let marked_after_prev = marked - tree_prefix_sum(&self.tree, prev);
+                tree_add(&mut self.tree, prev, -1);
                 Some(marked_after_prev)
             }
-            None => None,
+            Entry::Vacant(slot) => {
+                slot.insert(now);
+                None
+            }
         };
-        self.tree_add(now, 1);
-        self.last.insert(line, now);
+        tree_add(&mut self.tree, now, 1);
         distance
     }
 }

@@ -1,7 +1,10 @@
 use bp_exec::{ExecutionPolicy, WorkerBudget};
-use bp_workload::{BlockExecution, CheckpointError, CheckpointObserver, TraceObserver, Workload};
+use bp_workload::{
+    BlockExecution, CheckpointError, CheckpointObserver, LineMap, LineSet, TraceObserver, Workload,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// The warmup payload of one barrierpoint: per core, the most recently used
 /// unique cache lines (least recent first) together with the most recent
@@ -63,20 +66,53 @@ struct LineState {
 /// One live residency in a checkpoint image: `(seq, line, tick, dirty_depth)`.
 type CheckpointEntry = (u64, u64, u64, u64);
 
-/// One thread's MRU recency state: the live residencies ordered by access
-/// sequence, per-line state, and a Fenwick tree of the live sequence ranks
-/// that answers the dirty-depth query ("how many distinct lines were touched
-/// since this line's own last access?") in `O(log n)` instead of the old
-/// `BTreeMap::range().count()` scan, which was `O(depth)` per re-read of a
-/// written line.
-#[derive(Debug, Clone, Default)]
+/// Marks an empty recency slot.  Never a real line: line addresses are byte
+/// addresses shifted down by the line size, so their top bits are clear.
+const NO_LINE: u64 = u64::MAX;
+
+fn tree_add(tree: &mut [u64], mut idx: usize, delta: i64) {
+    while idx < tree.len() {
+        tree[idx] = (tree[idx] as i64 + delta) as u64;
+        idx += idx & idx.wrapping_neg();
+    }
+}
+
+fn tree_prefix_sum(tree: &[u64], idx: usize) -> u64 {
+    let mut sum = 0;
+    let mut idx = idx.min(tree.len().saturating_sub(1));
+    while idx > 0 {
+        sum += tree[idx];
+        idx -= idx & idx.wrapping_neg();
+    }
+    sum
+}
+
+/// One thread's MRU recency state.
+///
+/// The recency list is a vector of slots indexed by access sequence number:
+/// slot `s` holds the line whose current residency began with sequence `s`,
+/// or [`NO_LINE`] once that line was re-accessed (moving to a newer slot) or
+/// evicted.  Appending the newest residency and vacating an old one are
+/// `O(1)`; eviction advances a head cursor past vacated slots, amortised
+/// `O(1)`; in-order iteration is a scan from the head.  A Fenwick tree over
+/// the same sequence numbers answers the dirty-depth query ("how many
+/// distinct lines were touched since this line's own last access?") in
+/// `O(log n)`, and a [`LineMap`] maps each live line to its state — one
+/// lookup per access.
+/// [`maybe_compact`](Self::maybe_compact) renumbers the live sequences once
+/// the sequence space far outgrows the live set, which bounds both the slot
+/// vector and the tree by the collection capacity.
+#[derive(Debug, Clone)]
 struct ThreadMruState {
-    /// Ordering sequence -> line, live residencies only (recency order).
-    by_seq: BTreeMap<u64, u64>,
-    /// Line -> recency state.
-    by_line: HashMap<u64, LineState>,
+    /// Sequence -> line ([`NO_LINE`] for a vacated slot); `slots.len() ==
+    /// next_seq + 1` (sequence 0 is never assigned).
+    slots: Vec<u64>,
+    /// No live sequence is below `head`.
+    head: usize,
+    /// Line -> recency state, live residencies only.
+    by_line: LineMap<LineState>,
     /// Fenwick tree over sequence numbers; `tree[s] == 1` iff sequence `s`
-    /// is live (present in `by_seq`).  1-based, power-of-two sized.
+    /// is live.  1-based, power-of-two sized.
     tree: Vec<u64>,
     /// Next sequence number (per thread; renumbered by compaction).
     next_seq: u64,
@@ -85,45 +121,69 @@ struct ThreadMruState {
     next_tick: u64,
 }
 
+impl Default for ThreadMruState {
+    fn default() -> Self {
+        Self {
+            slots: vec![NO_LINE],
+            head: 1,
+            by_line: LineMap::default(),
+            tree: Vec::new(),
+            next_seq: 0,
+            next_tick: 0,
+        }
+    }
+}
+
 impl ThreadMruState {
-    fn tree_add(&mut self, mut idx: usize, delta: i64) {
-        while idx < self.tree.len() {
-            self.tree[idx] = (self.tree[idx] as i64 + delta) as u64;
-            idx += idx & idx.wrapping_neg();
-        }
+    /// Number of live residencies.
+    fn len(&self) -> usize {
+        self.by_line.len()
     }
 
-    fn tree_prefix_sum(&self, mut idx: usize) -> u64 {
-        let mut sum = 0;
-        idx = idx.min(self.tree.len().saturating_sub(1));
-        while idx > 0 {
-            sum += self.tree[idx];
-            idx -= idx & idx.wrapping_neg();
-        }
-        sum
+    /// The live `(seq, line)` residencies, least recent first.
+    fn live(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.slots[self.head..]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &line)| line != NO_LINE)
+            .map(move |(offset, &line)| ((self.head + offset) as u64, line))
     }
 
-    /// Live sequences strictly greater than `seq` — the recency depth of the
-    /// line whose current residency is `seq`.  Exactly what
-    /// `by_seq.range(seq + 1..).count()` used to compute, in `O(log n)`.
-    fn depth_of(&self, seq: u64) -> u64 {
-        self.by_seq.len() as u64 - self.tree_prefix_sum(seq as usize)
+    /// The live lines, least recent first.
+    fn lines(&self) -> impl Iterator<Item = u64> + '_ {
+        self.live().map(|(_, line)| line)
     }
 
-    /// Marks `seq` live.  Must be called *after* inserting it into `by_seq`:
-    /// growing the tree rebuilds from the live set, which must already
-    /// include `seq`.
-    fn mark(&mut self, seq: u64) {
-        let idx = seq as usize;
+    /// Appends `line` as the residency with the newest sequence number
+    /// `next_seq` (already incremented) and marks it live.  Must be called
+    /// *after* `by_line` holds the line: growing the tree rebuilds from the
+    /// live set, which must already include it.
+    fn push(&mut self, line: u64) {
+        self.slots.push(line);
+        let idx = self.next_seq as usize;
         if idx >= self.tree.len() {
             self.rebuild_tree((idx + 1).next_power_of_two().max(64));
         } else {
-            self.tree_add(idx, 1);
+            tree_add(&mut self.tree, idx, 1);
         }
     }
 
-    fn unmark(&mut self, seq: u64) {
-        self.tree_add(seq as usize, -1);
+    /// Vacates the residency slot `seq`.
+    fn vacate(&mut self, seq: u64) {
+        self.slots[seq as usize] = NO_LINE;
+        tree_add(&mut self.tree, seq as usize, -1);
+    }
+
+    /// Removes and returns the least recent live line.
+    fn pop_oldest(&mut self) -> Option<u64> {
+        while self.slots.get(self.head) == Some(&NO_LINE) {
+            self.head += 1;
+        }
+        let line = *self.slots.get(self.head)?;
+        self.vacate(self.head as u64);
+        self.head += 1;
+        self.by_line.remove(&line);
+        Some(line)
     }
 
     /// Rebuilds the Fenwick tree at `len` slots from the live set.  (A
@@ -132,9 +192,10 @@ impl ThreadMruState {
     fn rebuild_tree(&mut self, len: usize) {
         self.tree.clear();
         self.tree.resize(len, 0);
-        let live: Vec<u64> = self.by_seq.keys().copied().collect();
-        for seq in live {
-            self.tree_add(seq as usize, 1);
+        for seq in self.head..self.slots.len() {
+            if self.slots[seq] != NO_LINE {
+                tree_add(&mut self.tree, seq, 1);
+            }
         }
     }
 
@@ -144,15 +205,14 @@ impl ThreadMruState {
     /// renumbered), so a restored state reproduces future behaviour —
     /// including [`maybe_compact`](Self::maybe_compact) timing, which
     /// depends only on `next_seq` and the live count — bit for bit.  The
-    /// `by_seq` iteration order makes the image deterministic.
+    /// slot order makes the image deterministic.
     fn checkpoint(&self) -> (u64, u64, Vec<CheckpointEntry>) {
         let entries = self
-            .by_seq
-            .iter()
-            .map(|(&seq, &line)| match self.by_line.get(&line) {
+            .live()
+            .map(|(seq, line)| match self.by_line.get(&line) {
                 Some(state) => (seq, line, state.tick, state.dirty_depth),
-                // `by_seq` and `by_line` always hold the same line set.
-                None => unreachable!("line {line:#x} in by_seq but not by_line"),
+                // The slots and `by_line` always hold the same line set.
+                None => unreachable!("line {line:#x} in a slot but not by_line"),
             })
             .collect();
         (self.next_seq, self.next_tick, entries)
@@ -168,20 +228,36 @@ impl ThreadMruState {
         next_tick: u64,
         entries: &[CheckpointEntry],
     ) -> Result<Self, String> {
-        let mut state = Self { next_seq, next_tick, ..Self::default() };
+        // `maybe_compact` keeps `next_seq <= max(4097, 8 * (live + 1))`
+        // after every access; a larger counter cannot come from a real walk
+        // and would size the slot vector by it.
+        let bound = (8 * (entries.len() as u64 + 1)).max(4097);
+        if next_seq > bound {
+            return Err(format!("sequence counter {next_seq} past compaction bound {bound}"));
+        }
+        let mut state = Self {
+            slots: vec![NO_LINE; next_seq as usize + 1],
+            head: entries.first().map_or(next_seq as usize + 1, |entry| entry.0 as usize),
+            next_seq,
+            next_tick,
+            ..Self::default()
+        };
         let mut prev_seq = 0;
         for &(seq, line, tick, dirty_depth) in entries {
             if seq <= prev_seq {
                 return Err(format!("sequence {seq} not increasing"));
             }
+            if seq > next_seq {
+                return Err(format!("live sequence {seq} past counter {next_seq}"));
+            }
+            if line == NO_LINE {
+                return Err(format!("line {line:#x} is the empty-slot marker"));
+            }
             prev_seq = seq;
             if state.by_line.insert(line, LineState { seq, tick, dirty_depth }).is_some() {
                 return Err(format!("line {line:#x} recorded twice"));
             }
-            state.by_seq.insert(seq, line);
-        }
-        if prev_seq > next_seq {
-            return Err(format!("live sequence {prev_seq} past counter {next_seq}"));
+            state.slots[seq as usize] = line;
         }
         state.rebuild_tree((next_seq as usize + 2).next_power_of_two().max(64));
         Ok(state)
@@ -189,25 +265,26 @@ impl ThreadMruState {
 
     /// Renumbers the live sequences to `1..=n` (preserving order) once the
     /// sequence space far outgrows the capacity-bounded live set, keeping
-    /// the Fenwick tree's size proportional to the collection capacity
-    /// rather than to the trace length.
+    /// the slot vector and the Fenwick tree proportional to the collection
+    /// capacity rather than to the trace length.
     fn maybe_compact(&mut self) {
-        if self.next_seq <= 4096 || self.next_seq < 8 * (self.by_seq.len() as u64 + 1) {
+        if self.next_seq <= 4096 || self.next_seq < 8 * (self.len() as u64 + 1) {
             return;
         }
-        let entries: Vec<u64> = self.by_seq.values().copied().collect();
-        self.by_seq.clear();
-        for (i, line) in entries.iter().enumerate() {
-            let seq = i as u64 + 1;
-            self.by_seq.insert(seq, *line);
-            match self.by_line.get_mut(line) {
-                Some(state) => state.seq = seq,
-                // `by_seq` and `by_line` always hold the same line set.
-                None => unreachable!("line {line:#x} in by_seq but not by_line"),
+        let lines: Vec<u64> = self.lines().collect();
+        self.slots.clear();
+        self.slots.push(NO_LINE);
+        for (i, &line) in lines.iter().enumerate() {
+            self.slots.push(line);
+            match self.by_line.get_mut(&line) {
+                Some(state) => state.seq = i as u64 + 1,
+                // The slots and `by_line` always hold the same line set.
+                None => unreachable!("line {line:#x} in a slot but not by_line"),
             }
         }
-        self.next_seq = entries.len() as u64;
-        self.rebuild_tree((entries.len() + 2).next_power_of_two().max(64));
+        self.head = 1;
+        self.next_seq = lines.len() as u64;
+        self.rebuild_tree((lines.len() + 2).next_power_of_two().max(64));
     }
 }
 
@@ -252,6 +329,12 @@ impl MruCollector {
     /// line this access evicted from the thread's recency list (if any) —
     /// the signal interval-sharing snapshot consumers need to know a
     /// residency ended.
+    ///
+    /// One [`LineMap`] lookup finds the line's previous residency; its slot
+    /// is vacated and the line appended at the newest sequence in `O(1)`,
+    /// and eviction pops the oldest live slot in amortised `O(1)`.  Only the
+    /// Fenwick tree costs `O(log n)`: one update per appended or vacated
+    /// slot, plus one prefix sum when a written line is re-read.
     pub fn record(&mut self, thread: usize, line: u64, is_write: bool) -> Option<u64> {
         let capacity = self.capacity_lines;
         let state = &mut self.threads[thread];
@@ -260,42 +343,48 @@ impl MruCollector {
         state.next_tick += 1;
         let seq = state.next_seq;
         let tick = state.next_tick;
-        let dirty_depth = if is_write {
-            // A write is in-residency at every capacity that still holds the
-            // line — and re-enters the line dirty where it was evicted.
-            0
-        } else {
-            match state.by_line.get(&line) {
-                // Never written in this residency: stays clean everywhere.
-                // `u64::MAX` is absorbing, so the depth query is skipped.
-                Some(prev) if prev.dirty_depth == u64::MAX => u64::MAX,
-                // Read of a line written earlier in this residency: the
-                // dirty state survives at capacity `c` only if the line
-                // never sank to depth >= c since that write.  The current
-                // depth is the number of distinct lines touched since the
-                // line's own last access — all still resident, because this
-                // line is.
-                Some(prev) => prev.dirty_depth.max(state.depth_of(prev.seq)),
-                // (Re-)entering the list through a read: clean everywhere.
-                None => u64::MAX,
+        let live = state.len() as u64;
+        let previous = match state.by_line.entry(line) {
+            Entry::Occupied(mut slot) => {
+                let prev = *slot.get();
+                let dirty_depth = if is_write {
+                    // A write is in-residency at every capacity that still
+                    // holds the line.
+                    0
+                } else if prev.dirty_depth == u64::MAX {
+                    // Never written in this residency: stays clean
+                    // everywhere.  `u64::MAX` is absorbing, so the depth
+                    // query is skipped.
+                    u64::MAX
+                } else {
+                    // Read of a line written earlier in this residency: the
+                    // dirty state survives at capacity `c` only if the line
+                    // never sank to depth >= c since that write.  The
+                    // current depth is the number of distinct lines touched
+                    // since the line's own last access — all still
+                    // resident, because this line is.
+                    prev.dirty_depth.max(live - tree_prefix_sum(&state.tree, prev.seq as usize))
+                };
+                slot.insert(LineState { seq, tick, dirty_depth });
+                Some(prev.seq)
+            }
+            Entry::Vacant(slot) => {
+                // (Re-)entering the list: a write re-enters dirty at every
+                // capacity, a read clean everywhere.
+                let dirty_depth = if is_write { 0 } else { u64::MAX };
+                slot.insert(LineState { seq, tick, dirty_depth });
+                None
             }
         };
-        if let Some(old) = state.by_line.insert(line, LineState { seq, tick, dirty_depth }) {
-            state.by_seq.remove(&old.seq);
-            state.unmark(old.seq);
+        if let Some(old_seq) = previous {
+            state.vacate(old_seq);
         }
-        state.by_seq.insert(seq, line);
-        state.mark(seq);
-        let mut evicted = None;
-        if state.by_seq.len() as u64 > capacity {
-            if let Some((&oldest, &old_line)) = state.by_seq.iter().next() {
-                state.by_seq.remove(&oldest);
-                state.unmark(oldest);
-                state.by_line.remove(&old_line);
-                evicted = Some(old_line);
-            }
+        state.push(line);
+        if state.len() as u64 > capacity {
+            state.pop_oldest()
+        } else {
+            None
         }
-        evicted
     }
 
     /// Walks every thread's trace of `region`, recording all its accesses.
@@ -333,12 +422,11 @@ impl MruCollector {
     /// The most recent `capacity` entries of one thread's recency list
     /// (least recent first), with the capacity-dependent dirty bit.
     fn truncate_thread(state: &ThreadMruState, capacity: u64) -> Vec<(u64, bool)> {
-        let skip = (state.by_seq.len() as u64).saturating_sub(capacity) as usize;
+        let skip = (state.len() as u64).saturating_sub(capacity) as usize;
         state
-            .by_seq
-            .iter()
+            .lines()
             .skip(skip)
-            .map(|(_, &line)| {
+            .map(|line| {
                 let dirty = state.by_line.get(&line).is_some_and(|s| s.dirty_depth < capacity);
                 (line, dirty)
             })
@@ -351,9 +439,8 @@ impl MruCollector {
     fn raw_thread_state(&self, thread: usize) -> Vec<(u64, u64)> {
         let state = &self.threads[thread];
         state
-            .by_seq
-            .iter()
-            .map(|(_, &line)| {
+            .lines()
+            .map(|line| {
                 let depth = state.by_line.get(&line).map_or(u64::MAX, |s| s.dirty_depth);
                 (line, depth)
             })
@@ -367,6 +454,9 @@ impl MruCollector {
         self.threads[thread].by_line.get(&line).map(|s| (s.tick, s.dirty_depth))
     }
 }
+
+/// One thread's raw `(line, dirty_depth)` recency list, least recent first.
+type RawRecency = Vec<(u64, u64)>;
 
 /// Derives one capacity's per-thread payload from a raw `(line, dirty_depth)`
 /// snapshot taken at a larger collection capacity.
@@ -594,9 +684,9 @@ pub struct MruThreadObserver {
     next: usize,
     /// Lines accessed or evicted since the last snapshotted boundary — the
     /// only lines whose interval records need closing/reopening there.
-    touched: HashSet<u64>,
+    touched: LineSet,
     /// Line -> index (into `intervals`) of its open record.
-    open: HashMap<u64, usize>,
+    open: LineMap<usize>,
     intervals: Vec<IntervalRecord>,
     /// Set by [`CheckpointObserver::restore`]: at the first boundary this
     /// segment reaches, open records for *every* resident line (there are no
@@ -621,8 +711,8 @@ impl MruThreadObserver {
             collector: MruCollector::new(1, collection_capacity),
             boundaries,
             next: 0,
-            touched: HashSet::new(),
-            open: HashMap::new(),
+            touched: LineSet::default(),
+            open: LineMap::default(),
             intervals: Vec::new(),
             resume_open_all: false,
         }
@@ -718,7 +808,7 @@ impl TraceObserver for MruThreadObserver {
             // `touched` (accesses between the restore point and this
             // boundary) is a subset of what these records already cover.
             self.touched.clear();
-            let resident: Vec<u64> = self.collector.threads[0].by_seq.values().copied().collect();
+            let resident: Vec<u64> = self.collector.threads[0].lines().collect();
             for line in resident {
                 if let Some((tick, dirty_depth)) = self.collector.residency_state(0, line) {
                     self.open.insert(line, self.intervals.len());
@@ -895,49 +985,69 @@ impl MruSnapshotBank {
         self.collection_capacity
     }
 
-    /// Reconstructs one thread's raw `(line, dirty_depth)` recency list
-    /// (least recent first) at boundary index `idx`: the records covering
-    /// `idx`, in access order.
-    fn reconstruct_thread(&self, thread: usize, idx: u32) -> Vec<(u64, u64)> {
-        let mut covering: Vec<&IntervalRecord> = self.per_thread[thread]
+    /// Reconstructs the raw per-thread `(line, dirty_depth)` recency lists
+    /// (least recent first) of every target present in the bank, in one
+    /// pass over each thread's records: a record lands in the bucket of
+    /// every wanted boundary index in its `from..until` span, and sorting a
+    /// bucket by access tick rebuilds that boundary's recency order (ticks
+    /// are unique among the lines live at one boundary).  Returns
+    /// `(target, per-thread lists)` once per distinct target.
+    fn reconstruct(&self, targets: &[usize]) -> Vec<(usize, Vec<RawRecency>)> {
+        let mut wanted: Vec<u32> = targets
             .iter()
-            .filter(|record| record.from <= idx && idx < record.until)
+            .filter_map(|target| self.boundaries.binary_search(target).ok())
+            .map(|idx| idx as u32)
             .collect();
-        covering.sort_unstable_by_key(|record| record.tick);
-        covering.iter().map(|record| (record.line, record.dirty_depth)).collect()
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut per_target: Vec<Vec<RawRecency>> =
+            vec![Vec::with_capacity(self.per_thread.len()); wanted.len()];
+        let mut buckets: Vec<Vec<(u64, u64, u64)>> = vec![Vec::new(); wanted.len()];
+        for records in &self.per_thread {
+            for record in records {
+                let mut k = wanted.partition_point(|&idx| idx < record.from);
+                while k < wanted.len() && wanted[k] < record.until {
+                    buckets[k].push((record.tick, record.line, record.dirty_depth));
+                    k += 1;
+                }
+            }
+            for (bucket, lists) in buckets.iter_mut().zip(&mut per_target) {
+                bucket.sort_unstable_by_key(|&(tick, _, _)| tick);
+                lists.push(bucket.drain(..).map(|(_, line, depth)| (line, depth)).collect());
+            }
+        }
+        wanted.iter().map(|&idx| self.boundaries[idx as usize]).zip(per_target).collect()
     }
 
     /// The warmup payload of every requested target present in the bank, at
     /// `capacity` lines (clamped to `1..=collection_capacity`) — bit
     /// identical to a dedicated collection at that capacity.
     pub fn assemble(&self, targets: &[usize], capacity: u64) -> HashMap<usize, MruWarmupData> {
-        let capacity = capacity.max(1).min(self.collection_capacity);
-        let mut result = HashMap::with_capacity(targets.len());
-        for &target in targets {
-            let Ok(idx) = self.boundaries.binary_search(&target) else { continue };
-            result.entry(target).or_insert_with(|| MruWarmupData {
-                per_thread: (0..self.per_thread.len())
-                    .map(|thread| {
-                        truncate_raw(&self.reconstruct_thread(thread, idx as u32), capacity)
-                    })
-                    .collect(),
-                capacity_lines: capacity,
-            });
-        }
-        result
+        self.assemble_multi(targets, &[capacity]).remove(&capacity).unwrap_or_default()
     }
 
     /// [`assemble`](Self::assemble) for several capacities at once, keyed by
-    /// the capacity values as given (duplicates collapse).
+    /// the capacity values as given (duplicates collapse).  The recency
+    /// lists are reconstructed once and truncated per capacity.
     pub fn assemble_multi(
         &self,
         targets: &[usize],
         capacities: &[u64],
     ) -> HashMap<u64, HashMap<usize, MruWarmupData>> {
+        let raw = self.reconstruct(targets);
         let mut result: HashMap<u64, HashMap<usize, MruWarmupData>> =
             HashMap::with_capacity(capacities.len());
         for &requested in capacities {
-            result.entry(requested).or_insert_with(|| self.assemble(targets, requested));
+            let capacity = requested.max(1).min(self.collection_capacity);
+            result.entry(requested).or_insert_with(|| {
+                raw.iter()
+                    .map(|(target, lists)| {
+                        let per_thread =
+                            lists.iter().map(|list| truncate_raw(list, capacity)).collect();
+                        (*target, MruWarmupData { per_thread, capacity_lines: capacity })
+                    })
+                    .collect()
+            });
         }
         result
     }
@@ -1067,6 +1177,7 @@ mod tests {
     use super::*;
     use bp_workload::{Benchmark, WorkloadConfig};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// The pre-Fenwick collector, kept verbatim as the oracle for the
     /// order-statistic rewrite: the dirty-depth query was an `O(depth)`
@@ -1542,6 +1653,77 @@ mod tests {
         assert!(ok.resume_open_all);
     }
 
+    /// Feeds regions `from..until` of a direct access stream — chopped into
+    /// pseudo-regions of `stride` accesses — through an observer's boundary
+    /// and recording path, exactly as [`TraceObserver::observe`] would.
+    fn feed(
+        observer: &mut MruThreadObserver,
+        accesses: &[(u64, bool)],
+        stride: usize,
+        from: usize,
+        until: usize,
+    ) {
+        for (region, chunk) in accesses.chunks(stride).enumerate().take(until).skip(from) {
+            observer.enter_region(region);
+            for &(line, write) in chunk {
+                observer.touched.insert(line);
+                if let Some(evicted) = observer.collector.record(0, line, write) {
+                    observer.touched.insert(evicted);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recency_list_checkpoint_restores_across_compaction() {
+        // Churn long enough to compact the sequence space several times at
+        // capacity 16 (threshold 4096), re-reading written lines so the
+        // dirty-depth query runs throughout; cut at a boundary past the
+        // first compaction and carry the state across through checkpoint
+        // bytes alone.
+        let accesses: Vec<(u64, bool)> =
+            (0..20_000u64).map(|i| ((i * 7) % 48 + (i / 3000) * 5, i % 5 == 0)).collect();
+        let stride = 500;
+        let regions = accesses.len().div_ceil(stride);
+        let boundaries: Vec<usize> = (0..regions).collect();
+        let cut = 23;
+        let mut uninterrupted = MruThreadObserver::new(&boundaries, 16);
+        feed(&mut uninterrupted, &accesses, stride, 0, cut);
+        assert!(
+            uninterrupted.collector.threads[0].next_seq < (cut * stride) as u64,
+            "no compaction before the cut"
+        );
+        let mut first = MruThreadObserver::new(&boundaries, 16);
+        feed(&mut first, &accesses, stride, 0, cut);
+        let bytes = first.snapshot_at(cut);
+        assert_eq!(bytes, uninterrupted.snapshot_at(cut));
+        let mut restored = MruThreadObserver::new(&boundaries, 16);
+        restored.restore(cut, &bytes).expect("restore own snapshot");
+        for region in cut..regions {
+            feed(&mut uninterrupted, &accesses, stride, region, region + 1);
+            feed(&mut restored, &accesses, stride, region, region + 1);
+            assert_eq!(
+                restored.snapshot_at(region + 1),
+                uninterrupted.snapshot_at(region + 1),
+                "checkpoint image after region {region}"
+            );
+            for capacity in [1, 5, 16] {
+                assert_eq!(
+                    restored.collector.snapshot_at(capacity),
+                    uninterrupted.collector.snapshot_at(capacity),
+                    "capacity {capacity} after region {region}"
+                );
+            }
+        }
+        let sequential = MruSnapshotBank::from_observers(vec![uninterrupted]);
+        let stitched = MruSnapshotBank::from_segmented_observers(vec![vec![first, restored]]);
+        let capacities = [1, 5, 16, 40];
+        assert_eq!(
+            stitched.assemble_multi(&boundaries, &capacities),
+            sequential.assemble_multi(&boundaries, &capacities)
+        );
+    }
+
     #[test]
     fn thread_state_from_checkpoint_validates_entries() {
         // Non-increasing sequence numbers.
@@ -1550,6 +1732,10 @@ mod tests {
         assert!(ThreadMruState::from_checkpoint(9, 9, &[(1, 5, 1, 0), (2, 5, 2, 0)]).is_err());
         // Live sequence past the counter.
         assert!(ThreadMruState::from_checkpoint(1, 9, &[(4, 5, 1, 0)]).is_err());
+        // The empty-slot marker is not a line.
+        assert!(ThreadMruState::from_checkpoint(9, 9, &[(1, 5, 1, 0), (2, NO_LINE, 2, 0)]).is_err());
+        // A counter no walk can reach (compaction bounds it by the live set).
+        assert!(ThreadMruState::from_checkpoint(1 << 40, 9, &[(1, 5, 1, 0)]).is_err());
         // A well-formed image round-trips.
         let state = ThreadMruState::from_checkpoint(4, 4, &[(2, 5, 2, 0), (4, 7, 4, 1)])
             .expect("well-formed checkpoint");
@@ -1567,6 +1753,7 @@ mod tests {
             collection_capacity in 1u64..24,
             probe_capacity in 1u64..32,
             stride in 1usize..40,
+            targets in proptest::collection::vec(0usize..96, 0..12),
         ) {
             // Chop the stream into pseudo-regions of `stride` accesses and
             // snapshot at every region boundary, by feeding both observers
@@ -1575,14 +1762,10 @@ mod tests {
             let boundaries: Vec<usize> = (0..num_regions).collect();
             let mut interval = MruThreadObserver::new(&boundaries, collection_capacity);
             let mut raw = PerBoundaryThreadObserver::new(&boundaries, collection_capacity);
+            feed(&mut interval, &accesses, stride, 0, num_regions);
             for (region, chunk) in accesses.chunks(stride).enumerate() {
-                interval.enter_region(region);
                 raw.enter_region(region);
                 for &(line, write) in chunk {
-                    interval.touched.insert(line);
-                    if let Some(evicted) = interval.collector.record(0, line, write) {
-                        interval.touched.insert(evicted);
-                    }
                     raw.collector.record(0, line, write);
                 }
             }
@@ -1592,6 +1775,24 @@ mod tests {
                 interval_bank.assemble(&boundaries, probe_capacity),
                 raw_bank.assemble(&boundaries, probe_capacity)
             );
+            // Arbitrary target lists — unsorted, duplicated, partly past
+            // the last boundary — at capacities below, at and above the
+            // collection capacity, one at a time and all at once.
+            let capacities = [
+                1,
+                (collection_capacity / 2).max(1),
+                collection_capacity,
+                collection_capacity + 5,
+                probe_capacity,
+            ];
+            let multi = interval_bank.assemble_multi(&targets, &capacities);
+            prop_assert_eq!(multi, raw_bank.assemble_multi(&targets, &capacities));
+            for capacity in capacities {
+                prop_assert_eq!(
+                    interval_bank.assemble(&targets, capacity),
+                    raw_bank.assemble(&targets, capacity)
+                );
+            }
         }
 
         /// Cutting the stream at an arbitrary region and carrying state
@@ -1608,28 +1809,14 @@ mod tests {
             let num_regions = accesses.len().div_ceil(stride);
             let cut = cut.min(num_regions);
             let boundaries: Vec<usize> = (0..num_regions).collect();
-            let feed = |observer: &mut MruThreadObserver, from: usize, until: usize| {
-                for (region, chunk) in accesses.chunks(stride).enumerate() {
-                    if region < from || region >= until {
-                        continue;
-                    }
-                    observer.enter_region(region);
-                    for &(line, write) in chunk {
-                        observer.touched.insert(line);
-                        if let Some(evicted) = observer.collector.record(0, line, write) {
-                            observer.touched.insert(evicted);
-                        }
-                    }
-                }
-            };
             let mut sequential = MruThreadObserver::new(&boundaries, collection_capacity);
-            feed(&mut sequential, 0, num_regions);
+            feed(&mut sequential, &accesses, stride, 0, num_regions);
             let mut first = MruThreadObserver::new(&boundaries, collection_capacity);
-            feed(&mut first, 0, cut);
+            feed(&mut first, &accesses, stride, 0, cut);
             let bytes = first.snapshot_at(cut);
             let mut second = MruThreadObserver::new(&boundaries, collection_capacity);
             second.restore(cut, &bytes).expect("restore own snapshot");
-            feed(&mut second, cut, num_regions);
+            feed(&mut second, &accesses, stride, cut, num_regions);
             let seq_bank = MruSnapshotBank::from_observers(vec![sequential]);
             let seg_bank = MruSnapshotBank::from_segmented_observers(vec![vec![first, second]]);
             prop_assert_eq!(

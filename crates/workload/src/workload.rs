@@ -155,6 +155,49 @@ impl Default for FingerprintHasher {
     }
 }
 
+/// Multiplicative [`Hasher`](std::hash::Hasher) for `u64` cache-line keys:
+/// the in-memory maps and sets an analysis updates once or more per access
+/// ([`LineMap`], [`LineSet`]).
+///
+/// Unlike [`FingerprintHasher`], nothing hashed with it is ever persisted or
+/// ordered by: it only has to be fast and spread line addresses — including
+/// power-of-two strides — over a hash table's buckets.  One multiply by a
+/// 64-bit odd constant mixes every key bit into the high bits of the product;
+/// the final rotation brings those well-mixed bits down to the low bits a
+/// table indexes by.  SipHash's DoS resistance buys nothing here: the keys
+/// are simulated addresses, not adversarial input.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LineHasher {
+    hash: u64,
+}
+
+impl std::hash::Hasher for LineHasher {
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.hash = (self.hash ^ value).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    /// Byte-slice fallback for non-`u64` keys, folded 8 bytes at a time.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// Cache-line-keyed hash map on [`LineHasher`].
+pub type LineMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<LineHasher>>;
+
+/// Cache-line hash set on [`LineHasher`].
+pub type LineSet = std::collections::HashSet<u64, std::hash::BuildHasherDefault<LineHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,5 +219,22 @@ mod tests {
     #[test]
     fn default_is_eight_threads() {
         assert_eq!(WorkloadConfig::default().threads, 8);
+    }
+
+    #[test]
+    fn line_hasher_spreads_strided_lines_over_low_bits() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // A table of 1024 buckets indexes by the low 10 hash bits; strided
+        // line streams (a column walk, a power-of-two array pitch) must not
+        // pile into a fraction of them.
+        let build = BuildHasherDefault::<LineHasher>::default();
+        for stride in [1u64, 2, 64, 4096, 1 << 20] {
+            let buckets: LineSet =
+                (0..1024u64).map(|i| build.hash_one(i * stride) & 1023).collect();
+            assert!(buckets.len() > 512, "stride {stride}: {} buckets", buckets.len());
+        }
+        let mut map: LineMap<u64> = LineMap::default();
+        map.insert(7, 1);
+        assert_eq!(map.get(&7), Some(&1));
     }
 }
