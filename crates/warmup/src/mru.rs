@@ -1,6 +1,6 @@
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_workload::{
-    BlockExecution, CheckpointError, CheckpointObserver, LineMap, LineSet, TraceObserver, Workload,
+    BlockExecution, CheckpointError, CheckpointObserver, LineMap, TraceObserver, Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -61,7 +61,14 @@ struct LineState {
     /// equals ordering by `seq`.
     tick: u64,
     dirty_depth: u64,
+    /// Index of the interval record ([`MruThreadObserver`]) covering this
+    /// residency since the last boundary, or [`NOT_OPEN`] until the next
+    /// boundary opens one.  Never set outside an observer.
+    open: usize,
 }
+
+/// [`LineState::open`] of a residency no interval record covers yet.
+const NOT_OPEN: usize = usize::MAX;
 
 /// One live residency in a checkpoint image: `(seq, line, tick, dirty_depth)`.
 type CheckpointEntry = (u64, u64, u64, u64);
@@ -174,16 +181,15 @@ impl ThreadMruState {
         tree_add(&mut self.tree, seq as usize, -1);
     }
 
-    /// Removes and returns the least recent live line.
-    fn pop_oldest(&mut self) -> Option<u64> {
+    /// Removes and returns the least recent live line and its state.
+    fn pop_oldest(&mut self) -> Option<(u64, LineState)> {
         while self.slots.get(self.head) == Some(&NO_LINE) {
             self.head += 1;
         }
         let line = *self.slots.get(self.head)?;
         self.vacate(self.head as u64);
         self.head += 1;
-        self.by_line.remove(&line);
-        Some(line)
+        self.by_line.remove(&line).map(|state| (line, state))
     }
 
     /// Rebuilds the Fenwick tree at `len` slots from the live set.  (A
@@ -254,7 +260,8 @@ impl ThreadMruState {
                 return Err(format!("line {line:#x} is the empty-slot marker"));
             }
             prev_seq = seq;
-            if state.by_line.insert(line, LineState { seq, tick, dirty_depth }).is_some() {
+            let residency = LineState { seq, tick, dirty_depth, open: NOT_OPEN };
+            if state.by_line.insert(line, residency).is_some() {
                 return Err(format!("line {line:#x} recorded twice"));
             }
             state.slots[seq as usize] = line;
@@ -286,6 +293,15 @@ impl ThreadMruState {
         self.next_seq = lines.len() as u64;
         self.rebuild_tree((lines.len() + 2).next_power_of_two().max(64));
     }
+}
+
+/// The residencies one [`MruCollector`] access ended.
+struct Recorded {
+    /// The accessed line's previous residency, `None` if it (re-)entered the
+    /// list.
+    previous: Option<LineState>,
+    /// The line this access evicted, with its final state.
+    evicted: Option<(u64, LineState)>,
 }
 
 /// Streaming collector of per-core MRU unique-line state.
@@ -336,6 +352,12 @@ impl MruCollector {
     /// Fenwick tree costs `O(log n)`: one update per appended or vacated
     /// slot, plus one prefix sum when a written line is re-read.
     pub fn record(&mut self, thread: usize, line: u64, is_write: bool) -> Option<u64> {
+        self.record_access(thread, line, is_write).evicted.map(|(line, _)| line)
+    }
+
+    /// [`record`](Self::record), also returning the state the access ended:
+    /// the line's previous residency and the evicted line's.
+    fn record_access(&mut self, thread: usize, line: u64, is_write: bool) -> Recorded {
         let capacity = self.capacity_lines;
         let state = &mut self.threads[thread];
         state.maybe_compact();
@@ -365,26 +387,23 @@ impl MruCollector {
                     // resident, because this line is.
                     prev.dirty_depth.max(live - tree_prefix_sum(&state.tree, prev.seq as usize))
                 };
-                slot.insert(LineState { seq, tick, dirty_depth });
-                Some(prev.seq)
+                slot.insert(LineState { seq, tick, dirty_depth, open: NOT_OPEN });
+                Some(prev)
             }
             Entry::Vacant(slot) => {
                 // (Re-)entering the list: a write re-enters dirty at every
                 // capacity, a read clean everywhere.
                 let dirty_depth = if is_write { 0 } else { u64::MAX };
-                slot.insert(LineState { seq, tick, dirty_depth });
+                slot.insert(LineState { seq, tick, dirty_depth, open: NOT_OPEN });
                 None
             }
         };
-        if let Some(old_seq) = previous {
-            state.vacate(old_seq);
+        if let Some(prev) = previous {
+            state.vacate(prev.seq);
         }
         state.push(line);
-        if state.len() as u64 > capacity {
-            state.pop_oldest()
-        } else {
-            None
-        }
+        let evicted = if state.len() as u64 > capacity { state.pop_oldest() } else { None };
+        Recorded { previous, evicted }
     }
 
     /// Walks every thread's trace of `region`, recording all its accesses.
@@ -445,13 +464,6 @@ impl MruCollector {
                 (line, depth)
             })
             .collect()
-    }
-
-    /// The `(tick, dirty_depth)` of `line`'s current residency on `thread`,
-    /// or `None` if the line is not live — what an interval record captures
-    /// when a residency span opens at a boundary.
-    fn residency_state(&self, thread: usize, line: u64) -> Option<(u64, u64)> {
-        self.threads[thread].by_line.get(&line).map(|s| (s.tick, s.dirty_depth))
     }
 }
 
@@ -658,10 +670,11 @@ struct IntervalRecord {
 /// single walk of the thread's trace, encoding the recency list as
 /// *residency intervals* instead of per-boundary snapshots.
 ///
-/// At each requested boundary the observer only touches the lines that were
-/// accessed or evicted since the previous boundary: their old interval
-/// records are closed and — for lines still resident — fresh records are
-/// opened with the current access order and dirty depth.  A line that sits
+/// An access closes the interval records of the residencies it ends — the
+/// line's own previous one and the evicted line's — at the next boundary's
+/// index.  At each requested boundary the observer opens fresh records, with
+/// the current access order and dirty depth, for the lines accessed since
+/// the previous boundary that are still resident.  A line that sits
 /// untouched in the recency list across many boundaries is covered by one
 /// record for the whole span, so bank size scales with the eviction/write
 /// activity between boundaries rather than `boundaries × capacity`.
@@ -682,16 +695,17 @@ pub struct MruThreadObserver {
     /// Boundaries snapshotted so far; doubles as the index the next
     /// boundary's records will carry in `from`.
     next: usize,
-    /// Lines accessed or evicted since the last snapshotted boundary — the
-    /// only lines whose interval records need closing/reopening there.
-    touched: LineSet,
-    /// Line -> index (into `intervals`) of its open record.
-    open: LineMap<usize>,
+    /// Lines that (re-)entered the recency list or left their open record
+    /// since the last snapshotted boundary, in access order — the only lines
+    /// that may need a record opened there.  A line evicted and re-entered
+    /// in between appears more than once; [`LineState::open`] makes the
+    /// second visit a no-op.
+    pending: Vec<u64>,
     intervals: Vec<IntervalRecord>,
     /// Set by [`CheckpointObserver::restore`]: at the first boundary this
     /// segment reaches, open records for *every* resident line (there are no
     /// prior records in this segment to close) instead of draining
-    /// `touched`.  A sequential walk's records that span the segment cut are
+    /// `pending`.  A sequential walk's records that span the segment cut are
     /// thereby split into two records covering the same boundary indices
     /// with the same `(line, tick, dirty_depth)` — invisible to
     /// [`MruSnapshotBank`] assembly, which is the bit-identity contract.
@@ -711,24 +725,75 @@ impl MruThreadObserver {
             collector: MruCollector::new(1, collection_capacity),
             boundaries,
             next: 0,
-            touched: LineSet::default(),
-            open: LineMap::default(),
+            pending: Vec::new(),
             intervals: Vec::new(),
             resume_open_all: false,
         }
+    }
+
+    /// Records one access, closing the records of the residencies it ends
+    /// at the next boundary index and queueing the line for that boundary.
+    fn access(&mut self, line: u64, is_write: bool) {
+        let until = self.next as u32;
+        let Recorded { previous, evicted } = self.collector.record_access(0, line, is_write);
+        match previous {
+            // Queued by an earlier access since the last boundary, or
+            // awaiting a restored segment's first boundary, which opens
+            // every resident line.
+            Some(prev) if prev.open == NOT_OPEN => {}
+            Some(prev) => {
+                self.intervals[prev.open].until = until;
+                self.queue(line);
+            }
+            None => self.queue(line),
+        }
+        if let Some((_, gone)) = evicted {
+            if gone.open != NOT_OPEN {
+                self.intervals[gone.open].until = until;
+            }
+        }
+    }
+
+    /// Queues `line` for the next boundary.  Between two far-apart
+    /// boundaries a thrashing stream re-enters the same lines over and over,
+    /// so whenever the queue outgrows twice the collection capacity it is
+    /// cut back to its distinct resident lines still without a record — at
+    /// most the capacity.
+    fn queue(&mut self, line: u64) {
+        self.pending.push(line);
+        let bound = self.collector.capacity_lines().saturating_mul(2).saturating_add(16);
+        if self.pending.len() as u64 > bound {
+            let by_line = &self.collector.threads[0].by_line;
+            self.pending.retain(|line| by_line.get(line).is_some_and(|s| s.open == NOT_OPEN));
+            self.pending.sort_unstable();
+            self.pending.dedup();
+        }
+    }
+
+    /// Opens a record from boundary index `from` for `line`'s current
+    /// residency, unless the line is not resident or already covered.
+    fn open_record(&mut self, line: u64, from: u32) {
+        let Some(state) = self.collector.threads[0].by_line.get_mut(&line) else { return };
+        if state.open != NOT_OPEN {
+            return;
+        }
+        state.open = self.intervals.len();
+        self.intervals.push(IntervalRecord {
+            line,
+            tick: state.tick,
+            dirty_depth: state.dirty_depth,
+            from,
+            until: OPEN,
+        });
     }
 
     /// Closes every still-open record at this observer's own end and clamps
     /// all records to the uniformly `taken` boundary count, yielding the
     /// thread's finished interval list.
     fn finish(mut self, taken: usize) -> Vec<IntervalRecord> {
-        let end = self.next as u32;
-        for (_, idx) in self.open.drain() {
-            self.intervals[idx].until = end;
-        }
-        let taken = taken as u32;
+        let limit = self.next.min(taken) as u32;
         self.intervals.retain_mut(|record| {
-            record.until = record.until.min(taken);
+            record.until = record.until.min(limit);
             record.from < record.until
         });
         self.intervals
@@ -788,8 +853,7 @@ impl CheckpointObserver for MruThreadObserver {
         self.collector.threads[0] = ThreadMruState::from_checkpoint(next_seq, next_tick, &entries)
             .map_err(|reason| CheckpointError::new(format!("mru state: {reason}")))?;
         self.next = self.boundaries.partition_point(|&b| b < region);
-        self.touched.clear();
-        self.open.clear();
+        self.pending.clear();
         self.intervals.clear();
         self.resume_open_all = true;
         Ok(())
@@ -802,46 +866,21 @@ impl TraceObserver for MruThreadObserver {
             return;
         }
         let idx = self.next as u32;
-        if std::mem::take(&mut self.resume_open_all) {
+        let mut lines = if std::mem::take(&mut self.resume_open_all) {
             // First boundary after a checkpoint restore: no record of this
             // segment is open yet, so every resident line opens fresh here —
-            // `touched` (accesses between the restore point and this
+            // `pending` (accesses between the restore point and this
             // boundary) is a subset of what these records already cover.
-            self.touched.clear();
-            let resident: Vec<u64> = self.collector.threads[0].lines().collect();
-            for line in resident {
-                if let Some((tick, dirty_depth)) = self.collector.residency_state(0, line) {
-                    self.open.insert(line, self.intervals.len());
-                    self.intervals.push(IntervalRecord {
-                        line,
-                        tick,
-                        dirty_depth,
-                        from: idx,
-                        until: OPEN,
-                    });
-                }
-            }
-            self.next += 1;
-            return;
+            self.pending.clear();
+            self.collector.threads[0].lines().collect()
+        } else {
+            std::mem::take(&mut self.pending)
+        };
+        for &line in &lines {
+            self.open_record(line, idx);
         }
-        // Deterministic record order regardless of hash-set iteration.
-        let mut touched: Vec<u64> = self.touched.drain().collect();
-        touched.sort_unstable();
-        for line in touched {
-            if let Some(open_idx) = self.open.remove(&line) {
-                self.intervals[open_idx].until = idx;
-            }
-            if let Some((tick, dirty_depth)) = self.collector.residency_state(0, line) {
-                self.open.insert(line, self.intervals.len());
-                self.intervals.push(IntervalRecord {
-                    line,
-                    tick,
-                    dirty_depth,
-                    from: idx,
-                    until: OPEN,
-                });
-            }
-        }
+        lines.clear();
+        self.pending = lines;
         self.next += 1;
     }
 
@@ -853,11 +892,7 @@ impl TraceObserver for MruThreadObserver {
             return;
         }
         for access in &exec.accesses {
-            let line = access.line();
-            self.touched.insert(line);
-            if let Some(evicted) = self.collector.record(0, line, access.kind.is_write()) {
-                self.touched.insert(evicted);
-            }
+            self.access(access.line(), access.kind.is_write());
         }
     }
 
@@ -1216,8 +1251,8 @@ mod tests {
                     None => u64::MAX,
                 }
             };
-            if let Some(old) =
-                self.by_line[thread].insert(line, LineState { seq, tick, dirty_depth })
+            if let Some(old) = self.by_line[thread]
+                .insert(line, LineState { seq, tick, dirty_depth, open: NOT_OPEN })
             {
                 self.by_seq[thread].remove(&old.seq);
             }
@@ -1666,10 +1701,7 @@ mod tests {
         for (region, chunk) in accesses.chunks(stride).enumerate().take(until).skip(from) {
             observer.enter_region(region);
             for &(line, write) in chunk {
-                observer.touched.insert(line);
-                if let Some(evicted) = observer.collector.record(0, line, write) {
-                    observer.touched.insert(evicted);
-                }
+                observer.access(line, write);
             }
         }
     }
@@ -1775,6 +1807,15 @@ mod tests {
                 interval_bank.assemble(&boundaries, probe_capacity),
                 raw_bank.assemble(&boundaries, probe_capacity)
             );
+            // Untruncated, too: exactly the resident lines' records cover
+            // each boundary (an evicted line's record must not linger).
+            let expected: Vec<(usize, Vec<RawRecency>)> = raw_bank
+                .boundaries
+                .iter()
+                .zip(&raw_bank.per_thread[0])
+                .map(|(&boundary, raw)| (boundary, vec![raw.clone()]))
+                .collect();
+            prop_assert_eq!(interval_bank.reconstruct(&boundaries), expected);
             // Arbitrary target lists — unsorted, duplicated, partly past
             // the last boundary — at capacities below, at and above the
             // collection capacity, one at a time and all at once.
