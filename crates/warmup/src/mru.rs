@@ -350,7 +350,9 @@ impl MruCollector {
     /// is vacated and the line appended at the newest sequence in `O(1)`,
     /// and eviction pops the oldest live slot in amortised `O(1)`.  Only the
     /// Fenwick tree costs `O(log n)`: one update per appended or vacated
-    /// slot, plus one prefix sum when a written line is re-read.
+    /// slot, plus one prefix sum when a written line is re-read.  `line` is
+    /// a cache-line number ([`MemoryAccess::line`](bp_workload::MemoryAccess::line)),
+    /// never `u64::MAX`, which marks a vacated slot.
     pub fn record(&mut self, thread: usize, line: u64, is_write: bool) -> Option<u64> {
         self.record_access(thread, line, is_write).evicted.map(|(line, _)| line)
     }
@@ -1215,8 +1217,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// The pre-Fenwick collector, kept verbatim as the oracle for the
-    /// order-statistic rewrite: the dirty-depth query was an `O(depth)`
-    /// `BTreeMap::range().count()` scan over the recency map.
+    /// order-statistic and slot-vector rewrites: the recency list was a
+    /// `BTreeMap` and the dirty-depth query an `O(depth)`
+    /// `BTreeMap::range().count()` scan over it.
     #[derive(Debug, Clone)]
     struct ReferenceCollector {
         by_seq: Vec<BTreeMap<u64, u64>>,

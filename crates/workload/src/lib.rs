@@ -65,4 +65,4 @@ pub use observer::{drive, drive_segment, CheckpointError, CheckpointObserver, Tr
 pub use phase::{AccessPattern, Phase, PhaseBlock, PhaseId, ScheduleEntry};
 pub use region::{BlockExecution, RegionTrace};
 pub use synthetic::{SyntheticWorkload, SyntheticWorkloadBuilder};
-pub use workload::{FingerprintHasher, LineHasher, LineMap, LineSet, Workload, WorkloadConfig};
+pub use workload::{FingerprintHasher, LineHasher, LineMap, Workload, WorkloadConfig};

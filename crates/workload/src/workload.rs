@@ -156,8 +156,8 @@ impl Default for FingerprintHasher {
 }
 
 /// Multiplicative [`Hasher`](std::hash::Hasher) for `u64` cache-line keys:
-/// the in-memory maps and sets an analysis updates once or more per access
-/// ([`LineMap`], [`LineSet`]).
+/// the in-memory maps an analysis updates once or more per access
+/// ([`LineMap`]).
 ///
 /// Unlike [`FingerprintHasher`], nothing hashed with it is ever persisted or
 /// ordered by: it only has to be fast and spread line addresses — including
@@ -195,9 +195,6 @@ impl std::hash::Hasher for LineHasher {
 /// Cache-line-keyed hash map on [`LineHasher`].
 pub type LineMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<LineHasher>>;
 
-/// Cache-line hash set on [`LineHasher`].
-pub type LineSet = std::collections::HashSet<u64, std::hash::BuildHasherDefault<LineHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +226,7 @@ mod tests {
         // pile into a fraction of them.
         let build = BuildHasherDefault::<LineHasher>::default();
         for stride in [1u64, 2, 64, 4096, 1 << 20] {
-            let buckets: LineSet =
+            let buckets: std::collections::HashSet<u64> =
                 (0..1024u64).map(|i| build.hash_one(i * stride) & 1023).collect();
             assert!(buckets.len() > 512, "stride {stride}: {} buckets", buckets.len());
         }
