@@ -1,7 +1,10 @@
 //! Table III: end-to-end barrierpoint selection (profile + cluster + pick
 //! representatives and multipliers) per benchmark.
 
-use barrierpoint::{profile_application, select_barrierpoints, SignatureConfig, SimPointConfig};
+use barrierpoint::{
+    profile_application_with, select_barrierpoints, ExecutionPolicy, SignatureConfig,
+    SimPointConfig,
+};
 use bp_bench::ExperimentConfig;
 use bp_workload::Benchmark;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -14,7 +17,8 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("select", bench.name()), &bench, |b, &bench| {
             let workload = config.workload(bench, config.cores_small);
             b.iter(|| {
-                let profile = profile_application(&workload).unwrap();
+                let profile =
+                    profile_application_with(&workload, &ExecutionPolicy::Serial).unwrap();
                 select_barrierpoints(
                     &profile,
                     &SignatureConfig::combined(),

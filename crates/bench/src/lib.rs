@@ -20,7 +20,7 @@ use barrierpoint::evaluate::{
 };
 use barrierpoint::report;
 use barrierpoint::{
-    profile_application, reconstruct, reconstruct_with_mode, select_barrierpoints,
+    profile_application_with, reconstruct, reconstruct_with_mode, select_barrierpoints,
     select_barrierpoints_with, simulate_barrierpoints, ApplicationProfile, ArtifactCache,
     BarrierPoint, BarrierPointSelection, ExecutionPolicy, ScalingMode, SelectionSpec,
     SelectionStrategy, SignatureConfig, SimConfig, SimPointConfig, SimPointStrategy, Sweep,
@@ -308,7 +308,8 @@ pub fn table3_selection(config: &ExperimentConfig) -> String {
     for &bench in Benchmark::all() {
         for cores in [config.cores_small, config.cores_large] {
             let workload = config.workload(bench, cores);
-            let profile = profile_application(&workload).expect("profile");
+            let profile =
+                profile_application_with(&workload, &ExecutionPolicy::Serial).expect("profile");
             let selection = select_barrierpoints(
                 &profile,
                 &SignatureConfig::combined(),
@@ -423,7 +424,8 @@ pub fn fig9_speedups(config: &ExperimentConfig) -> String {
     for &bench in Benchmark::all() {
         for cores in [config.cores_small, config.cores_large] {
             let workload = config.workload(bench, cores);
-            let profile = profile_application(&workload).expect("profile");
+            let profile =
+                profile_application_with(&workload, &ExecutionPolicy::Serial).expect("profile");
             let selection = select_barrierpoints(
                 &profile,
                 &SignatureConfig::combined(),

@@ -1543,7 +1543,7 @@ fn parse_lock_ts_ms(bytes: &[u8]) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application;
+    use crate::profile::profile_application_with;
     use crate::select::select_barrierpoints;
     use crate::storage::{Fault, FaultFs, FaultOp};
     use bp_clustering::{SimPointConfig, SimPointStrategy};
@@ -1631,7 +1631,7 @@ mod tests {
             assert_eq!(key.profile_fingerprint(), profile_fp, "{threads}t profile fingerprint");
             assert_eq!(key.config_fingerprint(), config_fp, "{threads}t config fingerprint");
 
-            let profile = profile_application(&w).unwrap();
+            let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
             let selection = select_barrierpoints(&profile, &sig, &sp).unwrap();
             assert_eq!(selection.num_barrierpoints(), nbp, "{threads}t barrierpoint count");
             assert_eq!(serde::to_vec(&selection).len(), bytes, "{threads}t selection encoding");
@@ -1810,7 +1810,7 @@ mod tests {
     fn selection_miss_then_hit_skips_clustering_and_accounts() {
         let cache = temp_cache("sel-roundtrip");
         let w = workload(0.02);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let sig = SignatureConfig::combined();
         let sp = SimPointStrategy::new(SimPointConfig::paper());
 
@@ -1834,7 +1834,7 @@ mod tests {
     fn changed_simpoint_config_produces_a_distinct_key_and_misses() {
         let cache = temp_cache("sel-config");
         let w = workload(0.02);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let sig = SignatureConfig::combined();
         let paper = SimPointStrategy::new(SimPointConfig::paper());
         let reseeded = SimPointStrategy::new(SimPointConfig::paper().with_seed(0xfeed));
@@ -1861,7 +1861,7 @@ mod tests {
     fn corrupt_selection_entry_self_heals_as_a_miss() {
         let cache = temp_cache("sel-corrupt");
         let w = workload(0.02);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let sig = SignatureConfig::combined();
         let sp = SimPointStrategy::new(SimPointConfig::paper());
         let key = SelectionCacheKey::for_workload(&w, &sig, &sp);
@@ -1891,7 +1891,7 @@ mod tests {
         // Memory tier off: this test pins the *disk* tier's LRU behavior.
         let cache = temp_cache("evict").with_max_bytes(1).with_memory_max_bytes(0);
         let w = workload(0.02);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let profile_key = ProfileCacheKey::for_workload(&w);
         let sig = SignatureConfig::combined();
         let sp = SimPointConfig::paper();
@@ -1914,7 +1914,7 @@ mod tests {
     fn stale_orphaned_tmp_files_are_cleaned_up() {
         let cache = temp_cache("tmp-orphan").with_max_bytes(64 * 1024 * 1024);
         let w = workload(0.02);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let key = ProfileCacheKey::for_workload(&w);
 
         // Simulate a writer killed between write and rename, long ago.
@@ -2548,7 +2548,7 @@ mod tests {
 
         let w = workload(0.02);
         let key = ProfileCacheKey::for_workload(&w);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let encoded = key.encode(&profile);
         // Sampling every 97th bit keeps the profile sweep fast while still
         // covering header, payload, and checksum regions.
@@ -2571,15 +2571,13 @@ mod tests {
 
     /// Builds a real checkpoint set for `w` (4 segments, capacity 256).
     fn checkpoints_for(w: &impl Workload) -> WorkloadCheckpoints {
-        let (_, _, ckpts) = crate::segment::profile_and_collect_warmup_checkpointed(
-            w,
-            &[256],
-            &ExecutionPolicy::Serial,
-            None,
-            4,
-        )
-        .unwrap();
-        ckpts
+        crate::segment::TraceWalk::profile()
+            .with_mru(crate::segment::MruBoundaries::Every, 256)
+            .emitting_checkpoints(4)
+            .run(w, &ExecutionPolicy::Serial, None)
+            .unwrap()
+            .checkpoints
+            .unwrap()
     }
 
     #[test]
@@ -2665,7 +2663,7 @@ mod tests {
         // Memory tier off: this test pins the *disk* tier's LRU behavior.
         let cache = temp_cache("ckpt-evict").with_max_bytes(1).with_memory_max_bytes(0);
         let w = workload(0.02);
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let profile_key = ProfileCacheKey::for_workload(&w);
         let ckpt_key = CheckpointCacheKey::for_workload(&w);
         let ckpts = checkpoints_for(&w);

@@ -167,9 +167,10 @@ pub fn mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application;
+    use crate::profile::profile_application_with;
     use crate::select::select_barrierpoints;
     use bp_clustering::SimPointConfig;
+    use bp_exec::ExecutionPolicy;
     use bp_signature::SignatureConfig;
     use bp_sim::{Machine, SimConfig};
     use bp_workload::{Benchmark, WorkloadConfig};
@@ -177,7 +178,7 @@ mod tests {
     #[test]
     fn perfect_warmup_estimate_is_accurate() {
         let w = Benchmark::NpbFt.build(&WorkloadConfig::new(4).with_scale(0.05));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let selection =
             select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
                 .unwrap();
@@ -195,7 +196,7 @@ mod tests {
     #[test]
     fn region_count_mismatch_is_detected() {
         let w8 = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let profile = profile_application(&w8).unwrap();
+        let profile = profile_application_with(&w8, &ExecutionPolicy::Serial).unwrap();
         let selection =
             select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
                 .unwrap();

@@ -47,6 +47,12 @@
 //! incremental: a warm re-sweep executes zero simulate legs — in the same
 //! process, it performs zero disk reads altogether.
 //!
+//! Every trace walk the pipeline runs — profiling, the fused cold pass,
+//! warmup collection, checkpoint emission and checkpoint-resumed segment
+//! walks — is one [`TraceWalk`] request: it names the observers and where
+//! each thread starts, and the segment scheduler fans it out under an
+//! [`ExecutionPolicy`] and optional [`WorkerBudget`].
+//!
 //! The [`evaluate`] module adds everything needed to reproduce the paper's
 //! evaluation (prediction errors, cross-core-count validation, relative
 //! scaling, speedup and resource-reduction accounting); [`report`] renders
@@ -133,14 +139,13 @@ pub use cache::{
 pub use error::{classify_io_error, Error, IoErrorClass};
 pub use pipeline::{BarrierPoint, BarrierPointOutcome};
 pub use profile::{
-    profile_and_collect_warmup, profile_application, profile_application_budgeted,
-    profile_application_with, ApplicationProfile,
+    profile_and_collect_warmup, profile_application_budgeted, profile_application_with,
+    ApplicationProfile,
 };
 pub use reconstruct::{reconstruct, reconstruct_with_mode, ReconstructedRun, ScalingMode};
 pub use segment::{
-    checkpoint_cuts, collect_warmup_bank_segmented, profile_and_collect_warmup_checkpointed,
-    profile_and_collect_warmup_segmented, profile_application_segmented, WorkloadCheckpoints,
-    DEFAULT_SEGMENTS,
+    checkpoint_cuts, profile_application_segmented, MruBoundaries, TraceWalk, WalkOutput,
+    WorkloadCheckpoints, DEFAULT_SEGMENTS,
 };
 pub use select::{
     select_barrierpoints, select_barrierpoints_with, BarrierPointInfo, BarrierPointSelection,

@@ -1,7 +1,8 @@
 use crate::cache::ArtifactCache;
 use crate::error::Error;
-use crate::profile::{profile_application_with, ApplicationProfile};
+use crate::profile::ApplicationProfile;
 use crate::reconstruct::ReconstructedRun;
+use crate::segment::{MruBoundaries, TraceWalk};
 use crate::select::BarrierPointSelection;
 use crate::simulate::{BarrierPointMetrics, WarmupKind};
 use crate::stages::{Profiled, Selected, Simulated};
@@ -225,19 +226,14 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     fn compute_profile(
         &self,
     ) -> Result<(Arc<ApplicationProfile>, Option<bp_warmup::MruSnapshotBank>), Error> {
+        let mut walk = TraceWalk::profile();
         if self.warmup == WarmupKind::MruReplay {
             let sim_config = self.effective_sim_config();
             let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            let (profile, bank) = crate::profile::profile_and_collect_warmup(
-                self.workload,
-                &[capacity],
-                &self.execution,
-                None,
-            )?;
-            Ok((Arc::new(profile), Some(bank)))
-        } else {
-            Ok((Arc::new(profile_application_with(self.workload, &self.execution)?), None))
+            walk = walk.with_mru(MruBoundaries::Every, capacity);
         }
+        let mut walked = walk.run(self.workload, &self.execution, None)?;
+        Ok((Arc::new(walked.take_profile()), walked.bank))
     }
 
     /// Runs profiling and barrierpoint selection — shorthand for

@@ -1,4 +1,5 @@
 use crate::error::Error;
+use crate::segment::{MruBoundaries, TraceWalk};
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::{zip_thread_profiles, RegionSignature, SignatureConfig, SignatureVector};
 use bp_warmup::MruSnapshotBank;
@@ -61,8 +62,7 @@ impl ApplicationProfile {
     }
 
     /// Zips per-thread streaming profiles into the application profile —
-    /// the assembly step shared by the sequential fused pass and the
-    /// segmented walks of [`crate::segment`].
+    /// the last step of every profiling [`TraceWalk`].
     pub(crate) fn from_thread_profiles(
         workload_name: String,
         threads: usize,
@@ -70,19 +70,6 @@ impl ApplicationProfile {
     ) -> Self {
         Self { workload_name, threads, signatures: zip_thread_profiles(profiles) }
     }
-}
-
-/// Runs the one-time profiling pass serially; see
-/// [`profile_application_with`] for the thread-parallel variant (identical
-/// output).
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyWorkload`] if the workload has no regions.
-pub fn profile_application<W: Workload + ?Sized>(
-    workload: &W,
-) -> Result<ApplicationProfile, Error> {
-    profile_application_with(workload, &ExecutionPolicy::Serial)
 }
 
 /// Runs the one-time profiling pass under `policy`: each workload thread's
@@ -124,41 +111,26 @@ pub fn profile_application_budgeted<W: Workload + ?Sized>(
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
 ) -> Result<ApplicationProfile, Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let signatures =
-        bp_signature::collect_application_signatures_budgeted(workload, policy, budget);
-    Ok(ApplicationProfile {
-        workload_name: workload.name().to_string(),
-        threads: workload.num_threads(),
-        signatures,
-    })
+    TraceWalk::profile().run(workload, policy, budget).map(|mut walk| walk.take_profile())
 }
 
 /// The fused cold pass: one walk of every per-thread trace produces **both**
 /// the [`ApplicationProfile`] and the raw MRU warmup state of every region
 /// boundary, at the largest capacity in `capacities`.
 ///
-/// Each thread drives a [`bp_signature::ThreadProfileObserver`] and an
-/// [`bp_warmup::MruThreadObserver`] through the trace-observer engine
-/// ([`bp_workload::drive`]), so the trace is *generated* exactly once per
-/// thread — where a cold pipeline used to walk it once for profiling and
-/// again for warmup collection.  Because the barrierpoint selection is not
-/// known until the profile is clustered, the MRU observers snapshot **every**
-/// region boundary; the returned [`MruSnapshotBank`] then assembles the
-/// payload of any boundary subset at any capacity up to the collection
-/// capacity, bit-identically to a dedicated collection
-/// ([`bp_warmup::collect_mru_warmup_multi`]).
+/// Each thread's trace is *generated* exactly once, feeding the signature
+/// profiler and the MRU collector together
+/// ([`TraceWalk::profile`]`().`[`with_mru`](TraceWalk::with_mru)`(..)`).
+/// Because the barrierpoint selection is not known until the profile is
+/// clustered, the collector snapshots **every** region boundary; the
+/// returned [`MruSnapshotBank`] then assembles the payload of any boundary
+/// subset at any capacity up to the collection capacity, bit-identically to
+/// a dedicated collection ([`bp_warmup::collect_mru_warmup`]).
 ///
 /// The fan-out is thread-major under `policy`; with a [`WorkerBudget`], the
-/// walks draw helper threads from the shared pool (the same chunked claiming
-/// every other budgeted stage uses), so a concurrent sweep's drained legs
-/// can lend workers to a cold fused pass and vice versa.
-///
-/// Both artifacts are bit-identical to the separate passes
-/// ([`profile_application_with`] and the dedicated collectors) for every
-/// policy and budget.
+/// walks draw helper threads from the shared pool, so a concurrent sweep's
+/// drained legs can lend workers to a cold fused pass and vice versa.  Both
+/// artifacts are identical for every policy and budget.
 ///
 /// # Errors
 ///
@@ -169,14 +141,10 @@ pub fn profile_and_collect_warmup<W: Workload + ?Sized>(
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
 ) -> Result<(ApplicationProfile, MruSnapshotBank), Error> {
-    // The trace walk itself lives in `crate::segment` (the one bp-core
-    // module allowed to drive traces — the `core-drive` lint pins it);
-    // with a single segment, no checkpoint is taken and the walk is the
-    // plain fused pass.
-    let (profile, bank, _) = crate::segment::profile_and_collect_warmup_checkpointed(
-        workload, capacities, policy, budget, 1,
-    )?;
-    Ok((profile, bank))
+    TraceWalk::profile()
+        .with_mru(MruBoundaries::Every, capacities.iter().copied().max().unwrap_or(1))
+        .run(workload, policy, budget)
+        .map(|mut walk| (walk.take_profile(), walk.take_bank()))
 }
 
 #[cfg(test)]
@@ -187,7 +155,7 @@ mod tests {
     #[test]
     fn profile_covers_every_region() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         assert_eq!(profile.num_regions(), 11);
         assert_eq!(profile.threads(), 4);
         assert_eq!(profile.workload_name(), "npb-is");
@@ -201,7 +169,7 @@ mod tests {
     #[test]
     fn assembled_vectors_share_dimension() {
         let w = Benchmark::NpbFt.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let vectors = profile.assemble_vectors(&SignatureConfig::combined());
         assert_eq!(vectors.len(), 34);
         let dim = vectors[0].dimension();
@@ -211,8 +179,8 @@ mod tests {
     #[test]
     fn profiling_is_deterministic() {
         let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let a = profile_application(&w).unwrap();
-        let b = profile_application(&w).unwrap();
+        let a = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
+        let b = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         assert_eq!(a, b);
     }
 

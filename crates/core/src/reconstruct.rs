@@ -162,16 +162,17 @@ pub fn reconstruct_with_mode(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application;
+    use crate::profile::profile_application_with;
     use crate::select::select_barrierpoints;
     use bp_clustering::SimPointConfig;
+    use bp_exec::ExecutionPolicy;
     use bp_signature::SignatureConfig;
     use bp_sim::{Machine, SimConfig};
     use bp_workload::{Benchmark, Workload, WorkloadConfig};
 
     fn setup() -> (BarrierPointSelection, BarrierPointMetrics, bp_sim::RunMetrics) {
         let w = Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let selection =
             select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
                 .unwrap();
@@ -213,7 +214,7 @@ mod tests {
         // If every region is its own barrierpoint, reconstruction must equal
         // the sum of the provided metrics exactly.
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let selection = select_barrierpoints(
             &profile,
             &SignatureConfig::combined(),

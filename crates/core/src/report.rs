@@ -200,8 +200,9 @@ pub fn series(title: &str, rows: &[(String, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application;
+    use crate::profile::profile_application_with;
     use crate::select::select_barrierpoints;
+    use bp_exec::ExecutionPolicy;
     use bp_signature::SignatureConfig;
     use bp_workload::{Benchmark, WorkloadConfig};
 
@@ -224,7 +225,7 @@ mod tests {
     #[test]
     fn table3_row_contains_selected_regions() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let selection =
             select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
                 .unwrap();

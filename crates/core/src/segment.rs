@@ -1,38 +1,34 @@
-//! Region-segment checkpoint parallelism: split one thread's trace walk
-//! across the worker budget.
+//! The one trace walk: every profiling and warmup walk bp-core runs is a
+//! [`TraceWalk`] request executed by this module's segment scheduler.
 //!
-//! The fused cold pass walks each thread's trace sequentially — the
-//! signature profiler's reuse-distance tracker and the MRU collector both
-//! carry state across regions, so a thread's walk cannot naively start in
-//! the middle.  That caps the parallelism of every *re*-walk (re-profiling
-//! under a new [`SignatureConfig`](bp_signature::SignatureConfig), a
-//! dedicated MRU collection for a new design point) at the workload's
-//! thread count, even when the [`WorkerBudget`] has more workers idle.
-//!
-//! This module removes the cap.  The one-time cold walk snapshots both
-//! observers' carried state every K regions
-//! ([`profile_and_collect_warmup_checkpointed`]) into a
-//! [`WorkloadCheckpoints`] artifact — a new `ckpt` kind in the
-//! [`ArtifactCache`](crate::ArtifactCache).  Every subsequent walk then
-//! fans `threads × segments` *segment jobs* onto the budget: each job
-//! constructs fresh observers, [restores](CheckpointObserver::restore) the
-//! checkpoint taken at its segment's first region, walks only that segment
-//! ([`bp_workload::drive_segment`]), and the per-segment results are
-//! stitched back ([`bp_signature::concat_thread_profiles`],
+//! A request names which observers ride the walk — the signature profiler
+//! ([`ThreadProfileObserver`]), the MRU collector ([`MruThreadObserver`]) at
+//! chosen [`MruBoundaries`] and a collection capacity, or both — and where
+//! each thread starts: at region 0 (optionally snapshotting both observers'
+//! carried state every K regions into a [`WorkloadCheckpoints`] artifact,
+//! the `ckpt` kind of the [`ArtifactCache`](crate::ArtifactCache)), or
+//! resumed from such checkpoints.  A walk from region 0 is the case "one
+//! segment per thread"; a resumed walk fans `threads × segments` jobs onto
+//! the [`WorkerBudget`], so a re-walk can use more workers than the
+//! workload has threads.  Either way there is one job (restore when
+//! resuming, walk `[from, until)` with [`bp_workload::drive_segment`],
+//! snapshot at interior cuts), one fan-out, and one stitch
+//! ([`bp_signature::concat_thread_profiles`] then the per-region zip, and
 //! [`MruSnapshotBank::from_segmented_observers`]).
 //!
 //! **Bit-identity is the contract.**  Checkpoint restoration reproduces
 //! the observers' exact carried state (including compaction timing and
 //! sequence counters), so the stitched segmented results are byte-equal to
-//! one sequential walk — pinned by the proptests here, the kernel matrix
-//! in `tests/segments.rs`, and the oracle tests in the substrate crates.
+//! one sequential walk — pinned by the proptests here, the request matrix
+//! and kernel matrix in `tests/segments.rs`, and the oracle tests in the
+//! substrate crates.
 
 use crate::error::Error;
 use crate::profile::ApplicationProfile;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::{concat_thread_profiles, ThreadProfile, ThreadProfileObserver};
 use bp_warmup::{MruSnapshotBank, MruThreadObserver};
-use bp_workload::{CheckpointObserver, Workload};
+use bp_workload::{CheckpointObserver, TraceObserver, Workload};
 
 /// Default number of segments the cold walk cuts each thread's trace into
 /// (the checkpoint interval is `ceil(regions / segments)`).  Eight keeps
@@ -60,9 +56,11 @@ pub fn checkpoint_cuts(num_regions: usize, max_segments: usize) -> Vec<usize> {
 struct SegmentCheckpoint {
     /// The region the snapshot was taken at (the segment's first region).
     region: u64,
-    /// [`ThreadProfileObserver`] state ([`CheckpointObserver::snapshot_at`]).
+    /// [`ThreadProfileObserver`] state ([`CheckpointObserver::snapshot_at`]);
+    /// empty when the emitting walk did not attach the profiler.
     profiler: Vec<u8>,
-    /// [`MruThreadObserver`] state ([`CheckpointObserver::snapshot_at`]).
+    /// [`MruThreadObserver`] state ([`CheckpointObserver::snapshot_at`]);
+    /// empty when the emitting walk did not attach the collector.
     mru: Vec<u8>,
 }
 
@@ -80,7 +78,9 @@ struct ThreadCheckpoints {
 /// The MRU snapshots are taken at one *collection capacity* (the largest
 /// the cold pass needed); restoring requires observers at exactly that
 /// capacity, so segmented MRU re-walks serve any capacity up to it (bank
-/// assembly truncates) and fall back to a dedicated walk above it.
+/// assembly truncates) and fall back to a dedicated walk above it.  A walk
+/// that emitted without the collector records capacity 0, which no MRU
+/// walk can resume from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkloadCheckpoints {
     /// MRU collection capacity (lines) the snapshots were taken at.
@@ -116,30 +116,34 @@ impl WorkloadCheckpoints {
         self.threads() * self.num_segments()
     }
 
-    /// Segment jobs that start from a restored checkpoint (every job except
-    /// each thread's first segment).
-    pub fn checkpoint_restores(&self) -> usize {
-        self.threads() * (self.num_segments() - 1)
-    }
-
     /// Whether these checkpoints can drive a segmented walk of `workload`
     /// serving MRU capacities up to `capacity`: thread and region counts
     /// must match, and the snapshots' collection capacity must cover the
     /// request.  (Content identity is the cache key's job — this check
     /// guards the shape invariants a restore relies on.)
     pub fn covers<W: Workload + ?Sized>(&self, workload: &W, capacity: u64) -> bool {
-        self.threads() == workload.num_threads()
-            && self.num_regions() == workload.num_regions()
-            && self.collection_capacity >= capacity
+        self.check_fits(workload, Some(capacity)).is_ok()
     }
 
-    /// The per-thread segment bounds: `[0, cut_0, …, cut_n, num_regions]`.
-    fn bounds(&self, thread: usize) -> Vec<usize> {
-        let mut bounds = Vec::with_capacity(self.per_thread[thread].cuts.len() + 2);
-        bounds.push(0);
-        bounds.extend(self.per_thread[thread].cuts.iter().map(|c| c.region as usize));
-        bounds.push(self.num_regions as usize);
-        bounds
+    /// [`covers`](Self::covers) as an error naming the mismatch; `capacity`
+    /// is `None` for a walk without the MRU collector.
+    fn check_fits<W: Workload + ?Sized>(
+        &self,
+        workload: &W,
+        capacity: Option<u64>,
+    ) -> Result<(), Error> {
+        let mismatch = if self.threads() != workload.num_threads() {
+            format!("{} threads, workload has {}", self.threads(), workload.num_threads())
+        } else if self.num_regions() != workload.num_regions() {
+            format!("{} regions, workload has {}", self.num_regions(), workload.num_regions())
+        } else if let Some(asked) = capacity.filter(|&c| c > self.collection_capacity) {
+            format!("collection capacity {}, walk asks for {asked}", self.collection_capacity)
+        } else {
+            return Ok(());
+        };
+        Err(Error::CheckpointRestore {
+            message: format!("checkpoints do not fit {}: {mismatch}", workload.name()),
+        })
     }
 }
 
@@ -188,169 +192,269 @@ impl serde::Deserialize for WorkloadCheckpoints {
     }
 }
 
-/// Maps a [`bp_workload::CheckpointError`] from a cache-served checkpoint
-/// into the pipeline error space.
-fn restore_error(thread: usize, region: usize, e: bp_workload::CheckpointError) -> Error {
-    Error::CheckpointRestore { message: format!("thread {thread} segment at region {region}: {e}") }
+/// The region boundaries a walk's MRU collector snapshots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MruBoundaries<'a> {
+    /// Every region boundary: what a walk collects while the barrierpoint
+    /// selection is still unknown.  The resulting bank serves any target
+    /// subset.
+    Every,
+    /// Only these boundaries (any order, duplicates allowed; boundaries at
+    /// or past the region count are never reached).  An MRU-only walk stops
+    /// each thread after its last target.
+    Targets(&'a [usize]),
 }
 
-/// The fused cold pass with checkpoint emission: identical to
-/// [`crate::profile_and_collect_warmup`] — each thread walks its whole
-/// trace once, feeding the signature profiler and the MRU collector
-/// together — but both observers additionally snapshot their carried state
-/// at every interior cut of [`checkpoint_cuts`]`(regions, max_segments)`.
-/// The walk itself is bit-identical to the uncheckpointed pass (the same
-/// observers run the same per-region protocol; snapshots only *read*
-/// state), so the profile and bank are too.
+/// Where each thread's walk starts.
+#[derive(Debug, Clone, Copy)]
+enum Start<'a> {
+    /// Region 0, no checkpoints.
+    Beginning,
+    /// Region 0, snapshotting at the interior cuts of
+    /// [`checkpoint_cuts`]`(regions, max_segments)`.
+    Emitting { max_segments: usize },
+    /// Every segment of the checkpoints, each restored from its first cut.
+    Resume(&'a WorkloadCheckpoints),
+}
+
+/// One trace-walk request: which observers ride the walk and where each
+/// thread starts.  [`run`](Self::run) executes it.
 ///
-/// # Errors
+/// * [`profile`](Self::profile) attaches the signature profiler,
+///   [`mru`](Self::mru) the MRU collector, and
+///   `profile().`[`with_mru`](Self::with_mru)`(..)` both — the fused cold
+///   pass, one trace generation per thread for both artifacts.
+/// * [`emitting_checkpoints`](Self::emitting_checkpoints) also snapshots
+///   the attached observers every K regions.  A checkpoint must hold the
+///   collector's full recency state at each cut, so an emitting walk
+///   collects MRU state at every boundary whatever [`MruBoundaries`] says.
+/// * [`resuming`](Self::resuming) walks as `threads × segments` jobs
+///   restored from checkpoints.  The checkpoints must match the workload's
+///   thread and region counts and, for the MRU collector, hold a collection
+///   capacity at least the requested one; the returned bank is then
+///   collected at the checkpoints' capacity, and assembly truncates.
 ///
-/// Returns [`Error::EmptyWorkload`] if the workload has no regions.
-pub fn profile_and_collect_warmup_checkpointed<W: Workload + ?Sized>(
-    workload: &W,
-    capacities: &[u64],
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-    max_segments: usize,
-) -> Result<(ApplicationProfile, MruSnapshotBank, WorkloadCheckpoints), Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
+/// Every request's artifacts are bit-identical to the region-major
+/// oracles ([`bp_signature::ApplicationProfiler`],
+/// [`bp_warmup::collect_mru_warmup`]) under every policy and budget.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceWalk<'a> {
+    profile: bool,
+    mru: Option<(MruBoundaries<'a>, u64)>,
+    start: Start<'a>,
+}
+
+impl<'a> TraceWalk<'a> {
+    /// A walk from region 0 with the signature profiler attached.
+    pub fn profile() -> Self {
+        Self { profile: true, mru: None, start: Start::Beginning }
     }
-    let num_regions = workload.num_regions();
-    let boundaries: Vec<usize> = (0..num_regions).collect();
-    let collection_capacity = capacities.iter().copied().max().unwrap_or(1).max(1);
-    let cuts = checkpoint_cuts(num_regions, max_segments);
-    let walk = |thread: usize| {
-        let mut profiler = ThreadProfileObserver::new(workload, thread);
-        let mut mru = MruThreadObserver::new(&boundaries, collection_capacity);
-        let mut taken = Vec::with_capacity(cuts.len());
-        let mut from = 0;
-        for &cut in cuts.iter().chain(std::iter::once(&num_regions)) {
-            bp_workload::drive_segment(workload, thread, from, cut, &mut [&mut profiler, &mut mru]);
-            if cut < num_regions {
-                taken.push(SegmentCheckpoint {
-                    region: cut as u64,
-                    profiler: profiler.snapshot_at(cut),
-                    mru: mru.snapshot_at(cut),
+
+    /// A walk from region 0 with only the MRU collector attached,
+    /// snapshotting at `boundaries` and collecting at `capacity` lines
+    /// (clamped to at least 1).
+    pub fn mru(boundaries: MruBoundaries<'a>, capacity: u64) -> Self {
+        Self { profile: false, ..Self::profile().with_mru(boundaries, capacity) }
+    }
+
+    /// Also attaches the MRU collector (see [`mru`](Self::mru)).
+    pub fn with_mru(self, boundaries: MruBoundaries<'a>, capacity: u64) -> Self {
+        Self { mru: Some((boundaries, capacity.max(1))), ..self }
+    }
+
+    /// Walks from region 0 and snapshots the attached observers at the
+    /// interior cuts of [`checkpoint_cuts`]`(regions, max_segments)`.
+    pub fn emitting_checkpoints(self, max_segments: usize) -> Self {
+        Self { start: Start::Emitting { max_segments }, ..self }
+    }
+
+    /// Resumes every segment of `checkpoints` instead of walking from
+    /// region 0.
+    pub fn resuming(self, checkpoints: &'a WorkloadCheckpoints) -> Self {
+        Self { start: Start::Resume(checkpoints), ..self }
+    }
+
+    /// Runs the walk under `policy`, drawing helper threads from `budget`
+    /// when given.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::EmptyWorkload`] for a region-less workload, and
+    /// [`Error::CheckpointRestore`] when resumed checkpoints do not fit the
+    /// workload or the request, or hold invalid state.
+    pub fn run<W: Workload + ?Sized>(
+        &self,
+        workload: &W,
+        policy: &ExecutionPolicy,
+        budget: Option<&WorkerBudget>,
+    ) -> Result<WalkOutput, Error> {
+        let num_regions = workload.num_regions();
+        if num_regions == 0 {
+            return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
+        }
+        let (emit, resume) = match self.start {
+            Start::Beginning => (None, None),
+            Start::Emitting { max_segments } => {
+                (Some(checkpoint_cuts(num_regions, max_segments)), None)
+            }
+            Start::Resume(checkpoints) => {
+                checkpoints.check_fits(workload, self.mru.map(|(_, capacity)| capacity))?;
+                (None, Some(checkpoints))
+            }
+        };
+        let mru = self.mru.map(|(boundaries, capacity)| {
+            let boundaries = match boundaries {
+                MruBoundaries::Targets(targets) if emit.is_none() => targets.to_vec(),
+                _ => (0..num_regions).collect(),
+            };
+            // Restoring requires observers at the snapshots' capacity.
+            (boundaries, resume.map_or(capacity, |c| c.collection_capacity))
+        });
+        let plan =
+            Plan { profile: self.profile, mru, emit: emit.as_deref().unwrap_or(&[]), resume };
+        let threads = workload.num_threads();
+        let segments = resume.map_or(1, WorkloadCheckpoints::num_segments);
+        let jobs = threads * segments;
+        let job = |j: usize| plan.job(workload, j / segments, j % segments, num_regions);
+        let results = match budget {
+            Some(budget) => policy.execute_budgeted(jobs, budget, job),
+            None => policy.execute(jobs, job),
+        };
+
+        let mut profiles = Vec::with_capacity(threads);
+        let mut observers = Vec::with_capacity(threads);
+        let mut per_thread = Vec::with_capacity(threads);
+        let mut results = results.into_iter();
+        for _ in 0..threads {
+            let mut thread_profiles = Vec::with_capacity(segments);
+            let mut thread_observers = Vec::with_capacity(segments);
+            let mut cuts = Vec::new();
+            for walked in results.by_ref().take(segments) {
+                let (profile, mru, emitted) = walked?;
+                thread_profiles.extend(profile);
+                thread_observers.extend(mru);
+                cuts.extend(emitted);
+            }
+            if self.profile {
+                profiles.push(concat_thread_profiles(thread_profiles));
+            }
+            observers.push(thread_observers);
+            per_thread.push(ThreadCheckpoints { cuts });
+        }
+        Ok(WalkOutput {
+            profile: self.profile.then(|| {
+                ApplicationProfile::from_thread_profiles(
+                    workload.name().to_string(),
+                    threads,
+                    profiles,
+                )
+            }),
+            bank: self.mru.map(|_| MruSnapshotBank::from_segmented_observers(observers)),
+            checkpoints: emit.map(|_| WorkloadCheckpoints {
+                collection_capacity: self.mru.map_or(0, |(_, capacity)| capacity),
+                num_regions: num_regions as u64,
+                per_thread,
+            }),
+            jobs,
+            // Every job but each thread's first segment restores.
+            restores: resume.map_or(0, |_| jobs - threads),
+        })
+    }
+}
+
+/// What a [`TraceWalk`] produced: the artifacts it was asked for, and how
+/// many jobs it fanned out and how many of them restored a checkpoint.
+#[derive(Debug)]
+pub struct WalkOutput {
+    /// The application profile, when the profiler was attached.
+    pub profile: Option<ApplicationProfile>,
+    /// The MRU snapshot bank, when the collector was attached.
+    pub bank: Option<MruSnapshotBank>,
+    /// The emitted checkpoints, when the walk emitted them.
+    pub checkpoints: Option<WorkloadCheckpoints>,
+    /// Jobs fanned out: one per thread from region 0, `threads × segments`
+    /// when resumed.
+    pub jobs: usize,
+    /// Jobs that started from a restored checkpoint.
+    pub restores: usize,
+}
+
+impl WalkOutput {
+    /// Takes the profile of a walk that attached the profiler.
+    pub(crate) fn take_profile(&mut self) -> ApplicationProfile {
+        self.profile.take().unwrap_or_else(|| unreachable!("the walk attached no profiler"))
+    }
+
+    /// Takes the bank of a walk that attached the MRU collector.
+    pub(crate) fn take_bank(&mut self) -> MruSnapshotBank {
+        self.bank.take().unwrap_or_else(|| unreachable!("the walk attached no MRU collector"))
+    }
+}
+
+/// A [`TraceWalk`] resolved against one workload.
+struct Plan<'a> {
+    profile: bool,
+    /// The MRU collector's boundaries and collection capacity.
+    mru: Option<(Vec<usize>, u64)>,
+    /// The cuts a walk from region 0 snapshots at.
+    emit: &'a [usize],
+    resume: Option<&'a WorkloadCheckpoints>,
+}
+
+/// One job's finished profile, MRU observer, and emitted checkpoints.
+type Walked = (Option<ThreadProfile>, Option<MruThreadObserver>, Vec<SegmentCheckpoint>);
+
+impl Plan<'_> {
+    /// The one job: construct the attached observers, restore them when
+    /// the segment starts at a checkpoint, walk `[from, until)`, and
+    /// snapshot at every emission cut on the way.
+    fn job<W: Workload + ?Sized>(
+        &self,
+        workload: &W,
+        thread: usize,
+        segment: usize,
+        num_regions: usize,
+    ) -> Result<Walked, Error> {
+        // Segment `s` of a resumed thread runs from cut `s - 1` to cut `s`.
+        let thread_cuts: &[SegmentCheckpoint] =
+            self.resume.map_or(&[], |c| &c.per_thread[thread].cuts);
+        let restore = segment.checked_sub(1).map(|previous| &thread_cuts[previous]);
+        let from = restore.map_or(0, |cut| cut.region as usize);
+        let until = thread_cuts.get(segment).map_or(num_regions, |cut| cut.region as usize);
+        let mut profiler = self.profile.then(|| ThreadProfileObserver::new(workload, thread));
+        let mut mru = self
+            .mru
+            .as_ref()
+            .map(|(boundaries, capacity)| MruThreadObserver::new(boundaries, *capacity));
+        if let Some(cut) = restore {
+            let fail = |e| Error::CheckpointRestore {
+                message: format!("thread {thread} segment at region {from}: {e}"),
+            };
+            if let Some(profiler) = profiler.as_mut() {
+                profiler.restore(from, &cut.profiler).map_err(fail)?;
+            }
+            if let Some(mru) = mru.as_mut() {
+                mru.restore(from, &cut.mru).map_err(fail)?;
+            }
+        }
+        let mut cuts = Vec::with_capacity(self.emit.len());
+        let mut start = from;
+        for &end in self.emit.iter().chain([&until]) {
+            let mut observers: Vec<&mut dyn TraceObserver> = Vec::with_capacity(2);
+            observers.extend(profiler.as_mut().map(|p| p as &mut dyn TraceObserver));
+            observers.extend(mru.as_mut().map(|m| m as &mut dyn TraceObserver));
+            bp_workload::drive_segment(workload, thread, start, end, &mut observers);
+            if end < until {
+                cuts.push(SegmentCheckpoint {
+                    region: end as u64,
+                    profiler: profiler.as_ref().map_or_else(Vec::new, |p| p.snapshot_at(end)),
+                    mru: mru.as_ref().map_or_else(Vec::new, |m| m.snapshot_at(end)),
                 });
             }
-            from = cut;
+            start = end;
         }
-        (profiler.into_profile(), mru, ThreadCheckpoints { cuts: taken })
-    };
-    let threads = workload.num_threads();
-    let walked = match budget {
-        Some(budget) => policy.execute_budgeted(threads, budget, walk),
-        None => policy.execute(threads, walk),
-    };
-    let mut profiles = Vec::with_capacity(threads);
-    let mut observers = Vec::with_capacity(threads);
-    let mut per_thread = Vec::with_capacity(threads);
-    for (profile, mru, thread_cuts) in walked {
-        profiles.push(profile);
-        observers.push(mru);
-        per_thread.push(thread_cuts);
+        Ok((profiler.map(ThreadProfileObserver::into_profile), mru, cuts))
     }
-    let profile =
-        ApplicationProfile::from_thread_profiles(workload.name().to_string(), threads, profiles);
-    let checkpoints =
-        WorkloadCheckpoints { collection_capacity, num_regions: num_regions as u64, per_thread };
-    Ok((profile, MruSnapshotBank::from_observers(observers), checkpoints))
-}
-
-/// One segment job's restored walk: constructs the observers, restores the
-/// checkpoint (when not the first segment), walks `[from, until)`, and
-/// returns the observers for stitching.  `with_profiler`/`with_mru` select
-/// which observers the job carries — a profile-only re-walk pays no MRU
-/// state, and vice versa.
-#[allow(clippy::type_complexity)]
-fn run_segment_job<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    boundaries: &[usize],
-    thread: usize,
-    segment: usize,
-    with_profiler: bool,
-    with_mru: bool,
-) -> Result<(Option<ThreadProfile>, Option<MruThreadObserver>), Error> {
-    let bounds = checkpoints.bounds(thread);
-    let (from, until) = (bounds[segment], bounds[segment + 1]);
-    let mut profiler = with_profiler.then(|| ThreadProfileObserver::new(workload, thread));
-    let mut mru =
-        with_mru.then(|| MruThreadObserver::new(boundaries, checkpoints.collection_capacity));
-    if segment > 0 {
-        let cut = &checkpoints.per_thread[thread].cuts[segment - 1];
-        if let Some(profiler) = profiler.as_mut() {
-            profiler.restore(from, &cut.profiler).map_err(|e| restore_error(thread, from, e))?;
-        }
-        if let Some(mru) = mru.as_mut() {
-            mru.restore(from, &cut.mru).map_err(|e| restore_error(thread, from, e))?;
-        }
-    }
-    let mut observers: Vec<&mut dyn bp_workload::TraceObserver> = Vec::with_capacity(2);
-    if let Some(profiler) = profiler.as_mut() {
-        observers.push(profiler);
-    }
-    if let Some(mru) = mru.as_mut() {
-        observers.push(mru);
-    }
-    bp_workload::drive_segment(workload, thread, from, until, &mut observers);
-    Ok((profiler.map(ThreadProfileObserver::into_profile), mru))
-}
-
-/// Fans one segmented walk's `threads × segments` jobs onto the budget and
-/// regroups the results thread-major, segment order preserved.
-#[allow(clippy::type_complexity)]
-fn fan_segment_jobs<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-    with_profiler: bool,
-    with_mru: bool,
-) -> Result<Vec<Vec<(Option<ThreadProfile>, Option<MruThreadObserver>)>>, Error> {
-    let threads = checkpoints.threads();
-    let segments = checkpoints.num_segments();
-    let boundaries: Vec<usize> = (0..checkpoints.num_regions()).collect();
-    let job = |j: usize| {
-        run_segment_job(
-            workload,
-            checkpoints,
-            &boundaries,
-            j / segments,
-            j % segments,
-            with_profiler,
-            with_mru,
-        )
-    };
-    let jobs = threads * segments;
-    let results = match budget {
-        Some(budget) => policy.execute_budgeted(jobs, budget, job),
-        None => policy.execute(jobs, job),
-    };
-    let mut per_thread: Vec<Vec<_>> = (0..threads).map(|_| Vec::with_capacity(segments)).collect();
-    for (j, result) in results.into_iter().enumerate() {
-        per_thread[j / segments].push(result?);
-    }
-    Ok(per_thread)
-}
-
-/// Stitches each thread's per-segment profiles into the application
-/// profile ([`concat_thread_profiles`] per thread, then the usual
-/// per-region zip).
-fn stitch_profiles<W: Workload + ?Sized>(
-    workload: &W,
-    per_thread: Vec<Vec<Option<ThreadProfile>>>,
-) -> ApplicationProfile {
-    let profiles = per_thread
-        .into_iter()
-        .map(|segments| concat_thread_profiles(segments.into_iter().flatten().collect()))
-        .collect();
-    ApplicationProfile::from_thread_profiles(
-        workload.name().to_string(),
-        workload.num_threads(),
-        profiles,
-    )
 }
 
 /// Re-profiles `workload` as `threads × segments` parallel segment jobs,
@@ -362,86 +466,18 @@ fn stitch_profiles<W: Workload + ?Sized>(
 /// # Errors
 ///
 /// Returns [`Error::EmptyWorkload`] for a region-less workload and
-/// [`Error::CheckpointRestore`] for a semantically invalid checkpoint
-/// (shape mismatches are the caller's to pre-check via
-/// [`WorkloadCheckpoints::covers`]).
+/// [`Error::CheckpointRestore`] for checkpoints that do not fit the
+/// workload or hold invalid state.
 pub fn profile_application_segmented<W: Workload + ?Sized>(
     workload: &W,
     checkpoints: &WorkloadCheckpoints,
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
 ) -> Result<ApplicationProfile, Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let per_thread = fan_segment_jobs(workload, checkpoints, policy, budget, true, false)?;
-    Ok(stitch_profiles(
-        workload,
-        per_thread
-            .into_iter()
-            .map(|segments| segments.into_iter().map(|(profile, _)| profile).collect())
-            .collect(),
-    ))
-}
-
-/// Collects the every-boundary MRU snapshot bank as parallel segment jobs
-/// (at the checkpoints' collection capacity), bit-identical to the
-/// sequential fused pass's bank: assembly at any boundary subset and any
-/// capacity up to [`WorkloadCheckpoints::collection_capacity`] matches
-/// [`bp_warmup::collect_mru_warmup`] exactly.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyWorkload`] for a region-less workload and
-/// [`Error::CheckpointRestore`] for a semantically invalid checkpoint.
-pub fn collect_warmup_bank_segmented<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> Result<MruSnapshotBank, Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let per_thread = fan_segment_jobs(workload, checkpoints, policy, budget, false, true)?;
-    Ok(MruSnapshotBank::from_segmented_observers(
-        per_thread
-            .into_iter()
-            .map(|segments| segments.into_iter().filter_map(|(_, mru)| mru).collect())
-            .collect(),
-    ))
-}
-
-/// The fused segmented re-walk: one fan-out of `threads × segments` jobs
-/// whose every job restores *both* observers and walks its segment once —
-/// producing the profile and the every-boundary bank together, exactly as
-/// the sequential fused cold pass does, with half the walks of running
-/// [`profile_application_segmented`] and [`collect_warmup_bank_segmented`]
-/// separately.
-///
-/// # Errors
-///
-/// Returns [`Error::EmptyWorkload`] for a region-less workload and
-/// [`Error::CheckpointRestore`] for a semantically invalid checkpoint.
-pub fn profile_and_collect_warmup_segmented<W: Workload + ?Sized>(
-    workload: &W,
-    checkpoints: &WorkloadCheckpoints,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> Result<(ApplicationProfile, MruSnapshotBank), Error> {
-    if workload.num_regions() == 0 {
-        return Err(Error::EmptyWorkload { workload: workload.name().to_string() });
-    }
-    let per_thread = fan_segment_jobs(workload, checkpoints, policy, budget, true, true)?;
-    let mut profile_segments = Vec::with_capacity(per_thread.len());
-    let mut mru_segments = Vec::with_capacity(per_thread.len());
-    for segments in per_thread {
-        let (profiles, mrus): (Vec<_>, Vec<_>) = segments.into_iter().unzip();
-        profile_segments.push(profiles);
-        mru_segments.push(mrus.into_iter().flatten().collect());
-    }
-    let profile = stitch_profiles(workload, profile_segments);
-    Ok((profile, MruSnapshotBank::from_segmented_observers(mru_segments)))
+    TraceWalk::profile()
+        .resuming(checkpoints)
+        .run(workload, policy, budget)
+        .map(|mut walk| walk.take_profile())
 }
 
 #[cfg(test)]
@@ -450,6 +486,48 @@ mod tests {
     use crate::profile::{profile_and_collect_warmup, profile_application_with};
     use bp_workload::{Benchmark, WorkloadConfig};
     use proptest::prelude::*;
+
+    /// The fused cold pass emitting checkpoints for `max_segments`
+    /// segments at `capacity`, serially.
+    fn checkpointed(
+        w: &impl Workload,
+        capacity: u64,
+        max_segments: usize,
+    ) -> (ApplicationProfile, MruSnapshotBank, WorkloadCheckpoints) {
+        let walk = TraceWalk::profile()
+            .with_mru(MruBoundaries::Every, capacity)
+            .emitting_checkpoints(max_segments)
+            .run(w, &ExecutionPolicy::Serial, None)
+            .unwrap();
+        (walk.profile.unwrap(), walk.bank.unwrap(), walk.checkpoints.unwrap())
+    }
+
+    /// The every-boundary MRU collection resumed from `checkpoints`.
+    fn resumed_bank(
+        w: &impl Workload,
+        checkpoints: &WorkloadCheckpoints,
+        policy: &ExecutionPolicy,
+        budget: Option<&WorkerBudget>,
+    ) -> Result<MruSnapshotBank, Error> {
+        TraceWalk::mru(MruBoundaries::Every, checkpoints.collection_capacity())
+            .resuming(checkpoints)
+            .run(w, policy, budget)
+            .map(|walk| walk.bank.unwrap())
+    }
+
+    /// The fused re-walk resumed from `checkpoints`.
+    fn resumed_fused(
+        w: &impl Workload,
+        checkpoints: &WorkloadCheckpoints,
+        policy: &ExecutionPolicy,
+    ) -> (ApplicationProfile, MruSnapshotBank) {
+        let walk = TraceWalk::profile()
+            .with_mru(MruBoundaries::Every, checkpoints.collection_capacity())
+            .resuming(checkpoints)
+            .run(w, policy, None)
+            .unwrap();
+        (walk.profile.unwrap(), walk.bank.unwrap())
+    }
 
     #[test]
     fn cuts_split_near_equally_and_stay_interior() {
@@ -473,8 +551,7 @@ mod tests {
         let capacities = [256, 2048];
         let policy = ExecutionPolicy::Serial;
         let (profile, bank) = profile_and_collect_warmup(&w, &capacities, &policy, None).unwrap();
-        let (ck_profile, ck_bank, checkpoints) =
-            profile_and_collect_warmup_checkpointed(&w, &capacities, &policy, None, 4).unwrap();
+        let (ck_profile, ck_bank, checkpoints) = checkpointed(&w, 2048, 4);
         assert_eq!(profile, ck_profile);
         let targets = [0, 5, 20];
         for capacity in [100u64, 256, 2048] {
@@ -496,12 +573,10 @@ mod tests {
         let (_, bank) = profile_and_collect_warmup(&w, &[700], &policy, None).unwrap();
         let targets: Vec<usize> = (0..regions).collect();
         for segments in [1, 2, 3, 7, regions] {
-            let (_, _, checkpoints) =
-                profile_and_collect_warmup_checkpointed(&w, &[700], &policy, None, segments)
-                    .unwrap();
+            let (_, _, checkpoints) = checkpointed(&w, 700, segments);
             let profile = profile_application_segmented(&w, &checkpoints, &policy, None).unwrap();
             assert_eq!(profile, sequential, "{segments} segments");
-            let seg_bank = collect_warmup_bank_segmented(&w, &checkpoints, &policy, None).unwrap();
+            let seg_bank = resumed_bank(&w, &checkpoints, &policy, None).unwrap();
             for capacity in [1u64, 64, 700] {
                 assert_eq!(
                     seg_bank.assemble(&targets, capacity),
@@ -509,8 +584,7 @@ mod tests {
                     "{segments} segments, capacity {capacity}"
                 );
             }
-            let (fused_profile, fused_bank) =
-                profile_and_collect_warmup_segmented(&w, &checkpoints, &policy, None).unwrap();
+            let (fused_profile, fused_bank) = resumed_fused(&w, &checkpoints, &policy);
             assert_eq!(fused_profile, sequential, "{segments} segments fused");
             assert_eq!(
                 fused_bank.assemble(&targets, 700),
@@ -523,27 +597,26 @@ mod tests {
     #[test]
     fn segmented_walk_draws_more_workers_than_threads_under_a_budget() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let (_, _, checkpoints) =
-            profile_and_collect_warmup_checkpointed(&w, &[256], &ExecutionPolicy::Serial, None, 4)
-                .unwrap();
+        let (_, _, checkpoints) = checkpointed(&w, 256, 4);
         assert_eq!(checkpoints.segment_jobs(), 8, "2 threads × 4 segments");
-        assert_eq!(checkpoints.checkpoint_restores(), 6);
         // A budget of 6 workers (more than the 2 threads) is fully legal
         // for the 8-job fan-out and returns every permit.
         let budget = WorkerBudget::new(6);
         let policy = ExecutionPolicy::parallel_with(6);
-        let segmented =
-            profile_application_segmented(&w, &checkpoints, &policy, Some(&budget)).unwrap();
+        let walk = TraceWalk::profile().resuming(&checkpoints);
+        let segmented = walk.run(&w, &policy, Some(&budget)).unwrap();
+        assert_eq!((segmented.jobs, segmented.restores), (8, 6), "all but each first segment");
         assert_eq!(budget.available(), 6, "all permits returned");
-        assert_eq!(segmented, profile_application_with(&w, &ExecutionPolicy::Serial).unwrap());
+        assert_eq!(
+            segmented.profile.unwrap(),
+            profile_application_with(&w, &ExecutionPolicy::Serial).unwrap()
+        );
     }
 
     #[test]
     fn checkpoints_round_trip_through_serde() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let (_, _, checkpoints) =
-            profile_and_collect_warmup_checkpointed(&w, &[256], &ExecutionPolicy::Serial, None, 4)
-                .unwrap();
+        let (_, _, checkpoints) = checkpointed(&w, 256, 4);
         let bytes = serde::to_vec(&checkpoints);
         let back: WorkloadCheckpoints = serde::from_slice(&bytes).unwrap();
         assert_eq!(checkpoints, back);
@@ -562,17 +635,49 @@ mod tests {
     #[test]
     fn mismatched_restore_surfaces_as_checkpoint_error() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let (_, _, mut checkpoints) =
-            profile_and_collect_warmup_checkpointed(&w, &[256], &ExecutionPolicy::Serial, None, 4)
-                .unwrap();
+        let (_, _, mut checkpoints) = checkpointed(&w, 256, 4);
         // Truncate one MRU snapshot: the restore must fail loudly (the
         // cache's checksum seal makes this unreachable for cache-served
         // checkpoints, but the API contract still has to hold).
         checkpoints.per_thread[1].cuts[0].mru.pop();
-        let err = collect_warmup_bank_segmented(&w, &checkpoints, &ExecutionPolicy::Serial, None)
-            .unwrap_err();
+        let err = resumed_bank(&w, &checkpoints, &ExecutionPolicy::Serial, None).unwrap_err();
         assert!(matches!(err, Error::CheckpointRestore { .. }), "{err:?}");
         assert!(err.to_string().contains("thread 1"));
+    }
+
+    #[test]
+    fn checkpoints_that_do_not_fit_the_workload_are_rejected() {
+        let cg4 = Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.02));
+        let cg2 = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.02));
+        let is2 = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
+        let (_, _, four_threads) = checkpointed(&cg4, 256, 4);
+        let (_, _, cg_regions) = checkpointed(&cg2, 256, 4);
+        let policy = ExecutionPolicy::Serial;
+        let fits = |result: Result<WalkOutput, Error>, what: &str| match result {
+            Err(Error::CheckpointRestore { message }) => {
+                assert!(message.contains(what), "{message}")
+            }
+            other => panic!("expected a {what} mismatch, got {other:?}"),
+        };
+        // Thread count, region count, then collection capacity.
+        for (w, checkpoints, what) in
+            [(&cg2, &four_threads, "threads"), (&is2, &cg_regions, "regions")]
+        {
+            let segmented = profile_application_segmented(w, checkpoints, &policy, None);
+            assert!(
+                matches!(&segmented, Err(Error::CheckpointRestore { message }) if message.contains(what)),
+                "{segmented:?}"
+            );
+            fits(TraceWalk::profile().resuming(checkpoints).run(w, &policy, None), what);
+            let mru = TraceWalk::mru(MruBoundaries::Every, 256).resuming(checkpoints);
+            fits(mru.run(w, &policy, None), what);
+        }
+        let too_large = TraceWalk::mru(MruBoundaries::Targets(&[3]), 257).resuming(&cg_regions);
+        fits(too_large.run(&cg2, &policy, None), "capacity");
+        let fused = TraceWalk::profile().with_mru(MruBoundaries::Every, 4096).resuming(&cg_regions);
+        fits(fused.run(&cg2, &policy, None), "capacity");
+        // A profile-only resume needs no MRU capacity at all.
+        assert!(TraceWalk::profile().resuming(&cg_regions).run(&cg2, &policy, None).is_ok());
     }
 
     proptest! {
@@ -594,11 +699,8 @@ mod tests {
             let policy = ExecutionPolicy::Serial;
             let sequential = profile_application_with(&w, &policy).unwrap();
             let (_, bank) = profile_and_collect_warmup(&w, &[capacity], &policy, None).unwrap();
-            let (_, _, checkpoints) =
-                profile_and_collect_warmup_checkpointed(&w, &[capacity], &policy, None, segments)
-                    .unwrap();
-            let (profile, seg_bank) =
-                profile_and_collect_warmup_segmented(&w, &checkpoints, &policy, None).unwrap();
+            let (_, _, checkpoints) = checkpointed(&w, capacity, segments);
+            let (profile, seg_bank) = resumed_fused(&w, &checkpoints, &policy);
             prop_assert_eq!(profile, sequential);
             let targets: Vec<usize> = (0..w.num_regions()).collect();
             prop_assert_eq!(

@@ -270,12 +270,13 @@ pub fn select_barrierpoints_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application;
+    use crate::profile::profile_application_with;
+    use bp_exec::ExecutionPolicy;
     use bp_workload::{Benchmark, Workload, WorkloadConfig};
 
     fn selection_for(bench: Benchmark, threads: usize) -> BarrierPointSelection {
         let w = bench.build(&WorkloadConfig::new(threads).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
             .unwrap()
     }
@@ -347,7 +348,7 @@ mod tests {
     #[test]
     fn bt_collapses_to_phase_count() {
         let w = Benchmark::NpbBt.build(&WorkloadConfig::new(4).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let selection =
             select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
                 .unwrap();

@@ -1,8 +1,9 @@
 use crate::error::Error;
+use crate::segment::{MruBoundaries, TraceWalk};
 use crate::select::BarrierPointSelection;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_sim::{Machine, RegionMetrics, SimConfig};
-use bp_warmup::{apply_warmup, collect_mru_warmup_with, MruWarmupData, WarmupStrategy};
+use bp_warmup::{apply_warmup, MruWarmupData, WarmupStrategy};
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
@@ -97,7 +98,10 @@ pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
         (WarmupKind::MruReplay, Some(data)) => data,
         (WarmupKind::MruReplay, None) => {
             let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            collected = collect_mru_warmup_with(workload, &regions, capacity, policy);
+            collected = TraceWalk::mru(MruBoundaries::Targets(&regions), capacity)
+                .run(workload, policy, None)?
+                .take_bank()
+                .assemble(&regions, capacity);
             &collected
         }
         _ => {
@@ -136,7 +140,7 @@ pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application;
+    use crate::profile::profile_application_with;
     use crate::select::select_barrierpoints;
     use bp_clustering::SimPointConfig;
     use bp_signature::SignatureConfig;
@@ -144,7 +148,7 @@ mod tests {
 
     fn setup() -> (impl Workload, BarrierPointSelection) {
         let w = Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.02));
-        let profile = profile_application(&w).unwrap();
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let selection =
             select_barrierpoints(&profile, &SignatureConfig::combined(), &SimPointConfig::paper())
                 .unwrap();

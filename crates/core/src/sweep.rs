@@ -64,7 +64,7 @@ use crate::cache::{
 };
 use crate::error::Error;
 use crate::pipeline::BarrierPoint;
-use crate::segment::DEFAULT_SEGMENTS;
+use crate::segment::{MruBoundaries, TraceWalk, DEFAULT_SEGMENTS};
 use crate::select::{select_barrierpoints_with, BarrierPointSelection};
 use crate::simulate::WarmupKind;
 use crate::stages::Simulated;
@@ -344,7 +344,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             self.shared_budget.clone().unwrap_or_else(|| WorkerBudget::for_policy(&policy));
         let statics = self.static_keys.get_or_init(|| self.build_static_keys());
         let base_fp = statics.profile_key.fingerprint();
-        let base_threads = workload.num_threads();
 
         let mut profile_passes = 0;
         let mut warmup_collections = 0;
@@ -402,61 +401,36 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         .cache()
                         .and_then(|cache| cache.probe(&statics.checkpoint_key))
                         .filter(|c| c.covers(workload, max_capacity));
-                    let profile = match checkpoints {
-                        Some(ckpts) => {
-                            segment_walks += ckpts.segment_jobs();
-                            checkpoint_hits += ckpts.checkpoint_restores();
-                            if fuse {
-                                let (profile, bank) =
-                                    crate::segment::profile_and_collect_warmup_segmented(
-                                        workload,
-                                        &ckpts,
-                                        &policy,
-                                        Some(&budget),
-                                    )?;
-                                warmup_collections += 1;
-                                fused_bank = Some(bank);
-                                Arc::new(profile)
-                            } else {
-                                Arc::new(crate::segment::profile_application_segmented(
-                                    workload,
-                                    &ckpts,
-                                    &policy,
-                                    Some(&budget),
-                                )?)
-                            }
+                    let mut walk = TraceWalk::profile();
+                    if fuse {
+                        walk = walk.with_mru(MruBoundaries::Every, max_capacity);
+                    }
+                    walk = match &checkpoints {
+                        Some(ckpts) => walk.resuming(ckpts),
+                        // The one-time cold walk emits checkpoints every K
+                        // regions as a side product (only worth taking when
+                        // a cache can keep them).
+                        None if fuse && self.base.cache().is_some() => {
+                            walk.emitting_checkpoints(DEFAULT_SEGMENTS)
                         }
-                        None => {
-                            trace_walks += base_threads;
-                            if fuse {
-                                // The one-time cold walk emits checkpoints
-                                // every K regions as a side product (only
-                                // worth taking when a cache can keep them).
-                                let segments =
-                                    if self.base.cache().is_some() { DEFAULT_SEGMENTS } else { 1 };
-                                let (profile, bank, ckpts) =
-                                    crate::segment::profile_and_collect_warmup_checkpointed(
-                                        workload,
-                                        &base_capacities,
-                                        &policy,
-                                        Some(&budget),
-                                        segments,
-                                    )?;
-                                warmup_collections += 1;
-                                fused_bank = Some(bank);
-                                if let Some(cache) = self.base.cache() {
-                                    cache.store_arc(&statics.checkpoint_key, &Arc::new(ckpts));
-                                }
-                                Arc::new(profile)
-                            } else {
-                                Arc::new(crate::profile::profile_application_budgeted(
-                                    workload,
-                                    &policy,
-                                    Some(&budget),
-                                )?)
-                            }
-                        }
+                        None => walk,
                     };
+                    let mut walked = walk.run(workload, &policy, Some(&budget))?;
+                    // A walk from region 0 is one trace walk per thread; a resumed
+                    // walk's jobs are segment walks, all but each thread's first
+                    // restoring a checkpoint.
+                    let walks =
+                        if checkpoints.is_some() { &mut segment_walks } else { &mut trace_walks };
+                    *walks += walked.jobs;
+                    checkpoint_hits += walked.restores;
+                    warmup_collections += usize::from(fuse);
+                    fused_bank = walked.bank.take();
+                    if let (Some(cache), Some(ckpts)) =
+                        (self.base.cache(), walked.checkpoints.take())
+                    {
+                        cache.store_arc(&statics.checkpoint_key, &Arc::new(ckpts));
+                    }
+                    let profile = Arc::new(walked.take_profile());
                     if let Some(cache) = self.base.cache() {
                         cache.store_arc(&statics.profile_key, &profile);
                     }
@@ -584,62 +558,40 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 }
             }
             for (workload_fp, leg_workload, capacities) in groups {
-                let mut per_capacity = 'collect: {
-                    if workload_fp == base_fp {
-                        if let Some(bank) = &fused_bank {
-                            break 'collect bank.assemble_multi(&regions, &capacities);
-                        }
+                let mut per_capacity = match (&fused_bank, workload_fp == base_fp) {
+                    (Some(bank), true) => bank.assemble_multi(&regions, &capacities),
+                    _ => {
                         // No fused bank (the profile and selections were
-                        // cache-served) but cached segment checkpoints whose
-                        // collection capacity covers this group: re-collect
-                        // as `threads × segments` jobs instead of a
-                        // sequential walk, bit-identical by the stitching
+                        // cache-served, or this is another workload): one
+                        // collection walk, thread-major from the shared
+                        // budget — as `threads × segments` jobs when cached
+                        // checkpoints of this content cover the group's
+                        // capacities, bit-identical by the stitching
                         // contract.
                         let group_max = capacities.iter().copied().max().unwrap_or(0);
                         let checkpoints = self
                             .base
                             .cache()
+                            .filter(|_| workload_fp == base_fp)
                             .and_then(|cache| cache.probe(&statics.checkpoint_key))
                             .filter(|c| c.covers(workload, group_max));
-                        if let Some(ckpts) = checkpoints {
-                            segment_walks += ckpts.segment_jobs();
-                            checkpoint_hits += ckpts.checkpoint_restores();
-                            let bank = crate::segment::collect_warmup_bank_segmented(
-                                workload,
-                                &ckpts,
-                                &policy,
-                                Some(&budget),
-                            )?;
-                            warmup_collections += 1;
-                            break 'collect bank.assemble_multi(&regions, &capacities);
+                        let mut walk = TraceWalk::mru(MruBoundaries::Targets(&regions), group_max);
+                        if let Some(ckpts) = &checkpoints {
+                            walk = walk.resuming(ckpts);
                         }
-                    }
-                    // A dedicated collection pass, thread-major from the
-                    // shared budget (a cold cross-core-count leg's
-                    // collection borrows workers idled by drained legs, and
-                    // vice versa).
-                    warmup_collections += 1;
-                    match leg_workload {
-                        Some(leg_workload) => {
-                            trace_walks += leg_workload.num_threads();
-                            bp_warmup::collect_mru_warmup_multi_budgeted(
-                                leg_workload,
-                                &regions,
-                                &capacities,
-                                &policy,
-                                Some(&budget),
-                            )
-                        }
-                        None => {
-                            trace_walks += base_threads;
-                            bp_warmup::collect_mru_warmup_multi_budgeted(
-                                workload,
-                                &regions,
-                                &capacities,
-                                &policy,
-                                Some(&budget),
-                            )
-                        }
+                        let mut walked = match leg_workload {
+                            Some(leg_workload) => walk.run(leg_workload, &policy, Some(&budget)),
+                            None => walk.run(workload, &policy, Some(&budget)),
+                        }?;
+                        let walks = if checkpoints.is_some() {
+                            &mut segment_walks
+                        } else {
+                            &mut trace_walks
+                        };
+                        *walks += walked.jobs;
+                        checkpoint_hits += walked.restores;
+                        warmup_collections += 1;
+                        walked.take_bank().assemble_multi(&regions, &capacities)
                     }
                 };
                 for capacity in capacities {

@@ -351,8 +351,8 @@ impl ExecutionPolicy {
     /// The policy matching the host: [`ExecutionPolicy::Parallel`] over all
     /// CPUs on multi-core machines, [`ExecutionPolicy::Serial`] when only a
     /// single CPU is available (where spawning worker threads can only add
-    /// overhead — degenerate hosts showed parallel *slowdowns* in
-    /// `BENCH_profiling.json` before this existed).
+    /// overhead — degenerate hosts measured parallel *slowdowns* before
+    /// this existed).
     pub fn auto() -> Self {
         match std::thread::available_parallelism() {
             Ok(n) if n.get() > 1 => ExecutionPolicy::parallel(),

@@ -199,20 +199,6 @@ pub(crate) fn profile_region_thread<W: Workload + ?Sized>(
     (bbv, ldv, instr)
 }
 
-/// Profiles the whole application with continuous reuse-distance tracking,
-/// returning one signature per region.
-///
-/// Since the thread-major refactor this delegates to the streaming
-/// thread-major path ([`crate::collect_application_signatures_with`]) under
-/// [`bp_exec::ExecutionPolicy::Serial`], which is bit-identical to the
-/// historical region-major walk.
-pub fn collect_application_signatures<W: Workload + ?Sized>(workload: &W) -> Vec<RegionSignature> {
-    crate::streaming::collect_application_signatures_with(
-        workload,
-        &bp_exec::ExecutionPolicy::Serial,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,7 +241,7 @@ mod tests {
         // must look different from steady-state instances (regions 4 and 7),
         // while the steady-state instances look like each other.
         let w = workload();
-        let signatures = collect_application_signatures(&w);
+        let signatures = ApplicationProfiler::new(&w).profile_all(&w);
         let config = SignatureConfig::combined();
         let first = signatures[1].assemble(&config).normalized();
         let second = signatures[4].assemble(&config).normalized();
@@ -273,7 +259,7 @@ mod tests {
     #[test]
     fn profiler_counts_match_per_region_collection() {
         let w = workload();
-        let continuous = collect_application_signatures(&w);
+        let continuous = ApplicationProfiler::new(&w).profile_all(&w);
         assert_eq!(continuous.len(), 46);
         for (region, signature) in continuous.iter().enumerate().take(5) {
             // Instruction counts and BBVs do not depend on the reuse-distance

@@ -20,23 +20,22 @@
 //!
 //! [`collect_region_signature`] runs a `bp-workload` region trace through the
 //! collectors — the reproduction's substitute for the paper's Pin-based
-//! profiler.
+//! profiler — and [`ApplicationProfiler`] walks the whole application
+//! region-major with continuous reuse-distance tracking.
 //!
-//! Whole-application profiling is *thread-major*: each workload thread's
-//! entire trace (all regions, in program order) is one streaming pass with
-//! its own continuously-updated reuse-distance tracker, and the per-thread
-//! streams are zipped back into per-region signatures
-//! ([`collect_application_signatures_with`]).  Because the per-thread state
-//! is independent across threads, the passes can run on separate OS threads
-//! under [`bp_exec::ExecutionPolicy::Parallel`] while remaining bit-identical
-//! to serial (and to the historical region-major) profiling.
-//!
-//! The per-thread pass itself is an observer on `bp-workload`'s
-//! trace-observer engine: [`ThreadProfileObserver`] consumes the stream that
-//! [`bp_workload::drive`] generates, so it can share one trace walk with
-//! other observers (`bp-warmup`'s MRU collector in the fused cold pass)
-//! instead of forcing a dedicated generation.  [`profile_thread`] is the
-//! thin single-observer wrapper.
+//! The whole-application walk the pipeline runs is *thread-major*: each
+//! workload thread's entire trace (all regions, in program order) feeds one
+//! [`ThreadProfileObserver`] on `bp-workload`'s trace-observer engine
+//! ([`bp_workload::drive_segment`]), and [`zip_thread_profiles`] zips the
+//! per-thread streams back into per-region signatures.  Because the
+//! per-thread state is independent across threads, the walks can run on
+//! separate OS threads and still match [`ApplicationProfiler`] bit for bit.
+//! The observer shares its walk with other observers (`bp-warmup`'s MRU
+//! collector in the fused cold pass) instead of forcing a dedicated trace
+//! generation, and it checkpoints its carried state, so a thread's walk can
+//! be split into segments that [`concat_thread_profiles`] stitches.  The
+//! walks themselves — which observers, which threads, on which workers —
+//! are scheduled by `bp-core`.
 //!
 //! # Example
 //!
@@ -63,15 +62,11 @@ mod streaming;
 mod vector;
 
 pub use bbv::Bbv;
-pub use collector::{
-    collect_application_signatures, collect_region_signature, ApplicationProfiler, RegionSignature,
-};
+pub use collector::{collect_region_signature, ApplicationProfiler, RegionSignature};
 pub use config::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use ldv::{Ldv, LDV_BUCKETS};
 pub use stack_distance::StackDistanceTracker;
 pub use streaming::{
-    collect_application_signatures_budgeted, collect_application_signatures_with,
-    concat_thread_profiles, profile_thread, zip_thread_profiles, ThreadProfile,
-    ThreadProfileObserver,
+    concat_thread_profiles, zip_thread_profiles, ThreadProfile, ThreadProfileObserver,
 };
 pub use vector::SignatureVector;

@@ -21,7 +21,6 @@ use crate::bbv::Bbv;
 use crate::collector::RegionSignature;
 use crate::ldv::Ldv;
 use crate::stack_distance::StackDistanceTracker;
-use bp_exec::ExecutionPolicy;
 use bp_workload::{BlockExecution, CheckpointError, CheckpointObserver, TraceObserver, Workload};
 
 /// The complete profile of one thread: per-region BBVs, LDVs and instruction
@@ -174,19 +173,6 @@ impl TraceObserver for ThreadProfileObserver {
     }
 }
 
-/// Profiles one thread of `workload` over all regions in program order, with
-/// reuse distances tracked continuously across region boundaries (the same
-/// cold-start separation the region-major profiler provides; Section III-A2
-/// of the paper).
-///
-/// Thin wrapper over [`ThreadProfileObserver`] driven through
-/// [`bp_workload::drive`] — the thread's trace is generated exactly once.
-pub fn profile_thread<W: Workload + ?Sized>(workload: &W, thread: usize) -> ThreadProfile {
-    let mut observer = ThreadProfileObserver::new(workload, thread);
-    bp_workload::drive(workload, thread, &mut [&mut observer]);
-    observer.into_profile()
-}
-
 /// Stitches the partial [`ThreadProfile`]s of consecutive trace segments
 /// (produced by [`bp_workload::drive_segment`] over adjacent region ranges)
 /// into the single profile a sequential walk would have produced.
@@ -202,19 +188,14 @@ pub fn profile_thread<W: Workload + ?Sized>(workload: &W, thread: usize) -> Thre
 ///
 /// Panics if `segments` is empty or the segments disagree on the thread id.
 pub fn concat_thread_profiles(segments: Vec<ThreadProfile>) -> ThreadProfile {
-    assert!(!segments.is_empty(), "at least one segment profile required");
-    let thread = segments[0].thread();
-    let mut bbvs = Vec::new();
-    let mut ldvs = Vec::new();
-    let mut instructions = Vec::new();
-    for segment in segments {
-        assert_eq!(segment.thread(), thread, "segment profiles must share one thread");
-        let (seg_bbvs, seg_ldvs, seg_instructions) = segment.into_components();
-        bbvs.extend(seg_bbvs);
-        ldvs.extend(seg_ldvs);
-        instructions.extend(seg_instructions);
-    }
-    ThreadProfile { thread, bbvs, ldvs, instructions }
+    let stitched = segments.into_iter().reduce(|mut whole, part| {
+        assert_eq!(part.thread, whole.thread, "segment profiles must share one thread");
+        whole.bbvs.extend(part.bbvs);
+        whole.ldvs.extend(part.ldvs);
+        whole.instructions.extend(part.instructions);
+        whole
+    });
+    stitched.unwrap_or_else(|| panic!("at least one segment profile required"))
 }
 
 /// Zips per-thread streaming profiles back into one [`RegionSignature`] per
@@ -260,60 +241,34 @@ pub fn zip_thread_profiles(profiles: Vec<ThreadProfile>) -> Vec<RegionSignature>
         .collect()
 }
 
-/// Profiles the whole application thread-major under `policy`: each thread's
-/// full trace is walked in one streaming pass (on its own OS thread under
-/// [`ExecutionPolicy::Parallel`]) and the per-thread results are zipped back
-/// into per-region signatures.
-///
-/// The result is bit-identical to
-/// [`collect_application_signatures`](crate::collect_application_signatures)
-/// for every policy, because each thread's profile depends only on that
-/// thread's traces in region order.
-pub fn collect_application_signatures_with<W: Workload + ?Sized>(
-    workload: &W,
-    policy: &ExecutionPolicy,
-) -> Vec<RegionSignature> {
-    collect_application_signatures_budgeted(workload, policy, None)
-}
-
-/// [`collect_application_signatures_with`] with the thread-major fan-out
-/// optionally drawing helper threads from a shared
-/// [`WorkerBudget`](bp_exec::WorkerBudget) instead of a private per-call
-/// pool — so a cold profiling pass inside a design-space sweep respects the
-/// sweep's overall worker cap.  Output is identical for every budget.
-pub fn collect_application_signatures_budgeted<W: Workload + ?Sized>(
-    workload: &W,
-    policy: &ExecutionPolicy,
-    budget: Option<&bp_exec::WorkerBudget>,
-) -> Vec<RegionSignature> {
-    if workload.num_regions() == 0 {
-        return Vec::new();
-    }
-    let walk = |thread: usize| profile_thread(workload, thread);
-    let threads = workload.num_threads();
-    let profiles = match budget {
-        Some(budget) => policy.execute_budgeted(threads, budget, walk),
-        None => policy.execute(threads, walk),
-    };
-    zip_thread_profiles(profiles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::collect_application_signatures;
+    use crate::collector::ApplicationProfiler;
     use bp_workload::{Benchmark, WorkloadConfig};
 
     fn workload() -> impl Workload {
         Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05))
     }
 
+    /// One thread's whole trace through a lone profiling observer.
+    fn profile_thread<W: Workload + ?Sized>(w: &W, thread: usize) -> ThreadProfile {
+        let mut observer = ThreadProfileObserver::new(w, thread);
+        bp_workload::drive(w, thread, &mut [&mut observer]);
+        observer.into_profile()
+    }
+
     #[test]
     fn thread_major_matches_region_major_bit_for_bit() {
         let w = workload();
-        let region_major = collect_application_signatures(&w);
-        let serial = collect_application_signatures_with(&w, &ExecutionPolicy::Serial);
-        let parallel = collect_application_signatures_with(&w, &ExecutionPolicy::parallel_with(4));
+        let region_major = ApplicationProfiler::new(&w).profile_all(&w);
+        let serial = zip_thread_profiles((0..4).map(|t| profile_thread(&w, t)).collect());
+        // One OS thread per workload thread: the walks share no state.
+        let parallel = zip_thread_profiles(std::thread::scope(|scope| {
+            let w = &w;
+            let walks: Vec<_> = (0..4).map(|t| scope.spawn(move || profile_thread(w, t))).collect();
+            walks.into_iter().map(|walk| walk.join().unwrap()).collect()
+        }));
         assert_eq!(region_major, serial);
         assert_eq!(region_major, parallel);
     }

@@ -28,12 +28,15 @@
 //!   derived from the `SelectionStrategy` seam (`fingerprint_bytes()`), and
 //!   naming the concrete config in key derivation would silently re-couple
 //!   the cache to one strategy and break every other backend's keys.
-//! * [`Rule::CoreDrive`] — no raw trace-drive calls (`bp_workload::drive` /
-//!   `drive_segment`) in `crates/core/src/**` outside `segment.rs`: the
-//!   segment scheduler is the single bp-core module allowed to walk traces,
-//!   so every sweep hot path stays checkpointable and segmentable.  A walk
-//!   hand-rolled elsewhere would silently bypass the `threads × segments`
-//!   fan-out (and its counters).
+//! * [`Rule::CoreDrive`] — no trace walk in `crates/core/src/**` outside
+//!   `segment.rs`: no raw trace-drive call (`bp_workload::drive` /
+//!   `drive_segment`), no bp-warmup collection walk (`collect_mru_warmup`,
+//!   any suffix), and no trace observer built by hand
+//!   (`ThreadProfileObserver::new(` / `MruThreadObserver::new(`).  The
+//!   segment scheduler's one walk request is the single way bp-core walks
+//!   traces, so every sweep hot path stays checkpointable and segmentable;
+//!   a walk hand-rolled elsewhere would silently bypass the
+//!   `threads × segments` fan-out (and its counters).
 //!
 //! A finding can be suppressed with a `bp-lint: allow(<rule>)` comment on
 //! the same line or the line above; every suppression is expected to carry
@@ -55,8 +58,15 @@ const PAT_FS_CALL: &str = concat!("fs", "::");
 const PAT_FORBID: &str = concat!("#![forbid(", "unsafe_code)]");
 const PAT_JUSTIFY: &str = concat!("ordering", ":");
 const PAT_SIMPOINT_CFG: &str = concat!("SimPoint", "Config");
-const PAT_DRIVE: &str = concat!("drive", "(");
-const PAT_DRIVE_SEGMENT: &str = concat!("drive_segment", "(");
+/// Everything the core-drive rule flags: raw trace drives, bp-warmup's
+/// collection walks, and hand-built trace observers.
+const PATS_CORE_DRIVE: [&str; 5] = [
+    concat!("drive", "("),
+    concat!("drive_segment", "("),
+    concat!("collect_mru", "_warmup"),
+    concat!("ThreadProfileObserver", "::new("),
+    concat!("MruThreadObserver", "::new("),
+];
 
 /// Which lint rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,7 +84,8 @@ pub enum Rule {
     /// `SimPointConfig` named in the cache outside tests, re-coupling key
     /// derivation to one concrete strategy instead of the strategy seam.
     SimPointInCacheKeys,
-    /// Raw trace-drive call in bp-core outside the segment scheduler.
+    /// Trace walk (raw drive, bp-warmup collection walk, or hand-built trace
+    /// observer) in bp-core outside the segment scheduler.
     CoreDrive,
 }
 
@@ -420,15 +431,15 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
 
         if check_drive
             && !in_test
-            && (code.contains(PAT_DRIVE) || code.contains(PAT_DRIVE_SEGMENT))
+            && PATS_CORE_DRIVE.iter().any(|pat| code.contains(pat))
             && !allowed(&lines, idx, Rule::CoreDrive)
         {
             findings.push(Finding {
                 file: PathBuf::from(rel),
                 line: lineno,
                 rule: Rule::CoreDrive,
-                message: "raw trace-drive call in bp-core outside the segment scheduler — \
-                          route the walk through `crate::segment` so sweep hot paths stay \
+                message: "trace walk in bp-core outside the segment scheduler — route it \
+                          through `crate::segment::TraceWalk` so sweep hot paths stay \
                           checkpointable and segmentable"
                     .to_string(),
             });
@@ -618,9 +629,14 @@ mod tests {
 
     #[test]
     fn raw_drive_in_core_is_flagged_outside_the_segment_scheduler() {
+        let [drive, drive_segment, collect_mru, profiler_new, mru_new] = PATS_CORE_DRIVE;
         for src in [
-            format!("fn f(w: &W) {{ bp_workload::{}w, 0, &mut []); }}\n", PAT_DRIVE),
-            format!("fn f(w: &W) {{ {}w, 0, 1, 4, &mut []); }}\n", PAT_DRIVE_SEGMENT),
+            format!("fn f(w: &W) {{ bp_workload::{drive}w, 0, &mut []); }}\n"),
+            format!("fn f(w: &W) {{ {drive_segment}w, 0, 1, 4, &mut []); }}\n"),
+            format!("fn f(w: &W) {{ let _ = {collect_mru}_with(w, &r, 64, &p); }}\n"),
+            format!("fn f(w: &W) {{ let _ = bp_warmup::{collect_mru}(w, &r, 64); }}\n"),
+            format!("fn f(w: &W) {{ let _ = {profiler_new}w, 0); }}\n"),
+            format!("fn f(b: &[usize]) {{ let _ = bp_warmup::{mru_new}b, 64); }}\n"),
         ] {
             let findings = lint_str("crates/core/src/sweep.rs", &src);
             assert!(findings.iter().any(|f| f.rule == Rule::CoreDrive), "must flag: {src}");
@@ -638,20 +654,22 @@ mod tests {
     fn core_drive_tests_comments_and_allows_pass() {
         let in_test = format!(
             "#[cfg(test)]\nmod tests {{\n    fn f(w: &W) {{ bp_workload::{}w, 0, &mut []); }}\n}}\n",
-            PAT_DRIVE
+            PATS_CORE_DRIVE[0]
         );
         let findings = lint_str("crates/core/src/profile.rs", &in_test);
         assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive));
 
-        let comment_only =
-            format!("/// prose about [`bp_workload::{}`] goes here\nfn f() {{}}\n", PAT_DRIVE);
+        let comment_only = format!(
+            "/// prose about [`bp_workload::{}`] goes here\nfn f() {{}}\n",
+            PATS_CORE_DRIVE[0]
+        );
         let findings = lint_str("crates/core/src/profile.rs", &comment_only);
         assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive));
 
         let escaped = format!(
             "fn f(w: &W) {{\n    // bp-lint: allow(core-drive) — one-shot diagnostic walk\n    \
              bp_workload::{}w, 0, &mut []);\n}}\n",
-            PAT_DRIVE
+            PATS_CORE_DRIVE[0]
         );
         let findings = lint_str("crates/core/src/profile.rs", &escaped);
         assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive));

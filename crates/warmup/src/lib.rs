@@ -17,11 +17,11 @@
 //!   every earlier region (accurate but cost proportional to the skipped
 //!   instruction count — the limitation BarrierPoint wants to avoid),
 //! * [`WarmupStrategy::MruReplay`] — the paper's proposal
-//!   ([`MruWarmupData`], collected with [`MruCollector`] /
-//!   [`collect_mru_warmup`]; [`collect_mru_warmup_with`] streams the same
-//!   pass thread-major under a `bp-exec` execution policy, and
-//!   [`collect_mru_warmup_multi`] serves several LLC capacities from one
-//!   pass by truncating at the largest requested capacity).
+//!   ([`MruWarmupData`], collected region-major with [`MruCollector`] /
+//!   [`collect_mru_warmup`], and thread-major with one
+//!   [`MruThreadObserver`] per thread whose [`MruSnapshotBank`] serves
+//!   several LLC capacities from one walk by truncating at the largest
+//!   requested capacity; `bp-core` schedules those walks).
 //!
 //! Collection rides `bp-workload`'s trace-observer engine:
 //! [`MruThreadObserver`] consumes one thread's stream from
@@ -70,8 +70,7 @@ mod strategy;
 
 pub use apply::apply_warmup;
 pub use mru::{
-    collect_mru_warmup, collect_mru_warmup_multi, collect_mru_warmup_multi_budgeted,
-    collect_mru_warmup_with, MruCollector, MruSnapshotBank, MruThreadObserver, MruWarmupData,
+    collect_mru_warmup, MruCollector, MruSnapshotBank, MruThreadObserver, MruWarmupData,
     PerBoundarySnapshotBank, PerBoundaryThreadObserver,
 };
 pub use strategy::WarmupStrategy;

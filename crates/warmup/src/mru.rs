@@ -1,4 +1,3 @@
-use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_workload::{
     BlockExecution, CheckpointError, CheckpointObserver, LineMap, TraceObserver, Workload,
 };
@@ -686,7 +685,7 @@ struct IntervalRecord {
 /// dedicated collection pass (and stops the walk after its last boundary);
 /// driven next to `bp-signature`'s profiling observer it shares the one
 /// trace generation of a fused cold pass.  Hand the finished observers of
-/// all threads to [`MruSnapshotBank::from_observers`] to assemble
+/// all threads to [`MruSnapshotBank::from_segmented_observers`] to assemble
 /// [`MruWarmupData`] for any target subset at any capacity up to the
 /// collection capacity — bit-identical to [`PerBoundaryThreadObserver`],
 /// which is retained as the oracle for exactly that claim.
@@ -926,46 +925,16 @@ pub struct MruSnapshotBank {
 }
 
 impl MruSnapshotBank {
-    /// Assembles the bank from the finished observers of threads `0..n`, in
-    /// thread order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observers` is empty or the observers disagree on
-    /// boundaries or collection capacity.
-    pub fn from_observers(observers: Vec<MruThreadObserver>) -> Self {
-        assert!(!observers.is_empty(), "at least one thread observer required");
-        let boundaries = observers[0].boundaries.clone();
-        let collection_capacity = observers[0].collector.capacity_lines();
-        for observer in &observers {
-            assert_eq!(observer.boundaries, boundaries, "observers disagree on boundaries");
-            assert_eq!(
-                observer.collector.capacity_lines(),
-                collection_capacity,
-                "observers disagree on collection capacity"
-            );
-        }
-        // Boundaries at or past the region count are never reached by the
-        // walk; every thread stops at the same region, so truncate uniformly
-        // to the boundaries actually snapshotted.
-        let taken = observers.iter().map(|o| o.next).min().unwrap_or(0);
-        Self {
-            boundaries: boundaries[..taken].to_vec(),
-            collection_capacity,
-            per_thread: observers.into_iter().map(|o| o.finish(taken)).collect(),
-        }
-    }
-
-    /// Assembles the bank from *segmented* walks: `per_thread[t]` holds the
-    /// finished observers of thread `t`'s consecutive trace segments, in
-    /// segment order, where every segment after the first was seeded through
+    /// Assembles the bank from the finished observers of threads `0..n`:
+    /// `per_thread[t]` holds the observers of thread `t`'s consecutive trace
+    /// segments, in segment order — a single observer for a thread walked
+    /// in one piece — where every segment after the first was seeded through
     /// [`CheckpointObserver::restore`] from its predecessor's cut-point
     /// snapshot.  Each thread's records are the concatenation of its
-    /// segments' records; assembly output is bit-identical to a bank built
-    /// by [`from_observers`](Self::from_observers) from one sequential walk
-    /// per thread (records that spanned a cut are split in two, which
-    /// reconstruction — a filter by covered boundary index plus a sort by
-    /// access tick — cannot observe).
+    /// segments' records; assembly output is bit-identical however the
+    /// walks were segmented (records that spanned a cut are split in two,
+    /// which reconstruction — a filter by covered boundary index plus a
+    /// sort by access tick — cannot observe).
     ///
     /// # Panics
     ///
@@ -987,8 +956,10 @@ impl MruSnapshotBank {
                 "observers disagree on collection capacity"
             );
         }
-        // A thread's boundary progress is its last segment's; truncate
-        // uniformly across threads as `from_observers` does.
+        // Boundaries at or past the region count are never reached by the
+        // walk; every thread stops at the same region (its last segment's
+        // progress), so truncate uniformly to the boundaries actually
+        // snapshotted.
         let taken = per_thread
             .iter()
             .map(|segments| segments.last().map_or(0, |o| o.next))
@@ -1000,11 +971,12 @@ impl MruSnapshotBank {
             per_thread: per_thread
                 .into_iter()
                 .map(|segments| {
-                    let mut records = Vec::new();
-                    for observer in segments {
-                        records.extend(observer.finish(taken));
-                    }
-                    records
+                    let records = segments.into_iter().map(|observer| observer.finish(taken));
+                    let stitched = records.reduce(|mut all, more| {
+                        all.extend(more);
+                        all
+                    });
+                    stitched.unwrap_or_default()
                 })
                 .collect(),
         }
@@ -1110,10 +1082,9 @@ impl MruSnapshotBank {
 /// Returns a map from target region index to its warmup data; the data for
 /// region `r` reflects all accesses of regions `0..r`.
 ///
-/// This is the serial, region-major reference; [`collect_mru_warmup_with`]
-/// restructures the same pass thread-major so it can fan out over OS threads
-/// (bit-identical output), and [`collect_mru_warmup_multi`] additionally
-/// serves several LLC capacities from the one pass.
+/// This is the serial, region-major reference: the thread-major walks of
+/// [`MruThreadObserver`], assembled through [`MruSnapshotBank`] at any
+/// capacity up to the collection capacity, must reproduce it bit for bit.
 pub fn collect_mru_warmup<W: Workload + ?Sized>(
     workload: &W,
     targets: &[usize],
@@ -1134,79 +1105,6 @@ pub fn collect_mru_warmup<W: Workload + ?Sized>(
         }
     }
     result
-}
-
-/// [`collect_mru_warmup`] restructured *thread-major* under an
-/// [`ExecutionPolicy`]: every thread's MRU state depends only on that
-/// thread's own accesses (the per-core recency lists never interact), so
-/// each thread's full trace streams independently — on its own OS thread
-/// under [`ExecutionPolicy::Parallel`] — and the per-thread snapshots are
-/// zipped back into one [`MruWarmupData`] per target.
-///
-/// The output is bit-identical to [`collect_mru_warmup`] for every policy:
-/// within a thread the recency order is the thread's own program order, and
-/// the capacity bound is enforced per thread in both formulations.
-pub fn collect_mru_warmup_with<W: Workload + ?Sized>(
-    workload: &W,
-    targets: &[usize],
-    capacity_lines: u64,
-    policy: &ExecutionPolicy,
-) -> HashMap<usize, MruWarmupData> {
-    collect_mru_warmup_multi(workload, targets, &[capacity_lines], policy)
-        .remove(&capacity_lines)
-        .unwrap_or_default()
-}
-
-/// One streaming pass, *many* LLC capacities: collects at the largest
-/// requested capacity and derives every smaller capacity's payload by
-/// truncating the recency lists (the MRU list's inclusion property) and
-/// thresholding the per-line dirty depth — bit-identical to collecting each
-/// capacity directly, without walking the trace once per capacity.
-///
-/// This is what makes a design-space sweep whose legs differ in LLC size pay
-/// for exactly **one** warmup collection.  The pass fans out thread-major
-/// under `policy`, each thread driving an [`MruThreadObserver`] through the
-/// trace-observer engine ([`bp_workload::drive`]) — the same observer a
-/// fused profile+warmup walk attaches next to the profiling observer.
-///
-/// Returns one `target region -> warmup data` map per requested capacity,
-/// keyed by the capacity values as given (duplicates collapse).
-pub fn collect_mru_warmup_multi<W: Workload + ?Sized>(
-    workload: &W,
-    targets: &[usize],
-    capacities: &[u64],
-    policy: &ExecutionPolicy,
-) -> HashMap<u64, HashMap<usize, MruWarmupData>> {
-    collect_mru_warmup_multi_budgeted(workload, targets, capacities, policy, None)
-}
-
-/// [`collect_mru_warmup_multi`] with the thread-major fan-out optionally
-/// drawing helper threads from a shared [`WorkerBudget`] instead of a
-/// private per-call pool — how a design-space sweep lets a cold leg's
-/// collection borrow workers idled by drained sibling legs (and vice
-/// versa).  Output is identical for every budget.
-pub fn collect_mru_warmup_multi_budgeted<W: Workload + ?Sized>(
-    workload: &W,
-    targets: &[usize],
-    capacities: &[u64],
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-) -> HashMap<u64, HashMap<usize, MruWarmupData>> {
-    let mut wanted: Vec<usize> = targets.to_vec();
-    wanted.sort_unstable();
-    wanted.dedup();
-    let collection_capacity = capacities.iter().copied().max().unwrap_or(1).max(1);
-    let walk = |thread: usize| {
-        let mut observer = MruThreadObserver::new(&wanted, collection_capacity);
-        bp_workload::drive(workload, thread, &mut [&mut observer]);
-        observer
-    };
-    let threads = workload.num_threads();
-    let observers = match budget {
-        Some(budget) => policy.execute_budgeted(threads, budget, walk),
-        None => policy.execute(threads, walk),
-    };
-    MruSnapshotBank::from_observers(observers).assemble_multi(&wanted, capacities)
 }
 
 #[cfg(test)]
@@ -1414,19 +1312,39 @@ mod tests {
         assert_eq!(a[&7], b[&7]);
     }
 
+    /// One lone [`MruThreadObserver`] walk per thread of `w` (each on its own
+    /// OS thread when `parallel`), stitched into a bank.
+    fn thread_major_bank(
+        w: &impl bp_workload::Workload,
+        boundaries: &[usize],
+        capacity: u64,
+        parallel: bool,
+    ) -> MruSnapshotBank {
+        let walk = |thread: usize| {
+            let mut observer = MruThreadObserver::new(boundaries, capacity);
+            bp_workload::drive(w, thread, &mut [&mut observer]);
+            vec![observer]
+        };
+        let per_thread = if parallel {
+            std::thread::scope(|scope| {
+                let walks: Vec<_> =
+                    (0..w.num_threads()).map(|t| scope.spawn(move || walk(t))).collect();
+                walks.into_iter().map(|walk| walk.join().unwrap()).collect()
+            })
+        } else {
+            (0..w.num_threads()).map(walk).collect()
+        };
+        MruSnapshotBank::from_segmented_observers(per_thread)
+    }
+
     #[test]
     fn thread_major_collection_matches_region_major_bit_for_bit() {
         for threads in [1, 2, 4] {
             let w = Benchmark::NpbCg.build(&WorkloadConfig::new(threads).with_scale(0.05));
             let targets = [0, 3, 9, 3]; // duplicate + first region on purpose
             let reference = collect_mru_warmup(&w, &targets, 2048);
-            let serial = collect_mru_warmup_with(&w, &targets, 2048, &ExecutionPolicy::Serial);
-            let parallel = collect_mru_warmup_with(
-                &w,
-                &targets,
-                2048,
-                &ExecutionPolicy::parallel_with(threads),
-            );
+            let serial = thread_major_bank(&w, &targets, 2048, false).assemble(&targets, 2048);
+            let parallel = thread_major_bank(&w, &targets, 2048, true).assemble(&targets, 2048);
             assert_eq!(reference, serial, "{threads} threads, serial");
             assert_eq!(reference, parallel, "{threads} threads, parallel");
         }
@@ -1435,10 +1353,10 @@ mod tests {
     #[test]
     fn thread_major_collection_handles_empty_and_out_of_range_targets() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let empty = collect_mru_warmup_with(&w, &[], 1024, &ExecutionPolicy::parallel());
+        let empty = thread_major_bank(&w, &[], 1024, true).assemble(&[], 1024);
         assert!(empty.is_empty());
         // Targets past the last region are simply absent, as in the serial pass.
-        let clamped = collect_mru_warmup_with(&w, &[1, 999], 1024, &ExecutionPolicy::Serial);
+        let clamped = thread_major_bank(&w, &[1, 999], 1024, false).assemble(&[1, 999], 1024);
         assert_eq!(
             clamped.keys().copied().collect::<Vec<_>>(),
             collect_mru_warmup(&w, &[1, 999], 1024).keys().copied().collect::<Vec<_>>()
@@ -1451,7 +1369,8 @@ mod tests {
         let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.05));
         let targets = [2, 7];
         let capacities = [64u64, 512, 2048];
-        let multi = collect_mru_warmup_multi(&w, &targets, &capacities, &ExecutionPolicy::Serial);
+        let multi =
+            thread_major_bank(&w, &targets, 2048, false).assemble_multi(&targets, &capacities);
         assert_eq!(multi.len(), capacities.len());
         for &capacity in &capacities {
             let direct = collect_mru_warmup(&w, &targets, capacity);
@@ -1462,7 +1381,7 @@ mod tests {
     #[test]
     fn multi_capacity_handles_duplicates_and_zero() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-        let multi = collect_mru_warmup_multi(&w, &[3], &[128, 128, 0], &ExecutionPolicy::Serial);
+        let multi = thread_major_bank(&w, &[3], 128, false).assemble_multi(&[3], &[128, 128, 0]);
         assert_eq!(multi.len(), 2, "duplicates collapse, 0 clamps to 1");
         assert_eq!(multi[&0], collect_mru_warmup(&w, &[3], 0));
         assert_eq!(multi[&128], collect_mru_warmup(&w, &[3], 128));
@@ -1476,14 +1395,7 @@ mod tests {
         // targets and any capacity up to the collection capacity.
         let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.05));
         let all: Vec<usize> = (0..w.num_regions()).collect();
-        let observers = (0..w.num_threads())
-            .map(|thread| {
-                let mut observer = MruThreadObserver::new(&all, 2048);
-                bp_workload::drive(&w, thread, &mut [&mut observer]);
-                observer
-            })
-            .collect();
-        let bank = MruSnapshotBank::from_observers(observers);
+        let bank = thread_major_bank(&w, &all, 2048, false);
         assert_eq!(bank.boundaries(), &all[..]);
         assert_eq!(bank.collection_capacity(), 2048);
         for targets in [vec![0], vec![3, 9], vec![1, 5, 17, 44]] {
@@ -1503,13 +1415,7 @@ mod tests {
         boundaries: &[usize],
         capacity: u64,
     ) -> (MruSnapshotBank, PerBoundarySnapshotBank) {
-        let interval = (0..w.num_threads())
-            .map(|thread| {
-                let mut observer = MruThreadObserver::new(boundaries, capacity);
-                bp_workload::drive(w, thread, &mut [&mut observer]);
-                observer
-            })
-            .collect();
+        let interval = thread_major_bank(w, boundaries, capacity, false);
         let raw = (0..w.num_threads())
             .map(|thread| {
                 let mut observer = PerBoundaryThreadObserver::new(boundaries, capacity);
@@ -1517,7 +1423,7 @@ mod tests {
                 observer
             })
             .collect();
-        (MruSnapshotBank::from_observers(interval), PerBoundarySnapshotBank::from_observers(raw))
+        (interval, PerBoundarySnapshotBank::from_observers(raw))
     }
 
     #[test]
@@ -1750,7 +1656,7 @@ mod tests {
                 );
             }
         }
-        let sequential = MruSnapshotBank::from_observers(vec![uninterrupted]);
+        let sequential = MruSnapshotBank::from_segmented_observers(vec![vec![uninterrupted]]);
         let stitched = MruSnapshotBank::from_segmented_observers(vec![vec![first, restored]]);
         let capacities = [1, 5, 16, 40];
         assert_eq!(
@@ -1804,7 +1710,7 @@ mod tests {
                     raw.collector.record(0, line, write);
                 }
             }
-            let interval_bank = MruSnapshotBank::from_observers(vec![interval]);
+            let interval_bank = MruSnapshotBank::from_segmented_observers(vec![vec![interval]]);
             let raw_bank = PerBoundarySnapshotBank::from_observers(vec![raw]);
             prop_assert_eq!(
                 interval_bank.assemble(&boundaries, probe_capacity),
@@ -1861,7 +1767,7 @@ mod tests {
             let mut second = MruThreadObserver::new(&boundaries, collection_capacity);
             second.restore(cut, &bytes).expect("restore own snapshot");
             feed(&mut second, &accesses, stride, cut, num_regions);
-            let seq_bank = MruSnapshotBank::from_observers(vec![sequential]);
+            let seq_bank = MruSnapshotBank::from_segmented_observers(vec![vec![sequential]]);
             let seg_bank = MruSnapshotBank::from_segmented_observers(vec![vec![first, second]]);
             prop_assert_eq!(
                 seg_bank.assemble(&boundaries, probe_capacity),

@@ -9,8 +9,7 @@
 //! original one-capacity sticky-dirty collector, so the test would catch a
 //! bug in the production collector itself, not just in the truncation.
 
-use bp_exec::ExecutionPolicy;
-use bp_warmup::{collect_mru_warmup, collect_mru_warmup_multi, collect_mru_warmup_with};
+use bp_warmup::{collect_mru_warmup, MruSnapshotBank, MruThreadObserver};
 use bp_workload::{Benchmark, Workload, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -77,6 +76,23 @@ fn naive_collect<W: Workload + ?Sized>(
     result
 }
 
+/// One lone [`MruThreadObserver`] walk per thread, snapshotting at
+/// `targets` and collecting at `collection` lines.
+fn thread_major_bank<W: Workload + ?Sized>(
+    workload: &W,
+    targets: &[usize],
+    collection: u64,
+) -> MruSnapshotBank {
+    let per_thread = (0..workload.num_threads())
+        .map(|thread| {
+            let mut observer = MruThreadObserver::new(targets, collection);
+            bp_workload::drive(workload, thread, &mut [&mut observer]);
+            vec![observer]
+        })
+        .collect();
+    MruSnapshotBank::from_segmented_observers(per_thread)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -101,12 +117,8 @@ proptest! {
         // evictions (and with them capacity-dependent dirty bits).
         let capacities = [base_capacity, base_capacity * 4, base_capacity * 16];
 
-        let multi = collect_mru_warmup_multi(
-            &workload,
-            &targets,
-            &capacities,
-            &ExecutionPolicy::Serial,
-        );
+        let multi = thread_major_bank(&workload, &targets, base_capacity * 16)
+            .assemble_multi(&targets, &capacities);
         prop_assert_eq!(multi.len(), capacities.len());
 
         for &capacity in &capacities {
@@ -120,34 +132,17 @@ proptest! {
             }
         }
     }
-
-    /// The parallel thread-major pass agrees with the serial one for the
-    /// multi-capacity collection too.
-    #[test]
-    fn parallel_multi_capacity_pass_is_policy_independent(
-        threads in prop_oneof![Just(2usize), Just(4)],
-        capacity in 32u64..256,
-    ) {
-        let workload = Benchmark::NpbCg.build(&WorkloadConfig::new(threads).with_scale(0.02));
-        let targets = [2usize, 5];
-        let capacities = [capacity, capacity * 8];
-        let serial = collect_mru_warmup_multi(
-            &workload, &targets, &capacities, &ExecutionPolicy::Serial,
-        );
-        let parallel = collect_mru_warmup_multi(
-            &workload, &targets, &capacities, &ExecutionPolicy::parallel_with(threads),
-        );
-        prop_assert_eq!(serial, parallel);
-    }
 }
 
-/// The single-capacity wrapper is the multi pass with one capacity — pinned
-/// here so the wrapper can never drift from the shared path.
+/// The single-capacity [`MruSnapshotBank::assemble`] wrapper is the
+/// multi-capacity assembly with one capacity — pinned here so the wrapper
+/// can never drift from the shared path.
 #[test]
 fn single_capacity_wrapper_is_the_multi_pass() {
     let workload = Benchmark::NpbLu.build(&WorkloadConfig::new(2).with_scale(0.02));
     let targets = [1usize, 4];
-    let single = collect_mru_warmup_with(&workload, &targets, 777, &ExecutionPolicy::Serial);
-    let multi = collect_mru_warmup_multi(&workload, &targets, &[777], &ExecutionPolicy::Serial);
+    let bank = thread_major_bank(&workload, &targets, 777);
+    let single = bank.assemble(&targets, 777);
+    let multi = bank.assemble_multi(&targets, &[777]);
     assert_eq!(single, multi[&777]);
 }

@@ -9,7 +9,8 @@
 //! workloads.
 
 use barrierpoint::{
-    profile_application_with, BarrierPoint, BarrierPointOutcome, ExecutionPolicy, SimConfig,
+    profile_application_with, BarrierPoint, BarrierPointOutcome, ExecutionPolicy, MruBoundaries,
+    SimConfig, TraceWalk,
 };
 use bp_workload::{AccessPattern, Benchmark, SyntheticWorkloadBuilder, Workload, WorkloadConfig};
 use proptest::prelude::*;
@@ -132,5 +133,24 @@ proptest! {
         let other = Benchmark::NpbIs
             .build(&WorkloadConfig::new(threads).with_scale(0.02).with_seed(u64::from(seed) + 1));
         prop_assert_ne!(a.profile_fingerprint(), other.profile_fingerprint());
+    }
+
+    /// The MRU-only collection walk agrees with its serial self under a
+    /// parallel policy, for every capacity its bank assembles.
+    #[test]
+    fn parallel_multi_capacity_pass_is_policy_independent(
+        threads in prop_oneof![Just(2usize), Just(4)],
+        capacity in 32u64..256,
+    ) {
+        let workload = Benchmark::NpbCg.build(&WorkloadConfig::new(threads).with_scale(0.02));
+        let targets = [2usize, 5];
+        let capacities = [capacity, capacity * 8];
+        let collect = |policy: &ExecutionPolicy| {
+            let walk = TraceWalk::mru(MruBoundaries::Targets(&targets), capacity * 8);
+            walk.run(&workload, policy, None).unwrap().bank.unwrap().assemble_multi(&targets, &capacities)
+        };
+        let serial = collect(&ExecutionPolicy::Serial);
+        let parallel = collect(&ExecutionPolicy::parallel_with(threads));
+        prop_assert_eq!(serial, parallel);
     }
 }

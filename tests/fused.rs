@@ -116,7 +116,7 @@ fn banks_for<W: Workload + ?Sized>(
         .map(|thread| {
             let mut observer = MruThreadObserver::new(boundaries, capacity);
             bp_workload::drive(w, thread, &mut [&mut observer]);
-            observer
+            vec![observer]
         })
         .collect();
     let raw = (0..w.num_threads())
@@ -126,7 +126,10 @@ fn banks_for<W: Workload + ?Sized>(
             observer
         })
         .collect();
-    (MruSnapshotBank::from_observers(interval), PerBoundarySnapshotBank::from_observers(raw))
+    (
+        MruSnapshotBank::from_segmented_observers(interval),
+        PerBoundarySnapshotBank::from_observers(raw),
+    )
 }
 
 fn xorshift(state: &mut u64) -> u64 {

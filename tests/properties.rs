@@ -2,8 +2,8 @@
 //! generated synthetic workloads.
 
 use barrierpoint::{
-    profile_application, reconstruct, select_barrierpoints, BarrierPointMetrics, SignatureConfig,
-    SimPointConfig,
+    profile_application_with, reconstruct, select_barrierpoints, BarrierPointMetrics,
+    ExecutionPolicy, SignatureConfig, SimPointConfig,
 };
 use bp_sim::{Machine, SimConfig};
 use bp_workload::{AccessPattern, SyntheticWorkloadBuilder, Workload, WorkloadConfig};
@@ -53,7 +53,7 @@ proptest! {
     /// equals the application's total instruction count.
     #[test]
     fn multipliers_conserve_instructions((workload, _threads) in arbitrary_workload()) {
-        let profile = profile_application(&workload).unwrap();
+        let profile = profile_application_with(&workload, &ExecutionPolicy::Serial).unwrap();
         let selection = select_barrierpoints(
             &profile,
             &SignatureConfig::combined(),
@@ -81,7 +81,7 @@ proptest! {
     /// full run's per-region metrics reproduces the total cycle count exactly.
     #[test]
     fn identity_selection_reconstructs_exactly((workload, threads) in arbitrary_workload()) {
-        let profile = profile_application(&workload).unwrap();
+        let profile = profile_application_with(&workload, &ExecutionPolicy::Serial).unwrap();
         let selection = select_barrierpoints(
             &profile,
             &SignatureConfig::combined(),
@@ -108,7 +108,7 @@ proptest! {
     /// simulator's metrics report.
     #[test]
     fn profile_and_simulation_agree_on_instruction_counts((workload, threads) in arbitrary_workload()) {
-        let profile = profile_application(&workload).unwrap();
+        let profile = profile_application_with(&workload, &ExecutionPolicy::Serial).unwrap();
         let ground = Machine::new(&SimConfig::tiny(threads)).run_full(&workload);
         prop_assert_eq!(profile.total_instructions(), ground.total_instructions());
         for (region, metrics) in ground.regions().iter().enumerate() {

@@ -10,12 +10,15 @@
 //! random cut sets, all the way downstream through barrierpoint selection.
 
 use barrierpoint::{
-    collect_warmup_bank_segmented, profile_and_collect_warmup,
-    profile_and_collect_warmup_checkpointed, profile_and_collect_warmup_segmented,
-    profile_application_segmented, select_barrierpoints, ExecutionPolicy, SignatureConfig,
-    SimPointConfig, WorkerBudget,
+    profile_and_collect_warmup, profile_application_segmented, select_barrierpoints,
+    ApplicationProfile, Error, ExecutionPolicy, MruBoundaries, SignatureConfig, SimPointConfig,
+    TraceWalk, WorkerBudget, WorkloadCheckpoints,
 };
-use bp_workload::{Benchmark, SyntheticWorkloadBuilder, Workload, WorkloadConfig};
+use bp_signature::ApplicationProfiler;
+use bp_warmup::{collect_mru_warmup, MruSnapshotBank};
+use bp_workload::{
+    Benchmark, SyntheticWorkload, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
+};
 use proptest::prelude::*;
 
 /// The MRU collection capacity (lines) the matrix checkpoints are taken at.
@@ -28,6 +31,65 @@ fn probe_targets(num_regions: usize) -> Vec<usize> {
     targets.sort_unstable();
     targets.dedup();
     targets
+}
+
+/// The fused walk from region 0, emitting checkpoints for `segments`
+/// segments at `capacity` lines.
+fn checkpointed<W: Workload + ?Sized>(
+    w: &W,
+    capacity: u64,
+    policy: &ExecutionPolicy,
+    segments: usize,
+) -> Result<(ApplicationProfile, MruSnapshotBank, WorkloadCheckpoints), Error> {
+    let walk = TraceWalk::profile().with_mru(MruBoundaries::Every, capacity);
+    let walked = walk.emitting_checkpoints(segments).run(w, policy, None)?;
+    Ok((walked.profile.unwrap(), walked.bank.unwrap(), walked.checkpoints.unwrap()))
+}
+
+/// The fused re-walk resumed from `checkpoints`.
+fn resumed_fused<W: Workload + ?Sized>(
+    w: &W,
+    checkpoints: &WorkloadCheckpoints,
+    policy: &ExecutionPolicy,
+) -> Result<(ApplicationProfile, MruSnapshotBank), Error> {
+    let walk = TraceWalk::profile()
+        .with_mru(MruBoundaries::Every, checkpoints.collection_capacity())
+        .resuming(checkpoints);
+    let walked = walk.run(w, policy, None)?;
+    Ok((walked.profile.unwrap(), walked.bank.unwrap()))
+}
+
+/// The every-boundary MRU collection resumed from `checkpoints`.
+fn resumed_bank<W: Workload + ?Sized>(
+    w: &W,
+    checkpoints: &WorkloadCheckpoints,
+    policy: &ExecutionPolicy,
+    budget: Option<&WorkerBudget>,
+) -> Result<MruSnapshotBank, Error> {
+    let walk = TraceWalk::mru(MruBoundaries::Every, checkpoints.collection_capacity());
+    Ok(walk.resuming(checkpoints).run(w, policy, budget)?.bank.unwrap())
+}
+
+/// A random synthetic workload: one streaming-plus-shared-random phase
+/// repeated `regions` times.
+fn synthetic(threads: usize, regions: usize, seed: u32) -> SyntheticWorkload {
+    let mut builder = SyntheticWorkloadBuilder::new(
+        "seg-prop",
+        WorkloadConfig::new(threads).with_seed(u64::from(seed)),
+    );
+    let phase = builder
+        .phase("p0", 48, true)
+        .pattern(bp_workload::AccessPattern::PrivateStream { bytes: 32 * 1024, stride: 64 })
+        .pattern(bp_workload::AccessPattern::SharedRandom {
+            id: 0,
+            bytes: 64 * 1024,
+            write_fraction: 0.3,
+        })
+        .block("work", 20, 4, 0)
+        .block("mix", 12, 2, 1)
+        .finish();
+    builder.schedule_repeat(phase, regions);
+    builder.build()
 }
 
 #[test]
@@ -45,21 +107,14 @@ fn segmented_walks_are_bit_identical_across_the_whole_suite() {
                 profile_and_collect_warmup(&w, &[COLLECTION], &policy, None).unwrap();
             let targets = probe_targets(regions);
             for segments in [1usize, 2, 3, 7, regions] {
-                let (ck_profile, ck_bank, checkpoints) = profile_and_collect_warmup_checkpointed(
-                    &w,
-                    &[COLLECTION],
-                    &policy,
-                    None,
-                    segments,
-                )
-                .unwrap();
+                let (ck_profile, ck_bank, checkpoints) =
+                    checkpointed(&w, COLLECTION, &policy, segments).unwrap();
                 assert_eq!(
                     ck_profile, sequential,
                     "{bench:?} at {threads} threads, {segments} segments: checkpointed cold \
                      pass profile differs"
                 );
-                let (seg_profile, seg_bank) =
-                    profile_and_collect_warmup_segmented(&w, &checkpoints, &policy, None).unwrap();
+                let (seg_profile, seg_bank) = resumed_fused(&w, &checkpoints, &policy).unwrap();
                 assert_eq!(
                     seg_profile, sequential,
                     "{bench:?} at {threads} threads, {segments} segments: segmented re-walk \
@@ -91,14 +146,7 @@ fn segmented_walks_are_schedule_invariant_under_the_worker_budget() {
     // run serially, fully parallel, or throttled by a budget smaller than
     // the job count — and every permit must come back.
     let w = Benchmark::NpbMg.build(&WorkloadConfig::new(4).with_scale(0.02));
-    let (_, _, checkpoints) = profile_and_collect_warmup_checkpointed(
-        &w,
-        &[COLLECTION],
-        &ExecutionPolicy::Serial,
-        None,
-        3,
-    )
-    .unwrap();
+    let (_, _, checkpoints) = checkpointed(&w, COLLECTION, &ExecutionPolicy::Serial, 3).unwrap();
     assert_eq!(checkpoints.segment_jobs(), 12, "4 threads × 3 segments");
     let serial =
         profile_application_segmented(&w, &checkpoints, &ExecutionPolicy::Serial, None).unwrap();
@@ -117,15 +165,9 @@ fn segmented_walks_are_schedule_invariant_under_the_worker_budget() {
     assert_eq!(serial, budgeted);
     assert_eq!(budget.available(), 5, "all permits returned");
     let targets = probe_targets(w.num_regions());
-    let serial_bank =
-        collect_warmup_bank_segmented(&w, &checkpoints, &ExecutionPolicy::Serial, None).unwrap();
-    let budgeted_bank = collect_warmup_bank_segmented(
-        &w,
-        &checkpoints,
-        &ExecutionPolicy::parallel_with(12),
-        Some(&budget),
-    )
-    .unwrap();
+    let serial_bank = resumed_bank(&w, &checkpoints, &ExecutionPolicy::Serial, None).unwrap();
+    let budgeted_bank =
+        resumed_bank(&w, &checkpoints, &ExecutionPolicy::parallel_with(12), Some(&budget)).unwrap();
     assert_eq!(
         serial_bank.assemble(&targets, COLLECTION),
         budgeted_bank.assemble(&targets, COLLECTION)
@@ -148,32 +190,12 @@ proptest! {
         segments in 1usize..16,
         capacity in 16u64..1024,
     ) {
-        let threads = 1usize << threads_pow;
-        let mut builder = SyntheticWorkloadBuilder::new(
-            "seg-prop",
-            WorkloadConfig::new(threads).with_seed(u64::from(seed)),
-        );
-        let phase = builder
-            .phase("p0", 48, true)
-            .pattern(bp_workload::AccessPattern::PrivateStream { bytes: 32 * 1024, stride: 64 })
-            .pattern(bp_workload::AccessPattern::SharedRandom {
-                id: 0,
-                bytes: 64 * 1024,
-                write_fraction: 0.3,
-            })
-            .block("work", 20, 4, 0)
-            .block("mix", 12, 2, 1)
-            .finish();
-        builder.schedule_repeat(phase, regions);
-        let w = builder.build();
+        let w = synthetic(1usize << threads_pow, regions, seed);
         let policy = ExecutionPolicy::Serial;
         let (sequential, bank) =
             profile_and_collect_warmup(&w, &[capacity], &policy, None).unwrap();
-        let (_, _, checkpoints) =
-            profile_and_collect_warmup_checkpointed(&w, &[capacity], &policy, None, segments)
-                .unwrap();
-        let (profile, seg_bank) =
-            profile_and_collect_warmup_segmented(&w, &checkpoints, &policy, None).unwrap();
+        let (_, _, checkpoints) = checkpointed(&w, capacity, &policy, segments).unwrap();
+        let (profile, seg_bank) = resumed_fused(&w, &checkpoints, &policy).unwrap();
         prop_assert_eq!(&profile, &sequential);
         let every_boundary: Vec<usize> = (0..w.num_regions()).collect();
         prop_assert_eq!(
@@ -186,5 +208,128 @@ proptest! {
             select_barrierpoints(&profile, &signatures, &simpoint).unwrap(),
             select_barrierpoints(&sequential, &signatures, &simpoint).unwrap()
         );
+    }
+}
+
+/// The observers a matrix request attaches.
+#[derive(Debug, Clone, Copy)]
+enum Observers {
+    Profile,
+    Mru,
+    Both,
+}
+
+/// Where a matrix request starts.
+#[derive(Debug, Clone, Copy)]
+enum Start {
+    Beginning,
+    Emitting,
+    Resumed,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every request the walk type can express — profile only, MRU only or
+    /// both; every boundary or a random target list (duplicates and
+    /// boundaries past the region count included); from region 0, from
+    /// region 0 emitting checkpoints, or resumed; serial, parallel or
+    /// budgeted — against the region-major oracles on random workloads:
+    /// the profile must equal `ApplicationProfiler::profile_all`, and every
+    /// payload the bank assembles must equal `collect_mru_warmup` at the
+    /// capacities {1, mid, collection}.
+    #[test]
+    fn every_walk_request_matches_the_region_major_oracles(
+        threads_pow in 0u32..3,
+        regions in 2usize..14,
+        seed in any::<u32>(),
+        targets in proptest::collection::vec(0usize..16, 0..5),
+        segments in 1usize..8,
+        capacity in 16u64..512,
+    ) {
+        let threads = 1usize << threads_pow;
+        let w = synthetic(threads, regions, seed);
+        let oracle = ApplicationProfiler::new(&w).profile_all(&w);
+        let every: Vec<usize> = (0..regions).collect();
+        // Checkpoints above the requested capacity: a resumed bank is
+        // collected at theirs and truncated on assembly.
+        let (_, _, checkpoints) =
+            checkpointed(&w, 2 * capacity, &ExecutionPolicy::Serial, segments).unwrap();
+        let budget = WorkerBudget::new(3);
+        let executions = [
+            (ExecutionPolicy::Serial, None),
+            (ExecutionPolicy::parallel_with(4), None),
+            (ExecutionPolicy::parallel_with(4), Some(&budget)),
+        ];
+        for observers in [Observers::Profile, Observers::Mru, Observers::Both] {
+            for boundaries in [MruBoundaries::Every, MruBoundaries::Targets(&targets)] {
+                for start in [Start::Beginning, Start::Emitting, Start::Resumed] {
+                    for (policy, budget) in &executions {
+                        let mut walk = match observers {
+                            Observers::Profile => TraceWalk::profile(),
+                            Observers::Mru => TraceWalk::mru(boundaries, capacity),
+                            Observers::Both => TraceWalk::profile().with_mru(boundaries, capacity),
+                        };
+                        walk = match start {
+                            Start::Beginning => walk,
+                            Start::Emitting => walk.emitting_checkpoints(segments),
+                            Start::Resumed => walk.resuming(&checkpoints),
+                        };
+                        let case = format!("{observers:?} {boundaries:?} {start:?} {policy:?}");
+                        let walked = walk.run(&w, policy, *budget).unwrap();
+                        prop_assert_eq!(budget.map_or(3, WorkerBudget::available), 3, "{}", case);
+                        match start {
+                            Start::Resumed => {
+                                prop_assert_eq!(walked.jobs, checkpoints.segment_jobs());
+                                prop_assert_eq!(
+                                    walked.restores,
+                                    threads * (checkpoints.num_segments() - 1)
+                                );
+                            }
+                            _ => {
+                                prop_assert_eq!(walked.jobs, threads);
+                                prop_assert_eq!(walked.restores, 0);
+                            }
+                        }
+                        prop_assert_eq!(
+                            walked.checkpoints.is_some(),
+                            matches!(start, Start::Emitting),
+                            "{}",
+                            case
+                        );
+                        match (observers, &walked.profile) {
+                            (Observers::Mru, profile) => prop_assert!(profile.is_none(), "{}", case),
+                            (_, Some(profile)) => {
+                                prop_assert_eq!(profile.threads(), threads);
+                                prop_assert_eq!(profile.signatures(), &oracle[..], "{}", case);
+                            }
+                            (_, None) => panic!("{case}: no profile"),
+                        }
+                        match (observers, &walked.bank) {
+                            (Observers::Profile, bank) => prop_assert!(bank.is_none(), "{}", case),
+                            (_, Some(bank)) => {
+                                let probed = match boundaries {
+                                    MruBoundaries::Every => &every[..],
+                                    MruBoundaries::Targets(targets) => targets,
+                                };
+                                for c in [1, capacity / 2, capacity] {
+                                    prop_assert_eq!(
+                                        bank.assemble(probed, c),
+                                        collect_mru_warmup(&w, probed, c),
+                                        "{} capacity {}",
+                                        case,
+                                        c
+                                    );
+                                }
+                            }
+                            (_, None) => panic!("{case}: no bank"),
+                        }
+                    }
+                }
+                if matches!(observers, Observers::Profile) {
+                    break; // boundaries do not apply without the collector
+                }
+            }
+        }
     }
 }
