@@ -17,11 +17,17 @@ use crate::kmeans::KMeansResult;
 /// inconsistent lengths.
 pub fn bic_score(points: &[Vec<f64>], weights: &[f64], result: &KMeansResult) -> f64 {
     assert_eq!(points.len(), weights.len(), "one weight per point");
-    assert_eq!(points.len(), result.assignments.len(), "one assignment per point");
-    let dim = points.first().map(|p| p.len()).unwrap_or(0) as f64;
+    bic(points.first().map_or(0, Vec::len), weights, result)
+}
+
+/// [`bic_score`] of `dim`-dimensional points: the score reads the points
+/// only through their count and dimensionality.
+pub(crate) fn bic(dim: usize, weights: &[f64], result: &KMeansResult) -> f64 {
+    assert_eq!(weights.len(), result.assignments.len(), "one assignment per point");
+    let dim = dim as f64;
     let k = result.centroids.len();
     let total_weight: f64 = weights.iter().sum();
-    if total_weight <= 0.0 || points.is_empty() {
+    if total_weight <= 0.0 || weights.is_empty() {
         return f64::NEG_INFINITY;
     }
 

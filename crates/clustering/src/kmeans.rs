@@ -1,6 +1,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// Result of one weighted k-means run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -15,17 +17,101 @@ pub struct KMeansResult {
     pub num_clusters: usize,
 }
 
-fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// K-means++ seeding over weighted points.
+/// Input points with duplicates folded: each distinct point is stored once,
+/// and every input position names its distinct point.  Iterative kernels
+/// repeat the same inter-barrier region thousands of times, so the distinct
+/// points are usually a small fraction of the inputs.
+pub(crate) struct DistinctPoints {
+    /// The distinct points, in order of first occurrence.
+    points: Vec<Vec<f64>>,
+    /// For every input position, the index of its point in `points`.
+    of: Vec<usize>,
+}
+
+impl DistinctPoints {
+    /// Folds `items` whose `key`s are equal bit for bit, and maps each
+    /// distinct item to its point with `point` (called once per distinct
+    /// key, in order of first occurrence).
+    pub(crate) fn new<'a, T>(
+        items: &'a [T],
+        key: impl Fn(&'a T) -> &'a [f64],
+        mut point: impl FnMut(&'a T) -> Vec<f64>,
+    ) -> Self {
+        let mut first: HashMap<BitKey<'a>, usize> = HashMap::new();
+        let mut points = Vec::new();
+        let of = items
+            .iter()
+            .map(|item| {
+                *first.entry(BitKey::new(key(item))).or_insert_with(|| {
+                    points.push(point(item));
+                    points.len() - 1
+                })
+            })
+            .collect();
+        Self { points, of }
+    }
+
+    /// Number of input positions.
+    pub(crate) fn len(&self) -> usize {
+        self.of.len()
+    }
+
+    /// Dimensionality of the points.
+    pub(crate) fn dim(&self) -> usize {
+        self.points.first().map_or(0, Vec::len)
+    }
+
+    /// The point at input position `i`.
+    pub(crate) fn point(&self, i: usize) -> &[f64] {
+        &self.points[self.of[i]]
+    }
+}
+
+/// A float slice hashed and compared by bit pattern.  The hash is folded
+/// once up front, so the map hashes one word per probe.
+struct BitKey<'a> {
+    hash: u64,
+    values: &'a [f64],
+}
+
+impl<'a> BitKey<'a> {
+    fn new(values: &'a [f64]) -> Self {
+        let hash = values.iter().fold(values.len() as u64, |h, x| {
+            (h.rotate_left(5) ^ x.to_bits()).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        Self { hash, values }
+    }
+}
+
+impl Hash for BitKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for BitKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.values.len() == other.values.len()
+            && self.values.iter().zip(other.values).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+impl Eq for BitKey<'_> {}
+
+/// K-means++ seeding over weighted points.  Distances are taken once per
+/// distinct point; the weighted draws walk every input position in order.
 fn seed_centroids(
-    points: &[Vec<f64>],
+    points: &DistinctPoints,
     weights: &[f64],
     k: usize,
     rng: &mut SmallRng,
 ) -> Vec<Vec<f64>> {
+    let n = points.len();
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
     // First centroid: weighted draw over the points.
     let total_weight: f64 = weights.iter().sum();
@@ -38,34 +124,35 @@ fn seed_centroids(
         }
         pick -= w;
     }
-    centroids.push(points[first].clone());
+    centroids.push(points.point(first).to_vec());
 
+    // Squared distance of each distinct point to its nearest centroid so
+    // far, folded one centroid at a time in the order they were chosen.
+    let mut nearest = vec![f64::MAX; points.points.len()];
     while centroids.len() < k {
+        let newest = &centroids[centroids.len() - 1];
+        for (d, p) in nearest.iter_mut().zip(&points.points) {
+            *d = d.min(squared_distance(p, newest));
+        }
         // Squared distance to the nearest existing centroid, times weight.
-        let scores: Vec<f64> = points
-            .iter()
-            .zip(weights)
-            .map(|(p, &w)| {
-                let d = centroids.iter().map(|c| squared_distance(p, c)).fold(f64::MAX, f64::min);
-                d * w
-            })
-            .collect();
-        let total: f64 = scores.iter().sum();
+        let score = |i: usize| nearest[points.of[i]] * weights[i];
+        let total: f64 = (0..n).map(score).sum();
         if total <= 0.0 {
             // All remaining points coincide with existing centroids; duplicate one.
-            centroids.push(points[rng.gen_range(0..points.len())].clone());
+            centroids.push(points.point(rng.gen_range(0..n)).to_vec());
             continue;
         }
         let mut pick = rng.gen_range(0.0..total);
-        let mut chosen = points.len() - 1;
-        for (i, &s) in scores.iter().enumerate() {
+        let mut chosen = n - 1;
+        for i in 0..n {
+            let s = score(i);
             if pick <= s {
                 chosen = i;
                 break;
             }
             pick -= s;
         }
-        centroids.push(points[chosen].clone());
+        centroids.push(points.point(chosen).to_vec());
     }
     centroids
 }
@@ -76,7 +163,10 @@ fn seed_centroids(
 /// aggregate instruction count so that long regions dominate both the cluster
 /// centres and the choice of representatives.
 ///
-/// The run is deterministic for a given `seed`.
+/// The run is deterministic for a given `seed`.  Its cost scales with the
+/// number of *distinct* points, not the number of points: points equal bit
+/// for bit share one nearest-centroid search per seeding draw and per Lloyd
+/// assignment step.  Only the weighted sums walk every point, in input order.
 ///
 /// # Panics
 ///
@@ -92,35 +182,51 @@ pub fn weighted_kmeans(
     assert!(!points.is_empty(), "k-means needs at least one point");
     assert_eq!(points.len(), weights.len(), "one weight per point required");
     assert!(k > 0, "k must be positive");
+    let distinct = DistinctPoints::new(points, Vec::as_slice, Vec::clone);
+    kmeans(&distinct, weights, k, max_iterations, seed)
+}
+
+/// [`weighted_kmeans`] over already folded points.  Every float is formed
+/// in the same order as a point-by-point run, so the result does not depend
+/// on how many points were folded.
+pub(crate) fn kmeans(
+    points: &DistinctPoints,
+    weights: &[f64],
+    k: usize,
+    max_iterations: usize,
+    seed: u64,
+) -> KMeansResult {
     let k = k.min(points.len());
-    let dim = points[0].len();
+    let dim = points.dim();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut centroids = seed_centroids(points, weights, k, &mut rng);
-    let mut assignments = vec![0usize; points.len()];
+    // Cluster of each distinct point: every copy of a point is assigned
+    // alike, so the per-point assignment is read through `points.of`.
+    let mut assigned = vec![0usize; points.points.len()];
 
     for _ in 0..max_iterations {
         // Assignment step.
         let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
+        for (a, p) in assigned.iter_mut().zip(&points.points) {
             let best = centroids
                 .iter()
                 .enumerate()
                 .map(|(c, centroid)| (c, squared_distance(p, centroid)))
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .map_or(0, |(c, _)| c);
-            if assignments[i] != best {
-                assignments[i] = best;
+            if *a != best {
+                *a = best;
                 changed = true;
             }
         }
-        // Update step (weighted means).
+        // Update step (weighted means), summed in input order.
         let mut sums = vec![vec![0.0; dim]; k];
         let mut totals = vec![0.0; k];
-        for (i, p) in points.iter().enumerate() {
-            let c = assignments[i];
-            totals[c] += weights[i];
-            for (s, x) in sums[c].iter_mut().zip(p) {
-                *s += weights[i] * x;
+        for (i, (&u, &w)) in points.of.iter().zip(weights).enumerate() {
+            let c = assigned[u];
+            totals[c] += w;
+            for (s, x) in sums[c].iter_mut().zip(points.point(i)) {
+                *s += w * x;
             }
         }
         for c in 0..k {
@@ -128,7 +234,7 @@ pub fn weighted_kmeans(
                 for s in &mut sums[c] {
                     *s /= totals[c];
                 }
-                centroids[c] = sums[c].clone();
+                centroids[c] = std::mem::take(&mut sums[c]);
             }
             // Empty clusters keep their previous centroid.
         }
@@ -137,18 +243,19 @@ pub fn weighted_kmeans(
         }
     }
 
-    let inertia = points
+    let distance: Vec<f64> = points
+        .points
         .iter()
-        .zip(weights)
-        .zip(&assignments)
-        .map(|((p, &w), &c)| w * squared_distance(p, &centroids[c]))
-        .sum();
+        .zip(&assigned)
+        .map(|(p, &c)| squared_distance(p, &centroids[c]))
+        .collect();
+    let inertia = points.of.iter().zip(weights).map(|(&u, &w)| w * distance[u]).sum();
     let mut seen = vec![false; k];
-    for &c in &assignments {
+    for &c in &assigned {
         seen[c] = true;
     }
     KMeansResult {
-        assignments,
+        assignments: points.of.iter().map(|&u| assigned[u]).collect(),
         centroids,
         inertia,
         num_clusters: seen.iter().filter(|&&s| s).count(),

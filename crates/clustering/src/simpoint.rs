@@ -1,5 +1,5 @@
-use crate::bic::bic_score;
-use crate::kmeans::weighted_kmeans;
+use crate::bic::bic;
+use crate::kmeans::{kmeans, squared_distance, DistinctPoints};
 use crate::projection::RandomProjection;
 use bp_signature::SignatureVector;
 use serde::{Deserialize, Serialize};
@@ -141,6 +141,12 @@ impl Clustering {
 /// representative selection favouring regions close to the cluster centre
 /// with ties broken towards longer regions.
 ///
+/// Regions whose signature vectors are equal bit for bit — the repeated
+/// iterations of an iterative kernel — are normalized and projected once,
+/// and k-means searches nearest centroids once per distinct vector, so the
+/// cost scales with the number of distinct signatures rather than regions.
+/// The result is identical to clustering every region on its own.
+///
 /// # Panics
 ///
 /// Panics if `vectors` is empty or if the vectors have differing dimensions.
@@ -152,19 +158,19 @@ pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> 
         "all signature vectors must have the same dimension"
     );
 
-    // Normalize and project.
+    // Normalize and project each distinct signature once.
     let projection = RandomProjection::new(dim, config.projected_dimensions, config.seed);
-    let points: Vec<Vec<f64>> =
-        vectors.iter().map(|v| projection.project(v.normalized().values())).collect();
+    let points = DistinctPoints::new(vectors, SignatureVector::values, |v| {
+        projection.project(v.normalized().values())
+    });
     let weights: Vec<f64> = vectors.iter().map(|v| v.instructions() as f64).collect();
 
     // Sweep k and score with the BIC.
     let max_k = config.max_k.max(1).min(vectors.len());
     let mut runs = Vec::with_capacity(max_k);
     for k in 1..=max_k {
-        let result =
-            weighted_kmeans(&points, &weights, k, config.kmeans_iterations, config.seed + k as u64);
-        let score = bic_score(&points, &weights, &result);
+        let result = kmeans(&points, &weights, k, config.kmeans_iterations, config.seed + k as u64);
+        let score = bic(points.dim(), &weights, &result);
         runs.push((k, score, result));
     }
     let best_score = runs.iter().map(|(_, s, _)| *s).fold(f64::NEG_INFINITY, f64::max);
@@ -197,9 +203,7 @@ pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> 
             continue;
         }
         let centroid = &result.centroids[cluster];
-        let distance_to_centroid = |m: usize| -> f64 {
-            points[m].iter().zip(centroid).map(|(x, c)| (x - c) * (x - c)).sum()
-        };
+        let distance_to_centroid = |m: usize| squared_distance(points.point(m), centroid);
         let min_distance =
             members.iter().map(|&m| distance_to_centroid(m)).fold(f64::INFINITY, f64::min);
         // Representative: the member closest to the centroid; ties (regions
@@ -233,6 +237,9 @@ pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> 
 
     Clustering { assignments: result.assignments, chosen_k: clusters.len(), clusters, bic_by_k }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {

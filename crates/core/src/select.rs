@@ -272,7 +272,9 @@ mod tests {
     use super::*;
     use crate::profile::profile_application_with;
     use bp_exec::ExecutionPolicy;
-    use bp_workload::{Benchmark, Workload, WorkloadConfig};
+    use bp_workload::{
+        AccessPattern, Benchmark, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
+    };
 
     fn selection_for(bench: Benchmark, threads: usize) -> BarrierPointSelection {
         let w = bench.build(&WorkloadConfig::new(threads).with_scale(0.02));
@@ -357,5 +359,58 @@ mod tests {
         assert_eq!(w.num_regions(), 1001);
         assert!(selection.num_barrierpoints() <= 20);
         assert!(selection.serial_speedup() > 10.0);
+    }
+
+    /// A workload running one single-block phase in each of `regions`
+    /// regions: every region has the same basic-block vector.
+    fn one_phase_workload(regions: usize) -> impl Workload {
+        let mut builder = SyntheticWorkloadBuilder::new("one-phase", WorkloadConfig::new(2));
+        let phase = builder
+            .phase("loop", 64, true)
+            .pattern(AccessPattern::PrivateStream { bytes: 4096, stride: 64 })
+            .block("loop.body", 10, 2, 0)
+            .finish();
+        builder.schedule_repeat(phase, regions);
+        builder.build()
+    }
+
+    /// Asserts `selection` is one barrierpoint standing for every region.
+    fn assert_one_barrierpoint(selection: &BarrierPointSelection, regions: usize) {
+        assert_eq!(selection.num_regions(), regions);
+        assert_eq!(selection.num_barrierpoints(), 1);
+        let bp = &selection.barrierpoints()[0];
+        assert_eq!(bp.cluster_size, regions);
+        assert!((bp.weight_fraction - 1.0).abs() < 1e-9);
+        let reconstructed = bp.multiplier * bp.instructions as f64;
+        let total = selection.total_instructions() as f64;
+        assert!((reconstructed - total).abs() / total < 1e-9);
+        for region in 0..regions {
+            assert_eq!(selection.barrierpoint_of(region).region, bp.region);
+        }
+    }
+
+    #[test]
+    fn identical_regions_select_one_barrierpoint() {
+        let w = one_phase_workload(40);
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
+        let config = SignatureConfig::bbv_only();
+        let vectors = profile.assemble_vectors(&config);
+        assert!(vectors.iter().all(|v| v.values() == vectors[0].values()));
+        for simpoint in [SimPointConfig::paper(), SimPointConfig::paper().with_max_k(5)] {
+            let selection = select_barrierpoints(&profile, &config, &simpoint).unwrap();
+            assert_one_barrierpoint(&selection, 40);
+        }
+    }
+
+    #[test]
+    fn a_single_region_selects_itself() {
+        let w = one_phase_workload(1);
+        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
+        for config in [SignatureConfig::combined(), SignatureConfig::bbv_only()] {
+            let selection =
+                select_barrierpoints(&profile, &config, &SimPointConfig::paper()).unwrap();
+            assert_one_barrierpoint(&selection, 1);
+            assert_eq!(selection.barrierpoints()[0].region, 0);
+        }
     }
 }

@@ -313,15 +313,20 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
         budget: Option<&WorkerBudget>,
         precollected_mru: Option<&std::collections::HashMap<usize, bp_warmup::MruWarmupData>>,
     ) -> Result<Simulated, Error> {
-        compute_leg(
+        let mut legs = compute_legs(
             &self.selection,
             self.pipeline.warmup(),
             workload,
-            sim_config,
+            std::slice::from_ref(sim_config),
             policy,
             budget,
             precollected_mru,
-        )
+        )?;
+        match legs.pop() {
+            Some(leg) => Ok(leg),
+            // One configuration in, one leg out.
+            None => unreachable!("no leg computed for one configuration"),
+        }
     }
 
     pub(crate) fn into_parts(self) -> (Arc<ApplicationProfile>, Arc<BarrierPointSelection>) {
@@ -329,22 +334,30 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     }
 }
 
-/// The uncached compute path of one design-point leg, detached from the
-/// staged chain: simulate `selection`'s barrierpoints of `workload` on
-/// `sim_config` (optionally from a shared [`WorkerBudget`] and a
-/// precollected MRU warmup payload) and reconstruct the whole-application
-/// estimate.  [`Sweep`](crate::Sweep) drives this directly — it resolves the
-/// selection without materializing a [`Selected`] stage (a sweep whose
-/// selection is cached never needs the profile at all).
-pub(crate) fn compute_leg<V: Workload + ?Sized>(
+/// The uncached compute path of design-point legs that share one detailed
+/// simulation, detached from the staged chain: simulate `selection`'s
+/// barrierpoints of `workload` once, on the first of `sim_configs`
+/// (optionally from a shared [`WorkerBudget`] and a precollected MRU warmup
+/// payload), then reconstruct one whole-application estimate per
+/// configuration at its own clock frequency.  Every configuration must be
+/// [`cycle_equivalent`](SimConfig::cycle_equivalent) to the first, so the
+/// legs come out exactly as if each had been simulated on its own.
+/// [`Sweep`](crate::Sweep) drives this directly — it resolves the selection
+/// without materializing a [`Selected`] stage (a sweep whose selection is
+/// cached never needs the profile at all).
+pub(crate) fn compute_legs<V: Workload + ?Sized>(
     selection: &BarrierPointSelection,
     warmup: WarmupKind,
     workload: &V,
-    sim_config: &SimConfig,
+    sim_configs: &[SimConfig],
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
     precollected_mru: Option<&std::collections::HashMap<usize, bp_warmup::MruWarmupData>>,
-) -> Result<Simulated, Error> {
+) -> Result<Vec<Simulated>, Error> {
+    let Some(first) = sim_configs.first() else {
+        return Ok(Vec::new());
+    };
+    debug_assert!(sim_configs.iter().all(|c| c.cycle_equivalent(first)));
     if workload.num_regions() != selection.num_regions() {
         return Err(Error::RegionCountMismatch {
             expected: selection.num_regions(),
@@ -354,20 +367,25 @@ pub(crate) fn compute_leg<V: Workload + ?Sized>(
     let metrics = crate::simulate::simulate_barrierpoints_impl(
         workload,
         selection,
-        sim_config,
+        first,
         warmup,
         policy,
         budget,
         precollected_mru,
     )?;
-    let reconstruction = reconstruct(selection, &metrics, sim_config.core.frequency_ghz)?;
-    Ok(Simulated {
-        workload_name: workload.name().to_string(),
-        sim_config: *sim_config,
-        warmup,
-        metrics,
-        reconstruction,
-    })
+    sim_configs
+        .iter()
+        .map(|sim_config| {
+            let reconstruction = reconstruct(selection, &metrics, sim_config.core.frequency_ghz)?;
+            Ok(Simulated {
+                workload_name: workload.name().to_string(),
+                sim_config: *sim_config,
+                warmup,
+                metrics: metrics.clone(),
+                reconstruction,
+            })
+        })
+        .collect()
 }
 
 /// One detailed-simulation leg: metrics of every simulated barrierpoint on

@@ -12,8 +12,11 @@
 //! largest capacity, truncation for the rest) — runs the clustering stage
 //! **once**, and fans the N simulate+reconstruct legs out through
 //! [`ExecutionPolicy`] with one shared [`WorkerBudget`] — workers that
-//! drain a small leg steal barrierpoint jobs from the big ones.  The
-//! result is a [`SweepReport`] keyed by configuration, carrying
+//! drain a small leg steal barrierpoint jobs from the big ones.  Legs whose
+//! machines differ only in clock frequency share one detailed simulation
+//! and reconstruct at their own frequencies: the cycle model never reads
+//! the clock ([`SimConfig::cycle_equivalent`]).  The result is a
+//! [`SweepReport`] keyed by configuration, carrying
 //! [`SweepCounters`] so callers (and tests) can verify each stage really
 //! ran at most that often ([`SweepCounters::trace_walks`] pins the
 //! single-walk economy) — and, with an
@@ -302,7 +305,9 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// thread, one clustering pass per strategy-axis entry (all from the
     /// one shared profile), at most one MRU warmup collection per workload
     /// *content*, then every design-point leg that is not already
-    /// in the artifact cache — all through the cache when one is attached,
+    /// in the artifact cache (one detailed simulation per group of missing
+    /// legs that differ only in clock frequency, one reconstruction and one
+    /// cache entry per leg) — all through the cache when one is attached,
     /// making repeated sweeps over overlapping configuration matrices fully
     /// incremental (a warm re-sweep executes **zero** simulate legs and
     /// **zero** trace walks).
@@ -602,43 +607,89 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             }
         }
 
-        // The distinct missing legs fan out config-major; outer leg workers
-        // and the per-barrierpoint workers inside every leg draw helpers
-        // from the one shared budget, so a drained leg's workers migrate
-        // into the legs still running.  Results are identical under every
+        // Distinct missing legs with the same selection and workload content
+        // whose machines differ only in clock frequency share one detailed
+        // simulation: the cycle model never reads the frequency
+        // (`SimConfig::cycle_equivalent`), so each such leg only needs its
+        // own reconstruction.  Groups are listed by their first leg.
+        let mut groups: Vec<Vec<usize>> = Vec::new(); // indices into `missing`
+        for (j, &u) in missing.iter().enumerate() {
+            let rep = unique[u].0;
+            let shares = |group: &&mut Vec<usize>| {
+                let first = unique[missing[group[0]]].0;
+                first / num_points == rep / num_points
+                    && statics.points[first % num_points].workload_fingerprint
+                        == statics.points[rep % num_points].workload_fingerprint
+                    && self.points[first % num_points]
+                        .sim_config
+                        .cycle_equivalent(&self.points[rep % num_points].sim_config)
+            };
+            match groups.iter_mut().find(shares) {
+                Some(group) => group.push(j),
+                None => groups.push(vec![j]),
+            }
+        }
+
+        // The groups fan out config-major; outer workers and the
+        // per-barrierpoint workers inside every simulation draw helpers
+        // from the one shared budget, so a drained group's workers migrate
+        // into the ones still running.  Results are identical under every
         // schedule (the execution-equivalence invariant: reassembly is by
         // index).
-        let computed: Vec<Result<Simulated, Error>> =
-            policy.execute_budgeted(missing.len(), &budget, |j| {
-                let rep = unique[missing[j]].0;
+        let computed: Vec<Result<Vec<Simulated>, Error>> =
+            policy.execute_budgeted(groups.len(), &budget, |g| {
+                let rep = unique[missing[groups[g][0]]].0;
                 let point = &self.points[rep % num_points];
                 let parts = &statics.points[rep % num_points];
                 let selection = &selections[rep / num_points];
                 let sharing = (parts.workload_fingerprint, parts.llc_capacity);
                 let payload = warmup_payloads.iter().find(|(k, _)| *k == sharing).map(|(_, d)| d);
+                let configs: Vec<SimConfig> = groups[g]
+                    .iter()
+                    .map(|&j| self.points[unique[missing[j]].0 % num_points].sim_config)
+                    .collect();
                 match point.workload {
-                    Some(leg_workload) => crate::stages::compute_leg(
+                    Some(leg_workload) => crate::stages::compute_legs(
                         selection,
                         warmup,
                         leg_workload,
-                        &point.sim_config,
+                        &configs,
                         &policy,
                         Some(&budget),
                         payload,
                     ),
-                    None => crate::stages::compute_leg(
+                    None => crate::stages::compute_legs(
                         selection,
                         warmup,
                         workload,
-                        &point.sim_config,
+                        &configs,
                         &policy,
                         Some(&budget),
                         payload,
                     ),
                 }
             });
-        for (&u, result) in missing.iter().zip(computed) {
-            let simulated = Arc::new(result?);
+        // Scatter every group's legs back to the missing order; a failed
+        // group's error sits on its first leg, which precedes the others.
+        let mut scattered: Vec<Option<Result<Simulated, Error>>> =
+            (0..missing.len()).map(|_| None).collect();
+        for (group, result) in groups.iter().zip(computed) {
+            match result {
+                Ok(simulated) => {
+                    for (&j, leg) in group.iter().zip(simulated) {
+                        scattered[j] = Some(Ok(leg));
+                    }
+                }
+                Err(e) => scattered[group[0]] = Some(Err(e)),
+            }
+        }
+        for (&u, leg) in missing.iter().zip(scattered) {
+            let simulated = match leg {
+                Some(result) => Arc::new(result?),
+                // Every missing leg belongs to one group, and a group's
+                // error returns before its later legs are reached.
+                None => unreachable!("missing leg {u} was never computed"),
+            };
             let (rep, indices) = &unique[u];
             if let Some(cache) = self.base.cache() {
                 cache.store_arc(&keys[*rep], &simulated);
@@ -810,7 +861,10 @@ pub struct SweepCounters {
     /// — design points with identical leg content (same workload content,
     /// machine configuration and warmup) are deduplicated and share one
     /// result.  Cached legs load from the cache instead and are counted in
-    /// [`simulated_cache_hits`](Self::simulated_cache_hits).
+    /// [`simulated_cache_hits`](Self::simulated_cache_hits).  Legs whose
+    /// machines differ only in clock frequency share one detailed
+    /// simulation ([`SimConfig::cycle_equivalent`]) but still count one
+    /// each: each gets its own reconstruction and its own cache entry.
     pub simulate_legs: usize,
     /// Design points whose simulated leg was served from the artifact
     /// cache (duplicates of a cached leg included; the physical probe

@@ -5,6 +5,13 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CoreConfig {
     /// Core clock frequency in GHz.
+    ///
+    /// The cycle model never reads it: it only turns cycles into seconds
+    /// ([`RegionMetrics::seconds`](crate::RegionMetrics::seconds), run and
+    /// reconstruction totals).  [`SimConfig::cycle_equivalent`] relies on
+    /// that to let configurations that differ only in frequency share one
+    /// detailed simulation.  Anyone who makes a latency or penalty depend on
+    /// the frequency must change that method too.
     pub frequency_ghz: f64,
     /// Issue width (instructions retired per cycle at best).
     pub issue_width: u32,
@@ -88,6 +95,17 @@ impl SimConfig {
         self
     }
 
+    /// Whether `self` and `other` are equal bit for bit in every field but
+    /// [`core.frequency_ghz`](CoreConfig::frequency_ghz).  Such configurations
+    /// simulate any region to identical [`RegionMetrics`](crate::RegionMetrics),
+    /// so a design-space sweep simulates them once and converts the cycles
+    /// to seconds at each one's own frequency.
+    pub fn cycle_equivalent(&self, other: &SimConfig) -> bool {
+        let mut this = *self;
+        this.core.frequency_ghz = other.core.frequency_ghz;
+        serde::to_vec(&this) == serde::to_vec(other)
+    }
+
     /// Seconds per core cycle.
     pub fn seconds_per_cycle(&self) -> f64 {
         1.0 / (self.core.frequency_ghz * 1e9)
@@ -113,6 +131,21 @@ mod tests {
         let c = SimConfig::scaled(8);
         assert_eq!(c.core, CoreConfig::table1());
         assert!(c.memory.l3.size_bytes < MemoryConfig::table1().l3.size_bytes);
+    }
+
+    #[test]
+    fn only_the_frequency_is_outside_the_cycle_model() {
+        let base = SimConfig::scaled(8);
+        let mut fast = base;
+        fast.core.frequency_ghz *= 1.25;
+        assert!(base.cycle_equivalent(&fast) && fast.cycle_equivalent(&base));
+        let mut small_llc = fast;
+        small_llc.memory.l3.size_bytes /= 2;
+        assert!(!base.cycle_equivalent(&small_llc));
+        let mut wide = base;
+        wide.core.issue_width += 1;
+        assert!(!base.cycle_equivalent(&wide));
+        assert!(!base.cycle_equivalent(&base.with_cores(4)));
     }
 
     #[test]

@@ -117,24 +117,6 @@ impl Machine {
             (0..workload.num_regions()).map(|region| self.run_region(workload, region)).collect();
         RunMetrics::new(regions, self.config.core.frequency_ghz)
     }
-
-    /// Runs only the regions *before* `region` functionally (memory accesses
-    /// are applied to the hierarchy, no timing): functional cache warming, the
-    /// expensive warmup baseline of Section IV.
-    pub fn functionally_warm_up_to<W: Workload + ?Sized>(&mut self, workload: &W, region: usize) {
-        let mut exec = BlockExecution::default();
-        for r in 0..region {
-            for thread in 0..workload.num_threads() {
-                let mut trace = workload.region_trace(r, thread);
-                while trace.next_into(&mut exec) {
-                    for access in &exec.accesses {
-                        self.hierarchy.access(thread, access.addr, access.kind.is_write());
-                    }
-                }
-            }
-        }
-        self.hierarchy.reset_stats();
-    }
 }
 
 #[cfg(test)]
@@ -182,29 +164,6 @@ mod tests {
             in_context.cycles
         );
         assert!(cold.memory.dram_accesses >= in_context.memory.dram_accesses);
-    }
-
-    #[test]
-    fn functional_warmup_approaches_in_context_behaviour() {
-        let w = small_workload(2);
-        let mut machine = Machine::new(&SimConfig::scaled(2));
-        let full = machine.run_full(&w);
-        let region = 7;
-
-        machine.reset();
-        let cold = machine.run_region(&w, region);
-
-        machine.reset();
-        machine.functionally_warm_up_to(&w, region);
-        let warmed = machine.run_region(&w, region);
-
-        let truth = full.regions()[region].cycles as f64;
-        let cold_err = (cold.cycles as f64 - truth).abs();
-        let warm_err = (warmed.cycles as f64 - truth).abs();
-        assert!(
-            warm_err <= cold_err,
-            "functional warmup error {warm_err} should not exceed cold error {cold_err}"
-        );
     }
 
     #[test]

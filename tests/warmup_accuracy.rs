@@ -6,6 +6,7 @@ use barrierpoint::{
     reconstruct, simulate_barrierpoints, BarrierPoint, ExecutionPolicy, WarmupKind,
 };
 use bp_sim::{Machine, SimConfig};
+use bp_warmup::{apply_warmup, WarmupStrategy};
 use bp_workload::{Benchmark, WorkloadConfig};
 
 fn error_with_warmup(bench: Benchmark, warmup: WarmupKind) -> f64 {
@@ -62,5 +63,28 @@ fn mru_warmup_recovers_most_of_the_cold_start_error() {
     assert!(
         mru < cold * 0.25,
         "MRU error {mru:.2}% should recover most of the cold-start error {cold:.2}%"
+    );
+}
+
+#[test]
+fn functional_warmup_approaches_in_context_behaviour() {
+    let w = Benchmark::NpbCg.build(&WorkloadConfig::new(2).with_scale(0.02));
+    let mut machine = Machine::new(&SimConfig::scaled(2));
+    let full = machine.run_full(&w);
+    let region = 7;
+
+    machine.reset();
+    let cold = machine.run_region(&w, region);
+
+    machine.reset();
+    apply_warmup(machine.hierarchy_mut(), &w, &WarmupStrategy::FunctionalReplay { region });
+    let warmed = machine.run_region(&w, region);
+
+    let truth = full.regions()[region].cycles as f64;
+    let cold_err = (cold.cycles as f64 - truth).abs();
+    let warm_err = (warmed.cycles as f64 - truth).abs();
+    assert!(
+        warm_err <= cold_err,
+        "functional warmup error {warm_err} should not exceed cold error {cold_err}"
     );
 }
