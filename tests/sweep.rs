@@ -283,3 +283,70 @@ fn cross_core_count_sweep_expresses_figure6_in_one_call() {
     // The Figure 8 one-liner: predicted speedup of the scaled machine.
     assert!(report.predicted_speedup("4c", "8c").unwrap() > 1.0);
 }
+
+/// The staged chain (profile → select → one `simulate` per design point)
+/// and `Sweep::run` resolve the same stages: with no cache, a cold cache
+/// and a fresh handle over the warm directory, the chain's legs equal the
+/// sweep's bit for bit, and every phase leaves exactly the pinned per-kind
+/// cache traffic.
+#[test]
+fn staged_chain_matches_the_sweep_and_pins_its_cache_traffic() {
+    use barrierpoint::CacheStats;
+    for bench in [Benchmark::NpbIs, Benchmark::NpbCg, Benchmark::NpbLu] {
+        let w = bench.build(&WorkloadConfig::new(4).with_scale(0.02));
+        let matrix = machine_matrix(4);
+        let mut sweep = Sweep::new(&w);
+        for (label, machine) in &matrix {
+            sweep = sweep.add_config(*label, *machine);
+        }
+        let swept = sweep.run().unwrap();
+        let staged = |cache: Option<&ArtifactCache>| {
+            let mut pipeline = BarrierPoint::new(&w);
+            if let Some(cache) = cache {
+                pipeline = pipeline.with_cache(cache.clone());
+            }
+            let selected = pipeline.profile().unwrap().select().unwrap();
+            assert_eq!(selected.selection(), swept.selection(), "{}", w.name());
+            for (label, machine) in &matrix {
+                let leg = selected.simulate(machine).unwrap();
+                assert_eq!(*leg, *swept.get(label).unwrap().simulated(), "{}: {label}", w.name());
+            }
+        };
+        staged(None);
+
+        let dir = std::env::temp_dir().join(format!(
+            "bp-sweep-staged-{}-{}",
+            w.name(),
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let cold = ArtifactCache::new(&dir);
+        staged(Some(&cold));
+        assert_eq!(
+            cold.stats(),
+            CacheStats {
+                profile_misses: 1,
+                selection_misses: 1,
+                simulated_misses: 3,
+                ..CacheStats::default()
+            },
+            "{}: cold staged chain",
+            w.name()
+        );
+
+        let warm = ArtifactCache::new(&dir);
+        staged(Some(&warm));
+        assert_eq!(
+            warm.stats(),
+            CacheStats {
+                profile_hits: 1,
+                selection_hits: 1,
+                simulated_hits: 3,
+                ..CacheStats::default()
+            },
+            "{}: fresh handle over the warm directory",
+            w.name()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
