@@ -98,7 +98,7 @@ use crate::error::{classify_io_error, Error, IoErrorClass};
 use crate::memtier::MemoryTier;
 use crate::profile::{profile_application_with, ApplicationProfile};
 use crate::segment::WorkloadCheckpoints;
-use crate::select::{select_barrierpoints_with, BarrierPointSelection};
+use crate::select::BarrierPointSelection;
 use crate::simulate::WarmupKind;
 use crate::stages::Simulated;
 use crate::storage::{RealFs, Storage};
@@ -315,30 +315,19 @@ impl SimulatedCacheKey {
         sim_config: &SimConfig,
         warmup: WarmupKind,
     ) -> Self {
-        Self::with_selection_fingerprint(workload, selection.fingerprint(), sim_config, warmup)
-    }
-
-    /// [`new`](Self::new) with a precomputed selection-content fingerprint:
-    /// deriving the fingerprint serializes the whole selection, so a sweep
-    /// deriving one key per design point computes it once and reuses it.
-    pub(crate) fn with_selection_fingerprint<W: Workload + ?Sized>(
-        workload: &W,
-        selection_fingerprint: u64,
-        sim_config: &SimConfig,
-        warmup: WarmupKind,
-    ) -> Self {
         Self {
             workload_name: workload.name().to_string(),
             threads: workload.num_threads(),
             workload_fingerprint: workload.profile_fingerprint(),
-            selection_fingerprint,
+            selection_fingerprint: selection.fingerprint(),
             config_fingerprint: sim_config_fingerprint(sim_config, warmup),
         }
     }
 
-    /// Assembles a key from fully precomputed components — the interned-key
-    /// path of [`Sweep`](crate::Sweep), which derives every component once
-    /// per sweep object instead of once per `run()`.
+    /// Assembles a key from precomputed components — how
+    /// [`Sweep::run`](crate::Sweep::run) derives one key per grid cell from
+    /// components it computes once per run (each point's workload and
+    /// machine, each strategy's selection content).
     pub(crate) fn from_parts(
         workload_name: String,
         threads: usize,
@@ -839,39 +828,24 @@ pub(crate) enum MemoryArtifact {
 /// of serialized entries.
 ///
 /// ```
-/// use barrierpoint::{ArtifactCache, ExecutionPolicy, SignatureConfig};
-/// use bp_clustering::{SimPointConfig, SimPointStrategy};
+/// use barrierpoint::{ArtifactCache, BarrierPoint, ExecutionPolicy};
 /// use bp_workload::{Benchmark, WorkloadConfig};
 ///
 /// let dir = std::env::temp_dir().join(format!("bp-artifact-cache-doc-{}", std::process::id()));
 /// # std::fs::remove_dir_all(&dir).ok();
 /// let cache = ArtifactCache::new(&dir);
 /// let workload = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
-/// let strategy = SimPointStrategy::new(SimPointConfig::paper());
 ///
-/// let (profile, was_cached) =
-///     cache.load_or_profile(&workload, &ExecutionPolicy::parallel())?;
-/// assert!(!was_cached);
-/// let (selection, was_cached) = cache.load_or_select(
-///     &profile,
-///     &workload,
-///     &SignatureConfig::combined(),
-///     &strategy,
-/// )?;
-/// assert!(!was_cached);
+/// // The staged chain probes the cache at every stage and stores what it
+/// // had to compute.
+/// let first = BarrierPoint::new(&workload).with_cache(cache.clone()).profile()?.select()?;
+/// assert!(!first.profile_was_cached() && !first.selection_was_cached());
 ///
 /// // Second time around (same process), both one-time stages are pointer
 /// // clones from the memory tier — stores write through both tiers.
-/// let (_, was_cached) = cache.load_or_profile(&workload, &ExecutionPolicy::parallel())?;
-/// assert!(was_cached);
-/// let (again, was_cached) = cache.load_or_select(
-///     &profile,
-///     &workload,
-///     &SignatureConfig::combined(),
-///     &strategy,
-/// )?;
-/// assert!(was_cached);
-/// assert_eq!(selection, again);
+/// let again = BarrierPoint::new(&workload).with_cache(cache.clone()).profile()?.select()?;
+/// assert!(again.profile_was_cached() && again.selection_was_cached());
+/// assert_eq!(first.selection(), again.selection());
 /// assert_eq!(cache.stats().profile_memory_hits, 1);
 /// assert_eq!(cache.stats().selection_memory_hits, 1);
 ///
@@ -1293,22 +1267,6 @@ impl ArtifactCache {
         self.remember(key, artifact.clone(), bytes.len());
     }
 
-    /// [`probe`](Self::probe), then on a miss `compute` and
-    /// [`store_arc`](Self::store_arc).  The boolean is `true` when the
-    /// artifact came from the cache.
-    fn load_or<K: ArtifactKind>(
-        &self,
-        key: &K,
-        compute: impl FnOnce() -> Result<Arc<K::Artifact>, Error>,
-    ) -> Result<(Arc<K::Artifact>, bool), Error> {
-        if let Some(artifact) = self.probe(key) {
-            return Ok((artifact, true));
-        }
-        let artifact = compute()?;
-        self.store_arc(key, &artifact);
-        Ok((artifact, false))
-    }
-
     /// Looks up the profile stored under `key`, in either tier.
     ///
     /// Returns `Ok(None)` on a miss — including stale-version or corrupt
@@ -1437,52 +1395,13 @@ impl ArtifactCache {
         workload: &W,
         policy: &ExecutionPolicy,
     ) -> Result<(Arc<ApplicationProfile>, bool), Error> {
-        self.load_or(&ProfileCacheKey::for_workload(workload), || {
-            Ok(Arc::new(profile_application_with(workload, policy)?))
-        })
-    }
-
-    /// Returns the cached barrierpoint selection of `profile` (profiled from
-    /// `workload`) under `(signature_config, strategy)`, running the
-    /// strategy and populating the cache on a miss.  The boolean is `true`
-    /// when the selection came from the cache — the selection strategy was
-    /// skipped entirely.  Cache I/O failures degrade to recomputation; see
-    /// [`load_or_profile`](Self::load_or_profile).
-    ///
-    /// # Errors
-    ///
-    /// Propagates selection errors ([`Error::EmptyWorkload`]).
-    pub fn load_or_select<W: Workload + ?Sized>(
-        &self,
-        profile: &ApplicationProfile,
-        workload: &W,
-        signature_config: &SignatureConfig,
-        strategy: &dyn SelectionStrategy,
-    ) -> Result<(Arc<BarrierPointSelection>, bool), Error> {
-        let key = SelectionCacheKey::for_workload(workload, signature_config, strategy);
-        self.load_or(&key, || {
-            Ok(Arc::new(select_barrierpoints_with(profile, signature_config, strategy)?))
-        })
-    }
-
-    /// Returns the cached simulated leg under `key`, running `simulate` and
-    /// populating both tiers on a miss.  The boolean is `true` when the leg
-    /// came from the cache — the detailed simulation (and its warmup
-    /// collection) was skipped entirely.  Cache I/O failures degrade to
-    /// recomputation; see [`load_or_profile`](Self::load_or_profile).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `simulate`'s error.
-    pub fn load_or_simulate<F>(
-        &self,
-        key: &SimulatedCacheKey,
-        simulate: F,
-    ) -> Result<(Arc<Simulated>, bool), Error>
-    where
-        F: FnOnce() -> Result<Arc<Simulated>, Error>,
-    {
-        self.load_or(key, simulate)
+        let key = ProfileCacheKey::for_workload(workload);
+        if let Some(profile) = self.probe(&key) {
+            return Ok((profile, true));
+        }
+        let profile = Arc::new(profile_application_with(workload, policy)?);
+        self.store_arc(&key, &profile);
+        Ok((profile, false))
     }
 
     /// Drops the profile stored under `key` from **both** tiers, so the
@@ -1492,9 +1411,9 @@ impl ArtifactCache {
     /// eviction — but the memory tier drop always happens, so in-process
     /// lookups can never resurrect the invalidated artifact.
     ///
-    /// The segment-parallelism bench uses this to force a re-profile that
-    /// exercises the checkpoint path; the checkpoints themselves are keyed
-    /// separately and survive.
+    /// A forced re-profile after this exercises the checkpoint path (the
+    /// sweep's segmented re-profile test does exactly that): the
+    /// checkpoints themselves are keyed separately and survive.
     pub fn invalidate_profile(&self, key: &ProfileCacheKey) -> bool {
         let in_memory = self.memory.remove(&key.memory_key());
         let on_disk = self.storage.remove_file(&self.entry_path(key)).is_ok();
@@ -1568,6 +1487,44 @@ mod tests {
 
     fn workload(scale: f64) -> impl Workload {
         Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(scale))
+    }
+
+    /// The selection stage's probe and select-and-store as one call: the
+    /// cached selection and `true`, or a fresh (stored) one and `false`.
+    fn load_or_select<W: Workload + ?Sized>(
+        cache: &ArtifactCache,
+        profile: &ApplicationProfile,
+        workload: &W,
+        signature_config: &SignatureConfig,
+        strategy: &dyn SelectionStrategy,
+    ) -> Result<(Arc<BarrierPointSelection>, bool), Error> {
+        let key = SelectionCacheKey::for_workload(workload, signature_config, strategy);
+        if let Some(selection) = crate::stages::probe_selection(Some(cache), &key) {
+            return Ok((selection, true));
+        }
+        let selection = crate::stages::select_and_store(
+            Some(cache),
+            &key,
+            profile,
+            signature_config,
+            strategy,
+        )?;
+        Ok((selection, false))
+    }
+
+    /// The leg stage's probe and store around `simulate`: the cached leg and
+    /// `true`, or the simulated (stored) one and `false`.
+    fn load_or_simulate(
+        cache: &ArtifactCache,
+        key: &SimulatedCacheKey,
+        simulate: impl FnOnce() -> Result<Arc<Simulated>, Error>,
+    ) -> Result<(Arc<Simulated>, bool), Error> {
+        if let Some(leg) = crate::stages::probe_leg(Some(cache), key) {
+            return Ok((leg, true));
+        }
+        let leg = simulate()?;
+        crate::stages::store_leg(Some(cache), key, &leg);
+        Ok((leg, false))
     }
 
     /// Golden pin for the strategy seam: selections and cache keys produced
@@ -1686,8 +1643,8 @@ mod tests {
         // memory-tier hit each for the profile, selection and simulated leg.
         assert!(cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap().1);
         let strategy = SimPointStrategy::new(SimPointConfig::paper());
-        assert!(cache.load_or_select(selected.profile(), &w, &sig, &strategy).unwrap().1);
-        assert!(cache.load_or_simulate(&simulated_key, || unreachable!()).unwrap().1);
+        assert!(load_or_select(&cache, selected.profile(), &w, &sig, &strategy).unwrap().1);
+        assert!(load_or_simulate(&cache, &simulated_key, || unreachable!()).unwrap().1);
         cache.flush();
 
         let golden: [(&str, usize, u64); 5] = [
@@ -1814,16 +1771,16 @@ mod tests {
         let sig = SignatureConfig::combined();
         let sp = SimPointStrategy::new(SimPointConfig::paper());
 
-        let (first, cached) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (first, cached) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
         assert!(!cached);
-        let (second, cached) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (second, cached) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
         assert!(cached);
         assert_eq!(first, second);
         let stats = cache.stats();
         assert_eq!(stats.selection_misses, 1);
         assert_eq!(stats.selection_memory_hits, 1, "same handle hits the memory tier");
         let reopened = reopen(&cache);
-        let (third, cached) = reopened.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (third, cached) = load_or_select(&reopened, &profile, &w, &sig, &sp).unwrap();
         assert!(cached);
         assert_eq!(first, third);
         assert_eq!(reopened.stats().selection_hits, 1, "cold memory falls back to disk");
@@ -1850,8 +1807,8 @@ mod tests {
         let bbv_key = SelectionCacheKey::for_workload(&w, &SignatureConfig::bbv_only(), &paper);
         assert_ne!(paper_key.config_fingerprint(), bbv_key.config_fingerprint());
 
-        cache.load_or_select(&profile, &w, &sig, &paper).unwrap();
-        let (_, cached) = cache.load_or_select(&profile, &w, &sig, &small_k).unwrap();
+        load_or_select(&cache, &profile, &w, &sig, &paper).unwrap();
+        let (_, cached) = load_or_select(&cache, &profile, &w, &sig, &small_k).unwrap();
         assert!(!cached, "a changed SimPointConfig must miss");
         assert_eq!(cache.stats().selection_misses, 2);
         fs::remove_dir_all(cache.root()).ok();
@@ -1865,7 +1822,7 @@ mod tests {
         let sig = SignatureConfig::combined();
         let sp = SimPointStrategy::new(SimPointConfig::paper());
         let key = SelectionCacheKey::for_workload(&w, &sig, &sp);
-        let (selection, _) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (selection, _) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
 
         // Corrupt the payload: flip a byte past the header.  A cold-memory
         // handle sees the corruption and must miss.
@@ -1879,7 +1836,7 @@ mod tests {
         assert_eq!(reopened.load_selection(&key).unwrap(), None);
 
         // The next load_or_select re-clusters, restores, and heals the entry.
-        let (healed, cached) = reopened.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (healed, cached) = load_or_select(&reopened, &profile, &w, &sig, &sp).unwrap();
         assert!(!cached);
         assert_eq!(healed, selection);
         assert_eq!(reopen(&reopened).load_selection(&key).unwrap(), Some(selection));
@@ -1940,14 +1897,14 @@ mod tests {
         let cache = temp_cache("no-evict").with_max_bytes(64 * 1024 * 1024);
         let w = workload(0.02);
         let (profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        let (_, _) = cache
-            .load_or_select(
-                &profile,
-                &w,
-                &SignatureConfig::combined(),
-                &SimPointStrategy::new(SimPointConfig::paper()),
-            )
-            .unwrap();
+        let (_, _) = load_or_select(
+            &cache,
+            &profile,
+            &w,
+            &SignatureConfig::combined(),
+            &SimPointStrategy::new(SimPointConfig::paper()),
+        )
+        .unwrap();
         let (_, cached) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
         assert!(cached);
         assert_eq!(cache.stats().evictions, 0);
@@ -1964,10 +1921,10 @@ mod tests {
             SimulatedCacheKey::new(&w, selected.selection(), &sim_config, WarmupKind::MruReplay);
 
         let (first, was_cached) =
-            cache.load_or_simulate(&key, || selected.simulate(&sim_config)).unwrap();
+            load_or_simulate(&cache, &key, || selected.simulate(&sim_config)).unwrap();
         assert!(!was_cached);
         let (second, was_cached) =
-            cache.load_or_simulate(&key, || panic!("a hit must not re-simulate")).unwrap();
+            load_or_simulate(&cache, &key, || panic!("a hit must not re-simulate")).unwrap();
         assert!(was_cached);
         assert_eq!(first, second);
         let stats = cache.stats();
@@ -1975,7 +1932,8 @@ mod tests {
         // A cold-memory handle serves the same leg from disk.
         let reopened = reopen(&cache);
         let (third, was_cached) =
-            reopened.load_or_simulate(&key, || panic!("a disk hit must not re-simulate")).unwrap();
+            load_or_simulate(&reopened, &key, || panic!("a disk hit must not re-simulate"))
+                .unwrap();
         assert!(was_cached);
         assert_eq!(first, third);
         assert_eq!(reopened.stats().simulated_hits, 1);
@@ -2002,7 +1960,7 @@ mod tests {
 
         // And on disk: a base-config entry never serves the others.
         let cache = temp_cache("sim-config");
-        let (_, _) = cache.load_or_simulate(&base_key, || selected.simulate(&base)).unwrap();
+        let (_, _) = load_or_simulate(&cache, &base_key, || selected.simulate(&base)).unwrap();
         assert_eq!(cache.load_simulated(&fast_key).unwrap(), None);
         assert_eq!(cache.load_simulated(&cold_key).unwrap(), None);
         fs::remove_dir_all(cache.root()).ok();
@@ -2017,7 +1975,7 @@ mod tests {
         let key =
             SimulatedCacheKey::new(&w, selected.selection(), &sim_config, WarmupKind::MruReplay);
         let (simulated, _) =
-            cache.load_or_simulate(&key, || selected.simulate(&sim_config)).unwrap();
+            load_or_simulate(&cache, &key, || selected.simulate(&sim_config)).unwrap();
 
         // Corrupt the payload: flip a byte past the header and add garbage.
         // A cold-memory handle sees the corruption and must miss.
@@ -2032,7 +1990,7 @@ mod tests {
 
         // The next load_or_simulate re-simulates and heals the entry.
         let (healed, was_cached) =
-            reopened.load_or_simulate(&key, || selected.simulate(&sim_config)).unwrap();
+            load_or_simulate(&reopened, &key, || selected.simulate(&sim_config)).unwrap();
         assert!(!was_cached);
         assert_eq!(healed, simulated);
         assert_eq!(reopen(&reopened).load_simulated(&key).unwrap(), Some(simulated));
@@ -2094,14 +2052,14 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         // A third entry (a selection) pushes the cache over budget; the
         // least-recently-used entry is now the *large* profile.
-        let (sel, _) = cache
-            .load_or_select(
-                &p_small,
-                &w_small,
-                &SignatureConfig::combined(),
-                &SimPointStrategy::new(SimPointConfig::paper()),
-            )
-            .unwrap();
+        let (sel, _) = load_or_select(
+            &cache,
+            &p_small,
+            &w_small,
+            &SignatureConfig::combined(),
+            &SimPointStrategy::new(SimPointConfig::paper()),
+        )
+        .unwrap();
         let _ = sel;
         assert!(cache.stats().evictions >= 1);
         let (_, small_cached) = cache.load_or_profile(&w_small, &ExecutionPolicy::Serial).unwrap();
@@ -2172,15 +2130,15 @@ mod tests {
         let sim_config = SimConfig::scaled(2);
 
         let (profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        let (selection, _) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (selection, _) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
         let selected = crate::BarrierPoint::new(&w).profile().unwrap().select().unwrap();
         let key = SimulatedCacheKey::new(&w, &selection, &sim_config, WarmupKind::MruReplay);
-        cache.load_or_simulate(&key, || selected.simulate(&sim_config)).unwrap();
+        load_or_simulate(&cache, &key, || selected.simulate(&sim_config)).unwrap();
 
         let before = cache.stats();
         cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
-        cache.load_or_simulate(&key, || panic!("memory hit expected")).unwrap();
+        load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
+        load_or_simulate(&cache, &key, || panic!("memory hit expected")).unwrap();
         let after = cache.stats();
         assert_eq!(after.profile_memory_hits - before.profile_memory_hits, 1);
         assert_eq!(after.selection_memory_hits - before.selection_memory_hits, 1);
@@ -2199,15 +2157,15 @@ mod tests {
         let sig = SignatureConfig::combined();
         let sp = SimPointStrategy::new(SimPointConfig::paper());
         let (profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        let (selection, _) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (selection, _) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
 
         let (mem_profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        let (mem_selection, _) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (mem_selection, _) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
         assert_eq!(cache.stats().memory_hits(), 2);
 
         let disk = reopen(&cache);
         let (disk_profile, _) = disk.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        let (disk_selection, _) = disk.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (disk_selection, _) = load_or_select(&disk, &profile, &w, &sig, &sp).unwrap();
         assert_eq!(disk.stats().disk_hits(), 2);
         assert_eq!(mem_profile, disk_profile);
         assert_eq!(mem_selection, disk_selection);
@@ -2254,7 +2212,7 @@ mod tests {
         let sp = SimPointStrategy::new(SimPointConfig::paper());
         let sizing = temp_cache("mem-oversize-sizing");
         let (profile, _) = sizing.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        sizing.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        load_or_select(&sizing, &profile, &w, &sig, &sp).unwrap();
         let size_profile =
             fs::metadata(sizing.entry_path(&ProfileCacheKey::for_workload(&w))).unwrap().len();
         let size_selection =
@@ -2267,7 +2225,7 @@ mod tests {
         // Exactly room for the selection; the profile can never fit.
         let cache = temp_cache("mem-oversize").with_memory_max_bytes(size_selection);
         let (profile, _) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
-        cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
         // The oversized profile insert (store and re-decode alike) must
         // neither evict the resident selection nor count as an eviction.
         cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
@@ -2277,7 +2235,7 @@ mod tests {
             "declining an oversized insert evicts nothing"
         );
         let before = cache.stats();
-        let (_, cached) = cache.load_or_select(&profile, &w, &sig, &sp).unwrap();
+        let (_, cached) = load_or_select(&cache, &profile, &w, &sig, &sp).unwrap();
         assert!(cached);
         let after = cache.stats();
         assert_eq!(

@@ -2,10 +2,9 @@ use crate::cache::ArtifactCache;
 use crate::error::Error;
 use crate::profile::ApplicationProfile;
 use crate::reconstruct::ReconstructedRun;
-use crate::segment::{MruBoundaries, TraceWalk};
 use crate::select::BarrierPointSelection;
 use crate::simulate::{BarrierPointMetrics, WarmupKind};
-use crate::stages::{Profiled, Selected, Simulated};
+use crate::stages::{resolve_profile, Profiled, Selected, Simulated, StageWork};
 use bp_clustering::{SelectionStrategy, SimPointConfig, SimPointStrategy};
 use bp_exec::ExecutionPolicy;
 use bp_signature::SignatureConfig;
@@ -136,11 +135,6 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
         self
     }
 
-    /// Pre-redesign name of [`with_cache`](Self::with_cache).
-    pub fn with_profile_cache(self, cache: ArtifactCache) -> Self {
-        self.with_cache(cache)
-    }
-
     /// The workload the pipeline runs on.
     pub fn workload(&self) -> &'a W {
         self.workload
@@ -186,54 +180,37 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     /// no dedicated collection walk.  A cache-served profile skips the walk
     /// entirely and carries no bank.
     ///
+    /// With a cache attached the profile follows [`crate::Sweep`]'s
+    /// checkpoint rule: a cold fused walk also stores the workload's
+    /// region-segment checkpoints, and a later walk of the same content —
+    /// a re-profile, or a leg's dedicated warmup collection — resumes from
+    /// them as `threads × segments` jobs.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::EmptyWorkload`] for a workload with no regions.
     /// Cache I/O failures never surface here: they degrade to a recompute
     /// (see [`CacheStats::degraded_loads`](crate::CacheStats::degraded_loads)).
     pub fn profile(self) -> Result<Profiled<'a, W>, Error> {
-        let cache = self.cache.clone();
-        if let Some(cache) = &cache {
-            let key = crate::cache::ProfileCacheKey::for_workload(self.workload);
-            if let Some(profile) = cache.probe(&key) {
-                return Ok(Profiled {
-                    pipeline: self,
-                    profile,
-                    was_cached: true,
-                    warmup_bank: None,
-                });
-            }
-            let (profile, bank) = self.compute_profile()?;
-            cache.store_arc(&key, &profile);
-            let profiled =
-                Profiled { pipeline: self, profile, was_cached: false, warmup_bank: None };
-            return Ok(match bank {
-                Some(bank) => profiled.with_warmup_bank(Arc::new(bank)),
-                None => profiled,
-            });
-        }
-        let (profile, bank) = self.compute_profile()?;
-        let profiled = Profiled { pipeline: self, profile, was_cached: false, warmup_bank: None };
-        Ok(match bank {
-            Some(bank) => profiled.with_warmup_bank(Arc::new(bank)),
-            None => profiled,
-        })
-    }
-
-    /// The cold profiling pass: fused with MRU warmup collection over every
-    /// region boundary when the configured warmup replays MRU state, a plain
-    /// signature pass otherwise.
-    fn compute_profile(
-        &self,
-    ) -> Result<(Arc<ApplicationProfile>, Option<bp_warmup::MruSnapshotBank>), Error> {
-        let mut walk = TraceWalk::profile();
-        if self.warmup == WarmupKind::MruReplay {
+        let mru_capacity = (self.warmup == WarmupKind::MruReplay).then(|| {
             let sim_config = self.effective_sim_config();
-            let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            walk = walk.with_mru(MruBoundaries::Every, capacity);
-        }
-        let mut walked = walk.run(self.workload, &self.execution, None)?;
-        Ok((Arc::new(walked.take_profile()), walked.bank))
+            sim_config.memory.llc_total_lines(sim_config.num_cores)
+        });
+        let mut work = StageWork::default();
+        let (profile, bank) = resolve_profile(
+            self.cache.as_ref(),
+            self.workload,
+            mru_capacity,
+            &self.execution,
+            None,
+            &mut work,
+        )?;
+        Ok(Profiled {
+            pipeline: self,
+            profile,
+            was_cached: work.profile_passes == 0,
+            warmup_bank: bank.map(Arc::new),
+        })
     }
 
     /// Runs profiling and barrierpoint selection — shorthand for

@@ -1,5 +1,4 @@
 use crate::error::Error;
-use crate::segment::{MruBoundaries, TraceWalk};
 use crate::select::BarrierPointSelection;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_sim::{Machine, RegionMetrics, SimConfig};
@@ -59,26 +58,19 @@ pub fn simulate_barrierpoints<W: Workload + ?Sized>(
     warmup: WarmupKind,
     policy: &ExecutionPolicy,
 ) -> Result<BarrierPointMetrics, Error> {
-    simulate_barrierpoints_impl(workload, selection, sim_config, warmup, policy, None, None)
+    let regions = simulation_targets(workload, selection, sim_config)?;
+    let payload = crate::stages::leg_payload(None, workload, &regions, warmup, sim_config, policy)?;
+    Ok(simulate_targets(workload, &regions, sim_config, warmup, policy, None, payload.as_ref()))
 }
 
-/// [`simulate_barrierpoints`] with an optional shared [`WorkerBudget`] (a
-/// design-space sweep passes one budget to every concurrent leg, so workers
-/// idled by a drained leg immediately help the busy ones) and an optionally
-/// precollected MRU warmup payload, so legs with the same workload and LLC
-/// capacity share one whole-trace collection pass.  The payload must have
-/// been collected from `workload` at
-/// `sim_config.memory.llc_total_lines(num_cores)` for the selection's
-/// barrierpoint regions.
-pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
+/// The barrierpoint regions of `selection` when `workload` can be
+/// simulated on `sim_config`: one core per workload thread, and every
+/// barrierpoint a region of the workload.
+pub(crate) fn simulation_targets<W: Workload + ?Sized>(
     workload: &W,
     selection: &BarrierPointSelection,
     sim_config: &SimConfig,
-    warmup: WarmupKind,
-    policy: &ExecutionPolicy,
-    budget: Option<&WorkerBudget>,
-    precollected_mru: Option<&HashMap<usize, MruWarmupData>>,
-) -> Result<BarrierPointMetrics, Error> {
+) -> Result<Vec<usize>, Error> {
     if workload.num_threads() != sim_config.num_cores {
         return Err(Error::ThreadCountMismatch {
             workload_threads: workload.num_threads(),
@@ -89,52 +81,46 @@ pub(crate) fn simulate_barrierpoints_impl<W: Workload + ?Sized>(
     if let Some(&bad) = regions.iter().find(|&&r| r >= workload.num_regions()) {
         return Err(Error::RegionOutOfRange { region: bad, num_regions: workload.num_regions() });
     }
+    Ok(regions)
+}
 
-    // One streaming pass collects the MRU warmup payload for every target
-    // (unless a sweep already collected it); it fans out thread-major under
-    // the same policy as the simulations.
-    let collected;
-    let mru_data: &HashMap<usize, MruWarmupData> = match (warmup, precollected_mru) {
-        (WarmupKind::MruReplay, Some(data)) => data,
-        (WarmupKind::MruReplay, None) => {
-            let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-            collected = TraceWalk::mru(MruBoundaries::Targets(&regions), capacity)
-                .run(workload, policy, None)?
-                .take_bank()
-                .assemble(&regions, capacity);
-            &collected
-        }
-        _ => {
-            collected = HashMap::new();
-            &collected
-        }
-    };
-
+/// Simulates each of the validated [`simulation_targets`] `regions` on its
+/// own machine instance, drawing helper threads from `budget` when given (a
+/// design-space sweep passes one budget to every concurrent leg, so workers
+/// idled by a drained leg immediately help the busy ones).  Under
+/// [`WarmupKind::MruReplay`], `mru` must hold every region's payload,
+/// collected from `workload` at `sim_config.memory.llc_total_lines(num_cores)`.
+pub(crate) fn simulate_targets<W: Workload + ?Sized>(
+    workload: &W,
+    regions: &[usize],
+    sim_config: &SimConfig,
+    warmup: WarmupKind,
+    policy: &ExecutionPolicy,
+    budget: Option<&WorkerBudget>,
+    mru: Option<&HashMap<usize, MruWarmupData>>,
+) -> BarrierPointMetrics {
     let simulate_one = |region: usize| -> (usize, RegionMetrics) {
         let mut machine = Machine::new(sim_config);
         let strategy = match warmup {
             WarmupKind::Cold => WarmupStrategy::Cold,
             WarmupKind::FunctionalReplay => WarmupStrategy::FunctionalReplay { region },
-            WarmupKind::MruReplay => match mru_data.get(&region).cloned() {
-                Some(data) => WarmupStrategy::MruReplay(data),
-                // The warmup collection pass above covers exactly the
-                // barrierpoint regions being simulated here.
+            WarmupKind::MruReplay => match mru.and_then(|data| data.get(&region)) {
+                Some(data) => WarmupStrategy::MruReplay(data.clone()),
+                // Every MRU caller collects the payload of exactly the
+                // barrierpoint regions simulated here.
                 None => unreachable!("no warmup collected for barrierpoint region {region}"),
             },
         };
         apply_warmup(machine.hierarchy_mut(), workload, &strategy);
         (region, machine.run_region(workload, region))
     };
-
-    let mut results = BTreeMap::new();
     let per_region = match budget {
         Some(budget) => {
             policy.execute_budgeted(regions.len(), budget, |i| simulate_one(regions[i]))
         }
         None => policy.execute(regions.len(), |i| simulate_one(regions[i])),
     };
-    results.extend(per_region);
-    Ok(results)
+    per_region.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! The staged pipeline: explicit, independently reusable stage artifacts.
+//! The staged pipeline: explicit, independently reusable stage artifacts,
+//! and the one implementation of every stage.
 //!
 //! [`BarrierPoint::profile`](crate::BarrierPoint::profile) starts a typed
 //! chain of stages, each wrapping the artifact the paper's Figure 2 produces
@@ -16,23 +17,36 @@
 //!   estimate.  A pure data artifact (serializable), detached from the
 //!   workload.
 //!
-//! Stage transitions go through the [`ArtifactCache`](crate::ArtifactCache)
-//! when one is attached, and each stage records whether its artifact was
-//! recomputed or loaded — the accounting that lets
-//! [`Sweep`](crate::Sweep) prove it runs each one-time stage exactly once.
+//! Each stage has one crate-private implementation here, and both the
+//! staged chain and [`Sweep::run`](crate::Sweep::run) call it: the profile
+//! resolver ([`resolve_profile`]), the selection probe and select-and-store
+//! ([`probe_selection`], [`select_and_store`]), the warmup payloads
+//! ([`warmup_payloads`]) and the leg probe, computation and store
+//! ([`probe_leg`], [`compute_legs`], [`store_leg`]).  They are the only
+//! bp-core code outside the cache module that probes or stores an
+//! [`ArtifactCache`] (the `core-cache` lint rule enforces it), so the
+//! staged chain and the sweep follow one set of rules: a cold fused profile
+//! walk emits segment checkpoints when a cache can keep them, and every
+//! later walk of the same content resumes from them.
 
-use crate::cache::{SelectionCacheKey, SimulatedCacheKey};
+use crate::cache::{
+    ArtifactCache, CheckpointCacheKey, ProfileCacheKey, SelectionCacheKey, SimulatedCacheKey,
+};
 use crate::error::Error;
 use crate::pipeline::BarrierPoint;
 use crate::profile::ApplicationProfile;
 use crate::reconstruct::{reconstruct, ReconstructedRun};
+use crate::segment::{MruBoundaries, TraceWalk, WalkOutput, DEFAULT_SEGMENTS};
 use crate::select::{select_barrierpoints_with, BarrierPointSelection};
-use crate::simulate::{BarrierPointMetrics, WarmupKind};
+use crate::simulate::{simulate_targets, simulation_targets, BarrierPointMetrics, WarmupKind};
+use bp_clustering::SelectionStrategy;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
+use bp_signature::SignatureConfig;
 use bp_sim::SimConfig;
-use bp_warmup::MruSnapshotBank;
+use bp_warmup::{MruSnapshotBank, MruWarmupData};
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The profiling stage's output: an [`ApplicationProfile`] bound to the
@@ -41,7 +55,9 @@ use std::sync::Arc;
 /// The artifact sits behind an [`Arc`] — the same shared allocation the
 /// [`ArtifactCache`](crate::ArtifactCache) memory tier holds — so cloning a
 /// stage, fanning it out, or re-loading it warm is a pointer clone, never a
-/// deep copy.
+/// deep copy.  A cold fused profile also carries the walk's MRU snapshot
+/// bank, from which the downstream [`Selected::simulate`] legs of the same
+/// workload content serve their warmup without a dedicated walk.
 ///
 /// Created by [`BarrierPoint::profile`](crate::BarrierPoint::profile).
 #[derive(Debug, Clone)]
@@ -56,24 +72,6 @@ impl<'a, W: Workload + ?Sized> Profiled<'a, W> {
     /// The profiling artifact (serializable, machine-independent).
     pub fn profile(&self) -> &ApplicationProfile {
         &self.profile
-    }
-
-    /// Attaches an interval-sharing MRU snapshot bank collected from this
-    /// profile's workload, so downstream [`Selected::simulate`] legs serve
-    /// their warmup from it instead of running a dedicated collection walk.
-    ///
-    /// [`BarrierPoint::profile`](crate::BarrierPoint::profile) attaches the
-    /// bank of a cold fused pass automatically; this hook exists for callers
-    /// who ran [`profile_and_collect_warmup`](crate::profile_and_collect_warmup)
-    /// themselves.
-    pub fn with_warmup_bank(mut self, bank: Arc<MruSnapshotBank>) -> Self {
-        self.warmup_bank = Some(bank);
-        self
-    }
-
-    /// The attached MRU snapshot bank, if any.
-    pub fn warmup_bank(&self) -> Option<&Arc<MruSnapshotBank>> {
-        self.warmup_bank.as_ref()
     }
 
     /// Extracts the bare artifact, dropping the pipeline binding (cloning
@@ -104,23 +102,24 @@ impl<'a, W: Workload + ?Sized> Profiled<'a, W> {
     /// Cache I/O failures degrade to recomputation (see
     /// [`CacheStats`](crate::CacheStats)) rather than failing the stage.
     pub fn select(self) -> Result<Selected<'a, W>, Error> {
-        let signature_config = *self.pipeline.signature_config();
-        let strategy = Arc::clone(self.pipeline.selection_strategy());
-        let (selection, selection_was_cached) = match self.pipeline.cache() {
-            Some(cache) => cache.load_or_select(
+        let pipeline = &self.pipeline;
+        let strategy = pipeline.selection_strategy().as_ref();
+        let key = SelectionCacheKey::for_workload(
+            pipeline.workload(),
+            pipeline.signature_config(),
+            strategy,
+        );
+        let cached = probe_selection(pipeline.cache(), &key);
+        let selection_was_cached = cached.is_some();
+        let selection = match cached {
+            Some(selection) => selection,
+            None => select_and_store(
+                pipeline.cache(),
+                &key,
                 &self.profile,
-                self.pipeline.workload(),
-                &signature_config,
-                strategy.as_ref(),
+                pipeline.signature_config(),
+                strategy,
             )?,
-            None => (
-                Arc::new(select_barrierpoints_with(
-                    &self.profile,
-                    &signature_config,
-                    strategy.as_ref(),
-                )?),
-                false,
-            ),
         };
         Ok(Selected {
             pipeline: self.pipeline,
@@ -217,6 +216,12 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     /// made at one thread count drives the simulation of the same benchmark
     /// rebuilt at another (the barrier count is thread-count invariant).
     ///
+    /// The MRU warmup comes from the cold profile's snapshot bank when
+    /// `workload` has the profiled content and the bank's collection
+    /// capacity covers the machine's LLC; otherwise from one dedicated
+    /// collection walk, resumed from the cache's segment checkpoints of the
+    /// profiled content when they cover the capacity.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::RegionCountMismatch`] if `workload` does not have the
@@ -229,104 +234,41 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
         workload: &V,
         sim_config: &SimConfig,
     ) -> Result<Arc<Simulated>, Error> {
-        match self.pipeline.cache() {
-            Some(cache) => {
-                let key = SimulatedCacheKey::new(
-                    workload,
-                    &self.selection,
-                    sim_config,
-                    self.pipeline.warmup(),
-                );
-                let (simulated, _was_cached) = cache.load_or_simulate(&key, || {
-                    let payload = self.fused_payload(workload, sim_config);
-                    self.simulate_on_with(
-                        workload,
-                        sim_config,
-                        self.pipeline.execution_policy(),
-                        None,
-                        payload.as_ref(),
-                    )
-                    .map(Arc::new)
-                })?;
-                Ok(simulated)
-            }
-            None => {
-                let payload = self.fused_payload(workload, sim_config);
-                self.simulate_on_with(
-                    workload,
-                    sim_config,
-                    self.pipeline.execution_policy(),
-                    None,
-                    payload.as_ref(),
-                )
-                .map(Arc::new)
-            }
+        let (cache, warmup) = (self.pipeline.cache(), self.pipeline.warmup());
+        let key = SimulatedCacheKey::new(workload, &self.selection, sim_config, warmup);
+        if let Some(leg) = probe_leg(cache, &key) {
+            return Ok(leg);
         }
-    }
-
-    /// The warmup payload this leg can serve from the fused profiling walk's
-    /// snapshot bank, if the bank applies: MRU warmup, same workload content
-    /// the bank was collected from, and an LLC capacity within the bank's
-    /// collection capacity.  `None` means the leg collects its own warmup
-    /// (one dedicated walk per thread).
-    fn fused_payload<V: Workload + ?Sized>(
-        &self,
-        workload: &V,
-        sim_config: &SimConfig,
-    ) -> Option<std::collections::HashMap<usize, bp_warmup::MruWarmupData>> {
-        let bank = self.warmup_bank.as_deref()?;
-        if self.pipeline.warmup() != WarmupKind::MruReplay {
-            return None;
-        }
-        let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
-        if capacity > bank.collection_capacity() {
-            return None;
-        }
-        if workload.profile_fingerprint() != self.pipeline.workload().profile_fingerprint() {
-            return None;
-        }
-        Some(bank.assemble(&self.selection.barrierpoint_regions(), capacity))
-    }
-
-    /// The cache key a [`simulate_on`](Self::simulate_on) leg would use.
-    pub fn simulated_cache_key<V: Workload + ?Sized>(
-        &self,
-        workload: &V,
-        sim_config: &SimConfig,
-    ) -> SimulatedCacheKey {
-        SimulatedCacheKey::new(workload, &self.selection, sim_config, self.pipeline.warmup())
-    }
-
-    /// The uncached compute path of one leg, under an explicit execution
-    /// policy, an optional shared [`WorkerBudget`] (so concurrent sweep legs
-    /// steal idle workers from each other instead of splitting the machine
-    /// statically) and an optionally precollected MRU warmup payload (so
-    /// legs sharing a workload and LLC capacity share one collection pass).
-    /// [`Sweep`](crate::Sweep) drives this directly — it probes the
-    /// simulated-leg cache up front, before deciding what to collect and
-    /// simulate.
-    pub(crate) fn simulate_on_with<V: Workload + ?Sized>(
-        &self,
-        workload: &V,
-        sim_config: &SimConfig,
-        policy: &ExecutionPolicy,
-        budget: Option<&WorkerBudget>,
-        precollected_mru: Option<&std::collections::HashMap<usize, bp_warmup::MruWarmupData>>,
-    ) -> Result<Simulated, Error> {
-        let mut legs = compute_legs(
+        let regions = leg_targets(&self.selection, workload, sim_config)?;
+        let policy = self.pipeline.execution_policy();
+        // The bank and the checkpoints hold the profiled workload's content.
+        let profiled =
+            workload.profile_fingerprint() == self.pipeline.workload().profile_fingerprint();
+        let sources = WarmupSources { cache, bank: self.warmup_bank.as_deref() };
+        let payload = leg_payload(
+            profiled.then_some(sources),
+            workload,
+            &regions,
+            warmup,
+            sim_config,
+            policy,
+        )?;
+        let legs = compute_legs(
             &self.selection,
-            self.pipeline.warmup(),
+            warmup,
             workload,
             std::slice::from_ref(sim_config),
             policy,
-            budget,
-            precollected_mru,
+            None,
+            payload.as_ref(),
         )?;
-        match legs.pop() {
-            Some(leg) => Ok(leg),
+        let leg = match legs.into_iter().next() {
+            Some(leg) => Arc::new(leg),
             // One configuration in, one leg out.
             None => unreachable!("no leg computed for one configuration"),
-        }
+        };
+        store_leg(cache, &key, &leg);
+        Ok(leg)
     }
 
     pub(crate) fn into_parts(self) -> (Arc<ApplicationProfile>, Arc<BarrierPointSelection>) {
@@ -334,17 +276,226 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     }
 }
 
-/// The uncached compute path of design-point legs that share one detailed
-/// simulation, detached from the staged chain: simulate `selection`'s
-/// barrierpoints of `workload` once, on the first of `sim_configs`
-/// (optionally from a shared [`WorkerBudget`] and a precollected MRU warmup
-/// payload), then reconstruct one whole-application estimate per
-/// configuration at its own clock frequency.  Every configuration must be
+/// The trace and clustering work the stage implementations executed, in
+/// [`SweepCounters`](crate::SweepCounters) terms; the staged chain reads
+/// only [`profile_passes`](Self::profile_passes).
+#[derive(Debug, Default)]
+pub(crate) struct StageWork {
+    pub(crate) profile_passes: usize,
+    pub(crate) clustering_passes: usize,
+    pub(crate) warmup_collections: usize,
+    pub(crate) trace_walks: usize,
+    pub(crate) segment_walks: usize,
+    pub(crate) checkpoint_hits: usize,
+}
+
+impl StageWork {
+    /// Counts one walk's jobs: a walk from region 0 is one trace walk per
+    /// thread; a resumed walk's jobs are segment walks, all but each
+    /// thread's first restoring a checkpoint.
+    fn walked(&mut self, walk: &WalkOutput, resumed: bool) {
+        let walks = if resumed { &mut self.segment_walks } else { &mut self.trace_walks };
+        *walks += walk.jobs;
+        self.checkpoint_hits += walk.restores;
+    }
+}
+
+/// The cached segment checkpoints of `workload`'s content, when `cache` is
+/// given and they cover MRU collection at `capacity` lines.
+fn covering_checkpoints<V: Workload + ?Sized>(
+    cache: Option<&ArtifactCache>,
+    workload: &V,
+    capacity: u64,
+) -> Option<Arc<crate::WorkloadCheckpoints>> {
+    cache?
+        .probe(&CheckpointCacheKey::for_workload(workload))
+        .filter(|checkpoints| checkpoints.covers(workload, capacity))
+}
+
+/// The profile stage: `workload`'s profile from `cache`, or one
+/// [`TraceWalk`] that computes and stores it.
+///
+/// With `mru_capacity` the walk is the fused cold pass: it also collects
+/// MRU state at every region boundary at that capacity and returns the
+/// snapshot bank (a cache-served profile returns none).  With a cache
+/// attached the walk resumes from cached segment checkpoints that cover the
+/// capacity; failing that, a fused walk emits [`DEFAULT_SEGMENTS`]
+/// checkpoints and stores them before the profile.
+pub(crate) fn resolve_profile<W: Workload + ?Sized>(
+    cache: Option<&ArtifactCache>,
+    workload: &W,
+    mru_capacity: Option<u64>,
+    policy: &ExecutionPolicy,
+    budget: Option<&WorkerBudget>,
+    work: &mut StageWork,
+) -> Result<(Arc<ApplicationProfile>, Option<MruSnapshotBank>), Error> {
+    let key = ProfileCacheKey::for_workload(workload);
+    if let Some(profile) = cache.and_then(|cache| cache.probe(&key)) {
+        return Ok((profile, None));
+    }
+    let checkpoints = covering_checkpoints(cache, workload, mru_capacity.unwrap_or(0));
+    let mut walk = TraceWalk::profile();
+    if let Some(capacity) = mru_capacity {
+        walk = walk.with_mru(MruBoundaries::Every, capacity);
+    }
+    walk = match &checkpoints {
+        Some(checkpoints) => walk.resuming(checkpoints),
+        // Only worth taking when a cache can keep them.
+        None if mru_capacity.is_some() && cache.is_some() => {
+            walk.emitting_checkpoints(DEFAULT_SEGMENTS)
+        }
+        None => walk,
+    };
+    let mut walked = walk.run(workload, policy, budget)?;
+    work.profile_passes += 1;
+    work.warmup_collections += usize::from(mru_capacity.is_some());
+    work.walked(&walked, checkpoints.is_some());
+    if let Some(cache) = cache {
+        if let Some(emitted) = walked.checkpoints.take() {
+            cache.store_arc(&CheckpointCacheKey::for_workload(workload), &Arc::new(emitted));
+        }
+    }
+    let profile = Arc::new(walked.take_profile());
+    if let Some(cache) = cache {
+        cache.store_arc(&key, &profile);
+    }
+    Ok((profile, walked.bank.take()))
+}
+
+/// The selection stage's probe: the selection cached under `key`, if any.
+/// Separate from [`select_and_store`] so a sweep can probe every strategy
+/// before it touches the profile.
+pub(crate) fn probe_selection(
+    cache: Option<&ArtifactCache>,
+    key: &SelectionCacheKey,
+) -> Option<Arc<BarrierPointSelection>> {
+    cache?.probe(key)
+}
+
+/// The selection stage on a probe miss: selects barrierpoints from
+/// `profile` under `(signature_config, strategy)` and stores the selection
+/// under `key`.
+pub(crate) fn select_and_store(
+    cache: Option<&ArtifactCache>,
+    key: &SelectionCacheKey,
+    profile: &ApplicationProfile,
+    signature_config: &SignatureConfig,
+    strategy: &dyn SelectionStrategy,
+) -> Result<Arc<BarrierPointSelection>, Error> {
+    let selection = Arc::new(select_barrierpoints_with(profile, signature_config, strategy)?);
+    if let Some(cache) = cache {
+        cache.store_arc(key, &selection);
+    }
+    Ok(selection)
+}
+
+/// What the profiled workload content offers later warmup walks: the cache
+/// holding its segment checkpoints, and the fused profile walk's snapshot
+/// bank.  Callers pass it only for a workload of that content.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WarmupSources<'c> {
+    pub(crate) cache: Option<&'c ArtifactCache>,
+    pub(crate) bank: Option<&'c MruSnapshotBank>,
+}
+
+/// The warmup stage: MRU payloads of `regions` for `workload` at each of
+/// `capacities`, keyed by capacity.
+///
+/// A bank in `sources` whose collection capacity covers every requested
+/// capacity serves the payloads by assembly alone.  Otherwise one dedicated
+/// collection walk runs at the largest capacity — resumed from the
+/// sources' cached segment checkpoints when they cover it — and smaller
+/// capacities fall out by truncation.
+pub(crate) fn warmup_payloads<V: Workload + ?Sized>(
+    sources: Option<WarmupSources<'_>>,
+    workload: &V,
+    regions: &[usize],
+    capacities: &[u64],
+    policy: &ExecutionPolicy,
+    budget: Option<&WorkerBudget>,
+    work: &mut StageWork,
+) -> Result<HashMap<u64, HashMap<usize, MruWarmupData>>, Error> {
+    let capacity = capacities.iter().copied().max().unwrap_or(0);
+    let bank = sources.and_then(|sources| sources.bank);
+    if let Some(bank) = bank.filter(|bank| bank.collection_capacity() >= capacity) {
+        return Ok(bank.assemble_multi(regions, capacities));
+    }
+    let cache = sources.and_then(|sources| sources.cache);
+    let checkpoints = covering_checkpoints(cache, workload, capacity);
+    let mut walk = TraceWalk::mru(MruBoundaries::Targets(regions), capacity);
+    if let Some(checkpoints) = &checkpoints {
+        walk = walk.resuming(checkpoints);
+    }
+    let mut walked = walk.run(workload, policy, budget)?;
+    work.warmup_collections += 1;
+    work.walked(&walked, checkpoints.is_some());
+    Ok(walked.take_bank().assemble_multi(regions, capacities))
+}
+
+/// One leg's warmup payload: [`warmup_payloads`] at `sim_config`'s LLC
+/// capacity under [`WarmupKind::MruReplay`], none for the other warmups.
+pub(crate) fn leg_payload<V: Workload + ?Sized>(
+    sources: Option<WarmupSources<'_>>,
+    workload: &V,
+    regions: &[usize],
+    warmup: WarmupKind,
+    sim_config: &SimConfig,
+    policy: &ExecutionPolicy,
+) -> Result<Option<HashMap<usize, MruWarmupData>>, Error> {
+    if warmup != WarmupKind::MruReplay {
+        return Ok(None);
+    }
+    let capacity = sim_config.memory.llc_total_lines(sim_config.num_cores);
+    let mut work = StageWork::default();
+    let mut payloads =
+        warmup_payloads(sources, workload, regions, &[capacity], policy, None, &mut work)?;
+    Ok(payloads.remove(&capacity))
+}
+
+/// The leg stage's probe: the leg cached under `key`, if any.
+pub(crate) fn probe_leg(
+    cache: Option<&ArtifactCache>,
+    key: &SimulatedCacheKey,
+) -> Option<Arc<Simulated>> {
+    cache?.probe(key)
+}
+
+/// The leg stage's store of a computed leg under `key`.
+pub(crate) fn store_leg(
+    cache: Option<&ArtifactCache>,
+    key: &SimulatedCacheKey,
+    leg: &Arc<Simulated>,
+) {
+    if let Some(cache) = cache {
+        cache.store_arc(key, leg);
+    }
+}
+
+/// The barrierpoint regions of `selection` when it can drive a leg of
+/// `workload` on `sim_config`: the workload must have the selection's
+/// region count and the machine one core per workload thread.
+fn leg_targets<V: Workload + ?Sized>(
+    selection: &BarrierPointSelection,
+    workload: &V,
+    sim_config: &SimConfig,
+) -> Result<Vec<usize>, Error> {
+    if workload.num_regions() != selection.num_regions() {
+        return Err(Error::RegionCountMismatch {
+            expected: selection.num_regions(),
+            actual: workload.num_regions(),
+        });
+    }
+    simulation_targets(workload, selection, sim_config)
+}
+
+/// The leg stage's computation for design-point legs that share one
+/// detailed simulation: simulate `selection`'s barrierpoints of `workload`
+/// once, on the first of `sim_configs` (optionally from a shared
+/// [`WorkerBudget`], with the MRU warmup `payload` at its LLC capacity),
+/// then reconstruct one whole-application estimate per configuration at
+/// its own clock frequency.  Every configuration must be
 /// [`cycle_equivalent`](SimConfig::cycle_equivalent) to the first, so the
 /// legs come out exactly as if each had been simulated on its own.
-/// [`Sweep`](crate::Sweep) drives this directly — it resolves the selection
-/// without materializing a [`Selected`] stage (a sweep whose selection is
-/// cached never needs the profile at all).
 pub(crate) fn compute_legs<V: Workload + ?Sized>(
     selection: &BarrierPointSelection,
     warmup: WarmupKind,
@@ -352,27 +503,14 @@ pub(crate) fn compute_legs<V: Workload + ?Sized>(
     sim_configs: &[SimConfig],
     policy: &ExecutionPolicy,
     budget: Option<&WorkerBudget>,
-    precollected_mru: Option<&std::collections::HashMap<usize, bp_warmup::MruWarmupData>>,
+    payload: Option<&HashMap<usize, MruWarmupData>>,
 ) -> Result<Vec<Simulated>, Error> {
     let Some(first) = sim_configs.first() else {
         return Ok(Vec::new());
     };
     debug_assert!(sim_configs.iter().all(|c| c.cycle_equivalent(first)));
-    if workload.num_regions() != selection.num_regions() {
-        return Err(Error::RegionCountMismatch {
-            expected: selection.num_regions(),
-            actual: workload.num_regions(),
-        });
-    }
-    let metrics = crate::simulate::simulate_barrierpoints_impl(
-        workload,
-        selection,
-        first,
-        warmup,
-        policy,
-        budget,
-        precollected_mru,
-    )?;
+    let regions = leg_targets(selection, workload, first)?;
+    let metrics = simulate_targets(workload, &regions, first, warmup, policy, budget, payload);
     sim_configs
         .iter()
         .map(|sim_config| {

@@ -23,9 +23,13 @@
 //! [`ArtifactCache`](crate::ArtifactCache) attached, **zero** times on
 //! repeats: the simulated legs themselves are cached by selection content
 //! and machine configuration, the sweep resolves the selection *without
-//! the profile* (its key is configuration-derived), design points dedupe
-//! before the probes, and the cache keys themselves are interned on the
-//! sweep object — a warm re-sweep is pure memory-tier pointer clones.
+//! the profile* (its key is configuration-derived) and design points dedupe
+//! before the probes — a warm re-sweep is pure memory-tier pointer clones.
+//!
+//! Every stage runs through the same crate-private implementation as the
+//! staged chain ([`BarrierPoint::profile`] → [`crate::Profiled::select`] →
+//! [`crate::Selected::simulate`]); the sweep adds only what a grid needs on
+//! top — deduplication, grouping, counters and the report.
 //!
 //! Cross-core-count legs ([`Sweep::add_point`]) take their own workload
 //! instance (the same benchmark rebuilt at another thread count — the
@@ -61,25 +65,24 @@
 //! # Ok::<(), barrierpoint::Error>(())
 //! ```
 
-use crate::cache::{
-    sim_config_fingerprint, CheckpointCacheKey, ProfileCacheKey, SelectionCacheKey,
-    SimulatedCacheKey,
-};
+use crate::cache::{sim_config_fingerprint, ProfileCacheKey, SelectionCacheKey, SimulatedCacheKey};
 use crate::error::Error;
 use crate::pipeline::BarrierPoint;
-use crate::segment::{MruBoundaries, TraceWalk, DEFAULT_SEGMENTS};
-use crate::select::{select_barrierpoints_with, BarrierPointSelection};
+use crate::select::BarrierPointSelection;
 use crate::simulate::WarmupKind;
-use crate::stages::Simulated;
+use crate::stages::{
+    compute_legs, probe_leg, probe_selection, resolve_profile, select_and_store, store_leg,
+    warmup_payloads, Simulated, StageWork, WarmupSources,
+};
 use bp_clustering::{SelectionStrategy, SimPointConfig};
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::SignatureConfig;
 use bp_sim::SimConfig;
-use bp_warmup::{MruSnapshotBank, MruWarmupData};
+use bp_warmup::MruWarmupData;
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One design point of a sweep: a label, a machine configuration, and
 /// (for cross-core-count legs) an optional workload override.
@@ -98,24 +101,9 @@ impl std::fmt::Debug for SweepPoint<'_> {
     }
 }
 
-/// Cache keys derivable from the builder configuration alone — everything
-/// except the selection-content fingerprint — interned on first
-/// [`Sweep::run`] so repeated runs of one sweep object never re-serialize a
-/// config or re-fingerprint a workload.
+/// The key components of one design point, derived once per run.
 #[derive(Debug)]
-struct StaticKeys {
-    profile_key: ProfileCacheKey,
-    /// Content address of the base workload's region-segment checkpoints —
-    /// the same identity as the profile key under its own artifact kind.
-    checkpoint_key: CheckpointCacheKey,
-    /// One selection key per effective strategy, in strategy order.
-    selection_keys: Vec<SelectionCacheKey>,
-    points: Vec<PointKeyParts>,
-}
-
-/// The precomputed key components of one design point.
-#[derive(Debug)]
-struct PointKeyParts {
+struct PointParts {
     workload_name: String,
     threads: usize,
     /// Content fingerprint of the leg's workload (the base workload's for
@@ -143,8 +131,6 @@ pub struct Sweep<'a, W: Workload + ?Sized> {
     /// base pipeline's strategy — and unprefixed leg labels.
     strategies: Vec<(String, Arc<dyn SelectionStrategy>)>,
     shared_budget: Option<WorkerBudget>,
-    static_keys: OnceLock<StaticKeys>,
-    simulated_keys: OnceLock<Vec<SimulatedCacheKey>>,
 }
 
 impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
@@ -162,22 +148,12 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             points: Vec::new(),
             strategies: Vec::new(),
             shared_budget: None,
-            static_keys: OnceLock::new(),
-            simulated_keys: OnceLock::new(),
         }
-    }
-
-    /// Drops interned cache keys; every builder step that changes what the
-    /// keys are derived from must call this.
-    fn invalidate_keys(&mut self) {
-        self.static_keys = OnceLock::new();
-        self.simulated_keys = OnceLock::new();
     }
 
     /// Selects which signatures to cluster on (Figure 5's variants).
     pub fn with_signature_config(mut self, config: SignatureConfig) -> Self {
         self.base = self.base.with_signature_config(config);
-        self.invalidate_keys();
         self
     }
 
@@ -189,7 +165,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// parameters.
     pub fn with_simpoint_config(mut self, config: SimPointConfig) -> Self {
         self.base = self.base.with_simpoint_config(config);
-        self.invalidate_keys();
         self
     }
 
@@ -198,7 +173,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// strategies instead, see [`add_strategy`](Self::add_strategy).
     pub fn with_selection_strategy(mut self, strategy: Arc<dyn SelectionStrategy>) -> Self {
         self.base = self.base.with_selection_strategy(strategy);
-        self.invalidate_keys();
         self
     }
 
@@ -219,7 +193,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         strategy: Arc<dyn SelectionStrategy>,
     ) -> Self {
         self.strategies.push((label.into(), strategy));
-        self.invalidate_keys();
         self
     }
 
@@ -227,7 +200,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// detailed simulation, on every leg.
     pub fn with_warmup(mut self, warmup: WarmupKind) -> Self {
         self.base = self.base.with_warmup(warmup);
-        self.invalidate_keys();
         self
     }
 
@@ -271,7 +243,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     pub fn add_config(mut self, label: impl Into<String>, sim_config: SimConfig) -> Self {
         self.labels.push(label.into());
         self.points.push(SweepPoint { sim_config, workload: None });
-        self.invalidate_keys();
         self
     }
 
@@ -297,7 +268,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     ) -> Self {
         self.labels.push(label.into());
         self.points.push(SweepPoint { sim_config, workload: Some(workload) });
-        self.invalidate_keys();
         self
     }
 
@@ -344,24 +314,21 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
 
         let workload = self.base.workload();
         let warmup = self.base.warmup();
+        let cache = self.base.cache();
         let policy = *self.base.execution_policy();
         let budget =
             self.shared_budget.clone().unwrap_or_else(|| WorkerBudget::for_policy(&policy));
-        let statics = self.static_keys.get_or_init(|| self.build_static_keys());
-        let base_fp = statics.profile_key.fingerprint();
-
-        let mut profile_passes = 0;
-        let mut warmup_collections = 0;
-        let mut trace_walks = 0;
-        let mut segment_walks = 0;
-        let mut checkpoint_hits = 0;
-        let mut fused_bank: Option<MruSnapshotBank> = None;
+        let profile_key = ProfileCacheKey::for_workload(workload);
+        let base_fp = profile_key.fingerprint();
+        let parts = self.point_parts(&profile_key);
+        let mut work = StageWork::default();
+        let mut fused_bank = None;
 
         // Cache-health counters are reported as the delta over this run.
         // The underlying `CacheStats` are shared across every user of the
         // cache, so a concurrent pipeline's degradations can leak into the
         // delta — the counters are a health report, not an audit trail.
-        let stats_before = self.base.cache().map(crate::ArtifactCache::stats);
+        let stats_before = cache.map(crate::ArtifactCache::stats);
 
         // Resolve every strategy-axis entry's selection — the only one-time
         // artifacts the report needs.  Each cache key is derivable from the
@@ -371,89 +338,36 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         // cold profile fuses the MRU warmup collection into its one trace
         // walk per thread (the selections being unknown, the fused pass
         // snapshots every region boundary and the needed targets are
-        // assembled after clustering).
+        // assembled after clustering) at the largest LLC capacity among
+        // the design points of the base content.
         let strategies = self.effective_strategies();
-        let mut selections: Vec<Option<Arc<BarrierPointSelection>>> = vec![None; strategies.len()];
-        if let Some(cache) = self.base.cache() {
-            for (slot, key) in selections.iter_mut().zip(&statics.selection_keys) {
-                *slot = cache.probe(key);
-            }
-        }
-        let mut clustering_passes = 0;
+        let selection_keys: Vec<SelectionCacheKey> = strategies
+            .iter()
+            .map(|(_, strategy)| {
+                SelectionCacheKey::new(
+                    &profile_key,
+                    self.base.signature_config(),
+                    strategy.as_ref(),
+                )
+            })
+            .collect();
+        let mut selections: Vec<Option<Arc<BarrierPointSelection>>> =
+            selection_keys.iter().map(|key| probe_selection(cache, key)).collect();
         if selections.iter().any(Option::is_none) {
-            let cached_profile = self.base.cache().and_then(|c| c.probe(&statics.profile_key));
-            let profile = match cached_profile {
-                Some(profile) => profile,
-                None => {
-                    profile_passes = 1;
-                    let base_capacities = base_capacities(statics, base_fp);
-                    // The interval-sharing snapshot bank scales with
-                    // eviction/write activity between boundaries, not
-                    // `threads × regions × capacity`, so the fused pass
-                    // no longer needs the old 512 MiB byte-cap fallback
-                    // onto two separate walks — fusing is unconditional.
-                    let fuse = warmup == WarmupKind::MruReplay && !base_capacities.is_empty();
-                    let max_capacity = base_capacities.last().copied().unwrap_or(0);
-                    // A prior cold walk's segment checkpoints turn this
-                    // re-profile into `threads × segments` jobs on the one
-                    // shared budget — drawing *more* workers than threads —
-                    // bit-identical to the sequential walk.  Checkpoints
-                    // whose collection capacity cannot serve every base
-                    // capacity fall through to the sequential walk, which
-                    // re-stores refreshed (larger-capacity) checkpoints.
-                    let checkpoints = self
-                        .base
-                        .cache()
-                        .and_then(|cache| cache.probe(&statics.checkpoint_key))
-                        .filter(|c| c.covers(workload, max_capacity));
-                    let mut walk = TraceWalk::profile();
-                    if fuse {
-                        walk = walk.with_mru(MruBoundaries::Every, max_capacity);
-                    }
-                    walk = match &checkpoints {
-                        Some(ckpts) => walk.resuming(ckpts),
-                        // The one-time cold walk emits checkpoints every K
-                        // regions as a side product (only worth taking when
-                        // a cache can keep them).
-                        None if fuse && self.base.cache().is_some() => {
-                            walk.emitting_checkpoints(DEFAULT_SEGMENTS)
-                        }
-                        None => walk,
-                    };
-                    let mut walked = walk.run(workload, &policy, Some(&budget))?;
-                    // A walk from region 0 is one trace walk per thread; a resumed
-                    // walk's jobs are segment walks, all but each thread's first
-                    // restoring a checkpoint.
-                    let walks =
-                        if checkpoints.is_some() { &mut segment_walks } else { &mut trace_walks };
-                    *walks += walked.jobs;
-                    checkpoint_hits += walked.restores;
-                    warmup_collections += usize::from(fuse);
-                    fused_bank = walked.bank.take();
-                    if let (Some(cache), Some(ckpts)) =
-                        (self.base.cache(), walked.checkpoints.take())
-                    {
-                        cache.store_arc(&statics.checkpoint_key, &Arc::new(ckpts));
-                    }
-                    let profile = Arc::new(walked.take_profile());
-                    if let Some(cache) = self.base.cache() {
-                        cache.store_arc(&statics.profile_key, &profile);
-                    }
-                    profile
-                }
-            };
+            let base_capacities = base_capacities(&parts, base_fp);
+            let mru_capacity =
+                base_capacities.last().copied().filter(|_| warmup == WarmupKind::MruReplay);
+            let (profile, bank) =
+                resolve_profile(cache, workload, mru_capacity, &policy, Some(&budget), &mut work)?;
+            fused_bank = bank;
             for (s, slot) in selections.iter_mut().enumerate() {
                 if slot.is_none() {
-                    let selection = Arc::new(select_barrierpoints_with(
-                        &profile,
-                        self.base.signature_config(),
-                        strategies[s].1.as_ref(),
-                    )?);
-                    clustering_passes += 1;
-                    if let Some(cache) = self.base.cache() {
-                        cache.store_arc(&statics.selection_keys[s], &selection);
-                    }
-                    *slot = Some(selection);
+                    let strategy = strategies[s].1.as_ref();
+                    let signature_config = self.base.signature_config();
+                    let key = &selection_keys[s];
+                    *slot =
+                        Some(select_and_store(cache, key, &profile, signature_config, strategy)?);
+                    work.clustering_passes += 1;
                 }
             }
         }
@@ -468,28 +382,25 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             .collect();
 
         // Every grid cell's simulated-leg content address, strategy-major
-        // (cell `s * num_points + p`).  The selection-content fingerprints
-        // (serializations of the whole selections) and all other key
-        // components are interned on the sweep object: repeated runs reuse
-        // the finished keys outright.
+        // (cell `s * num_points + p`).  The selection-content fingerprint
+        // serializes the whole selection, so it is derived once per
+        // strategy.
         let num_points = self.points.len();
-        let keys: &Vec<SimulatedCacheKey> = self.simulated_keys.get_or_init(|| {
-            selections
-                .iter()
-                .flat_map(|selection| {
-                    let selection_fp = selection.fingerprint();
-                    statics.points.iter().map(move |parts| {
-                        SimulatedCacheKey::from_parts(
-                            parts.workload_name.clone(),
-                            parts.threads,
-                            parts.workload_fingerprint,
-                            selection_fp,
-                            parts.config_fingerprint,
-                        )
-                    })
+        let keys: Vec<SimulatedCacheKey> = selections
+            .iter()
+            .flat_map(|selection| {
+                let selection_fp = selection.fingerprint();
+                parts.iter().map(move |parts| {
+                    SimulatedCacheKey::from_parts(
+                        parts.workload_name.clone(),
+                        parts.threads,
+                        parts.workload_fingerprint,
+                        selection_fp,
+                        parts.config_fingerprint,
+                    )
                 })
-                .collect()
-        });
+            })
+            .collect();
 
         // Dedupe grid cells by cache key *before* probing: identical legs
         // (same leg workload content, selection content, machine
@@ -511,21 +422,16 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         let mut results: Vec<Option<Arc<Simulated>>> = (0..keys.len()).map(|_| None).collect();
         let mut missing: Vec<usize> = Vec::new(); // indices into `unique`
         let mut simulated_cache_hits = 0; // design points served, duplicates included
-        match self.base.cache() {
-            Some(cache) => {
-                for (u, (rep, indices)) in unique.iter().enumerate() {
-                    match cache.probe(&keys[*rep]) {
-                        Some(simulated) => {
-                            simulated_cache_hits += indices.len();
-                            for &i in indices {
-                                results[i] = Some(simulated.clone());
-                            }
-                        }
-                        None => missing.push(u),
+        for (u, (rep, indices)) in unique.iter().enumerate() {
+            match probe_leg(cache, &keys[*rep]) {
+                Some(simulated) => {
+                    simulated_cache_hits += indices.len();
+                    for &i in indices {
+                        results[i] = Some(simulated.clone());
                     }
                 }
+                None => missing.push(u),
             }
-            None => missing = (0..unique.len()).collect(),
         }
 
         // Collect the MRU warmup payloads the missing distinct legs need —
@@ -535,8 +441,10 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         // too (collection at the largest capacity, smaller capacities by
         // truncation).  Legs content-identical to the base workload are
         // served straight from the fused bank when the fused pass ran — no
-        // further walk at all.
-        let mut warmup_payloads: Vec<((u64, u64), HashMap<usize, MruWarmupData>)> = Vec::new();
+        // further walk at all — and otherwise re-collect from the base
+        // content's cached checkpoints when they cover the capacities.
+        let mut warmup_payloads_by_key: Vec<((u64, u64), HashMap<usize, MruWarmupData>)> =
+            Vec::new();
         if warmup == WarmupKind::MruReplay && !missing.is_empty() {
             // One collection covers the *union* of every strategy's
             // barrierpoints: payloads are keyed by region index, so each
@@ -547,8 +455,8 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             regions.dedup();
             let mut groups: Vec<(u64, Option<&dyn Workload>, Vec<u64>)> = Vec::new();
             for &u in &missing {
-                let rep = unique[u].0;
-                let parts = &statics.points[rep % num_points];
+                let p = unique[u].0 % num_points;
+                let parts = &parts[p];
                 match groups.iter_mut().find(|(fp, _, _)| *fp == parts.workload_fingerprint) {
                     Some((_, _, capacities)) => {
                         if !capacities.contains(&parts.llc_capacity) {
@@ -557,51 +465,37 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     }
                     None => groups.push((
                         parts.workload_fingerprint,
-                        self.points[rep % num_points].workload,
+                        self.points[p].workload,
                         vec![parts.llc_capacity],
                     )),
                 }
             }
             for (workload_fp, leg_workload, capacities) in groups {
-                let mut per_capacity = match (&fused_bank, workload_fp == base_fp) {
-                    (Some(bank), true) => bank.assemble_multi(&regions, &capacities),
-                    _ => {
-                        // No fused bank (the profile and selections were
-                        // cache-served, or this is another workload): one
-                        // collection walk, thread-major from the shared
-                        // budget — as `threads × segments` jobs when cached
-                        // checkpoints of this content cover the group's
-                        // capacities, bit-identical by the stitching
-                        // contract.
-                        let group_max = capacities.iter().copied().max().unwrap_or(0);
-                        let checkpoints = self
-                            .base
-                            .cache()
-                            .filter(|_| workload_fp == base_fp)
-                            .and_then(|cache| cache.probe(&statics.checkpoint_key))
-                            .filter(|c| c.covers(workload, group_max));
-                        let mut walk = TraceWalk::mru(MruBoundaries::Targets(&regions), group_max);
-                        if let Some(ckpts) = &checkpoints {
-                            walk = walk.resuming(ckpts);
-                        }
-                        let mut walked = match leg_workload {
-                            Some(leg_workload) => walk.run(leg_workload, &policy, Some(&budget)),
-                            None => walk.run(workload, &policy, Some(&budget)),
-                        }?;
-                        let walks = if checkpoints.is_some() {
-                            &mut segment_walks
-                        } else {
-                            &mut trace_walks
-                        };
-                        *walks += walked.jobs;
-                        checkpoint_hits += walked.restores;
-                        warmup_collections += 1;
-                        walked.take_bank().assemble_multi(&regions, &capacities)
-                    }
-                };
+                let sources = WarmupSources { cache, bank: fused_bank.as_ref() };
+                let sources = (workload_fp == base_fp).then_some(sources);
+                let mut per_capacity = match leg_workload {
+                    Some(leg_workload) => warmup_payloads(
+                        sources,
+                        leg_workload,
+                        &regions,
+                        &capacities,
+                        &policy,
+                        Some(&budget),
+                        &mut work,
+                    ),
+                    None => warmup_payloads(
+                        sources,
+                        workload,
+                        &regions,
+                        &capacities,
+                        &policy,
+                        Some(&budget),
+                        &mut work,
+                    ),
+                }?;
                 for capacity in capacities {
                     if let Some(data) = per_capacity.remove(&capacity) {
-                        warmup_payloads.push(((workload_fp, capacity), data));
+                        warmup_payloads_by_key.push(((workload_fp, capacity), data));
                     }
                 }
             }
@@ -618,8 +512,8 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             let shares = |group: &&mut Vec<usize>| {
                 let first = unique[missing[group[0]]].0;
                 first / num_points == rep / num_points
-                    && statics.points[first % num_points].workload_fingerprint
-                        == statics.points[rep % num_points].workload_fingerprint
+                    && parts[first % num_points].workload_fingerprint
+                        == parts[rep % num_points].workload_fingerprint
                     && self.points[first % num_points]
                         .sim_config
                         .cycle_equivalent(&self.points[rep % num_points].sim_config)
@@ -640,16 +534,17 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             policy.execute_budgeted(groups.len(), &budget, |g| {
                 let rep = unique[missing[groups[g][0]]].0;
                 let point = &self.points[rep % num_points];
-                let parts = &statics.points[rep % num_points];
+                let parts = &parts[rep % num_points];
                 let selection = &selections[rep / num_points];
                 let sharing = (parts.workload_fingerprint, parts.llc_capacity);
-                let payload = warmup_payloads.iter().find(|(k, _)| *k == sharing).map(|(_, d)| d);
+                let payload =
+                    warmup_payloads_by_key.iter().find(|(k, _)| *k == sharing).map(|(_, d)| d);
                 let configs: Vec<SimConfig> = groups[g]
                     .iter()
                     .map(|&j| self.points[unique[missing[j]].0 % num_points].sim_config)
                     .collect();
                 match point.workload {
-                    Some(leg_workload) => crate::stages::compute_legs(
+                    Some(leg_workload) => compute_legs(
                         selection,
                         warmup,
                         leg_workload,
@@ -658,7 +553,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         Some(&budget),
                         payload,
                     ),
-                    None => crate::stages::compute_legs(
+                    None => compute_legs(
                         selection,
                         warmup,
                         workload,
@@ -691,15 +586,13 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 None => unreachable!("missing leg {u} was never computed"),
             };
             let (rep, indices) = &unique[u];
-            if let Some(cache) = self.base.cache() {
-                cache.store_arc(&keys[*rep], &simulated);
-            }
+            store_leg(cache, &keys[*rep], &simulated);
             for &i in indices {
                 results[i] = Some(simulated.clone());
             }
         }
 
-        let health = match (&stats_before, self.base.cache()) {
+        let health = match (&stats_before, cache) {
             (Some(before), Some(cache)) => {
                 let after = cache.stats();
                 [
@@ -712,14 +605,14 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             _ => [0; 4],
         };
         let counters = SweepCounters {
-            profile_passes,
-            clustering_passes,
-            warmup_collections,
+            profile_passes: work.profile_passes,
+            clustering_passes: work.clustering_passes,
+            warmup_collections: work.warmup_collections,
             simulate_legs: missing.len(),
             simulated_cache_hits,
-            trace_walks,
-            segment_walks,
-            checkpoint_hits,
+            trace_walks: work.trace_walks,
+            segment_walks: work.segment_walks,
+            checkpoint_hits: work.checkpoint_hits,
             fused_snapshot_bytes: fused_bank.as_ref().map_or(0, |bank| bank.snapshot_bytes()),
             degraded_loads: health[0],
             degraded_stores: health[1],
@@ -772,25 +665,13 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         }
     }
 
-    /// Derives the configuration-only key components; see [`StaticKeys`].
-    fn build_static_keys(&self) -> StaticKeys {
+    /// Derives every design point's key components; a plain
+    /// [`add_config`](Self::add_config) point reuses the base workload's
+    /// `profile_key` identity.
+    fn point_parts(&self, profile_key: &ProfileCacheKey) -> Vec<PointParts> {
         let base = self.base.workload();
-        let profile_key = ProfileCacheKey::for_workload(base);
-        let checkpoint_key = CheckpointCacheKey::for_workload(base);
-        let selection_keys = self
-            .effective_strategies()
-            .iter()
-            .map(|(_, strategy)| {
-                SelectionCacheKey::for_workload(
-                    base,
-                    self.base.signature_config(),
-                    strategy.as_ref(),
-                )
-            })
-            .collect();
         let warmup = self.base.warmup();
-        let points = self
-            .points
+        self.points
             .iter()
             .map(|point| {
                 let (workload_name, threads, workload_fingerprint) = match point.workload {
@@ -801,7 +682,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         (base.name().to_string(), base.num_threads(), profile_key.fingerprint())
                     }
                 };
-                PointKeyParts {
+                PointParts {
                     workload_name,
                     threads,
                     workload_fingerprint,
@@ -812,8 +693,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         .llc_total_lines(point.sim_config.num_cores),
                 }
             })
-            .collect();
-        StaticKeys { profile_key, checkpoint_key, selection_keys, points }
+            .collect()
     }
 }
 
@@ -823,9 +703,8 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
 /// need does not exist yet on a cold run), so a fused pass may cover a
 /// capacity whose legs all turn out cached; the bank assembly for it is
 /// simply never requested.
-fn base_capacities(statics: &StaticKeys, base_fp: u64) -> Vec<u64> {
-    let mut capacities: Vec<u64> = statics
-        .points
+fn base_capacities(parts: &[PointParts], base_fp: u64) -> Vec<u64> {
+    let mut capacities: Vec<u64> = parts
         .iter()
         .filter(|parts| parts.workload_fingerprint == base_fp)
         .map(|parts| parts.llc_capacity)

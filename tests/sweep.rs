@@ -328,6 +328,9 @@ fn staged_chain_matches_the_sweep_and_pins_its_cache_traffic() {
                 profile_misses: 1,
                 selection_misses: 1,
                 simulated_misses: 3,
+                // The cold fused walk probes for checkpoints to resume from
+                // before it emits (and stores) its own.
+                checkpoint_misses: 1,
                 ..CacheStats::default()
             },
             "{}: cold staged chain",
