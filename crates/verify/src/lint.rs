@@ -1,7 +1,7 @@
 //! Source-scanning lint rules for the concurrency core (the `bp-lint`
 //! binary is a thin wrapper over [`run`]).
 //!
-//! Seven rules, all line-based over the repo's own sources — no external
+//! Eight rules, all line-based over the repo's own sources — no external
 //! parser, so the lint works in the offline vendored build:
 //!
 //! * [`Rule::OrderingJustification`] — every `Ordering::` argument in the
@@ -37,6 +37,12 @@
 //!   traces, so every sweep hot path stays checkpointable and segmentable;
 //!   a walk hand-rolled elsewhere would silently bypass the
 //!   `threads × segments` fan-out (and its counters).
+//! * [`Rule::CoreCache`] — no artifact-cache probe or store
+//!   (`.probe(` / `.store_arc(`) in `crates/core/src/**` outside `cache.rs`
+//!   and `stages.rs`.  Each pipeline stage has one implementation in the
+//!   stage module, shared by the staged chain and the sweep; a probe or
+//!   store anywhere else would be a second copy of a stage that can drift
+//!   from the first (different checkpoint rules, different counters).
 //!
 //! A finding can be suppressed with a `bp-lint: allow(<rule>)` comment on
 //! the same line or the line above; every suppression is expected to carry
@@ -67,6 +73,9 @@ const PATS_CORE_DRIVE: [&str; 5] = [
     concat!("ThreadProfileObserver", "::new("),
     concat!("MruThreadObserver", "::new("),
 ];
+/// Everything the core-cache rule flags: the cache's degrading probe and
+/// write-through store.
+const PATS_CORE_CACHE: [&str; 2] = [concat!(".probe", "("), concat!(".store", "_arc(")];
 
 /// Which lint rule a finding belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,6 +96,9 @@ pub enum Rule {
     /// Trace walk (raw drive, bp-warmup collection walk, or hand-built trace
     /// observer) in bp-core outside the segment scheduler.
     CoreDrive,
+    /// Artifact-cache probe or store in bp-core outside the cache and the
+    /// stage implementations.
+    CoreCache,
 }
 
 impl Rule {
@@ -100,6 +112,7 @@ impl Rule {
             Rule::NoStdFs => "std-fs",
             Rule::SimPointInCacheKeys => "simpoint-in-cache",
             Rule::CoreDrive => "core-drive",
+            Rule::CoreCache => "core-cache",
         }
     }
 }
@@ -295,6 +308,15 @@ fn in_core_drive_scope(rel: &str) -> bool {
     rel.starts_with("crates/core/src/") && rel != "crates/core/src/segment.rs"
 }
 
+/// Scope of the cache-probe rule: all of bp-core except the cache itself
+/// and the stage implementations (`stages.rs`), the one module that probes
+/// and stores on the pipeline's behalf.
+fn in_core_cache_scope(rel: &str) -> bool {
+    rel.starts_with("crates/core/src/")
+        && rel != "crates/core/src/cache.rs"
+        && rel != "crates/core/src/stages.rs"
+}
+
 /// Crate roots that must carry `#![forbid(unsafe_code)]`.
 fn is_crate_root(rel: &str) -> bool {
     rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs") || rel.contains("src/bin/")
@@ -338,12 +360,14 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
     let check_std_fs = in_std_fs_scope(rel);
     let check_simpoint = in_simpoint_key_scope(rel);
     let check_drive = in_core_drive_scope(rel);
+    let check_cache = in_core_cache_scope(rel);
     if !(check_ordering
         || check_unwrap
         || check_std_sync
         || check_std_fs
         || check_simpoint
-        || check_drive)
+        || check_drive
+        || check_cache)
     {
         return;
     }
@@ -441,6 +465,22 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
                 message: "trace walk in bp-core outside the segment scheduler — route it \
                           through `crate::segment::TraceWalk` so sweep hot paths stay \
                           checkpointable and segmentable"
+                    .to_string(),
+            });
+        }
+
+        if check_cache
+            && !in_test
+            && PATS_CORE_CACHE.iter().any(|pat| code.contains(pat))
+            && !allowed(&lines, idx, Rule::CoreCache)
+        {
+            findings.push(Finding {
+                file: PathBuf::from(rel),
+                line: lineno,
+                rule: Rule::CoreCache,
+                message: "artifact-cache probe or store in bp-core outside the stage \
+                          implementations — call the stage's function in `crate::stages` so \
+                          the staged chain and the sweep keep one set of cache rules"
                     .to_string(),
             });
         }
@@ -673,6 +713,48 @@ mod tests {
         );
         let findings = lint_str("crates/core/src/profile.rs", &escaped);
         assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive));
+    }
+
+    #[test]
+    fn cache_probe_in_core_is_flagged_outside_the_stage_module() {
+        let [probe, store] = PATS_CORE_CACHE;
+        for src in [
+            format!("fn f(c: &ArtifactCache, k: &K) {{ let _ = c{probe}k); }}\n"),
+            format!("fn f(c: &ArtifactCache, k: &K, a: &Arc<A>) {{ c{store}k, a); }}\n"),
+        ] {
+            let findings = lint_str("crates/core/src/sweep.rs", &src);
+            assert!(findings.iter().any(|f| f.rule == Rule::CoreCache), "must flag: {src}");
+            // The stage implementations and the cache itself are the
+            // permitted call sites.
+            for allowed_module in ["crates/core/src/stages.rs", "crates/core/src/cache.rs"] {
+                let findings = lint_str(allowed_module, &src);
+                assert!(
+                    !findings.iter().any(|f| f.rule == Rule::CoreCache),
+                    "{allowed_module}: {src}"
+                );
+            }
+            // Other crates are out of scope.
+            let findings = lint_str("perfbench/src/layers.rs", &src);
+            assert!(!findings.iter().any(|f| f.rule == Rule::CoreCache), "out of scope: {src}");
+        }
+    }
+
+    #[test]
+    fn core_cache_tests_and_allows_pass() {
+        let in_test = format!(
+            "#[cfg(test)]\nmod tests {{\n    fn f(c: &ArtifactCache) {{ c{}k); }}\n}}\n",
+            PATS_CORE_CACHE[0]
+        );
+        let findings = lint_str("crates/core/src/pipeline.rs", &in_test);
+        assert!(!findings.iter().any(|f| f.rule == Rule::CoreCache));
+
+        let escaped = format!(
+            "fn f(c: &ArtifactCache) {{\n    // bp-lint: allow(core-cache) — diagnostic probe\n    \
+             let _ = c{}k);\n}}\n",
+            PATS_CORE_CACHE[0]
+        );
+        let findings = lint_str("crates/core/src/pipeline.rs", &escaped);
+        assert!(!findings.iter().any(|f| f.rule == Rule::CoreCache));
     }
 
     #[test]

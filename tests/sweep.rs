@@ -353,3 +353,155 @@ fn staged_chain_matches_the_sweep_and_pins_its_cache_traffic() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// The fused cold pass takes the interval-sharing snapshot bank, and the
+/// bank stays far below the per-boundary worst case it replaced: one raw
+/// `(line, dirty_depth)` entry per boundary per resident line, i.e.
+/// `threads × regions × collection-capacity × 16` bytes.
+#[test]
+fn fused_cold_sweep_bank_stays_below_the_per_boundary_worst_case() {
+    let w = workload(4);
+    let matrix = machine_matrix(4);
+    let mut sweep = Sweep::new(&w);
+    for (label, machine) in &matrix {
+        sweep = sweep.add_config(*label, *machine);
+    }
+    let report = sweep.run().unwrap();
+    let collection_capacity = matrix
+        .iter()
+        .map(|(_, machine)| machine.memory.llc_total_lines(machine.num_cores))
+        .max()
+        .unwrap_or(1);
+    let raw_snapshot_worst_case = 4 * w.num_regions() as u64 * collection_capacity * 16;
+    assert!(
+        report.counters().fused_snapshot_bytes > 0,
+        "cold sweep must report the fused bank's actual snapshot bytes"
+    );
+    // This matrix pairs a tiny LLC with a working set that exceeds it, so
+    // the recency lists churn almost fully between boundaries — near the
+    // encoding's worst case.  Even there the bank must stay below half the
+    // raw-snapshot bound; the big win is pinned on the realistically-sized
+    // 32-thread sweep below.
+    assert!(
+        report.counters().fused_snapshot_bytes < raw_snapshot_worst_case / 2,
+        "interval sharing must stay below the per-boundary worst case \
+         ({} >= {raw_snapshot_worst_case} / 2)",
+        report.counters().fused_snapshot_bytes
+    );
+}
+
+/// A cold sweep at heavy oversubscription — 32 application threads, two
+/// paper-scaled machines — still walks each trace once, and the interval
+/// bank holds where the per-boundary encoding hurt most: an LLC the
+/// per-region working set does not fully churn.
+#[test]
+fn cold_32_thread_sweep_walks_each_trace_once_with_a_small_bank() {
+    let wide_workload = Benchmark::NpbCg.build(&WorkloadConfig::new(32).with_scale(0.02));
+    let wide_base = SimConfig::scaled(32);
+    let mut wide_small = wide_base;
+    wide_small.memory.l3.size_bytes /= 4;
+    let report = Sweep::new(&wide_workload)
+        .add_config("base", wide_base)
+        .add_config("small-llc", wide_small)
+        .run()
+        .unwrap();
+    let counters = report.counters();
+    assert_eq!(counters.trace_walks, 32, "cold 32-thread sweep must walk each trace once");
+    assert_eq!(counters.warmup_collections, 1);
+    assert!(counters.fused_snapshot_bytes > 0, "32-thread sweep must take the fused path");
+    let worst = 32u64
+        * wide_workload.num_regions() as u64
+        * wide_base.memory.llc_total_lines(wide_base.num_cores)
+        * 16;
+    assert!(
+        counters.fused_snapshot_bytes < worst / 4,
+        "interval sharing must hold at 32 threads ({} >= {worst} / 4)",
+        counters.fused_snapshot_bytes
+    );
+}
+
+/// A re-sweep on a fresh handle over a warm directory (the "new process"
+/// case): nothing degrades, retries or contends on a healthy filesystem,
+/// and exactly the selection and the three legs are read from disk.
+#[test]
+fn warm_disk_resweep_is_healthy_and_reads_only_the_selection_and_legs() {
+    let dir = std::env::temp_dir().join(format!("bp-sweep-warm-disk-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let w = workload(4);
+    let run_sweep = |cache: &ArtifactCache| {
+        let mut sweep = Sweep::new(&w).with_cache(cache.clone());
+        for (label, machine) in machine_matrix(4) {
+            sweep = sweep.add_config(label, machine);
+        }
+        sweep.run().unwrap()
+    };
+    run_sweep(&ArtifactCache::new(&dir));
+    let cache = ArtifactCache::new(&dir);
+    let counters = run_sweep(&cache).counters();
+    assert_eq!(counters.profile_passes, 0);
+    assert_eq!(counters.clustering_passes, 0);
+    assert_eq!(counters.degraded_loads, 0, "healthy disk must not degrade loads");
+    assert_eq!(counters.degraded_stores, 0, "healthy disk must not degrade stores");
+    assert_eq!(counters.io_retries, 0, "healthy disk must not retry");
+    assert_eq!(counters.lock_contended, 0, "single process must never contend");
+    assert_eq!(counters.simulate_legs, 0, "warm re-sweep must execute zero simulate legs");
+    assert_eq!(counters.warmup_collections, 0, "warm re-sweep must not walk any trace");
+    assert_eq!(counters.simulated_cache_hits, 3);
+    assert_eq!(counters.trace_walks, 0, "warm re-sweep must not generate any trace");
+    assert_eq!(counters.segment_walks, 0, "warm re-sweep must run zero segment jobs");
+    let stats = cache.stats();
+    assert_eq!(stats.memory_hits(), 0, "fresh handles must decode from disk");
+    // The profile is never read: a cached selection makes it unnecessary.
+    assert_eq!(stats.disk_hits(), 4, "selection + three legs");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The cold sweep stores region-segment checkpoints as a side product of
+/// its fused walk.  After the profile is invalidated and the clustering
+/// configuration changes, the re-profile restores them and fans
+/// `threads × segments` jobs across the worker budget instead of walking
+/// each trace sequentially — with a report bit-identical to an uncached
+/// sequential sweep.
+#[test]
+fn segmented_resweep_after_invalidation_matches_a_sequential_sweep() {
+    use barrierpoint::{ProfileCacheKey, SimPointConfig};
+    let dir = std::env::temp_dir().join(format!("bp-sweep-segmented-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cores = 4;
+    let w = workload(cores);
+    let cache = ArtifactCache::new(&dir);
+    let build_sweep = |config: Option<SimPointConfig>, cache: Option<&ArtifactCache>| {
+        let mut sweep = Sweep::new(&w);
+        if let Some(config) = config {
+            sweep = sweep.with_simpoint_config(config);
+        }
+        if let Some(cache) = cache {
+            sweep = sweep.with_cache(cache.clone());
+        }
+        for (label, machine) in machine_matrix(cores) {
+            sweep = sweep.add_config(label, machine);
+        }
+        sweep
+    };
+    build_sweep(None, Some(&cache)).run().unwrap();
+    cache.invalidate_profile(&ProfileCacheKey::for_workload(&w));
+    let reclustered = SimPointConfig::paper().with_max_k(3);
+    let segmented_report = build_sweep(Some(reclustered), Some(&cache)).run().unwrap();
+    let segmented_counters = segmented_report.counters();
+    assert_eq!(segmented_counters.profile_passes, 1, "the re-profile must recompute");
+    assert_eq!(segmented_counters.trace_walks, 0, "re-profile must not walk sequentially");
+    assert!(
+        segmented_counters.segment_walks > cores,
+        "segmented re-profile must fan out more jobs ({}) than threads ({cores})",
+        segmented_counters.segment_walks
+    );
+    assert!(segmented_counters.checkpoint_hits > 0, "segments must resume from checkpoints");
+    let sequential_report = build_sweep(Some(reclustered), None).run().unwrap();
+    assert_eq!(
+        segmented_report.legs(),
+        sequential_report.legs(),
+        "segmented sweep report must be bit-identical to the sequential sweep"
+    );
+    assert_eq!(segmented_report.selections(), sequential_report.selections());
+    std::fs::remove_dir_all(&dir).ok();
+}
