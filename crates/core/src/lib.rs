@@ -51,7 +51,11 @@
 //! warmup collection, checkpoint emission and checkpoint-resumed segment
 //! walks — is one [`TraceWalk`] request: it names the observers and where
 //! each thread starts, and the segment scheduler fans it out under an
-//! [`ExecutionPolicy`] and optional [`WorkerBudget`].
+//! [`ExecutionPolicy`] and optional [`WorkerBudget`].  Likewise each stage
+//! has one implementation, shared by the staged chain and [`Sweep`]: both
+//! probe and store the cache the same way, and with a cache attached a
+//! cold fused profile stores region-segment checkpoints that every later
+//! walk of the same workload content resumes from.
 //!
 //! The [`evaluate`] module adds everything needed to reproduce the paper's
 //! evaluation (prediction errors, cross-core-count validation, relative

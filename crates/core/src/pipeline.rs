@@ -1,4 +1,4 @@
-use crate::cache::ArtifactCache;
+use crate::cache::{ArtifactCache, SelectionCacheKey};
 use crate::error::Error;
 use crate::profile::ApplicationProfile;
 use crate::reconstruct::ReconstructedRun;
@@ -163,6 +163,15 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     /// The attached artifact cache, if any.
     pub fn cache(&self) -> Option<&ArtifactCache> {
         self.cache.as_ref()
+    }
+
+    /// The cache key of the selection this pipeline's configuration makes.
+    pub(crate) fn selection_key(&self) -> SelectionCacheKey {
+        SelectionCacheKey::for_workload(
+            self.workload,
+            &self.signature_config,
+            self.strategy.as_ref(),
+        )
     }
 
     pub(crate) fn effective_sim_config(&self) -> SimConfig {

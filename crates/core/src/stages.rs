@@ -102,24 +102,14 @@ impl<'a, W: Workload + ?Sized> Profiled<'a, W> {
     /// Cache I/O failures degrade to recomputation (see
     /// [`CacheStats`](crate::CacheStats)) rather than failing the stage.
     pub fn select(self) -> Result<Selected<'a, W>, Error> {
-        let pipeline = &self.pipeline;
-        let strategy = pipeline.selection_strategy().as_ref();
-        let key = SelectionCacheKey::for_workload(
-            pipeline.workload(),
-            pipeline.signature_config(),
-            strategy,
-        );
-        let cached = probe_selection(pipeline.cache(), &key);
+        let (cache, key) = (self.pipeline.cache(), self.pipeline.selection_key());
+        let config = self.pipeline.signature_config();
+        let strategy = self.pipeline.selection_strategy().as_ref();
+        let cached = probe_selection(cache, &key);
         let selection_was_cached = cached.is_some();
         let selection = match cached {
             Some(selection) => selection,
-            None => select_and_store(
-                pipeline.cache(),
-                &key,
-                &self.profile,
-                pipeline.signature_config(),
-                strategy,
-            )?,
+            None => select_and_store(cache, &key, &self.profile, config, strategy)?,
         };
         Ok(Selected {
             pipeline: self.pipeline,
@@ -181,11 +171,7 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
 
     /// The on-disk cache key of this selection, when one is derivable.
     pub fn selection_cache_key(&self) -> SelectionCacheKey {
-        SelectionCacheKey::for_workload(
-            self.pipeline.workload(),
-            self.pipeline.signature_config(),
-            self.pipeline.selection_strategy().as_ref(),
-        )
+        self.pipeline.selection_key()
     }
 
     /// Simulates the barrierpoints on `sim_config` (whose core count must
@@ -244,24 +230,12 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
         // The bank and the checkpoints hold the profiled workload's content.
         let profiled =
             workload.profile_fingerprint() == self.pipeline.workload().profile_fingerprint();
-        let sources = WarmupSources { cache, bank: self.warmup_bank.as_deref() };
-        let payload = leg_payload(
-            profiled.then_some(sources),
-            workload,
-            &regions,
-            warmup,
-            sim_config,
-            policy,
-        )?;
-        let legs = compute_legs(
-            &self.selection,
-            warmup,
-            workload,
-            std::slice::from_ref(sim_config),
-            policy,
-            None,
-            payload.as_ref(),
-        )?;
+        let sources =
+            profiled.then_some(WarmupSources { cache, bank: self.warmup_bank.as_deref() });
+        let payload = leg_payload(sources, workload, &regions, warmup, sim_config, policy)?;
+        let (selection, configs) = (&self.selection, std::slice::from_ref(sim_config));
+        let legs =
+            compute_legs(selection, warmup, workload, configs, policy, None, payload.as_ref())?;
         let leg = match legs.into_iter().next() {
             Some(leg) => Arc::new(leg),
             // One configuration in, one leg out.
@@ -350,13 +324,11 @@ pub(crate) fn resolve_profile<W: Workload + ?Sized>(
     work.profile_passes += 1;
     work.warmup_collections += usize::from(mru_capacity.is_some());
     work.walked(&walked, checkpoints.is_some());
+    let profile = Arc::new(walked.take_profile());
     if let Some(cache) = cache {
         if let Some(emitted) = walked.checkpoints.take() {
             cache.store_arc(&CheckpointCacheKey::for_workload(workload), &Arc::new(emitted));
         }
-    }
-    let profile = Arc::new(walked.take_profile());
-    if let Some(cache) = cache {
         cache.store_arc(&key, &profile);
     }
     Ok((profile, walked.bank.take()))
@@ -644,6 +616,45 @@ mod tests {
         let bytes = serde::to_vec(&simulated);
         let back: Simulated = serde::from_slice(&bytes).unwrap();
         assert_eq!(*simulated, back);
+    }
+
+    /// With a cache attached the staged chain follows the sweep's
+    /// checkpoint rule: the cold fused profile stores segment checkpoints,
+    /// and a later dedicated warmup walk of the same content resumes from
+    /// them — with legs identical to an uncached chain's.
+    #[test]
+    fn cached_staged_chain_stores_checkpoints_and_resumes_from_them() {
+        let dir = std::env::temp_dir().join(format!("bp-stage-ckpt-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let w = workload(2);
+        let machine = SimConfig::scaled(2);
+        let cache = ArtifactCache::new(&dir);
+        let cold = BarrierPoint::new(&w).with_cache(cache.clone()).profile().unwrap();
+        assert!(!cold.was_cached());
+        assert_eq!(cache.stats().checkpoint_misses, 1, "the cold walk probes before emitting");
+
+        // A cache-served profile carries no bank, so a new leg collects its
+        // warmup with a dedicated walk — which rides the checkpoints.
+        let selected =
+            BarrierPoint::new(&w).with_cache(cache.clone()).profile().unwrap().select().unwrap();
+        assert!(selected.profile_was_cached());
+        let leg = selected.simulate(&machine).unwrap();
+        assert_eq!(cache.stats().checkpoint_memory_hits, 1);
+        let uncached =
+            BarrierPoint::new(&w).profile().unwrap().select().unwrap().simulate(&machine).unwrap();
+        assert_eq!(leg, uncached);
+
+        let regions = selected.selection().barrierpoint_regions();
+        let capacity = machine.memory.llc_total_lines(machine.num_cores);
+        let sources = WarmupSources { cache: Some(&cache), bank: None };
+        let policy = ExecutionPolicy::Serial;
+        let mut work = StageWork::default();
+        warmup_payloads(Some(sources), &w, &regions, &[capacity], &policy, None, &mut work)
+            .unwrap();
+        assert_eq!((work.trace_walks, work.warmup_collections), (0, 1));
+        assert!(work.segment_walks > 2, "the dedicated walk resumes as segment jobs");
+        assert!(work.checkpoint_hits > 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -78,7 +78,6 @@ use bp_clustering::{SelectionStrategy, SimPointConfig};
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::SignatureConfig;
 use bp_sim::SimConfig;
-use bp_warmup::MruWarmupData;
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -220,7 +219,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     /// helper threads from, instead of deriving one from the execution
     /// policy.  Useful to share one budget across several concurrent sweeps
     /// — and to read [`WorkerBudget::steal_count`] afterwards, which the
-    /// sweep bench records.
+    /// repository benchmark reports as `exec.steal_count`.
     pub fn with_shared_budget(mut self, budget: WorkerBudget) -> Self {
         self.shared_budget = Some(budget);
         self
@@ -354,32 +353,36 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         let mut selections: Vec<Option<Arc<BarrierPointSelection>>> =
             selection_keys.iter().map(|key| probe_selection(cache, key)).collect();
         if selections.iter().any(Option::is_none) {
-            let base_capacities = base_capacities(&parts, base_fp);
-            let mru_capacity =
-                base_capacities.last().copied().filter(|_| warmup == WarmupKind::MruReplay);
+            // The fused pass covers the largest LLC capacity among the
+            // design points of the base content.  It is chosen before the
+            // leg probes (their selection fingerprints do not exist yet on
+            // a cold run), so it may cover a capacity whose legs all turn
+            // out cached; the bank assembly for it is then never requested.
+            let mru_capacity = parts
+                .iter()
+                .filter(|parts| parts.workload_fingerprint == base_fp)
+                .map(|parts| parts.llc_capacity)
+                .max()
+                .filter(|_| warmup == WarmupKind::MruReplay);
             let (profile, bank) =
                 resolve_profile(cache, workload, mru_capacity, &policy, Some(&budget), &mut work)?;
             fused_bank = bank;
-            for (s, slot) in selections.iter_mut().enumerate() {
+            let signature_config = self.base.signature_config();
+            for ((slot, key), (_, strategy)) in
+                selections.iter_mut().zip(&selection_keys).zip(&strategies)
+            {
                 if slot.is_none() {
-                    let strategy = strategies[s].1.as_ref();
-                    let signature_config = self.base.signature_config();
-                    let key = &selection_keys[s];
+                    let strategy = strategy.as_ref();
                     *slot =
                         Some(select_and_store(cache, key, &profile, signature_config, strategy)?);
                     work.clustering_passes += 1;
                 }
             }
         }
-        let selections: Vec<Arc<BarrierPointSelection>> = selections
-            .into_iter()
-            .map(|slot| match slot {
-                Some(selection) => selection,
-                // The resolve loop above fills every slot or returns its
-                // error before reaching this point.
-                None => unreachable!("a strategy's selection was never resolved"),
-            })
-            .collect();
+        // Every slot is filled: each miss was selected above or returned
+        // its error.
+        let selections: Vec<Arc<BarrierPointSelection>> =
+            selections.into_iter().flatten().collect();
 
         // Every grid cell's simulated-leg content address, strategy-major
         // (cell `s * num_points + p`).  The selection-content fingerprint
@@ -443,8 +446,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
         // served straight from the fused bank when the fused pass ran — no
         // further walk at all — and otherwise re-collect from the base
         // content's cached checkpoints when they cover the capacities.
-        let mut warmup_payloads_by_key: Vec<((u64, u64), HashMap<usize, MruWarmupData>)> =
-            Vec::new();
+        let mut payloads = HashMap::new(); // by workload content, then by LLC capacity
         if warmup == WarmupKind::MruReplay && !missing.is_empty() {
             // One collection covers the *union* of every strategy's
             // barrierpoints: payloads are keyed by region index, so each
@@ -456,24 +458,16 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             let mut groups: Vec<(u64, Option<&dyn Workload>, Vec<u64>)> = Vec::new();
             for &u in &missing {
                 let p = unique[u].0 % num_points;
-                let parts = &parts[p];
-                match groups.iter_mut().find(|(fp, _, _)| *fp == parts.workload_fingerprint) {
-                    Some((_, _, capacities)) => {
-                        if !capacities.contains(&parts.llc_capacity) {
-                            capacities.push(parts.llc_capacity);
-                        }
-                    }
-                    None => groups.push((
-                        parts.workload_fingerprint,
-                        self.points[p].workload,
-                        vec![parts.llc_capacity],
-                    )),
+                let (fp, capacity) = (parts[p].workload_fingerprint, parts[p].llc_capacity);
+                match groups.iter_mut().find(|(group_fp, _, _)| *group_fp == fp) {
+                    Some((_, _, capacities)) => capacities.push(capacity),
+                    None => groups.push((fp, self.points[p].workload, vec![capacity])),
                 }
             }
-            for (workload_fp, leg_workload, capacities) in groups {
+            for (fp, leg_workload, capacities) in groups {
                 let sources = WarmupSources { cache, bank: fused_bank.as_ref() };
-                let sources = (workload_fp == base_fp).then_some(sources);
-                let mut per_capacity = match leg_workload {
+                let sources = (fp == base_fp).then_some(sources);
+                let per_capacity = match leg_workload {
                     Some(leg_workload) => warmup_payloads(
                         sources,
                         leg_workload,
@@ -493,11 +487,7 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                         &mut work,
                     ),
                 }?;
-                for capacity in capacities {
-                    if let Some(data) = per_capacity.remove(&capacity) {
-                        warmup_payloads_by_key.push(((workload_fp, capacity), data));
-                    }
-                }
+                payloads.insert(fp, per_capacity);
             }
         }
 
@@ -536,9 +526,9 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                 let point = &self.points[rep % num_points];
                 let parts = &parts[rep % num_points];
                 let selection = &selections[rep / num_points];
-                let sharing = (parts.workload_fingerprint, parts.llc_capacity);
-                let payload =
-                    warmup_payloads_by_key.iter().find(|(k, _)| *k == sharing).map(|(_, d)| d);
+                let payload = payloads
+                    .get(&parts.workload_fingerprint)
+                    .and_then(|per_capacity| per_capacity.get(&parts.llc_capacity));
                 let configs: Vec<SimConfig> = groups[g]
                     .iter()
                     .map(|&j| self.points[unique[missing[j]].0 % num_points].sim_config)
@@ -564,45 +554,30 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
                     ),
                 }
             });
-        // Scatter every group's legs back to the missing order; a failed
-        // group's error sits on its first leg, which precedes the others.
-        let mut scattered: Vec<Option<Result<Simulated, Error>>> =
-            (0..missing.len()).map(|_| None).collect();
-        for (group, result) in groups.iter().zip(computed) {
-            match result {
-                Ok(simulated) => {
-                    for (&j, leg) in group.iter().zip(simulated) {
-                        scattered[j] = Some(Ok(leg));
-                    }
-                }
-                Err(e) => scattered[group[0]] = Some(Err(e)),
-            }
-        }
-        for (&u, leg) in missing.iter().zip(scattered) {
-            let simulated = match leg {
-                Some(result) => Arc::new(result?),
-                // Every missing leg belongs to one group, and a group's
-                // error returns before its later legs are reached.
-                None => unreachable!("missing leg {u} was never computed"),
-            };
-            let (rep, indices) = &unique[u];
+        // Store the computed legs in missing order; a failed group's error
+        // sits on its first leg, which precedes the group's other legs.
+        let mut computed: Vec<(usize, Result<Simulated, Error>)> = groups
+            .iter()
+            .zip(computed)
+            .flat_map(|(group, result)| match result {
+                Ok(legs) => group.iter().copied().zip(legs.into_iter().map(Ok)).collect(),
+                Err(e) => vec![(group[0], Err(e))],
+            })
+            .collect();
+        computed.sort_unstable_by_key(|(j, _)| *j);
+        for (j, leg) in computed {
+            let simulated = Arc::new(leg?);
+            let (rep, indices) = &unique[missing[j]];
             store_leg(cache, &keys[*rep], &simulated);
             for &i in indices {
                 results[i] = Some(simulated.clone());
             }
         }
 
-        let health = match (&stats_before, cache) {
-            (Some(before), Some(cache)) => {
-                let after = cache.stats();
-                [
-                    after.degraded_loads.saturating_sub(before.degraded_loads),
-                    after.degraded_stores.saturating_sub(before.degraded_stores),
-                    after.retries.saturating_sub(before.retries),
-                    after.lock_contended.saturating_sub(before.lock_contended),
-                ]
-            }
-            _ => [0; 4],
+        let stats_after = cache.map(crate::ArtifactCache::stats);
+        let health = |counter: fn(&crate::CacheStats) -> u64| match (&stats_before, &stats_after) {
+            (Some(before), Some(after)) => counter(after).saturating_sub(counter(before)),
+            _ => 0,
         };
         let counters = SweepCounters {
             profile_passes: work.profile_passes,
@@ -614,32 +589,30 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             segment_walks: work.segment_walks,
             checkpoint_hits: work.checkpoint_hits,
             fused_snapshot_bytes: fused_bank.as_ref().map_or(0, |bank| bank.snapshot_bytes()),
-            degraded_loads: health[0],
-            degraded_stores: health[1],
-            io_retries: health[2],
-            lock_contended: health[3],
+            degraded_loads: health(|stats| stats.degraded_loads),
+            degraded_stores: health(|stats| stats.degraded_stores),
+            io_retries: health(|stats| stats.retries),
+            lock_contended: health(|stats| stats.lock_contended),
         };
         // Leg labels: the point label alone for a single-strategy sweep,
         // `"{strategy}/{point}"` across an explicit strategy axis.
         let prefixed = !self.strategies.is_empty();
-        let mut legs = Vec::with_capacity(results.len());
-        for (i, simulated) in results.into_iter().enumerate() {
-            let point_label = &self.labels[i % num_points];
-            let label = if prefixed {
-                format!("{}/{}", strategies[i / num_points].0, point_label)
-            } else {
-                point_label.clone()
-            };
-            legs.push(SweepLeg {
-                label,
-                simulated: match simulated {
-                    Some(simulated) => simulated,
-                    // The resolve loop above fills every slot or returns
-                    // its error before reaching this point.
-                    None => unreachable!("design point {i} was never resolved"),
-                },
-            });
-        }
+        // Every cell is filled: each was served by its probe or computed
+        // above (a failed computation returned its error).
+        let legs = results
+            .into_iter()
+            .flatten()
+            .enumerate()
+            .map(|(i, simulated)| {
+                let point_label = &self.labels[i % num_points];
+                let label = if prefixed {
+                    format!("{}/{}", strategies[i / num_points].0, point_label)
+                } else {
+                    point_label.clone()
+                };
+                SweepLeg { label, simulated }
+            })
+            .collect();
 
         let selections = strategies
             .into_iter()
@@ -695,23 +668,6 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             })
             .collect()
     }
-}
-
-/// The distinct LLC line capacities of the design points whose workload is
-/// content-identical to the base — what a fused cold pass must cover.  It is
-/// computed *before* the leg probes (the selection fingerprint those probes
-/// need does not exist yet on a cold run), so a fused pass may cover a
-/// capacity whose legs all turn out cached; the bank assembly for it is
-/// simply never requested.
-fn base_capacities(parts: &[PointParts], base_fp: u64) -> Vec<u64> {
-    let mut capacities: Vec<u64> = parts
-        .iter()
-        .filter(|parts| parts.workload_fingerprint == base_fp)
-        .map(|parts| parts.llc_capacity)
-        .collect();
-    capacities.sort_unstable();
-    capacities.dedup();
-    capacities
 }
 
 /// How many times each pipeline stage actually executed during a sweep.
