@@ -657,6 +657,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The fused bank serves only legs within its collection capacity: a
+    /// larger LLC collects its own warmup (truncating the bank would replay
+    /// too few lines), matching a direct simulation.
+    #[test]
+    fn legs_beyond_the_bank_capacity_collect_their_own_warmup() {
+        // A working set well beyond the tiny LLC, so truncation would show.
+        let w = Benchmark::ParsecBodytrack.build(&WorkloadConfig::new(4).with_scale(0.05));
+        let small = SimConfig::tiny(4);
+        let large = SimConfig::scaled(4);
+        assert!(large.memory.llc_total_lines(4) > small.memory.llc_total_lines(4));
+        let selected =
+            BarrierPoint::new(&w).with_sim_config(small).profile().unwrap().select().unwrap();
+        let leg = selected.simulate(&large).unwrap();
+        let policy = ExecutionPolicy::Serial;
+        let direct = crate::simulate_barrierpoints(
+            &w,
+            selected.selection(),
+            &large,
+            WarmupKind::MruReplay,
+            &policy,
+        )
+        .unwrap();
+        assert_eq!(*leg.metrics(), direct);
+    }
+
     #[test]
     fn staged_chain_reuses_cached_artifacts() {
         let dir = std::env::temp_dir().join(format!("bp-stage-cache-test-{}", std::process::id()));
