@@ -12,12 +12,13 @@
 use barrierpoint::{
     profile_and_collect_warmup, profile_application_segmented, select_barrierpoints,
     ApplicationProfile, Error, ExecutionPolicy, MruBoundaries, SignatureConfig, SimPointConfig,
-    TraceWalk, WorkerBudget, WorkloadCheckpoints,
+    TraceWalk, WorkerBudget, WorkloadCheckpoints, DEFAULT_SEGMENTS,
 };
 use bp_signature::ApplicationProfiler;
 use bp_warmup::{collect_mru_warmup, MruSnapshotBank};
 use bp_workload::{
-    Benchmark, SyntheticWorkload, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
+    Benchmark, FingerprintHasher, SyntheticWorkload, SyntheticWorkloadBuilder, Workload,
+    WorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -332,4 +333,45 @@ proptest! {
             }
         }
     }
+}
+
+/// `(kernel, MRU collection capacity, fused digest, profile-only digest,
+/// MRU-only digest)`: the FNV-1a of the serialized [`WorkloadCheckpoints`]
+/// each kind of emitting walk produces at 2 threads, scale 0.05.  npb-cg
+/// runs 9,023 accesses per thread there, so the MRU sequence compaction
+/// fires, and capacity 64 evicts; the constants pin the `.bpckpt` bytes of
+/// every image layout through both.
+const CHECKPOINT_GOLDEN: [(&str, u64, u64, u64, u64); 4] = [
+    ("npb-cg", 64, 0xd15c_df84_a73d_1c57, 0x15f7_090e_19b5_e2db, 0x588f_8063_2997_48a1),
+    ("npb-cg", 4096, 0x0e1c_0d0f_52b0_aa3b, 0x15f7_090e_19b5_e2db, 0x9168_d7b6_7d8e_ffbd),
+    ("npb-lu", 64, 0x9f5f_a548_f915_28ae, 0xe110_000b_0f0b_b31e, 0x04ee_db09_d4fa_3207),
+    ("npb-lu", 4096, 0xa748_f64c_02ac_3943, 0xe110_000b_0f0b_b31e, 0x0fe2_e235_6089_3c9a),
+];
+
+#[test]
+fn emitted_checkpoint_bytes_match_golden_digests() {
+    let digest = |walk: TraceWalk<'_>, w: &dyn Workload| {
+        let walked = walk.emitting_checkpoints(DEFAULT_SEGMENTS);
+        let checkpoints = walked.run(w, &ExecutionPolicy::Serial, None).unwrap().checkpoints;
+        let mut hasher = FingerprintHasher::new();
+        hasher.write_bytes(&serde::to_vec(&checkpoints.unwrap()));
+        hasher.finish()
+    };
+    let mut actual = Vec::new();
+    for (bench, capacity) in [
+        (Benchmark::NpbCg, 64),
+        (Benchmark::NpbCg, 4096),
+        (Benchmark::NpbLu, 64),
+        (Benchmark::NpbLu, 4096),
+    ] {
+        let w = bench.build(&WorkloadConfig::new(2).with_scale(0.05));
+        actual.push((
+            bench.name(),
+            capacity,
+            digest(TraceWalk::profile().with_mru(MruBoundaries::Every, capacity), &w),
+            digest(TraceWalk::profile(), &w),
+            digest(TraceWalk::mru(MruBoundaries::Every, capacity), &w),
+        ));
+    }
+    assert_eq!(actual, CHECKPOINT_GOLDEN);
 }
