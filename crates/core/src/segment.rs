@@ -1,13 +1,26 @@
 //! The one trace walk: every profiling and warmup walk bp-core runs is a
 //! [`TraceWalk`] request executed by this module's segment scheduler.
 //!
-//! A request names which observers ride the walk — the signature profiler
-//! ([`ThreadProfileObserver`]), the MRU collector ([`MruThreadObserver`]) at
-//! chosen [`MruBoundaries`] and a collection capacity, or both — and where
-//! each thread starts: at region 0 (optionally snapshotting both observers'
-//! carried state every K regions into a [`WorkloadCheckpoints`] artifact,
-//! the `ckpt` kind of the [`ArtifactCache`](crate::ArtifactCache)), or
-//! resumed from such checkpoints.  A walk from region 0 is the case "one
+//! A request names what the walk collects — the signature profile, the MRU
+//! warmup bank at chosen [`MruBoundaries`] and a collection capacity, or
+//! both — and where each thread starts: at region 0 (optionally
+//! snapshotting the carried state every K regions into a
+//! [`WorkloadCheckpoints`] artifact, the `ckpt` kind of the
+//! [`ArtifactCache`](crate::ArtifactCache)), or resumed from such
+//! checkpoints.
+//!
+//! Each thread's walk runs **one recency engine**
+//! ([`bp_workload::RecencyEngine`]), windowed at the collection capacity
+//! when the MRU collector rides the walk.  The profile accumulator
+//! ([`bp_signature::ProfileAccumulator`]) reads each access's stack distance
+//! from it and the MRU interval recorder ([`bp_warmup::IntervalRecorder`])
+//! its window, so a fused walk finds each access's LRU stack position once
+//! rather than once per observer.  The engine writes the checkpoint's two
+//! images — the profiler's and the collector's — byte for byte in their
+//! historical layouts.  The region-major oracles
+//! ([`bp_signature::ApplicationProfiler`], [`bp_warmup::collect_mru_warmup`])
+//! keep their own structures, so every bit-identity suite compares the
+//! engine with independent code.  A walk from region 0 is the case "one
 //! segment per thread"; a resumed walk fans `threads × segments` jobs onto
 //! the [`WorkerBudget`], so a re-walk can use more workers than the
 //! workload has threads.  Either way there is one job (restore when
@@ -17,7 +30,7 @@
 //! [`MruSnapshotBank::from_segmented_observers`]).
 //!
 //! **Bit-identity is the contract.**  Checkpoint restoration reproduces
-//! the observers' exact carried state (including compaction timing and
+//! the engine's exact carried state (including compaction timing and
 //! sequence counters), so the stitched segmented results are byte-equal to
 //! one sequential walk — pinned by the proptests here, the request matrix
 //! and kernel matrix in `tests/segments.rs`, and the oracle tests in the
@@ -26,9 +39,9 @@
 use crate::error::Error;
 use crate::profile::ApplicationProfile;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
-use bp_signature::{concat_thread_profiles, ThreadProfile, ThreadProfileObserver};
-use bp_warmup::{MruSnapshotBank, MruThreadObserver};
-use bp_workload::{CheckpointObserver, TraceObserver, Workload};
+use bp_signature::{concat_thread_profiles, ProfileAccumulator, ThreadProfile};
+use bp_warmup::{IntervalRecorder, MruSnapshotBank};
+use bp_workload::{BlockExecution, RecencyEngine, TraceObserver, Workload};
 
 /// Default number of segments the cold walk cuts each thread's trace into
 /// (the checkpoint interval is `ceil(regions / segments)`).  Eight keeps
@@ -56,11 +69,11 @@ pub fn checkpoint_cuts(num_regions: usize, max_segments: usize) -> Vec<usize> {
 struct SegmentCheckpoint {
     /// The region the snapshot was taken at (the segment's first region).
     region: u64,
-    /// [`ThreadProfileObserver`] state ([`CheckpointObserver::snapshot_at`]);
-    /// empty when the emitting walk did not attach the profiler.
+    /// The engine's profile image ([`RecencyEngine::profile_image`]); empty
+    /// when the emitting walk did not attach the profiler.
     profiler: Vec<u8>,
-    /// [`MruThreadObserver`] state ([`CheckpointObserver::snapshot_at`]);
-    /// empty when the emitting walk did not attach the collector.
+    /// The engine's window image ([`RecencyEngine::window_image`]); empty
+    /// when the emitting walk did not attach the collector.
     mru: Vec<u8>,
 }
 
@@ -71,13 +84,13 @@ struct ThreadCheckpoints {
 }
 
 /// The region-segment checkpoints of one workload's cold walk: per thread,
-/// the serialized profiler + MRU observer state at every interior cut.
+/// the engine's serialized profile and window images at every interior cut.
 /// Cached as the `ckpt` artifact kind so every later walk of the same
 /// workload content can fan `threads × segments` jobs onto the budget.
 ///
 /// The MRU snapshots are taken at one *collection capacity* (the largest
-/// the cold pass needed); restoring requires observers at exactly that
-/// capacity, so segmented MRU re-walks serve any capacity up to it (bank
+/// the cold pass needed); restoring requires an engine windowed at exactly
+/// that capacity, so segmented MRU re-walks serve any capacity up to it (bank
 /// assembly truncates) and fall back to a dedicated walk above it.  A walk
 /// that emitted without the collector records capacity 0, which no MRU
 /// walk can resume from.
@@ -223,9 +236,10 @@ enum Start<'a> {
 /// * [`profile`](Self::profile) attaches the signature profiler,
 ///   [`mru`](Self::mru) the MRU collector, and
 ///   `profile().`[`with_mru`](Self::with_mru)`(..)` both — the fused cold
-///   pass, one trace generation per thread for both artifacts.
+///   pass: one trace generation and one recency engine per thread for both
+///   artifacts.
 /// * [`emitting_checkpoints`](Self::emitting_checkpoints) also snapshots
-///   the attached observers every K regions.  A checkpoint must hold the
+///   the carried state every K regions.  A checkpoint must hold the
 ///   collector's full recency state at each cut, so an emitting walk
 ///   collects MRU state at every boundary whatever [`MruBoundaries`] says.
 /// * [`resuming`](Self::resuming) walks as `threads × segments` jobs
@@ -307,7 +321,7 @@ impl<'a> TraceWalk<'a> {
                 MruBoundaries::Targets(targets) if emit.is_none() => targets.to_vec(),
                 _ => (0..num_regions).collect(),
             };
-            // Restoring requires observers at the snapshots' capacity.
+            // Restoring requires an engine windowed at the snapshots' capacity.
             (boundaries, resume.map_or(capacity, |c| c.collection_capacity))
         });
         let plan =
@@ -322,23 +336,23 @@ impl<'a> TraceWalk<'a> {
         };
 
         let mut profiles = Vec::with_capacity(threads);
-        let mut observers = Vec::with_capacity(threads);
+        let mut recorders = Vec::with_capacity(threads);
         let mut per_thread = Vec::with_capacity(threads);
         let mut results = results.into_iter();
         for _ in 0..threads {
             let mut thread_profiles = Vec::with_capacity(segments);
-            let mut thread_observers = Vec::with_capacity(segments);
+            let mut thread_recorders = Vec::with_capacity(segments);
             let mut cuts = Vec::new();
             for walked in results.by_ref().take(segments) {
                 let (profile, mru, emitted) = walked?;
                 thread_profiles.extend(profile);
-                thread_observers.extend(mru);
+                thread_recorders.extend(mru);
                 cuts.extend(emitted);
             }
             if self.profile {
                 profiles.push(concat_thread_profiles(thread_profiles));
             }
-            observers.push(thread_observers);
+            recorders.push(thread_recorders);
             per_thread.push(ThreadCheckpoints { cuts });
         }
         Ok(WalkOutput {
@@ -349,7 +363,7 @@ impl<'a> TraceWalk<'a> {
                     profiles,
                 )
             }),
-            bank: self.mru.map(|_| MruSnapshotBank::from_segmented_observers(observers)),
+            bank: self.mru.map(|_| MruSnapshotBank::from_segmented_observers(recorders)),
             checkpoints: emit.map(|_| WorkloadCheckpoints {
                 collection_capacity: self.mru.map_or(0, |(_, capacity)| capacity),
                 num_regions: num_regions as u64,
@@ -401,13 +415,62 @@ struct Plan<'a> {
     resume: Option<&'a WorkloadCheckpoints>,
 }
 
-/// One job's finished profile, MRU observer, and emitted checkpoints.
-type Walked = (Option<ThreadProfile>, Option<MruThreadObserver>, Vec<SegmentCheckpoint>);
+/// One job's finished profile, MRU interval recorder, and emitted
+/// checkpoints.
+type Walked = (Option<ThreadProfile>, Option<IntervalRecorder>, Vec<SegmentCheckpoint>);
+
+/// One thread segment's walk: one [`RecencyEngine`] — windowed at the
+/// collection capacity when the MRU collector rides the walk — and the
+/// outputs that read its touches.  A fused walk thereby finds each access's
+/// LRU stack position once for both the LDV and the MRU window.
+struct ThreadWalk {
+    engine: RecencyEngine,
+    profile: Option<ProfileAccumulator>,
+    mru: Option<IntervalRecorder>,
+}
+
+impl TraceObserver for ThreadWalk {
+    fn enter_region(&mut self, region: usize) {
+        if let Some(profile) = &mut self.profile {
+            profile.enter_region();
+        }
+        if let Some(mru) = &mut self.mru {
+            mru.enter_region(&mut self.engine, region);
+        }
+    }
+
+    fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
+        if let Some(profile) = &mut self.profile {
+            profile.block(exec);
+        }
+        for access in &exec.accesses {
+            let touch = self.engine.touch(access.line(), access.kind.is_write());
+            if let Some(profile) = &mut self.profile {
+                profile.distance(touch.distance);
+            }
+            if let Some(mru) = &mut self.mru {
+                mru.touched(&touch);
+            }
+        }
+    }
+
+    fn finish_region(&mut self, _region: usize) {
+        if let Some(profile) = &mut self.profile {
+            profile.finish_region();
+        }
+    }
+
+    /// A profiling walk needs the whole trace; an MRU-only walk stops after
+    /// its last boundary.
+    fn wants_more(&self) -> bool {
+        self.profile.is_some() || self.mru.as_ref().is_some_and(IntervalRecorder::wants_more)
+    }
+}
 
 impl Plan<'_> {
-    /// The one job: construct the attached observers, restore them when
-    /// the segment starts at a checkpoint, walk `[from, until)`, and
-    /// snapshot at every emission cut on the way.
+    /// The one job: construct the thread's engine and attached outputs,
+    /// restore the engine when the segment starts at a checkpoint, walk
+    /// `[from, until)`, and snapshot at every emission cut on the way.
     fn job<W: Workload + ?Sized>(
         &self,
         workload: &W,
@@ -421,39 +484,40 @@ impl Plan<'_> {
         let restore = segment.checked_sub(1).map(|previous| &thread_cuts[previous]);
         let from = restore.map_or(0, |cut| cut.region as usize);
         let until = thread_cuts.get(segment).map_or(num_regions, |cut| cut.region as usize);
-        let mut profiler = self.profile.then(|| ThreadProfileObserver::new(workload, thread));
-        let mut mru = self
-            .mru
-            .as_ref()
-            .map(|(boundaries, capacity)| MruThreadObserver::new(boundaries, *capacity));
+        let mut walk = ThreadWalk {
+            engine: self.mru.as_ref().map_or_else(RecencyEngine::new, |(_, capacity)| {
+                RecencyEngine::with_window(*capacity)
+            }),
+            profile: self.profile.then(|| ProfileAccumulator::new(workload, thread)),
+            mru: self
+                .mru
+                .as_ref()
+                .map(|(boundaries, capacity)| IntervalRecorder::new(boundaries, *capacity)),
+        };
         if let Some(cut) = restore {
-            let fail = |e| Error::CheckpointRestore {
+            let profile = self.profile.then_some(&cut.profiler[..]);
+            let window = walk.mru.is_some().then_some(&cut.mru[..]);
+            walk.engine.restore(profile, window).map_err(|e| Error::CheckpointRestore {
                 message: format!("thread {thread} segment at region {from}: {e}"),
-            };
-            if let Some(profiler) = profiler.as_mut() {
-                profiler.restore(from, &cut.profiler).map_err(fail)?;
-            }
-            if let Some(mru) = mru.as_mut() {
-                mru.restore(from, &cut.mru).map_err(fail)?;
+            })?;
+            if let Some(mru) = &mut walk.mru {
+                mru.resume_at(from);
             }
         }
         let mut cuts = Vec::with_capacity(self.emit.len());
         let mut start = from;
         for &end in self.emit.iter().chain([&until]) {
-            let mut observers: Vec<&mut dyn TraceObserver> = Vec::with_capacity(2);
-            observers.extend(profiler.as_mut().map(|p| p as &mut dyn TraceObserver));
-            observers.extend(mru.as_mut().map(|m| m as &mut dyn TraceObserver));
-            bp_workload::drive_segment(workload, thread, start, end, &mut observers);
+            bp_workload::drive_segment(workload, thread, start, end, &mut [&mut walk]);
             if end < until {
                 cuts.push(SegmentCheckpoint {
                     region: end as u64,
-                    profiler: profiler.as_ref().map_or_else(Vec::new, |p| p.snapshot_at(end)),
-                    mru: mru.as_ref().map_or_else(Vec::new, |m| m.snapshot_at(end)),
+                    profiler: if self.profile { walk.engine.profile_image() } else { Vec::new() },
+                    mru: walk.engine.window_image(),
                 });
             }
             start = end;
         }
-        Ok((profiler.map(ThreadProfileObserver::into_profile), mru, cuts))
+        Ok((walk.profile.map(ProfileAccumulator::into_profile), walk.mru, cuts))
     }
 }
 

@@ -159,10 +159,10 @@ impl ApplicationProfiler {
 }
 
 /// Records one block execution into a region's in-progress signature
-/// components — the innermost profiling operation, shared by the
-/// region-major [`profile_region_thread`] walk and the thread-major
-/// streaming observer ([`crate::ThreadProfileObserver`]) so the two paths
-/// can never diverge.
+/// components — the innermost operation of the region-major
+/// [`profile_region_thread`] walk.  The thread-major streaming path builds
+/// the same components with a [`crate::ProfileAccumulator`] fed by a
+/// recency engine, and the equivalence suites pin the two together.
 pub(crate) fn record_execution(
     bbv: &mut Bbv,
     ldv: &mut Ldv,
@@ -180,9 +180,7 @@ pub(crate) fn record_execution(
 
 /// The region-major inner profiling loop used by [`ApplicationProfiler`]:
 /// walks one `(region, thread)` trace, updating `tracker` and returning the
-/// trace's BBV, LDV and instruction count.  (The thread-major streaming
-/// path consumes the same per-execution operation, [`record_execution`],
-/// through the trace-observer engine instead.)
+/// trace's BBV, LDV and instruction count.
 pub(crate) fn profile_region_thread<W: Workload + ?Sized>(
     workload: &W,
     region: usize,

@@ -25,17 +25,19 @@
 //!
 //! The whole-application walk the pipeline runs is *thread-major*: each
 //! workload thread's entire trace (all regions, in program order) feeds one
-//! [`ThreadProfileObserver`] on `bp-workload`'s trace-observer engine
+//! [`ProfileAccumulator`] from `bp-workload`'s recency engine
+//! ([`bp_workload::RecencyEngine`]) on the trace-observer engine
 //! ([`bp_workload::drive_segment`]), and [`zip_thread_profiles`] zips the
 //! per-thread streams back into per-region signatures.  Because the
 //! per-thread state is independent across threads, the walks can run on
 //! separate OS threads and still match [`ApplicationProfiler`] bit for bit.
-//! The observer shares its walk with other observers (`bp-warmup`'s MRU
-//! collector in the fused cold pass) instead of forcing a dedicated trace
-//! generation, and it checkpoints its carried state, so a thread's walk can
-//! be split into segments that [`concat_thread_profiles`] stitches.  The
-//! walks themselves — which observers, which threads, on which workers —
-//! are scheduled by `bp-core`.
+//! [`ThreadProfileObserver`] pairs an accumulator with an engine of its own;
+//! a fused cold pass instead feeds the accumulator and `bp-warmup`'s MRU
+//! interval recorder from one engine per thread, so the walk finds each
+//! access's LRU stack position once.  The engine checkpoints the carried
+//! state, so a thread's walk can be split into segments that
+//! [`concat_thread_profiles`] stitches.  The walks themselves — which
+//! outputs, which threads, on which workers — are scheduled by `bp-core`.
 //!
 //! # Example
 //!
@@ -67,6 +69,7 @@ pub use config::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use ldv::{Ldv, LDV_BUCKETS};
 pub use stack_distance::StackDistanceTracker;
 pub use streaming::{
-    concat_thread_profiles, zip_thread_profiles, ThreadProfile, ThreadProfileObserver,
+    concat_thread_profiles, zip_thread_profiles, ProfileAccumulator, ThreadProfile,
+    ThreadProfileObserver,
 };
 pub use vector::SignatureVector;

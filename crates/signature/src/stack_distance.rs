@@ -95,6 +95,7 @@ impl StackDistanceTracker {
     /// count) — exactly.
     ///
     /// [`from_checkpoint`]: Self::from_checkpoint
+    #[cfg(test)] // the oracle for the recency engine's profile image
     pub(crate) fn checkpoint(&self) -> (u64, u64, Vec<(u64, u64)>) {
         let mut entries: Vec<(u64, u64)> =
             self.last.iter().map(|(&line, &t)| (t as u64, line)).collect();
@@ -105,6 +106,7 @@ impl StackDistanceTracker {
     /// Rebuilds a tracker from a [`checkpoint`](Self::checkpoint) — the
     /// Fenwick tree is reconstructed from the last-access marks (it is
     /// always derivable from them, exactly as compaction rebuilds it).
+    #[cfg(test)]
     pub(crate) fn from_checkpoint(time: u64, total: u64, entries: &[(u64, u64)]) -> Self {
         let time = time as usize;
         let mut tracker = Self {

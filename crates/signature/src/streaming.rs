@@ -3,13 +3,25 @@
 //! The region-major [`ApplicationProfiler`](crate::ApplicationProfiler) walks
 //! region 0 for all threads, then region 1, and so on — mirroring how the
 //! paper's Pintool observes execution.  But the per-thread state it carries
-//! (one [`StackDistanceTracker`] per thread) is completely independent across
-//! threads: thread `t`'s BBVs, LDVs and instruction counts depend only on
-//! thread `t`'s traces, in region order.  Profiling can therefore be
-//! restructured *thread-major* — walk each thread's entire trace (all
-//! regions, in program order) as one streaming pass — and the passes can run
-//! on separate OS threads.  Zipping the per-thread streams back together
-//! region by region reproduces the region-major result bit for bit.
+//! (one [`StackDistanceTracker`](crate::StackDistanceTracker) per thread) is
+//! completely independent across threads: thread `t`'s BBVs, LDVs and
+//! instruction counts depend only on thread `t`'s traces, in region order.
+//! Profiling can therefore be restructured *thread-major* — walk each
+//! thread's entire trace (all regions, in program order) as one streaming
+//! pass — and the passes can run on separate OS threads.  Zipping the
+//! per-thread streams back together region by region reproduces the
+//! region-major result bit for bit.
+//!
+//! The streaming path splits a thread's profiling into its carried state and
+//! its outputs.  The carried state is the thread's LRU stack, kept by
+//! `bp-workload`'s [`RecencyEngine`]; the outputs are built by a
+//! [`ProfileAccumulator`] from each block and each access's stack distance.
+//! [`ThreadProfileObserver`] pairs the two for a profile-only walk.  A fused
+//! walk (bp-core's trace walk) runs one windowed engine per thread and feeds
+//! both the accumulator and `bp-warmup`'s MRU interval recorder from it, so
+//! each access's stack position is found once.  The region-major profiler
+//! keeps its own [`StackDistanceTracker`](crate::StackDistanceTracker): it
+//! is the oracle the engine is tested against.
 //!
 //! This matters because profiling is the one pipeline stage BarrierPoint
 //! cannot sample away: the paper's Pin-based profiler runs the full
@@ -20,8 +32,9 @@
 use crate::bbv::Bbv;
 use crate::collector::RegionSignature;
 use crate::ldv::Ldv;
-use crate::stack_distance::StackDistanceTracker;
-use bp_workload::{BlockExecution, CheckpointError, CheckpointObserver, TraceObserver, Workload};
+use bp_workload::{
+    BlockExecution, CheckpointError, CheckpointObserver, RecencyEngine, TraceObserver, Workload,
+};
 
 /// The complete profile of one thread: per-region BBVs, LDVs and instruction
 /// counts, collected in a single streaming pass with continuous
@@ -55,19 +68,19 @@ impl ThreadProfile {
     }
 }
 
-/// [`TraceObserver`] that computes one thread's streaming profile — per-region
-/// BBVs, LDVs and instruction counts with continuous reuse-distance tracking —
-/// from a single walk of the thread's trace.
+/// One thread's per-region profile outputs — BBVs, LDVs and instruction
+/// counts — built from the block executions and the stack distances a
+/// [`RecencyEngine`] reports for them.
 ///
-/// This is the profiling consumer of the trace-observer engine
-/// ([`bp_workload::drive`]): attached alone it reproduces the historical
-/// dedicated profiling pass bit for bit; attached next to other observers
-/// (e.g. `bp-warmup`'s MRU collector) it shares their one trace generation.
+/// The accumulator carries nothing across a region boundary: the only
+/// cross-region state of profiling is the engine's LRU stack.  That lets one
+/// engine serve it and `bp-warmup`'s MRU interval recorder in a fused walk
+/// (bp-core's trace walk), while [`ThreadProfileObserver`] pairs it with an
+/// engine of its own for a profile-only walk.
 #[derive(Debug)]
-pub struct ThreadProfileObserver {
+pub struct ProfileAccumulator {
     thread: usize,
     num_blocks: usize,
-    tracker: StackDistanceTracker,
     bbvs: Vec<Bbv>,
     ldvs: Vec<Ldv>,
     instructions: Vec<u64>,
@@ -76,8 +89,8 @@ pub struct ThreadProfileObserver {
     current_instructions: u64,
 }
 
-impl ThreadProfileObserver {
-    /// Creates the profiling observer for `thread` of `workload`.
+impl ProfileAccumulator {
+    /// Creates the accumulator for `thread` of `workload`.
     ///
     /// # Panics
     ///
@@ -89,7 +102,6 @@ impl ThreadProfileObserver {
         Self {
             thread,
             num_blocks,
-            tracker: StackDistanceTracker::new(),
             bbvs: Vec::with_capacity(num_regions),
             ldvs: Vec::with_capacity(num_regions),
             instructions: Vec::with_capacity(num_regions),
@@ -97,6 +109,32 @@ impl ThreadProfileObserver {
             current_ldv: Ldv::new(),
             current_instructions: 0,
         }
+    }
+
+    /// Starts a region's outputs.
+    pub fn enter_region(&mut self) {
+        self.current_bbv = Bbv::new(self.num_blocks);
+        self.current_ldv = Ldv::new();
+        self.current_instructions = 0;
+    }
+
+    /// Counts one block execution's block and instructions (its accesses'
+    /// distances arrive through [`distance`](Self::distance)).
+    pub fn block(&mut self, exec: &BlockExecution) {
+        self.current_bbv.record(exec.block, exec.instructions);
+        self.current_instructions += u64::from(exec.instructions);
+    }
+
+    /// Records one access's stack distance (`None` for a first access).
+    pub fn distance(&mut self, distance: Option<u64>) {
+        self.current_ldv.record(distance);
+    }
+
+    /// Closes the region's outputs.
+    pub fn finish_region(&mut self) {
+        self.bbvs.push(std::mem::replace(&mut self.current_bbv, Bbv::new(0)));
+        self.ldvs.push(std::mem::take(&mut self.current_ldv));
+        self.instructions.push(self.current_instructions);
     }
 
     /// The completed per-thread profile (one entry per finished region).
@@ -110,66 +148,67 @@ impl ThreadProfileObserver {
     }
 }
 
+/// [`TraceObserver`] that computes one thread's streaming profile — per-region
+/// BBVs, LDVs and instruction counts with continuous reuse-distance tracking —
+/// from a single walk of the thread's trace: a [`ProfileAccumulator`] fed by
+/// a windowless [`RecencyEngine`] of its own.
+///
+/// Driven alone it reproduces the region-major
+/// [`ApplicationProfiler`](crate::ApplicationProfiler) bit for bit.  A
+/// fused walk does not attach it next to the MRU collector: it drives one
+/// windowed engine per thread and feeds a [`ProfileAccumulator`] from it.
+#[derive(Debug)]
+pub struct ThreadProfileObserver {
+    engine: RecencyEngine,
+    profile: ProfileAccumulator,
+}
+
+impl ThreadProfileObserver {
+    /// Creates the profiling observer for `thread` of `workload`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread >= workload.num_threads()`.
+    pub fn new<W: Workload + ?Sized>(workload: &W, thread: usize) -> Self {
+        Self { engine: RecencyEngine::new(), profile: ProfileAccumulator::new(workload, thread) }
+    }
+
+    /// The completed per-thread profile (one entry per finished region).
+    pub fn into_profile(self) -> ThreadProfile {
+        self.profile.into_profile()
+    }
+}
+
 impl CheckpointObserver for ThreadProfileObserver {
     /// The only state a profiling walk carries *across* a region boundary
-    /// is the reuse-distance tracker: BBVs, LDVs and instruction counts are
-    /// strictly per-region (reset at `enter_region`), so the partial
-    /// profiles of stitched segments are prefix-free and simply
-    /// concatenate ([`concat_thread_profiles`]).
+    /// is the engine's LRU stack (its profile image): BBVs, LDVs and
+    /// instruction counts are strictly per-region, so the partial profiles
+    /// of stitched segments are prefix-free and simply concatenate
+    /// ([`concat_thread_profiles`]).
     fn snapshot_at(&self, _region: usize) -> Vec<u8> {
-        let (time, total, entries) = self.tracker.checkpoint();
-        let mut out = serde::Serializer::new();
-        out.write_u64(time);
-        out.write_u64(total);
-        out.write_len(entries.len());
-        for (timestamp, line) in entries {
-            out.write_u64(timestamp);
-            out.write_u64(line);
-        }
-        out.into_bytes()
+        self.engine.profile_image()
     }
 
     fn restore(&mut self, _region: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let corrupt = |e: serde::Error| CheckpointError::new(format!("profiler state: {e}"));
-        let mut de = serde::Deserializer::new(bytes);
-        let time = de.read_u64().map_err(corrupt)?;
-        let total = de.read_u64().map_err(corrupt)?;
-        let len = de.read_len().map_err(corrupt)?;
-        let mut entries = Vec::with_capacity(len.min(bytes.len() / 16 + 1));
-        for _ in 0..len {
-            let timestamp = de.read_u64().map_err(corrupt)?;
-            let line = de.read_u64().map_err(corrupt)?;
-            entries.push((timestamp, line));
-        }
-        if de.remaining() != 0 {
-            return Err(CheckpointError::new("profiler state: trailing bytes"));
-        }
-        self.tracker = StackDistanceTracker::from_checkpoint(time, total, &entries);
-        Ok(())
+        self.engine.restore(Some(bytes), None)
     }
 }
 
 impl TraceObserver for ThreadProfileObserver {
     fn enter_region(&mut self, _region: usize) {
-        self.current_bbv = Bbv::new(self.num_blocks);
-        self.current_ldv = Ldv::new();
-        self.current_instructions = 0;
+        self.profile.enter_region();
     }
 
     fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
-        crate::collector::record_execution(
-            &mut self.current_bbv,
-            &mut self.current_ldv,
-            &mut self.current_instructions,
-            &mut self.tracker,
-            exec,
-        );
+        self.profile.block(exec);
+        for access in &exec.accesses {
+            self.profile
+                .distance(self.engine.touch(access.line(), access.kind.is_write()).distance);
+        }
     }
 
     fn finish_region(&mut self, _region: usize) {
-        self.bbvs.push(std::mem::replace(&mut self.current_bbv, Bbv::new(0)));
-        self.ldvs.push(std::mem::take(&mut self.current_ldv));
-        self.instructions.push(self.current_instructions);
+        self.profile.finish_region();
     }
 }
 
@@ -245,7 +284,59 @@ pub fn zip_thread_profiles(profiles: Vec<ThreadProfile>) -> Vec<RegionSignature>
 mod tests {
     use super::*;
     use crate::collector::ApplicationProfiler;
+    use crate::stack_distance::StackDistanceTracker;
     use bp_workload::{Benchmark, WorkloadConfig};
+    use proptest::prelude::*;
+
+    /// The tracker's checkpoint in the profile image's byte layout.
+    fn tracker_image(tracker: &StackDistanceTracker) -> Vec<u8> {
+        let (time, total, entries) = tracker.checkpoint();
+        let mut out = serde::Serializer::new();
+        out.write_u64(time);
+        out.write_u64(total);
+        out.write_len(entries.len());
+        for (timestamp, line) in entries {
+            out.write_u64(timestamp);
+            out.write_u64(line);
+        }
+        out.into_bytes()
+    }
+
+    /// Feeds `lines` to a tracker and to engines with and without a window,
+    /// checking every distance and, every `probe` accesses and at the end,
+    /// the profile images against the tracker's checkpoint.
+    fn check_images(lines: impl Iterator<Item = u64>, capacity: u64, probe: usize) {
+        let mut tracker = StackDistanceTracker::new();
+        let mut plain = RecencyEngine::new();
+        let mut windowed = RecencyEngine::with_window(capacity);
+        for (index, line) in lines.enumerate() {
+            let expected = tracker.record(line);
+            assert_eq!(plain.touch(line, false).distance, expected, "access {index}");
+            assert_eq!(windowed.touch(line, index % 3 == 0).distance, expected, "access {index}");
+            if index % probe == 0 {
+                assert_eq!(plain.profile_image(), tracker_image(&tracker), "access {index}");
+            }
+        }
+        assert_eq!(plain.profile_image(), tracker_image(&tracker));
+        assert_eq!(windowed.profile_image(), tracker_image(&tracker));
+    }
+
+    #[test]
+    fn engine_profile_image_matches_the_tracker_across_compaction() {
+        // More than 2^20 accesses over 300 lines: the tracker renumbers its
+        // timestamps, and so must the engine, to the same bytes.
+        check_images((0..1_100_000u64).map(|i| (i * 7919 + i / 13) % 300), 64, 250_000);
+    }
+
+    proptest! {
+        #[test]
+        fn engine_profile_image_matches_the_tracker_checkpoint(
+            lines in proptest::collection::vec(0u64..80, 1..400),
+            capacity in 1u64..40,
+        ) {
+            check_images(lines.into_iter(), capacity, 37);
+        }
+    }
 
     fn workload() -> impl Workload {
         Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05))

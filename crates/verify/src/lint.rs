@@ -31,8 +31,10 @@
 //! * [`Rule::CoreDrive`] — no trace walk in `crates/core/src/**` outside
 //!   `segment.rs`: no raw trace-drive call (`bp_workload::drive` /
 //!   `drive_segment`), no bp-warmup collection walk (`collect_mru_warmup`,
-//!   any suffix), and no trace observer built by hand
-//!   (`ThreadProfileObserver::new(` / `MruThreadObserver::new(`).  The
+//!   any suffix), and no trace observer or walk output built by hand
+//!   (`ThreadProfileObserver::new(` / `MruThreadObserver::new(`, or the
+//!   `ProfileAccumulator::new(` / `IntervalRecorder::new(` a walk's
+//!   recency engine feeds).  The
 //!   segment scheduler's one walk request is the single way bp-core walks
 //!   traces, so every sweep hot path stays checkpointable and segmentable;
 //!   a walk hand-rolled elsewhere would silently bypass the
@@ -65,13 +67,15 @@ const PAT_FORBID: &str = concat!("#![forbid(", "unsafe_code)]");
 const PAT_JUSTIFY: &str = concat!("ordering", ":");
 const PAT_SIMPOINT_CFG: &str = concat!("SimPoint", "Config");
 /// Everything the core-drive rule flags: raw trace drives, bp-warmup's
-/// collection walks, and hand-built trace observers.
-const PATS_CORE_DRIVE: [&str; 5] = [
+/// collection walks, and hand-built trace observers and walk outputs.
+const PATS_CORE_DRIVE: [&str; 7] = [
     concat!("drive", "("),
     concat!("drive_segment", "("),
     concat!("collect_mru", "_warmup"),
     concat!("ThreadProfileObserver", "::new("),
     concat!("MruThreadObserver", "::new("),
+    concat!("ProfileAccumulator", "::new("),
+    concat!("IntervalRecorder", "::new("),
 ];
 /// Everything the core-cache rule flags: the cache's degrading probe and
 /// write-through store.
@@ -669,7 +673,8 @@ mod tests {
 
     #[test]
     fn raw_drive_in_core_is_flagged_outside_the_segment_scheduler() {
-        let [drive, drive_segment, collect_mru, profiler_new, mru_new] = PATS_CORE_DRIVE;
+        let [drive, drive_segment, collect_mru, profiler_new, mru_new, accumulator_new, recorder_new] =
+            PATS_CORE_DRIVE;
         for src in [
             format!("fn f(w: &W) {{ bp_workload::{drive}w, 0, &mut []); }}\n"),
             format!("fn f(w: &W) {{ {drive_segment}w, 0, 1, 4, &mut []); }}\n"),
@@ -677,6 +682,8 @@ mod tests {
             format!("fn f(w: &W) {{ let _ = bp_warmup::{collect_mru}(w, &r, 64); }}\n"),
             format!("fn f(w: &W) {{ let _ = {profiler_new}w, 0); }}\n"),
             format!("fn f(b: &[usize]) {{ let _ = bp_warmup::{mru_new}b, 64); }}\n"),
+            format!("fn f(w: &W) {{ let _ = {accumulator_new}w, 0); }}\n"),
+            format!("fn f(b: &[usize]) {{ let _ = {recorder_new}b, 64); }}\n"),
         ] {
             let findings = lint_str("crates/core/src/sweep.rs", &src);
             assert!(findings.iter().any(|f| f.rule == Rule::CoreDrive), "must flag: {src}");

@@ -19,16 +19,18 @@
 //! * [`WarmupStrategy::MruReplay`] — the paper's proposal
 //!   ([`MruWarmupData`], collected region-major with [`MruCollector`] /
 //!   [`collect_mru_warmup`], and thread-major with one
-//!   [`MruThreadObserver`] per thread whose [`MruSnapshotBank`] serves
+//!   [`IntervalRecorder`] per thread whose [`MruSnapshotBank`] serves
 //!   several LLC capacities from one walk by truncating at the largest
 //!   requested capacity; `bp-core` schedules those walks).
 //!
-//! Collection rides `bp-workload`'s trace-observer engine:
-//! [`MruThreadObserver`] consumes one thread's stream from
-//! [`bp_workload::drive`] and records the recency state *by residency
-//! interval* — one record per cache line per span of consecutive
-//! boundaries over which that line sat untouched in the recency list,
-//! rather than a full raw snapshot at every boundary.  A line's recorded
+//! Thread-major collection rides `bp-workload`'s trace-observer engine and
+//! its recency engine ([`bp_workload::RecencyEngine`]).  The engine keeps
+//! the thread's LRU stack with an MRU window on top: the collection
+//! capacity's most recent lines, each with its access order and dirty
+//! depth.  The [`IntervalRecorder`] reads the engine's touches and records
+//! the window *by residency interval* — one record per cache line per span
+//! of consecutive boundaries over which that line sat untouched in the
+//! window, rather than a full raw snapshot at every boundary.  A line's recorded
 //! `(access order, dirty depth)` pair can only change at its own
 //! accesses, so one interval record reproduces the line's contribution to
 //! every boundary it covers; bank size therefore scales with the
@@ -38,12 +40,15 @@
 //! [`MruWarmupData`] for any boundary subset at any capacity up to the
 //! collection capacity — bit-identical to [`PerBoundarySnapshotBank`],
 //! the retained per-boundary encoding that serves as the equivalence
-//! oracle in the test suite.  Driven alone the observer reproduces the
-//! dedicated pass (and stops the walk after its last boundary); driven
-//! next to `bp-signature`'s profiling observer it shares the single trace
-//! generation of a fused cold pass.  The collector's capacity-dependent
-//! dirty bit is tracked with a Fenwick tree over live sequence ranks, so
-//! the per-access depth query is `O(log n)`.
+//! oracle in the test suite.  [`MruThreadObserver`] pairs a recorder with
+//! an engine of its own and reproduces the dedicated pass (stopping the
+//! walk after its last boundary).  A fused cold pass (bp-core's trace walk)
+//! runs one engine per thread and feeds both the recorder and
+//! `bp-signature`'s profile accumulator from it: a windowed line's recency
+//! depth is its stack distance, so the capacity-dependent dirty bit costs
+//! no order statistic beyond the profiler's own.  The region-major
+//! [`MruCollector`] keeps its own recency list and Fenwick tree over live
+//! sequence ranks: it is the oracle the engine is tested against.
 //!
 //! # Example
 //!
@@ -70,7 +75,7 @@ mod strategy;
 
 pub use apply::apply_warmup;
 pub use mru::{
-    collect_mru_warmup, MruCollector, MruSnapshotBank, MruThreadObserver, MruWarmupData,
-    PerBoundarySnapshotBank, PerBoundaryThreadObserver,
+    collect_mru_warmup, IntervalRecorder, MruCollector, MruSnapshotBank, MruThreadObserver,
+    MruWarmupData, PerBoundarySnapshotBank, PerBoundaryThreadObserver,
 };
 pub use strategy::WarmupStrategy;

@@ -1,5 +1,6 @@
 use bp_workload::{
-    BlockExecution, CheckpointError, CheckpointObserver, LineMap, TraceObserver, Workload,
+    BlockExecution, CheckpointError, CheckpointObserver, LineMap, RecencyEngine, Residency, Touch,
+    TraceObserver, Workload,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -54,22 +55,16 @@ impl MruWarmupData {
 struct LineState {
     seq: u64,
     /// Monotonic per-thread access counter, assigned alongside `seq` but —
-    /// unlike `seq` — never renumbered by compaction.  Interval records
-    /// ([`MruThreadObserver`]) captured in different compaction epochs stay
-    /// comparable through it: among live lines, ordering by `tick` always
-    /// equals ordering by `seq`.
+    /// unlike `seq` — never renumbered by compaction: among live lines,
+    /// ordering by `tick` always equals ordering by `seq`.  Read only by
+    /// the checkpoint image, which tests compare with the recency engine's.
+    #[cfg_attr(not(test), allow(dead_code))]
     tick: u64,
     dirty_depth: u64,
-    /// Index of the interval record ([`MruThreadObserver`]) covering this
-    /// residency since the last boundary, or [`NOT_OPEN`] until the next
-    /// boundary opens one.  Never set outside an observer.
-    open: usize,
 }
 
-/// [`LineState::open`] of a residency no interval record covers yet.
-const NOT_OPEN: usize = usize::MAX;
-
 /// One live residency in a checkpoint image: `(seq, line, tick, dirty_depth)`.
+#[cfg(test)]
 type CheckpointEntry = (u64, u64, u64, u64);
 
 /// Marks an empty recency slot.  Never a real line: line addresses are byte
@@ -211,6 +206,7 @@ impl ThreadMruState {
     /// including [`maybe_compact`](Self::maybe_compact) timing, which
     /// depends only on `next_seq` and the live count — bit for bit.  The
     /// slot order makes the image deterministic.
+    #[cfg(test)] // the oracle for the recency engine's window image
     fn checkpoint(&self) -> (u64, u64, Vec<CheckpointEntry>) {
         let entries = self
             .live()
@@ -228,6 +224,7 @@ impl ThreadMruState {
     /// disk cache).  The Fenwick tree is reconstructed from the live set,
     /// exactly as compaction rebuilds it; its length never affects query
     /// results, only when the next growth-rebuild happens.
+    #[cfg(test)]
     fn from_checkpoint(
         next_seq: u64,
         next_tick: u64,
@@ -259,7 +256,7 @@ impl ThreadMruState {
                 return Err(format!("line {line:#x} is the empty-slot marker"));
             }
             prev_seq = seq;
-            let residency = LineState { seq, tick, dirty_depth, open: NOT_OPEN };
+            let residency = LineState { seq, tick, dirty_depth };
             if state.by_line.insert(line, residency).is_some() {
                 return Err(format!("line {line:#x} recorded twice"));
             }
@@ -294,15 +291,6 @@ impl ThreadMruState {
     }
 }
 
-/// The residencies one [`MruCollector`] access ended.
-struct Recorded {
-    /// The accessed line's previous residency, `None` if it (re-)entered the
-    /// list.
-    previous: Option<LineState>,
-    /// The line this access evicted, with its final state.
-    evicted: Option<(u64, LineState)>,
-}
-
 /// Streaming collector of per-core MRU unique-line state.
 ///
 /// Feed it the application's inter-barrier regions in program order; at any
@@ -318,6 +306,11 @@ struct Recorded {
 /// smaller collector loses a line's written state whenever the line's
 /// recency depth exceeds that capacity, so the line is dirty at capacity
 /// `c` iff its dirty depth is below `c`.
+///
+/// The collector keeps its own recency list, the engine of the region-major
+/// oracle [`collect_mru_warmup`] and of [`PerBoundaryThreadObserver`].  The
+/// thread-major walks read the same window from `bp-workload`'s
+/// [`RecencyEngine`] instead.
 #[derive(Debug, Clone)]
 pub struct MruCollector {
     threads: Vec<ThreadMruState>,
@@ -341,9 +334,7 @@ impl MruCollector {
     }
 
     /// Records one access by `thread` to cache line `line`, returning the
-    /// line this access evicted from the thread's recency list (if any) —
-    /// the signal interval-sharing snapshot consumers need to know a
-    /// residency ended.
+    /// line this access evicted from the thread's recency list (if any).
     ///
     /// One [`LineMap`] lookup finds the line's previous residency; its slot
     /// is vacated and the line appended at the newest sequence in `O(1)`,
@@ -353,12 +344,6 @@ impl MruCollector {
     /// a cache-line number ([`MemoryAccess::line`](bp_workload::MemoryAccess::line)),
     /// never `u64::MAX`, which marks a vacated slot.
     pub fn record(&mut self, thread: usize, line: u64, is_write: bool) -> Option<u64> {
-        self.record_access(thread, line, is_write).evicted.map(|(line, _)| line)
-    }
-
-    /// [`record`](Self::record), also returning the state the access ended:
-    /// the line's previous residency and the evicted line's.
-    fn record_access(&mut self, thread: usize, line: u64, is_write: bool) -> Recorded {
         let capacity = self.capacity_lines;
         let state = &mut self.threads[thread];
         state.maybe_compact();
@@ -388,14 +373,14 @@ impl MruCollector {
                     // resident, because this line is.
                     prev.dirty_depth.max(live - tree_prefix_sum(&state.tree, prev.seq as usize))
                 };
-                slot.insert(LineState { seq, tick, dirty_depth, open: NOT_OPEN });
+                slot.insert(LineState { seq, tick, dirty_depth });
                 Some(prev)
             }
             Entry::Vacant(slot) => {
                 // (Re-)entering the list: a write re-enters dirty at every
                 // capacity, a read clean everywhere.
                 let dirty_depth = if is_write { 0 } else { u64::MAX };
-                slot.insert(LineState { seq, tick, dirty_depth, open: NOT_OPEN });
+                slot.insert(LineState { seq, tick, dirty_depth });
                 None
             }
         };
@@ -404,7 +389,7 @@ impl MruCollector {
         }
         state.push(line);
         let evicted = if state.len() as u64 > capacity { state.pop_oldest() } else { None };
-        Recorded { previous, evicted }
+        evicted.map(|(line, _)| line)
     }
 
     /// Walks every thread's trace of `region`, recording all its accesses.
@@ -479,12 +464,12 @@ fn truncate_raw(raw: &[(u64, u64)], capacity: u64) -> Vec<(u64, bool)> {
 }
 
 /// The historical per-boundary warmup observer, retained verbatim as the
-/// test oracle for the interval-sharing [`MruThreadObserver`]: it snapshots
+/// test oracle for the interval-sharing [`IntervalRecorder`]: it snapshots
 /// the *full* raw recency list at every requested boundary, so its bank
 /// grows as `boundaries × capacity` regardless of how little the cache
 /// contents change between boundaries.
 ///
-/// Production code uses [`MruThreadObserver`]; this observer exists so
+/// Production code uses [`IntervalRecorder`]; this observer exists so
 /// equivalence tests can pin the interval encoding against the simplest
 /// possible formulation on any workload, boundary subset, and capacity.
 #[derive(Debug)]
@@ -667,128 +652,125 @@ struct IntervalRecord {
     until: u32,
 }
 
-/// [`TraceObserver`] that collects one thread's MRU warmup state from a
-/// single walk of the thread's trace, encoding the recency list as
-/// *residency intervals* instead of per-boundary snapshots.
+/// One thread's MRU warmup state as *residency intervals*, recorded from
+/// the touches of a windowed [`RecencyEngine`] instead of as per-boundary
+/// snapshots.
 ///
-/// An access closes the interval records of the residencies it ends — the
+/// A touch closes the interval records of the residencies it ends — the
 /// line's own previous one and the evicted line's — at the next boundary's
-/// index.  At each requested boundary the observer opens fresh records, with
-/// the current access order and dirty depth, for the lines accessed since
-/// the previous boundary that are still resident.  A line that sits
-/// untouched in the recency list across many boundaries is covered by one
-/// record for the whole span, so bank size scales with the eviction/write
-/// activity between boundaries rather than `boundaries × capacity`.
+/// index.  At each requested boundary the recorder opens fresh records, with
+/// the current access order and dirty depth, for the lines touched since the
+/// previous boundary that are still windowed
+/// ([`RecencyEngine::touched_since`]).  A line that sits untouched in the
+/// window across many boundaries is covered by one record for the whole
+/// span, so bank size scales with the eviction/write activity between
+/// boundaries rather than `boundaries × capacity`.  Each residency's open
+/// record is the [`Residency::record`] the engine keeps for it: every touch
+/// starts a residency without one, so the lines a boundary must open are
+/// exactly those touched since the previous boundary.
 ///
-/// This is the warmup consumer of the trace-observer engine
-/// ([`bp_workload::drive`]): driven alone it reproduces the historical
-/// dedicated collection pass (and stops the walk after its last boundary);
-/// driven next to `bp-signature`'s profiling observer it shares the one
-/// trace generation of a fused cold pass.  Hand the finished observers of
-/// all threads to [`MruSnapshotBank::from_segmented_observers`] to assemble
-/// [`MruWarmupData`] for any target subset at any capacity up to the
-/// collection capacity — bit-identical to [`PerBoundaryThreadObserver`],
-/// which is retained as the oracle for exactly that claim.
+/// [`MruThreadObserver`] pairs a recorder with an engine of its own.  A
+/// fused walk (bp-core's trace walk) feeds a recorder and `bp-signature`'s
+/// profile accumulator from one engine per thread.  Hand the finished
+/// recorders (or observers) of all threads to
+/// [`MruSnapshotBank::from_segmented_observers`].
 #[derive(Debug)]
-pub struct MruThreadObserver {
-    collector: MruCollector,
+pub struct IntervalRecorder {
+    capacity: u64,
     boundaries: Vec<usize>,
     /// Boundaries snapshotted so far; doubles as the index the next
     /// boundary's records will carry in `from`.
     next: usize,
-    /// Lines that (re-)entered the recency list or left their open record
-    /// since the last snapshotted boundary, in access order — the only lines
-    /// that may need a record opened there.  A line evicted and re-entered
-    /// in between appears more than once; [`LineState::open`] makes the
-    /// second visit a no-op.
-    pending: Vec<u64>,
-    intervals: Vec<IntervalRecord>,
-    /// Set by [`CheckpointObserver::restore`]: at the first boundary this
-    /// segment reaches, open records for *every* resident line (there are no
-    /// prior records in this segment to close) instead of draining
-    /// `pending`.  A sequential walk's records that span the segment cut are
-    /// thereby split into two records covering the same boundary indices
-    /// with the same `(line, tick, dirty_depth)` — invisible to
+    /// The engine's [`tick`](RecencyEngine::tick) at the last snapshotted
+    /// boundary: the next boundary opens records for the windowed lines
+    /// touched after it.  0 at the start and after
+    /// [`resume_at`](Self::resume_at), so the first boundary opens every
+    /// windowed line.  After a restore there are no prior records in the
+    /// segment to extend, so a sequential walk's records that span the
+    /// segment cut are split into two records covering the same boundary
+    /// indices with the same `(line, tick, dirty_depth)` — invisible to
     /// [`MruSnapshotBank`] assembly, which is the bit-identity contract.
-    resume_open_all: bool,
+    since: u64,
+    intervals: Vec<IntervalRecord>,
 }
 
-impl MruThreadObserver {
-    /// Creates an observer snapshotting at `boundaries` (deduplicated and
+impl IntervalRecorder {
+    /// Creates a recorder snapshotting at `boundaries` (deduplicated and
     /// sorted internally; a boundary `r` snapshot reflects all accesses of
-    /// regions `0..r`), collecting at `collection_capacity` lines.
+    /// regions `0..r`) for an engine windowed at `collection_capacity`
+    /// lines (clamped to at least 1).
     pub fn new(boundaries: &[usize], collection_capacity: u64) -> Self {
         let mut boundaries = boundaries.to_vec();
         boundaries.sort_unstable();
         boundaries.dedup();
         assert!(boundaries.len() < OPEN as usize, "boundary count overflows interval index");
         Self {
-            collector: MruCollector::new(1, collection_capacity),
+            capacity: collection_capacity.max(1),
             boundaries,
             next: 0,
-            pending: Vec::new(),
+            since: 0,
             intervals: Vec::new(),
-            resume_open_all: false,
         }
     }
 
-    /// Records one access, closing the records of the residencies it ends
-    /// at the next boundary index and queueing the line for that boundary.
-    fn access(&mut self, line: u64, is_write: bool) {
-        let until = self.next as u32;
-        let Recorded { previous, evicted } = self.collector.record_access(0, line, is_write);
-        match previous {
-            // Queued by an earlier access since the last boundary, or
-            // awaiting a restored segment's first boundary, which opens
-            // every resident line.
-            Some(prev) if prev.open == NOT_OPEN => {}
-            Some(prev) => {
-                self.intervals[prev.open].until = until;
-                self.queue(line);
-            }
-            None => self.queue(line),
-        }
-        if let Some((_, gone)) = evicted {
-            if gone.open != NOT_OPEN {
-                self.intervals[gone.open].until = until;
-            }
-        }
+    /// The collection capacity the recorder's engine windows at.
+    pub fn collection_capacity(&self) -> u64 {
+        self.capacity
     }
 
-    /// Queues `line` for the next boundary.  Between two far-apart
-    /// boundaries a thrashing stream re-enters the same lines over and over,
-    /// so whenever the queue outgrows twice the collection capacity it is
-    /// cut back to its distinct resident lines still without a record — at
-    /// most the capacity.
-    fn queue(&mut self, line: u64) {
-        self.pending.push(line);
-        let bound = self.collector.capacity_lines().saturating_mul(2).saturating_add(16);
-        if self.pending.len() as u64 > bound {
-            let by_line = &self.collector.threads[0].by_line;
-            self.pending.retain(|line| by_line.get(line).is_some_and(|s| s.open == NOT_OPEN));
-            self.pending.sort_unstable();
-            self.pending.dedup();
-        }
+    /// Whether a boundary is still ahead: once the last one is snapshotted,
+    /// later touches cannot influence any snapshot.
+    pub fn wants_more(&self) -> bool {
+        self.next < self.boundaries.len()
     }
 
-    /// Opens a record from boundary index `from` for `line`'s current
-    /// residency, unless the line is not resident or already covered.
-    fn open_record(&mut self, line: u64, from: u32) {
-        let Some(state) = self.collector.threads[0].by_line.get_mut(&line) else { return };
-        if state.open != NOT_OPEN {
+    /// Snapshots `region`'s boundary, if requested, by opening records for
+    /// the windowed lines touched since the last one.
+    pub fn enter_region(&mut self, engine: &mut RecencyEngine, region: usize) {
+        if self.boundaries.get(self.next) != Some(&region) {
             return;
         }
-        state.open = self.intervals.len();
-        self.intervals.push(IntervalRecord {
-            line,
-            tick: state.tick,
-            dirty_depth: state.dirty_depth,
-            from,
-            until: OPEN,
+        let from = self.next as u32;
+        let intervals = &mut self.intervals;
+        engine.touched_since(self.since, |line, residency| {
+            residency.record = intervals.len();
+            intervals.push(IntervalRecord {
+                line,
+                tick: residency.tick,
+                dirty_depth: residency.dirty_depth,
+                from,
+                until: OPEN,
+            });
         });
+        self.since = engine.tick();
+        self.next += 1;
     }
 
-    /// Closes every still-open record at this observer's own end and clamps
+    /// Closes, at the next boundary index, the records of the residencies
+    /// a touch ended: the touched line's previous one and the evicted
+    /// line's.  A no-op past the last boundary.
+    pub fn touched(&mut self, touch: &Touch) {
+        if !self.wants_more() {
+            return;
+        }
+        let until = self.next as u32;
+        let ended = touch.previous.iter().chain(touch.evicted.iter().map(|(_, gone)| gone));
+        for residency in ended {
+            if residency.record != Residency::NO_RECORD {
+                self.intervals[residency.record].until = until;
+            }
+        }
+    }
+
+    /// Prepares the recorder to continue from `region` after its engine was
+    /// restored from a checkpoint taken there.
+    pub fn resume_at(&mut self, region: usize) {
+        self.next = self.boundaries.partition_point(|&b| b < region);
+        self.since = 0;
+        self.intervals.clear();
+    }
+
+    /// Closes every still-open record at this recorder's own end and clamps
     /// all records to the uniformly `taken` boundary count, yielding the
     /// thread's finished interval list.
     fn finish(mut self, taken: usize) -> Vec<IntervalRecord> {
@@ -801,95 +783,70 @@ impl MruThreadObserver {
     }
 }
 
+/// [`TraceObserver`] that collects one thread's MRU warmup state from a
+/// single walk of the thread's trace: an [`IntervalRecorder`] fed by a
+/// [`RecencyEngine`] of its own, windowed at the collection capacity.
+///
+/// Driven alone it reproduces the historical dedicated collection pass (and
+/// stops the walk after its last boundary).  Hand the finished observers of
+/// all threads to [`MruSnapshotBank::from_segmented_observers`] to assemble
+/// [`MruWarmupData`] for any target subset at any capacity up to the
+/// collection capacity — bit-identical to [`PerBoundaryThreadObserver`],
+/// which is retained as the oracle for exactly that claim.  A fused walk
+/// does not attach it next to the profiler: it drives one engine per thread
+/// and feeds an [`IntervalRecorder`] from it.
+#[derive(Debug)]
+pub struct MruThreadObserver {
+    engine: RecencyEngine,
+    recorder: IntervalRecorder,
+}
+
+impl MruThreadObserver {
+    /// Creates an observer snapshotting at `boundaries` (deduplicated and
+    /// sorted internally; a boundary `r` snapshot reflects all accesses of
+    /// regions `0..r`), collecting at `collection_capacity` lines.
+    pub fn new(boundaries: &[usize], collection_capacity: u64) -> Self {
+        let recorder = IntervalRecorder::new(boundaries, collection_capacity);
+        Self { engine: RecencyEngine::with_window(recorder.capacity), recorder }
+    }
+
+    /// Records one access.
+    fn access(&mut self, line: u64, is_write: bool) {
+        self.recorder.touched(&self.engine.touch(line, is_write));
+    }
+}
+
+impl From<MruThreadObserver> for IntervalRecorder {
+    fn from(observer: MruThreadObserver) -> Self {
+        observer.recorder
+    }
+}
+
 impl CheckpointObserver for MruThreadObserver {
     /// The only state a warmup walk carries across a region boundary is the
-    /// collector's recency list — `touched`/`open`/`intervals` describe the
-    /// *output* (interval records), which segments produce independently and
+    /// engine's window (its window image) — the interval records are the
+    /// *output*, which segments produce independently and
     /// [`MruSnapshotBank::from_segmented_observers`] stitches.
     fn snapshot_at(&self, _region: usize) -> Vec<u8> {
-        let (next_seq, next_tick, entries) = self.collector.threads[0].checkpoint();
-        let mut out = serde::Serializer::new();
-        out.write_u64(self.collector.capacity_lines());
-        out.write_u64(next_seq);
-        out.write_u64(next_tick);
-        out.write_len(entries.len());
-        for (seq, line, tick, dirty_depth) in entries {
-            out.write_u64(seq);
-            out.write_u64(line);
-            out.write_u64(tick);
-            out.write_u64(dirty_depth);
-        }
-        out.into_bytes()
+        self.engine.window_image()
     }
 
     fn restore(&mut self, region: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let corrupt = |e: serde::Error| CheckpointError::new(format!("mru state: {e}"));
-        let mut de = serde::Deserializer::new(bytes);
-        let capacity = de.read_u64().map_err(corrupt)?;
-        if capacity != self.collector.capacity_lines() {
-            return Err(CheckpointError::new(format!(
-                "mru state: collection capacity mismatch (checkpoint {capacity}, observer {})",
-                self.collector.capacity_lines()
-            )));
-        }
-        let next_seq = de.read_u64().map_err(corrupt)?;
-        let next_tick = de.read_u64().map_err(corrupt)?;
-        let len = de.read_len().map_err(corrupt)?;
-        if len as u64 > capacity {
-            return Err(CheckpointError::new(format!(
-                "mru state: {len} live lines exceed capacity {capacity}"
-            )));
-        }
-        let mut entries = Vec::with_capacity(len.min(bytes.len() / 32 + 1));
-        for _ in 0..len {
-            let seq = de.read_u64().map_err(corrupt)?;
-            let line = de.read_u64().map_err(corrupt)?;
-            let tick = de.read_u64().map_err(corrupt)?;
-            let dirty_depth = de.read_u64().map_err(corrupt)?;
-            entries.push((seq, line, tick, dirty_depth));
-        }
-        if de.remaining() != 0 {
-            return Err(CheckpointError::new("mru state: trailing bytes"));
-        }
-        self.collector.threads[0] = ThreadMruState::from_checkpoint(next_seq, next_tick, &entries)
-            .map_err(|reason| CheckpointError::new(format!("mru state: {reason}")))?;
-        self.next = self.boundaries.partition_point(|&b| b < region);
-        self.pending.clear();
-        self.intervals.clear();
-        self.resume_open_all = true;
+        self.engine.restore(None, Some(bytes))?;
+        self.recorder.resume_at(region);
         Ok(())
     }
 }
 
 impl TraceObserver for MruThreadObserver {
     fn enter_region(&mut self, region: usize) {
-        if self.boundaries.get(self.next) != Some(&region) {
-            return;
-        }
-        let idx = self.next as u32;
-        let mut lines = if std::mem::take(&mut self.resume_open_all) {
-            // First boundary after a checkpoint restore: no record of this
-            // segment is open yet, so every resident line opens fresh here —
-            // `pending` (accesses between the restore point and this
-            // boundary) is a subset of what these records already cover.
-            self.pending.clear();
-            self.collector.threads[0].lines().collect()
-        } else {
-            std::mem::take(&mut self.pending)
-        };
-        for &line in &lines {
-            self.open_record(line, idx);
-        }
-        lines.clear();
-        self.pending = lines;
-        self.next += 1;
+        self.recorder.enter_region(&mut self.engine, region);
     }
 
     fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
         // Once the last boundary is snapshotted, the tail of the trace can
-        // no longer influence any snapshot — ignore it (a fused walk keeps
-        // feeding the stream for the observers that still need it).
-        if self.next >= self.boundaries.len() {
+        // no longer influence any snapshot.
+        if !self.recorder.wants_more() {
             return;
         }
         for access in &exec.accesses {
@@ -898,18 +855,18 @@ impl TraceObserver for MruThreadObserver {
     }
 
     fn wants_more(&self) -> bool {
-        self.next < self.boundaries.len()
+        self.recorder.wants_more()
     }
 }
 
 /// The interval-encoded multi-boundary MRU state of a whole application —
-/// one [`MruThreadObserver`] walk per thread — from which the warmup
+/// one [`IntervalRecorder`] per thread — from which the warmup
 /// payload of *any* boundary subset at *any* capacity (up to the collection
 /// capacity) is assembled, without re-walking any trace.
 ///
 /// This is what makes the fused cold pass affordable at scale: when a sweep
 /// must profile (so the barrierpoint selection is not known yet), the
-/// observers cover every region boundary during the one fused walk, yet the
+/// recorders cover every region boundary during the one fused walk, yet the
 /// bank holds one record per *residency interval* — lines that stay
 /// resident and untouched across boundaries cost one record for the whole
 /// span — so even a 32-thread many-region collection stays far below the
@@ -925,11 +882,12 @@ pub struct MruSnapshotBank {
 }
 
 impl MruSnapshotBank {
-    /// Assembles the bank from the finished observers of threads `0..n`:
-    /// `per_thread[t]` holds the observers of thread `t`'s consecutive trace
-    /// segments, in segment order — a single observer for a thread walked
-    /// in one piece — where every segment after the first was seeded through
-    /// [`CheckpointObserver::restore`] from its predecessor's cut-point
+    /// Assembles the bank from the finished recorders of threads `0..n` —
+    /// [`IntervalRecorder`]s or [`MruThreadObserver`]s: `per_thread[t]`
+    /// holds the recorders of thread `t`'s consecutive trace segments, in
+    /// segment order — a single one for a thread walked in one piece —
+    /// where every segment after the first was resumed
+    /// ([`IntervalRecorder::resume_at`]) from its predecessor's cut-point
     /// snapshot.  Each thread's records are the concatenation of its
     /// segments' records; assembly output is bit-identical however the
     /// walks were segmented (records that spanned a cut are split in two,
@@ -939,20 +897,23 @@ impl MruSnapshotBank {
     /// # Panics
     ///
     /// Panics if `per_thread` is empty, any thread has no segments, or the
-    /// observers disagree on boundaries or collection capacity.
-    pub fn from_segmented_observers(per_thread: Vec<Vec<MruThreadObserver>>) -> Self {
+    /// recorders disagree on boundaries or collection capacity.
+    pub fn from_segmented_observers<R: Into<IntervalRecorder>>(per_thread: Vec<Vec<R>>) -> Self {
+        let per_thread: Vec<Vec<IntervalRecorder>> = per_thread
+            .into_iter()
+            .map(|segments| segments.into_iter().map(Into::into).collect())
+            .collect();
         assert!(!per_thread.is_empty(), "at least one thread required");
         assert!(
             per_thread.iter().all(|segments| !segments.is_empty()),
             "at least one segment observer per thread required"
         );
         let boundaries = per_thread[0][0].boundaries.clone();
-        let collection_capacity = per_thread[0][0].collector.capacity_lines();
-        for observer in per_thread.iter().flatten() {
-            assert_eq!(observer.boundaries, boundaries, "observers disagree on boundaries");
+        let collection_capacity = per_thread[0][0].capacity;
+        for recorder in per_thread.iter().flatten() {
+            assert_eq!(recorder.boundaries, boundaries, "observers disagree on boundaries");
             assert_eq!(
-                observer.collector.capacity_lines(),
-                collection_capacity,
+                recorder.capacity, collection_capacity,
                 "observers disagree on collection capacity"
             );
         }
@@ -962,7 +923,7 @@ impl MruSnapshotBank {
         // snapshotted.
         let taken = per_thread
             .iter()
-            .map(|segments| segments.last().map_or(0, |o| o.next))
+            .map(|segments| segments.last().map_or(0, |r| r.next))
             .min()
             .unwrap_or(0);
         Self {
@@ -971,7 +932,7 @@ impl MruSnapshotBank {
             per_thread: per_thread
                 .into_iter()
                 .map(|segments| {
-                    let records = segments.into_iter().map(|observer| observer.finish(taken));
+                    let records = segments.into_iter().map(|recorder| recorder.finish(taken));
                     let stitched = records.reduce(|mut all, more| {
                         all.extend(more);
                         all
@@ -1082,8 +1043,8 @@ impl MruSnapshotBank {
 /// Returns a map from target region index to its warmup data; the data for
 /// region `r` reflects all accesses of regions `0..r`.
 ///
-/// This is the serial, region-major reference: the thread-major walks of
-/// [`MruThreadObserver`], assembled through [`MruSnapshotBank`] at any
+/// This is the serial, region-major reference: the thread-major walks'
+/// [`IntervalRecorder`]s, assembled through [`MruSnapshotBank`] at any
 /// capacity up to the collection capacity, must reproduce it bit for bit.
 pub fn collect_mru_warmup<W: Workload + ?Sized>(
     workload: &W,
@@ -1152,8 +1113,8 @@ mod tests {
                     None => u64::MAX,
                 }
             };
-            if let Some(old) = self.by_line[thread]
-                .insert(line, LineState { seq, tick, dirty_depth, open: NOT_OPEN })
+            if let Some(old) =
+                self.by_line[thread].insert(line, LineState { seq, tick, dirty_depth })
             {
                 self.by_seq[thread].remove(&old.seq);
             }
@@ -1593,8 +1554,8 @@ mod tests {
 
         let mut ok = MruThreadObserver::new(&boundaries, 256);
         assert!(ok.restore(3, &bytes).is_ok());
-        assert_eq!(ok.next, boundaries.partition_point(|&b| b < 3));
-        assert!(ok.resume_open_all);
+        assert_eq!(ok.recorder.next, boundaries.partition_point(|&b| b < 3));
+        assert_eq!(ok.recorder.since, 0);
     }
 
     /// Feeds regions `from..until` of a direct access stream — chopped into
@@ -1615,6 +1576,67 @@ mod tests {
         }
     }
 
+    /// An observer's window truncated to `capacity`, least recent first,
+    /// with the dirty bit at that capacity.
+    fn window_at(observer: &MruThreadObserver, capacity: u64) -> Vec<(u64, bool)> {
+        let engine = &observer.engine;
+        let lines: Vec<u64> = engine.window().collect();
+        let skip = lines.len().saturating_sub(capacity as usize);
+        lines[skip..]
+            .iter()
+            .map(|&line| (line, engine.residency(line).is_some_and(|r| r.dirty_depth < capacity)))
+            .collect()
+    }
+
+    /// The collector state's checkpoint in the window image's byte layout.
+    fn state_image(collector: &MruCollector) -> Vec<u8> {
+        let (next_seq, next_tick, entries) = collector.threads[0].checkpoint();
+        let mut out = serde::Serializer::new();
+        out.write_u64(collector.capacity_lines());
+        out.write_u64(next_seq);
+        out.write_u64(next_tick);
+        out.write_len(entries.len());
+        for (seq, line, tick, dirty_depth) in entries {
+            out.write_u64(seq);
+            out.write_u64(line);
+            out.write_u64(tick);
+            out.write_u64(dirty_depth);
+        }
+        out.into_bytes()
+    }
+
+    /// Feeds `accesses` to a one-thread collector and to a windowed engine,
+    /// checking every eviction and, every `probe` accesses and at the end,
+    /// the engine's window image against the collector's checkpoint and its
+    /// window against the collector's snapshot at every capacity.
+    fn check_window_images(accesses: &[(u64, bool)], capacity: u64, probe: usize) {
+        let mut collector = MruCollector::new(1, capacity);
+        let mut observer = MruThreadObserver::new(&[], capacity);
+        for (index, &(line, write)) in accesses.iter().enumerate() {
+            let evicted = collector.record(0, line, write);
+            let touch = observer.engine.touch(line, write);
+            assert_eq!(touch.evicted.map(|(gone, _)| gone), evicted, "access {index}");
+            if index % probe == 0 || index + 1 == accesses.len() {
+                assert_eq!(observer.snapshot_at(0), state_image(&collector), "access {index}");
+                for c in 1..=capacity.min(40) {
+                    let expected = collector.snapshot_at(c).per_thread()[0].clone();
+                    assert_eq!(window_at(&observer, c), expected, "access {index} capacity {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn engine_window_image_matches_the_collector_across_compaction() {
+        // 9,000 accesses re-reading written lines: the sequence space
+        // compacts at both capacities, and capacity 16 evicts throughout.
+        let accesses: Vec<(u64, bool)> =
+            (0..9_000u64).map(|i| ((i * 7) % 48 + (i / 3000) * 5, i % 5 == 0)).collect();
+        for capacity in [16, 4096] {
+            check_window_images(&accesses, capacity, 997);
+        }
+    }
+
     #[test]
     fn recency_list_checkpoint_restores_across_compaction() {
         // Churn long enough to compact the sequence space several times at
@@ -1630,10 +1652,9 @@ mod tests {
         let cut = 23;
         let mut uninterrupted = MruThreadObserver::new(&boundaries, 16);
         feed(&mut uninterrupted, &accesses, stride, 0, cut);
-        assert!(
-            uninterrupted.collector.threads[0].next_seq < (cut * stride) as u64,
-            "no compaction before the cut"
-        );
+        let image = uninterrupted.snapshot_at(cut);
+        let next_seq = u64::from_le_bytes(image[8..16].try_into().unwrap());
+        assert!(next_seq < (cut * stride) as u64, "no compaction before the cut");
         let mut first = MruThreadObserver::new(&boundaries, 16);
         feed(&mut first, &accesses, stride, 0, cut);
         let bytes = first.snapshot_at(cut);
@@ -1650,8 +1671,8 @@ mod tests {
             );
             for capacity in [1, 5, 16] {
                 assert_eq!(
-                    restored.collector.snapshot_at(capacity),
-                    uninterrupted.collector.snapshot_at(capacity),
+                    window_at(&restored, capacity),
+                    window_at(&uninterrupted, capacity),
                     "capacity {capacity} after region {region}"
                 );
             }
@@ -1684,6 +1705,16 @@ mod tests {
     }
 
     proptest! {
+        /// The engine's window image and window equal the untouched
+        /// collector's checkpoint and snapshots on random streams.
+        #[test]
+        fn engine_window_image_matches_the_collector_checkpoint(
+            accesses in proptest::collection::vec((0u64..48, any::<bool>()), 1..600),
+            capacity in 1u64..40,
+        ) {
+            check_window_images(&accesses, capacity, 23);
+        }
+
         /// Interval assembly must reproduce the per-boundary oracle for
         /// arbitrary access streams, boundary placements, and capacities —
         /// including streams that churn the list hard enough to trigger

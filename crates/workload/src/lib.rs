@@ -21,6 +21,12 @@
 //! profiles signatures and collects MRU warmup state from a *single* walk
 //! instead of one walk per consumer.
 //!
+//! Both of those consumers read the thread's LRU stack: profiling needs each
+//! access's stack distance, MRU collection the stack's most recent lines.
+//! [`RecencyEngine`] keeps that stack once per thread — one [`LineMap`]
+//! entry per line, one Fenwick tree, and an optional MRU window on top — so
+//! a fused walk finds each access's stack position once for both.
+//!
 //! The [`kernels`] module contains models of the benchmarks evaluated in the
 //! paper (NPB bt, cg, ft, is, lu, mg, sp and PARSEC bodytrack), matching their
 //! dynamic barrier counts (Figure 1 / Table III) and their qualitative phase
@@ -54,6 +60,7 @@ mod block;
 pub mod kernels;
 mod observer;
 mod phase;
+mod recency;
 mod region;
 mod synthetic;
 mod workload;
@@ -63,6 +70,7 @@ pub use block::{BasicBlock, BasicBlockId, BlockTable};
 pub use kernels::suite::Benchmark;
 pub use observer::{drive, drive_segment, CheckpointError, CheckpointObserver, TraceObserver};
 pub use phase::{AccessPattern, Phase, PhaseBlock, PhaseId, ScheduleEntry};
+pub use recency::{RecencyEngine, Residency, Touch};
 pub use region::{BlockExecution, RegionTrace};
 pub use synthetic::{SyntheticWorkload, SyntheticWorkloadBuilder};
 pub use workload::{FingerprintHasher, LineHasher, LineMap, Workload, WorkloadConfig};

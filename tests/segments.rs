@@ -375,3 +375,107 @@ fn emitted_checkpoint_bytes_match_golden_digests() {
     }
     assert_eq!(actual, CHECKPOINT_GOLDEN);
 }
+
+/// `checkpoints` with the MRU image of `thread`'s cut `cut` replaced by
+/// `rewrite(image)`, through the artifact's own byte layout (the per-cut
+/// images are not reachable through the public API).
+fn with_mru_image(
+    checkpoints: &WorkloadCheckpoints,
+    thread: usize,
+    cut: usize,
+    rewrite: impl Fn(&[u8]) -> Vec<u8>,
+) -> WorkloadCheckpoints {
+    let bytes = serde::to_vec(checkpoints);
+    let mut de = serde::Deserializer::new(&bytes);
+    let mut out = serde::Serializer::new();
+    for _ in 0..2 {
+        out.write_u64(de.read_u64().unwrap()); // collection capacity, regions
+    }
+    let threads = de.read_len().unwrap();
+    out.write_len(threads);
+    for t in 0..threads {
+        let cuts = de.read_len().unwrap();
+        out.write_len(cuts);
+        for c in 0..cuts {
+            out.write_u64(de.read_u64().unwrap());
+            for image in 0..2 {
+                let len = de.read_len().unwrap();
+                let payload = de.read_bytes(len).unwrap();
+                let payload = if image == 1 && (t, c) == (thread, cut) {
+                    rewrite(payload)
+                } else {
+                    payload.to_vec()
+                };
+                out.write_len(payload.len());
+                out.write_bytes(&payload);
+            }
+        }
+    }
+    serde::from_slice(&out.into_bytes()).unwrap()
+}
+
+/// An MRU image with its lines' order reversed (sequences, ticks and dirty
+/// depths stay in place), or with one line replaced by one the profiler
+/// never saw.
+fn tamper(image: &[u8], reverse: bool) -> Vec<u8> {
+    let mut de = serde::Deserializer::new(image);
+    let header: Vec<u64> = (0..3).map(|_| de.read_u64().unwrap()).collect();
+    let len = de.read_len().unwrap();
+    let mut entries: Vec<[u64; 4]> =
+        (0..len).map(|_| [0; 4].map(|_| de.read_u64().unwrap())).collect();
+    if reverse {
+        let lines: Vec<u64> = entries.iter().rev().map(|entry| entry[1]).collect();
+        entries.iter_mut().zip(lines).for_each(|(entry, line)| entry[1] = line);
+    } else {
+        entries[0][1] = 1 << 60;
+    }
+    let mut out = serde::Serializer::new();
+    header.iter().for_each(|&word| out.write_u64(word));
+    out.write_len(entries.len());
+    entries.iter().flatten().for_each(|&word| out.write_u64(word));
+    out.into_bytes()
+}
+
+#[test]
+fn fused_checkpoints_resume_every_walk_kind_and_reject_disagreeing_images() {
+    // Checkpoints of the fused walk, resumed profile-only, MRU-only at or
+    // below their collection capacity, and fused: each equals the same walk
+    // run uninterrupted from region 0.
+    let policy = ExecutionPolicy::Serial;
+    for (bench, collection) in [(Benchmark::NpbCg, 64), (Benchmark::NpbLu, 512)] {
+        let w = bench.build(&WorkloadConfig::new(2).with_scale(0.05));
+        let every: Vec<usize> = (0..w.num_regions()).collect();
+        let (profile, bank, checkpoints) = checkpointed(&w, collection, &policy, 4).unwrap();
+        let resumed = TraceWalk::profile().resuming(&checkpoints).run(&w, &policy, None).unwrap();
+        assert_eq!(resumed.profile.unwrap(), profile, "{bench:?} profile-only");
+        for capacity in [1, collection / 2, collection] {
+            let walk = TraceWalk::mru(MruBoundaries::Every, capacity);
+            let whole = walk.run(&w, &policy, None).unwrap().bank.unwrap();
+            let resumed = walk.resuming(&checkpoints).run(&w, &policy, None).unwrap().bank.unwrap();
+            for probe in [1, capacity] {
+                assert_eq!(
+                    resumed.assemble(&every, probe),
+                    whole.assemble(&every, probe),
+                    "{bench:?} MRU-only at {capacity}, probed at {probe}"
+                );
+            }
+        }
+        let (fused_profile, fused_bank) = resumed_fused(&w, &checkpoints, &policy).unwrap();
+        assert_eq!(fused_profile, profile, "{bench:?} fused profile");
+        assert_eq!(fused_bank.assemble(&every, collection), bank.assemble(&every, collection));
+
+        // Images that disagree fail the fused restore with an error naming
+        // the disagreement; the walks that read one image only still resume.
+        for (reverse, reason) in [(false, "missing"), (true, "differently")] {
+            let broken = with_mru_image(&checkpoints, 1, 0, |image| tamper(image, reverse));
+            match resumed_fused(&w, &broken, &policy) {
+                Err(Error::CheckpointRestore { message }) => {
+                    assert!(message.contains(reason), "{bench:?}: {message}")
+                }
+                other => panic!("{bench:?}: expected a {reason} restore error, got {other:?}"),
+            }
+            let profile_only = TraceWalk::profile().resuming(&broken).run(&w, &policy, None);
+            assert_eq!(profile_only.unwrap().profile.unwrap(), profile);
+        }
+    }
+}
