@@ -7,7 +7,14 @@
 //! snapshotting the carried state every K regions into a
 //! [`WorkloadCheckpoints`] artifact, the `ckpt` kind of the
 //! [`ArtifactCache`](crate::ArtifactCache)), or resumed from such
-//! checkpoints.
+//! checkpoints.  A walk from region 0 is the case "one segment per
+//! thread"; a resumed walk fans `threads × segments` jobs onto the
+//! [`WorkerBudget`], so a re-walk can use more workers than the workload
+//! has threads.  Either way there is one job (restore when
+//! resuming, walk `[from, until)` with [`bp_workload::drive_segment`],
+//! snapshot at interior cuts), one fan-out, and one stitch
+//! ([`bp_signature::concat_thread_profiles`] then the per-region zip, and
+//! [`MruSnapshotBank::from_segmented_observers`]).
 //!
 //! Each thread's walk runs **one recency engine**
 //! ([`bp_workload::RecencyEngine`]), windowed at the collection capacity
@@ -20,14 +27,7 @@
 //! historical layouts.  The region-major oracles
 //! ([`bp_signature::ApplicationProfiler`], [`bp_warmup::collect_mru_warmup`])
 //! keep their own structures, so every bit-identity suite compares the
-//! engine with independent code.  A walk from region 0 is the case "one
-//! segment per thread"; a resumed walk fans `threads × segments` jobs onto
-//! the [`WorkerBudget`], so a re-walk can use more workers than the
-//! workload has threads.  Either way there is one job (restore when
-//! resuming, walk `[from, until)` with [`bp_workload::drive_segment`],
-//! snapshot at interior cuts), one fan-out, and one stitch
-//! ([`bp_signature::concat_thread_profiles`] then the per-region zip, and
-//! [`MruSnapshotBank::from_segmented_observers`]).
+//! engine with independent code.
 //!
 //! **Bit-identity is the contract.**  Checkpoint restoration reproduces
 //! the engine's exact carried state (including compaction timing and

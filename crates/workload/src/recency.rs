@@ -9,8 +9,9 @@
 //! windowed line's recency depth is its stack distance.  [`RecencyEngine`]
 //! keeps that stack once: one [`LineMap`] entry per line, one Fenwick tree
 //! over access timestamps, and — when a window is attached — a slot vector
-//! indexed by window sequence number with a head cursor on the oldest
-//! windowed line; a windowed line's residency rides in its map entry.
+//! indexed by window sequence number, holding each windowed line and its
+//! residency, with a head cursor on the oldest windowed line.  The map entry
+//! stays two words, so a walk without a window pays nothing for it.
 //! [`RecencyEngine::touch`] finds an access's stack position with one map
 //! lookup and one prefix sum, and returns everything both consumers need
 //! ([`Touch`]).
@@ -87,25 +88,33 @@ struct Mark {
     time: usize,
     /// The line's window sequence, 0 when the line is outside the window.
     seq: u64,
-    /// The line's residency while windowed.
-    residency: Residency,
 }
 
 impl Mark {
     /// A line outside the window, last accessed at `time`.
     fn unwindowed(time: usize) -> Self {
-        Self { time, seq: 0, residency: NO_RESIDENCY }
+        Self { time, seq: 0 }
     }
 }
+
+/// One window slot: the line whose residency began with the slot's
+/// sequence ([`NO_LINE`] once that line moved on or was evicted), and that
+/// residency.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    line: u64,
+    residency: Residency,
+}
+
+const EMPTY_SLOT: Slot = Slot { line: NO_LINE, residency: NO_RESIDENCY };
 
 /// The MRU window: the stack's top `capacity` lines in sequence order.
 #[derive(Debug, Clone)]
 struct Window {
     capacity: u64,
-    /// Sequence -> the line whose residency began with it, [`NO_LINE`] once
-    /// that line moved on or was evicted; `slots.len() == next_seq + 1`
-    /// (sequence 0 is never assigned).
-    slots: Vec<u64>,
+    /// Sequence -> slot; `slots.len() == next_seq + 1` (sequence 0 is never
+    /// assigned).
+    slots: Vec<Slot>,
     /// No windowed sequence is below `head`.
     head: usize,
     /// Windowed lines.
@@ -116,17 +125,17 @@ struct Window {
 
 impl Window {
     fn new(capacity: u64) -> Self {
-        Self { capacity, slots: vec![NO_LINE], head: 1, live: 0, next_seq: 0, next_tick: 0 }
+        Self { capacity, slots: vec![EMPTY_SLOT], head: 1, live: 0, next_seq: 0, next_tick: 0 }
     }
 
-    /// The windowed `(seq, line)`s, least recent first.
-    fn live(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    /// The windowed `(seq, slot)`s, least recent first.
+    fn live(&self) -> impl Iterator<Item = (u64, &Slot)> + '_ {
         let head = self.head;
         self.slots[head..]
             .iter()
             .enumerate()
-            .filter(|&(_, &line)| line != NO_LINE)
-            .map(move |(offset, &line)| ((head + offset) as u64, line))
+            .filter(|(_, slot)| slot.line != NO_LINE)
+            .map(move |(offset, slot)| ((head + offset) as u64, slot))
     }
 
     /// Renumbers the windowed sequences to `1..=live`, in order, once the
@@ -138,12 +147,12 @@ impl Window {
         }
         let mut kept = 1;
         for read in self.head..self.slots.len() {
-            let line = self.slots[read];
-            if line == NO_LINE {
+            let slot = self.slots[read];
+            if slot.line == NO_LINE {
                 continue;
             }
-            self.slots[kept] = line;
-            if let Some(mark) = marks.get_mut(&line) {
+            self.slots[kept] = slot;
+            if let Some(mark) = marks.get_mut(&slot.line) {
                 mark.seq = kept as u64;
             }
             kept += 1;
@@ -153,16 +162,24 @@ impl Window {
         self.next_seq = self.live as u64;
     }
 
-    /// Removes and returns the least recent windowed line.  Only called on a
-    /// window holding more than its capacity, so at least two are live.
-    fn pop_oldest(&mut self) -> u64 {
-        while self.slots[self.head] == NO_LINE {
+    /// Empties slot `seq`, returning the residency it held.
+    fn vacate(&mut self, seq: u64) -> Residency {
+        let slot = &mut self.slots[seq as usize];
+        slot.line = NO_LINE;
+        self.live -= 1;
+        slot.residency
+    }
+
+    /// Removes the least recent windowed line, returning it and its
+    /// residency.  Only called on a window holding more than its capacity,
+    /// so at least two are live.
+    fn pop_oldest(&mut self) -> (u64, Residency) {
+        while self.slots[self.head].line == NO_LINE {
             self.head += 1;
         }
-        let line = std::mem::replace(&mut self.slots[self.head], NO_LINE);
+        let seq = self.head as u64;
         self.head += 1;
-        self.live -= 1;
-        line
+        (self.slots[seq as usize].line, self.vacate(seq))
     }
 }
 
@@ -197,7 +214,7 @@ fn unmark(tree: &mut [u64], marked: u64, previous: usize) -> u64 {
 /// latest, so a line's stack distance is the number of marks after its
 /// previous timestamp.  A windowed engine ([`with_window`]) also keeps the
 /// top `capacity` lines in a slot vector indexed by window sequence, and
-/// each windowed line's [`Residency`] in its map entry.  A windowed line's
+/// each windowed line's [`Residency`] in its slot.  A windowed line's
 /// recency depth *is* its stack distance, so the window needs no order
 /// statistic of its own.  An engine without a window ([`new`]) skips all
 /// window work.
@@ -239,11 +256,10 @@ impl RecencyEngine {
     /// and returns its stack distance and, with a window, the residency the
     /// access ended and the line the window evicted.
     ///
-    /// One [`LineMap`] lookup finds the line and its residency; the Fenwick
-    /// tree costs one prefix sum and two updates.  With a window, the
-    /// line's old slot is vacated and a new one appended in `O(1)`, and an
-    /// eviction pops the oldest live slot in amortised `O(1)` plus one more
-    /// lookup.
+    /// One [`LineMap`] lookup finds the line; the Fenwick tree costs one
+    /// prefix sum and two updates.  With a window, the line's old slot is
+    /// vacated and a new one appended in `O(1)`, and an eviction pops the
+    /// oldest live slot in amortised `O(1)` plus one more lookup.
     #[inline]
     pub fn touch(&mut self, line: u64, is_write: bool) -> Touch {
         // Keep the timestamp space proportional to the distinct lines.
@@ -277,16 +293,11 @@ impl RecencyEngine {
         window.next_seq += 1;
         window.next_tick += 1;
         let seq = window.next_seq;
-        let tick = window.next_tick;
-        let (distance, previous) = match self.marks.entry(line) {
+        let (distance, previous, dirty_depth) = match self.marks.entry(line) {
             Entry::Occupied(mut entry) => {
-                let mark = entry.get_mut();
-                let distance = unmark(&mut self.tree, marked, mark.time);
-                let previous = (mark.seq != 0).then(|| {
-                    window.slots[mark.seq as usize] = NO_LINE;
-                    window.live -= 1;
-                    mark.residency
-                });
+                let previous = std::mem::replace(entry.get_mut(), Mark { time: now, seq });
+                let distance = unmark(&mut self.tree, marked, previous.time);
+                let previous = (previous.seq != 0).then(|| window.vacate(previous.seq));
                 let dirty_depth = match previous {
                     // A write is in-residency at every capacity that holds
                     // the line.
@@ -302,42 +313,38 @@ impl RecencyEngine {
                     // window on a read: clean everywhere.
                     _ => u64::MAX,
                 };
-                let residency = Residency { tick, dirty_depth, record: Residency::NO_RECORD };
-                *mark = Mark { time: now, seq, residency };
-                (Some(distance), previous)
+                (Some(distance), previous, dirty_depth)
             }
             Entry::Vacant(entry) => {
-                let dirty_depth = if is_write { 0 } else { u64::MAX };
-                let residency = Residency { tick, dirty_depth, record: Residency::NO_RECORD };
-                entry.insert(Mark { time: now, seq, residency });
-                (None, None)
+                entry.insert(Mark { time: now, seq });
+                (None, None, if is_write { 0 } else { u64::MAX })
             }
         };
         tree_add(&mut self.tree, now, 1);
-        window.slots.push(line);
+        let residency =
+            Residency { tick: window.next_tick, dirty_depth, record: Residency::NO_RECORD };
+        window.slots.push(Slot { line, residency });
         window.live += 1;
         let evicted = (window.live as u64 > window.capacity).then(|| {
-            let gone = window.pop_oldest();
-            match self.marks.get_mut(&gone) {
-                Some(mark) => {
-                    mark.seq = 0;
-                    (gone, mark.residency)
-                }
-                // Every windowed line holds a mark.
-                None => unreachable!("windowed line {gone:#x} has no mark"),
+            let (gone, residency) = window.pop_oldest();
+            if let Some(mark) = self.marks.get_mut(&gone) {
+                mark.seq = 0;
             }
+            (gone, residency)
         });
         Touch { distance, previous, evicted }
     }
 
     /// The windowed lines, least recent first (empty without a window).
     pub fn window(&self) -> impl Iterator<Item = u64> + '_ {
-        self.window.iter().flat_map(|window| window.live().map(|(_, line)| line))
+        self.window.iter().flat_map(|window| window.live().map(|(_, slot)| slot.line))
     }
 
     /// The current residency of `line`, `None` when it is not windowed.
     pub fn residency(&self, line: u64) -> Option<&Residency> {
-        self.marks.get(&line).filter(|mark| mark.seq != 0).map(|mark| &mark.residency)
+        let seq = self.marks.get(&line)?.seq;
+        let window = self.window.as_ref().filter(|_| seq != 0)?;
+        Some(&window.slots[seq as usize].residency)
     }
 
     /// The [`tick`](Residency::tick) of the latest access (0 before the
@@ -349,18 +356,18 @@ impl RecencyEngine {
     /// Visits every windowed line whose residency began after `tick` — the
     /// lines touched since then that are still windowed — most recent
     /// first, with its residency (to set its [`record`](Residency::record)).
-    /// Scans one slot per access since `tick` and looks up each line found.
+    /// Costs one slot per access since `tick`, with no map lookups.
     pub fn touched_since(&mut self, tick: u64, mut visit: impl FnMut(u64, &mut Residency)) {
-        let Some(window) = &self.window else { return };
-        for &line in window.slots[window.head..].iter().rev() {
-            if line == NO_LINE {
+        let Some(window) = self.window.as_mut() else { return };
+        let head = window.head;
+        for slot in window.slots[head..].iter_mut().rev() {
+            if slot.line == NO_LINE {
                 continue;
             }
-            let Some(mark) = self.marks.get_mut(&line) else { continue };
-            if mark.residency.tick <= tick {
+            if slot.residency.tick <= tick {
                 break;
             }
-            visit(line, &mut mark.residency);
+            visit(slot.line, &mut slot.residency);
         }
     }
 
@@ -424,12 +431,11 @@ impl RecencyEngine {
         out.write_u64(window.next_seq);
         out.write_u64(window.next_tick);
         out.write_len(window.live);
-        for (seq, line) in window.live() {
-            let residency = self.residency(line).copied().unwrap_or(NO_RESIDENCY);
+        for (seq, slot) in window.live() {
             out.write_u64(seq);
-            out.write_u64(line);
-            out.write_u64(residency.tick);
-            out.write_u64(residency.dirty_depth);
+            out.write_u64(slot.line);
+            out.write_u64(slot.residency.tick);
+            out.write_u64(slot.residency.dirty_depth);
         }
         out.into_bytes()
     }
@@ -491,17 +497,17 @@ impl RecencyEngine {
                 }
             }
             let mut window = Window::new(image.capacity);
-            window.slots = vec![NO_LINE; image.next_seq as usize + 1];
+            window.slots = vec![EMPTY_SLOT; image.next_seq as usize + 1];
             window.head =
                 image.entries.first().map_or(window.slots.len(), |entry| entry.0 as usize);
             window.live = image.entries.len();
             window.next_seq = image.next_seq;
             window.next_tick = image.next_tick;
             for (seq, line, tick, dirty_depth) in image.entries {
-                window.slots[seq as usize] = line;
+                let residency = Residency { tick, dirty_depth, record: Residency::NO_RECORD };
+                window.slots[seq as usize] = Slot { line, residency };
                 if let Some(mark) = restored.marks.get_mut(&line) {
                     mark.seq = seq;
-                    mark.residency = Residency { tick, dirty_depth, record: Residency::NO_RECORD };
                 }
             }
             restored.window = Some(window);
