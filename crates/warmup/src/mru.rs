@@ -641,7 +641,7 @@ const OPEN: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy)]
 struct IntervalRecord {
     line: u64,
-    /// Access-order key ([`LineState::tick`]); sorting a boundary's covering
+    /// Access-order key ([`Residency::tick`]); sorting a boundary's covering
     /// records by `tick` rebuilds the recency list least recent first.
     tick: u64,
     dirty_depth: u64,
@@ -711,11 +711,6 @@ impl IntervalRecorder {
             since: 0,
             intervals: Vec::new(),
         }
-    }
-
-    /// The collection capacity the recorder's engine windows at.
-    pub fn collection_capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Whether a boundary is still ahead: once the last one is snapshotted,

@@ -248,7 +248,7 @@ impl RecencyEngine {
     }
 
     /// The window's capacity, `None` without a window.
-    pub fn window_capacity(&self) -> Option<u64> {
+    fn window_capacity(&self) -> Option<u64> {
         self.window.as_ref().map(|window| window.capacity)
     }
 
