@@ -451,8 +451,9 @@ impl RecencyEngine {
     ///
     /// Returns [`CheckpointError`] when an image is truncated or
     /// inconsistent, the window image is missing, unexpected or of another
-    /// capacity, or the two images disagree: every windowed line must be
-    /// one of the profile image's most recent lines, in the same order.
+    /// capacity, or the two images disagree: the window must hold exactly
+    /// the profile image's `min(capacity, lines)` most recent lines, in the
+    /// same order.
     pub fn restore(
         &mut self,
         profile: Option<&[u8]>,
@@ -628,9 +629,17 @@ impl WindowImage {
     }
 
     /// A window is the top of the stack: its lines, in sequence order, must
-    /// be the profile image's most recent lines in timestamp order.
+    /// be the profile image's `min(capacity, lines)` most recent lines in
+    /// timestamp order.
     fn check_against(&self, profile: &ProfileImage) -> Result<(), CheckpointError> {
-        let top = profile.entries.len().saturating_sub(self.entries.len());
+        let expected = (profile.entries.len() as u64).min(self.capacity) as usize;
+        if self.entries.len() != expected {
+            return Err(CheckpointError::new(format!(
+                "mru state holds {} lines where the profiler state implies {expected}",
+                self.entries.len()
+            )));
+        }
+        let top = profile.entries.len() - expected;
         let recent = &profile.entries[top..];
         for (index, &(_, line, _, _)) in self.entries.iter().enumerate() {
             if recent.get(index).map(|&(_, top_line)| top_line) == Some(line) {
@@ -779,6 +788,11 @@ mod tests {
         }
         let err = fresh.restore(Some(&profile), Some(&reordered.window_image()));
         assert!(err.unwrap_err().to_string().contains("differently"));
+        // A window holding fewer lines than the stack's top.
+        let mut short = RecencyEngine::with_window(4);
+        short.touch(windowed.window().last().unwrap(), false);
+        let err = fresh.restore(Some(&profile), Some(&short.window_image()));
+        assert!(err.unwrap_err().to_string().contains("implies 4"));
         // Truncated and trailing bytes, a zero timestamp and a huge clock.
         assert!(fresh.restore(Some(&profile[..profile.len() - 1]), Some(&window)).is_err());
         assert!(fresh.restore(Some(&profile), Some(&[window.as_slice(), &[0]].concat())).is_err());
