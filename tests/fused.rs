@@ -10,8 +10,8 @@
 //! capacities — and that the same holds end to end through `Sweep`.
 
 use barrierpoint::{
-    profile_and_collect_warmup, profile_application_with, ExecutionPolicy, SimConfig, Sweep,
-    WorkerBudget,
+    profile_and_collect_warmup, profile_application_with, ExecutionPolicy, MruBoundaries,
+    SimConfig, Sweep, TraceWalk, WorkerBudget,
 };
 use bp_warmup::{
     collect_mru_warmup, MruSnapshotBank, MruThreadObserver, PerBoundarySnapshotBank,
@@ -283,6 +283,26 @@ fn cold_staged_chain_generates_each_region_trace_exactly_once_per_thread() {
         "simulate serves warmup from the fused bank: only the selected regions' own \
          traces are regenerated, never a second full collection walk"
     );
+}
+
+#[test]
+fn mru_only_walk_stops_after_its_last_target_and_a_profile_walk_does_not() {
+    // The walk generates each region's trace only while an output still
+    // wants it: an MRU-only walk stops each thread after its last target
+    // boundary, a profiling walk reads every region of every thread.
+    let threads = 2;
+    let counting = CountingWorkload {
+        inner: Benchmark::NpbCg.build(&WorkloadConfig::new(threads).with_scale(0.02)),
+        trace_calls: std::sync::atomic::AtomicUsize::new(0),
+    };
+    let calls = || counting.trace_calls.swap(0, std::sync::atomic::Ordering::Relaxed);
+    let (regions, last) = (counting.num_regions(), 5);
+    let targets = [1, last];
+    let mru = TraceWalk::mru(MruBoundaries::Targets(&targets), 256);
+    mru.run(&counting, &ExecutionPolicy::Serial, None).unwrap();
+    assert_eq!(calls(), threads * last, "regions 0..{last} of each thread");
+    TraceWalk::profile().run(&counting, &ExecutionPolicy::Serial, None).unwrap();
+    assert_eq!(calls(), threads * regions, "every region of every thread");
 }
 
 proptest! {
