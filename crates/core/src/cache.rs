@@ -207,9 +207,9 @@ impl ProfileCacheKey {
 /// name, thread count, content fingerprint — under its own extension, so
 /// one checkpoint set exists per workload content.  Configuration knobs
 /// (signature config, strategy) are deliberately *not* part of the key:
-/// checkpoints capture observer state along the trace, which depends only
-/// on the trace itself, so one cold walk's checkpoints serve every later
-/// re-walk of that workload regardless of why it re-walks.
+/// checkpoints capture the recency engine's state along the trace, which
+/// depends only on the trace itself, so one cold walk's checkpoints serve
+/// every later re-walk of that workload regardless of why it re-walks.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CheckpointCacheKey(ProfileCacheKey);
 

@@ -85,8 +85,8 @@ pub enum Error {
         message: String,
     },
     /// A region-segment checkpoint could not be restored into a fresh
-    /// observer (semantically invalid state — capacity mismatch, torn
-    /// bytes).  Cache-served checkpoints are checksum-sealed, so this
+    /// recency engine, or does not fit the workload or the walk (thread,
+    /// region or capacity mismatch, torn bytes).  Cache-served checkpoints are checksum-sealed, so this
     /// indicates a caller-side shape mismatch rather than storage rot.
     CheckpointRestore {
         /// Which segment failed and why.

@@ -49,7 +49,7 @@
 //!
 //! Every trace walk the pipeline runs — profiling, the fused cold pass,
 //! warmup collection, checkpoint emission and checkpoint-resumed segment
-//! walks — is one [`TraceWalk`] request: it names the observers and where
+//! walks — is one [`TraceWalk`] request: it names the outputs and where
 //! each thread starts, and the segment scheduler fans it out under an
 //! [`ExecutionPolicy`] and optional [`WorkerBudget`].  Likewise each stage
 //! has one implementation, shared by the staged chain and [`Sweep`]: both

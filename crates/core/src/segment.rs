@@ -10,11 +10,17 @@
 //! checkpoints.  A walk from region 0 is the case "one segment per
 //! thread"; a resumed walk fans `threads × segments` jobs onto the
 //! [`WorkerBudget`], so a re-walk can use more workers than the workload
-//! has threads.  Either way there is one job (restore when
-//! resuming, walk `[from, until)` with [`bp_workload::drive_segment`],
-//! snapshot at interior cuts), one fan-out, and one stitch
+//! has threads.  Either way there is one job (restore when resuming, walk
+//! `[from, until)`, snapshot at interior cuts), one fan-out, and one stitch
 //! ([`bp_signature::concat_thread_profiles`] then the per-region zip, and
-//! [`MruSnapshotBank::from_segmented_observers`]).
+//! [`MruSnapshotBank::from_recorders`]).
+//!
+//! The job's walk is bp-core's only trace-walking loop (the `core-drive`
+//! lint flags a `region_trace` call anywhere else in bp-core).  Per region
+//! it enters the region (the MRU collector snapshots a requested boundary),
+//! generates and feeds the region's trace only while an output still wants
+//! more, and finishes the region; it stops after the first region it
+//! skips, so an MRU-only walk ends each thread right after its last target.
 //!
 //! Each thread's walk runs **one recency engine**
 //! ([`bp_workload::RecencyEngine`]), windowed at the collection capacity
@@ -22,7 +28,7 @@
 //! ([`bp_signature::ProfileAccumulator`]) reads each access's stack distance
 //! from it and the MRU interval recorder ([`bp_warmup::IntervalRecorder`])
 //! its window, so a fused walk finds each access's LRU stack position once
-//! rather than once per observer.  The engine writes the checkpoint's two
+//! rather than once per output.  The engine writes the checkpoint's two
 //! images — the profiler's and the collector's — byte for byte in their
 //! historical layouts.  The region-major oracles
 //! ([`bp_signature::ApplicationProfiler`], [`bp_warmup::collect_mru_warmup`])
@@ -41,7 +47,7 @@ use crate::profile::ApplicationProfile;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_signature::{concat_thread_profiles, ProfileAccumulator, ThreadProfile};
 use bp_warmup::{IntervalRecorder, MruSnapshotBank};
-use bp_workload::{BlockExecution, RecencyEngine, TraceObserver, Workload};
+use bp_workload::{BlockExecution, RecencyEngine, Workload};
 
 /// Default number of segments the cold walk cuts each thread's trace into
 /// (the checkpoint interval is `ceil(regions / segments)`).  Eight keeps
@@ -63,7 +69,7 @@ pub fn checkpoint_cuts(num_regions: usize, max_segments: usize) -> Vec<usize> {
     (1..max_segments).map(|i| i * interval).take_while(|&cut| cut < num_regions).collect()
 }
 
-/// One thread's serialized observer state at one cut region: everything a
+/// One thread's serialized engine state at one cut region: everything a
 /// segment job needs to resume the walk at `region` bit-identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct SegmentCheckpoint {
@@ -230,7 +236,7 @@ enum Start<'a> {
     Resume(&'a WorkloadCheckpoints),
 }
 
-/// One trace-walk request: which observers ride the walk and where each
+/// One trace-walk request: which outputs ride the walk and where each
 /// thread starts.  [`run`](Self::run) executes it.
 ///
 /// * [`profile`](Self::profile) attaches the signature profiler,
@@ -276,7 +282,7 @@ impl<'a> TraceWalk<'a> {
         Self { mru: Some((boundaries, capacity.max(1))), ..self }
     }
 
-    /// Walks from region 0 and snapshots the attached observers at the
+    /// Walks from region 0 and snapshots the walk's engine at the
     /// interior cuts of [`checkpoint_cuts`]`(regions, max_segments)`.
     pub fn emitting_checkpoints(self, max_segments: usize) -> Self {
         Self { start: Start::Emitting { max_segments }, ..self }
@@ -363,7 +369,7 @@ impl<'a> TraceWalk<'a> {
                     profiles,
                 )
             }),
-            bank: self.mru.map(|_| MruSnapshotBank::from_segmented_observers(recorders)),
+            bank: self.mru.map(|_| MruSnapshotBank::from_recorders(recorders)),
             checkpoints: emit.map(|_| WorkloadCheckpoints {
                 collection_capacity: self.mru.map_or(0, |(_, capacity)| capacity),
                 num_regions: num_regions as u64,
@@ -429,17 +435,45 @@ struct ThreadWalk {
     mru: Option<IntervalRecorder>,
 }
 
-impl TraceObserver for ThreadWalk {
-    fn enter_region(&mut self, region: usize) {
-        if let Some(profile) = &mut self.profile {
-            profile.enter_region();
-        }
-        if let Some(mru) = &mut self.mru {
-            mru.enter_region(&mut self.engine, region);
+impl ThreadWalk {
+    /// Walks regions `[from, until)` of `thread`'s trace (clamped to the
+    /// region count) with the per-region protocol of the module doc.
+    fn walk<W: Workload + ?Sized>(
+        &mut self,
+        workload: &W,
+        thread: usize,
+        from: usize,
+        until: usize,
+    ) {
+        let mut exec = BlockExecution::default();
+        for region in from..until.min(workload.num_regions()) {
+            if let Some(profile) = &mut self.profile {
+                profile.enter_region();
+            }
+            if let Some(mru) = &mut self.mru {
+                mru.enter_region(&mut self.engine, region);
+            }
+            // A profiling walk needs the whole trace.
+            let active = self.profile.is_some()
+                || self.mru.as_ref().is_some_and(IntervalRecorder::wants_more);
+            if active {
+                let mut trace = workload.region_trace(region, thread);
+                while trace.next_into(&mut exec) {
+                    self.observe(&exec);
+                }
+            }
+            if let Some(profile) = &mut self.profile {
+                profile.finish_region();
+            }
+            if !active {
+                break;
+            }
         }
     }
 
-    fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
+    /// Feeds one block execution: its block to the profile, each access to
+    /// the engine, and each touch to the outputs.
+    fn observe(&mut self, exec: &BlockExecution) {
         if let Some(profile) = &mut self.profile {
             profile.block(exec);
         }
@@ -452,18 +486,6 @@ impl TraceObserver for ThreadWalk {
                 mru.touched(&touch);
             }
         }
-    }
-
-    fn finish_region(&mut self, _region: usize) {
-        if let Some(profile) = &mut self.profile {
-            profile.finish_region();
-        }
-    }
-
-    /// A profiling walk needs the whole trace; an MRU-only walk stops after
-    /// its last boundary.
-    fn wants_more(&self) -> bool {
-        self.profile.is_some() || self.mru.as_ref().is_some_and(IntervalRecorder::wants_more)
     }
 }
 
@@ -507,7 +529,7 @@ impl Plan<'_> {
         let mut cuts = Vec::with_capacity(self.emit.len());
         let mut start = from;
         for &end in self.emit.iter().chain([&until]) {
-            bp_workload::drive_segment(workload, thread, start, end, &mut [&mut walk]);
+            walk.walk(workload, thread, start, end);
             if end < until {
                 cuts.push(SegmentCheckpoint {
                     region: end as u64,

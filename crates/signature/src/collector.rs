@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// This is what the paper's Pintool emits per region; the reproduction
 /// obtains it by walking the workload model's region traces
-/// ([`collect_region_signature`]).  The raw form is kept so that the same
+/// ([`ApplicationProfiler::profile_region`]).  The raw form is kept so that the same
 /// profile can be assembled into any of the Figure 5 signature-vector
 /// variants without re-profiling.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -83,24 +83,6 @@ impl RegionSignature {
     }
 }
 
-/// Profiles one inter-barrier region of `workload` in isolation: every
-/// thread's trace is walked once, recording the BBV, the per-thread LRU stack
-/// distance histogram (at cache-line granularity) and the instruction count.
-///
-/// Reuse distances here are *region-local* (each region starts with an empty
-/// LRU stack), which is convenient for analysing a region by itself.  For
-/// barrierpoint selection use [`ApplicationProfiler`] instead, whose reuse
-/// distances are tracked continuously across regions — this is what lets the
-/// clustering separate cold-start regions from later, BBV-identical
-/// repetitions of the same phase (Section III-A2 of the paper).
-pub fn collect_region_signature<W: Workload + ?Sized>(
-    workload: &W,
-    region: usize,
-) -> RegionSignature {
-    let mut profiler = ApplicationProfiler::new(workload);
-    profiler.profile_region(workload, region)
-}
-
 /// Streaming whole-application profiler: walks inter-barrier regions in
 /// program order while keeping per-thread LRU stack distance state *across*
 /// regions, the way the paper's Pintool does.
@@ -126,7 +108,9 @@ impl ApplicationProfiler {
     }
 
     /// Profiles the next region (regions must be fed in program order for the
-    /// reuse distances to be meaningful).
+    /// reuse distances to be meaningful).  A fresh profiler's first call
+    /// profiles the region in isolation, with region-local reuse
+    /// distances.
     ///
     /// # Panics
     ///
@@ -209,8 +193,8 @@ mod tests {
     #[test]
     fn signature_collection_is_deterministic() {
         let w = workload();
-        let a = collect_region_signature(&w, 1);
-        let b = collect_region_signature(&w, 1);
+        let a = ApplicationProfiler::new(&w).profile_region(&w, 1);
+        let b = ApplicationProfiler::new(&w).profile_region(&w, 1);
         assert_eq!(a, b);
         assert_eq!(a.num_threads(), 4);
         assert!(a.total_instructions() > 0);
@@ -221,9 +205,12 @@ mod tests {
         let w = workload();
         // Regions 1 and 4 both run the matvec phase; region 2 runs reduce.
         let config = SignatureConfig::combined();
-        let matvec_a = collect_region_signature(&w, 1).assemble(&config).normalized();
-        let matvec_b = collect_region_signature(&w, 4).assemble(&config).normalized();
-        let reduce = collect_region_signature(&w, 2).assemble(&config).normalized();
+        let matvec_a =
+            ApplicationProfiler::new(&w).profile_region(&w, 1).assemble(&config).normalized();
+        let matvec_b =
+            ApplicationProfiler::new(&w).profile_region(&w, 4).assemble(&config).normalized();
+        let reduce =
+            ApplicationProfiler::new(&w).profile_region(&w, 2).assemble(&config).normalized();
         let same = matvec_a.euclidean_distance(&matvec_b);
         let different = matvec_a.euclidean_distance(&reduce);
         assert!(
@@ -262,7 +249,7 @@ mod tests {
         for (region, signature) in continuous.iter().enumerate().take(5) {
             // Instruction counts and BBVs do not depend on the reuse-distance
             // tracking mode; only the LDVs differ.
-            let isolated = collect_region_signature(&w, region);
+            let isolated = ApplicationProfiler::new(&w).profile_region(&w, region);
             assert_eq!(signature.total_instructions(), isolated.total_instructions());
             assert_eq!(signature.bbvs(), isolated.bbvs());
         }
@@ -271,7 +258,7 @@ mod tests {
     #[test]
     fn assembled_dimensions_are_consistent() {
         let w = workload();
-        let sig = collect_region_signature(&w, 0);
+        let sig = ApplicationProfiler::new(&w).profile_region(&w, 0);
         let bbv_dim = sig.assemble(&SignatureConfig::bbv_only()).dimension();
         let ldv_dim = sig.assemble(&SignatureConfig::ldv_only()).dimension();
         let combined = sig.assemble(&SignatureConfig::combined()).dimension();
@@ -283,7 +270,7 @@ mod tests {
     #[test]
     fn instruction_counts_match_trace() {
         let w = workload();
-        let sig = collect_region_signature(&w, 3);
+        let sig = ApplicationProfiler::new(&w).profile_region(&w, 3);
         let direct: u64 = (0..4)
             .map(|t| w.region_trace(3, t).map(|e| u64::from(e.instructions)).sum::<u64>())
             .sum();

@@ -18,35 +18,33 @@
 //! `reuse_dist-1_2`, `reuse_dist-1_5`, `combine`, `combine-1_2`,
 //! `combine-1_5`).
 //!
-//! [`collect_region_signature`] runs a `bp-workload` region trace through the
-//! collectors — the reproduction's substitute for the paper's Pin-based
-//! profiler — and [`ApplicationProfiler`] walks the whole application
-//! region-major with continuous reuse-distance tracking.
+//! [`ApplicationProfiler`] runs a `bp-workload` application's region
+//! traces through the collectors region-major, with continuous
+//! reuse-distance tracking — the reproduction's substitute for the paper's
+//! Pin-based profiler, and the oracle the pipeline's walk is tested against.
 //!
 //! The whole-application walk the pipeline runs is *thread-major*: each
 //! workload thread's entire trace (all regions, in program order) feeds one
 //! [`ProfileAccumulator`] from `bp-workload`'s recency engine
-//! ([`bp_workload::RecencyEngine`]) on the trace-observer engine
-//! ([`bp_workload::drive_segment`]), and [`zip_thread_profiles`] zips the
+//! ([`bp_workload::RecencyEngine`]), and [`zip_thread_profiles`] zips the
 //! per-thread streams back into per-region signatures.  Because the
 //! per-thread state is independent across threads, the walks can run on
 //! separate OS threads and still match [`ApplicationProfiler`] bit for bit.
-//! [`ThreadProfileObserver`] pairs an accumulator with an engine of its own;
-//! a fused cold pass instead feeds the accumulator and `bp-warmup`'s MRU
-//! interval recorder from one engine per thread, so the walk finds each
-//! access's LRU stack position once.  The engine checkpoints the carried
-//! state, so a thread's walk can be split into segments that
-//! [`concat_thread_profiles`] stitches.  The walks themselves — which
-//! outputs, which threads, on which workers — are scheduled by `bp-core`.
+//! A fused cold pass feeds the accumulator and `bp-warmup`'s MRU interval
+//! recorder from one engine per thread, so the walk finds each access's LRU
+//! stack position once.  The engine checkpoints the carried state, so a
+//! thread's walk can be split into segments that [`concat_thread_profiles`]
+//! stitches.  The walks themselves — which outputs, which threads, on which
+//! workers — are scheduled by `bp-core`.
 //!
 //! # Example
 //!
 //! ```
 //! use bp_workload::{Benchmark, WorkloadConfig, Workload};
-//! use bp_signature::{collect_region_signature, SignatureConfig};
+//! use bp_signature::{ApplicationProfiler, SignatureConfig};
 //!
 //! let workload = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.05));
-//! let sig = collect_region_signature(&workload, 0);
+//! let sig = ApplicationProfiler::new(&workload).profile_region(&workload, 0);
 //! let vector = sig.assemble(&SignatureConfig::combined());
 //! assert!(!vector.values().is_empty());
 //! assert!(sig.total_instructions() > 0);
@@ -64,12 +62,11 @@ mod streaming;
 mod vector;
 
 pub use bbv::Bbv;
-pub use collector::{collect_region_signature, ApplicationProfiler, RegionSignature};
+pub use collector::{ApplicationProfiler, RegionSignature};
 pub use config::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use ldv::{Ldv, LDV_BUCKETS};
 pub use stack_distance::StackDistanceTracker;
 pub use streaming::{
     concat_thread_profiles, zip_thread_profiles, ProfileAccumulator, ThreadProfile,
-    ThreadProfileObserver,
 };
 pub use vector::SignatureVector;

@@ -14,14 +14,14 @@
 //!
 //! The streaming path splits a thread's profiling into its carried state and
 //! its outputs.  The carried state is the thread's LRU stack, kept by
-//! `bp-workload`'s [`RecencyEngine`]; the outputs are built by a
-//! [`ProfileAccumulator`] from each block and each access's stack distance.
-//! [`ThreadProfileObserver`] pairs the two for a profile-only walk.  A fused
-//! walk (bp-core's trace walk) runs one windowed engine per thread and feeds
-//! both the accumulator and `bp-warmup`'s MRU interval recorder from it, so
-//! each access's stack position is found once.  The region-major profiler
-//! keeps its own [`StackDistanceTracker`](crate::StackDistanceTracker): it
-//! is the oracle the engine is tested against.
+//! `bp-workload`'s [`RecencyEngine`](bp_workload::RecencyEngine); the
+//! outputs are built by a [`ProfileAccumulator`] from each block and each
+//! access's stack distance.  bp-core's trace walk runs one engine per
+//! thread — windowed when it also collects MRU warmup, and then feeding
+//! `bp-warmup`'s MRU interval recorder from the same engine, so each
+//! access's stack position is found once.  The region-major profiler keeps
+//! its own [`StackDistanceTracker`](crate::StackDistanceTracker): it is the
+//! oracle the engine is tested against.
 //!
 //! This matters because profiling is the one pipeline stage BarrierPoint
 //! cannot sample away: the paper's Pin-based profiler runs the full
@@ -32,9 +32,7 @@
 use crate::bbv::Bbv;
 use crate::collector::RegionSignature;
 use crate::ldv::Ldv;
-use bp_workload::{
-    BlockExecution, CheckpointError, CheckpointObserver, RecencyEngine, TraceObserver, Workload,
-};
+use bp_workload::{BlockExecution, Workload};
 
 /// The complete profile of one thread: per-region BBVs, LDVs and instruction
 /// counts, collected in a single streaming pass with continuous
@@ -70,13 +68,14 @@ impl ThreadProfile {
 
 /// One thread's per-region profile outputs — BBVs, LDVs and instruction
 /// counts — built from the block executions and the stack distances a
-/// [`RecencyEngine`] reports for them.
+/// [`RecencyEngine`](bp_workload::RecencyEngine) reports for them.
 ///
 /// The accumulator carries nothing across a region boundary: the only
-/// cross-region state of profiling is the engine's LRU stack.  That lets one
-/// engine serve it and `bp-warmup`'s MRU interval recorder in a fused walk
-/// (bp-core's trace walk), while [`ThreadProfileObserver`] pairs it with an
-/// engine of its own for a profile-only walk.
+/// cross-region state of profiling is the engine's LRU stack (its profile
+/// image, when a walk is checkpointed).  That lets one engine serve it and
+/// `bp-warmup`'s MRU interval recorder in a fused walk (bp-core's trace
+/// walk), and makes the partial profiles of a segmented walk prefix-free
+/// ([`concat_thread_profiles`]).
 #[derive(Debug)]
 pub struct ProfileAccumulator {
     thread: usize,
@@ -148,79 +147,15 @@ impl ProfileAccumulator {
     }
 }
 
-/// [`TraceObserver`] that computes one thread's streaming profile — per-region
-/// BBVs, LDVs and instruction counts with continuous reuse-distance tracking —
-/// from a single walk of the thread's trace: a [`ProfileAccumulator`] fed by
-/// a windowless [`RecencyEngine`] of its own.
-///
-/// Driven alone it reproduces the region-major
-/// [`ApplicationProfiler`](crate::ApplicationProfiler) bit for bit.  A
-/// fused walk does not attach it next to the MRU collector: it drives one
-/// windowed engine per thread and feeds a [`ProfileAccumulator`] from it.
-#[derive(Debug)]
-pub struct ThreadProfileObserver {
-    engine: RecencyEngine,
-    profile: ProfileAccumulator,
-}
-
-impl ThreadProfileObserver {
-    /// Creates the profiling observer for `thread` of `workload`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `thread >= workload.num_threads()`.
-    pub fn new<W: Workload + ?Sized>(workload: &W, thread: usize) -> Self {
-        Self { engine: RecencyEngine::new(), profile: ProfileAccumulator::new(workload, thread) }
-    }
-
-    /// The completed per-thread profile (one entry per finished region).
-    pub fn into_profile(self) -> ThreadProfile {
-        self.profile.into_profile()
-    }
-}
-
-impl CheckpointObserver for ThreadProfileObserver {
-    /// The only state a profiling walk carries *across* a region boundary
-    /// is the engine's LRU stack (its profile image): BBVs, LDVs and
-    /// instruction counts are strictly per-region, so the partial profiles
-    /// of stitched segments are prefix-free and simply concatenate
-    /// ([`concat_thread_profiles`]).
-    fn snapshot_at(&self, _region: usize) -> Vec<u8> {
-        self.engine.profile_image()
-    }
-
-    fn restore(&mut self, _region: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.engine.restore(Some(bytes), None)
-    }
-}
-
-impl TraceObserver for ThreadProfileObserver {
-    fn enter_region(&mut self, _region: usize) {
-        self.profile.enter_region();
-    }
-
-    fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
-        self.profile.block(exec);
-        for access in &exec.accesses {
-            self.profile
-                .distance(self.engine.touch(access.line(), access.kind.is_write()).distance);
-        }
-    }
-
-    fn finish_region(&mut self, _region: usize) {
-        self.profile.finish_region();
-    }
-}
-
 /// Stitches the partial [`ThreadProfile`]s of consecutive trace segments
-/// (produced by [`bp_workload::drive_segment`] over adjacent region ranges)
-/// into the single profile a sequential walk would have produced.
+/// (walked over adjacent region ranges) into the single profile a
+/// sequential walk would have produced.
 ///
 /// Per-region outputs are prefix-free — each region's BBV/LDV/instruction
 /// count is fully emitted by whichever segment walked that region — so
 /// stitching is plain concatenation in segment order.  The continuity of the
-/// *cross-region* state (reuse distances) is the checkpoint contract of
-/// [`ThreadProfileObserver`]'s [`CheckpointObserver`] impl, not this
+/// *cross-region* state (reuse distances) is the recency engine's
+/// checkpoint contract ([`bp_workload::RecencyEngine::restore`]), not this
 /// function's concern.
 ///
 /// # Panics
@@ -285,7 +220,7 @@ mod tests {
     use super::*;
     use crate::collector::ApplicationProfiler;
     use crate::stack_distance::StackDistanceTracker;
-    use bp_workload::{Benchmark, WorkloadConfig};
+    use bp_workload::{Benchmark, RecencyEngine, WorkloadConfig};
     use proptest::prelude::*;
 
     /// The tracker's checkpoint in the profile image's byte layout.
@@ -342,11 +277,41 @@ mod tests {
         Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05))
     }
 
-    /// One thread's whole trace through a lone profiling observer.
+    /// Walks regions `from..until` of `thread`'s trace into `engine` and
+    /// `profile`, as bp-core's trace walk does for a profile-only walk.
+    fn walk<W: Workload + ?Sized>(
+        w: &W,
+        thread: usize,
+        engine: &mut RecencyEngine,
+        profile: &mut ProfileAccumulator,
+        regions: std::ops::Range<usize>,
+    ) {
+        for region in regions {
+            profile.enter_region();
+            for exec in w.region_trace(region, thread) {
+                profile.block(&exec);
+                for access in &exec.accesses {
+                    profile.distance(engine.touch(access.line(), access.kind.is_write()).distance);
+                }
+            }
+            profile.finish_region();
+        }
+    }
+
+    /// One thread's whole trace through an accumulator and an engine of its
+    /// own.
     fn profile_thread<W: Workload + ?Sized>(w: &W, thread: usize) -> ThreadProfile {
-        let mut observer = ThreadProfileObserver::new(w, thread);
-        bp_workload::drive(w, thread, &mut [&mut observer]);
-        observer.into_profile()
+        let mut profile = ProfileAccumulator::new(w, thread);
+        walk(w, thread, &mut RecencyEngine::new(), &mut profile, 0..w.num_regions());
+        profile.into_profile()
+    }
+
+    /// The engine's profile image after walking regions `0..until` of
+    /// `thread`.
+    fn image_after<W: Workload + ?Sized>(w: &W, thread: usize, until: usize) -> Vec<u8> {
+        let mut engine = RecencyEngine::new();
+        walk(w, thread, &mut engine, &mut ProfileAccumulator::new(w, thread), 0..until);
+        engine.profile_image()
     }
 
     #[test]
@@ -413,17 +378,17 @@ mod tests {
         let mut bounds = vec![0];
         bounds.extend_from_slice(cuts);
         bounds.push(w.num_regions());
-        let mut snapshot: Option<(usize, Vec<u8>)> = None;
+        let mut snapshot: Option<Vec<u8>> = None;
         let mut parts = Vec::new();
         for pair in bounds.windows(2) {
-            let (from, until) = (pair[0], pair[1]);
-            let mut observer = ThreadProfileObserver::new(w, thread);
-            if let Some((region, bytes)) = snapshot.take() {
-                observer.restore(region, &bytes).expect("restore own snapshot");
+            let mut engine = RecencyEngine::new();
+            if let Some(bytes) = snapshot.take() {
+                engine.restore(Some(&bytes), None).expect("restore own snapshot");
             }
-            bp_workload::drive_segment(w, thread, from, until, &mut [&mut observer]);
-            snapshot = Some((until, observer.snapshot_at(until)));
-            parts.push(observer.into_profile());
+            let mut profile = ProfileAccumulator::new(w, thread);
+            walk(w, thread, &mut engine, &mut profile, pair[0]..pair[1]);
+            snapshot = Some(engine.profile_image());
+            parts.push(profile.into_profile());
         }
         concat_thread_profiles(parts)
     }
@@ -452,31 +417,22 @@ mod tests {
     #[test]
     fn snapshot_bytes_are_deterministic() {
         let w = workload();
-        let mut a = ThreadProfileObserver::new(&w, 0);
-        let mut b = ThreadProfileObserver::new(&w, 0);
-        bp_workload::drive(&w, 0, &mut [&mut a]);
-        bp_workload::drive(&w, 0, &mut [&mut b]);
         let region = w.num_regions();
-        assert_eq!(a.snapshot_at(region), b.snapshot_at(region));
+        assert_eq!(image_after(&w, 0, region), image_after(&w, 0, region));
     }
 
     #[test]
     fn restore_rejects_truncated_and_trailing_bytes() {
         let w = workload();
-        let mut source = ThreadProfileObserver::new(&w, 0);
-        bp_workload::drive_segment(&w, 0, 0, 2, &mut [&mut source]);
-        let bytes = source.snapshot_at(2);
-
-        let mut truncated = ThreadProfileObserver::new(&w, 0);
-        assert!(truncated.restore(2, &bytes[..bytes.len() - 1]).is_err());
+        let bytes = image_after(&w, 0, 2);
+        let restore = |bytes: &[u8]| RecencyEngine::new().restore(Some(bytes), None);
+        assert!(restore(&bytes[..bytes.len() - 1]).is_err());
 
         let mut extended = bytes.clone();
         extended.push(0);
-        let mut trailing = ThreadProfileObserver::new(&w, 0);
-        assert!(trailing.restore(2, &extended).is_err());
+        assert!(restore(&extended).is_err());
 
-        let mut ok = ThreadProfileObserver::new(&w, 0);
-        assert!(ok.restore(2, &bytes).is_ok());
+        assert!(restore(&bytes).is_ok());
     }
 
     #[test]

@@ -29,16 +29,14 @@
 //!   naming the concrete config in key derivation would silently re-couple
 //!   the cache to one strategy and break every other backend's keys.
 //! * [`Rule::CoreDrive`] — no trace walk in `crates/core/src/**` outside
-//!   `segment.rs`: no raw trace-drive call (`bp_workload::drive` /
-//!   `drive_segment`), no bp-warmup collection walk (`collect_mru_warmup`,
-//!   any suffix), and no trace observer or walk output built by hand
-//!   (`ThreadProfileObserver::new(` / `MruThreadObserver::new(`, or the
-//!   `ProfileAccumulator::new(` / `IntervalRecorder::new(` a walk's
-//!   recency engine feeds).  The
-//!   segment scheduler's one walk request is the single way bp-core walks
-//!   traces, so every sweep hot path stays checkpointable and segmentable;
-//!   a walk hand-rolled elsewhere would silently bypass the
-//!   `threads × segments` fan-out (and its counters).
+//!   `segment.rs`: no region trace generated by hand (`region_trace(`), no
+//!   bp-warmup collection walk (`collect_mru_warmup`, any suffix), and no
+//!   walk output built by hand (the `ProfileAccumulator::new(` /
+//!   `IntervalRecorder::new(` a walk's recency engine feeds).  The segment
+//!   scheduler's one walk request is the single way bp-core walks traces,
+//!   so every sweep hot path stays checkpointable and segmentable; a walk
+//!   hand-rolled elsewhere would silently bypass the `threads × segments`
+//!   fan-out (and its counters).
 //! * [`Rule::CoreCache`] — no artifact-cache probe or store
 //!   (`.probe(` / `.store_arc(`) in `crates/core/src/**` outside `cache.rs`
 //!   and `stages.rs`.  Each pipeline stage has one implementation in the
@@ -66,14 +64,11 @@ const PAT_FS_CALL: &str = concat!("fs", "::");
 const PAT_FORBID: &str = concat!("#![forbid(", "unsafe_code)]");
 const PAT_JUSTIFY: &str = concat!("ordering", ":");
 const PAT_SIMPOINT_CFG: &str = concat!("SimPoint", "Config");
-/// Everything the core-drive rule flags: raw trace drives, bp-warmup's
-/// collection walks, and hand-built trace observers and walk outputs.
-const PATS_CORE_DRIVE: [&str; 7] = [
-    concat!("drive", "("),
-    concat!("drive_segment", "("),
+/// Everything the core-drive rule flags: hand-generated region traces,
+/// bp-warmup's collection walks, and hand-built walk outputs.
+const PATS_CORE_DRIVE: [&str; 4] = [
+    concat!("region", "_trace("),
     concat!("collect_mru", "_warmup"),
-    concat!("ThreadProfileObserver", "::new("),
-    concat!("MruThreadObserver", "::new("),
     concat!("ProfileAccumulator", "::new("),
     concat!("IntervalRecorder", "::new("),
 ];
@@ -97,8 +92,8 @@ pub enum Rule {
     /// `SimPointConfig` named in the cache outside tests, re-coupling key
     /// derivation to one concrete strategy instead of the strategy seam.
     SimPointInCacheKeys,
-    /// Trace walk (raw drive, bp-warmup collection walk, or hand-built trace
-    /// observer) in bp-core outside the segment scheduler.
+    /// Trace walk (hand-generated region trace, bp-warmup collection walk,
+    /// or hand-built walk output) in bp-core outside the segment scheduler.
     CoreDrive,
     /// Artifact-cache probe or store in bp-core outside the cache and the
     /// stage implementations.
@@ -672,16 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn raw_drive_in_core_is_flagged_outside_the_segment_scheduler() {
-        let [drive, drive_segment, collect_mru, profiler_new, mru_new, accumulator_new, recorder_new] =
-            PATS_CORE_DRIVE;
+    fn trace_walk_in_core_is_flagged_outside_the_segment_scheduler() {
+        let [region_trace, collect_mru, accumulator_new, recorder_new] = PATS_CORE_DRIVE;
         for src in [
-            format!("fn f(w: &W) {{ bp_workload::{drive}w, 0, &mut []); }}\n"),
-            format!("fn f(w: &W) {{ {drive_segment}w, 0, 1, 4, &mut []); }}\n"),
+            format!("fn f(w: &W) {{ let _ = w.{region_trace}3, 0); }}\n"),
             format!("fn f(w: &W) {{ let _ = {collect_mru}_with(w, &r, 64, &p); }}\n"),
             format!("fn f(w: &W) {{ let _ = bp_warmup::{collect_mru}(w, &r, 64); }}\n"),
-            format!("fn f(w: &W) {{ let _ = {profiler_new}w, 0); }}\n"),
-            format!("fn f(b: &[usize]) {{ let _ = bp_warmup::{mru_new}b, 64); }}\n"),
             format!("fn f(w: &W) {{ let _ = {accumulator_new}w, 0); }}\n"),
             format!("fn f(b: &[usize]) {{ let _ = {recorder_new}b, 64); }}\n"),
         ] {
@@ -690,8 +681,8 @@ mod tests {
             // The segment scheduler is the single permitted call site.
             let findings = lint_str("crates/core/src/segment.rs", &src);
             assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "segment.rs: {src}");
-            // Other crates drive traces freely (bp-warmup's collectors,
-            // the integration suites, ...).
+            // Other crates walk traces freely (bp-warmup's collectors, the
+            // simulator, the integration suites, ...).
             let findings = lint_str("crates/warmup/src/mru.rs", &src);
             assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "out of scope: {src}");
         }
@@ -700,14 +691,14 @@ mod tests {
     #[test]
     fn core_drive_tests_comments_and_allows_pass() {
         let in_test = format!(
-            "#[cfg(test)]\nmod tests {{\n    fn f(w: &W) {{ bp_workload::{}w, 0, &mut []); }}\n}}\n",
+            "#[cfg(test)]\nmod tests {{\n    fn f(w: &W) {{ let _ = w.{}3, 0); }}\n}}\n",
             PATS_CORE_DRIVE[0]
         );
         let findings = lint_str("crates/core/src/profile.rs", &in_test);
         assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive));
 
         let comment_only = format!(
-            "/// prose about [`bp_workload::{}`] goes here\nfn f() {{}}\n",
+            "/// prose about [`bp_workload::Workload::{}`] goes here\nfn f() {{}}\n",
             PATS_CORE_DRIVE[0]
         );
         let findings = lint_str("crates/core/src/profile.rs", &comment_only);
@@ -715,7 +706,7 @@ mod tests {
 
         let escaped = format!(
             "fn f(w: &W) {{\n    // bp-lint: allow(core-drive) — one-shot diagnostic walk\n    \
-             bp_workload::{}w, 0, &mut []);\n}}\n",
+             let _ = w.{}3, 0);\n}}\n",
             PATS_CORE_DRIVE[0]
         );
         let findings = lint_str("crates/core/src/profile.rs", &escaped);

@@ -23,32 +23,31 @@
 //!   several LLC capacities from one walk by truncating at the largest
 //!   requested capacity; `bp-core` schedules those walks).
 //!
-//! Thread-major collection rides `bp-workload`'s trace-observer engine and
-//! its recency engine ([`bp_workload::RecencyEngine`]).  The engine keeps
-//! the thread's LRU stack with an MRU window on top: the collection
-//! capacity's most recent lines, each with its access order and dirty
-//! depth.  The [`IntervalRecorder`] reads the engine's touches and records
-//! the window *by residency interval* — one record per cache line per span
-//! of consecutive boundaries over which that line sat untouched in the
-//! window, rather than a full raw snapshot at every boundary.  A line's recorded
-//! `(access order, dirty depth)` pair can only change at its own
-//! accesses, so one interval record reproduces the line's contribution to
-//! every boundary it covers; bank size therefore scales with the
-//! eviction/write *activity* between boundaries instead of
-//! `boundaries × capacity`.  [`MruSnapshotBank`] reconstructs any
-//! boundary's raw snapshot from the interval records and assembles
-//! [`MruWarmupData`] for any boundary subset at any capacity up to the
-//! collection capacity — bit-identical to [`PerBoundarySnapshotBank`],
-//! the retained per-boundary encoding that serves as the equivalence
-//! oracle in the test suite.  [`MruThreadObserver`] pairs a recorder with
-//! an engine of its own and reproduces the dedicated pass (stopping the
-//! walk after its last boundary).  A fused cold pass (bp-core's trace walk)
-//! runs one engine per thread and feeds both the recorder and
-//! `bp-signature`'s profile accumulator from it: a windowed line's recency
-//! depth is its stack distance, so the capacity-dependent dirty bit costs
-//! no order statistic beyond the profiler's own.  The region-major
-//! [`MruCollector`] keeps its own recency list and Fenwick tree over live
-//! sequence ranks: it is the oracle the engine is tested against.
+//! Thread-major collection reads `bp-workload`'s recency engine
+//! ([`bp_workload::RecencyEngine`]).  The engine keeps the thread's LRU
+//! stack with an MRU window on top: the collection capacity's most recent
+//! lines, each with its access order and dirty depth.  The
+//! [`IntervalRecorder`] reads the engine's touches and records the window
+//! *by residency interval* — one record per cache line per span of
+//! consecutive boundaries over which that line sat untouched in the window,
+//! rather than a full raw snapshot at every boundary.  A line's recorded
+//! `(access order, dirty depth)` pair can only change at its own accesses,
+//! so one interval record reproduces the line's contribution to every
+//! boundary it covers; bank size therefore scales with the eviction/write
+//! *activity* between boundaries instead of `boundaries × capacity`.
+//! [`MruSnapshotBank`] reconstructs any boundary's raw snapshot from the
+//! interval records and assembles [`MruWarmupData`] for any boundary subset
+//! at any capacity up to the collection capacity — bit-identical to
+//! [`PerBoundarySnapshotBank`], the per-boundary encoding collected
+//! region-major by [`MruCollector`] that serves as the equivalence oracle
+//! in the test suite.  The walk that feeds the recorders is bp-core's trace
+//! walk: it runs one engine per thread and feeds both the recorder and
+//! `bp-signature`'s profile accumulator from it, and an MRU-only walk stops
+//! after its last boundary.  A windowed line's recency depth is its stack
+//! distance, so the capacity-dependent dirty bit costs no order statistic
+//! beyond the profiler's own.  The region-major [`MruCollector`] keeps its
+//! own recency list and Fenwick tree over live sequence ranks: it is the
+//! oracle the engine is tested against.
 //!
 //! # Example
 //!
@@ -75,7 +74,7 @@ mod strategy;
 
 pub use apply::apply_warmup;
 pub use mru::{
-    collect_mru_warmup, IntervalRecorder, MruCollector, MruSnapshotBank, MruThreadObserver,
-    MruWarmupData, PerBoundarySnapshotBank, PerBoundaryThreadObserver,
+    collect_mru_warmup, IntervalRecorder, MruCollector, MruSnapshotBank, MruWarmupData,
+    PerBoundarySnapshotBank,
 };
 pub use strategy::WarmupStrategy;

@@ -1,7 +1,4 @@
-use bp_workload::{
-    BlockExecution, CheckpointError, CheckpointObserver, LineMap, RecencyEngine, Residency, Touch,
-    TraceObserver, Workload,
-};
+use bp_workload::{BlockExecution, LineMap, RecencyEngine, Residency, Touch, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -308,8 +305,8 @@ impl ThreadMruState {
 /// `c` iff its dirty depth is below `c`.
 ///
 /// The collector keeps its own recency list, the engine of the region-major
-/// oracle [`collect_mru_warmup`] and of [`PerBoundaryThreadObserver`].  The
-/// thread-major walks read the same window from `bp-workload`'s
+/// oracles [`collect_mru_warmup`] and [`PerBoundarySnapshotBank::collect`].
+/// The thread-major walks read the same window from `bp-workload`'s
 /// [`RecencyEngine`] instead.
 #[derive(Debug, Clone)]
 pub struct MruCollector {
@@ -463,69 +460,13 @@ fn truncate_raw(raw: &[(u64, u64)], capacity: u64) -> Vec<(u64, bool)> {
     raw[skip..].iter().map(|&(line, depth)| (line, depth < capacity)).collect()
 }
 
-/// The historical per-boundary warmup observer, retained verbatim as the
-/// test oracle for the interval-sharing [`IntervalRecorder`]: it snapshots
-/// the *full* raw recency list at every requested boundary, so its bank
-/// grows as `boundaries × capacity` regardless of how little the cache
-/// contents change between boundaries.
-///
-/// Production code uses [`IntervalRecorder`]; this observer exists so
-/// equivalence tests can pin the interval encoding against the simplest
-/// possible formulation on any workload, boundary subset, and capacity.
-#[derive(Debug)]
-pub struct PerBoundaryThreadObserver {
-    collector: MruCollector,
-    boundaries: Vec<usize>,
-    next: usize,
-    snapshots: Vec<Vec<(u64, u64)>>,
-}
-
-impl PerBoundaryThreadObserver {
-    /// Creates an observer snapshotting at `boundaries` (deduplicated and
-    /// sorted internally; a boundary `r` snapshot reflects all accesses of
-    /// regions `0..r`), collecting at `collection_capacity` lines.
-    pub fn new(boundaries: &[usize], collection_capacity: u64) -> Self {
-        let mut boundaries = boundaries.to_vec();
-        boundaries.sort_unstable();
-        boundaries.dedup();
-        Self {
-            collector: MruCollector::new(1, collection_capacity),
-            snapshots: Vec::with_capacity(boundaries.len()),
-            boundaries,
-            next: 0,
-        }
-    }
-}
-
-impl TraceObserver for PerBoundaryThreadObserver {
-    fn enter_region(&mut self, region: usize) {
-        if self.boundaries.get(self.next) == Some(&region) {
-            self.snapshots.push(self.collector.raw_thread_state(0));
-            self.next += 1;
-        }
-    }
-
-    fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
-        // Once the last boundary is snapshotted, the tail of the trace can
-        // no longer influence any snapshot — ignore it (a fused walk keeps
-        // feeding the stream for the observers that still need it).
-        if self.next >= self.boundaries.len() {
-            return;
-        }
-        for access in &exec.accesses {
-            self.collector.record(0, access.line(), access.kind.is_write());
-        }
-    }
-
-    fn wants_more(&self) -> bool {
-        self.next < self.boundaries.len()
-    }
-}
-
-/// The per-boundary raw-snapshot bank assembled from
-/// [`PerBoundaryThreadObserver`] walks — the test oracle for
-/// [`MruSnapshotBank`].  Same assembly semantics, `boundaries × capacity`
-/// memory footprint.
+/// The per-boundary raw-snapshot bank — the test oracle for
+/// [`MruSnapshotBank`]: it keeps the *full* raw recency list of every
+/// requested boundary, so it grows as `boundaries × capacity` regardless of
+/// how little the cache contents change between boundaries.  Same assembly
+/// semantics as the interval-sharing bank, in the simplest possible
+/// formulation, so equivalence tests can pin the interval encoding on any
+/// workload, boundary subset and capacity.
 #[derive(Debug)]
 pub struct PerBoundarySnapshotBank {
     boundaries: Vec<usize>,
@@ -535,40 +476,35 @@ pub struct PerBoundarySnapshotBank {
 }
 
 impl PerBoundarySnapshotBank {
-    /// Assembles the bank from the finished observers of threads `0..n`, in
-    /// thread order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `observers` is empty or the observers disagree on
-    /// boundaries or collection capacity.
-    pub fn from_observers(observers: Vec<PerBoundaryThreadObserver>) -> Self {
-        assert!(!observers.is_empty(), "at least one thread observer required");
-        let boundaries = observers[0].boundaries.clone();
-        let collection_capacity = observers[0].collector.capacity_lines();
-        for observer in &observers {
-            assert_eq!(observer.boundaries, boundaries, "observers disagree on boundaries");
-            assert_eq!(
-                observer.collector.capacity_lines(),
-                collection_capacity,
-                "observers disagree on collection capacity"
-            );
+    /// Collects the bank of `workload` at `boundaries` (deduplicated and
+    /// sorted; a boundary `r` snapshot reflects all accesses of regions
+    /// `0..r`, and boundaries at or past the region count are never
+    /// reached) with an [`MruCollector`] at `collection_capacity` lines
+    /// (clamped to at least 1), walking regions in program order up to the
+    /// last boundary.
+    pub fn collect<W: Workload + ?Sized>(
+        workload: &W,
+        boundaries: &[usize],
+        collection_capacity: u64,
+    ) -> Self {
+        let mut boundaries = boundaries.to_vec();
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        boundaries.retain(|&boundary| boundary < workload.num_regions());
+        let threads = workload.num_threads();
+        let mut collector = MruCollector::new(threads, collection_capacity);
+        let mut per_thread = vec![Vec::with_capacity(boundaries.len()); threads];
+        let mut walked = 0;
+        for &boundary in &boundaries {
+            for region in walked..boundary {
+                collector.observe_region(workload, region);
+            }
+            walked = boundary;
+            for (thread, snapshots) in per_thread.iter_mut().enumerate() {
+                snapshots.push(collector.raw_thread_state(thread));
+            }
         }
-        // Boundaries at or past the region count are never reached by the
-        // walk; every thread stops at the same region, so truncate uniformly
-        // to the snapshots actually taken.
-        let taken = observers.iter().map(|o| o.snapshots.len()).min().unwrap_or(0);
-        Self {
-            boundaries: boundaries[..taken].to_vec(),
-            collection_capacity,
-            per_thread: observers
-                .into_iter()
-                .map(|mut o| {
-                    o.snapshots.truncate(taken);
-                    o.snapshots
-                })
-                .collect(),
-        }
+        Self { boundaries, collection_capacity: collector.capacity_lines(), per_thread }
     }
 
     /// The boundaries actually snapshotted (sorted; requested boundaries at
@@ -669,11 +605,11 @@ struct IntervalRecord {
 /// starts a residency without one, so the lines a boundary must open are
 /// exactly those touched since the previous boundary.
 ///
-/// [`MruThreadObserver`] pairs a recorder with an engine of its own.  A
-/// fused walk (bp-core's trace walk) feeds a recorder and `bp-signature`'s
-/// profile accumulator from one engine per thread.  Hand the finished
-/// recorders (or observers) of all threads to
-/// [`MruSnapshotBank::from_segmented_observers`].
+/// bp-core's trace walk feeds a recorder — and, in a fused walk,
+/// `bp-signature`'s profile accumulator — from one engine per thread,
+/// entering each region through [`enter_region`](Self::enter_region) and
+/// stopping once [`wants_more`](Self::wants_more) turns false.  Hand the
+/// finished recorders of all threads to [`MruSnapshotBank::from_recorders`].
 #[derive(Debug)]
 pub struct IntervalRecorder {
     capacity: u64,
@@ -778,82 +714,6 @@ impl IntervalRecorder {
     }
 }
 
-/// [`TraceObserver`] that collects one thread's MRU warmup state from a
-/// single walk of the thread's trace: an [`IntervalRecorder`] fed by a
-/// [`RecencyEngine`] of its own, windowed at the collection capacity.
-///
-/// Driven alone it reproduces the historical dedicated collection pass (and
-/// stops the walk after its last boundary).  Hand the finished observers of
-/// all threads to [`MruSnapshotBank::from_segmented_observers`] to assemble
-/// [`MruWarmupData`] for any target subset at any capacity up to the
-/// collection capacity — bit-identical to [`PerBoundaryThreadObserver`],
-/// which is retained as the oracle for exactly that claim.  A fused walk
-/// does not attach it next to the profiler: it drives one engine per thread
-/// and feeds an [`IntervalRecorder`] from it.
-#[derive(Debug)]
-pub struct MruThreadObserver {
-    engine: RecencyEngine,
-    recorder: IntervalRecorder,
-}
-
-impl MruThreadObserver {
-    /// Creates an observer snapshotting at `boundaries` (deduplicated and
-    /// sorted internally; a boundary `r` snapshot reflects all accesses of
-    /// regions `0..r`), collecting at `collection_capacity` lines.
-    pub fn new(boundaries: &[usize], collection_capacity: u64) -> Self {
-        let recorder = IntervalRecorder::new(boundaries, collection_capacity);
-        Self { engine: RecencyEngine::with_window(recorder.capacity), recorder }
-    }
-
-    /// Records one access.
-    fn access(&mut self, line: u64, is_write: bool) {
-        self.recorder.touched(&self.engine.touch(line, is_write));
-    }
-}
-
-impl From<MruThreadObserver> for IntervalRecorder {
-    fn from(observer: MruThreadObserver) -> Self {
-        observer.recorder
-    }
-}
-
-impl CheckpointObserver for MruThreadObserver {
-    /// The only state a warmup walk carries across a region boundary is the
-    /// engine's window (its window image) — the interval records are the
-    /// *output*, which segments produce independently and
-    /// [`MruSnapshotBank::from_segmented_observers`] stitches.
-    fn snapshot_at(&self, _region: usize) -> Vec<u8> {
-        self.engine.window_image()
-    }
-
-    fn restore(&mut self, region: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
-        self.engine.restore(None, Some(bytes))?;
-        self.recorder.resume_at(region);
-        Ok(())
-    }
-}
-
-impl TraceObserver for MruThreadObserver {
-    fn enter_region(&mut self, region: usize) {
-        self.recorder.enter_region(&mut self.engine, region);
-    }
-
-    fn observe(&mut self, _thread: usize, exec: &BlockExecution) {
-        // Once the last boundary is snapshotted, the tail of the trace can
-        // no longer influence any snapshot.
-        if !self.recorder.wants_more() {
-            return;
-        }
-        for access in &exec.accesses {
-            self.access(access.line(), access.kind.is_write());
-        }
-    }
-
-    fn wants_more(&self) -> bool {
-        self.recorder.wants_more()
-    }
-}
-
 /// The interval-encoded multi-boundary MRU state of a whole application —
 /// one [`IntervalRecorder`] per thread — from which the warmup
 /// payload of *any* boundary subset at *any* capacity (up to the collection
@@ -877,11 +737,10 @@ pub struct MruSnapshotBank {
 }
 
 impl MruSnapshotBank {
-    /// Assembles the bank from the finished recorders of threads `0..n` —
-    /// [`IntervalRecorder`]s or [`MruThreadObserver`]s: `per_thread[t]`
-    /// holds the recorders of thread `t`'s consecutive trace segments, in
-    /// segment order — a single one for a thread walked in one piece —
-    /// where every segment after the first was resumed
+    /// Assembles the bank from the finished recorders of threads `0..n`:
+    /// `per_thread[t]` holds the recorders of thread `t`'s consecutive trace
+    /// segments, in segment order — a single one for a thread walked in one
+    /// piece — where every segment after the first was resumed
     /// ([`IntervalRecorder::resume_at`]) from its predecessor's cut-point
     /// snapshot.  Each thread's records are the concatenation of its
     /// segments' records; assembly output is bit-identical however the
@@ -893,23 +752,19 @@ impl MruSnapshotBank {
     ///
     /// Panics if `per_thread` is empty, any thread has no segments, or the
     /// recorders disagree on boundaries or collection capacity.
-    pub fn from_segmented_observers<R: Into<IntervalRecorder>>(per_thread: Vec<Vec<R>>) -> Self {
-        let per_thread: Vec<Vec<IntervalRecorder>> = per_thread
-            .into_iter()
-            .map(|segments| segments.into_iter().map(Into::into).collect())
-            .collect();
+    pub fn from_recorders(per_thread: Vec<Vec<IntervalRecorder>>) -> Self {
         assert!(!per_thread.is_empty(), "at least one thread required");
         assert!(
             per_thread.iter().all(|segments| !segments.is_empty()),
-            "at least one segment observer per thread required"
+            "at least one segment recorder per thread required"
         );
         let boundaries = per_thread[0][0].boundaries.clone();
         let collection_capacity = per_thread[0][0].capacity;
         for recorder in per_thread.iter().flatten() {
-            assert_eq!(recorder.boundaries, boundaries, "observers disagree on boundaries");
+            assert_eq!(recorder.boundaries, boundaries, "recorders disagree on boundaries");
             assert_eq!(
                 recorder.capacity, collection_capacity,
-                "observers disagree on collection capacity"
+                "recorders disagree on collection capacity"
             );
         }
         // Boundaries at or past the region count are never reached by the
@@ -1066,7 +921,7 @@ pub fn collect_mru_warmup<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bp_workload::{Benchmark, WorkloadConfig};
+    use bp_workload::{Benchmark, CheckpointError, WorkloadConfig};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -1268,18 +1123,63 @@ mod tests {
         assert_eq!(a[&7], b[&7]);
     }
 
-    /// One lone [`MruThreadObserver`] walk per thread of `w` (each on its own
-    /// OS thread when `parallel`), stitched into a bank.
+    /// One thread's windowed engine and interval recorder, fed by the test
+    /// loops below the way bp-core's trace walk feeds an MRU-only walk.
+    struct Walker {
+        engine: RecencyEngine,
+        recorder: IntervalRecorder,
+    }
+
+    impl Walker {
+        fn new(boundaries: &[usize], capacity: u64) -> Self {
+            Self {
+                engine: RecencyEngine::with_window(capacity),
+                recorder: IntervalRecorder::new(boundaries, capacity),
+            }
+        }
+
+        /// Records one access.
+        fn access(&mut self, line: u64, is_write: bool) {
+            self.recorder.touched(&self.engine.touch(line, is_write));
+        }
+
+        /// Walks regions `from..until` of `thread`'s trace: each region is
+        /// entered, and the walk stops at the first region entered with no
+        /// boundary left ahead.
+        fn walk(&mut self, w: &impl Workload, thread: usize, from: usize, until: usize) {
+            for region in from..until.min(w.num_regions()) {
+                self.recorder.enter_region(&mut self.engine, region);
+                if !self.recorder.wants_more() {
+                    break;
+                }
+                for exec in w.region_trace(region, thread) {
+                    for access in &exec.accesses {
+                        self.access(access.line(), access.kind.is_write());
+                    }
+                }
+            }
+        }
+
+        /// Resumes at `region` from a window image taken there.
+        fn restore(&mut self, region: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
+            self.engine.restore(None, Some(bytes))?;
+            self.recorder.resume_at(region);
+            Ok(())
+        }
+    }
+
+    /// One lone [`Walker`] per thread of `w` (each on its own OS thread when
+    /// `parallel`), stitched into a bank.
     fn thread_major_bank(
-        w: &impl bp_workload::Workload,
+        w: &impl Workload,
         boundaries: &[usize],
         capacity: u64,
         parallel: bool,
     ) -> MruSnapshotBank {
         let walk = |thread: usize| {
-            let mut observer = MruThreadObserver::new(boundaries, capacity);
-            bp_workload::drive(w, thread, &mut [&mut observer]);
-            vec![observer]
+            let mut walker = Walker::new(boundaries, capacity);
+            walker.walk(w, thread, 0, w.num_regions());
+            vec![walker.recorder]
         };
         let per_thread = if parallel {
             std::thread::scope(|scope| {
@@ -1290,7 +1190,7 @@ mod tests {
         } else {
             (0..w.num_threads()).map(walk).collect()
         };
-        MruSnapshotBank::from_segmented_observers(per_thread)
+        MruSnapshotBank::from_recorders(per_thread)
     }
 
     #[test]
@@ -1364,22 +1264,15 @@ mod tests {
         assert!(bank.assemble(&[999], 64).is_empty());
     }
 
-    /// Drives both bank flavours over every thread of `w` at the same
-    /// boundaries and collection capacity.
+    /// Both bank flavours over every thread of `w` at the same boundaries
+    /// and collection capacity.
     fn both_banks(
-        w: &impl bp_workload::Workload,
+        w: &impl Workload,
         boundaries: &[usize],
         capacity: u64,
     ) -> (MruSnapshotBank, PerBoundarySnapshotBank) {
         let interval = thread_major_bank(w, boundaries, capacity, false);
-        let raw = (0..w.num_threads())
-            .map(|thread| {
-                let mut observer = PerBoundaryThreadObserver::new(boundaries, capacity);
-                bp_workload::drive(w, thread, &mut [&mut observer]);
-                observer
-            })
-            .collect();
-        (interval, PerBoundarySnapshotBank::from_observers(raw))
+        (interval, PerBoundarySnapshotBank::collect(w, boundaries, capacity))
     }
 
     #[test]
@@ -1434,7 +1327,7 @@ mod tests {
     /// `cuts`, carrying state across cuts through checkpoint bytes only —
     /// exactly what the segment scheduler does with cached checkpoints.
     fn segmented_bank(
-        w: &impl bp_workload::Workload,
+        w: &impl Workload,
         boundaries: &[usize],
         capacity: u64,
         cuts: &[usize],
@@ -1448,18 +1341,18 @@ mod tests {
                 let mut segments = Vec::new();
                 for pair in bounds.windows(2) {
                     let (from, until) = (pair[0], pair[1]);
-                    let mut observer = MruThreadObserver::new(boundaries, capacity);
+                    let mut walker = Walker::new(boundaries, capacity);
                     if let Some((region, bytes)) = snapshot.take() {
-                        observer.restore(region, &bytes).expect("restore own snapshot");
+                        walker.restore(region, &bytes).expect("restore own snapshot");
                     }
-                    bp_workload::drive_segment(w, thread, from, until, &mut [&mut observer]);
-                    snapshot = Some((until, observer.snapshot_at(until)));
-                    segments.push(observer);
+                    walker.walk(w, thread, from, until);
+                    snapshot = Some((until, walker.engine.window_image()));
+                    segments.push(walker.recorder);
                 }
                 segments
             })
             .collect();
-        MruSnapshotBank::from_segmented_observers(per_thread)
+        MruSnapshotBank::from_recorders(per_thread)
     }
 
     #[test]
@@ -1520,9 +1413,9 @@ mod tests {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
         let boundaries: Vec<usize> = (0..w.num_regions()).collect();
         let walk = || {
-            let mut observer = MruThreadObserver::new(&boundaries, 256);
-            bp_workload::drive(&w, 0, &mut [&mut observer]);
-            observer.snapshot_at(w.num_regions())
+            let mut walker = Walker::new(&boundaries, 256);
+            walker.walk(&w, 0, 0, w.num_regions());
+            walker.engine.window_image()
         };
         assert_eq!(walk(), walk());
     }
@@ -1531,50 +1424,49 @@ mod tests {
     fn mru_restore_rejects_corrupt_and_mismatched_checkpoints() {
         let w = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
         let boundaries: Vec<usize> = (0..w.num_regions()).collect();
-        let mut source = MruThreadObserver::new(&boundaries, 256);
-        bp_workload::drive_segment(&w, 0, 0, 3, &mut [&mut source]);
-        let bytes = source.snapshot_at(3);
+        let mut source = Walker::new(&boundaries, 256);
+        source.walk(&w, 0, 0, 3);
+        let bytes = source.engine.window_image();
 
-        // Capacity recorded in the checkpoint must match the observer's.
-        let mut wrong_capacity = MruThreadObserver::new(&boundaries, 128);
+        // Capacity recorded in the checkpoint must match the engine's.
+        let mut wrong_capacity = Walker::new(&boundaries, 128);
         assert!(wrong_capacity.restore(3, &bytes).is_err());
 
-        let mut truncated = MruThreadObserver::new(&boundaries, 256);
+        let mut truncated = Walker::new(&boundaries, 256);
         assert!(truncated.restore(3, &bytes[..bytes.len() - 1]).is_err());
 
         let mut extended = bytes.clone();
         extended.push(0);
-        let mut trailing = MruThreadObserver::new(&boundaries, 256);
+        let mut trailing = Walker::new(&boundaries, 256);
         assert!(trailing.restore(3, &extended).is_err());
 
-        let mut ok = MruThreadObserver::new(&boundaries, 256);
+        let mut ok = Walker::new(&boundaries, 256);
         assert!(ok.restore(3, &bytes).is_ok());
         assert_eq!(ok.recorder.next, boundaries.partition_point(|&b| b < 3));
         assert_eq!(ok.recorder.since, 0);
     }
 
     /// Feeds regions `from..until` of a direct access stream — chopped into
-    /// pseudo-regions of `stride` accesses — through an observer's boundary
-    /// and recording path, exactly as [`TraceObserver::observe`] would.
+    /// pseudo-regions of `stride` accesses — through a walker's boundary
+    /// and recording path.
     fn feed(
-        observer: &mut MruThreadObserver,
+        walker: &mut Walker,
         accesses: &[(u64, bool)],
         stride: usize,
         from: usize,
         until: usize,
     ) {
         for (region, chunk) in accesses.chunks(stride).enumerate().take(until).skip(from) {
-            observer.enter_region(region);
+            walker.recorder.enter_region(&mut walker.engine, region);
             for &(line, write) in chunk {
-                observer.access(line, write);
+                walker.access(line, write);
             }
         }
     }
 
-    /// An observer's window truncated to `capacity`, least recent first,
-    /// with the dirty bit at that capacity.
-    fn window_at(observer: &MruThreadObserver, capacity: u64) -> Vec<(u64, bool)> {
-        let engine = &observer.engine;
+    /// An engine's window truncated to `capacity`, least recent first, with
+    /// the dirty bit at that capacity.
+    fn window_at(engine: &RecencyEngine, capacity: u64) -> Vec<(u64, bool)> {
         let lines: Vec<u64> = engine.window().collect();
         let skip = lines.len().saturating_sub(capacity as usize);
         lines[skip..]
@@ -1606,16 +1498,16 @@ mod tests {
     /// window against the collector's snapshot at every capacity.
     fn check_window_images(accesses: &[(u64, bool)], capacity: u64, probe: usize) {
         let mut collector = MruCollector::new(1, capacity);
-        let mut observer = MruThreadObserver::new(&[], capacity);
+        let mut engine = RecencyEngine::with_window(capacity);
         for (index, &(line, write)) in accesses.iter().enumerate() {
             let evicted = collector.record(0, line, write);
-            let touch = observer.engine.touch(line, write);
+            let touch = engine.touch(line, write);
             assert_eq!(touch.evicted.map(|(gone, _)| gone), evicted, "access {index}");
             if index % probe == 0 || index + 1 == accesses.len() {
-                assert_eq!(observer.snapshot_at(0), state_image(&collector), "access {index}");
+                assert_eq!(engine.window_image(), state_image(&collector), "access {index}");
                 for c in 1..=capacity.min(40) {
                     let expected = collector.snapshot_at(c).per_thread()[0].clone();
-                    assert_eq!(window_at(&observer, c), expected, "access {index} capacity {c}");
+                    assert_eq!(window_at(&engine, c), expected, "access {index} capacity {c}");
                 }
             }
         }
@@ -1645,35 +1537,36 @@ mod tests {
         let regions = accesses.len().div_ceil(stride);
         let boundaries: Vec<usize> = (0..regions).collect();
         let cut = 23;
-        let mut uninterrupted = MruThreadObserver::new(&boundaries, 16);
+        let mut uninterrupted = Walker::new(&boundaries, 16);
         feed(&mut uninterrupted, &accesses, stride, 0, cut);
-        let image = uninterrupted.snapshot_at(cut);
+        let image = uninterrupted.engine.window_image();
         let next_seq = u64::from_le_bytes(image[8..16].try_into().unwrap());
         assert!(next_seq < (cut * stride) as u64, "no compaction before the cut");
-        let mut first = MruThreadObserver::new(&boundaries, 16);
+        let mut first = Walker::new(&boundaries, 16);
         feed(&mut first, &accesses, stride, 0, cut);
-        let bytes = first.snapshot_at(cut);
-        assert_eq!(bytes, uninterrupted.snapshot_at(cut));
-        let mut restored = MruThreadObserver::new(&boundaries, 16);
+        let bytes = first.engine.window_image();
+        assert_eq!(bytes, uninterrupted.engine.window_image());
+        let mut restored = Walker::new(&boundaries, 16);
         restored.restore(cut, &bytes).expect("restore own snapshot");
         for region in cut..regions {
             feed(&mut uninterrupted, &accesses, stride, region, region + 1);
             feed(&mut restored, &accesses, stride, region, region + 1);
             assert_eq!(
-                restored.snapshot_at(region + 1),
-                uninterrupted.snapshot_at(region + 1),
+                restored.engine.window_image(),
+                uninterrupted.engine.window_image(),
                 "checkpoint image after region {region}"
             );
             for capacity in [1, 5, 16] {
                 assert_eq!(
-                    window_at(&restored, capacity),
-                    window_at(&uninterrupted, capacity),
+                    window_at(&restored.engine, capacity),
+                    window_at(&uninterrupted.engine, capacity),
                     "capacity {capacity} after region {region}"
                 );
             }
         }
-        let sequential = MruSnapshotBank::from_segmented_observers(vec![vec![uninterrupted]]);
-        let stitched = MruSnapshotBank::from_segmented_observers(vec![vec![first, restored]]);
+        let sequential = MruSnapshotBank::from_recorders(vec![vec![uninterrupted.recorder]]);
+        let stitched =
+            MruSnapshotBank::from_recorders(vec![vec![first.recorder, restored.recorder]]);
         let capacities = [1, 5, 16, 40];
         assert_eq!(
             stitched.assemble_multi(&boundaries, &capacities),
@@ -1723,21 +1616,27 @@ mod tests {
             targets in proptest::collection::vec(0usize..96, 0..12),
         ) {
             // Chop the stream into pseudo-regions of `stride` accesses and
-            // snapshot at every region boundary, by feeding both observers
-            // directly (no workload needed for this state machine).
+            // snapshot at every region boundary, by feeding the walker and
+            // the per-boundary collector directly (no workload needed for
+            // this state machine).
             let num_regions = accesses.len().div_ceil(stride);
             let boundaries: Vec<usize> = (0..num_regions).collect();
-            let mut interval = MruThreadObserver::new(&boundaries, collection_capacity);
-            let mut raw = PerBoundaryThreadObserver::new(&boundaries, collection_capacity);
+            let mut interval = Walker::new(&boundaries, collection_capacity);
             feed(&mut interval, &accesses, stride, 0, num_regions);
-            for (region, chunk) in accesses.chunks(stride).enumerate() {
-                raw.enter_region(region);
+            let mut collector = MruCollector::new(1, collection_capacity);
+            let mut snapshots = Vec::with_capacity(num_regions);
+            for chunk in accesses.chunks(stride) {
+                snapshots.push(collector.raw_thread_state(0));
                 for &(line, write) in chunk {
-                    raw.collector.record(0, line, write);
+                    collector.record(0, line, write);
                 }
             }
-            let interval_bank = MruSnapshotBank::from_segmented_observers(vec![vec![interval]]);
-            let raw_bank = PerBoundarySnapshotBank::from_observers(vec![raw]);
+            let interval_bank = MruSnapshotBank::from_recorders(vec![vec![interval.recorder]]);
+            let raw_bank = PerBoundarySnapshotBank {
+                boundaries: boundaries.clone(),
+                collection_capacity: collector.capacity_lines(),
+                per_thread: vec![snapshots],
+            };
             prop_assert_eq!(
                 interval_bank.assemble(&boundaries, probe_capacity),
                 raw_bank.assemble(&boundaries, probe_capacity)
@@ -1785,16 +1684,16 @@ mod tests {
             let num_regions = accesses.len().div_ceil(stride);
             let cut = cut.min(num_regions);
             let boundaries: Vec<usize> = (0..num_regions).collect();
-            let mut sequential = MruThreadObserver::new(&boundaries, collection_capacity);
+            let mut sequential = Walker::new(&boundaries, collection_capacity);
             feed(&mut sequential, &accesses, stride, 0, num_regions);
-            let mut first = MruThreadObserver::new(&boundaries, collection_capacity);
+            let mut first = Walker::new(&boundaries, collection_capacity);
             feed(&mut first, &accesses, stride, 0, cut);
-            let bytes = first.snapshot_at(cut);
-            let mut second = MruThreadObserver::new(&boundaries, collection_capacity);
+            let bytes = first.engine.window_image();
+            let mut second = Walker::new(&boundaries, collection_capacity);
             second.restore(cut, &bytes).expect("restore own snapshot");
             feed(&mut second, &accesses, stride, cut, num_regions);
-            let seq_bank = MruSnapshotBank::from_segmented_observers(vec![vec![sequential]]);
-            let seg_bank = MruSnapshotBank::from_segmented_observers(vec![vec![first, second]]);
+            let seq_bank = MruSnapshotBank::from_recorders(vec![vec![sequential.recorder]]);
+            let seg_bank = MruSnapshotBank::from_recorders(vec![vec![first.recorder, second.recorder]]);
             prop_assert_eq!(
                 seg_bank.assemble(&boundaries, probe_capacity),
                 seq_bank.assemble(&boundaries, probe_capacity)

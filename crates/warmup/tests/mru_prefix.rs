@@ -9,8 +9,8 @@
 //! original one-capacity sticky-dirty collector, so the test would catch a
 //! bug in the production collector itself, not just in the truncation.
 
-use bp_warmup::{collect_mru_warmup, MruSnapshotBank, MruThreadObserver};
-use bp_workload::{Benchmark, Workload, WorkloadConfig};
+use bp_warmup::{collect_mru_warmup, IntervalRecorder, MruSnapshotBank};
+use bp_workload::{Benchmark, RecencyEngine, Workload, WorkloadConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -76,8 +76,9 @@ fn naive_collect<W: Workload + ?Sized>(
     result
 }
 
-/// One lone [`MruThreadObserver`] walk per thread, snapshotting at
-/// `targets` and collecting at `collection` lines.
+/// One windowed recency engine feeding one interval recorder per thread,
+/// snapshotting at `targets` and collecting at `collection` lines; each
+/// thread's walk stops once no target boundary is ahead.
 fn thread_major_bank<W: Workload + ?Sized>(
     workload: &W,
     targets: &[usize],
@@ -85,12 +86,23 @@ fn thread_major_bank<W: Workload + ?Sized>(
 ) -> MruSnapshotBank {
     let per_thread = (0..workload.num_threads())
         .map(|thread| {
-            let mut observer = MruThreadObserver::new(targets, collection);
-            bp_workload::drive(workload, thread, &mut [&mut observer]);
-            vec![observer]
+            let mut engine = RecencyEngine::with_window(collection);
+            let mut recorder = IntervalRecorder::new(targets, collection);
+            for region in 0..workload.num_regions() {
+                recorder.enter_region(&mut engine, region);
+                if !recorder.wants_more() {
+                    break;
+                }
+                for exec in workload.region_trace(region, thread) {
+                    for access in &exec.accesses {
+                        recorder.touched(&engine.touch(access.line(), access.kind.is_write()));
+                    }
+                }
+            }
+            vec![recorder]
         })
         .collect();
-    MruSnapshotBank::from_segmented_observers(per_thread)
+    MruSnapshotBank::from_recorders(per_thread)
 }
 
 proptest! {

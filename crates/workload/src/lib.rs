@@ -14,18 +14,15 @@
 //! build signatures (`bp-signature`), to drive timing simulation (`bp-sim`)
 //! and to collect warmup data (`bp-warmup`).
 //!
-//! Analyses attach to the stream through the **trace-observer engine**:
-//! implement [`TraceObserver`] and hand any number of observers to
-//! [`drive`], which generates one thread's full trace exactly once and fans
-//! every block execution out to all of them — this is how a cold pipeline
-//! profiles signatures and collects MRU warmup state from a *single* walk
-//! instead of one walk per consumer.
-//!
-//! Both of those consumers read the thread's LRU stack: profiling needs each
-//! access's stack distance, MRU collection the stack's most recent lines.
-//! [`RecencyEngine`] keeps that stack once per thread — one [`LineMap`]
-//! entry per line, one Fenwick tree, and an optional MRU window on top — so
-//! a fused walk finds each access's stack position once for both.
+//! Profiling and MRU warmup collection both read each thread's LRU stack:
+//! profiling needs each access's stack distance, MRU collection the stack's
+//! most recent lines.  [`RecencyEngine`] keeps that stack once per thread —
+//! one [`LineMap`] entry per line, one Fenwick tree, and an optional MRU
+//! window on top — so a walk that collects both finds each access's stack
+//! position once.  Its two checkpoint images let a thread's walk resume at a
+//! region boundary ([`CheckpointError`] when an image does not fit).  The
+//! walk itself — which regions, which outputs, on which workers — belongs to
+//! `bp-core`.
 //!
 //! The [`kernels`] module contains models of the benchmarks evaluated in the
 //! paper (NPB bt, cg, ft, is, lu, mg, sp and PARSEC bodytrack), matching their
@@ -58,7 +55,6 @@
 mod access;
 mod block;
 pub mod kernels;
-mod observer;
 mod phase;
 mod recency;
 mod region;
@@ -68,9 +64,8 @@ mod workload;
 pub use access::{AccessKind, MemoryAccess, CACHE_LINE_BYTES};
 pub use block::{BasicBlock, BasicBlockId, BlockTable};
 pub use kernels::suite::Benchmark;
-pub use observer::{drive, drive_segment, CheckpointError, CheckpointObserver, TraceObserver};
 pub use phase::{AccessPattern, Phase, PhaseBlock, PhaseId, ScheduleEntry};
-pub use recency::{RecencyEngine, Residency, Touch};
+pub use recency::{CheckpointError, RecencyEngine, Residency, Touch};
 pub use region::{BlockExecution, RegionTrace};
 pub use synthetic::{SyntheticWorkload, SyntheticWorkloadBuilder};
 pub use workload::{FingerprintHasher, LineHasher, LineMap, Workload, WorkloadConfig};

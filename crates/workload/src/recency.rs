@@ -23,7 +23,6 @@
 //! dirty_depth)] by seq)`.  So the engine numbers timestamps and sequences
 //! exactly as those structures did, compaction rules included.
 
-use crate::observer::CheckpointError;
 use crate::workload::LineMap;
 use std::collections::hash_map::Entry;
 
@@ -519,6 +518,31 @@ impl RecencyEngine {
     }
 }
 
+/// A checkpoint image could not be restored (truncated, corrupt, or
+/// incompatible with the engine it was handed to).
+///
+/// Restoration failures are recoverable by construction: the caller can
+/// walk the trace from region 0 instead, which needs no checkpoint at all.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointError {
+    message: String,
+}
+
+impl CheckpointError {
+    /// Creates an error carrying a human-readable reason.
+    pub(crate) fn new(message: impl Into<String>) -> Self {
+        Self { message: message.into() }
+    }
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "checkpoint restore failed: {}", self.message)
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
 /// A decoded, validated profile image.
 struct ProfileImage {
     time: u64,
@@ -583,7 +607,7 @@ impl WindowImage {
         let capacity = de.read_u64().map_err(corrupt)?;
         if capacity != expected_capacity {
             return Err(fail(format!(
-                "collection capacity mismatch (checkpoint {capacity}, observer {expected_capacity})"
+                "collection capacity mismatch (checkpoint {capacity}, engine {expected_capacity})"
             )));
         }
         let next_seq = de.read_u64().map_err(corrupt)?;
@@ -744,6 +768,12 @@ mod tests {
                 (line, (state >> 40).is_multiple_of(3))
             })
             .collect()
+    }
+
+    #[test]
+    fn checkpoint_error_displays_its_reason() {
+        let err = CheckpointError::new("bad magic");
+        assert_eq!(err.to_string(), "checkpoint restore failed: bad magic");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! A cold pipeline used to walk every per-thread trace at least twice — once
 //! for signature profiling, once for MRU warmup collection.
-//! `profile_and_collect_warmup` fuses both consumers onto one walk through
-//! the trace-observer engine; these tests pin that the fused pass is
+//! `profile_and_collect_warmup` fuses both consumers onto one `TraceWalk`,
+//! one recency engine per thread; these tests pin that the fused pass is
 //! bit-identical to the historical separate passes across the whole kernel
 //! suite, every thread count the paper evaluates, and multiple LLC
 //! capacities — and that the same holds end to end through `Sweep`.
@@ -13,10 +13,7 @@ use barrierpoint::{
     profile_and_collect_warmup, profile_application_with, ExecutionPolicy, MruBoundaries,
     SimConfig, Sweep, TraceWalk, WorkerBudget,
 };
-use bp_warmup::{
-    collect_mru_warmup, MruSnapshotBank, MruThreadObserver, PerBoundarySnapshotBank,
-    PerBoundaryThreadObserver,
-};
+use bp_warmup::{collect_mru_warmup, MruSnapshotBank, PerBoundarySnapshotBank};
 use bp_workload::{Benchmark, SyntheticWorkloadBuilder, Workload, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -106,30 +103,16 @@ fn fused_sweep_legs_match_monolithic_runs_across_thread_counts() {
 }
 
 /// Builds both snapshot-bank encodings for the same workload and boundaries:
-/// the production interval-sharing bank and the retained per-boundary oracle.
+/// the interval-sharing bank of the shipped MRU-only walk and the
+/// per-boundary oracle.
 fn banks_for<W: Workload + ?Sized>(
     w: &W,
     boundaries: &[usize],
     capacity: u64,
 ) -> (MruSnapshotBank, PerBoundarySnapshotBank) {
-    let interval = (0..w.num_threads())
-        .map(|thread| {
-            let mut observer = MruThreadObserver::new(boundaries, capacity);
-            bp_workload::drive(w, thread, &mut [&mut observer]);
-            vec![observer]
-        })
-        .collect();
-    let raw = (0..w.num_threads())
-        .map(|thread| {
-            let mut observer = PerBoundaryThreadObserver::new(boundaries, capacity);
-            bp_workload::drive(w, thread, &mut [&mut observer]);
-            observer
-        })
-        .collect();
-    (
-        MruSnapshotBank::from_segmented_observers(interval),
-        PerBoundarySnapshotBank::from_observers(raw),
-    )
+    let walk = TraceWalk::mru(MruBoundaries::Targets(boundaries), capacity);
+    let interval = walk.run(w, &ExecutionPolicy::Serial, None).unwrap().bank.unwrap();
+    (interval, PerBoundarySnapshotBank::collect(w, boundaries, capacity))
 }
 
 fn xorshift(state: &mut u64) -> u64 {
