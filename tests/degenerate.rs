@@ -12,8 +12,8 @@
 //! region.
 
 use barrierpoint::{
-    ArtifactCache, BarrierPoint, ExecutionPolicy, MruBoundaries, SimConfig, Sweep, TraceWalk,
-    WarmupKind,
+    ArtifactCache, BarrierPoint, Error, ExecutionPolicy, MruBoundaries, SimConfig, Sweep,
+    TraceWalk, WarmupKind,
 };
 use bp_workload::{
     AccessPattern, SyntheticWorkload, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
@@ -39,46 +39,48 @@ fn workload(
     builder.build()
 }
 
+/// The value of an entry point that must succeed on `what`.
+fn ok<T>(result: Result<T, Error>, what: &str) -> T {
+    result.unwrap_or_else(|e| panic!("{what}: {e:?}"))
+}
+
 /// Runs every public entry point the module doc lists on `w`.
 fn exercise(w: &SyntheticWorkload, threads: usize) {
     let name = w.name().to_string();
     let machine = SimConfig::scaled(threads);
     for warmup in [WarmupKind::Cold, WarmupKind::MruReplay] {
         let run = BarrierPoint::new(w).with_sim_config(machine).with_warmup(warmup).run();
-        assert!(run.is_ok(), "{name}, {warmup:?}: {:?}", run.err());
+        ok(run, &format!("{name}, {warmup:?}"));
     }
-    let uncached = Sweep::new(w).add_config("scaled", machine).run();
-    assert!(uncached.is_ok(), "{name}, uncached sweep: {:?}", uncached.err());
+    ok(Sweep::new(w).add_config("scaled", machine).run(), &format!("{name}, uncached sweep"));
 
     let dir = std::env::temp_dir().join(format!("bp-degenerate-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let cache = ArtifactCache::new(&dir);
     let first = Sweep::new(w).with_cache(cache.clone()).add_config("scaled", machine).run();
-    assert!(first.is_ok(), "{name}, cached sweep: {:?}", first.err());
+    ok(first, &format!("{name}, cached sweep"));
     // The stored checkpoints hold the MRU window at the first sweep's LLC
     // capacity: a larger LLC walks from region 0, a smaller one resumes.
     let table1 = SimConfig::table1(threads);
     assert!(table1.memory.llc_total_lines(threads) > machine.memory.llc_total_lines(threads));
     let larger = Sweep::new(w).with_cache(cache.clone()).add_config("table1", table1).run();
-    let larger = larger.unwrap_or_else(|e| panic!("{name}, re-sweep at a larger LLC: {e:?}"));
+    let larger = ok(larger, &format!("{name}, re-sweep at a larger LLC"));
     assert_eq!(larger.counters().trace_walks, threads, "{name}: larger LLC walks from region 0");
     let mut small_llc = machine;
     small_llc.memory.l3.size_bytes /= 2;
     let smaller = Sweep::new(w).with_cache(cache).add_config("small-llc", small_llc).run();
-    let smaller = smaller.unwrap_or_else(|e| panic!("{name}, re-sweep at a smaller LLC: {e:?}"));
-    let counters = smaller.counters();
+    let counters = ok(smaller, &format!("{name}, re-sweep at a smaller LLC")).counters();
     assert_eq!(counters.trace_walks, 0, "{name}: smaller LLC resumes from the checkpoints");
     assert!(counters.segment_walks >= threads, "{name}: {counters:?}");
     std::fs::remove_dir_all(&dir).ok();
 
     let regions = w.num_regions();
     for targets in [&[][..], &[regions + 3][..]] {
-        let walk = TraceWalk::mru(MruBoundaries::Targets(targets), 256).run(
-            w,
-            &ExecutionPolicy::Serial,
-            None,
+        let walk = TraceWalk::mru(MruBoundaries::Targets(targets), 256);
+        ok(
+            walk.run(w, &ExecutionPolicy::Serial, None),
+            &format!("{name}, MRU walk to {targets:?}"),
         );
-        assert!(walk.is_ok(), "{name}, MRU walk to {targets:?}: {:?}", walk.err());
     }
 }
 
