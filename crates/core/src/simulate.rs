@@ -1,5 +1,6 @@
 use crate::error::Error;
 use crate::select::BarrierPointSelection;
+use crate::sync::Mutex;
 use bp_exec::{ExecutionPolicy, WorkerBudget};
 use bp_sim::{Machine, RegionMetrics, SimConfig};
 use bp_warmup::{apply_warmup, MruWarmupData, WarmupStrategy};
@@ -99,20 +100,26 @@ pub(crate) fn simulate_targets<W: Workload + ?Sized>(
     budget: Option<&WorkerBudget>,
     mru: Option<&HashMap<usize, MruWarmupData>>,
 ) -> BarrierPointMetrics {
+    // One machine per worker: `apply_warmup` sets every cache and counter,
+    // so a machine left by one barrierpoint serves the next unchanged.
+    let idle: Mutex<Vec<Machine>> = Mutex::new(Vec::new());
     let simulate_one = |region: usize| -> (usize, RegionMetrics) {
-        let mut machine = Machine::new(sim_config);
+        let spare = idle.lock().pop();
+        let mut machine = spare.unwrap_or_else(|| Machine::new(sim_config));
         let strategy = match warmup {
             WarmupKind::Cold => WarmupStrategy::Cold,
             WarmupKind::FunctionalReplay => WarmupStrategy::FunctionalReplay { region },
             WarmupKind::MruReplay => match mru.and_then(|data| data.get(&region)) {
-                Some(data) => WarmupStrategy::MruReplay(data.clone()),
+                Some(data) => WarmupStrategy::MruReplay(data),
                 // Every MRU caller collects the payload of exactly the
                 // barrierpoint regions simulated here.
                 None => unreachable!("no warmup collected for barrierpoint region {region}"),
             },
         };
         apply_warmup(machine.hierarchy_mut(), workload, &strategy);
-        (region, machine.run_region(workload, region))
+        let metrics = machine.run_region(workload, region);
+        idle.lock().push(machine);
+        (region, metrics)
     };
     let per_region = match budget {
         Some(budget) => {

@@ -1,4 +1,5 @@
 use crate::config::CacheConfig;
+use crate::install::SetTable;
 use serde::{Deserialize, Serialize};
 
 /// MSI coherence state of a cached line.
@@ -170,6 +171,34 @@ impl Cache {
             }
         }
         self.tick = 0;
+    }
+
+    /// Replaces the contents with `sets`' sets `first..first + num_sets`:
+    /// their lines and states, each line's last-touch time as its recency.
+    pub(crate) fn load(&mut self, sets: &SetTable<LineState>, first: usize) {
+        for (index, ways) in self.sets.iter_mut().enumerate() {
+            let (lines, states, stamps) = sets.set(first + index);
+            let (filled, empty) = ways.split_at_mut(lines.len());
+            for (way, ((&line, &state), &lru)) in
+                filled.iter_mut().zip(lines.iter().zip(states).zip(stamps))
+            {
+                *way = Way { line, state, lru };
+            }
+            empty.fill(Way::invalid());
+        }
+        self.tick = sets.clock();
+    }
+
+    /// Every set's valid lines and states, least recently used first.
+    pub(crate) fn recency_sets(&self) -> Vec<Vec<(u64, LineState)>> {
+        self.sets
+            .iter()
+            .map(|ways| {
+                let mut valid: Vec<&Way> = ways.iter().filter(|w| w.state.is_valid()).collect();
+                valid.sort_by_key(|w| w.lru);
+                valid.iter().map(|w| (w.line, w.state)).collect()
+            })
+            .collect()
     }
 
     /// Number of valid lines currently held.

@@ -1,5 +1,6 @@
 use crate::cache::{Cache, LineState};
 use crate::config::MemoryConfig;
+use crate::install::InstallModel;
 use crate::shared_cache::{DirEntry, SharedCache};
 use crate::stats::MemoryStats;
 use serde::{Deserialize, Serialize};
@@ -60,6 +61,23 @@ impl HierarchySnapshot {
     }
 }
 
+/// A hierarchy's contents independent of how its caches store them: every
+/// set's valid lines least recently used first, with their MSI states (the
+/// private caches) or directory entries (the L3).  Raw recency timestamps
+/// and way positions are left out: two hierarchies of one configuration
+/// with equal canonical states behave identically from then on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CanonicalState {
+    /// Per core: its L1I, L1D and L2.
+    pub cores: Vec<[Sets<LineState>; 3]>,
+    /// Per socket: its L3.
+    pub sockets: Vec<Sets<DirEntry>>,
+}
+
+/// A cache as a list of sets, each its valid lines least recently used
+/// first, with what the cache keeps per line.
+type Sets<T> = Vec<Vec<(u64, T)>>;
+
 /// The multi-socket memory hierarchy of the simulated machine.
 ///
 /// Topology follows Table I of the paper: each core has private L1I/L1D and
@@ -76,6 +94,8 @@ pub struct MemoryHierarchy {
     cores: Vec<CoreCaches>,
     sockets: Vec<SharedCache>,
     stats: MemoryStats,
+    /// Working space of [`install`](Self::install), kept between calls.
+    install: InstallModel,
 }
 
 impl MemoryHierarchy {
@@ -108,6 +128,7 @@ impl MemoryHierarchy {
             cores,
             sockets,
             stats: MemoryStats::new(),
+            install: InstallModel::default(),
         }
     }
 
@@ -159,6 +180,50 @@ impl MemoryHierarchy {
         assert_eq!(snapshot.sockets.len(), self.sockets.len(), "socket count mismatch");
         self.cores = snapshot.cores.clone();
         self.sockets = snapshot.sockets.clone();
+    }
+
+    /// The hierarchy's contents in canonical form.
+    pub fn canonical_state(&self) -> CanonicalState {
+        CanonicalState {
+            cores: self
+                .cores
+                .iter()
+                .map(|c| [c.l1i.recency_sets(), c.l1d.recency_sets(), c.l2.recency_sets()])
+                .collect(),
+            sockets: self.sockets.iter().map(SharedCache::recency_sets).collect(),
+        }
+    }
+
+    /// Replaces the hierarchy's contents with the state a cleared hierarchy
+    /// reaches after the data accesses `accesses` — `(core, byte address,
+    /// is_write)`, in order — and clears the statistics.  The result has
+    /// the [`canonical_state`](Self::canonical_state) of
+    /// [`clear`](Self::clear), one [`access`](Self::access) per element and
+    /// [`reset_stats`](Self::reset_stats), and so behaves identically from
+    /// then on.  It is computed on a compact model of the sets, without
+    /// latencies, statistics or the private lookups that must miss, and
+    /// written into the caches at the end.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an access names a core the hierarchy does not have.
+    pub fn install(&mut self, accesses: impl IntoIterator<Item = (usize, u64, bool)>) {
+        let cores = self.cores.len();
+        self.install.reset(&self.config, cores);
+        for (core, addr, is_write) in accesses {
+            assert!(core < cores, "access by core {core} of a {cores}-core hierarchy");
+            self.install.access(core, addr >> self.line_shift, is_write);
+        }
+        let (l1_sets, l2_sets, l3_sets) = self.install.sets_per_cache();
+        for (core, caches) in self.cores.iter_mut().enumerate() {
+            caches.l1i.clear();
+            caches.l1d.load(&self.install.l1d, core * l1_sets);
+            caches.l2.load(&self.install.l2, core * l2_sets);
+        }
+        for (socket, cache) in self.sockets.iter_mut().enumerate() {
+            cache.load(&self.install.l3, socket * l3_sets);
+        }
+        self.reset_stats();
     }
 
     fn socket_of_core(&self, core: usize) -> usize {

@@ -14,6 +14,11 @@
 //!   maintains coherence, and reports access latency and DRAM traffic,
 //! * [`HierarchySnapshot`] — whole-hierarchy state snapshots used for the
 //!   "perfect warmup" experiments and for checkpoint-style warmup.
+//! * [`MemoryHierarchy::install`] — the state a stream of data accesses
+//!   leaves in cleared caches, computed without the timing model (MRU
+//!   warmup installs its replay this way), and
+//!   [`MemoryHierarchy::canonical_state`] — a hierarchy's contents in a form
+//!   in which two hierarchies that compare equal behave alike from then on.
 //!
 //! Two stock configurations are provided: [`MemoryConfig::table1`], the
 //! paper's machine, and [`MemoryConfig::scaled`], a proportionally scaled-down
@@ -39,11 +44,14 @@
 mod cache;
 mod config;
 mod hierarchy;
+mod install;
 mod shared_cache;
 mod stats;
 
 pub use cache::{Cache, EvictedLine, LineState};
 pub use config::{CacheConfig, MemoryConfig};
-pub use hierarchy::{AccessResult, HierarchySnapshot, MemoryHierarchy, ServiceLevel};
+pub use hierarchy::{
+    AccessResult, CanonicalState, HierarchySnapshot, MemoryHierarchy, ServiceLevel,
+};
 pub use shared_cache::{DirEntry, EvictedShared, SharedCache};
 pub use stats::MemoryStats;

@@ -1,4 +1,5 @@
 use crate::config::CacheConfig;
+use crate::install::SetTable;
 use serde::{Deserialize, Serialize};
 
 /// Directory information attached to a line in the shared last-level cache.
@@ -225,6 +226,36 @@ impl SharedCache {
             }
         }
         self.tick = 0;
+    }
+
+    /// Replaces the contents with `sets`' sets `first..first + num_sets`:
+    /// their lines and directory entries, each line's last-touch time as
+    /// its recency.
+    pub(crate) fn load(&mut self, sets: &SetTable<DirEntry>, first: usize) {
+        for (index, ways) in self.sets.iter_mut().enumerate() {
+            let (lines, entries, stamps) = sets.set(first + index);
+            let (filled, empty) = ways.split_at_mut(lines.len());
+            for (way, ((&line, &entry), &lru)) in
+                filled.iter_mut().zip(lines.iter().zip(entries).zip(stamps))
+            {
+                *way = DirWay { line, valid: true, lru, entry };
+            }
+            empty.fill(DirWay::invalid());
+        }
+        self.tick = sets.clock();
+    }
+
+    /// Every set's resident lines and directory entries, least recently
+    /// used first.
+    pub(crate) fn recency_sets(&self) -> Vec<Vec<(u64, DirEntry)>> {
+        self.sets
+            .iter()
+            .map(|ways| {
+                let mut valid: Vec<&DirWay> = ways.iter().filter(|w| w.valid).collect();
+                valid.sort_by_key(|w| w.lru);
+                valid.iter().map(|w| (w.line, w.entry)).collect()
+            })
+            .collect()
     }
 
     /// Number of resident lines.

@@ -6,8 +6,16 @@
 //! way of a real set carries a distinct touch time, so true LRU names exactly
 //! one victim; any scan order, indexing scheme or bookkeeping shortcut in the
 //! caches must therefore reproduce the reference's return values one for one.
+//!
+//! The same generators drive the differential contract of
+//! [`MemoryHierarchy::install`]: its state must equal the one a replay
+//! through [`MemoryHierarchy::access`] reaches, set by set and entry by
+//! entry.
 
-use bp_mem::{Cache, CacheConfig, DirEntry, EvictedLine, EvictedShared, LineState, SharedCache};
+use bp_mem::{
+    Cache, CacheConfig, DirEntry, EvictedLine, EvictedShared, LineState, MemoryConfig,
+    MemoryHierarchy, SharedCache,
+};
 use proptest::prelude::*;
 
 const LINE_BYTES: u64 = 64;
@@ -269,6 +277,40 @@ fn check_shared(sets: u64, ways: usize, interleave: u64, stream: &[Op]) {
     }
 }
 
+/// A data-access stream for [`MemoryHierarchy::install`]: `(cores, line
+/// size, accesses)`.  Lines come from [`lines`] (few lines, heavy sharing,
+/// set conflicts) or from a pool twice the L3's size (L3 evictions and
+/// back-invalidations); half the accesses write; up to ten cores span two
+/// sockets.  At 128-byte lines two of the stream's 64-byte lines share one
+/// hierarchy line, so cores repeat lines they still hold.
+fn install_streams() -> impl Strategy<Value = (usize, u64, Vec<(usize, u64, bool)>)> {
+    let l3_lines = MemoryConfig::tiny().l3.num_lines(LINE_BYTES);
+    let access = (0usize..10, lines(), 0..2 * l3_lines, any::<bool>());
+    let line_bytes = proptest::sample::select(vec![32u64, 64, 128]);
+    (1usize..=10, line_bytes, any::<bool>(), proptest::collection::vec(access, 0..1500)).prop_map(
+        |(cores, line_bytes, wide, accesses)| {
+            let stream = accesses
+                .into_iter()
+                .map(|(core, near, far, is_write)| {
+                    let line = if wide { far } else { near };
+                    (core % cores, line * LINE_BYTES, is_write)
+                })
+                .collect();
+            (cores, line_bytes, stream)
+        },
+    )
+}
+
+/// The oracle of [`MemoryHierarchy::install`]: every access replayed
+/// through the timed path of a cleared hierarchy.
+fn replay(hierarchy: &mut MemoryHierarchy, stream: &[(usize, u64, bool)]) {
+    hierarchy.clear();
+    for &(core, addr, is_write) in stream {
+        hierarchy.access(core, addr, is_write);
+    }
+    hierarchy.reset_stats();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -291,5 +333,39 @@ proptest! {
                 check_shared(sets, ways, interleave, &stream);
             }
         }
+    }
+
+    /// `install` leaves every set holding the lines, recency order, MSI
+    /// states and directory entries an access-by-access replay leaves, with
+    /// cleared statistics, starting from a hierarchy in any state; both
+    /// then answer a probe stream (loads, stores and instruction fetches)
+    /// identically.
+    #[test]
+    fn install_matches_replay_through_access(
+        (cores, line_bytes, stream) in install_streams(),
+        (_, _, probe) in install_streams(),
+    ) {
+        let config = MemoryConfig { line_bytes, ..MemoryConfig::tiny() };
+        let mut installed = MemoryHierarchy::new(&config, cores);
+        // A stale state the install must overwrite.
+        for &(core, addr, is_write) in probe.iter().rev() {
+            installed.access(core % cores, addr, is_write);
+        }
+        installed.install(stream.iter().copied());
+        let mut replayed = MemoryHierarchy::new(&config, cores);
+        replay(&mut replayed, &stream);
+        prop_assert_eq!(installed.canonical_state(), replayed.canonical_state());
+        prop_assert_eq!(installed.stats(), replayed.stats());
+        for (step, &(core, addr, is_write)) in probe.iter().enumerate() {
+            let core = core % cores;
+            let (a, b) = if step % 5 == 4 {
+                (installed.fetch_instruction(core, addr), replayed.fetch_instruction(core, addr))
+            } else {
+                (installed.access(core, addr, is_write), replayed.access(core, addr, is_write))
+            };
+            prop_assert_eq!(a, b, "probe step {}", step);
+        }
+        prop_assert_eq!(installed.stats(), replayed.stats());
+        prop_assert_eq!(installed.canonical_state(), replayed.canonical_state());
     }
 }

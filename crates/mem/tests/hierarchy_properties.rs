@@ -69,6 +69,28 @@ proptest! {
         prop_assert_eq!(continued.stats(), restored.stats());
     }
 
+    /// `restore(snapshot())` reproduces the captured state exactly — every
+    /// set's lines, recency order and states and every directory entry —
+    /// whatever the restoring hierarchy held before.
+    #[test]
+    fn snapshot_round_trips_exactly(warm in accesses(3), stale in accesses(3)) {
+        let config = MemoryConfig::tiny();
+        let mut original = MemoryHierarchy::new(&config, 3);
+        for (step, &(core, addr, write)) in warm.iter().enumerate() {
+            if step % 7 == 6 {
+                original.fetch_instruction(core, addr);
+            } else {
+                original.access(core, addr, write);
+            }
+        }
+        let mut restored = MemoryHierarchy::new(&config, 3);
+        for &(core, addr, write) in &stale {
+            restored.access(core, addr, write);
+        }
+        restored.restore(&original.snapshot());
+        prop_assert_eq!(restored.canonical_state(), original.canonical_state());
+    }
+
     /// Every access is serviced by exactly one level and its latency is at
     /// least the L1 latency; service-level counters add up to the access
     /// count.
@@ -109,5 +131,43 @@ proptest! {
         hierarchy.access(0, addr, true);
         let reread = hierarchy.access(1, addr, false);
         prop_assert_ne!(reread.level, ServiceLevel::L1);
+    }
+
+    /// Per level, hits plus misses equal the accesses that reached it.
+    /// Where each access went is read off the state before it: an access
+    /// reaches the L2 unless its core's L1D holds the line, and the L3
+    /// unless its L2 does too; a write to a Shared private copy misses that
+    /// level as an upgrade.  The counters must agree level by level.
+    #[test]
+    fn accounting_adds_up_per_level(pattern in accesses(3)) {
+        let config = MemoryConfig::tiny();
+        let mut hierarchy = MemoryHierarchy::new(&config, 3);
+        let (mut reach_l2, mut reach_l3, mut l1_upgrades, mut l2_upgrades) = (0, 0, 0, 0);
+        for &(core, addr, write) in &pattern {
+            let line = addr / config.line_bytes;
+            let before = hierarchy.canonical_state();
+            let held = |level: usize| {
+                before.cores[core][level].iter().flatten().find(|w| w.0 == line).map(|w| w.1)
+            };
+            let upgrade = |state| write && state == LineState::Shared;
+            match (held(1), held(2)) {
+                (Some(l1), _) => l1_upgrades += u64::from(upgrade(l1)),
+                (None, Some(l2)) => {
+                    reach_l2 += 1;
+                    l2_upgrades += u64::from(upgrade(l2));
+                }
+                (None, None) => {
+                    reach_l2 += 1;
+                    reach_l3 += 1;
+                }
+            }
+            hierarchy.access(core, addr, write);
+        }
+        let stats = hierarchy.stats();
+        let accesses = pattern.len() as u64;
+        prop_assert_eq!(stats.l1_hits + reach_l2 + l1_upgrades, accesses);
+        prop_assert_eq!(stats.l2_hits + reach_l3 + l2_upgrades, reach_l2);
+        prop_assert_eq!(stats.l3_hits + stats.remote_cache_hits + stats.dram_accesses, reach_l3);
+        prop_assert_eq!(stats.upgrades, l1_upgrades + l2_upgrades);
     }
 }

@@ -2,9 +2,20 @@ use crate::strategy::WarmupStrategy;
 use bp_mem::MemoryHierarchy;
 use bp_workload::{BlockExecution, Workload, CACHE_LINE_BYTES};
 
-/// Applies a warmup strategy to a (cold) memory hierarchy, then resets the
+/// Applies a warmup strategy to a memory hierarchy, then resets the
 /// hierarchy's statistics so that the subsequent detailed simulation measures
-/// only the barrierpoint itself.
+/// only the barrierpoint itself.  Every strategy sets all of the
+/// hierarchy's state, so the hierarchy may come from an earlier
+/// barrierpoint.
+///
+/// [`WarmupStrategy::MruReplay`] replays the payload in a fixed order:
+/// positions counted from the tail of the longest thread list down to each
+/// list's most recent line and, at each position, the threads in index
+/// order; a thread without a core in the hierarchy is skipped.  The
+/// replay's state is installed directly ([`MemoryHierarchy::install`]):
+/// the same lines, recency orders, MSI states and directory entries as
+/// replaying every line through [`MemoryHierarchy::access`], without the
+/// timing model.
 ///
 /// `workload` is only consulted by [`WarmupStrategy::FunctionalReplay`].
 ///
@@ -39,7 +50,6 @@ pub fn apply_warmup<W: Workload + ?Sized>(
             }
         }
         WarmupStrategy::MruReplay(data) => {
-            hierarchy.clear();
             // Each thread replays its most recent unique lines in access
             // order (least recent first), so the most recently used data ends
             // up closest to the core — rebuilding L1/L2/LLC contents and MSI
@@ -48,19 +58,17 @@ pub fn apply_warmup<W: Workload + ?Sized>(
             // The per-thread replays are interleaved (as they would be when
             // the simulator replays all threads concurrently): replaying the
             // cores one after another would let the last core's data evict
-            // everyone else's share of the shared LLC.
+            // everyone else's share of the shared LLC.  Position `p` is each
+            // list's `p`-th line from its end, so shorter lists join late.
             let cores = hierarchy.num_cores();
-            let per_thread = data.per_thread();
-            let longest = per_thread.iter().map(|t| t.len()).max().unwrap_or(0);
-            for position in (1..=longest).rev() {
-                for (thread, lines) in per_thread.iter().enumerate() {
-                    if thread >= cores || lines.len() < position {
-                        continue;
-                    }
-                    let (line, is_write) = lines[lines.len() - position];
-                    hierarchy.access(thread, line * CACHE_LINE_BYTES, is_write);
-                }
-            }
+            let per_thread = &data.per_thread()[..data.per_thread().len().min(cores)];
+            let longest = per_thread.iter().map(Vec::len).max().unwrap_or(0);
+            hierarchy.install((1..=longest).rev().flat_map(|position| {
+                per_thread.iter().enumerate().filter_map(move |(thread, lines)| {
+                    let (line, is_write) = *lines.get(lines.len().checked_sub(position)?)?;
+                    Some((thread, line * CACHE_LINE_BYTES, is_write))
+                })
+            }));
         }
     }
     hierarchy.reset_stats();
@@ -104,7 +112,7 @@ mod tests {
         let cold_dram = region_dram(&w, &mut cold, region);
 
         let mut warm = MemoryHierarchy::new(&config, 4);
-        apply_warmup(&mut warm, &w, &WarmupStrategy::MruReplay(warmup[&region].clone()));
+        apply_warmup(&mut warm, &w, &WarmupStrategy::MruReplay(&warmup[&region]));
         let warm_dram = region_dram(&w, &mut warm, region);
 
         assert!(
@@ -124,7 +132,7 @@ mod tests {
         let functional_dram = region_dram(&w, &mut functional, region);
 
         let mut mru = MemoryHierarchy::new(&config, 4);
-        apply_warmup(&mut mru, &w, &WarmupStrategy::MruReplay(warmup[&region].clone()));
+        apply_warmup(&mut mru, &w, &WarmupStrategy::MruReplay(&warmup[&region]));
         let mru_dram = region_dram(&w, &mut mru, region);
 
         // MRU replay approximates functional warming; it must be in the same
@@ -151,7 +159,7 @@ mod tests {
         let (w, config) = setup();
         let warmup = collect_mru_warmup(&w, &[3], 1024);
         let mut hierarchy = MemoryHierarchy::new(&config, 4);
-        apply_warmup(&mut hierarchy, &w, &WarmupStrategy::MruReplay(warmup[&3].clone()));
+        apply_warmup(&mut hierarchy, &w, &WarmupStrategy::MruReplay(&warmup[&3]));
         assert_eq!(hierarchy.stats().data_accesses, 0);
         assert_eq!(hierarchy.stats().dram_accesses, 0);
     }

@@ -5,7 +5,9 @@
 //! discusses the design space and proposes a middle ground: record, per core,
 //! the **most recently used unique cache lines** (bounded by the total
 //! last-level-cache capacity visible to a core) during the profiling run, and
-//! replay them in access order before simulating the barrierpoint.
+//! replay them in access order before simulating the barrierpoint.  The
+//! replay is not timed line by line: [`apply_warmup`] installs the state it
+//! leaves with [`bp_mem::MemoryHierarchy::install`].
 //!
 //! This crate implements that technique plus the baselines it is compared
 //! against:
@@ -61,7 +63,7 @@
 //! // Warmup data for barrierpoint (region) 5, bounded by the LLC capacity.
 //! let warmup = collect_mru_warmup(&workload, &[5], config.llc_total_lines(4));
 //! let mut hierarchy = MemoryHierarchy::new(&config, 4);
-//! apply_warmup(&mut hierarchy, &workload, &WarmupStrategy::MruReplay(warmup[&5].clone()));
+//! apply_warmup(&mut hierarchy, &workload, &WarmupStrategy::MruReplay(&warmup[&5]));
 //! assert!(hierarchy.stats().data_accesses == 0); // statistics were reset
 //! ```
 

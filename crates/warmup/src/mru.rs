@@ -60,10 +60,6 @@ struct LineState {
     dirty_depth: u64,
 }
 
-/// One live residency in a checkpoint image: `(seq, line, tick, dirty_depth)`.
-#[cfg(test)]
-type CheckpointEntry = (u64, u64, u64, u64);
-
 /// Marks an empty recency slot.  Never a real line: line addresses are byte
 /// addresses shifted down by the line size, so their top bits are clear.
 const NO_LINE: u64 = u64::MAX;
@@ -194,73 +190,6 @@ impl ThreadMruState {
                 tree_add(&mut self.tree, seq, 1);
             }
         }
-    }
-
-    /// The state's checkpoint image: `(next_seq, next_tick, entries)` with
-    /// the live residencies in recency order as `(seq, line, tick,
-    /// dirty_depth)`.  Sequence numbers are preserved verbatim (not
-    /// renumbered), so a restored state reproduces future behaviour —
-    /// including [`maybe_compact`](Self::maybe_compact) timing, which
-    /// depends only on `next_seq` and the live count — bit for bit.  The
-    /// slot order makes the image deterministic.
-    #[cfg(test)] // the oracle for the recency engine's window image
-    fn checkpoint(&self) -> (u64, u64, Vec<CheckpointEntry>) {
-        let entries = self
-            .live()
-            .map(|(seq, line)| match self.by_line.get(&line) {
-                Some(state) => (seq, line, state.tick, state.dirty_depth),
-                // The slots and `by_line` always hold the same line set.
-                None => unreachable!("line {line:#x} in a slot but not by_line"),
-            })
-            .collect();
-        (self.next_seq, self.next_tick, entries)
-    }
-
-    /// Rebuilds a state from a [`checkpoint`](Self::checkpoint) image,
-    /// validating its internal consistency (checkpoints may arrive from a
-    /// disk cache).  The Fenwick tree is reconstructed from the live set,
-    /// exactly as compaction rebuilds it; its length never affects query
-    /// results, only when the next growth-rebuild happens.
-    #[cfg(test)]
-    fn from_checkpoint(
-        next_seq: u64,
-        next_tick: u64,
-        entries: &[CheckpointEntry],
-    ) -> Result<Self, String> {
-        // `maybe_compact` keeps `next_seq <= max(4097, 8 * (live + 1))`
-        // after every access; a larger counter cannot come from a real walk
-        // and would size the slot vector by it.
-        let bound = (8 * (entries.len() as u64 + 1)).max(4097);
-        if next_seq > bound {
-            return Err(format!("sequence counter {next_seq} past compaction bound {bound}"));
-        }
-        let mut state = Self {
-            slots: vec![NO_LINE; next_seq as usize + 1],
-            head: entries.first().map_or(next_seq as usize + 1, |entry| entry.0 as usize),
-            next_seq,
-            next_tick,
-            ..Self::default()
-        };
-        let mut prev_seq = 0;
-        for &(seq, line, tick, dirty_depth) in entries {
-            if seq <= prev_seq {
-                return Err(format!("sequence {seq} not increasing"));
-            }
-            if seq > next_seq {
-                return Err(format!("live sequence {seq} past counter {next_seq}"));
-            }
-            if line == NO_LINE {
-                return Err(format!("line {line:#x} is the empty-slot marker"));
-            }
-            prev_seq = seq;
-            let residency = LineState { seq, tick, dirty_depth };
-            if state.by_line.insert(line, residency).is_some() {
-                return Err(format!("line {line:#x} recorded twice"));
-            }
-            state.slots[seq as usize] = line;
-        }
-        state.rebuild_tree((next_seq as usize + 2).next_power_of_two().max(64));
-        Ok(state)
     }
 
     /// Renumbers the live sequences to `1..=n` (preserving order) once the
@@ -924,6 +853,79 @@ mod tests {
     use bp_workload::{Benchmark, CheckpointError, WorkloadConfig};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+
+    /// One live residency in a checkpoint image: `(seq, line, tick,
+    /// dirty_depth)`.
+    type CheckpointEntry = (u64, u64, u64, u64);
+
+    /// The collector state's checkpoint image, the oracle for the recency
+    /// engine's window image.
+    impl ThreadMruState {
+        /// The state's checkpoint image: `(next_seq, next_tick, entries)` with
+        /// the live residencies in recency order as `(seq, line, tick,
+        /// dirty_depth)`.  Sequence numbers are preserved verbatim (not
+        /// renumbered), so a restored state reproduces future behaviour —
+        /// including [`maybe_compact`](Self::maybe_compact) timing, which
+        /// depends only on `next_seq` and the live count — bit for bit.  The
+        /// slot order makes the image deterministic.
+        fn checkpoint(&self) -> (u64, u64, Vec<CheckpointEntry>) {
+            let entries = self
+                .live()
+                .map(|(seq, line)| match self.by_line.get(&line) {
+                    Some(state) => (seq, line, state.tick, state.dirty_depth),
+                    // The slots and `by_line` always hold the same line set.
+                    None => unreachable!("line {line:#x} in a slot but not by_line"),
+                })
+                .collect();
+            (self.next_seq, self.next_tick, entries)
+        }
+
+        /// Rebuilds a state from a [`checkpoint`](Self::checkpoint) image,
+        /// validating its internal consistency (checkpoints may arrive from a
+        /// disk cache).  The Fenwick tree is reconstructed from the live set,
+        /// exactly as compaction rebuilds it; its length never affects query
+        /// results, only when the next growth-rebuild happens.
+        fn from_checkpoint(
+            next_seq: u64,
+            next_tick: u64,
+            entries: &[CheckpointEntry],
+        ) -> Result<Self, String> {
+            // `maybe_compact` keeps `next_seq <= max(4097, 8 * (live + 1))`
+            // after every access; a larger counter cannot come from a real walk
+            // and would size the slot vector by it.
+            let bound = (8 * (entries.len() as u64 + 1)).max(4097);
+            if next_seq > bound {
+                return Err(format!("sequence counter {next_seq} past compaction bound {bound}"));
+            }
+            let mut state = Self {
+                slots: vec![NO_LINE; next_seq as usize + 1],
+                head: entries.first().map_or(next_seq as usize + 1, |entry| entry.0 as usize),
+                next_seq,
+                next_tick,
+                ..Self::default()
+            };
+            let mut prev_seq = 0;
+            for &(seq, line, tick, dirty_depth) in entries {
+                if seq <= prev_seq {
+                    return Err(format!("sequence {seq} not increasing"));
+                }
+                if seq > next_seq {
+                    return Err(format!("live sequence {seq} past counter {next_seq}"));
+                }
+                if line == NO_LINE {
+                    return Err(format!("line {line:#x} is the empty-slot marker"));
+                }
+                prev_seq = seq;
+                let residency = LineState { seq, tick, dirty_depth };
+                if state.by_line.insert(line, residency).is_some() {
+                    return Err(format!("line {line:#x} recorded twice"));
+                }
+                state.slots[seq as usize] = line;
+            }
+            state.rebuild_tree((next_seq as usize + 2).next_power_of_two().max(64));
+            Ok(state)
+        }
+    }
 
     /// The pre-Fenwick collector, kept verbatim as the oracle for the
     /// order-statistic and slot-vector rewrites: the recency list was a

@@ -4,7 +4,7 @@ use bp_mem::HierarchySnapshot;
 /// How to initialize microarchitectural state before the detailed simulation
 /// of a barrierpoint (Section IV of the paper).
 #[derive(Debug, Clone)]
-pub enum WarmupStrategy {
+pub enum WarmupStrategy<'a> {
     /// No warmup: the barrierpoint starts with cold caches.  Fast but
     /// suffers the full cold-start error.
     Cold,
@@ -22,11 +22,18 @@ pub enum WarmupStrategy {
         region: usize,
     },
     /// The paper's proposal: replay each core's most recently used unique
-    /// cache lines (bounded by the shared LLC capacity) in access order.
-    MruReplay(MruWarmupData),
+    /// cache lines (bounded by the shared LLC capacity) in access order,
+    /// the threads interleaved line by line from the tail of the longest
+    /// list, threads in index order, threads without a core skipped.  The
+    /// replay's final state is installed directly and equals a replay
+    /// through the timed hierarchy (see [`apply_warmup`]).  The payload is
+    /// borrowed, so one collection serves every barrierpoint simulation.
+    ///
+    /// [`apply_warmup`]: crate::apply_warmup
+    MruReplay(&'a MruWarmupData),
 }
 
-impl WarmupStrategy {
+impl WarmupStrategy<'_> {
     /// A short, stable name for reports and benchmark labels.
     pub fn name(&self) -> &'static str {
         match self {
