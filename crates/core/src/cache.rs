@@ -15,7 +15,8 @@
 //!   I/O, no deserialization — which is what makes warm *in-process*
 //!   re-sweeps drop below the disk tier's decode floor.  The tier has its
 //!   own LRU order and byte bound ([`ArtifactCache::with_memory_max_bytes`],
-//!   charged at serialized entry size).
+//!   charged at serialized entry size, which for a profile is about a third
+//!   of its resident size).
 //! * a **disk tier**: the persistent, self-validating entry files that
 //!   survive the process and carry the amortization across runs.
 //!
@@ -47,7 +48,7 @@
 //!
 //! Disk entries are self-validating: a magic number, a format version, and
 //! the full key are stored in the header, and every entry carries a trailing
-//! FNV-1a checksum of its bytes.  Any mismatch — version bump, fingerprint
+//! word-wise checksum of its bytes.  Any mismatch — version bump, fingerprint
 //! collision on the truncated file name, torn tail, a single flipped payload
 //! bit — is treated as a miss rather than an error (a later store self-heals
 //! the entry).  An entry is marked recently-used only *after* it decodes
@@ -118,8 +119,10 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// header) changes, or an artifact kind is added; old entries then read as
 /// misses and are overwritten.  Version 3 added the trailing integrity
 /// checksum (see [`encode_sealed`]).  Version 4 added the region-segment
-/// checkpoint (`ckpt`) artifact kind.
-const FORMAT_VERSION: u32 = 4;
+/// checkpoint (`ckpt`) artifact kind.  Version 5 stores each LDV as its
+/// populated bucket prefix (`bp_signature::Ldv`'s codec) and seals entries
+/// with the word-wise [`seal_checksum`] instead of byte-wise FNV-1a.
+const FORMAT_VERSION: u32 = 5;
 
 /// Name of the persisted-statistics file inside the cache directory.  No
 /// artifact extension, so the eviction scan neither counts nor deletes it.
@@ -129,8 +132,10 @@ const STATE_MAGIC: &[u8; 4] = b"BPST";
 /// Version of the persisted-statistics layout; a mismatch resets the
 /// lifetime view instead of erroring.  Version 2 added the trailing
 /// integrity checksum (see [`encode_sealed`]); version 3 added the
-/// checkpoint-kind counters.
-const STATE_VERSION: u32 = 3;
+/// checkpoint-kind counters; version 4 moved to the word-wise
+/// [`seal_checksum`].  A directory written before a bump therefore starts
+/// its lifetime counters again from zero.
+const STATE_VERSION: u32 = 4;
 /// Name of the advisory lock file serializing eviction and orphan cleanup
 /// across processes.  Leading dot: `Path::extension` is `None`, so the scan
 /// ignores it.
@@ -558,13 +563,11 @@ const KIND_EXTENSIONS: [&str; 4] =
     [ProfileCacheKey::EXT, SelectionCacheKey::EXT, SimulatedCacheKey::EXT, CheckpointCacheKey::EXT];
 
 /// Encodes one sealed container — magic, version, `payload`'s bytes, then a
-/// trailing FNV-1a checksum of everything before it.  Every entry kind and
+/// trailing [`seal_checksum`] of everything before it.  Every entry kind and
 /// the `cache-state` file use it.  Magic, version, and key echo catch
 /// truncation and foreign files; the checksum is what catches *payload*
 /// damage — a bit flip in the metrics region of an otherwise well-formed
-/// entry would decode cleanly and be served as truth without it.  FNV-1a
-/// because it is fixed forever (see [`FingerprintHasher`]); this is an
-/// integrity check against storage rot, not an adversarial MAC.
+/// entry would decode cleanly and be served as truth without it.
 fn encode_sealed(
     magic: &[u8; 4],
     version: u32,
@@ -575,9 +578,8 @@ fn encode_sealed(
     out.write_u32(version);
     payload(&mut out);
     let mut bytes = out.into_bytes();
-    let mut hasher = FingerprintHasher::new();
-    hasher.write_bytes(&bytes);
-    bytes.extend_from_slice(&hasher.finish().to_le_bytes());
+    let checksum = seal_checksum(&bytes);
+    bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
 }
 
@@ -591,9 +593,7 @@ fn decode_sealed<T>(
     payload: impl FnOnce(&mut serde::Deserializer<'_>) -> Option<T>,
 ) -> Option<T> {
     let (sealed, checksum) = bytes.split_at(bytes.len().checked_sub(8)?);
-    let mut hasher = FingerprintHasher::new();
-    hasher.write_bytes(sealed);
-    if hasher.finish().to_le_bytes() != checksum {
+    if seal_checksum(sealed).to_le_bytes() != checksum {
         return None;
     }
     let mut de = serde::Deserializer::new(sealed);
@@ -602,6 +602,44 @@ fn decode_sealed<T>(
     }
     let value = payload(&mut de)?;
     (de.remaining() == 0).then_some(value)
+}
+
+/// The seal's checksum: `bytes` folded one 8-byte little-endian word at a
+/// time (the tail zero-padded), then the byte length, then a final mix.
+///
+/// Each step `rotl((state ^ word) · K, 31)` is a bijection of the word for
+/// a given state, and every later step and the final mix are bijections of
+/// the state, so damage confined to one word — any single bit flip, any
+/// torn byte run within 8 aligned bytes — always changes the checksum.
+/// The rotate moves the product's top bits, which a multiply never carries
+/// out of, to the middle of the word before the next multiply: without it,
+/// flipping the top bit of two different words would cancel.  The length
+/// separates inputs that differ only by trailing zero bytes.  The constants
+/// are fixed here, not taken from `std`'s hasher, so entries stay readable
+/// across Rust releases.  This is an integrity check against storage rot
+/// and torn writes, not an adversarial MAC; fingerprints and key digests
+/// keep using [`FingerprintHasher`].
+fn seal_checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |state: u64, word: u64| (state ^ word).wrapping_mul(K).rotate_left(31);
+    let mut words = bytes.chunks_exact(8);
+    let mut state = 0xcbf2_9ce4_8422_2325;
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        state = step(state, u64::from_le_bytes(le));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut le = [0u8; 8];
+        le[..tail.len()].copy_from_slice(tail);
+        state = step(state, u64::from_le_bytes(le));
+    }
+    // The murmur3 finalizer: every output bit depends on every state bit.
+    let mut h = step(state, bytes.len() as u64);
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Encodes the persisted-statistics file: the counters in
@@ -915,6 +953,12 @@ impl ArtifactCache {
     /// inserts drop least-recently-used memory entries until the tier fits.
     /// A dropped memory entry still has its disk copy, so later lookups
     /// degrade to disk hits, never to misses.  `0` disables the memory tier.
+    ///
+    /// The serialized size undercounts what a profile holds in memory: its
+    /// entry stores each LDV's populated buckets only, while the decoded
+    /// profile keeps all 48, so a profile is charged about a third of its
+    /// resident size (npb-sp at 8 threads, scale 0.15: 5.0 MB charged,
+    /// ≈15 MB resident).
     ///
     /// The memory tier is shared across clones, so the bound applies to (and
     /// is visible from) every clone of this cache.
@@ -1616,8 +1660,10 @@ mod tests {
     /// kind plus the `cache-state` file, by file name, byte length and
     /// FNV-1a fingerprint of the raw file bytes.  A reordered key echo, a
     /// moved seal, a changed magic or version, or a changed payload encoding
-    /// each change a fingerprint.  The constants were captured before the
-    /// per-kind persistence paths were folded into one generic path.
+    /// each change a fingerprint.  The constants were captured for format
+    /// version 5 and state version 4 (sparse LDV payloads, word-wise seal);
+    /// the other kinds' lengths are those of version 4, whose payload
+    /// layout they share.
     #[test]
     fn entry_bytes_match_golden_layout() {
         let cache = temp_cache("golden-entries");
@@ -1648,15 +1694,15 @@ mod tests {
         cache.flush();
 
         let golden: [(&str, usize, u64); 5] = [
-            ("npb-is-2t-d6c371d7a20694b0.bpprof", 15124, 0x669e_4902_d17b_6b78),
-            ("npb-is-2t-d6c371d7a20694b0-854085e33a456c6e.bpsel", 764, 0xfbdf_68d1_ccb8_0e86),
+            ("npb-is-2t-d6c371d7a20694b0.bpprof", 8020, 0x2d14_d943_4a1d_c300),
+            ("npb-is-2t-d6c371d7a20694b0-854085e33a456c6e.bpsel", 764, 0x33e4_3fdf_b96c_efa5),
             (
                 "npb-is-2t-d6c371d7a20694b0-bb963799b9cbc17d-c0a950fcb52325b5.bpsim",
                 2118,
-                0x7924_63bb_608d_72c4,
+                0xbbf5_af48_d06f_75b7,
             ),
-            ("npb-is-2t-d6c371d7a20694b0.bpckpt", 48998, 0xb5c2_3887_2189_eb26),
-            ("cache-state", 160, 0x5945_0443_26f3_bbff),
+            ("npb-is-2t-d6c371d7a20694b0.bpckpt", 48998, 0x1b24_a3f2_9735_0089),
+            ("cache-state", 160, 0xd93f_4cb8_277e_e9c2),
         ];
         let names = [
             profile_key.file_name(),
@@ -2504,16 +2550,196 @@ mod tests {
             }
         }
 
+        // Every artifact kind: about 500 flips per entry at an odd stride
+        // (so every bit position of a byte is hit) keep the sweep fast while
+        // covering header and payload, plus every bit of the checksum.
+        for (kind, encoded, decodes) in sealed_entries() {
+            let bits = encoded.len() * 8;
+            for bit_index in (0..bits).step_by((bits / 500) | 1).chain(bits - 64..bits) {
+                let mut flipped = encoded.clone();
+                flipped[bit_index / 8] ^= 1 << (bit_index % 8);
+                assert!(!decodes(&flipped), "{kind}: flip of bit {bit_index} must not decode");
+            }
+        }
+    }
+
+    /// A named sealed entry and a check that reports whether given bytes
+    /// decode under its key.
+    type SealedEntry = (&'static str, Vec<u8>, Box<dyn Fn(&[u8]) -> bool>);
+
+    /// One sealed entry of every kind plus the `cache-state` file.
+    fn sealed_entries() -> Vec<SealedEntry> {
+        let w = workload(0.02);
+        let sim_config = SimConfig::scaled(2);
+        let selected = crate::BarrierPoint::new(&w)
+            .with_execution_policy(ExecutionPolicy::Serial)
+            .select()
+            .unwrap();
+        let simulated = selected.simulate(&sim_config).unwrap();
+        let profile_key = ProfileCacheKey::for_workload(&w);
+        let selection_key = selected.selection_cache_key();
+        let simulated_key =
+            SimulatedCacheKey::new(&w, selected.selection(), &sim_config, WarmupKind::MruReplay);
+        let checkpoint_key = CheckpointCacheKey::for_workload(&w);
+        let stats = CacheStats { profile_hits: 3, checkpoint_misses: 1, ..CacheStats::default() };
+        vec![
+            (
+                "profile",
+                profile_key.encode(selected.profile()),
+                Box::new(move |b| profile_key.decode(b).is_some()),
+            ),
+            (
+                "selection",
+                selection_key.encode(selected.selection()),
+                Box::new(move |b| selection_key.decode(b).is_some()),
+            ),
+            (
+                "simulated",
+                simulated_key.encode(&simulated),
+                Box::new(move |b| simulated_key.decode(b).is_some()),
+            ),
+            (
+                "checkpoint",
+                checkpoint_key.encode(&checkpoints_for(&w)),
+                Box::new(move |b| checkpoint_key.decode(b).is_some()),
+            ),
+            ("cache-state", encode_state(&stats), Box::new(|b| decode_state(b).is_some())),
+        ]
+    }
+
+    /// A word-wise seal that only xors and multiplies lets a flip of the
+    /// top bit of one word cancel the same flip in any later word (the
+    /// multiply never carries out of bit 63).  The seal must catch two
+    /// flips of one bit position in two different words, whatever the
+    /// position — every pair of the state file's words, and pairs spread
+    /// over each artifact entry.
+    #[test]
+    fn two_flips_of_one_bit_in_two_words_are_rejected() {
+        for (kind, encoded, decodes) in sealed_entries() {
+            assert!(decodes(&encoded), "{kind}: the pristine entry decodes");
+            let words = encoded.len() / 8;
+            let pairs: Vec<(usize, usize)> = if kind == "cache-state" {
+                (0..words).flat_map(|a| (a + 1..words).map(move |b| (a, b))).collect()
+            } else {
+                let mid = words / 2;
+                vec![(0, 1), (0, words - 1), (1, 2), (mid, mid + 1), (words / 3, 2 * words / 3)]
+            };
+            for (a, b) in pairs {
+                for bit in 0..64 {
+                    let mut flipped = encoded.clone();
+                    flipped[a * 8 + bit / 8] ^= 1 << (bit % 8);
+                    flipped[b * 8 + bit / 8] ^= 1 << (bit % 8);
+                    assert!(!decodes(&flipped), "{kind}: bit {bit} of words {a} and {b}");
+                }
+            }
+        }
+    }
+
+    /// Serialized profiles that decode field by field but break a shape
+    /// invariant selection indexes by, each named.  The first is the
+    /// regression case: a second region holding 2 BBVs but 1 LDV and 1
+    /// instruction count, which used to decode and then panic in
+    /// selection with an out-of-bounds index.
+    fn malformed_profiles() -> Vec<(&'static str, Vec<u8>)> {
+        let empty_ldv = serde::to_vec(&bp_signature::Ldv::new());
+        let mut too_many = serde::Serializer::new();
+        too_many.write_len(bp_signature::LDV_BUCKETS + 1);
+        (0..=bp_signature::LDV_BUCKETS + 1).for_each(|_| too_many.write_u64(1));
+        let too_many = too_many.into_bytes();
+        // One region: its per-thread BBVs, serialized LDVs, instructions.
+        type Region<'a> = (Vec<Vec<u64>>, Vec<&'a [u8]>, Vec<u64>);
+        let profile = |threads: u64, regions: Vec<Region<'_>>| {
+            let mut out = serde::Serializer::new();
+            out.write_str("malformed");
+            out.write_u64(threads);
+            out.write_len(regions.len());
+            for (bbvs, ldvs, instructions) in regions {
+                bbvs.serialize(&mut out);
+                out.write_len(ldvs.len());
+                ldvs.iter().for_each(|ldv| out.write_bytes(ldv));
+                instructions.serialize(&mut out);
+            }
+            out.into_bytes()
+        };
+        let ldv = &empty_ldv[..];
+        vec![
+            ("well-formed", profile(1, vec![(vec![vec![5, 0]], vec![ldv], vec![5]); 2])),
+            (
+                "region 1 holds 2 BBVs, 1 LDV and 1 instruction count",
+                profile(
+                    1,
+                    vec![
+                        (vec![vec![5, 0]], vec![ldv], vec![5]),
+                        (vec![vec![5, 0], vec![0, 3]], vec![ldv], vec![3]),
+                    ],
+                ),
+            ),
+            (
+                "region 1 has fewer threads than the profile",
+                profile(
+                    2,
+                    vec![
+                        (vec![vec![5, 0]; 2], vec![ldv; 2], vec![5; 2]),
+                        (vec![vec![5, 0]], vec![ldv], vec![5]),
+                    ],
+                ),
+            ),
+            (
+                "region 1 has another BBV dimension",
+                profile(
+                    1,
+                    vec![
+                        (vec![vec![5, 0]], vec![ldv], vec![5]),
+                        (vec![vec![5, 0, 1]], vec![ldv], vec![6]),
+                    ],
+                ),
+            ),
+            (
+                "an LDV has more than LDV_BUCKETS buckets",
+                profile(1, vec![(vec![vec![5, 0]], vec![&too_many[..]], vec![5])]),
+            ),
+        ]
+    }
+
+    #[test]
+    fn malformed_profiles_fail_to_decode() {
+        for (what, bytes) in malformed_profiles() {
+            let decoded = serde::from_slice::<ApplicationProfile>(&bytes);
+            assert_eq!(decoded.is_ok(), what == "well-formed", "{what}: {decoded:?}");
+        }
+    }
+
+    /// A sealed entry holding a malformed profile — intact seal, matching
+    /// key — is a miss: the staged chain recomputes the profile, selects
+    /// from it, and self-heals the entry, never erroring or panicking.
+    #[test]
+    fn sealed_malformed_profiles_read_as_misses_and_recompute() {
         let w = workload(0.02);
         let key = ProfileCacheKey::for_workload(&w);
-        let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
-        let encoded = key.encode(&profile);
-        // Sampling every 97th bit keeps the profile sweep fast while still
-        // covering header, payload, and checksum regions.
-        for bit_index in (0..encoded.len() * 8).step_by(97) {
-            let mut flipped = encoded.clone();
-            flipped[bit_index / 8] ^= 1 << (bit_index % 8);
-            assert!(key.decode(&flipped).is_none(), "flip of bit {bit_index} must not decode");
+        let reference = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
+        for (what, payload) in malformed_profiles().into_iter().skip(1) {
+            let cache = temp_cache("malformed-profile");
+            let (name, threads, [fingerprint]) = key.echo();
+            let entry = encode_sealed(ProfileCacheKey::MAGIC, FORMAT_VERSION, |out| {
+                out.write_str(name);
+                out.write_u64(threads as u64);
+                out.write_u64(fingerprint);
+                out.write_bytes(&payload);
+            });
+            fs::create_dir_all(cache.root()).unwrap();
+            fs::write(cache.entry_path(&key), entry).unwrap();
+
+            let selected = crate::BarrierPoint::new(&w)
+                .with_execution_policy(ExecutionPolicy::Serial)
+                .with_cache(cache.clone())
+                .select()
+                .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+            assert!(!selected.profile_was_cached(), "{what}: must be a miss");
+            assert_eq!(selected.profile(), &reference, "{what}: recomputed");
+            let stats = cache.stats();
+            assert_eq!((stats.profile_misses, stats.degraded_loads), (1, 0), "{what}");
+            assert_eq!(*reopen(&cache).load(&key).unwrap().unwrap(), reference, "{what}: healed");
+            fs::remove_dir_all(cache.root()).ok();
         }
     }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Profiling is microarchitecture-independent (no cache model is involved),
 /// which is what allows the resulting barrierpoints to be reused across
 /// processor configurations (Section III / Figure 6 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ApplicationProfile {
     workload_name: String,
     threads: usize,
@@ -69,6 +69,34 @@ impl ApplicationProfile {
         profiles: Vec<bp_signature::ThreadProfile>,
     ) -> Self {
         Self { workload_name, threads, signatures: zip_thread_profiles(profiles) }
+    }
+}
+
+// Hand-written decoding: clustering indexes every region's signature by
+// thread and concatenates BBVs of one dimension, so a profile whose regions
+// disagree with its thread count or with each other's BBV dimension is a
+// decode error — a cache entry holding one reads as a miss — rather than a
+// panic in selection.
+impl Deserialize for ApplicationProfile {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let workload_name = String::deserialize(de)?;
+        let threads = usize::deserialize(de)?;
+        let signatures = Vec::<RegionSignature>::deserialize(de)?;
+        let dimension = signatures.first().and_then(|s| s.bbvs().first()).map(|b| b.dimension());
+        for (region, signature) in signatures.iter().enumerate() {
+            if signature.num_threads() != threads {
+                return Err(serde::Error::custom(format!(
+                    "region {region} has {} threads, the profile {threads}",
+                    signature.num_threads()
+                )));
+            }
+            if signature.bbvs().iter().any(|bbv| Some(bbv.dimension()) != dimension) {
+                return Err(serde::Error::custom(format!(
+                    "region {region} has a BBV dimension other than {dimension:?}"
+                )));
+            }
+        }
+        Ok(Self { workload_name, threads, signatures })
     }
 }
 
@@ -201,6 +229,24 @@ mod tests {
         let budgeted = profile_application_budgeted(&w, &policy, Some(&budget)).unwrap();
         assert_eq!(unbudgeted, budgeted);
         assert_eq!(budget.available(), 2, "all permits returned");
+    }
+
+    /// Every kernel's profile survives the codec exactly — sparse LDVs
+    /// decode to the dense histograms the walk built — and every truncation
+    /// of it (sampled) is an error, never a panic.
+    #[test]
+    fn every_kernel_profile_round_trips_and_rejects_truncation() {
+        for benchmark in Benchmark::all() {
+            let w = benchmark.build(&WorkloadConfig::new(2).with_scale(0.01));
+            let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
+            let bytes = serde::to_vec(&profile);
+            let back: ApplicationProfile = serde::from_slice(&bytes).unwrap();
+            assert_eq!(back, profile, "{}", benchmark.name());
+            for len in (0..bytes.len()).step_by(bytes.len() / 50 + 1) {
+                let truncated = serde::from_slice::<ApplicationProfile>(&bytes[..len]);
+                assert!(truncated.is_err(), "{} truncated to {len}", benchmark.name());
+            }
+        }
     }
 
     #[test]

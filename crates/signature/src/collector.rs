@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// ([`ApplicationProfiler::profile_region`]).  The raw form is kept so that the same
 /// profile can be assembled into any of the Figure 5 signature-vector
 /// variants without re-profiling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RegionSignature {
     per_thread_bbv: Vec<Bbv>,
     per_thread_ldv: Vec<Ldv>,
@@ -80,6 +80,27 @@ impl RegionSignature {
             }
         }
         SignatureVector::new(values, self.total_instructions())
+    }
+}
+
+// Hand-written decoding: a region must carry one BBV, one LDV and one
+// instruction count per thread, as `RegionSignature::new` asserts, so an
+// entry that does not is a decode error rather than a later out-of-bounds
+// panic in `assemble`.
+impl Deserialize for RegionSignature {
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let bbvs = Vec::<Bbv>::deserialize(de)?;
+        let ldvs = Vec::<Ldv>::deserialize(de)?;
+        let instructions = Vec::<u64>::deserialize(de)?;
+        if bbvs.len() != ldvs.len() || ldvs.len() != instructions.len() {
+            return Err(serde::Error::custom(format!(
+                "region signature with {} BBVs, {} LDVs and {} instruction counts",
+                bbvs.len(),
+                ldvs.len(),
+                instructions.len()
+            )));
+        }
+        Ok(Self::new(bbvs, ldvs, instructions))
     }
 }
 

@@ -9,15 +9,22 @@
 //! at a larger LLC (`SimConfig::table1`, which walks from region 0) and at a
 //! smaller one (which resumes from the stored region checkpoints), and
 //! MRU-only `TraceWalk`s with no targets and with a target past the last
-//! region.
+//! region.  Selection budgets above the region count go through
+//! `BarrierPoint::run` and `Sweep::run`, and a property test sends random
+//! small degenerate shapes through a cached sweep and a warm re-sweep from
+//! a fresh handle (the disk tier's codec, LDVs without populated buckets
+//! included).
 
 use barrierpoint::{
-    ArtifactCache, BarrierPoint, Error, ExecutionPolicy, MruBoundaries, SimConfig, Sweep,
-    TraceWalk, WarmupKind,
+    ArtifactCache, BarrierPoint, Error, ExecutionPolicy, MruBoundaries, SelectionStrategy,
+    SimConfig, SimPointConfig, SimPointStrategy, Sweep, SweepReport, TraceWalk, TwoPhaseStratified,
+    WarmupKind,
 };
 use bp_workload::{
     AccessPattern, SyntheticWorkload, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
 };
+use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A workload of `threads` threads running one phase of `iterations`
 /// loop-body traversals (split across the threads) for `regions` regions;
@@ -107,4 +114,74 @@ fn more_threads_than_iterations() {
 #[test]
 fn forty_identical_regions() {
     exercise(&workload("forty-identical", 2, 40, 32, 4), 2);
+}
+
+/// Both selection backends with a budget far above the region count.
+fn oversized_budgets(regions: usize) -> [Arc<dyn SelectionStrategy>; 2] {
+    [
+        Arc::new(SimPointStrategy::new(SimPointConfig::paper().with_max_k(regions + 10))),
+        Arc::new(TwoPhaseStratified::with_budget(regions + 10)),
+    ]
+}
+
+#[test]
+fn selection_budget_above_the_region_count() {
+    let w = workload("oversized-budget", 2, 3, 32, 4);
+    let machine = SimConfig::scaled(2);
+    for strategy in oversized_budgets(w.num_regions()) {
+        let name = strategy.name();
+        let run = BarrierPoint::new(&w)
+            .with_selection_strategy(strategy.clone())
+            .with_sim_config(machine)
+            .run();
+        let run = ok(run, &format!("{name}, BarrierPoint::run"));
+        assert!(run.selection().num_barrierpoints() <= w.num_regions(), "{name}");
+        let sweep =
+            Sweep::new(&w).with_selection_strategy(strategy).add_config("scaled", machine).run();
+        let sweep = ok(sweep, &format!("{name}, Sweep::run"));
+        assert_eq!(sweep.selection(), run.selection(), "{name}: the sweep selects the same");
+    }
+}
+
+/// The bytes of everything a sweep computed: its selection and every leg.
+fn outputs(report: &SweepReport) -> Vec<u8> {
+    let mut bytes = serde::to_vec(report.selection());
+    report.legs().iter().for_each(|leg| bytes.extend(serde::to_vec(leg.simulated())));
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random small degenerate shapes — 1–3 regions, blocks with or without
+    /// accesses, often more threads than iterations — through a cached
+    /// `Sweep::run`; a warm re-sweep from a fresh handle over the same
+    /// directory decodes every artifact from disk and must reproduce the
+    /// cold sweep bit for bit without walking a trace.
+    #[test]
+    fn random_degenerate_shapes_resweep_identically(
+        threads in 1usize..=4,
+        regions in 1usize..=3,
+        iterations in 0u64..6,
+        accesses in proptest::sample::select(vec![0u32, 0, 1, 3]),
+    ) {
+        let name = format!("shape-{threads}t-{regions}r-{iterations}i-{accesses}a");
+        let w = workload(&name, threads, regions, iterations, accesses);
+        let dir = std::env::temp_dir().join(format!("bp-degenerate-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let sweep = |cache: ArtifactCache| {
+            let sweep = Sweep::new(&w)
+                .with_execution_policy(ExecutionPolicy::Serial)
+                .with_cache(cache)
+                .add_config("scaled", SimConfig::scaled(threads))
+                .run();
+            ok(sweep, &name)
+        };
+        let cold = sweep(ArtifactCache::new(&dir));
+        let warm = sweep(ArtifactCache::new(&dir));
+        prop_assert_eq!(outputs(&warm), outputs(&cold), "{}", name);
+        prop_assert_eq!(warm.counters().trace_walks, 0, "{}", name);
+        prop_assert_eq!(warm.counters().simulate_legs, 0, "{}", name);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
