@@ -29,7 +29,7 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
     line: u64,
     state: LineState,
@@ -48,7 +48,7 @@ impl Way {
 /// The cache operates on *line addresses* (byte address / line size); the
 /// set is selected by the low bits of the line address, so the set count is
 /// a power of two (see [`CacheConfig::num_sets`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     sets: Vec<Vec<Way>>,
     /// `num_sets - 1`: the set index is `line & set_mask`.

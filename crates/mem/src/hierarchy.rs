@@ -32,33 +32,11 @@ pub struct AccessResult {
     pub dram_access: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct CoreCaches {
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-}
-
-/// A complete snapshot of every cache and directory in the hierarchy.
-///
-/// Snapshots implement the "perfect warmup" and checkpoint-warmup modes of
-/// the paper: capture the state at a barrier during the full run and restore
-/// it before simulating the corresponding barrierpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HierarchySnapshot {
-    cores: Vec<CoreCaches>,
-    sockets: Vec<SharedCache>,
-}
-
-impl HierarchySnapshot {
-    /// Approximate size of the snapshot in cache lines (sum of occupancies).
-    pub fn resident_lines(&self) -> usize {
-        self.cores
-            .iter()
-            .map(|c| c.l1i.occupancy() + c.l1d.occupancy() + c.l2.occupancy())
-            .sum::<usize>()
-            + self.sockets.iter().map(|s| s.occupancy()).sum::<usize>()
-    }
 }
 
 /// A hierarchy's contents independent of how its caches store them: every
@@ -162,24 +140,6 @@ impl MemoryHierarchy {
         for socket in &mut self.sockets {
             socket.clear();
         }
-    }
-
-    /// Captures the complete cache/directory state.
-    pub fn snapshot(&self) -> HierarchySnapshot {
-        HierarchySnapshot { cores: self.cores.clone(), sockets: self.sockets.clone() }
-    }
-
-    /// Restores a previously captured state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot was taken from a hierarchy with a different
-    /// core or socket count.
-    pub fn restore(&mut self, snapshot: &HierarchySnapshot) {
-        assert_eq!(snapshot.cores.len(), self.cores.len(), "core count mismatch");
-        assert_eq!(snapshot.sockets.len(), self.sockets.len(), "socket count mismatch");
-        self.cores = snapshot.cores.clone();
-        self.sockets = snapshot.sockets.clone();
     }
 
     /// The hierarchy's contents in canonical form.
@@ -607,23 +567,6 @@ mod tests {
             large_dram * 2 < small_dram,
             "32-core machine should capture the working set: {large_dram} vs {small_dram}"
         );
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let mut h = hierarchy(2);
-        for i in 0..100u64 {
-            h.access((i % 2) as usize, 0x1000 + i * 64, i % 3 == 0);
-        }
-        let snap = h.snapshot();
-        assert!(snap.resident_lines() > 0);
-        let warm = h.access(0, 0x1000, false);
-        h.clear();
-        let cold = h.access(0, 0x1000, false);
-        assert!(cold.latency > warm.latency);
-        h.restore(&snap);
-        let restored = h.access(0, 0x1000, false);
-        assert_eq!(restored.latency, warm.latency);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //! * [`MemoryHierarchy`] — the full multi-socket hierarchy that routes a
 //!   core's loads, stores and instruction fetches through the levels,
 //!   maintains coherence, and reports access latency and DRAM traffic,
-//! * [`HierarchySnapshot`] — whole-hierarchy state snapshots used for the
-//!   "perfect warmup" experiments and for checkpoint-style warmup.
 //! * [`MemoryHierarchy::install`] — the state a stream of data accesses
 //!   leaves in cleared caches, computed without the timing model (MRU
 //!   warmup installs its replay this way), and
@@ -50,8 +48,6 @@ mod stats;
 
 pub use cache::{Cache, EvictedLine, LineState};
 pub use config::{CacheConfig, MemoryConfig};
-pub use hierarchy::{
-    AccessResult, CanonicalState, HierarchySnapshot, MemoryHierarchy, ServiceLevel,
-};
+pub use hierarchy::{AccessResult, CanonicalState, MemoryHierarchy, ServiceLevel};
 pub use shared_cache::{DirEntry, EvictedShared, SharedCache};
 pub use stats::MemoryStats;

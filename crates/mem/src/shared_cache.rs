@@ -39,7 +39,7 @@ pub struct EvictedShared {
     pub owner: Option<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DirWay {
     line: u64,
     valid: bool,
@@ -68,7 +68,7 @@ pub(crate) struct Slot {
 /// cores of a socket; the directory tracks which cores hold private copies so
 /// that writes can invalidate remote sharers and reads can fetch dirty data
 /// from a remote owner.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SharedCache {
     sets: Vec<Vec<DirWay>>,
     /// `num_sets - 1`: the set index is `(line / interleave) & set_mask`.

@@ -40,57 +40,6 @@ proptest! {
         prop_assert_eq!(a.stats(), b.stats());
     }
 
-    /// Snapshot/restore reproduces subsequent behaviour exactly.
-    #[test]
-    fn snapshot_restore_equivalence(warm in accesses(2), probe in accesses(2)) {
-        let config = MemoryConfig::tiny();
-        let mut hierarchy = MemoryHierarchy::new(&config, 2);
-        for &(core, addr, write) in &warm {
-            hierarchy.access(core, addr, write);
-        }
-        let snapshot = hierarchy.snapshot();
-
-        let mut continued = hierarchy.clone();
-        continued.reset_stats();
-        let direct: Vec<_> = probe
-            .iter()
-            .map(|&(core, addr, write)| continued.access(core, addr, write))
-            .collect();
-
-        let mut restored = MemoryHierarchy::new(&config, 2);
-        restored.restore(&snapshot);
-        restored.reset_stats();
-        let replayed: Vec<_> = probe
-            .iter()
-            .map(|&(core, addr, write)| restored.access(core, addr, write))
-            .collect();
-
-        prop_assert_eq!(direct, replayed);
-        prop_assert_eq!(continued.stats(), restored.stats());
-    }
-
-    /// `restore(snapshot())` reproduces the captured state exactly — every
-    /// set's lines, recency order and states and every directory entry —
-    /// whatever the restoring hierarchy held before.
-    #[test]
-    fn snapshot_round_trips_exactly(warm in accesses(3), stale in accesses(3)) {
-        let config = MemoryConfig::tiny();
-        let mut original = MemoryHierarchy::new(&config, 3);
-        for (step, &(core, addr, write)) in warm.iter().enumerate() {
-            if step % 7 == 6 {
-                original.fetch_instruction(core, addr);
-            } else {
-                original.access(core, addr, write);
-            }
-        }
-        let mut restored = MemoryHierarchy::new(&config, 3);
-        for &(core, addr, write) in &stale {
-            restored.access(core, addr, write);
-        }
-        restored.restore(&original.snapshot());
-        prop_assert_eq!(restored.canonical_state(), original.canonical_state());
-    }
-
     /// Every access is serviced by exactly one level and its latency is at
     /// least the L1 latency; service-level counters add up to the access
     /// count.

@@ -2,7 +2,7 @@ use crate::barrier::BarrierModel;
 use crate::config::SimConfig;
 use crate::core_model::CoreModel;
 use crate::metrics::{RegionMetrics, RunMetrics};
-use bp_mem::{HierarchySnapshot, MemoryHierarchy};
+use bp_mem::MemoryHierarchy;
 use bp_workload::{BlockExecution, Workload};
 
 /// The simulated multi-core machine.
@@ -49,16 +49,6 @@ impl Machine {
     pub fn reset(&mut self) {
         self.hierarchy.clear();
         self.hierarchy.reset_stats();
-    }
-
-    /// Captures the memory-hierarchy state (for checkpoint/perfect warmup).
-    pub fn snapshot(&self) -> HierarchySnapshot {
-        self.hierarchy.snapshot()
-    }
-
-    /// Restores a previously captured memory-hierarchy state.
-    pub fn restore(&mut self, snapshot: &HierarchySnapshot) {
-        self.hierarchy.restore(snapshot);
     }
 
     /// Simulates one inter-barrier region on the current (possibly warm)

@@ -13,8 +13,6 @@
 //! against:
 //!
 //! * [`WarmupStrategy::Cold`] — no warmup (worst case),
-//! * [`WarmupStrategy::Checkpoint`] — restore an exact cache snapshot
-//!   (microarchitecture-specific, fastest but least flexible),
 //! * [`WarmupStrategy::FunctionalReplay`] — replay *all* memory accesses of
 //!   every earlier region (accurate but cost proportional to the skipped
 //!   instruction count — the limitation BarrierPoint wants to avoid),

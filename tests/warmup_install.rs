@@ -2,11 +2,15 @@
 //! the hierarchy the paper's replay leaves — each thread's payload replayed
 //! through the timed access path, positions from the longest list's tail,
 //! threads in index order, threads without a core skipped — and the
-//! barrierpoint simulated afterwards must not tell the two apart.
+//! barrierpoint simulated afterwards must not tell the two apart.  Every
+//! strategy sets all of the hierarchy's state, so a machine reused across
+//! barrierpoints warms exactly as a fresh one does.
 
 use bp_sim::{Machine, SimConfig};
 use bp_warmup::{apply_warmup, collect_mru_warmup, MruWarmupData, WarmupStrategy};
-use bp_workload::{Benchmark, SyntheticWorkload, Workload, WorkloadConfig, CACHE_LINE_BYTES};
+use bp_workload::{
+    Benchmark, BlockExecution, SyntheticWorkload, Workload, WorkloadConfig, CACHE_LINE_BYTES,
+};
 
 /// The replay `apply_warmup` replaced, kept as the oracle: every payload
 /// line through `MemoryHierarchy::access` of a cleared hierarchy.
@@ -26,6 +30,27 @@ fn replay(machine: &mut Machine, data: &MruWarmupData) {
         }
     }
     hierarchy.reset_stats();
+}
+
+/// Every data access of regions `0..until` by threads `0..threads`, region
+/// by region and each region thread by thread: the stream functional
+/// replay feeds the hierarchy.
+fn functional_stream(
+    workload: &impl Workload,
+    until: usize,
+    threads: usize,
+) -> Vec<(usize, u64, bool)> {
+    let mut stream = Vec::new();
+    let mut exec = BlockExecution::default();
+    for region in 0..until {
+        for thread in 0..threads {
+            let mut trace = workload.region_trace(region, thread);
+            while trace.next_into(&mut exec) {
+                stream.extend(exec.accesses.iter().map(|a| (thread, a.addr, a.kind.is_write())));
+            }
+        }
+    }
+    stream
 }
 
 /// Up to four regions spread over the run, the first (empty payload)
@@ -109,7 +134,8 @@ fn install_matches_replay_across_sockets() {
 
 /// The payload's threads without a core (a payload collected for more
 /// threads than the machine has cores) are skipped, and an empty payload
-/// leaves cold caches.
+/// leaves cold caches.  Functional replay skips the same threads, and a
+/// barrierpoint region past the workload's last replays every region.
 #[test]
 fn install_skips_threads_without_a_core_and_empty_payloads_stay_cold() {
     let workload = Benchmark::NpbMg.build(&WorkloadConfig::new(8).with_scale(0.05));
@@ -132,6 +158,63 @@ fn install_skips_threads_without_a_core_and_empty_payloads_stay_cold() {
         cold.hierarchy().canonical_state(),
         Machine::new(&config).hierarchy().canonical_state()
     );
+    let regions = workload.num_regions();
+    for region in [last, regions + 3] {
+        let mut functional = Machine::new(&config);
+        let strategy = WarmupStrategy::FunctionalReplay { region };
+        apply_warmup(functional.hierarchy_mut(), &workload, &strategy);
+        let stream = functional_stream(&workload, region.min(regions), config.num_cores);
+        let mut oracle = Machine::new(&config);
+        oracle.hierarchy_mut().install(stream);
+        assert_eq!(
+            functional.hierarchy().canonical_state(),
+            oracle.hierarchy().canonical_state(),
+            "functional replay to region {region}"
+        );
+        assert_eq!(functional.hierarchy().stats(), Machine::new(&config).hierarchy().stats());
+    }
+}
+
+/// A sweep leg's worker reuses one machine for barrierpoint after
+/// barrierpoint: whatever an earlier region and strategy left behind, each
+/// strategy must leave the state and zeroed statistics it leaves on a fresh
+/// machine.
+#[test]
+fn every_strategy_warms_a_reused_machine_as_a_fresh_one() {
+    let threads = 4;
+    let workload = Benchmark::NpbCg.build(&WorkloadConfig::new(threads).with_scale(0.05));
+    let config = SimConfig::scaled(threads);
+    let n = workload.num_regions();
+    let (early, late) = (n / 3, 2 * n / 3);
+    let payloads =
+        collect_mru_warmup(&workload, &[early, late], config.memory.llc_total_lines(threads));
+    let zeroed = *Machine::new(&config).hierarchy().stats();
+    let strategies = |region: usize| {
+        [
+            ("cold", WarmupStrategy::Cold),
+            ("functional", WarmupStrategy::FunctionalReplay { region }),
+            ("mru", WarmupStrategy::MruReplay(&payloads[&region])),
+        ]
+    };
+    for (target, dirtied_at) in [(late, early), (early, late)] {
+        for (name, strategy) in strategies(target) {
+            let mut fresh = Machine::new(&config);
+            apply_warmup(fresh.hierarchy_mut(), &workload, &strategy);
+            for (dirtier, dirtying) in strategies(dirtied_at) {
+                let mut reused = Machine::new(&config);
+                apply_warmup(reused.hierarchy_mut(), &workload, &dirtying);
+                reused.run_region(&workload, dirtied_at);
+                apply_warmup(reused.hierarchy_mut(), &workload, &strategy);
+                let context = format!("{name} at {target} after {dirtier} at {dirtied_at}");
+                assert_eq!(
+                    reused.hierarchy().canonical_state(),
+                    fresh.hierarchy().canonical_state(),
+                    "{context}"
+                );
+                assert_eq!(reused.hierarchy().stats(), &zeroed, "{context}");
+            }
+        }
+    }
 }
 
 /// A payload that repeats a line within a thread can only arrive through
