@@ -93,7 +93,8 @@
 //! corrupt-tolerant `cache-state` file written by [`ArtifactCache::flush`]
 //! (and on drop of the last handle) and merged into
 //! [`ArtifactCache::lifetime_stats`] — a bad state file resets the lifetime
-//! view, it never errors.  It uses the same sealed container as the entries.
+//! view, it never errors.  It holds two slots in the same sealed container
+//! as the entries, and a flush overwrites the older slot in place.
 
 use crate::error::{classify_io_error, Error, IoErrorClass};
 use crate::memtier::MemoryTier;
@@ -133,9 +134,14 @@ const STATE_MAGIC: &[u8; 4] = b"BPST";
 /// lifetime view instead of erroring.  Version 2 added the trailing
 /// integrity checksum (see [`encode_sealed`]); version 3 added the
 /// checkpoint-kind counters; version 4 moved to the word-wise
-/// [`seal_checksum`].  A directory written before a bump therefore starts
-/// its lifetime counters again from zero.
-const STATE_VERSION: u32 = 4;
+/// [`seal_checksum`]; version 5 made the file two fixed-size slots, each a
+/// sealed generation number plus the counters, which a flush overwrites in
+/// place (see [`ArtifactCache::flush`]).  A directory written before a bump
+/// therefore starts its lifetime counters again from zero.
+const STATE_VERSION: u32 = 5;
+/// Bytes of one `cache-state` slot ([`encode_state`]): magic, version,
+/// generation, the counters, seal.  The file is exactly two slots.
+const STATE_SLOT_LEN: usize = 4 + 4 + 8 + 8 * STATS_FIELDS + 8;
 /// Name of the advisory lock file serializing eviction and orphan cleanup
 /// across processes.  Leading dot: `Path::extension` is `None`, so the scan
 /// ignores it.
@@ -642,25 +648,46 @@ fn seal_checksum(bytes: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
-/// Encodes the persisted-statistics file: the counters in
-/// [`CacheStats::as_array`] order, in a sealed container.
-fn encode_state(stats: &CacheStats) -> Vec<u8> {
+/// Encodes one `cache-state` slot: its generation, then the counters in
+/// [`CacheStats::as_array`] order, in a sealed container of
+/// [`STATE_SLOT_LEN`] bytes.
+fn encode_state(generation: u64, stats: &CacheStats) -> Vec<u8> {
     encode_sealed(STATE_MAGIC, STATE_VERSION, |out| {
+        out.write_u64(generation);
         stats.as_array().into_iter().for_each(|value| out.write_u64(value));
     })
 }
 
-/// Decodes a persisted-statistics file.  Anything unexpected — wrong magic,
-/// other version, torn or trailing bytes — returns `None`, which the caller
-/// treats as a zero base: statistics reset, they never fail the cache.
-fn decode_state(bytes: &[u8]) -> Option<CacheStats> {
+/// Decodes one `cache-state` slot into its generation and counters.
+/// Anything unexpected — wrong magic, other version, torn or trailing
+/// bytes — returns `None`: the slot does not count.
+fn decode_state(bytes: &[u8]) -> Option<(u64, CacheStats)> {
     decode_sealed(bytes, STATE_MAGIC, STATE_VERSION, |de| {
+        let generation = de.read_u64().ok()?;
         let mut values = [0u64; STATS_FIELDS];
         for value in &mut values {
             *value = de.read_u64().ok()?;
         }
-        Some(CacheStats::from_array(values))
+        Some((generation, CacheStats::from_array(values)))
     })
+}
+
+/// The valid slot with the highest generation in a `cache-state` file's
+/// bytes, as `(slot index, generation, counters)`.  `None` — which the
+/// caller treats as a zero base, statistics reset, they never fail the
+/// cache — unless the file is exactly two slots long and one of them
+/// decodes.
+fn newest_state_slot(bytes: &[u8]) -> Option<(usize, u64, CacheStats)> {
+    if bytes.len() != 2 * STATE_SLOT_LEN {
+        return None;
+    }
+    bytes
+        .chunks_exact(STATE_SLOT_LEN)
+        .enumerate()
+        .filter_map(|(slot, bytes)| {
+            decode_state(bytes).map(|(generation, stats)| (slot, generation, stats))
+        })
+        .max_by_key(|&(_, generation, _)| generation)
 }
 
 /// A point-in-time snapshot of a cache's hit/miss counters.
@@ -996,39 +1023,72 @@ impl ArtifactCache {
 
     /// Loads (once) and caches the persisted statistics base.
     fn persisted_base(&self) -> CacheStats {
-        let mut slot = self.stats.persisted_base.lock();
-        if let Some(base) = *slot {
-            return base;
-        }
-        let base = self
-            .storage
-            .read(&self.root.join(STATE_FILE))
-            .ok()
-            .and_then(|bytes| decode_state(&bytes))
-            .unwrap_or_default();
-        *slot = Some(base);
-        base
+        let mut base = self.stats.persisted_base.lock();
+        *base.get_or_insert_with(|| {
+            self.read_state().map_or_else(CacheStats::default, |(_, _, stats)| stats)
+        })
     }
 
-    /// Persists the lifetime counters to the directory's `cache-state`
-    /// file, atomically (tmp + rename).  Best-effort by design: a cache
-    /// whose directory was removed must not resurrect it from a drop path,
-    /// so failures (including a missing root) are swallowed.
+    /// The newest valid slot of the directory's `cache-state` file, if any
+    /// (see [`newest_state_slot`]).
+    fn read_state(&self) -> Option<(usize, u64, CacheStats)> {
+        let bytes = self.storage.read(&self.root.join(STATE_FILE)).ok()?;
+        newest_state_slot(&bytes)
+    }
+
+    /// Persists the lifetime counters ([`lifetime_stats`](Self::lifetime_stats))
+    /// to the directory's `cache-state` file.
+    ///
+    /// The file holds two sealed slots, each a generation number plus the
+    /// counters, and readers take the valid slot with the higher generation.
+    /// A flush reads the file once and overwrites the *other* slot in place
+    /// ([`Storage::write_at`]) with the next generation, so a crash mid-flush
+    /// tears at most that slot and the previous generation survives.  Only a
+    /// missing, foreign, other-version or wrong-size file is replaced whole,
+    /// by the tmp + rename publish the entries use.  A handle whose session
+    /// counters are all zero writes nothing: writing back the base it read
+    /// could overwrite a newer state another handle stored since.
+    ///
+    /// Best-effort by design: a cache whose directory was removed must not
+    /// resurrect it from a drop path, so failures (including a missing root)
+    /// are swallowed.
     pub fn flush(&self) {
-        let total = self.lifetime_stats();
-        if total == CacheStats::default() {
+        self.flush_counters(&self.stats);
+    }
+
+    /// [`flush`](Self::flush) for one shared-counter group; the drop path
+    /// passes the counters it took out of the last handle.
+    fn flush_counters(&self, counters: &StatCounters) {
+        let session = counters.snapshot();
+        if session == CacheStats::default() {
             return;
         }
+        // Held across the write: two flushes of one counter group must not
+        // both pick the same spare slot.
+        let mut base = counters.persisted_base.lock();
+        let current = self.read_state();
+        let total = base
+            .get_or_insert_with(|| current.map_or_else(CacheStats::default, |(_, _, stats)| stats))
+            .merged(&session);
         let state = self.root.join(STATE_FILE);
-        let tmp = state.with_extension(format!("tmp-{}-{}", std::process::id(), next_seq()));
-        match self.storage.write(&tmp, &encode_state(&total)) {
-            Ok(()) => {
-                if self.storage.rename(&tmp, &state).is_err() {
+        match current {
+            Some((newest, generation, _)) => {
+                let spare = (1 - newest) * STATE_SLOT_LEN;
+                let slot = encode_state(generation.saturating_add(1), &total);
+                let _ = self.storage.write_at(&state, spare as u64, &slot);
+            }
+            None => {
+                // A new file: the state in slot 0, slot 1 zeroed (it never
+                // decodes, so the next flush overwrites it).
+                let mut file = encode_state(1, &total);
+                file.resize(2 * STATE_SLOT_LEN, 0);
+                let tmp =
+                    state.with_extension(format!("tmp-{}-{}", std::process::id(), next_seq()));
+                if self.storage.write(&tmp, &file).is_err()
+                    || self.storage.rename(&tmp, &state).is_err()
+                {
                     let _ = self.storage.remove_file(&tmp);
                 }
-            }
-            Err(_) => {
-                let _ = self.storage.remove_file(&tmp);
             }
         }
     }
@@ -1466,12 +1526,13 @@ impl ArtifactCache {
 }
 
 impl Drop for ArtifactCache {
-    /// The last handle over a directory persists the lifetime statistics.
-    /// Clones share `stats`, so any earlier drop is a no-op and the flush
-    /// happens exactly once per shared-counter group.
+    /// The last handle of a shared-counter group persists the lifetime
+    /// statistics.  Clones share `stats`; `Arc::into_inner` hands the
+    /// counters to exactly one dropping handle, even when several drop at
+    /// once on different threads, so the group flushes exactly once.
     fn drop(&mut self) {
-        if Arc::strong_count(&self.stats) == 1 {
-            self.flush();
+        if let Some(counters) = Arc::into_inner(std::mem::take(&mut self.stats)) {
+            self.flush_counters(&counters);
         }
     }
 }
@@ -1661,9 +1722,10 @@ mod tests {
     /// FNV-1a fingerprint of the raw file bytes.  A reordered key echo, a
     /// moved seal, a changed magic or version, or a changed payload encoding
     /// each change a fingerprint.  The constants were captured for format
-    /// version 5 and state version 4 (sparse LDV payloads, word-wise seal);
-    /// the other kinds' lengths are those of version 4, whose payload
-    /// layout they share.
+    /// version 5 (sparse LDV payloads, word-wise seal); the other kinds'
+    /// lengths are those of version 4, whose payload layout they share.  The
+    /// `cache-state` pin is state version 5: a new file's two slots, the
+    /// first at generation 1, the second zeroed.
     #[test]
     fn entry_bytes_match_golden_layout() {
         let cache = temp_cache("golden-entries");
@@ -1702,7 +1764,7 @@ mod tests {
                 0xbbf5_af48_d06f_75b7,
             ),
             ("npb-is-2t-d6c371d7a20694b0.bpckpt", 48998, 0x1b24_a3f2_9735_0089),
-            ("cache-state", 160, 0xd93f_4cb8_277e_e9c2),
+            ("cache-state", 336, 0x7fa3_9434_9d47_87c9),
         ];
         let names = [
             profile_key.file_name(),
@@ -2513,15 +2575,17 @@ mod tests {
             lock_contended: 1,
             ..CacheStats::default()
         };
-        assert_eq!(decode_state(&encode_state(&stats)), Some(stats));
+        assert_eq!(decode_state(&encode_state(3, &stats)), Some((3, stats)));
+        assert_eq!(encode_state(3, &stats).len(), STATE_SLOT_LEN);
 
         assert_eq!(decode_state(b""), None, "empty");
         assert_eq!(decode_state(b"BPSTjunk"), None, "torn after magic");
-        let mut trailing = encode_state(&stats);
+        let mut trailing = encode_state(3, &stats);
         trailing.push(0);
         assert_eq!(decode_state(&trailing), None, "trailing bytes");
 
         let wrong_version = encode_sealed(STATE_MAGIC, STATE_VERSION + 1, |out| {
+            out.write_u64(3);
             (0..STATS_FIELDS).for_each(|_| out.write_u64(0));
         });
         assert_eq!(
@@ -2531,13 +2595,118 @@ mod tests {
         );
     }
 
+    /// The `cache-state` file's bytes and its two decoded slots.
+    fn state_slots(cache: &ArtifactCache) -> (Vec<u8>, [Option<(u64, CacheStats)>; 2]) {
+        let bytes = fs::read(cache.root().join(STATE_FILE)).unwrap();
+        assert_eq!(bytes.len(), 2 * STATE_SLOT_LEN, "two slots");
+        let (first, second) = bytes.split_at(STATE_SLOT_LEN);
+        let slots = [decode_state(first), decode_state(second)];
+        (bytes, slots)
+    }
+
+    /// Counts one profile miss on `cache` without touching its directory.
+    fn one_miss(cache: &ArtifactCache) {
+        let key = ProfileCacheKey::for_workload(&workload(0.02));
+        assert!(cache.probe(&key).is_none());
+    }
+
+    /// A new file is published whole with the state in slot 0; after that
+    /// each flush is one read and one in-place write of the older slot, at
+    /// the next generation, and a reader takes the newest.
+    #[test]
+    fn flushes_alternate_slots_in_place() {
+        let faults = Arc::new(FaultFs::new());
+        let cache = temp_cache("state-slots").with_storage(faults.clone());
+        fs::create_dir_all(cache.root()).unwrap();
+        one_miss(&cache);
+        cache.flush();
+        let (bytes, slots) = state_slots(&cache);
+        assert_eq!(slots, [Some((1, cache.stats())), None], "slot 1 starts zeroed");
+        assert!(bytes[STATE_SLOT_LEN..].iter().all(|&b| b == 0));
+
+        // From here on no rename may happen: the update is in place.
+        faults.inject(Fault::fail(FaultOp::Rename, ErrorKind::PermissionDenied));
+        one_miss(&cache);
+        let before = faults.ops();
+        cache.flush();
+        assert_eq!(faults.ops() - before, 2, "one read, one in-place write");
+        let (second, slots) = state_slots(&cache);
+        assert_eq!(second[..STATE_SLOT_LEN], bytes[..STATE_SLOT_LEN], "slot 0 untouched");
+        assert_eq!(slots[1], Some((2, cache.stats())));
+
+        one_miss(&cache);
+        cache.flush();
+        let (third, slots) = state_slots(&cache);
+        assert_eq!(third[STATE_SLOT_LEN..], second[STATE_SLOT_LEN..], "slot 1 untouched");
+        assert_eq!(slots[0], Some((3, cache.stats())), "slot 0 holds the newest");
+        assert_eq!(reopen(&cache).lifetime_stats().profile_misses, 3);
+
+        // A torn in-place write damages only the spare slot: the previous
+        // generation still reads, and the next flush overwrites the torn one.
+        faults.inject(Fault::torn_write(ErrorKind::StorageFull));
+        one_miss(&cache);
+        cache.flush();
+        assert_eq!(state_slots(&cache).1[1], None, "the torn slot does not decode");
+        assert_eq!(reopen(&cache).lifetime_stats().profile_misses, 3, "generation 3 survives");
+        cache.flush();
+        assert_eq!(state_slots(&cache).1[1], Some((4, cache.stats())));
+        fs::remove_dir_all(cache.root()).ok();
+    }
+
+    /// A handle with zero session counters writes nothing — not even the
+    /// base it read, which would overwrite a newer state stored since.
+    #[test]
+    fn idle_handles_never_overwrite_a_newer_state() {
+        let dir = temp_cache("state-idle").root().to_path_buf();
+        let w = workload(0.02);
+        let seeded = ArtifactCache::new(&dir);
+        seeded.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
+        drop(seeded);
+
+        let idle = ArtifactCache::new(&dir);
+        assert_eq!(idle.lifetime_stats().profile_misses, 1, "the seeded base");
+        let busy = ArtifactCache::new(&dir);
+        assert!(busy.probe(&ProfileCacheKey::for_workload(&w)).is_some(), "one disk hit");
+        drop(busy);
+        drop(idle);
+
+        let lifetime = ArtifactCache::new(&dir).lifetime_stats();
+        assert_eq!((lifetime.profile_misses, lifetime.profile_hits), (1, 1), "{lifetime:?}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two clones dropped at the same moment on two threads: exactly one of
+    /// them must flush the group's counters, every round.
+    #[test]
+    fn racing_last_drops_flush_exactly_once() {
+        let dir = temp_cache("state-race").root().to_path_buf();
+        fs::create_dir_all(&dir).unwrap();
+        for round in 1..=1000 {
+            let cache = ArtifactCache::new(&dir);
+            one_miss(&cache);
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for clone in [cache.clone(), cache] {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        drop(clone);
+                    });
+                }
+            });
+            let lifetime = ArtifactCache::new(&dir).lifetime_stats();
+            assert_eq!(lifetime.profile_misses, round, "round {round}: the session was persisted");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
     /// The seal catches what header validation cannot: any single bit flip
     /// anywhere in an entry — header, payload, or the checksum itself —
     /// must read as a miss, never decode to wrong data.
     #[test]
     fn any_single_bit_flip_in_an_entry_is_rejected() {
         let stats = CacheStats { profile_hits: 3, ..CacheStats::default() };
-        let encoded = encode_state(&stats);
+        let encoded = encode_state(1, &stats);
         for byte in 0..encoded.len() {
             for bit in 0..8 {
                 let mut flipped = encoded.clone();
@@ -2603,7 +2772,7 @@ mod tests {
                 checkpoint_key.encode(&checkpoints_for(&w)),
                 Box::new(move |b| checkpoint_key.decode(b).is_some()),
             ),
-            ("cache-state", encode_state(&stats), Box::new(|b| decode_state(b).is_some())),
+            ("cache-state", encode_state(1, &stats), Box::new(|b| decode_state(b).is_some())),
         ]
     }
 

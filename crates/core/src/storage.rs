@@ -16,15 +16,15 @@
 //! callers should never wrap their storage in it.
 //!
 //! The seam is deliberately narrow: it exposes exactly the primitives
-//! the cache needs (whole-file read/write, create-exclusive, rename,
-//! remove, directory scan, mtime touch) rather than a general
-//! filesystem API. Locking is built *on top of* these primitives by the
+//! the cache needs (whole-file read/write, an in-place overwrite of an
+//! existing file's bytes, create-exclusive, rename, remove, directory
+//! scan, mtime touch) rather than a general filesystem API. Locking is built *on top of* these primitives by the
 //! cache (create-exclusive lock files), not inside the trait, so fault
 //! plans cover the lock protocol too.
 
 use std::fmt;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::SystemTime;
@@ -44,14 +44,23 @@ pub struct DirEntryInfo {
 ///
 /// Implementations must be safe to share across threads; the cache
 /// holds one behind an `Arc` and clones freely. All operations are
-/// whole-file and path-addressed — there are no open handles to leak
-/// across a fault boundary.
+/// path-addressed and, apart from [`write_at`](Storage::write_at),
+/// whole-file — there are no open handles to leak across a fault
+/// boundary.
 pub trait Storage: fmt::Debug + Send + Sync {
     /// Read the entire contents of `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
 
     /// Write `bytes` to `path`, replacing any existing file.
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+
+    /// Overwrite the bytes of the existing file at `path` from byte
+    /// `offset` on with `bytes`, without creating or truncating it (a
+    /// missing file fails with `NotFound`).  Not atomic: a crash can leave
+    /// any part of `bytes` written, so callers overwrite in place only
+    /// bytes whose damage they can detect — the `cache-state` file's
+    /// sealed slots.
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()>;
 
     /// Create `path` exclusively (failing with `AlreadyExists` if it is
     /// present) and write `bytes` to it. Used for advisory lock files.
@@ -81,7 +90,8 @@ pub trait Storage: fmt::Debug + Send + Sync {
 /// self-validating on load if the machine loses power mid-write. The
 /// [`RealFs::durable`] mode additionally calls `sync_all` on the temp
 /// file before the rename, so a renamed entry's *contents* survive a
-/// power cut, at a measurable cost per store.
+/// power cut, at a measurable cost per store, and `sync_data` after an
+/// in-place [`write_at`](Storage::write_at).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RealFs {
     fsync_writes: bool,
@@ -113,6 +123,16 @@ impl Storage for RealFs {
         } else {
             fs::write(path, bytes)
         }
+    }
+
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        let mut file = fs::OpenOptions::new().write(true).open(path)?;
+        file.seek(SeekFrom::Start(offset))?;
+        file.write_all(bytes)?;
+        if self.fsync_writes {
+            file.sync_data()?;
+        }
+        Ok(())
     }
 
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -161,7 +181,7 @@ impl Storage for RealFs {
 pub enum FaultOp {
     /// Match [`Storage::read`].
     Read,
-    /// Match [`Storage::write`].
+    /// Match [`Storage::write`] and [`Storage::write_at`].
     Write,
     /// Match [`Storage::create_new`].
     CreateNew,
@@ -191,8 +211,9 @@ enum FaultKind {
     /// Fail the operation with the given error kind, without touching
     /// the underlying storage.
     Error(io::ErrorKind),
-    /// For writes: persist only the first half of the payload, then
-    /// fail. Models a torn write that ran out of space or was cut off.
+    /// For writes (whole-file or in place): persist only the first half
+    /// of the payload, then fail. Models a torn write that ran out of
+    /// space or was cut off.
     TornWrite(io::ErrorKind),
 }
 
@@ -427,6 +448,22 @@ impl Storage for FaultFs {
         }
     }
 
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8]) -> io::Result<()> {
+        let torn = &bytes[..bytes.len() / 2];
+        match self.check(FaultOp::Write, path)? {
+            Action::Proceed => self.inner.write_at(path, offset, bytes),
+            Action::Torn(kind) => {
+                let _ = self.inner.write_at(path, offset, torn);
+                Err(io::Error::new(kind, "injected torn write"))
+            }
+            Action::Crash => {
+                // The process died mid-write: a torn prefix is in place.
+                let _ = self.inner.write_at(path, offset, torn);
+                Err(crash_error())
+            }
+        }
+    }
+
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         match self.check(FaultOp::CreateNew, path)? {
             Action::Proceed => self.inner.create_new(path, bytes),
@@ -523,6 +560,21 @@ mod tests {
     }
 
     #[test]
+    fn real_fs_write_at_overwrites_in_place_only() {
+        let dir = scratch("write-at");
+        for fs_ in [RealFs::new(), RealFs::durable()] {
+            let file = dir.join("a.bin");
+            fs_.write(&file, b"0123456789").expect("write");
+            fs_.write_at(&file, 3, b"abc").expect("write_at");
+            assert_eq!(fs_.read(&file).expect("read"), b"012abc6789", "no truncation");
+            let missing = fs_.write_at(&dir.join("missing.bin"), 0, b"x");
+            assert_eq!(missing.expect_err("never creates").kind(), ErrorKind::NotFound);
+            assert!(fs_.read(&dir.join("missing.bin")).is_err());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn create_new_is_exclusive() {
         let dir = scratch("excl");
         let fs_ = RealFs::new();
@@ -583,6 +635,26 @@ mod tests {
         let err = fs_.write(&file, b"12345678").expect_err("torn write fails");
         assert_eq!(err.kind(), ErrorKind::StorageFull);
         assert_eq!(fs_.read(&file).expect("torn prefix on disk"), b"1234");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_and_crashed_write_at_persist_half_the_payload_in_place() {
+        let dir = scratch("fault-torn-at");
+        let fs_ = FaultFs::new();
+        let file = dir.join("a.bin");
+        fs_.write(&file, b"........").expect("seed");
+        fs_.inject(Fault::torn_write(ErrorKind::StorageFull));
+        let err = fs_.write_at(&file, 2, b"abcd").expect_err("torn write_at fails");
+        assert_eq!(err.kind(), ErrorKind::StorageFull);
+        assert_eq!(fs_.read(&file).expect("read"), b"..ab....");
+
+        fs_.crash_at_op(fs_.ops());
+        assert_eq!(
+            fs_.write_at(&file, 4, b"wxyz").expect_err("kill point").kind(),
+            CRASH_ERROR_KIND
+        );
+        assert_eq!(RealFs::new().read(&file).expect("torn prefix"), b"..abwx..");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -17,6 +17,9 @@ pub struct SyntheticWorkload {
     blocks: BlockTable,
     /// `phases`, prepared once for trace generation.
     trace_phases: Vec<TracePhase>,
+    /// [`Workload::profile_fingerprint`], computed once in
+    /// [`SyntheticWorkloadBuilder::build`]: nothing changes a built workload.
+    fingerprint: u64,
 }
 
 impl SyntheticWorkload {
@@ -48,6 +51,24 @@ impl SyntheticWorkload {
         x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x ^= x >> 27;
         x
+    }
+
+    /// The content fingerprint [`Workload::profile_fingerprint`] returns.
+    /// The trait's default hashes only what is visible through the trait;
+    /// synthetic traces additionally depend on the configuration (seed,
+    /// scale, threads) and on every phase/schedule parameter.  Hash the
+    /// serialized forms so new pattern fields can never silently alias.
+    fn content_fingerprint(&self) -> u64 {
+        let mut hasher = crate::workload::FingerprintHasher::new();
+        hasher.write_str("synthetic-v1");
+        hasher.write_str(&self.name);
+        hasher.write_u64(self.config.threads as u64);
+        hasher.write_f64(self.config.scale);
+        hasher.write_u64(self.config.seed);
+        hasher.write_bytes(&serde::to_vec(&self.phases));
+        hasher.write_bytes(&serde::to_vec(&self.schedule));
+        hasher.write_bytes(&serde::to_vec(&self.blocks));
+        hasher.finish()
     }
 }
 
@@ -92,21 +113,12 @@ impl Workload for SyntheticWorkload {
         &self.phases[self.schedule[region].phase.0].name
     }
 
+    /// A hash of the name, the configuration and the serialized phases,
+    /// schedule and block table.  It is computed once, when
+    /// [`SyntheticWorkloadBuilder::build`] finishes the workload, so a call
+    /// reads a field instead of re-serializing the whole spec.
     fn profile_fingerprint(&self) -> u64 {
-        // The trait's default hashes only what is visible through the trait;
-        // synthetic traces additionally depend on the configuration (seed,
-        // scale, threads) and on every phase/schedule parameter.  Hash the
-        // serialized forms so new pattern fields can never silently alias.
-        let mut hasher = crate::workload::FingerprintHasher::new();
-        hasher.write_str("synthetic-v1");
-        hasher.write_str(&self.name);
-        hasher.write_u64(self.config.threads as u64);
-        hasher.write_f64(self.config.scale);
-        hasher.write_u64(self.config.seed);
-        hasher.write_bytes(&serde::to_vec(&self.phases));
-        hasher.write_bytes(&serde::to_vec(&self.schedule));
-        hasher.write_bytes(&serde::to_vec(&self.blocks));
-        hasher.finish()
+        self.fingerprint
     }
 }
 
@@ -216,14 +228,17 @@ impl SyntheticWorkloadBuilder {
         }
         let trace_phases =
             self.phases.iter().map(|phase| TracePhase::new(phase, self.config.scale)).collect();
-        SyntheticWorkload {
+        let mut workload = SyntheticWorkload {
             name: self.name,
             config: self.config,
             phases: self.phases,
             schedule: self.schedule,
             blocks: self.blocks,
             trace_phases,
-        }
+            fingerprint: 0,
+        };
+        workload.fingerprint = workload.content_fingerprint();
+        workload
     }
 }
 

@@ -10,6 +10,12 @@
 //! the minimum of `--reps` store/load pairs; the totals row sums every
 //! kernel.
 //!
+//! A second table holds the two other costs of a warm re-sweep per kernel:
+//! the workload key derivation (`ProfileCacheKey::for_workload`) and the
+//! drop-time `cache-state` flush of a handle that took one disk hit (an
+//! in-place update of an existing state file), again the minimum of
+//! `--reps`.
+//!
 //! ```bash
 //! cargo run --release --example artifact_cost -- [--seed 1] [--scale 0.15] [--reps 5]
 //! ```
@@ -18,7 +24,7 @@ use barrierpoint::{
     ArtifactCache, BarrierPoint, CheckpointCacheKey, ExecutionPolicy, MruBoundaries,
     ProfileCacheKey, SimConfig, SimulatedCacheKey, TraceWalk, WarmupKind, DEFAULT_SEGMENTS,
 };
-use bp_workload::{Benchmark, WorkloadConfig};
+use bp_workload::{Benchmark, Workload, WorkloadConfig};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -76,6 +82,28 @@ fn measure(
     Ok(cost)
 }
 
+/// The fastest drop of a handle over `dir` (which holds `kernel`'s profile
+/// and a `cache-state` file) after one disk hit: the drop-time statistics
+/// flush.
+/// The hit's profile outlives the handle, so the drop frees no artifact.
+fn drop_flush<W: Workload>(
+    dir: &Path,
+    reps: usize,
+    kernel: &W,
+) -> Result<Duration, Box<dyn std::error::Error>> {
+    let mut fastest = Duration::MAX;
+    for _ in 0..reps {
+        let cache = ArtifactCache::new(dir);
+        let (profile, hit) = cache.load_or_profile(kernel, &ExecutionPolicy::Serial)?;
+        assert!(hit, "a stored profile must load");
+        let start = Instant::now();
+        drop(cache);
+        fastest = fastest.min(start.elapsed());
+        drop(profile);
+    }
+    Ok(fastest)
+}
+
 fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
@@ -100,6 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "kernel", "kind", "bytes", "store", "load", "store MB/s"
     );
     let mut totals = [Cost::default(); 4];
+    let mut warm_costs = Vec::new();
     for benchmark in Benchmark::all() {
         let kernel = benchmark.build(&config);
         let selected = BarrierPoint::new(&kernel).select()?;
@@ -142,6 +171,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 |c| Ok(c.load_checkpoint(&checkpoint_key)?.is_some()),
             )?,
         ];
+        let mut derive = Duration::MAX;
+        for _ in 0..reps {
+            let start = Instant::now();
+            std::hint::black_box(ProfileCacheKey::for_workload(&kernel));
+            derive = derive.min(start.elapsed());
+        }
+        // A directory with the profile entry and, after one untimed
+        // open-hit-drop, a `cache-state` file the timed drops update.
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir)?;
+        }
+        ArtifactCache::new(&dir).store(&profile_key, selected.profile())?;
+        drop_flush(&dir, 1, &kernel)?;
+        warm_costs.push((benchmark.name(), derive, drop_flush(&dir, reps, &kernel)?));
+        std::fs::remove_dir_all(&dir)?;
+
         for ((kind, cost), total) in KINDS.iter().zip(costs).zip(&mut totals) {
             print_row(benchmark.name(), kind, cost);
             total.bytes += cost.bytes;
@@ -152,6 +197,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (kind, total) in KINDS.iter().zip(totals) {
         print_row("total", kind, total);
     }
+
+    println!("{:<16} {:>12} {:>12}", "kernel", "key derive", "drop flush");
+    let (mut derive_total, mut flush_total) = (Duration::ZERO, Duration::ZERO);
+    for (kernel, derive, flush) in warm_costs {
+        print_warm_row(kernel, derive, flush);
+        derive_total += derive;
+        flush_total += flush;
+    }
+    print_warm_row("total", derive_total, flush_total);
     Ok(())
 }
 
@@ -163,4 +217,9 @@ fn print_row(kernel: &str, kind: &str, cost: Cost) {
         ms(cost.load),
         cost.bytes as f64 / 1e6 / cost.store.as_secs_f64()
     );
+}
+
+fn print_warm_row(kernel: &str, derive: Duration, flush: Duration) {
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    println!("{kernel:<16} {:>10.2}us {:>10.2}us", us(derive), us(flush));
 }

@@ -9,7 +9,7 @@
 //! binaries.  The worker is a no-op unless the parent's environment variable
 //! is present, so running the full ignored set by hand stays safe.
 
-use barrierpoint::{ArtifactCache, ExecutionPolicy, ProfileCacheKey};
+use barrierpoint::{ArtifactCache, CacheStats, ExecutionPolicy, ProfileCacheKey};
 use bp_workload::{Benchmark, Workload, WorkloadConfig};
 use std::process::Command;
 use std::time::Duration;
@@ -57,7 +57,8 @@ fn multiprocess_worker() {
 
 /// Spawns two workers against one directory and audits the aftermath: both
 /// must exit cleanly, every surviving entry must decode (or read as a clean
-/// miss) through a fresh cache, and no process may leave the lock held.
+/// miss) through a fresh cache, no process may leave the lock held, and the
+/// statistics both flushed must decode.
 #[test]
 fn two_processes_hammer_one_bounded_cache_dir() {
     let dir = std::env::temp_dir().join(format!("bp-multiproc-{}", std::process::id()));
@@ -91,6 +92,10 @@ fn two_processes_hammer_one_bounded_cache_dir() {
         );
     }
     let audit = ArtifactCache::new(&dir);
+    // Both workers flushed their counters: whichever slot won, the state
+    // file decodes to a nonzero lifetime view (the audit's own session is
+    // still empty here).
+    assert_ne!(audit.lifetime_stats(), CacheStats::default(), "the flushed state must decode");
     let mut survivors = 0;
     for slot in 0..16 {
         let w = keyed_workload(slot);

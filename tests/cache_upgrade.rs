@@ -2,13 +2,15 @@
 //!
 //! Format version 5 changed the profile payload (each LDV stores only its
 //! populated bucket prefix) and every entry's seal (word-wise instead of
-//! byte-wise FNV-1a); state version 4 changed the `cache-state` seal.  This
-//! suite writes version-4 entries of every kind and a version-3 state file
-//! in the old layout — reproduced here, and pinned to the bytes version 4
-//! wrote — and checks that a current cache treats them as stale: misses that
-//! are recomputed and overwritten, never errors or degraded operations; that
-//! the size-bounded scan still counts and evicts them; and that the lifetime
-//! counters restart from zero.
+//! byte-wise FNV-1a); state version 4 changed the `cache-state` seal, and
+//! state version 5 made that file two slots updated in place.  This suite
+//! writes version-4 entries of every kind and version-3 and version-4 state
+//! files in their old layouts — reproduced here, and pinned to the bytes
+//! those versions wrote — and checks that a current cache treats them as
+//! stale: misses that are recomputed and overwritten, never errors or
+//! degraded operations; that the size-bounded scan still counts and evicts
+//! them; and that the lifetime counters restart from zero, in a two-slot
+//! file.
 
 use barrierpoint::{
     ApplicationProfile, ArtifactCache, BarrierPoint, CacheStats, CheckpointCacheKey,
@@ -99,6 +101,40 @@ fn write_v3_state(dir: &Path) {
     out.write_u32(3);
     (1..=18u64).for_each(|counter| out.write_u64(counter * 100));
     fs::write(dir.join("cache-state"), seal_v4(out.into_bytes())).unwrap();
+}
+
+/// The seal of format version 5 and state version 4: the bytes folded one
+/// 8-byte little-endian word at a time (the tail zero-padded), then the
+/// length, then the murmur3 finalizer.
+fn seal_word_wise(mut body: Vec<u8>) -> Vec<u8> {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |state: u64, word: u64| (state ^ word).wrapping_mul(K).rotate_left(31);
+    let mut state = 0xcbf2_9ce4_8422_2325;
+    for chunk in body.chunks(8) {
+        let mut le = [0u8; 8];
+        le[..chunk.len()].copy_from_slice(chunk);
+        state = step(state, u64::from_le_bytes(le));
+    }
+    let mut h = step(state, body.len() as u64);
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    body.extend_from_slice(&(h ^ (h >> 33)).to_le_bytes());
+    body
+}
+
+/// A version-4 `cache-state`: one record of magic, version, the 18 counters
+/// (one memory-tier hit each for the profile, selection and simulated leg)
+/// and the word-wise seal — checked against the (length, FNV-1a) pin state
+/// version 4's golden layout test held.
+fn write_v4_state(dir: &Path) {
+    let mut out = serde::Serializer::new();
+    out.write_bytes(b"BPST");
+    out.write_u32(4);
+    let counters = [1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+    counters.into_iter().for_each(|counter| out.write_u64(counter));
+    let bytes = seal_word_wise(out.into_bytes());
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (160, 0xd93f_4cb8_277e_e9c2), "version-4 bytes");
+    fs::write(dir.join("cache-state"), bytes).unwrap();
 }
 
 /// The entry files of the four kinds `write_v4_cache` writes.
@@ -233,5 +269,27 @@ fn the_size_bound_counts_and_evicts_version_4_entries() {
         assert!(!dir.join(name).exists(), "{name} evicted");
     }
     assert_eq!(*ArtifactCache::new(&dir).load(&other_key).unwrap().unwrap(), profile);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_version_4_state_reads_as_zero_and_is_republished_as_two_slots() {
+    let dir = scratch("state-v4");
+    fs::create_dir_all(&dir).unwrap();
+    write_v4_state(&dir);
+    let cache = ArtifactCache::new(&dir);
+    assert_eq!(cache.lifetime_stats(), CacheStats::default(), "the version-4 state is ignored");
+    cache.load_or_profile(&workload(0.02), &ExecutionPolicy::Serial).unwrap();
+    let stats = cache.stats();
+    cache.flush();
+
+    // Two 168-byte slots: magic, version 5, generation, 18 counters, seal.
+    let bytes = fs::read(dir.join("cache-state")).unwrap();
+    assert_eq!(bytes.len(), 2 * 168, "a two-slot file");
+    assert_eq!(bytes[..4], *b"BPST");
+    assert_eq!(bytes[4..8], 5u32.to_le_bytes(), "the current state version");
+    assert!(bytes[168..].iter().all(|&b| b == 0), "the second slot starts zeroed");
+    assert_eq!(ArtifactCache::new(&dir).lifetime_stats(), stats, "the counters restarted");
+    drop(cache);
     fs::remove_dir_all(&dir).ok();
 }

@@ -21,7 +21,8 @@
 //! path substrings, never on timing.
 
 use barrierpoint::{
-    ArtifactCache, ExecutionPolicy, Fault, FaultFs, FaultOp, ProfileCacheKey, SimConfig, Sweep,
+    ArtifactCache, CacheStats, ExecutionPolicy, Fault, FaultFs, FaultOp, ProfileCacheKey,
+    SimConfig, Sweep,
 };
 use bp_workload::{Benchmark, Workload, WorkloadConfig};
 use std::io::ErrorKind;
@@ -180,6 +181,51 @@ fn killed_state_flushes_never_poison_the_lifetime_stats() {
         // Whatever survived decodes to a sane merge: lifetime counters never
         // run backwards past the session view.
         assert!(lifetime.profile_hits >= clean.stats().profile_hits, "kill at op {kill}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An in-place flush over an existing two-slot state, killed at each of its
+/// ops (the read, then the torn write of the spare slot): a reopened cache
+/// reads exactly the totals before the flush or after it — a torn slot
+/// never decodes, so the previous generation survives — and never zero.
+#[test]
+fn every_kill_point_of_an_in_place_flush_keeps_a_whole_generation() {
+    let w = workload();
+    let policy = ExecutionPolicy::default();
+    let dir = scratch("inplace-kill");
+    let one_hit = |storage: Arc<FaultFs>| {
+        let cache = ArtifactCache::new(&dir).with_storage(storage);
+        assert!(cache.load_or_profile(&w, &policy).unwrap().1, "a disk hit");
+        cache
+    };
+
+    // Seed the entry and a two-slot state; then a healthy in-place flush
+    // reaches exactly the merged totals, in one read and one write.
+    ArtifactCache::new(&dir).load_or_profile(&w, &policy).unwrap();
+    let pre = ArtifactCache::new(&dir).lifetime_stats();
+    let probe_faults = Arc::new(FaultFs::new());
+    let probe = one_hit(probe_faults.clone());
+    let post = pre.merged(&probe.stats());
+    let before = probe_faults.ops();
+    probe.flush();
+    let flush_ops = probe_faults.ops() - before;
+    assert_eq!(flush_ops, 2, "an in-place flush is one read and one write");
+    assert_eq!(ArtifactCache::new(&dir).lifetime_stats(), post);
+    drop(probe);
+
+    for kill in 0..flush_ops {
+        let pre = ArtifactCache::new(&dir).lifetime_stats();
+        let faults = Arc::new(FaultFs::new());
+        let cache = one_hit(faults.clone());
+        let post = pre.merged(&cache.stats());
+        faults.crash_at_op(faults.ops() + kill);
+        cache.flush(); // must swallow the crash
+        drop(cache); // and so must the drop-time re-flush
+
+        let lifetime = ArtifactCache::new(&dir).lifetime_stats();
+        assert!(lifetime == pre || lifetime == post, "kill at op {kill}: {lifetime:?}");
+        assert_ne!(lifetime, CacheStats::default(), "kill at op {kill}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
