@@ -153,7 +153,8 @@ pub fn profile_application_budgeted<W: Workload + ?Sized>(
 /// clustered, the collector snapshots **every** region boundary; the
 /// returned [`MruSnapshotBank`] then assembles the payload of any boundary
 /// subset at any capacity up to the collection capacity, bit-identically to
-/// a dedicated collection ([`bp_warmup::collect_mru_warmup`]).
+/// a dedicated collection at that capacity (an MRU-only walk,
+/// [`TraceWalk::mru`]).
 ///
 /// The fan-out is thread-major under `policy`; with a [`WorkerBudget`], the
 /// walks draw helper threads from the shared pool, so a concurrent sweep's
@@ -263,9 +264,14 @@ mod tests {
             assert_eq!(profile, profile_application_with(&w, &policy).unwrap());
             let targets = [0, 5, 20];
             for capacity in [100u64, 256, 2048] {
+                let separate = TraceWalk::mru(MruBoundaries::Targets(&targets), capacity)
+                    .run(&w, &policy, budget)
+                    .unwrap()
+                    .bank
+                    .unwrap();
                 assert_eq!(
                     bank.assemble(&targets, capacity),
-                    bp_warmup::collect_mru_warmup(&w, &targets, capacity),
+                    separate.assemble(&targets, capacity),
                     "capacity {capacity}"
                 );
             }

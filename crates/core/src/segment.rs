@@ -29,18 +29,19 @@
 //! from it and the MRU interval recorder ([`bp_warmup::IntervalRecorder`])
 //! its window, so a fused walk finds each access's LRU stack position once
 //! rather than once per output.  The engine writes the checkpoint's two
-//! images — the profiler's and the collector's — byte for byte in their
-//! historical layouts.  The region-major oracles
-//! ([`bp_signature::ApplicationProfiler`], [`bp_warmup::collect_mru_warmup`])
-//! keep their own structures, so every bit-identity suite compares the
-//! engine with independent code.
+//! images — the profile image and the window image — byte for byte in the
+//! layouts the golden checkpoint digests pin.  The bit-identity suites
+//! compare every walk with a naive reference in the workspace's
+//! integration tests, which keeps each thread's LRU stack and each
+//! capacity's MRU list as plain lists, so the engine is checked against
+//! independent code.
 //!
 //! **Bit-identity is the contract.**  Checkpoint restoration reproduces
 //! the engine's exact carried state (including compaction timing and
 //! sequence counters), so the stitched segmented results are byte-equal to
 //! one sequential walk — pinned by the proptests here, the request matrix
-//! and kernel matrix in `tests/segments.rs`, and the oracle tests in the
-//! substrate crates.
+//! and kernel matrix in `tests/segments.rs`, and the recency engine's own
+//! restore tests in bp-workload.
 
 use crate::error::Error;
 use crate::profile::ApplicationProfile;
@@ -254,9 +255,9 @@ enum Start<'a> {
 ///   capacity at least the requested one; the returned bank is then
 ///   collected at the checkpoints' capacity, and assembly truncates.
 ///
-/// Every request's artifacts are bit-identical to the region-major
-/// oracles ([`bp_signature::ApplicationProfiler`],
-/// [`bp_warmup::collect_mru_warmup`]) under every policy and budget.
+/// Every request's artifacts are bit-identical, under every policy and
+/// budget, to a naive region-by-region walk over plain per-thread lists
+/// (the reference in the workspace's integration tests).
 #[derive(Debug, Clone, Copy)]
 pub struct TraceWalk<'a> {
     profile: bool,

@@ -111,9 +111,13 @@ impl MemoryConfig {
     }
 
     /// An aggressively shrunk hierarchy for fast unit and integration tests:
-    /// the same topology and latencies as Table I with capacities reduced so
-    /// far that even tiny test workloads (workload scale ≈ 0.05) exceed the
-    /// LLC, exhibiting the same qualitative behaviour as the full-size runs.
+    /// the same topology and latencies as Table I with capacities reduced to
+    /// a 512-line L3.  At workload scale 0.05 with 2 to 8 threads, the data
+    /// of five kernels exceeds it (distinct 64-byte lines over all threads:
+    /// parsec-bodytrack 785–1,208, npb-is 880–887, npb-cg 680–726, npb-ft
+    /// 668–714, npb-mg 601–723), while npb-bt (374–411), npb-lu (187–215)
+    /// and npb-sp (131–162) fit in it, so only those five exercise LLC
+    /// evictions at that scale.
     pub fn tiny() -> Self {
         Self {
             line_bytes: 64,

@@ -8,7 +8,7 @@
 //! * **LRU stack distance vectors (LDVs)** — a power-of-two histogram of the
 //!   reuse distances (number of distinct cache lines touched between two
 //!   accesses to the same line) of the region's memory references
-//!   ([`Ldv`], computed exactly by [`StackDistanceTracker`]).
+//!   ([`Ldv`]).
 //!
 //! Per-thread vectors are normalized individually and *concatenated* (not
 //! summed) into a single [`SignatureVector`] per region, so heterogeneous
@@ -18,18 +18,14 @@
 //! `reuse_dist-1_2`, `reuse_dist-1_5`, `combine`, `combine-1_2`,
 //! `combine-1_5`).
 //!
-//! [`ApplicationProfiler`] runs a `bp-workload` application's region
-//! traces through the collectors region-major, with continuous
-//! reuse-distance tracking — the reproduction's substitute for the paper's
-//! Pin-based profiler, and the oracle the pipeline's walk is tested against.
-//!
-//! The whole-application walk the pipeline runs is *thread-major*: each
-//! workload thread's entire trace (all regions, in program order) feeds one
-//! [`ProfileAccumulator`] from `bp-workload`'s recency engine
-//! ([`bp_workload::RecencyEngine`]), and [`zip_thread_profiles`] zips the
-//! per-thread streams back into per-region signatures.  Because the
-//! per-thread state is independent across threads, the walks can run on
-//! separate OS threads and still match [`ApplicationProfiler`] bit for bit.
+//! The reproduction's substitute for the paper's Pin-based profiler is a
+//! *thread-major* walk: each workload thread's entire trace (all regions,
+//! in program order) feeds one [`ProfileAccumulator`], which reads each
+//! access's stack distance from `bp-workload`'s recency engine
+//! ([`bp_workload::RecencyEngine`]) — one LRU stack per thread, carried
+//! across regions — and [`zip_thread_profiles`] zips the per-thread streams
+//! back into per-region signatures.  Because the per-thread state is
+//! independent across threads, the walks can run on separate OS threads.
 //! A fused cold pass feeds the accumulator and `bp-warmup`'s MRU interval
 //! recorder from one engine per thread, so the walk finds each access's LRU
 //! stack position once.  The engine checkpoints the carried state, so a
@@ -40,14 +36,32 @@
 //! # Example
 //!
 //! ```
-//! use bp_workload::{Benchmark, WorkloadConfig, Workload};
-//! use bp_signature::{ApplicationProfiler, SignatureConfig};
+//! use bp_signature::{zip_thread_profiles, ProfileAccumulator, SignatureConfig};
+//! use bp_workload::{Benchmark, RecencyEngine, Workload, WorkloadConfig};
 //!
 //! let workload = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.05));
-//! let sig = ApplicationProfiler::new(&workload).profile_region(&workload, 0);
-//! let vector = sig.assemble(&SignatureConfig::combined());
+//! let profiles = (0..workload.num_threads())
+//!     .map(|thread| {
+//!         let mut engine = RecencyEngine::new();
+//!         let mut profile = ProfileAccumulator::new(&workload, thread);
+//!         for region in 0..workload.num_regions() {
+//!             profile.enter_region();
+//!             for exec in workload.region_trace(region, thread) {
+//!                 profile.block(&exec);
+//!                 for access in &exec.accesses {
+//!                     let touch = engine.touch(access.line(), access.kind.is_write());
+//!                     profile.distance(touch.distance);
+//!                 }
+//!             }
+//!             profile.finish_region();
+//!         }
+//!         profile.into_profile()
+//!     })
+//!     .collect();
+//! let signatures = zip_thread_profiles(profiles);
+//! let vector = signatures[0].assemble(&SignatureConfig::combined());
 //! assert!(!vector.values().is_empty());
-//! assert!(sig.total_instructions() > 0);
+//! assert!(signatures[0].total_instructions() > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,15 +71,13 @@ mod bbv;
 mod collector;
 mod config;
 mod ldv;
-mod stack_distance;
 mod streaming;
 mod vector;
 
 pub use bbv::Bbv;
-pub use collector::{ApplicationProfiler, RegionSignature};
+pub use collector::RegionSignature;
 pub use config::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use ldv::{Ldv, LDV_BUCKETS};
-pub use stack_distance::StackDistanceTracker;
 pub use streaming::{
     concat_thread_profiles, zip_thread_profiles, ProfileAccumulator, ThreadProfile,
 };

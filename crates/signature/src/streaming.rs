@@ -1,16 +1,14 @@
 //! Thread-major streaming profiling.
 //!
-//! The region-major [`ApplicationProfiler`](crate::ApplicationProfiler) walks
-//! region 0 for all threads, then region 1, and so on — mirroring how the
-//! paper's Pintool observes execution.  But the per-thread state it carries
-//! (one [`StackDistanceTracker`](crate::StackDistanceTracker) per thread) is
-//! completely independent across threads: thread `t`'s BBVs, LDVs and
-//! instruction counts depend only on thread `t`'s traces, in region order.
-//! Profiling can therefore be restructured *thread-major* — walk each
-//! thread's entire trace (all regions, in program order) as one streaming
-//! pass — and the passes can run on separate OS threads.  Zipping the
-//! per-thread streams back together region by region reproduces the
-//! region-major result bit for bit.
+//! The paper's Pintool observes execution region by region: region 0 for
+//! all threads, then region 1, and so on.  But the state a thread's
+//! profiling carries across regions — its LRU stack — is independent of the
+//! other threads: thread `t`'s BBVs, LDVs and instruction counts depend only
+//! on thread `t`'s traces, in region order.  Profiling can therefore be
+//! restructured *thread-major* — walk each thread's entire trace (all
+//! regions, in program order) as one streaming pass — and the passes can
+//! run on separate OS threads.  Zipping the per-thread streams back
+//! together region by region gives the region-by-region result bit for bit.
 //!
 //! The streaming path splits a thread's profiling into its carried state and
 //! its outputs.  The carried state is the thread's LRU stack, kept by
@@ -19,9 +17,9 @@
 //! access's stack distance.  bp-core's trace walk runs one engine per
 //! thread — windowed when it also collects MRU warmup, and then feeding
 //! `bp-warmup`'s MRU interval recorder from the same engine, so each
-//! access's stack position is found once.  The region-major profiler keeps
-//! its own [`StackDistanceTracker`](crate::StackDistanceTracker): it is the
-//! oracle the engine is tested against.
+//! access's stack position is found once.  The workspace's integration
+//! tests check the walks against a naive region-by-region reference that
+//! keeps each thread's stack as a plain list.
 //!
 //! This matters because profiling is the one pipeline stage BarrierPoint
 //! cannot sample away: the paper's Pin-based profiler runs the full
@@ -218,60 +216,8 @@ pub fn zip_thread_profiles(profiles: Vec<ThreadProfile>) -> Vec<RegionSignature>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::ApplicationProfiler;
-    use crate::stack_distance::StackDistanceTracker;
+    use crate::config::SignatureConfig;
     use bp_workload::{Benchmark, RecencyEngine, WorkloadConfig};
-    use proptest::prelude::*;
-
-    /// The tracker's checkpoint in the profile image's byte layout.
-    fn tracker_image(tracker: &StackDistanceTracker) -> Vec<u8> {
-        let (time, total, entries) = tracker.checkpoint();
-        let mut out = serde::Serializer::new();
-        out.write_u64(time);
-        out.write_u64(total);
-        out.write_len(entries.len());
-        for (timestamp, line) in entries {
-            out.write_u64(timestamp);
-            out.write_u64(line);
-        }
-        out.into_bytes()
-    }
-
-    /// Feeds `lines` to a tracker and to engines with and without a window,
-    /// checking every distance and, every `probe` accesses and at the end,
-    /// the profile images against the tracker's checkpoint.
-    fn check_images(lines: impl Iterator<Item = u64>, capacity: u64, probe: usize) {
-        let mut tracker = StackDistanceTracker::new();
-        let mut plain = RecencyEngine::new();
-        let mut windowed = RecencyEngine::with_window(capacity);
-        for (index, line) in lines.enumerate() {
-            let expected = tracker.record(line);
-            assert_eq!(plain.touch(line, false).distance, expected, "access {index}");
-            assert_eq!(windowed.touch(line, index % 3 == 0).distance, expected, "access {index}");
-            if index % probe == 0 {
-                assert_eq!(plain.profile_image(), tracker_image(&tracker), "access {index}");
-            }
-        }
-        assert_eq!(plain.profile_image(), tracker_image(&tracker));
-        assert_eq!(windowed.profile_image(), tracker_image(&tracker));
-    }
-
-    #[test]
-    fn engine_profile_image_matches_the_tracker_across_compaction() {
-        // More than 2^20 accesses over 300 lines: the tracker renumbers its
-        // timestamps, and so must the engine, to the same bytes.
-        check_images((0..1_100_000u64).map(|i| (i * 7919 + i / 13) % 300), 64, 250_000);
-    }
-
-    proptest! {
-        #[test]
-        fn engine_profile_image_matches_the_tracker_checkpoint(
-            lines in proptest::collection::vec(0u64..80, 1..400),
-            capacity in 1u64..40,
-        ) {
-            check_images(lines.into_iter(), capacity, 37);
-        }
-    }
 
     fn workload() -> impl Workload {
         Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05))
@@ -314,19 +260,95 @@ mod tests {
         engine.profile_image()
     }
 
+    /// The signatures of `regions`, each thread walked with an engine of
+    /// its own that starts empty at the first of them.
+    fn signatures<W: Workload + ?Sized>(
+        w: &W,
+        regions: std::ops::Range<usize>,
+    ) -> Vec<RegionSignature> {
+        let profiles = (0..w.num_threads()).map(|thread| {
+            let mut profile = ProfileAccumulator::new(w, thread);
+            walk(w, thread, &mut RecencyEngine::new(), &mut profile, regions.clone());
+            profile.into_profile()
+        });
+        zip_thread_profiles(profiles.collect())
+    }
+
+    /// Region `region` profiled in isolation, with region-local reuse
+    /// distances.
+    fn isolated<W: Workload + ?Sized>(w: &W, region: usize) -> RegionSignature {
+        signatures(w, region..region + 1).remove(0)
+    }
+
     #[test]
-    fn thread_major_matches_region_major_bit_for_bit() {
+    fn signature_collection_is_deterministic() {
         let w = workload();
-        let region_major = ApplicationProfiler::new(&w).profile_all(&w);
-        let serial = zip_thread_profiles((0..4).map(|t| profile_thread(&w, t)).collect());
-        // One OS thread per workload thread: the walks share no state.
-        let parallel = zip_thread_profiles(std::thread::scope(|scope| {
-            let w = &w;
-            let walks: Vec<_> = (0..4).map(|t| scope.spawn(move || profile_thread(w, t))).collect();
-            walks.into_iter().map(|walk| walk.join().unwrap()).collect()
-        }));
-        assert_eq!(region_major, serial);
-        assert_eq!(region_major, parallel);
+        let a = isolated(&w, 1);
+        let b = isolated(&w, 1);
+        assert_eq!(a, b);
+        assert_eq!(a.num_threads(), 4);
+        assert!(a.total_instructions() > 0);
+    }
+
+    #[test]
+    fn same_phase_regions_have_similar_vectors() {
+        let w = workload();
+        // Regions 1 and 4 both run the matvec phase; region 2 runs reduce.
+        let config = SignatureConfig::combined();
+        let matvec_a = isolated(&w, 1).assemble(&config).normalized();
+        let matvec_b = isolated(&w, 4).assemble(&config).normalized();
+        let reduce = isolated(&w, 2).assemble(&config).normalized();
+        let same = matvec_a.euclidean_distance(&matvec_b);
+        let different = matvec_a.euclidean_distance(&reduce);
+        assert!(
+            same < different,
+            "same-phase distance {same} should be below cross-phase distance {different}"
+        );
+    }
+
+    #[test]
+    fn continuous_profiling_separates_cold_start_regions() {
+        // With application-wide reuse-distance tracking, the first instance of
+        // the matvec phase (region 1, touching its data for the first time)
+        // must look different from steady-state instances (regions 4 and 7),
+        // while the steady-state instances look like each other.
+        let w = workload();
+        let signatures = signatures(&w, 0..w.num_regions());
+        assert_eq!(signatures.len(), 46);
+        let config = SignatureConfig::combined();
+        let first = signatures[1].assemble(&config).normalized();
+        let second = signatures[4].assemble(&config).normalized();
+        let third = signatures[7].assemble(&config).normalized();
+        let steady = second.euclidean_distance(&third);
+        let cold = first.euclidean_distance(&second);
+        assert!(
+            cold > steady,
+            "cold-start distance {cold} should exceed steady-state distance {steady}"
+        );
+        // Cold accesses only appear in the first touches.
+        assert!(signatures[1].ldvs()[0].cold_accesses() > signatures[7].ldvs()[0].cold_accesses());
+    }
+
+    #[test]
+    fn assembled_dimensions_are_consistent() {
+        let w = workload();
+        let sig = isolated(&w, 0);
+        let bbv_dim = sig.assemble(&SignatureConfig::bbv_only()).dimension();
+        let ldv_dim = sig.assemble(&SignatureConfig::ldv_only()).dimension();
+        let combined = sig.assemble(&SignatureConfig::combined()).dimension();
+        assert_eq!(combined, bbv_dim + ldv_dim);
+        // One BBV block-table slice and one LDV histogram per thread.
+        assert_eq!(bbv_dim, w.block_table().len() * 4);
+    }
+
+    #[test]
+    fn instruction_counts_match_trace() {
+        let w = workload();
+        let sig = isolated(&w, 3);
+        let direct: u64 = (0..4)
+            .map(|t| w.region_trace(3, t).map(|e| u64::from(e.instructions)).sum::<u64>())
+            .sum();
+        assert_eq!(sig.total_instructions(), direct);
     }
 
     #[test]

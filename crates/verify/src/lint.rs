@@ -29,9 +29,8 @@
 //!   naming the concrete config in key derivation would silently re-couple
 //!   the cache to one strategy and break every other backend's keys.
 //! * [`Rule::CoreDrive`] — no trace walk in `crates/core/src/**` outside
-//!   `segment.rs`: no region trace generated by hand (`region_trace(`), no
-//!   bp-warmup collection walk (`collect_mru_warmup`, any suffix), and no
-//!   walk output built by hand (the `ProfileAccumulator::new(` /
+//!   `segment.rs`: no region trace generated by hand (`region_trace(`) and
+//!   no walk output built by hand (the `ProfileAccumulator::new(` /
 //!   `IntervalRecorder::new(` a walk's recency engine feeds).  The segment
 //!   scheduler's one walk request is the single way bp-core walks traces,
 //!   so every sweep hot path stays checkpointable and segmentable; a walk
@@ -64,11 +63,10 @@ const PAT_FS_CALL: &str = concat!("fs", "::");
 const PAT_FORBID: &str = concat!("#![forbid(", "unsafe_code)]");
 const PAT_JUSTIFY: &str = concat!("ordering", ":");
 const PAT_SIMPOINT_CFG: &str = concat!("SimPoint", "Config");
-/// Everything the core-drive rule flags: hand-generated region traces,
-/// bp-warmup's collection walks, and hand-built walk outputs.
-const PATS_CORE_DRIVE: [&str; 4] = [
+/// Everything the core-drive rule flags: hand-generated region traces and
+/// hand-built walk outputs.
+const PATS_CORE_DRIVE: [&str; 3] = [
     concat!("region", "_trace("),
-    concat!("collect_mru", "_warmup"),
     concat!("ProfileAccumulator", "::new("),
     concat!("IntervalRecorder", "::new("),
 ];
@@ -668,11 +666,9 @@ mod tests {
 
     #[test]
     fn trace_walk_in_core_is_flagged_outside_the_segment_scheduler() {
-        let [region_trace, collect_mru, accumulator_new, recorder_new] = PATS_CORE_DRIVE;
+        let [region_trace, accumulator_new, recorder_new] = PATS_CORE_DRIVE;
         for src in [
             format!("fn f(w: &W) {{ let _ = w.{region_trace}3, 0); }}\n"),
-            format!("fn f(w: &W) {{ let _ = {collect_mru}_with(w, &r, 64, &p); }}\n"),
-            format!("fn f(w: &W) {{ let _ = bp_warmup::{collect_mru}(w, &r, 64); }}\n"),
             format!("fn f(w: &W) {{ let _ = {accumulator_new}w, 0); }}\n"),
             format!("fn f(b: &[usize]) {{ let _ = {recorder_new}b, 64); }}\n"),
         ] {
@@ -681,8 +677,8 @@ mod tests {
             // The segment scheduler is the single permitted call site.
             let findings = lint_str("crates/core/src/segment.rs", &src);
             assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "segment.rs: {src}");
-            // Other crates walk traces freely (bp-warmup's collectors, the
-            // simulator, the integration suites, ...).
+            // Other crates walk traces freely (bp-warmup's functional
+            // replay and tests, the simulator, the integration suites, ...).
             let findings = lint_str("crates/warmup/src/mru.rs", &src);
             assert!(!findings.iter().any(|f| f.rule == Rule::CoreDrive), "out of scope: {src}");
         }

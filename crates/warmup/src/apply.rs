@@ -75,9 +75,32 @@ pub fn apply_warmup<W: Workload + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mru::collect_mru_warmup;
+    use crate::mru::{IntervalRecorder, MruSnapshotBank, MruWarmupData};
     use bp_mem::MemoryConfig;
-    use bp_workload::{Benchmark, WorkloadConfig};
+    use bp_workload::{Benchmark, RecencyEngine, WorkloadConfig};
+
+    /// The MRU warmup payload of `region` at `capacity` lines, from the
+    /// interval bank of a walk up to that region's boundary.
+    fn payload<W: Workload>(w: &W, region: usize, capacity: u64) -> MruWarmupData {
+        let recorders = (0..w.num_threads())
+            .map(|thread| {
+                let mut engine = RecencyEngine::with_window(capacity);
+                let mut recorder = IntervalRecorder::new(&[region], capacity);
+                for r in 0..region {
+                    recorder.enter_region(&mut engine, r);
+                    for exec in w.region_trace(r, thread) {
+                        for access in &exec.accesses {
+                            recorder.touched(&engine.touch(access.line(), access.kind.is_write()));
+                        }
+                    }
+                }
+                recorder.enter_region(&mut engine, region);
+                vec![recorder]
+            })
+            .collect();
+        let mut payloads = MruSnapshotBank::from_recorders(recorders).assemble(&[region], capacity);
+        payloads.remove(&region).expect("the region's boundary was walked")
+    }
 
     fn setup() -> (impl Workload, MemoryConfig) {
         let w = Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.02));
@@ -103,14 +126,14 @@ mod tests {
     fn mru_replay_reduces_cold_misses() {
         let (w, config) = setup();
         let region = 10;
-        let warmup = collect_mru_warmup(&w, &[region], config.llc_total_lines(4));
+        let warmup = payload(&w, region, config.llc_total_lines(4));
 
         let mut cold = MemoryHierarchy::new(&config, 4);
         apply_warmup(&mut cold, &w, &WarmupStrategy::Cold);
         let cold_dram = region_dram(&w, &mut cold, region);
 
         let mut warm = MemoryHierarchy::new(&config, 4);
-        apply_warmup(&mut warm, &w, &WarmupStrategy::MruReplay(&warmup[&region]));
+        apply_warmup(&mut warm, &w, &WarmupStrategy::MruReplay(&warmup));
         let warm_dram = region_dram(&w, &mut warm, region);
 
         assert!(
@@ -123,14 +146,14 @@ mod tests {
     fn functional_replay_matches_or_beats_mru() {
         let (w, config) = setup();
         let region = 6;
-        let warmup = collect_mru_warmup(&w, &[region], config.llc_total_lines(4));
+        let warmup = payload(&w, region, config.llc_total_lines(4));
 
         let mut functional = MemoryHierarchy::new(&config, 4);
         apply_warmup(&mut functional, &w, &WarmupStrategy::FunctionalReplay { region });
         let functional_dram = region_dram(&w, &mut functional, region);
 
         let mut mru = MemoryHierarchy::new(&config, 4);
-        apply_warmup(&mut mru, &w, &WarmupStrategy::MruReplay(&warmup[&region]));
+        apply_warmup(&mut mru, &w, &WarmupStrategy::MruReplay(&warmup));
         let mru_dram = region_dram(&w, &mut mru, region);
 
         // MRU replay approximates functional warming; it must be in the same
@@ -141,9 +164,9 @@ mod tests {
     #[test]
     fn warmup_resets_statistics() {
         let (w, config) = setup();
-        let warmup = collect_mru_warmup(&w, &[3], 1024);
+        let warmup = payload(&w, 3, 1024);
         let mut hierarchy = MemoryHierarchy::new(&config, 4);
-        apply_warmup(&mut hierarchy, &w, &WarmupStrategy::MruReplay(&warmup[&3]));
+        apply_warmup(&mut hierarchy, &w, &WarmupStrategy::MruReplay(&warmup));
         assert_eq!(hierarchy.stats().data_accesses, 0);
         assert_eq!(hierarchy.stats().dram_accesses, 0);
     }

@@ -17,7 +17,7 @@
 //! Profiling and MRU warmup collection both read each thread's LRU stack:
 //! profiling needs each access's stack distance, MRU collection the stack's
 //! most recent lines.  [`RecencyEngine`] keeps that stack once per thread —
-//! one [`LineMap`] entry per line, one Fenwick tree, and an optional MRU
+//! one hash-map entry per line, one Fenwick tree, and an optional MRU
 //! window on top — so a walk that collects both finds each access's stack
 //! position once.  Its two checkpoint images let a thread's walk resume at a
 //! region boundary ([`CheckpointError`] when an image does not fit).  The
@@ -68,4 +68,4 @@ pub use phase::{AccessPattern, Phase, PhaseBlock, PhaseId, ScheduleEntry};
 pub use recency::{CheckpointError, RecencyEngine, Residency, Touch};
 pub use region::{BlockExecution, RegionTrace};
 pub use synthetic::{SyntheticWorkload, SyntheticWorkloadBuilder};
-pub use workload::{FingerprintHasher, LineHasher, LineMap, Workload, WorkloadConfig};
+pub use workload::{FingerprintHasher, Workload, WorkloadConfig};

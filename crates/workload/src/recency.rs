@@ -7,7 +7,7 @@
 //! up to a collection capacity — with each line's dirty state.  Both read
 //! the same LRU stack: the window is the stack's top `capacity` lines, and a
 //! windowed line's recency depth is its stack distance.  [`RecencyEngine`]
-//! keeps that stack once: one [`LineMap`] entry per line, one Fenwick tree
+//! keeps that stack once: one `LineMap` entry per line, one Fenwick tree
 //! over access timestamps, and — when a window is attached — a slot vector
 //! indexed by window sequence number, holding each windowed line and its
 //! residency, with a head cursor on the oldest windowed line.  The map entry
@@ -16,12 +16,13 @@
 //! lookup and one prefix sum, and returns everything both consumers need
 //! ([`Touch`]).
 //!
-//! The engine's carried state is written as two checkpoint images, byte for
-//! byte the layouts the separate profiler and collector wrote before it:
-//! the *profile image* `(time, total, [(timestamp, line)] by timestamp)` and
+//! The engine's carried state is written as two checkpoint images: the
+//! *profile image* `(time, total, [(timestamp, line)] by timestamp)` and
 //! the *window image* `(capacity, next_seq, next_tick, [(seq, line, tick,
-//! dirty_depth)] by seq)`.  So the engine numbers timestamps and sequences
-//! exactly as those structures did, compaction rules included.
+//! dirty_depth)] by seq)`.  Their bytes — timestamp and sequence numbering
+//! and compaction rules included — are pinned by the golden checkpoint
+//! digests of the emitting walks (`tests/segments.rs`), so a cached
+//! checkpoint stays readable.
 
 use crate::workload::LineMap;
 use std::collections::hash_map::Entry;
@@ -208,7 +209,7 @@ fn unmark(tree: &mut [u64], marked: u64, previous: usize) -> u64 {
 
 /// One thread's exact LRU stack, with an optional MRU window on its top.
 ///
-/// Every line ever touched holds one [`LineMap`] entry with its last-access
+/// Every line ever touched holds one hash-map entry with its last-access
 /// timestamp; a Fenwick tree marks the timestamps that are some line's
 /// latest, so a line's stack distance is the number of marks after its
 /// previous timestamp.  A windowed engine ([`with_window`]) also keeps the
@@ -255,7 +256,7 @@ impl RecencyEngine {
     /// and returns its stack distance and, with a window, the residency the
     /// access ended and the line the window evicted.
     ///
-    /// One [`LineMap`] lookup finds the line; the Fenwick tree costs one
+    /// One hash-map lookup finds the line; the Fenwick tree costs one
     /// prefix sum and two updates.  With a window, the line's old slot is
     /// vacated and a new one appended in `O(1)`, and an eviction pops the
     /// oldest live slot in amortised `O(1)` plus one more lookup.

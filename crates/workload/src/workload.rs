@@ -167,7 +167,7 @@ impl Default for FingerprintHasher {
 /// table indexes by.  SipHash's DoS resistance buys nothing here: the keys
 /// are simulated addresses, not adversarial input.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LineHasher {
+pub(crate) struct LineHasher {
     hash: u64,
 }
 
@@ -193,7 +193,8 @@ impl std::hash::Hasher for LineHasher {
 }
 
 /// Cache-line-keyed hash map on [`LineHasher`].
-pub type LineMap<V> = std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<LineHasher>>;
+pub(crate) type LineMap<V> =
+    std::collections::HashMap<u64, V, std::hash::BuildHasherDefault<LineHasher>>;
 
 #[cfg(test)]
 mod tests {

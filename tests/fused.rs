@@ -13,9 +13,11 @@ use barrierpoint::{
     profile_and_collect_warmup, profile_application_with, ExecutionPolicy, MruBoundaries,
     SimConfig, Sweep, TraceWalk, WorkerBudget,
 };
-use bp_warmup::{collect_mru_warmup, MruSnapshotBank, PerBoundarySnapshotBank};
+use bp_warmup::MruSnapshotBank;
 use bp_workload::{Benchmark, SyntheticWorkloadBuilder, Workload, WorkloadConfig};
 use proptest::prelude::*;
+
+mod reference;
 
 const CAPACITIES: [u64; 3] = [128, 1024, 4096];
 
@@ -40,9 +42,9 @@ fn fused_pass_is_bit_identical_across_the_whole_suite() {
             assert_eq!(profile, separate, "{bench:?} at {threads} threads: profile differs");
             let targets = probe_targets(w.num_regions());
             for &capacity in &CAPACITIES {
-                let direct = collect_mru_warmup(&w, &targets, capacity);
+                let direct = reference::mru(&w, &targets, capacity);
                 assert_eq!(
-                    bank.assemble(&targets, capacity),
+                    reference::payloads(&bank.assemble(&targets, capacity)),
                     direct,
                     "{bench:?} at {threads} threads, capacity {capacity}: warmup differs"
                 );
@@ -102,17 +104,14 @@ fn fused_sweep_legs_match_monolithic_runs_across_thread_counts() {
     }
 }
 
-/// Builds both snapshot-bank encodings for the same workload and boundaries:
-/// the interval-sharing bank of the shipped MRU-only walk and the
-/// per-boundary oracle.
-fn banks_for<W: Workload + ?Sized>(
+/// The interval-sharing bank of the shipped MRU-only walk.
+fn interval_bank<W: Workload + ?Sized>(
     w: &W,
     boundaries: &[usize],
     capacity: u64,
-) -> (MruSnapshotBank, PerBoundarySnapshotBank) {
+) -> MruSnapshotBank {
     let walk = TraceWalk::mru(MruBoundaries::Targets(boundaries), capacity);
-    let interval = walk.run(w, &ExecutionPolicy::Serial, None).unwrap().bank.unwrap();
-    (interval, PerBoundarySnapshotBank::collect(w, boundaries, capacity))
+    walk.run(w, &ExecutionPolicy::Serial, None).unwrap().bank.unwrap()
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -124,8 +123,8 @@ fn xorshift(state: &mut u64) -> u64 {
 
 #[test]
 fn interval_bank_matches_the_oracle_across_the_suite_and_thread_counts() {
-    // The interval-sharing bank must be bit-identical to the per-boundary
-    // oracle on every kernel, at every thread count the paper evaluates
+    // The interval-sharing bank must be bit-identical to the naive
+    // reference's dedicated lists on every kernel, at every thread count the paper evaluates
     // (plus an over-subscribed 32), on a seeded pseudo-random boundary
     // subset, at every capacity at or below the collection capacity.
     const COLLECTION: u64 = 1024;
@@ -142,11 +141,11 @@ fn interval_bank_matches_the_oracle_across_the_suite_and_thread_counts() {
             }
             boundaries.sort_unstable();
             boundaries.dedup();
-            let (interval, oracle) = banks_for(&w, &boundaries, COLLECTION);
+            let interval = interval_bank(&w, &boundaries, COLLECTION);
             for capacity in [1u64, 64, COLLECTION] {
                 assert_eq!(
-                    interval.assemble(&boundaries, capacity),
-                    oracle.assemble(&boundaries, capacity),
+                    reference::payloads(&interval.assemble(&boundaries, capacity)),
+                    reference::mru(&w, &boundaries, capacity),
                     "{bench:?} at {threads} threads, capacity {capacity}: banks differ"
                 );
             }
@@ -180,21 +179,25 @@ fn interval_bank_matches_the_oracle_on_an_eviction_heavy_workload() {
     builder.schedule_repeat(phase, 10);
     let w = builder.build();
     let all: Vec<usize> = (0..w.num_regions()).collect();
-    let (interval, oracle) = banks_for(&w, &all, capacity);
-    for c in [1u64, 16, capacity] {
+    let interval = interval_bank(&w, &all, capacity);
+    let lists = [1u64, 16, capacity].map(|c| (c, reference::mru(&w, &all, c)));
+    for (c, expected) in &lists {
         assert_eq!(
-            interval.assemble(&all, c),
-            oracle.assemble(&all, c),
+            &reference::payloads(&interval.assemble(&all, *c)),
+            expected,
             "capacity {c}: banks differ under full churn"
         );
     }
     // Full churn is the encoding's worst case: roughly one record per
-    // boundary per resident line, the same entry count the oracle pays.
+    // boundary per resident line, the entry count of a snapshot of every
+    // boundary's lists at the collection capacity.
     assert!(interval.interval_records() > 0);
-    let oracle_entries = oracle.snapshot_bytes() / std::mem::size_of::<(u64, u64)>() as u64;
+    let (_, full) = &lists[2];
+    let snapshot_entries: usize = full.values().flatten().map(Vec::len).sum();
     assert!(
-        interval.interval_records() as u64 <= oracle_entries + (capacity * w.num_threads() as u64),
-        "even fully churned, the interval bank stores at most one record per oracle entry \
+        interval.interval_records() as u64
+            <= snapshot_entries as u64 + (capacity * w.num_threads() as u64),
+        "even fully churned, the interval bank stores at most one record per snapshot entry \
          (plus the still-open residencies at the final boundary)"
     );
 }
@@ -327,8 +330,8 @@ proptest! {
         prop_assert_eq!(&profile, &profile_application_with(&w, &policy).unwrap());
         let targets = probe_targets(w.num_regions());
         for &capacity in &capacities {
-            let direct = collect_mru_warmup(&w, &targets, capacity);
-            prop_assert_eq!(bank.assemble(&targets, capacity), direct);
+            let direct = reference::mru(&w, &targets, capacity);
+            prop_assert_eq!(reference::payloads(&bank.assemble(&targets, capacity)), direct);
         }
     }
 }

@@ -14,13 +14,14 @@ use barrierpoint::{
     ApplicationProfile, Error, ExecutionPolicy, MruBoundaries, SignatureConfig, SimPointConfig,
     TraceWalk, WorkerBudget, WorkloadCheckpoints, DEFAULT_SEGMENTS,
 };
-use bp_signature::ApplicationProfiler;
-use bp_warmup::{collect_mru_warmup, MruSnapshotBank};
+use bp_warmup::MruSnapshotBank;
 use bp_workload::{
     Benchmark, FingerprintHasher, SyntheticWorkload, SyntheticWorkloadBuilder, Workload,
     WorkloadConfig,
 };
 use proptest::prelude::*;
+
+mod reference;
 
 /// The MRU collection capacity (lines) the matrix checkpoints are taken at.
 const COLLECTION: u64 = 512;
@@ -235,9 +236,9 @@ proptest! {
     /// both; every boundary or a random target list (duplicates and
     /// boundaries past the region count included); from region 0, from
     /// region 0 emitting checkpoints, or resumed; serial, parallel or
-    /// budgeted — against the region-major oracles on random workloads:
-    /// the profile must equal `ApplicationProfiler::profile_all`, and every
-    /// payload the bank assembles must equal `collect_mru_warmup` at the
+    /// budgeted — against the naive region-major reference on random
+    /// workloads: the profile must equal `reference::profile`, and every
+    /// payload the bank assembles must equal `reference::mru` at the
     /// capacities {1, mid, collection}.
     #[test]
     fn every_walk_request_matches_the_region_major_oracles(
@@ -250,7 +251,7 @@ proptest! {
     ) {
         let threads = 1usize << threads_pow;
         let w = synthetic(threads, regions, seed);
-        let oracle = ApplicationProfiler::new(&w).profile_all(&w);
+        let oracle = reference::profile(&w);
         let every: Vec<usize> = (0..regions).collect();
         // Checkpoints above the requested capacity: a resumed bank is
         // collected at theirs and truncated on assembly.
@@ -315,8 +316,8 @@ proptest! {
                                 };
                                 for c in [1, capacity / 2, capacity] {
                                     prop_assert_eq!(
-                                        bank.assemble(probed, c),
-                                        collect_mru_warmup(&w, probed, c),
+                                        reference::payloads(&bank.assemble(probed, c)),
+                                        reference::mru(&w, probed, c),
                                         "{} capacity {}",
                                         case,
                                         c

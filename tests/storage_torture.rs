@@ -166,7 +166,7 @@ fn killed_state_flushes_never_poison_the_lifetime_stats() {
     probe.flush();
     let flush_ops = probe_faults.ops() - before;
     drop(probe);
-    assert!(flush_ops >= 2, "sanity: a flush is at least tmp write + rename");
+    assert!(flush_ops >= 2, "sanity: a flush is at least a read + an in-place write");
 
     for kill in 0..flush_ops {
         let faults = Arc::new(FaultFs::new());

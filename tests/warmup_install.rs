@@ -6,11 +6,25 @@
 //! strategy sets all of the hierarchy's state, so a machine reused across
 //! barrierpoints warms exactly as a fresh one does.
 
+use barrierpoint::{ExecutionPolicy, MruBoundaries, TraceWalk};
 use bp_sim::{Machine, SimConfig};
-use bp_warmup::{apply_warmup, collect_mru_warmup, MruWarmupData, WarmupStrategy};
+use bp_warmup::{apply_warmup, MruWarmupData, WarmupStrategy};
 use bp_workload::{
     Benchmark, BlockExecution, SyntheticWorkload, Workload, WorkloadConfig, CACHE_LINE_BYTES,
 };
+use std::collections::HashMap;
+
+/// The MRU warmup payloads of `regions` at `capacity` lines, from the bank
+/// of the pipeline's MRU-only walk.
+fn payloads(
+    workload: &impl Workload,
+    regions: &[usize],
+    capacity: u64,
+) -> HashMap<usize, MruWarmupData> {
+    let walk = TraceWalk::mru(MruBoundaries::Targets(regions), capacity);
+    let bank = walk.run(workload, &ExecutionPolicy::Serial, None).unwrap().bank.unwrap();
+    bank.assemble(regions, capacity)
+}
 
 /// The replay `apply_warmup` replaced, kept as the oracle: every payload
 /// line through `MemoryHierarchy::access` of a cleared hierarchy.
@@ -69,7 +83,7 @@ fn regions(workload: &impl Workload) -> Vec<usize> {
 fn check(workload: &SyntheticWorkload, config: &SimConfig) {
     let regions = regions(workload);
     let capacity = config.memory.llc_total_lines(config.num_cores);
-    let payloads = collect_mru_warmup(workload, &regions, capacity);
+    let payloads = payloads(workload, &regions, capacity);
     let mut installed = Machine::new(config);
     for region in regions {
         let data = &payloads[&region];
@@ -142,7 +156,7 @@ fn install_skips_threads_without_a_core_and_empty_payloads_stay_cold() {
     let config = SimConfig::scaled(4);
     let capacity = config.memory.llc_total_lines(4);
     let last = workload.num_regions() - 1;
-    let payloads = collect_mru_warmup(&workload, &[0, last], capacity);
+    let payloads = payloads(&workload, &[0, last], capacity);
     assert!(payloads[&0].is_empty() && payloads[&last].per_thread().len() == 8);
     for region in [0, last] {
         let data = &payloads[&region];
@@ -186,8 +200,7 @@ fn every_strategy_warms_a_reused_machine_as_a_fresh_one() {
     let config = SimConfig::scaled(threads);
     let n = workload.num_regions();
     let (early, late) = (n / 3, 2 * n / 3);
-    let payloads =
-        collect_mru_warmup(&workload, &[early, late], config.memory.llc_total_lines(threads));
+    let payloads = payloads(&workload, &[early, late], config.memory.llc_total_lines(threads));
     let zeroed = *Machine::new(&config).hierarchy().stats();
     let strategies = |region: usize| {
         [
