@@ -875,16 +875,11 @@ pub(crate) enum MemoryArtifact {
     Checkpoint(Arc<WorkloadCheckpoints>),
 }
 
-// The tier itself — shard locks, the global LRU clock, byte accounting, and
-// the cross-shard eviction scan — lives in [`crate::memtier`], where the
-// protocol is generic over key and value so the interleaving model checker
-// can drive it with small types.  The cache instantiates it with the
-// content-address keys and `Arc`-wrapped artifacts above; a lookup takes one
-// shard lock (plus two relaxed atomics) instead of a tier-wide mutex, while
-// eviction order stays globally least-recently-used via the tier-wide clock
-// (up to the documented stale-scan approximation, which can degrade the
-// eviction choice but never evicts an entry a concurrent lookup just
-// touched).
+// The tier itself — one lock around the entries, the LRU clock, the byte
+// total and the bound — lives in [`crate::memtier`], generic over key and
+// value so the interleaving model checker can drive it with small types.
+// The cache instantiates it with the content-address keys and `Arc`-wrapped
+// artifacts above; eviction is exact global LRU.
 
 /// A two-tier cache of pipeline artifacts — [`ApplicationProfile`]s,
 /// [`BarrierPointSelection`]s, [`Simulated`] legs and region-segment

@@ -54,6 +54,14 @@ pub enum Error {
         /// Cores in the simulated machine.
         machine_cores: usize,
     },
+    /// The simulated machine has more cores than the memory hierarchy can
+    /// model.
+    UnsupportedCoreCount {
+        /// Cores in the simulated machine.
+        cores: usize,
+        /// The most cores the hierarchy models ([`bp_mem::MAX_CORES`]).
+        max: usize,
+    },
     /// A region index was outside the workload's region range.
     RegionOutOfRange {
         /// The requested region.
@@ -115,6 +123,9 @@ impl fmt::Display for Error {
                 f,
                 "workload has {workload_threads} threads but the machine has {machine_cores} cores"
             ),
+            Error::UnsupportedCoreCount { cores, max } => {
+                write!(f, "the machine has {cores} cores but at most {max} are supported")
+            }
             Error::RegionOutOfRange { region, num_regions } => {
                 write!(f, "region {region} out of range (workload has {num_regions} regions)")
             }
@@ -151,6 +162,9 @@ mod tests {
         let e = Error::ThreadCountMismatch { workload_threads: 8, machine_cores: 32 };
         assert!(e.to_string().contains("8 threads"));
         assert!(e.to_string().contains("32 cores"));
+        let e = Error::UnsupportedCoreCount { cores: 65, max: 64 };
+        assert!(e.to_string().contains("65 cores"));
+        assert!(e.to_string().contains("at most 64"));
         let e = Error::MissingBarrierPointMetrics { region: 7 };
         assert!(e.to_string().contains("region 7"));
     }

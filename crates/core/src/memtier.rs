@@ -1,317 +1,143 @@
-//! A sharded, byte-bounded, globally-LRU in-process cache tier.
+//! A byte-bounded, least-recently-used in-process cache tier: the core of
+//! the [`ArtifactCache`](crate::ArtifactCache) memory tier, generic so the
+//! model checker (`bp-verify`) drives it with small types through the
+//! [`bp_exec::sync`] seam (the `model` feature swaps in the modeled mutex).
 //!
-//! This is the generic core of the [`ArtifactCache`](crate::ArtifactCache)
-//! memory tier, extracted so the concurrency protocol — shard locks, the
-//! tier-wide LRU clock, byte accounting, and the cross-shard eviction scan —
-//! can be exercised under the bounded interleaving model checker
-//! (`bp-verify`) with small key/value types.  It is written entirely against
-//! [`bp_exec::sync`]: production builds compile it down to plain `std::sync`
-//! primitives, while the workspace test build (the `model` feature) swaps in
-//! modeled atomics and mutexes.
-//!
-//! # Concurrency design
-//!
-//! * Entries are sharded by key hash across [`DEFAULT_SHARDS`] (or a caller
-//!   chosen number of) mutexes, so a lookup takes exactly one shard lock
-//!   plus two relaxed atomic operations instead of a tier-wide mutex.
-//! * The LRU clock (`tick`) and byte accounting (`total_bytes`) are
-//!   tier-wide atomics, so eviction order is global across shards and the
-//!   bound applies to the whole tier.
-//! * `total_bytes` is a conservation counter: each insert/replace/remove
-//!   applies a matching delta, some of them outside the shard lock.  It may
-//!   transiently disagree with the locked contents mid-operation, but at
-//!   quiescence it equals the exact sum of resident entry sizes — an
-//!   invariant pinned by a model test over every bounded interleaving
-//!   (`tests/verify.rs`).
-//!
-//! # The cross-shard eviction scan is an approximation
-//!
-//! Eviction walks the shards **one lock at a time** looking for the entry
-//! with the smallest `last_used` stamp; it never holds two shard locks at
-//! once (no lock-order hazard, no tier-wide pause).  Because earlier shards
-//! are unlocked while later shards are scanned, the scan's view is not an
-//! atomic snapshot: an entry may be *touched* (or inserted) after its shard
-//! was scanned.  Two guarantees make this safe:
-//!
-//! 1. **The victim is re-validated under its shard lock before removal.**
-//!    The remove only proceeds if the entry's `last_used` stamp still equals
-//!    the value the scan observed; a concurrent hit (which advances the
-//!    stamp) or a concurrent replace forces a rescan.  A concurrent lookup
-//!    that touched an entry can therefore never have that entry evicted out
-//!    from under it on the basis of the stale observation — pinned by a
-//!    model test whose deliberately broken twin
-//!    (`MemoryTier::insert_with_stale_scan`, `model`-only) removes
-//!    unconditionally and is caught by the checker.
-//! 2. **Staleness only degrades the eviction *choice*, never correctness.**
-//!    A racing insert into an already-scanned shard can at worst make the
-//!    scan pick the second-least-recently-used entry; the byte bound is
-//!    still enforced by the outer loop, which re-reads `total_bytes` each
-//!    round.
-//!
-//! The entry being inserted is exempt from its own scan, so an insert can
-//! never evict itself.
+//! One mutex guards the entries, the LRU clock, the byte total and the
+//! bound, and every operation, eviction included, runs under it: eviction is
+//! exact global LRU and [`total_bytes`](MemoryTier::total_bytes) equals the
+//! sum of resident entry sizes at every instant.  The artifact cache calls
+//! the tier only from the thread that drives a sweep or a stage, never from
+//! a fan-out worker, so the lock is uncontended in practice.
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
-/// Default number of lock shards.  A power of two so the shard pick is a
-/// mask; small enough that the (rare, byte-bounded-only) eviction scan
-/// stays cheap.
-pub const DEFAULT_SHARDS: usize = 16;
-
-/// Sentinel for an unbounded tier in the atomic `max_bytes` word.
-const UNBOUNDED: u64 = u64::MAX;
-
-/// One resident entry: the value plus its byte charge and LRU stamp.
+/// One resident entry: the value, the bytes it charges against the bound
+/// (for the artifact cache, the serialized entry size, so both tiers meter
+/// the same way) and its LRU stamp, the clock at its last hit or insert.
 #[derive(Debug)]
 struct Entry<V> {
     value: V,
-    /// Size charged against the byte bound (for the artifact cache: the
-    /// serialized entry size, so both tiers meter the same way).
     bytes: u64,
-    /// LRU stamp: the tier-wide tick at the entry's last hit or insert.
     last_used: u64,
 }
 
-/// A sharded in-process cache tier with a global LRU order and a byte
-/// bound.  Values are returned by clone, so `V` is typically an `Arc` (or a
-/// small enum of `Arc`s): a hit is a pointer clone.
-///
-/// See the [module docs](self) for the concurrency design.
+/// Everything the tier's one lock guards.  `tick` is the LRU clock, advanced
+/// by every lookup and insert so stamps are unique; `total_bytes` is the sum
+/// of the entries' `bytes`.
 #[derive(Debug)]
-pub struct MemoryTier<K, V> {
-    shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    mask: usize,
-    /// Tier-wide LRU clock; entries stamp `last_used` from it on hit/insert.
-    tick: AtomicU64,
-    /// Sum of `bytes` over all shards' entries (exact at quiescence; see
-    /// the module docs).
-    total_bytes: AtomicU64,
-    /// Byte bound (`UNBOUNDED` = no bound).
-    max_bytes: AtomicU64,
+struct State<K, V> {
+    entries: HashMap<K, Entry<V>>,
+    tick: u64,
+    total_bytes: u64,
+    max_bytes: Option<u64>,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Default for MemoryTier<K, V> {
+impl<K: Hash + Eq, V> State<K, V> {
+    /// Removes `key`, releasing its bytes.
+    fn remove(&mut self, key: &K) -> Option<Entry<V>> {
+        let entry = self.entries.remove(key)?;
+        self.total_bytes -= entry.bytes;
+        Some(entry)
+    }
+}
+
+/// An in-process cache tier with a global LRU order and a byte bound.
+/// Values are returned by clone, so `V` is typically an `Arc` (or a small
+/// enum of `Arc`s): a hit is a pointer clone.
+#[derive(Debug)]
+pub struct MemoryTier<K, V> {
+    state: Mutex<State<K, V>>,
+}
+
+impl<K, V> Default for MemoryTier<K, V> {
     fn default() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
+        let state = State { entries: HashMap::new(), tick: 0, total_bytes: 0, max_bytes: None };
+        Self { state: Mutex::new(state) }
     }
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> MemoryTier<K, V> {
-    /// An unbounded tier with `shards` lock shards (rounded up to a power
-    /// of two, minimum 1).  Model tests use a single shard to keep the
-    /// interleaving space small; production uses [`DEFAULT_SHARDS`].
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        Self {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n - 1,
-            tick: AtomicU64::new(0),
-            total_bytes: AtomicU64::new(0),
-            max_bytes: AtomicU64::new(UNBOUNDED),
-        }
-    }
-
-    fn shard_index(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish() as usize & self.mask
-    }
-
     /// Looks up `key`, marking the entry most recently used on a hit.
     pub fn get(&self, key: &K) -> Option<V> {
-        // ordering: Relaxed — the clock only needs per-entry monotonicity,
-        // and every `last_used` write it stamps happens under the entry's
-        // shard lock, which orders competing stamps of the same entry.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shards[self.shard_index(key)].lock();
-        let entry = shard.get_mut(key)?;
-        entry.last_used = tick;
+        let state = &mut *self.state.lock();
+        state.tick += 1;
+        let entry = state.entries.get_mut(key)?;
+        entry.last_used = state.tick;
         Some(entry.value.clone())
     }
 
-    /// Whether `key` is resident, *without* touching its LRU stamp.  Meant
-    /// for tests and invariant checks; a real lookup should use
-    /// [`get`](Self::get).
+    /// Whether `key` is resident, *without* touching its LRU stamp.
     pub fn contains(&self, key: &K) -> bool {
-        self.shards[self.shard_index(key)].lock().contains_key(key)
+        self.state.lock().entries.contains_key(key)
     }
 
     /// Inserts (or replaces) `key`, then enforces the byte bound by
-    /// dropping least-recently-used entries across all shards.  An entry
-    /// that on its own exceeds the bound is not retained (and must not
-    /// flush everything else out first trying to make room) — which also
+    /// dropping least-recently-used entries.  An entry that on its own
+    /// exceeds the bound is declined without flushing anything else, which
     /// makes a bound of `0` an exact "tier off" switch.  `evictions` is
     /// bumped once per capacity eviction; replacing or declining under the
     /// inserted key is not an eviction.
     ///
-    /// Returns whether the entry was retained: `false` means the insert was
-    /// declined (the entry alone exceeds the bound), so a caller whose disk
-    /// store also failed knows the artifact is resident in *neither* tier.
+    /// Returns whether the entry was retained, so a caller whose disk store
+    /// also failed knows the artifact is resident in *neither* tier.
     pub fn insert(&self, key: K, value: V, bytes: u64, evictions: &AtomicU64) -> bool {
-        self.insert_impl(key, value, bytes, evictions, true)
-    }
-
-    /// The deliberately broken twin of [`insert`](Self::insert): the
-    /// eviction scan's victim is removed **without** re-validating its
-    /// `last_used` stamp under the shard lock, recreating the stale-scan
-    /// race the re-validation exists to close.  A concurrent `get` that
-    /// touches the victim between the scan and the removal loses the entry
-    /// anyway.  Exists only so a model test can prove the checker catches
-    /// the race (`tests/verify.rs`); never called by production code.
-    #[cfg(feature = "model")]
-    pub fn insert_with_stale_scan(
-        &self,
-        key: K,
-        value: V,
-        bytes: u64,
-        evictions: &AtomicU64,
-    ) -> bool {
-        self.insert_impl(key, value, bytes, evictions, false)
-    }
-
-    fn insert_impl(
-        &self,
-        key: K,
-        value: V,
-        bytes: u64,
-        evictions: &AtomicU64,
-        recheck: bool,
-    ) -> bool {
-        // ordering: Relaxed — see `get` for the clock.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        // ordering: Relaxed — the bound is a standalone configuration word;
-        // a racing `set_max_bytes` makes either bound valid for this insert.
-        let max_bytes = self.max_bytes.load(Ordering::Relaxed);
+        let mut state = self.state.lock();
+        let max_bytes = state.max_bytes.unwrap_or(u64::MAX);
         if bytes > max_bytes {
-            // The entry alone exceeds the bound: it is never retained.
-            // Dropping any stale value under the key is not an eviction,
-            // and neither is declining the insert.
-            let mut shard = self.shards[self.shard_index(&key)].lock();
-            if let Some(old) = shard.remove(&key) {
-                // ordering: Relaxed — conservation counter; each delta is
-                // paired with exactly one map mutation (see module docs).
-                self.total_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-            }
+            state.remove(&key);
             return false;
         }
-        {
-            let mut shard = self.shards[self.shard_index(&key)].lock();
-            if let Some(old) = shard.insert(key.clone(), Entry { value, bytes, last_used: tick }) {
-                // ordering: Relaxed — conservation counter (module docs).
-                self.total_bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-            }
-        }
-        // ordering: Relaxed — conservation counter (module docs).  Applied
-        // outside the shard lock: the transient under-count is harmless and
-        // the sum is exact at quiescence (model-checked).
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-        if max_bytes == UNBOUNDED {
-            return true;
-        }
-        // ordering: Relaxed — the bound check re-reads the counter each
-        // round; eviction is already best-effort under concurrency and the
-        // loop converges once the deltas of racing inserts have landed.
-        while self.total_bytes.load(Ordering::Relaxed) > max_bytes {
-            // A victim always exists here: the new entry fits the bound on
-            // its own, so exceeding it requires at least one other entry.
-            // The scan takes one shard lock at a time; eviction order stays
-            // globally least-recently-used via the tier-wide clock (up to
-            // the approximation described in the module docs).
-            let mut victim: Option<(usize, K, u64)> = None;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let shard = shard.lock();
-                for (k, entry) in shard.iter() {
-                    if *k == key {
-                        continue;
-                    }
-                    if victim.as_ref().is_none_or(|&(_, _, used)| entry.last_used < used) {
-                        victim = Some((i, k.clone(), entry.last_used));
-                    }
-                }
-            }
-            let Some((i, victim_key, seen_used)) = victim else { break };
-            let mut shard = self.shards[i].lock();
-            // Re-validate under the shard lock: the scan's observation is
-            // stale by construction (earlier shards were unlocked while
-            // later ones were scanned).  Evict only if the stamp is exactly
-            // the one the scan saw; a concurrent hit or replace advanced it
-            // and the entry has earned a reprieve — rescan instead.
-            let evict = match shard.get(&victim_key) {
-                Some(entry) => !recheck || entry.last_used == seen_used,
-                None => false,
-            };
-            if evict {
-                if let Some(entry) = shard.remove(&victim_key) {
-                    // ordering: Relaxed — conservation counter (module
-                    // docs); the paired map mutation is the remove above.
-                    self.total_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-                    // ordering: Relaxed — monotonic telemetry; readers
-                    // only snapshot it.
-                    evictions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        state.tick += 1;
+        let entry = Entry { value, bytes, last_used: state.tick };
+        let replaced = state.entries.insert(key, entry).map_or(0, |old| old.bytes);
+        state.total_bytes = state.total_bytes - replaced + bytes;
+        while state.total_bytes > max_bytes {
+            // The new entry holds the newest stamp and fits the bound alone,
+            // so the loop stops before it becomes the oldest.
+            let oldest = state.entries.iter().min_by_key(|(_, entry)| entry.last_used);
+            let Some(victim) = oldest.map(|(key, _)| key.clone()) else { break };
+            state.remove(&victim);
+            // ordering: Relaxed — the caller's monotonic telemetry counter;
+            // readers only snapshot it.
+            evictions.fetch_add(1, Ordering::Relaxed);
         }
         true
     }
 
-    /// Removes `key` from the tier, returning whether it was resident.
-    /// An explicit invalidation, not an eviction: no eviction counter is
-    /// bumped, and the byte accounting is released under the shard lock's
-    /// pairing discipline like any other map mutation.
+    /// Removes `key`, returning whether it was resident.  An explicit
+    /// invalidation, not an eviction.
     pub fn remove(&self, key: &K) -> bool {
-        let mut shard = self.shards[self.shard_index(key)].lock();
-        match shard.remove(key) {
-            Some(entry) => {
-                // ordering: Relaxed — conservation counter (module docs);
-                // the paired map mutation is the remove above.
-                self.total_bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
+        self.state.lock().remove(key).is_some()
     }
 
     /// Sets (or clears) the byte bound.  Applies to subsequent inserts;
     /// resident entries above a lowered bound age out on the next insert.
     pub fn set_max_bytes(&self, max_bytes: Option<u64>) {
-        // ordering: Relaxed — standalone configuration word (see
-        // `insert_impl`'s load).
-        self.max_bytes.store(max_bytes.unwrap_or(UNBOUNDED), Ordering::Relaxed);
+        self.state.lock().max_bytes = max_bytes;
     }
 
     /// The configured byte bound, if any.
     pub fn max_bytes(&self) -> Option<u64> {
-        // ordering: Relaxed — standalone configuration word.
-        match self.max_bytes.load(Ordering::Relaxed) {
-            UNBOUNDED => None,
-            bound => Some(bound),
-        }
+        self.state.lock().max_bytes
     }
 
-    /// The byte accounting counter.  Exact whenever no insert is mid-flight
-    /// (see the module docs); compare with
-    /// [`resident_bytes`](Self::resident_bytes).
+    /// The byte accounting total, kept with every change to the entries.
     pub fn total_bytes(&self) -> u64 {
-        // ordering: Relaxed — a monotonicity-free snapshot of a
-        // conservation counter; exactness at quiescence is what the model
-        // test pins.
-        self.total_bytes.load(Ordering::Relaxed)
+        self.state.lock().total_bytes
     }
 
-    /// The exact sum of resident entry sizes, computed by walking every
-    /// shard under its lock.  At quiescence this equals
+    /// The sum of resident entry sizes, recomputed: it equals
     /// [`total_bytes`](Self::total_bytes).
     pub fn resident_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().values().map(|e| e.bytes).sum::<u64>()).sum()
+        self.state.lock().entries.values().map(|entry| entry.bytes).sum()
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.state.lock().entries.len()
     }
 
     /// Whether the tier is empty.
@@ -323,6 +149,7 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoryTier<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Evictions counter for tests.
     fn ctr() -> AtomicU64 {
@@ -360,7 +187,7 @@ mod tests {
 
     #[test]
     fn bound_evicts_globally_least_recently_used_first() {
-        let tier: MemoryTier<u32, u64> = MemoryTier::with_shards(4);
+        let tier: MemoryTier<u32, u64> = MemoryTier::default();
         tier.set_max_bytes(Some(3));
         let ev = ctr();
         tier.insert(1, 10, 1, &ev);
@@ -418,11 +245,100 @@ mod tests {
         assert_eq!(tier.max_bytes(), None);
     }
 
-    #[test]
-    fn shard_count_rounds_up_to_a_power_of_two() {
-        let tier: MemoryTier<u32, u64> = MemoryTier::with_shards(3);
-        assert_eq!(tier.shards.len(), 4);
-        let tier: MemoryTier<u32, u64> = MemoryTier::with_shards(0);
-        assert_eq!(tier.shards.len(), 1);
+    /// One operation of the differential test: keys come from a small set
+    /// so lookups hit, replaces happen and evictions pick among few entries.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(u32),
+        Insert(u32, u64),
+        Remove(u32),
+        Bound(Option<u64>),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u32..5).prop_map(Op::Get),
+            (0u32..5, 0u64..9).prop_map(|(key, bytes)| Op::Insert(key, bytes)),
+            (0u32..5).prop_map(Op::Remove),
+            prop_oneof![Just(None), (0u64..20).prop_map(Some)].prop_map(Op::Bound),
+        ]
+    }
+
+    /// The naive model: `(key, value, bytes)` from least to most recently
+    /// used, the byte bound and the eviction count.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<(u32, u64, u64)>,
+        max_bytes: Option<u64>,
+        evictions: u64,
+    }
+
+    impl Model {
+        fn take(&mut self, key: u32) -> Option<(u32, u64, u64)> {
+            let at = self.entries.iter().position(|&(k, ..)| k == key)?;
+            Some(self.entries.remove(at))
+        }
+
+        fn total(&self) -> u64 {
+            self.entries.iter().map(|&(.., bytes)| bytes).sum()
+        }
+
+        fn get(&mut self, key: u32) -> Option<u64> {
+            let entry = self.take(key)?;
+            self.entries.push(entry);
+            Some(entry.1)
+        }
+
+        fn insert(&mut self, key: u32, value: u64, bytes: u64) -> bool {
+            self.take(key);
+            let max = self.max_bytes.unwrap_or(u64::MAX);
+            if bytes > max {
+                return false;
+            }
+            self.entries.push((key, value, bytes));
+            while self.total() > max {
+                self.entries.remove(0);
+                self.evictions += 1;
+            }
+            true
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tier against the naive model over random operation
+        /// sequences: after every operation the insert verdict, every
+        /// lookup, the resident keys, the byte total and the eviction count
+        /// agree.
+        #[test]
+        fn tier_matches_a_naive_lru_model(ops in proptest::collection::vec(op(), 0..64)) {
+            let tier: MemoryTier<u32, u64> = MemoryTier::default();
+            let ev = ctr();
+            let mut model = Model::default();
+            for (value, op) in ops.into_iter().enumerate() {
+                let value = value as u64;
+                match op {
+                    Op::Get(key) => prop_assert_eq!(tier.get(&key), model.get(key)),
+                    Op::Insert(key, bytes) => {
+                        let retained = tier.insert(key, value, bytes, &ev);
+                        prop_assert_eq!(retained, model.insert(key, value, bytes), "{:?}", op);
+                    }
+                    Op::Remove(key) => prop_assert_eq!(tier.remove(&key), model.take(key).is_some()),
+                    Op::Bound(bound) => {
+                        tier.set_max_bytes(bound);
+                        model.max_bytes = bound;
+                    }
+                }
+                for key in 0..5 {
+                    let resident = model.entries.iter().any(|&(k, ..)| k == key);
+                    prop_assert_eq!(tier.contains(&key), resident, "key {}", key);
+                }
+                prop_assert_eq!(tier.len(), model.entries.len());
+                prop_assert_eq!(tier.total_bytes(), model.total());
+                prop_assert_eq!(tier.resident_bytes(), model.total());
+                prop_assert_eq!(ctr_value(&ev), model.evictions);
+            }
+        }
     }
 }

@@ -50,7 +50,8 @@ impl WarmupKind {
 /// # Errors
 ///
 /// Returns [`Error::ThreadCountMismatch`] if the workload's thread count does
-/// not match `sim_config.num_cores`, and [`Error::RegionOutOfRange`] if the
+/// not match `sim_config.num_cores`, [`Error::UnsupportedCoreCount`] if that
+/// exceeds [`bp_mem::MAX_CORES`], and [`Error::RegionOutOfRange`] if the
 /// selection refers to regions the workload does not have.
 pub fn simulate_barrierpoints<W: Workload + ?Sized>(
     workload: &W,
@@ -65,8 +66,9 @@ pub fn simulate_barrierpoints<W: Workload + ?Sized>(
 }
 
 /// The barrierpoint regions of `selection` when `workload` can be
-/// simulated on `sim_config`: one core per workload thread, and every
-/// barrierpoint a region of the workload.
+/// simulated on `sim_config`: one core per workload thread, no more cores
+/// than the memory hierarchy models, and every barrierpoint a region of the
+/// workload.
 pub(crate) fn simulation_targets<W: Workload + ?Sized>(
     workload: &W,
     selection: &BarrierPointSelection,
@@ -76,6 +78,12 @@ pub(crate) fn simulation_targets<W: Workload + ?Sized>(
         return Err(Error::ThreadCountMismatch {
             workload_threads: workload.num_threads(),
             machine_cores: sim_config.num_cores,
+        });
+    }
+    if sim_config.num_cores > bp_mem::MAX_CORES {
+        return Err(Error::UnsupportedCoreCount {
+            cores: sim_config.num_cores,
+            max: bp_mem::MAX_CORES,
         });
     }
     let regions = selection.barrierpoint_regions();

@@ -189,8 +189,9 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     /// # Errors
     ///
     /// Returns [`Error::ThreadCountMismatch`] if `sim_config.num_cores`
-    /// differs from the workload's thread count, and propagates simulation
-    /// and reconstruction errors.  Cache I/O failures degrade to
+    /// differs from the workload's thread count,
+    /// [`Error::UnsupportedCoreCount`] if it exceeds [`bp_mem::MAX_CORES`],
+    /// and propagates simulation and reconstruction errors.  Cache I/O failures degrade to
     /// recomputation (see [`CacheStats`](crate::CacheStats)) rather than
     /// failing the leg.
     pub fn simulate(&self, sim_config: &SimConfig) -> Result<Arc<Simulated>, Error> {
@@ -212,9 +213,10 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     ///
     /// Returns [`Error::RegionCountMismatch`] if `workload` does not have the
     /// same region count as the selection, [`Error::ThreadCountMismatch`] if
-    /// `sim_config.num_cores` differs from `workload`'s thread count, and
-    /// propagates simulation and reconstruction errors (cache I/O failures
-    /// degrade to recomputation).
+    /// `sim_config.num_cores` differs from `workload`'s thread count,
+    /// [`Error::UnsupportedCoreCount`] if it exceeds [`bp_mem::MAX_CORES`],
+    /// and propagates simulation and reconstruction errors (cache I/O
+    /// failures degrade to recomputation).
     pub fn simulate_on<V: Workload + ?Sized>(
         &self,
         workload: &V,

@@ -95,12 +95,10 @@ fn pack(epoch: u64, releases: u64, permits: u64) -> u64 {
 
 impl WorkerBudget {
     /// A budget with `permits` helper permits (total concurrency of a fan-out
-    /// tree sharing this budget is `permits + 1`).
+    /// tree sharing this budget is `permits + 1`), saturated at the packed
+    /// word's field maximum of 65,535.
     pub fn new(permits: usize) -> Self {
-        assert!(
-            permits as u64 <= PERMIT_MASK,
-            "worker budget of {permits} permits exceeds the packed-word field"
-        );
+        let permits = permits.min(PERMIT_MASK as usize);
         Self {
             inner: Arc::new(BudgetInner {
                 state: AtomicU64::new(permits as u64),
@@ -469,118 +467,6 @@ impl Default for ExecutionPolicy {
     }
 }
 
-/// Deliberately broken protocol variants, compiled only under the `model`
-/// feature.  They exist to prove the model checker earns its keep: each one
-/// reintroduces a historical (or plausible) bug as a minimal delta against
-/// the real implementation, and a `#[should_panic]` model test pins that the
-/// bounded search finds the schedule that exposes it.  Nothing here is ever
-/// part of a production build.
-#[cfg(feature = "model")]
-pub mod model_fixtures {
-    use super::{pack, AtomicU64, Ordering, EPOCH_SHIFT, PERMIT_MASK, RELEASE_MASK, RELEASE_SHIFT};
-
-    /// A [`WorkerBudget`](super::WorkerBudget) whose quiescing release is
-    /// split across **two** CASes: the first returns the permit and counts
-    /// the release, the second bumps the epoch and zeroes the in-epoch
-    /// count.  This is exactly the narrowed-but-not-closed window the packed
-    /// single-CAS protocol was built to eliminate — between the two CASes
-    /// the pool is momentarily "quiescent with a non-zero release count",
-    /// so a concurrent acquire classifies a ramp-up as a steal.
-    ///
-    /// The invariant it breaks (and the model test checks): on a budget of
-    /// one permit every release quiesces, so `steal_count` must be zero
-    /// under *every* interleaving.
-    pub struct SplitQuiescenceBudget {
-        state: AtomicU64,
-        total: usize,
-        steals: AtomicU64,
-    }
-
-    impl SplitQuiescenceBudget {
-        /// A broken budget with `permits` helper permits.
-        pub fn new(permits: usize) -> Self {
-            assert!(permits as u64 <= PERMIT_MASK);
-            Self {
-                state: AtomicU64::new(permits as u64),
-                total: permits,
-                steals: AtomicU64::new(0),
-            }
-        }
-
-        /// Same acquire path (and steal classification) as the real budget.
-        pub fn try_acquire(&self) -> bool {
-            // ordering: Relaxed — CAS-loop seed, as in the real protocol.
-            let mut current = self.state.load(Ordering::Relaxed);
-            while current & PERMIT_MASK > 0 {
-                // ordering: AcqRel/Relaxed — as in the real protocol.
-                match self.state.compare_exchange_weak(
-                    current,
-                    current - 1,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        if (current >> RELEASE_SHIFT) & RELEASE_MASK > 0 {
-                            // ordering: Relaxed — telemetry, as in the real
-                            // protocol.
-                            self.steals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return true;
-                    }
-                    Err(observed) => current = observed,
-                }
-            }
-            false
-        }
-
-        /// The broken release: permit return and epoch transition are two
-        /// separate CASes instead of one.
-        pub fn release(&self) {
-            // ordering: Relaxed — CAS-loop seed.
-            let mut current = self.state.load(Ordering::Relaxed);
-            let after = loop {
-                let permits = (current & PERMIT_MASK) + 1;
-                let epoch = current >> EPOCH_SHIFT;
-                let releases = ((current >> RELEASE_SHIFT) & RELEASE_MASK).min(RELEASE_MASK - 1);
-                // BUG (deliberate): the release count is incremented even on
-                // the quiescing release; the epoch bump + count reset happen
-                // in a *second* CAS below, leaving a window in between.
-                let next = pack(epoch, releases + 1, permits);
-                // ordering: AcqRel/Relaxed — as in the real protocol.
-                match self.state.compare_exchange_weak(
-                    current,
-                    next,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break next,
-                    Err(observed) => current = observed,
-                }
-            };
-            if (after & PERMIT_MASK) as usize == self.total {
-                let epoch = after >> EPOCH_SHIFT;
-                let quiesced =
-                    pack(epoch.wrapping_add(1) & (u64::MAX >> EPOCH_SHIFT), 0, after & PERMIT_MASK);
-                // ordering: AcqRel/Relaxed — the orderings are not the bug;
-                // the second CAS gives up if anything intervened, which is
-                // precisely how the misclassification window stays open.
-                let _ = self.state.compare_exchange(
-                    after,
-                    quiesced,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-            }
-        }
-
-        /// Steal telemetry, as in the real budget.
-        pub fn steal_count(&self) -> u64 {
-            // ordering: Relaxed — telemetry, as in the real protocol.
-            self.steals.load(Ordering::Relaxed)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -804,6 +690,15 @@ mod tests {
             total_acquired,
             "every release must be recorded exactly once — none wiped by quiescence"
         );
+    }
+
+    /// A cap beyond the packed word's permit field saturates instead of
+    /// panicking.  Construction only: no fan-out runs on these budgets.
+    #[test]
+    fn oversized_worker_caps_saturate_at_the_permit_field() {
+        let policy = ExecutionPolicy::parallel_with(70_000);
+        assert_eq!(WorkerBudget::for_policy(&policy).available(), 65_535);
+        assert_eq!(WorkerBudget::new(70_000).available(), 65_535);
     }
 
     #[test]

@@ -3,6 +3,7 @@ use crate::config::MemoryConfig;
 use crate::install::InstallModel;
 use crate::shared_cache::{DirEntry, SharedCache};
 use crate::stats::MemoryStats;
+use crate::MAX_CORES;
 use serde::{Deserialize, Serialize};
 
 /// Which level of the hierarchy serviced an access.
@@ -81,13 +82,13 @@ impl MemoryHierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `num_cores` is zero or exceeds 64 (the directory uses a
-    /// 64-bit sharer mask), if the line size is not a power of two, or if a
-    /// cache geometry is rejected by [`CacheConfig::num_sets`].
+    /// Panics if `num_cores` is zero or exceeds [`MAX_CORES`] (the directory
+    /// uses a 64-bit sharer mask), if the line size is not a power of two,
+    /// or if a cache geometry is rejected by [`CacheConfig::num_sets`].
     ///
     /// [`CacheConfig::num_sets`]: crate::CacheConfig::num_sets
     pub fn new(config: &MemoryConfig, num_cores: usize) -> Self {
-        assert!(num_cores > 0 && num_cores <= 64, "1..=64 cores supported");
+        assert!((1..=MAX_CORES).contains(&num_cores), "1..={MAX_CORES} cores supported");
         assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
         let cores = (0..num_cores)
             .map(|_| CoreCaches {

@@ -46,6 +46,10 @@ mod install;
 mod shared_cache;
 mod stats;
 
+/// The most cores a [`MemoryHierarchy`] models: the directory keeps each
+/// line's sharers in one 64-bit mask.
+pub const MAX_CORES: usize = 64;
+
 pub use cache::{Cache, EvictedLine, LineState};
 pub use config::{CacheConfig, MemoryConfig};
 pub use hierarchy::{AccessResult, CanonicalState, MemoryHierarchy, ServiceLevel};

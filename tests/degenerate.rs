@@ -1,8 +1,9 @@
 //! Degenerate inputs through the public pipeline: one region on one thread,
 //! blocks without memory accesses, regions without iterations, more threads
-//! than iterations, and many identical regions.  Every entry point must
-//! return a result or an `Error` on them, never panic; today each case
-//! succeeds, so the tests ask for `Ok`.
+//! than iterations, many identical regions, and more cores than the memory
+//! hierarchy models.  Every entry point must return a result or an `Error`
+//! on them, never panic: the core count above the limit asks for
+//! `Error::UnsupportedCoreCount`, every other case for `Ok`.
 //!
 //! Each workload goes through `BarrierPoint::run` (cold and MRU-replay
 //! warmup), an uncached `Sweep::run`, a cached sweep followed by re-sweeps
@@ -21,7 +22,7 @@ use barrierpoint::{
     WarmupKind,
 };
 use bp_workload::{
-    AccessPattern, SyntheticWorkload, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
+    AccessPattern, Benchmark, SyntheticWorkload, SyntheticWorkloadBuilder, Workload, WorkloadConfig,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -114,6 +115,29 @@ fn more_threads_than_iterations() {
 #[test]
 fn forty_identical_regions() {
     exercise(&workload("forty-identical", 2, 40, 32, 4), 2);
+}
+
+/// A design point with one core more than the memory hierarchy models is
+/// refused with an `Error` before any machine is built.
+#[test]
+fn more_cores_than_the_hierarchy_models() {
+    let threads = 65;
+    let w = Benchmark::NpbIs.build(&WorkloadConfig::new(threads).with_scale(0.01));
+    let machine = SimConfig::tiny(threads);
+    let unsupported = |result: Result<(), Error>, what: &str| match result {
+        Err(Error::UnsupportedCoreCount { cores: 65, max: 64 }) => {}
+        other => panic!("{what}: expected UnsupportedCoreCount, got {other:?}"),
+    };
+    let run = BarrierPoint::new(&w)
+        .with_sim_config(machine)
+        .with_execution_policy(ExecutionPolicy::Serial)
+        .run();
+    unsupported(run.map(drop), "BarrierPoint::run");
+    let sweep = Sweep::new(&w)
+        .with_execution_policy(ExecutionPolicy::Serial)
+        .add_config("65 cores", machine)
+        .run();
+    unsupported(sweep.map(drop), "uncached Sweep::run");
 }
 
 /// Both selection backends with a budget far above the region count.
