@@ -62,6 +62,12 @@ pub enum Error {
         /// The most cores the hierarchy models ([`bp_mem::MAX_CORES`]).
         max: usize,
     },
+    /// The simulated machine's memory geometry cannot be built (see
+    /// [`bp_mem::MemoryConfig::validate`]).
+    InvalidMemoryConfig {
+        /// What is wrong with it.
+        message: String,
+    },
     /// A region index was outside the workload's region range.
     RegionOutOfRange {
         /// The requested region.
@@ -126,6 +132,9 @@ impl fmt::Display for Error {
             Error::UnsupportedCoreCount { cores, max } => {
                 write!(f, "the machine has {cores} cores but at most {max} are supported")
             }
+            Error::InvalidMemoryConfig { message } => {
+                write!(f, "invalid memory configuration: {message}")
+            }
             Error::RegionOutOfRange { region, num_regions } => {
                 write!(f, "region {region} out of range (workload has {num_regions} regions)")
             }
@@ -167,6 +176,8 @@ mod tests {
         assert!(e.to_string().contains("at most 64"));
         let e = Error::MissingBarrierPointMetrics { region: 7 };
         assert!(e.to_string().contains("region 7"));
+        let e = Error::InvalidMemoryConfig { message: "a socket has no cores".to_string() };
+        assert!(e.to_string().contains("invalid memory configuration: a socket has no cores"));
     }
 
     #[test]

@@ -3,7 +3,7 @@ use crate::error::Error;
 use crate::profile::ApplicationProfile;
 use crate::reconstruct::ReconstructedRun;
 use crate::select::BarrierPointSelection;
-use crate::simulate::{BarrierPointMetrics, WarmupKind};
+use crate::simulate::{check_memory, BarrierPointMetrics, WarmupKind};
 use crate::stages::{resolve_profile, Profiled, Selected, Simulated, StageWork};
 use bp_clustering::{SelectionStrategy, SimPointConfig, SimPointStrategy};
 use bp_exec::ExecutionPolicy;
@@ -197,14 +197,21 @@ impl<'a, W: Workload + ?Sized> BarrierPoint<'a, W> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptyWorkload`] for a workload with no regions.
-    /// Cache I/O failures never surface here: they degrade to a recompute
-    /// (see [`CacheStats::degraded_loads`](crate::CacheStats::degraded_loads)).
+    /// Returns [`Error::EmptyWorkload`] for a workload with no regions, and
+    /// under [`WarmupKind::MruReplay`] [`Error::InvalidMemoryConfig`] when
+    /// the effective machine's memory hierarchy cannot be built (its LLC
+    /// capacity bounds the warmup).  Cache I/O failures never surface
+    /// here: they degrade to a recompute (see
+    /// [`CacheStats::degraded_loads`](crate::CacheStats::degraded_loads)).
     pub fn profile(self) -> Result<Profiled<'a, W>, Error> {
-        let mru_capacity = (self.warmup == WarmupKind::MruReplay).then(|| {
-            let sim_config = self.effective_sim_config();
-            sim_config.memory.llc_total_lines(sim_config.num_cores)
-        });
+        let mru_capacity = match self.warmup {
+            WarmupKind::MruReplay => {
+                let sim_config = self.effective_sim_config();
+                check_memory(&sim_config)?;
+                Some(sim_config.memory.llc_total_lines(sim_config.num_cores))
+            }
+            _ => None,
+        };
         let mut work = StageWork::default();
         let (profile, bank) = resolve_profile(
             self.cache.as_ref(),

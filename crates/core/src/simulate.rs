@@ -51,8 +51,10 @@ impl WarmupKind {
 ///
 /// Returns [`Error::ThreadCountMismatch`] if the workload's thread count does
 /// not match `sim_config.num_cores`, [`Error::UnsupportedCoreCount`] if that
-/// exceeds [`bp_mem::MAX_CORES`], and [`Error::RegionOutOfRange`] if the
-/// selection refers to regions the workload does not have.
+/// exceeds [`bp_mem::MAX_CORES`], [`Error::InvalidMemoryConfig`] if no
+/// memory hierarchy can be built from `sim_config.memory`, and
+/// [`Error::RegionOutOfRange`] if the selection refers to regions the
+/// workload does not have.
 pub fn simulate_barrierpoints<W: Workload + ?Sized>(
     workload: &W,
     selection: &BarrierPointSelection,
@@ -67,8 +69,8 @@ pub fn simulate_barrierpoints<W: Workload + ?Sized>(
 
 /// The barrierpoint regions of `selection` when `workload` can be
 /// simulated on `sim_config`: one core per workload thread, no more cores
-/// than the memory hierarchy models, and every barrierpoint a region of the
-/// workload.
+/// than the memory hierarchy models, a memory geometry it can be built
+/// from, and every barrierpoint a region of the workload.
 pub(crate) fn simulation_targets<W: Workload + ?Sized>(
     workload: &W,
     selection: &BarrierPointSelection,
@@ -86,11 +88,18 @@ pub(crate) fn simulation_targets<W: Workload + ?Sized>(
             max: bp_mem::MAX_CORES,
         });
     }
+    check_memory(sim_config)?;
     let regions = selection.barrierpoint_regions();
     if let Some(&bad) = regions.iter().find(|&&r| r >= workload.num_regions()) {
         return Err(Error::RegionOutOfRange { region: bad, num_regions: workload.num_regions() });
     }
     Ok(regions)
+}
+
+/// [`Error::InvalidMemoryConfig`] unless a memory hierarchy can be built
+/// from `sim_config.memory`.
+pub(crate) fn check_memory(sim_config: &SimConfig) -> Result<(), Error> {
+    sim_config.memory.validate().map_err(|message| Error::InvalidMemoryConfig { message })
 }
 
 /// Simulates each of the validated [`simulation_targets`] `regions` on its

@@ -191,9 +191,10 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     /// Returns [`Error::ThreadCountMismatch`] if `sim_config.num_cores`
     /// differs from the workload's thread count,
     /// [`Error::UnsupportedCoreCount`] if it exceeds [`bp_mem::MAX_CORES`],
-    /// and propagates simulation and reconstruction errors.  Cache I/O failures degrade to
-    /// recomputation (see [`CacheStats`](crate::CacheStats)) rather than
-    /// failing the leg.
+    /// [`Error::InvalidMemoryConfig`] if no memory hierarchy can be built
+    /// from `sim_config.memory`, and propagates simulation and
+    /// reconstruction errors.  Cache I/O failures degrade to recomputation
+    /// (see [`CacheStats`](crate::CacheStats)) rather than failing the leg.
     pub fn simulate(&self, sim_config: &SimConfig) -> Result<Arc<Simulated>, Error> {
         self.simulate_on(self.pipeline.workload(), sim_config)
     }
@@ -215,8 +216,9 @@ impl<'a, W: Workload + ?Sized> Selected<'a, W> {
     /// same region count as the selection, [`Error::ThreadCountMismatch`] if
     /// `sim_config.num_cores` differs from `workload`'s thread count,
     /// [`Error::UnsupportedCoreCount`] if it exceeds [`bp_mem::MAX_CORES`],
-    /// and propagates simulation and reconstruction errors (cache I/O
-    /// failures degrade to recomputation).
+    /// [`Error::InvalidMemoryConfig`] if no memory hierarchy can be built
+    /// from `sim_config.memory`, and propagates simulation and
+    /// reconstruction errors (cache I/O failures degrade to recomputation).
     pub fn simulate_on<V: Workload + ?Sized>(
         &self,
         workload: &V,

@@ -69,7 +69,7 @@ use crate::cache::{sim_config_fingerprint, ProfileCacheKey, SelectionCacheKey, S
 use crate::error::Error;
 use crate::pipeline::BarrierPoint;
 use crate::select::BarrierPointSelection;
-use crate::simulate::WarmupKind;
+use crate::simulate::{check_memory, WarmupKind};
 use crate::stages::{
     compute_legs, probe_leg, probe_selection, resolve_profile, select_and_store, store_leg,
     warmup_payloads, Simulated, StageWork, WarmupSources,
@@ -293,9 +293,11 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::EmptySweep`] when no design point was added and
-    /// [`Error::DuplicateSweepLabel`] for a repeated label; propagates the
-    /// first leg error (thread/region mismatches, cache I/O) otherwise.
+    /// Returns [`Error::EmptySweep`] when no design point was added,
+    /// [`Error::DuplicateSweepLabel`] for a repeated label and
+    /// [`Error::InvalidMemoryConfig`] for a design point whose memory
+    /// hierarchy cannot be built; propagates the first leg error
+    /// (thread/region mismatches, cache I/O) otherwise.
     pub fn run(&self) -> Result<SweepReport, Error> {
         if self.points.is_empty() {
             return Err(Error::EmptySweep { workload: self.base.workload().name().to_string() });
@@ -309,6 +311,9 @@ impl<'a, W: Workload + ?Sized> Sweep<'a, W> {
             if self.strategies[..i].iter().any(|(seen, _)| seen == label) {
                 return Err(Error::DuplicateSweepLabel { label: label.clone() });
             }
+        }
+        for point in &self.points {
+            check_memory(&point.sim_config)?;
         }
 
         let workload = self.base.workload();

@@ -1,5 +1,5 @@
 use crate::config::CacheConfig;
-use crate::install::SetTable;
+use crate::sets::SetTable;
 use serde::{Deserialize, Serialize};
 
 /// MSI coherence state of a cached line.
@@ -29,33 +29,21 @@ pub struct EvictedLine {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    line: u64,
-    state: LineState,
-    /// Monotonic timestamp of the last touch; larger is more recent.
-    lru: u64,
-}
-
-impl Way {
-    fn invalid() -> Self {
-        Self { line: 0, state: LineState::Invalid, lru: 0 }
-    }
-}
-
 /// A set-associative cache with true-LRU replacement and per-line MSI state.
 ///
 /// The cache operates on *line addresses* (byte address / line size); the
 /// set is selected by the low bits of the line address, so the set count is
-/// a power of two (see [`CacheConfig::num_sets`]).
+/// a power of two (see [`CacheConfig::num_sets`]).  The sets are the
+/// crate's one set table, which [`SharedCache`](crate::SharedCache) uses
+/// too: each set's valid lines packed at the front, with their states and
+/// last-touch times.  Only valid lines are stored, so setting a line
+/// [`LineState::Invalid`] removes it.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Way>>,
+    sets: SetTable<LineState>,
     /// `num_sets - 1`: the set index is `line & set_mask`.
     set_mask: u64,
-    associativity: usize,
     latency: u64,
-    tick: u64,
 }
 
 impl Cache {
@@ -68,11 +56,9 @@ impl Cache {
     pub fn new(config: &CacheConfig, line_bytes: u64) -> Self {
         let num_sets = config.num_sets(line_bytes);
         Self {
-            sets: vec![vec![Way::invalid(); config.associativity]; num_sets],
+            sets: SetTable::new(num_sets, config.associativity, LineState::Invalid),
             set_mask: num_sets as u64 - 1,
-            associativity: config.associativity,
             latency: config.latency_cycles,
-            tick: 0,
         }
     }
 
@@ -83,32 +69,24 @@ impl Cache {
 
     /// Total number of ways in the cache.
     pub fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.associativity
+        self.sets.capacity()
     }
 
     fn set_index(&self, line: u64) -> usize {
         (line & self.set_mask) as usize
     }
 
-    fn find(&mut self, line: u64) -> Option<&mut Way> {
-        let set = self.set_index(line);
-        self.sets[set].iter_mut().find(|w| w.state.is_valid() && w.line == line)
-    }
-
     /// Looks up `line`; on a hit the LRU position is refreshed and the line's
     /// state is returned.
     pub fn lookup(&mut self, line: u64) -> Option<LineState> {
-        self.tick += 1;
-        let tick = self.tick;
-        let way = self.find(line)?;
-        way.lru = tick;
-        Some(way.state)
+        let at = self.sets.find(self.set_index(line), line)?;
+        self.sets.touch(at);
+        Some(self.sets.value(at))
     }
 
     /// Returns the state of `line` without updating replacement metadata.
     pub fn peek(&self, line: u64) -> Option<LineState> {
-        let set = self.set_index(line);
-        self.sets[set].iter().find(|w| w.state.is_valid() && w.line == line).map(|w| w.state)
+        self.sets.find(self.set_index(line), line).map(|at| self.sets.value(at))
     }
 
     /// Returns `true` if `line` is present (any valid state).
@@ -122,93 +100,59 @@ impl Cache {
     /// Returns the victim line, if a valid line had to be evicted.
     pub fn insert(&mut self, line: u64, state: LineState) -> Option<EvictedLine> {
         debug_assert!(state.is_valid(), "inserting an Invalid line makes no sense");
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        // One pass: a resident copy is updated in place; otherwise the first
-        // free way is filled, else the first way with the oldest touch.
-        let (mut free, mut victim, mut oldest) = (None, 0, u64::MAX);
-        for (idx, way) in ways.iter_mut().enumerate() {
-            if way.state.is_valid() {
-                if way.line == line {
-                    way.state = state;
-                    way.lru = tick;
-                    return None;
-                }
-                if way.lru < oldest {
-                    (victim, oldest) = (idx, way.lru);
-                }
-            } else if free.is_none() {
-                free = Some(idx);
-            }
-        }
-        let old =
-            std::mem::replace(&mut ways[free.unwrap_or(victim)], Way { line, state, lru: tick });
-        free.is_none()
-            .then_some(EvictedLine { line: old.line, dirty: old.state == LineState::Modified })
+        let (line, old) = self.sets.insert(self.set_index(line), line, state)?;
+        Some(EvictedLine { line, dirty: old == LineState::Modified })
+    }
+
+    /// [`insert`](Self::insert) of a line known to be absent, without the
+    /// lookup.
+    pub(crate) fn fill(&mut self, line: u64, state: LineState) -> Option<EvictedLine> {
+        debug_assert!(state.is_valid() && !self.contains(line), "fill of {line} as {state:?}");
+        let (line, old) = self.sets.push(self.set_index(line), line, state)?;
+        Some(EvictedLine { line, dirty: old == LineState::Modified })
     }
 
     /// Changes the state of `line` if present; returns `true` on success.
+    /// Setting [`LineState::Invalid`] removes the line.
     pub fn set_state(&mut self, line: u64, state: LineState) -> bool {
-        self.find(line).map(|way| way.state = state).is_some()
+        let set = self.set_index(line);
+        let Some(at) = self.sets.find(set, line) else {
+            return false;
+        };
+        if state.is_valid() {
+            *self.sets.value_mut(at) = state;
+        } else {
+            self.sets.remove(set, at);
+        }
+        true
     }
 
     /// Invalidates `line` if present.  Returns `Some(dirty)` when a valid copy
     /// was removed, where `dirty` indicates the copy was modified.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let way = self.find(line)?;
-        let dirty = way.state == LineState::Modified;
-        way.state = LineState::Invalid;
-        Some(dirty)
+        let set = self.set_index(line);
+        let at = self.sets.find(set, line)?;
+        Some(self.sets.remove(set, at) == LineState::Modified)
     }
 
     /// Invalidates every line, returning the cache to its cold state.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                *way = Way::invalid();
-            }
-        }
-        self.tick = 0;
-    }
-
-    /// Replaces the contents with `sets`' sets `first..first + num_sets`:
-    /// their lines and states, each line's last-touch time as its recency.
-    pub(crate) fn load(&mut self, sets: &SetTable<LineState>, first: usize) {
-        for (index, ways) in self.sets.iter_mut().enumerate() {
-            let (lines, states, stamps) = sets.set(first + index);
-            let (filled, empty) = ways.split_at_mut(lines.len());
-            for (way, ((&line, &state), &lru)) in
-                filled.iter_mut().zip(lines.iter().zip(states).zip(stamps))
-            {
-                *way = Way { line, state, lru };
-            }
-            empty.fill(Way::invalid());
-        }
-        self.tick = sets.clock();
+        self.sets.clear();
     }
 
     /// Every set's valid lines and states, least recently used first.
     pub(crate) fn recency_sets(&self) -> Vec<Vec<(u64, LineState)>> {
-        self.sets
-            .iter()
-            .map(|ways| {
-                let mut valid: Vec<&Way> = ways.iter().filter(|w| w.state.is_valid()).collect();
-                valid.sort_by_key(|w| w.lru);
-                valid.iter().map(|w| (w.line, w.state)).collect()
-            })
-            .collect()
+        self.sets.recency_sets()
     }
 
     /// Number of valid lines currently held.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|set| set.iter().filter(|w| w.state.is_valid()).count()).sum()
+        self.sets.occupancy()
     }
 
     /// Iterates over all valid lines as `(line, state)` pairs.
     pub fn valid_lines(&self) -> impl Iterator<Item = (u64, LineState)> + '_ {
-        self.sets.iter().flatten().filter(|w| w.state.is_valid()).map(|w| (w.line, w.state))
+        self.sets.iter()
     }
 }
 

@@ -28,18 +28,24 @@ impl CacheConfig {
     /// capacity that is not a multiple of `associativity * line_bytes`) or
     /// if the resulting set count is not a power of two.
     pub fn num_sets(&self, line_bytes: u64) -> usize {
-        assert!(self.size_bytes > 0 && self.associativity > 0, "degenerate cache geometry");
+        self.set_count(line_bytes).unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// [`num_sets`](Self::num_sets), or why the geometry has none.
+    fn set_count(&self, line_bytes: u64) -> Result<usize, String> {
+        if self.size_bytes == 0 || self.associativity == 0 || line_bytes == 0 {
+            return Err("degenerate cache geometry".to_string());
+        }
         let lines = self.size_bytes / line_bytes;
         let ways = self.associativity as u64;
-        assert!(
-            lines >= ways && lines.is_multiple_of(ways) && (lines / ways).is_power_of_two(),
+        if lines >= ways && lines.is_multiple_of(ways) && (lines / ways).is_power_of_two() {
+            return Ok((lines / ways) as usize);
+        }
+        Err(format!(
             "cache size {} not divisible into a power-of-two number of {}-way sets of {}-byte \
              lines",
-            self.size_bytes,
-            self.associativity,
-            line_bytes
-        );
-        (lines / ways) as usize
+            self.size_bytes, self.associativity, line_bytes
+        ))
     }
 
     /// Total number of cache lines.
@@ -131,7 +137,31 @@ impl MemoryConfig {
         }
     }
 
+    /// Checks that a [`MemoryHierarchy`](crate::MemoryHierarchy) can be
+    /// built from this configuration: a power-of-two line size, at least
+    /// one core per socket, and every cache divisible into a power-of-two
+    /// number of sets (see [`CacheConfig::num_sets`]).  Returns what is
+    /// wrong otherwise.
+    pub fn validate(&self) -> Result<(), String> {
+        if !self.line_bytes.is_power_of_two() {
+            return Err(format!("line size {} is not a power of two", self.line_bytes));
+        }
+        if self.cores_per_socket == 0 {
+            return Err("a socket has no cores".to_string());
+        }
+        let caches = [("L1I", &self.l1i), ("L1D", &self.l1d), ("L2", &self.l2), ("L3", &self.l3)];
+        for (name, cache) in caches {
+            cache.set_count(self.line_bytes).map_err(|message| format!("{name}: {message}"))?;
+        }
+        Ok(())
+    }
+
     /// Number of sockets needed for `num_cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores_per_socket` is zero, which
+    /// [`validate`](Self::validate) rejects.
     pub fn num_sockets(&self, num_cores: usize) -> usize {
         num_cores.div_ceil(self.cores_per_socket)
     }
@@ -204,6 +234,24 @@ mod tests {
         // 12 lines make three 4-way sets.
         let c = CacheConfig::new(12 * 64, 4, 1);
         let _ = c.num_sets(64);
+    }
+
+    #[test]
+    fn validate_names_what_no_hierarchy_can_be_built_from() {
+        assert_eq!(MemoryConfig::table1().validate(), Ok(()));
+        assert_eq!(MemoryConfig::tiny().validate(), Ok(()));
+        let mut c = MemoryConfig::tiny();
+        c.line_bytes = 48;
+        assert!(c.validate().unwrap_err().contains("line size 48"));
+        let mut c = MemoryConfig::tiny();
+        c.cores_per_socket = 0;
+        assert!(c.validate().is_err());
+        let mut c = MemoryConfig::tiny();
+        c.l1d.associativity = 0;
+        assert!(c.validate().unwrap_err().starts_with("L1D"));
+        let mut c = MemoryConfig::tiny();
+        c.l3.size_bytes = 48 * 16 * 64;
+        assert!(c.validate().unwrap_err().contains("power-of-two number of 16-way sets"));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 use crate::cache::{Cache, LineState};
 use crate::config::MemoryConfig;
-use crate::install::InstallModel;
 use crate::shared_cache::{DirEntry, SharedCache};
 use crate::stats::MemoryStats;
 use crate::MAX_CORES;
 use serde::{Deserialize, Serialize};
+
+mod install;
 
 /// Which level of the hierarchy serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,8 +74,6 @@ pub struct MemoryHierarchy {
     cores: Vec<CoreCaches>,
     sockets: Vec<SharedCache>,
     stats: MemoryStats,
-    /// Working space of [`install`](Self::install), kept between calls.
-    install: InstallModel,
 }
 
 impl MemoryHierarchy {
@@ -83,13 +82,13 @@ impl MemoryHierarchy {
     /// # Panics
     ///
     /// Panics if `num_cores` is zero or exceeds [`MAX_CORES`] (the directory
-    /// uses a 64-bit sharer mask), if the line size is not a power of two,
-    /// or if a cache geometry is rejected by [`CacheConfig::num_sets`].
-    ///
-    /// [`CacheConfig::num_sets`]: crate::CacheConfig::num_sets
+    /// uses a 64-bit sharer mask), or if [`MemoryConfig::validate`] rejects
+    /// `config`.
     pub fn new(config: &MemoryConfig, num_cores: usize) -> Self {
         assert!((1..=MAX_CORES).contains(&num_cores), "1..={MAX_CORES} cores supported");
-        assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
+        if let Err(message) = config.validate() {
+            panic!("invalid memory configuration: {message}");
+        }
         let cores = (0..num_cores)
             .map(|_| CoreCaches {
                 l1i: Cache::new(&config.l1i, config.line_bytes),
@@ -107,7 +106,6 @@ impl MemoryHierarchy {
             cores,
             sockets,
             stats: MemoryStats::new(),
-            install: InstallModel::default(),
         }
     }
 
@@ -155,44 +153,16 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Replaces the hierarchy's contents with the state a cleared hierarchy
-    /// reaches after the data accesses `accesses` — `(core, byte address,
-    /// is_write)`, in order — and clears the statistics.  The result has
-    /// the [`canonical_state`](Self::canonical_state) of
-    /// [`clear`](Self::clear), one [`access`](Self::access) per element and
-    /// [`reset_stats`](Self::reset_stats), and so behaves identically from
-    /// then on.  It is computed on a compact model of the sets, without
-    /// latencies, statistics or the private lookups that must miss, and
-    /// written into the caches at the end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an access names a core the hierarchy does not have.
-    pub fn install(&mut self, accesses: impl IntoIterator<Item = (usize, u64, bool)>) {
-        let cores = self.cores.len();
-        self.install.reset(&self.config, cores);
-        for (core, addr, is_write) in accesses {
-            assert!(core < cores, "access by core {core} of a {cores}-core hierarchy");
-            self.install.access(core, addr >> self.line_shift, is_write);
-        }
-        let (l1_sets, l2_sets, l3_sets) = self.install.sets_per_cache();
-        for (core, caches) in self.cores.iter_mut().enumerate() {
-            caches.l1i.clear();
-            caches.l1d.load(&self.install.l1d, core * l1_sets);
-            caches.l2.load(&self.install.l2, core * l2_sets);
-        }
-        for (socket, cache) in self.sockets.iter_mut().enumerate() {
-            cache.load(&self.install.l3, socket * l3_sets);
-        }
-        self.reset_stats();
-    }
-
     fn socket_of_core(&self, core: usize) -> usize {
         core / self.config.cores_per_socket
     }
 
     fn home_socket(&self, line: u64) -> usize {
-        (line % self.sockets.len() as u64) as usize
+        match self.sockets.len() {
+            // One socket homes every line: skip the division.
+            1 => 0,
+            sockets => (line % sockets as u64) as usize,
+        }
     }
 
     /// Issues a data access (load or store) from `core` to byte address `addr`.
@@ -329,7 +299,7 @@ impl MemoryHierarchy {
                     sharers: 1 << core,
                     owner: if is_write { Some(core as u32) } else { None },
                 };
-                if let Some(victim) = self.sockets[home].insert(line, new_entry) {
+                if let Some(victim) = self.sockets[home].fill(line, new_entry) {
                     self.back_invalidate(victim.sharers, victim.line);
                     if victim.dirty {
                         self.stats.dram_writebacks += 1;
@@ -369,7 +339,7 @@ impl MemoryHierarchy {
             }
             None => {
                 let entry = DirEntry { dirty: true, sharers: 1 << core, owner: Some(core as u32) };
-                if let Some(victim) = self.sockets[home].insert(line, entry) {
+                if let Some(victim) = self.sockets[home].fill(line, entry) {
                     self.back_invalidate(victim.sharers, victim.line);
                     if victim.dirty {
                         self.stats.dram_writebacks += 1;
@@ -432,9 +402,9 @@ impl MemoryHierarchy {
     /// victim into the L2.
     fn fill_l1(&mut self, core: usize, line: u64, state: LineState, is_instr: bool) {
         let victim = if is_instr {
-            self.cores[core].l1i.insert(line, LineState::Shared)
+            self.cores[core].l1i.fill(line, LineState::Shared)
         } else {
-            self.cores[core].l1d.insert(line, state)
+            self.cores[core].l1d.fill(line, state)
         };
         if let Some(victim) = victim {
             if victim.dirty {
@@ -450,7 +420,7 @@ impl MemoryHierarchy {
     /// Fills the private L2 with `line`, writing back any dirty victim to the
     /// home L3 and keeping the directory consistent.
     fn fill_l2(&mut self, core: usize, line: u64, state: LineState) {
-        if let Some(victim) = self.cores[core].l2.insert(line, state) {
+        if let Some(victim) = self.cores[core].l2.fill(line, state) {
             self.handle_l2_victim(core, victim.line, victim.dirty);
         }
     }
@@ -458,7 +428,7 @@ impl MemoryHierarchy {
     /// Re-inserts a dirty line into the L2 (used when an L1 victim's L2 copy
     /// has already been evicted).
     fn spill_into_l2(&mut self, core: usize, line: u64) {
-        if let Some(victim) = self.cores[core].l2.insert(line, LineState::Modified) {
+        if let Some(victim) = self.cores[core].l2.fill(line, LineState::Modified) {
             self.handle_l2_victim(core, victim.line, victim.dirty);
         }
     }

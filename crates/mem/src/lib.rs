@@ -13,10 +13,15 @@
 //!   core's loads, stores and instruction fetches through the levels,
 //!   maintains coherence, and reports access latency and DRAM traffic,
 //! * [`MemoryHierarchy::install`] — the state a stream of data accesses
-//!   leaves in cleared caches, computed without the timing model (MRU
-//!   warmup installs its replay this way), and
+//!   leaves in cleared caches, written into the hierarchy's caches without
+//!   the timing model (MRU warmup installs its replay this way), and
 //!   [`MemoryHierarchy::canonical_state`] — a hierarchy's contents in a form
 //!   in which two hierarchies that compare equal behave alike from then on.
+//!
+//! Both cache types store their sets in one structure: a table whose sets
+//! keep their valid lines packed at the front, beside each line's MSI state
+//! or directory entry and last-touch time.  A lookup scans only the valid
+//! lines' addresses, and only an eviction scans the touch times.
 //!
 //! Two stock configurations are provided: [`MemoryConfig::table1`], the
 //! paper's machine, and [`MemoryConfig::scaled`], a proportionally scaled-down
@@ -42,7 +47,7 @@
 mod cache;
 mod config;
 mod hierarchy;
-mod install;
+mod sets;
 mod shared_cache;
 mod stats;
 

@@ -1,5 +1,5 @@
 use crate::config::CacheConfig;
-use crate::install::SetTable;
+use crate::sets::SetTable;
 use serde::{Deserialize, Serialize};
 
 /// Directory information attached to a line in the shared last-level cache.
@@ -39,27 +39,22 @@ pub struct EvictedShared {
     pub owner: Option<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DirWay {
-    line: u64,
-    valid: bool,
-    lru: u64,
-    entry: DirEntry,
-}
-
-impl DirWay {
-    fn invalid() -> Self {
-        Self { line: 0, valid: false, lru: 0, entry: DirEntry::clean() }
+impl EvictedShared {
+    /// The eviction of `line` with directory entry `entry`.
+    fn of((line, entry): (u64, DirEntry)) -> Self {
+        Self {
+            line,
+            dirty: entry.dirty || entry.owner.is_some(),
+            sharers: entry.sharers,
+            owner: entry.owner,
+        }
     }
 }
 
-/// Where a resident line sits: its set and way.  Valid until the next
+/// Where a resident line sits in its cache's table.  Valid until the next
 /// insert, invalidate or clear of the cache that returned it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Slot {
-    set: usize,
-    way: usize,
-}
+pub(crate) struct Slot(usize);
 
 /// An inclusive, set-associative shared last-level cache with an embedded
 /// full-map MSI directory (up to 64 cores).
@@ -67,18 +62,18 @@ pub(crate) struct Slot {
 /// The BarrierPoint machine (Table I) shares one such cache among the eight
 /// cores of a socket; the directory tracks which cores hold private copies so
 /// that writes can invalidate remote sharers and reads can fetch dirty data
-/// from a remote owner.
+/// from a remote owner.  The sets are the set table [`Cache`](crate::Cache)
+/// uses, holding a directory entry per line instead of an MSI state.
 #[derive(Debug, Clone)]
 pub struct SharedCache {
-    sets: Vec<Vec<DirWay>>,
+    sets: SetTable<DirEntry>,
     /// `num_sets - 1`: the set index is `(line / interleave) & set_mask`.
     set_mask: u64,
-    latency: u64,
-    tick: u64,
     /// Socket-interleaving factor: set selection uses `line / interleave` so
     /// that lines homed to this socket (every `interleave`-th line) spread
     /// over all sets instead of aliasing into a fraction of them.
     interleave: u64,
+    latency: u64,
 }
 
 impl SharedCache {
@@ -103,11 +98,10 @@ impl SharedCache {
     pub fn with_interleave(config: &CacheConfig, line_bytes: u64, interleave: u64) -> Self {
         let num_sets = config.num_sets(line_bytes);
         Self {
-            sets: vec![vec![DirWay::invalid(); config.associativity]; num_sets],
+            sets: SetTable::new(num_sets, config.associativity, DirEntry::clean()),
             set_mask: num_sets as u64 - 1,
-            latency: config.latency_cycles,
-            tick: 0,
             interleave: interleave.max(1),
+            latency: config.latency_cycles,
         }
     }
 
@@ -117,36 +111,35 @@ impl SharedCache {
     }
 
     fn set_index(&self, line: u64) -> usize {
-        ((line / self.interleave) & self.set_mask) as usize
+        // One socket divides by one: skip the division.
+        let line = if self.interleave == 1 { line } else { line / self.interleave };
+        (line & self.set_mask) as usize
     }
 
-    fn find(&self, line: u64) -> Option<Slot> {
-        let set = self.set_index(line);
-        let way = self.sets[set].iter().position(|w| w.valid && w.line == line)?;
-        Some(Slot { set, way })
-    }
-
-    /// [`lookup`](Self::lookup) that also returns where the line sits, so
-    /// the caller can write its entry through [`entry_mut`](Self::entry_mut)
-    /// without a second scan.
-    pub(crate) fn lookup_slot(&mut self, line: u64) -> Option<(Slot, DirEntry)> {
-        self.tick += 1;
-        let slot = self.find(line)?;
-        let way = &mut self.sets[slot.set][slot.way];
-        way.lru = self.tick;
-        Some((slot, way.entry))
-    }
-
-    /// [`peek`](Self::peek) that also returns where the line sits.
+    /// [`peek`](Self::peek) that also returns where the line sits, so the
+    /// caller can [`touch`](Self::touch) it or write its entry through
+    /// [`entry_mut`](Self::entry_mut) without a second scan.
     pub(crate) fn peek_slot(&self, line: u64) -> Option<(Slot, DirEntry)> {
-        let slot = self.find(line)?;
-        Some((slot, self.sets[slot.set][slot.way].entry))
+        let at = self.sets.find(self.set_index(line), line)?;
+        Some((Slot(at), self.sets.value(at)))
+    }
+
+    /// [`lookup`](Self::lookup) that also returns where the line sits.
+    pub(crate) fn lookup_slot(&mut self, line: u64) -> Option<(Slot, DirEntry)> {
+        let (slot, entry) = self.peek_slot(line)?;
+        self.touch(slot);
+        Some((slot, entry))
+    }
+
+    /// Makes the line at `slot` the most recently used of its set.
+    pub(crate) fn touch(&mut self, slot: Slot) {
+        self.sets.touch(slot.0);
     }
 
     /// The directory entry of the line at `slot` (from
     /// [`lookup_slot`](Self::lookup_slot) or [`peek_slot`](Self::peek_slot)).
     pub(crate) fn entry_mut(&mut self, slot: Slot) -> &mut DirEntry {
-        &mut self.sets[slot.set][slot.way].entry
+        self.sets.value_mut(slot.0)
     }
 
     /// Looks up a line, refreshing its LRU position.
@@ -161,48 +154,28 @@ impl SharedCache {
 
     /// Returns `true` if `line` is resident.
     pub fn contains(&self, line: u64) -> bool {
-        self.find(line).is_some()
+        self.peek_slot(line).is_some()
     }
 
     /// Inserts a line with a fresh directory entry, evicting the LRU victim
     /// of the set if necessary.
     pub fn insert(&mut self, line: u64, entry: DirEntry) -> Option<EvictedShared> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line);
-        let ways = &mut self.sets[set];
-        // One pass, with the same choice as `Cache::insert`: the resident
-        // copy, else the first free way, else the first with the oldest touch.
-        let (mut free, mut victim, mut oldest) = (None, 0, u64::MAX);
-        for (idx, way) in ways.iter_mut().enumerate() {
-            if way.valid {
-                if way.line == line {
-                    way.entry = entry;
-                    way.lru = tick;
-                    return None;
-                }
-                if way.lru < oldest {
-                    (victim, oldest) = (idx, way.lru);
-                }
-            } else if free.is_none() {
-                free = Some(idx);
-            }
-        }
-        let new = DirWay { line, valid: true, lru: tick, entry };
-        let old = std::mem::replace(&mut ways[free.unwrap_or(victim)], new);
-        free.is_none().then_some(EvictedShared {
-            line: old.line,
-            dirty: old.entry.dirty || old.entry.owner.is_some(),
-            sharers: old.entry.sharers,
-            owner: old.entry.owner,
-        })
+        let victim = self.sets.insert(self.set_index(line), line, entry);
+        victim.map(EvictedShared::of)
+    }
+
+    /// [`insert`](Self::insert) of a line known to be absent, without the
+    /// lookup.
+    pub(crate) fn fill(&mut self, line: u64, entry: DirEntry) -> Option<EvictedShared> {
+        debug_assert!(!self.contains(line), "fill of resident line {line}");
+        self.sets.push(self.set_index(line), line, entry).map(EvictedShared::of)
     }
 
     /// Applies `f` to the directory entry of `line`; returns `false` if the
     /// line is not resident.
     pub fn update<F: FnOnce(&mut DirEntry)>(&mut self, line: u64, f: F) -> bool {
-        match self.find(line) {
-            Some(slot) => {
+        match self.peek_slot(line) {
+            Some((slot, _)) => {
                 f(self.entry_mut(slot));
                 true
             }
@@ -212,60 +185,30 @@ impl SharedCache {
 
     /// Removes `line`; returns its entry if it was resident.
     pub fn invalidate(&mut self, line: u64) -> Option<DirEntry> {
-        let slot = self.find(line)?;
-        let way = &mut self.sets[slot.set][slot.way];
-        way.valid = false;
-        Some(way.entry)
+        let set = self.set_index(line);
+        let at = self.sets.find(set, line)?;
+        Some(self.sets.remove(set, at))
     }
 
     /// Drops all lines.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                *way = DirWay::invalid();
-            }
-        }
-        self.tick = 0;
-    }
-
-    /// Replaces the contents with `sets`' sets `first..first + num_sets`:
-    /// their lines and directory entries, each line's last-touch time as
-    /// its recency.
-    pub(crate) fn load(&mut self, sets: &SetTable<DirEntry>, first: usize) {
-        for (index, ways) in self.sets.iter_mut().enumerate() {
-            let (lines, entries, stamps) = sets.set(first + index);
-            let (filled, empty) = ways.split_at_mut(lines.len());
-            for (way, ((&line, &entry), &lru)) in
-                filled.iter_mut().zip(lines.iter().zip(entries).zip(stamps))
-            {
-                *way = DirWay { line, valid: true, lru, entry };
-            }
-            empty.fill(DirWay::invalid());
-        }
-        self.tick = sets.clock();
+        self.sets.clear();
     }
 
     /// Every set's resident lines and directory entries, least recently
     /// used first.
     pub(crate) fn recency_sets(&self) -> Vec<Vec<(u64, DirEntry)>> {
-        self.sets
-            .iter()
-            .map(|ways| {
-                let mut valid: Vec<&DirWay> = ways.iter().filter(|w| w.valid).collect();
-                valid.sort_by_key(|w| w.lru);
-                valid.iter().map(|w| (w.line, w.entry)).collect()
-            })
-            .collect()
+        self.sets.recency_sets()
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.iter().filter(|w| w.valid).count()).sum()
+        self.sets.occupancy()
     }
 
     /// Iterates over resident lines as `(line, entry)`.
     pub fn valid_lines(&self) -> impl Iterator<Item = (u64, DirEntry)> + '_ {
-        self.sets.iter().flatten().filter(|w| w.valid).map(|w| (w.line, w.entry))
+        self.sets.iter()
     }
 }
 

@@ -301,6 +301,17 @@ fn install_streams() -> impl Strategy<Value = (usize, u64, Vec<(usize, u64, bool
     )
 }
 
+/// [`install_streams`] on at most six cores: with two cores per socket
+/// they span up to three sockets, so lines interleave over a socket count
+/// that is not a power of two.
+fn three_socket_streams() -> impl Strategy<Value = (usize, u64, Vec<(usize, u64, bool)>)> {
+    install_streams().prop_map(|(cores, line_bytes, stream)| {
+        let cores = cores.min(6);
+        let stream = stream.into_iter().map(|(core, addr, w)| (core % cores, addr, w)).collect();
+        (cores, line_bytes, stream)
+    })
+}
+
 /// The oracle of [`MemoryHierarchy::install`]: every access replayed
 /// through the timed path of a cleared hierarchy.
 fn replay(hierarchy: &mut MemoryHierarchy, stream: &[(usize, u64, bool)]) {
@@ -309,6 +320,38 @@ fn replay(hierarchy: &mut MemoryHierarchy, stream: &[(usize, u64, bool)]) {
         hierarchy.access(core, addr, is_write);
     }
     hierarchy.reset_stats();
+}
+
+/// The assertions of `install_matches_replay_through_access` on `config`:
+/// `install` of `stream` over a hierarchy dirtied by `probe` leaves the
+/// canonical state and statistics of a replay, and both then answer
+/// `probe` identically.
+fn check_install(
+    config: &MemoryConfig,
+    cores: usize,
+    stream: &[(usize, u64, bool)],
+    probe: &[(usize, u64, bool)],
+) {
+    let mut installed = MemoryHierarchy::new(config, cores);
+    for &(core, addr, is_write) in probe.iter().rev() {
+        installed.access(core % cores, addr, is_write);
+    }
+    installed.install(stream.iter().copied());
+    let mut replayed = MemoryHierarchy::new(config, cores);
+    replay(&mut replayed, stream);
+    prop_assert_eq!(installed.canonical_state(), replayed.canonical_state());
+    prop_assert_eq!(installed.stats(), replayed.stats());
+    for (step, &(core, addr, is_write)) in probe.iter().enumerate() {
+        let core = core % cores;
+        let (a, b) = if step % 5 == 4 {
+            (installed.fetch_instruction(core, addr), replayed.fetch_instruction(core, addr))
+        } else {
+            (installed.access(core, addr, is_write), replayed.access(core, addr, is_write))
+        };
+        prop_assert_eq!(a, b, "probe step {}", step);
+    }
+    prop_assert_eq!(installed.stats(), replayed.stats());
+    prop_assert_eq!(installed.canonical_state(), replayed.canonical_state());
 }
 
 proptest! {
@@ -367,5 +410,17 @@ proptest! {
         }
         prop_assert_eq!(installed.stats(), replayed.stats());
         prop_assert_eq!(installed.canonical_state(), replayed.canonical_state());
+    }
+
+    /// The install differential on machines of two cores per socket, up to
+    /// three sockets: the home socket and the L3 set of a line come from a
+    /// division by three, which no other machine here exercises.
+    #[test]
+    fn install_matches_replay_across_three_sockets(
+        (cores, line_bytes, stream) in three_socket_streams(),
+        (_, _, probe) in three_socket_streams(),
+    ) {
+        let config = MemoryConfig { line_bytes, cores_per_socket: 2, ..MemoryConfig::tiny() };
+        check_install(&config, cores, &stream, &probe);
     }
 }

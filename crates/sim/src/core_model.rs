@@ -2,9 +2,6 @@ use crate::config::CoreConfig;
 use bp_mem::{AccessResult, MemoryHierarchy};
 use bp_workload::BlockExecution;
 
-/// Base of the synthetic code address space used for instruction fetches.
-const CODE_BASE: u64 = 0x7000_0000_0000;
-
 /// An interval-style core timing model.
 ///
 /// Rather than simulating individual pipeline stages, the model accounts for
@@ -60,8 +57,7 @@ impl CoreModel {
     /// memory accesses to `hierarchy` and accumulating the cycle cost.
     pub fn execute_block(&mut self, exec: &BlockExecution, hierarchy: &mut MemoryHierarchy) {
         // Instruction fetch for the block (one line per static block).
-        let fetch_addr = CODE_BASE + exec.block.index() as u64 * 64;
-        let fetch = hierarchy.fetch_instruction(self.core_id, fetch_addr);
+        let fetch = hierarchy.fetch_instruction(self.core_id, exec.block.code_addr());
         self.cycles += self.stall_cycles(&fetch);
 
         // Base cost: retire at the issue width.

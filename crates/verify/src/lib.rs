@@ -18,6 +18,8 @@
 //!   `// ordering:` comment, no `unwrap()`/`expect()` in library code, a
 //!   `#![forbid(unsafe_code)]` in every crate root, and no direct
 //!   `std::sync` imports in modules ported to the modeled abstraction.
+//!   `bp-lint --count` measures code size instead: each crate's non-test
+//!   lines and public items ([`lint::count`]).
 //!
 //! The crate is dependency-free and is pulled in only through the `model`
 //! cargo feature of `bp-exec`/`bp-core` (a dev-dependency path), so release

@@ -43,6 +43,9 @@
 //!   store anywhere else would be a second copy of a stage that can drift
 //!   from the first (different checkpoint rules, different counters).
 //!
+//! [`count`] measures code size rather than lint it: non-test lines and
+//! public items (see [`CodeSize`]), for `bp-lint --count`.
+//!
 //! A finding can be suppressed with a `bp-lint: allow(<rule>)` comment on
 //! the same line or the line above; every suppression is expected to carry
 //! a justification in the surrounding comment.
@@ -484,6 +487,64 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
     }
 }
 
+/// Non-test lines and public items of some source files: the code-size
+/// measure of the repo's refactors.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CodeSize {
+    /// Lines of each file up to its first top-level `#[cfg(test)]`.
+    pub lines: usize,
+    /// `pub fn|struct|enum|trait|type|const|static|mod` declarations among
+    /// those lines; `pub use`, `pub(crate)` items and fields do not count.
+    pub pub_items: usize,
+}
+
+/// Declaration keywords that make a `pub` line a public item.
+const ITEM_KEYWORDS: [&str; 8] =
+    ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+
+/// Measures one file's content (see [`CodeSize`]).
+fn count_file(content: &str) -> CodeSize {
+    let mut tracker = TestRegionTracker::new();
+    let mut size = CodeSize::default();
+    for line in content.lines() {
+        let top_level = tracker.brace_depth == 0;
+        if tracker.feed(line) && top_level {
+            break;
+        }
+        size.lines += 1;
+        let code = code_part(line).trim_start();
+        let keyword = code.strip_prefix("pub ").and_then(|rest| rest.split_whitespace().next());
+        if keyword.is_some_and(|keyword| ITEM_KEYWORDS.contains(&keyword)) {
+            size.pub_items += 1;
+        }
+    }
+    size
+}
+
+/// Measures every crate under `root/crates`, each its `src` tree: one
+/// `(crate directory name, size)` row per crate, in name order.
+pub fn count(root: &Path) -> io::Result<Vec<(String, CodeSize)>> {
+    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
+        .map(|entry| entry.map(|e| e.path()))
+        .collect::<Result<_, _>>()?;
+    crates.sort();
+    let mut rows = Vec::new();
+    for dir in crates {
+        let mut files = Vec::new();
+        rust_files(&dir.join("src"), &mut files)?;
+        let mut size = CodeSize::default();
+        for path in &files {
+            let file = count_file(&fs::read_to_string(path)?);
+            size.lines += file.lines;
+            size.pub_items += file.pub_items;
+        }
+        if !files.is_empty() {
+            rows.push((dir.file_name().unwrap_or_default().to_string_lossy().into_owned(), size));
+        }
+    }
+    Ok(rows)
+}
+
 /// Looks for an `ordering:` justification: on the line itself (comment
 /// part), or in the comment block spanning up to eight lines directly above
 /// (stopping at the first blank line).
@@ -749,6 +810,35 @@ mod tests {
         );
         let findings = lint_str("crates/core/src/pipeline.rs", &escaped);
         assert!(!findings.iter().any(|f| f.rule == Rule::CoreCache));
+    }
+
+    #[test]
+    fn count_stops_at_the_first_top_level_test_module_and_counts_public_items() {
+        let src = "\
+//! Doc.
+pub struct A {
+    pub field: u64,
+}
+pub(crate) fn hidden() {}
+pub use a::B;
+impl A {
+    pub const fn new() -> Self { A { field: 0 } }
+    #[cfg(test)]
+    pub fn only_in_tests() {}
+    pub fn after_inner_test_item() {} // pub fn in a comment
+}
+#[cfg(test)]
+mod tests {
+    pub fn not_counted() {}
+}
+pub fn after_the_tests() {}
+";
+        // The 12 lines above the top-level `#[cfg(test)]`: the attribute
+        // inside `impl A` does not end the count.  Their public items are
+        // `A`, `new`, `only_in_tests` and `after_inner_test_item`.
+        let size = count_file(src);
+        assert_eq!(size, CodeSize { lines: 12, pub_items: 4 });
+        assert_eq!(count_file(""), CodeSize::default());
     }
 
     #[test]

@@ -1,5 +1,10 @@
+use crate::access::CACHE_LINE_BYTES;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// Base of the synthetic code address space: block `i`'s code is the line
+/// at `CODE_BASE + i * CACHE_LINE_BYTES`.
+const CODE_BASE: u64 = 0x7000_0000_0000;
 
 /// Identifier of a static basic block within a workload.
 ///
@@ -14,6 +19,13 @@ impl BasicBlockId {
     /// Returns the id as a `usize` index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The byte address of the block's code, which the simulated core
+    /// fetches before executing it: each static block occupies its own
+    /// cache line of a code address space far above the data.
+    pub fn code_addr(self) -> u64 {
+        CODE_BASE + u64::from(self.0) * CACHE_LINE_BYTES
     }
 }
 
@@ -81,6 +93,12 @@ impl BlockTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_block_fetches_its_own_code_line() {
+        assert_eq!(BasicBlockId(0).code_addr(), 0x7000_0000_0000);
+        assert_eq!(BasicBlockId(3).code_addr() - BasicBlockId(2).code_addr(), CACHE_LINE_BYTES);
+    }
 
     #[test]
     fn add_assigns_sequential_ids() {

@@ -1,9 +1,11 @@
 //! Degenerate inputs through the public pipeline: one region on one thread,
 //! blocks without memory accesses, regions without iterations, more threads
-//! than iterations, many identical regions, and more cores than the memory
-//! hierarchy models.  Every entry point must return a result or an `Error`
-//! on them, never panic: the core count above the limit asks for
-//! `Error::UnsupportedCoreCount`, every other case for `Ok`.
+//! than iterations, many identical regions, more cores than the memory
+//! hierarchy models, and memory geometries no hierarchy can be built from.
+//! Every entry point must return a result or an `Error` on them, never
+//! panic: the core count above the limit asks for
+//! `Error::UnsupportedCoreCount`, a degenerate geometry for
+//! `Error::InvalidMemoryConfig`, every other case for `Ok`.
 //!
 //! Each workload goes through `BarrierPoint::run` (cold and MRU-replay
 //! warmup), an uncached `Sweep::run`, a cached sweep followed by re-sweeps
@@ -138,6 +140,43 @@ fn more_cores_than_the_hierarchy_models() {
         .add_config("65 cores", machine)
         .run();
     unsupported(sweep.map(drop), "uncached Sweep::run");
+}
+
+/// Machines whose memory geometry no hierarchy can be built from: an L3
+/// of three times a power of two sets, an L1D without ways, 48-byte lines
+/// and sockets without cores.
+fn degenerate_memories() -> [(&'static str, SimConfig); 4] {
+    let machine = SimConfig::tiny(2);
+    let (mut l3, mut l1d, mut lines, mut sockets) = (machine, machine, machine, machine);
+    l3.memory.l3.size_bytes = 3 * 16 * l3.memory.l3.associativity as u64 * 64;
+    l1d.memory.l1d.associativity = 0;
+    lines.memory.line_bytes = 48;
+    sockets.memory.cores_per_socket = 0;
+    [
+        ("48-set L3", l3),
+        ("0-way L1D", l1d),
+        ("48-byte lines", lines),
+        ("0 cores per socket", sockets),
+    ]
+}
+
+/// Each degenerate memory geometry is refused with an `Error` by the
+/// staged chain's `Selected::simulate`, by `BarrierPoint::run` and by
+/// `Sweep::run`, before any machine is built.
+#[test]
+fn degenerate_memory_geometry_is_an_error() {
+    let w = workload("degenerate-geometry", 2, 3, 32, 4);
+    let selected = ok(BarrierPoint::new(&w).select(), "select on the default machine");
+    for (what, machine) in degenerate_memories() {
+        let invalid = |result: Result<(), Error>, entry: &str| match result {
+            Err(Error::InvalidMemoryConfig { message }) => assert!(!message.is_empty()),
+            other => panic!("{what}, {entry}: expected InvalidMemoryConfig, got {other:?}"),
+        };
+        invalid(selected.simulate(&machine).map(drop), "Selected::simulate");
+        let run = BarrierPoint::new(&w).with_sim_config(machine).run();
+        invalid(run.map(drop), "BarrierPoint::run");
+        invalid(Sweep::new(&w).add_config("degenerate", machine).run().map(drop), "Sweep::run");
+    }
 }
 
 /// Both selection backends with a budget far above the region count.
