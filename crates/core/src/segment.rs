@@ -28,7 +28,10 @@
 //! ([`bp_signature::ProfileAccumulator`]) reads each access's stack distance
 //! from it and the MRU interval recorder ([`bp_warmup::IntervalRecorder`])
 //! its window, so a fused walk finds each access's LRU stack position once
-//! rather than once per output.  The engine writes the checkpoint's two
+//! rather than once per output.  The engine finds that position from a
+//! bitset with one bit per access timestamp (set iff the timestamp is some
+//! line's latest access) and a Fenwick tree of per-word popcounts over it:
+//! a word-level prefix sum plus one masked popcount per access.  The engine writes the checkpoint's two
 //! images — the profile image and the window image — byte for byte in the
 //! layouts the golden checkpoint digests pin.  The bit-identity suites
 //! compare every walk with a naive reference in the workspace's

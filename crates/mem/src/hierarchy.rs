@@ -398,22 +398,20 @@ impl MemoryHierarchy {
         dirty
     }
 
-    /// Fills the L1 (instruction or data) with `line`, spilling any dirty
-    /// victim into the L2.
+    /// Fills the L1 (instruction or data) with `line`.  A victim needs no
+    /// write-back: L1D ⊆ L2 with equal states (every path that dirties an
+    /// L1D line sets its L2 copy Modified, and an L2 eviction invalidates
+    /// the L1D copy), so a dirty victim's L2 copy already holds its data.
     fn fill_l1(&mut self, core: usize, line: u64, state: LineState, is_instr: bool) {
-        let victim = if is_instr {
-            self.cores[core].l1i.fill(line, LineState::Shared)
-        } else {
-            self.cores[core].l1d.fill(line, state)
-        };
-        if let Some(victim) = victim {
-            if victim.dirty {
-                // Dirty L1 victims merge into the L2 copy (inclusion means the
-                // line is normally present there).
-                if !self.cores[core].l2.set_state(victim.line, LineState::Modified) {
-                    self.spill_into_l2(core, victim.line);
-                }
-            }
+        let caches = &mut self.cores[core];
+        if is_instr {
+            caches.l1i.fill(line, LineState::Shared);
+        } else if let Some(victim) = caches.l1d.fill(line, state) {
+            debug_assert!(
+                !victim.dirty || caches.l2.peek(victim.line) == Some(LineState::Modified),
+                "dirty L1D victim {:#x} of core {core} has no Modified L2 copy",
+                victim.line
+            );
         }
     }
 
@@ -421,14 +419,6 @@ impl MemoryHierarchy {
     /// home L3 and keeping the directory consistent.
     fn fill_l2(&mut self, core: usize, line: u64, state: LineState) {
         if let Some(victim) = self.cores[core].l2.fill(line, state) {
-            self.handle_l2_victim(core, victim.line, victim.dirty);
-        }
-    }
-
-    /// Re-inserts a dirty line into the L2 (used when an L1 victim's L2 copy
-    /// has already been evicted).
-    fn spill_into_l2(&mut self, core: usize, line: u64) {
-        if let Some(victim) = self.cores[core].l2.fill(line, LineState::Modified) {
             self.handle_l2_victim(core, victim.line, victim.dirty);
         }
     }

@@ -15,8 +15,9 @@
 //!   skipping it leaves the state `access` leaves.
 //! - **L1D ⊆ L2, with equal states.**  Both levels fill with one state, and
 //!   downgrades, upgrades and invalidations change both.  So a dirty L1D
-//!   victim's merge into its L2 copy changes nothing, and an L2 victim's own
-//!   state says whether a dirty copy is written back.
+//!   victim's data is already in its L2 copy (the timed path asserts this
+//!   in debug builds), and an L2 victim's own state says whether a dirty
+//!   copy is written back.
 //! - **The instruction caches stay empty.**
 
 use super::MemoryHierarchy;

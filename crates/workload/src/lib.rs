@@ -17,9 +17,9 @@
 //! Profiling and MRU warmup collection both read each thread's LRU stack:
 //! profiling needs each access's stack distance, MRU collection the stack's
 //! most recent lines.  [`RecencyEngine`] keeps that stack once per thread —
-//! one hash-map entry per line, one Fenwick tree, and an optional MRU
-//! window on top — so a walk that collects both finds each access's stack
-//! position once.  Its two checkpoint images let a thread's walk resume at a
+//! one hash-map entry per line, a timestamp bitset with a Fenwick tree of
+//! per-word popcounts, and an optional MRU window on top — so a walk that
+//! collects both finds each access's stack position once.  Its two checkpoint images let a thread's walk resume at a
 //! region boundary ([`CheckpointError`] when an image does not fit).  The
 //! walk itself — which regions, which outputs, on which workers — belongs to
 //! `bp-core`.

@@ -7,14 +7,18 @@
 //! up to a collection capacity — with each line's dirty state.  Both read
 //! the same LRU stack: the window is the stack's top `capacity` lines, and a
 //! windowed line's recency depth is its stack distance.  [`RecencyEngine`]
-//! keeps that stack once: one `LineMap` entry per line, one Fenwick tree
-//! over access timestamps, and — when a window is attached — a slot vector
-//! indexed by window sequence number, holding each windowed line and its
-//! residency, with a head cursor on the oldest windowed line.  The map entry
-//! stays two words, so a walk without a window pays nothing for it.
-//! [`RecencyEngine::touch`] finds an access's stack position with one map
-//! lookup and one prefix sum, and returns everything both consumers need
-//! ([`Touch`]).
+//! keeps that stack once: one `LineMap` entry per line, one bit per access
+//! timestamp (set iff the timestamp is some line's latest access) with a
+//! Fenwick tree of `u32` popcounts over the bitset's words, and — when a
+//! window is attached — a slot vector indexed by window sequence number,
+//! holding each windowed line and its residency, with a head cursor on the
+//! oldest windowed line.  The map entry stays two words, so a walk without
+//! a window pays nothing for it.  [`RecencyEngine::touch`] finds an
+//! access's stack position with one map lookup, one word-level prefix sum
+//! and one masked popcount, and returns everything both consumers need
+//! ([`Touch`]).  The tree has one `u32` node per 64 timestamps and the
+//! bitset one bit per timestamp: 12 bytes per 64 timestamps, where a tree
+//! of one `u64` per timestamp takes 512.
 //!
 //! The engine's carried state is written as two checkpoint images: the
 //! *profile image* `(time, total, [(timestamp, line)] by timestamp)` and
@@ -84,7 +88,7 @@ const NO_RESIDENCY: Residency =
 /// One line's entry in the engine's map.
 #[derive(Debug, Clone, Copy)]
 struct Mark {
-    /// The line's last-access timestamp: its one mark in the Fenwick tree.
+    /// The line's last-access timestamp: its one bit in the timestamp set.
     time: usize,
     /// The line's window sequence, 0 when the line is outside the window.
     seq: u64,
@@ -183,49 +187,104 @@ impl Window {
     }
 }
 
-fn tree_add(tree: &mut [u64], mut idx: usize, delta: i64) {
-    while idx < tree.len() {
-        tree[idx] = (tree[idx] as i64 + delta) as u64;
-        idx += idx & idx.wrapping_neg();
-    }
+/// The marked timestamps — those that are some line's latest access — as a
+/// bitset (timestamp `t` is bit `t % 64` of word `t / 64`) and a 1-based
+/// Fenwick tree over the words' popcounts (`tree[w + 1]` counts word `w`).
+/// Marking, unmarking and counting the marks at or below a timestamp each
+/// walk the tree over the word index and touch one word of the bitset.
+#[derive(Debug, Clone, Default)]
+struct Stamps {
+    bits: Vec<u64>,
+    tree: Vec<u32>,
 }
 
-fn tree_prefix_sum(tree: &[u64], mut idx: usize) -> u64 {
-    let mut sum = 0;
-    while idx > 0 {
-        sum += tree[idx];
-        idx -= idx & idx.wrapping_neg();
+impl Stamps {
+    /// The set over timestamps `0..len` (a multiple of 64) holding `marked`.
+    fn build(len: usize, marked: impl Iterator<Item = usize>) -> Self {
+        let words = len / 64;
+        let mut bits = vec![0u64; words];
+        for time in marked {
+            bits[time / 64] |= 1 << (time % 64);
+        }
+        // Each node adds itself into its parent: a linear-time build.
+        let mut tree = vec![0u32; words + 1];
+        for node in 1..=words {
+            tree[node] += bits[node - 1].count_ones();
+            let parent = node + (node & node.wrapping_neg());
+            if parent <= words {
+                tree[parent] += tree[node];
+            }
+        }
+        Self { bits, tree }
     }
-    sum
-}
 
-/// Moves a line's mark off its previous timestamp `previous`, returning its
-/// stack distance: the marks after `previous`, out of `marked` in all.
-fn unmark(tree: &mut [u64], marked: u64, previous: usize) -> u64 {
-    let after = marked - tree_prefix_sum(tree, previous);
-    tree_add(tree, previous, -1);
-    after
+    /// The timestamps the set can hold.
+    fn len(&self) -> usize {
+        self.bits.len() * 64
+    }
+
+    /// Marks `time`, which is unmarked.
+    fn mark(&mut self, time: usize) {
+        self.bits[time / 64] |= 1 << (time % 64);
+        let mut node = time / 64 + 1;
+        while node < self.tree.len() {
+            self.tree[node] += 1;
+            node += node & node.wrapping_neg();
+        }
+    }
+
+    /// Unmarks `time`, which is marked.
+    fn unmark(&mut self, time: usize) {
+        self.bits[time / 64] &= !(1 << (time % 64));
+        let mut node = time / 64 + 1;
+        while node < self.tree.len() {
+            self.tree[node] -= 1;
+            node += node & node.wrapping_neg();
+        }
+    }
+
+    /// The marks at or below `time`.
+    fn rank(&self, time: usize) -> u64 {
+        let word = time / 64;
+        let mut sum = u64::from((self.bits[word] & (u64::MAX >> (63 - time % 64))).count_ones());
+        let mut node = word;
+        while node > 0 {
+            sum += u64::from(self.tree[node]);
+            node &= node - 1;
+        }
+        sum
+    }
+
+    /// Moves a line's mark off its previous timestamp `previous`, returning
+    /// its stack distance: the marks after `previous`, out of `marked` in
+    /// all.
+    fn take(&mut self, marked: u64, previous: usize) -> u64 {
+        let after = marked - self.rank(previous);
+        self.unmark(previous);
+        after
+    }
 }
 
 /// One thread's exact LRU stack, with an optional MRU window on its top.
 ///
 /// Every line ever touched holds one hash-map entry with its last-access
-/// timestamp; a Fenwick tree marks the timestamps that are some line's
-/// latest, so a line's stack distance is the number of marks after its
-/// previous timestamp.  A windowed engine ([`with_window`]) also keeps the
-/// top `capacity` lines in a slot vector indexed by window sequence, and
-/// each windowed line's [`Residency`] in its slot.  A windowed line's
-/// recency depth *is* its stack distance, so the window needs no order
-/// statistic of its own.  An engine without a window ([`new`]) skips all
-/// window work.
+/// timestamp; a bitset marks the timestamps that are some line's latest,
+/// and a Fenwick tree over the bitset's words counts the marks word by word,
+/// so a line's stack distance — the number of marks after its previous
+/// timestamp — is one word-level prefix sum and one masked popcount away.
+/// A windowed engine ([`with_window`]) also keeps the top `capacity` lines
+/// in a slot vector indexed by window sequence, and each windowed line's
+/// [`Residency`] in its slot.  A windowed line's recency depth *is* its
+/// stack distance, so the window needs no order statistic of its own.  An
+/// engine without a window ([`new`]) skips all window work.
 ///
 /// [`with_window`]: Self::with_window
 /// [`new`]: Self::new
 #[derive(Debug, Clone, Default)]
 pub struct RecencyEngine {
-    /// Fenwick tree over timestamps; `tree[t] == 1` iff `t` is the latest
-    /// access of some line.  1-based, power-of-two sized.
-    tree: Vec<u64>,
+    /// The marked timestamps: `t` is marked iff it is the latest access of
+    /// some line.  Sized to a power of two timestamps, at least 64.
+    stamps: Stamps,
     marks: LineMap<Mark>,
     /// Latest timestamp; renumbered by compaction.
     time: usize,
@@ -256,8 +315,9 @@ impl RecencyEngine {
     /// and returns its stack distance and, with a window, the residency the
     /// access ended and the line the window evicted.
     ///
-    /// One hash-map lookup finds the line; the Fenwick tree costs one
-    /// prefix sum and two updates.  With a window, the line's old slot is
+    /// One hash-map lookup finds the line; the timestamp set costs one
+    /// word-level prefix sum with one masked popcount, and two word-level
+    /// updates with one bit flip each.  With a window, the line's old slot is
     /// vacated and a new one appended in `O(1)`, and an eviction pops the
     /// oldest live slot in amortised `O(1)` plus one more lookup.
     #[inline]
@@ -269,24 +329,24 @@ impl RecencyEngine {
         self.total += 1;
         self.time += 1;
         let now = self.time;
-        if now >= self.tree.len() {
+        if now >= self.stamps.len() {
             self.rebuild_tree((now + 1).next_power_of_two().max(64));
         }
-        // Every line holds exactly one mark, so the tree total is the
+        // Every line holds exactly one mark, so the marks total the
         // distinct-line count taken before this access.
         let marked = self.marks.len() as u64;
         let Some(window) = self.window.as_mut() else {
             let distance = match self.marks.entry(line) {
                 Entry::Occupied(mut entry) => {
                     let previous = std::mem::replace(&mut entry.get_mut().time, now);
-                    Some(unmark(&mut self.tree, marked, previous))
+                    Some(self.stamps.take(marked, previous))
                 }
                 Entry::Vacant(entry) => {
                     entry.insert(Mark::unwindowed(now));
                     None
                 }
             };
-            tree_add(&mut self.tree, now, 1);
+            self.stamps.mark(now);
             return Touch { distance, previous: None, evicted: None };
         };
         window.maybe_compact(&mut self.marks);
@@ -296,7 +356,7 @@ impl RecencyEngine {
         let (distance, previous, dirty_depth) = match self.marks.entry(line) {
             Entry::Occupied(mut entry) => {
                 let previous = std::mem::replace(entry.get_mut(), Mark { time: now, seq });
-                let distance = unmark(&mut self.tree, marked, previous.time);
+                let distance = self.stamps.take(marked, previous.time);
                 let previous = (previous.seq != 0).then(|| window.vacate(previous.seq));
                 let dirty_depth = match previous {
                     // A write is in-residency at every capacity that holds
@@ -320,7 +380,7 @@ impl RecencyEngine {
                 (None, None, if is_write { 0 } else { u64::MAX })
             }
         };
-        tree_add(&mut self.tree, now, 1);
+        self.stamps.mark(now);
         let residency =
             Residency { tick: window.next_tick, dirty_depth, record: Residency::NO_RECORD };
         window.slots.push(Slot { line, residency });
@@ -371,15 +431,11 @@ impl RecencyEngine {
         }
     }
 
-    /// Rebuilds the Fenwick tree at `len` slots from the per-line marks.  (A
-    /// Fenwick tree cannot simply be zero-extended: appended internal nodes
-    /// cover existing timestamp ranges.)
+    /// Rebuilds the bitset and its word tree at `len` timestamps from the
+    /// per-line marks.  (A Fenwick tree cannot simply be zero-extended:
+    /// appended internal nodes cover existing word ranges.)
     fn rebuild_tree(&mut self, len: usize) {
-        self.tree.clear();
-        self.tree.resize(len, 0);
-        for mark in self.marks.values() {
-            tree_add(&mut self.tree, mark.time, 1);
-        }
+        self.stamps = Stamps::build(len, self.marks.values().map(|mark| mark.time));
     }
 
     /// The marks as `(timestamp, line)`, sorted by timestamp.
@@ -391,8 +447,8 @@ impl RecencyEngine {
     }
 
     /// Renumbers the timestamps to `1..=distinct lines`, keeping their
-    /// order, so the tree stays proportional to the distinct lines rather
-    /// than to the access count.
+    /// order, so the timestamp set stays proportional to the distinct lines
+    /// rather than to the access count.
     fn compact_times(&mut self) {
         let entries = self.marks_by_time();
         for (new_time, (_, line)) in entries.iter().enumerate() {
@@ -581,7 +637,7 @@ impl ProfileImage {
         }
         // Compaction keeps `time <= max(floor + 1, 8 * lines + 1)` after
         // every access; a larger clock cannot come from a real walk and
-        // would size the Fenwick tree by it.
+        // would size the timestamp set by it.
         let bound = (TIME_COMPACTION_FLOOR as u64 + 1).max(8 * len as u64 + 1);
         if time > bound {
             return Err(fail(format!("clock {time} past compaction bound {bound}")));
@@ -790,6 +846,47 @@ mod tests {
         assert_eq!(engine.window().count(), 0);
         assert!(engine.window_image().is_empty());
         assert_eq!(engine.window_capacity(), None);
+    }
+
+    #[test]
+    fn marks_at_word_edges_survive_growth() {
+        let edges = [63, 64, 127, 128];
+        let count = |marks: &[usize], time: usize| marks.iter().filter(|&&m| m <= time).count();
+        let mut stamps = Stamps::build(256, edges.into_iter());
+        for time in 0..256 {
+            assert_eq!(stamps.rank(time), count(&edges, time) as u64, "rank of {time}");
+        }
+        stamps.unmark(64);
+        stamps.mark(255);
+        for time in 0..256 {
+            assert_eq!(stamps.rank(time), count(&[63, 127, 128, 255], time) as u64);
+        }
+        // Lines whose last access sits on each edge, with fillers between:
+        // the clock crosses the growths from 64 to 128 and to 256
+        // timestamps, and the edge marks are re-read after each.
+        let mut engines = [RecencyEngine::with_window(3), RecencyEngine::new()];
+        let mut naive = Naive::new(0);
+        let mut touch = |engines: &mut [RecencyEngine], line: u64| {
+            let expected = naive.touch(line, false).distance;
+            for engine in engines {
+                assert_eq!(engine.touch(line, false).distance, expected, "line {line}");
+            }
+        };
+        for time in 1..=130u64 {
+            touch(
+                &mut engines,
+                if edges.contains(&(time as usize)) { time } else { 1_000 + time % 5 },
+            );
+        }
+        for engine in &engines {
+            assert_eq!(engine.stamps.len(), 256);
+            for line in edges {
+                assert_eq!(engine.marks[&(line as u64)].time, line);
+            }
+        }
+        for line in [64, 63, 128, 127, 63, 1_001, 128] {
+            touch(&mut engines, line);
+        }
     }
 
     #[test]

@@ -299,3 +299,70 @@ proptest! {
         }
     }
 }
+
+/// `len` accesses over lines `0..lines`: half to a hot set of `hot` lines,
+/// whose reuse mostly stays within one 64-timestamp word of the engine's
+/// bitset; a quarter to a cyclic scan over every line, whose reuse spans
+/// `4 * lines` timestamps on average (128 words at 2,048 lines); and a
+/// quarter to random lines, whose reuse gaps have a long tail (hundreds of
+/// words at 2,048 lines).  About a third of the accesses write.
+fn long_stream(len: usize, lines: u64, hot: u64, seed: u64) -> Vec<(u64, bool)> {
+    let mut state = seed | 1;
+    let mut cursor = 0;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let line = match state % 4 {
+                0 | 1 => (state >> 8) % hot,
+                2 => {
+                    cursor = (cursor + 1) % lines;
+                    cursor
+                }
+                _ => (state >> 8) % lines,
+            };
+            (line, (state >> 40).is_multiple_of(3))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The recency engine, windowed and windowless, against the naive stack
+    /// on streams long and wide enough to spread the marked timestamps over
+    /// hundreds of bitset words and through several growths of the
+    /// timestamp set: every access's distance, and the windowed engine's
+    /// window with its dirty bits every 256 accesses and at the end.
+    #[test]
+    fn engine_matches_the_naive_stack_on_long_streams(
+        len in 4096usize..16384,
+        lines in 64u64..=2048,
+        hot in 1u64..=16,
+        collection in 1u64..=512,
+        seed in any::<u64>(),
+    ) {
+        let mut windowed = RecencyEngine::with_window(collection);
+        let mut plain = RecencyEngine::new();
+        let mut stack = Vec::new();
+        let mut lists = reference::MruLists::new(1, collection);
+        for (index, (line, write)) in long_stream(len, lines, hot, seed).into_iter().enumerate() {
+            let expected = reference::touch(&mut stack, line);
+            lists.record(0, line, write);
+            prop_assert_eq!(windowed.touch(line, write).distance, expected);
+            prop_assert_eq!(plain.touch(line, write).distance, expected);
+            if index % 256 == 255 || index + 1 == len {
+                let window: Vec<(u64, bool)> = windowed
+                    .window()
+                    .map(|line| {
+                        let dirty = windowed.residency(line).unwrap().dirty_depth < collection;
+                        (line, dirty)
+                    })
+                    .collect();
+                prop_assert_eq!(&window, &lists.payloads()[0]);
+            }
+        }
+        prop_assert_eq!(windowed.profile_image(), plain.profile_image());
+    }
+}

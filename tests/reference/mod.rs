@@ -40,7 +40,7 @@ fn each_block<W: Workload + ?Sized>(
 
 /// Moves `line` to the top of `stack`, returning its distance from the top
 /// before the move (`None` when it was not on the stack).
-fn touch(stack: &mut Vec<u64>, line: u64) -> Option<u64> {
+pub fn touch(stack: &mut Vec<u64>, line: u64) -> Option<u64> {
     let distance = stack.iter().rposition(|&l| l == line).map(|at| {
         stack.remove(at);
         (stack.len() - at) as u64
