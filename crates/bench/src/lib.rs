@@ -3,10 +3,10 @@
 //!
 //! Each `figN_*` / `tableN_*` function computes the data behind one figure or
 //! table and returns it as a printable report string plus (where useful)
-//! structured rows.  The `reproduce` binary dispatches on a figure name and
-//! prints the report; the Criterion benches in `benches/` exercise the same
-//! functions at a reduced scale so `cargo bench` measures the cost of every
-//! experiment.
+//! structured rows.  The `reproduce` binary is the one way to run them: it
+//! dispatches on experiment names, prints each report and its wall time,
+//! and `--quick` runs every experiment at [`ExperimentConfig::quick`]'s
+//! reduced scale.
 //!
 //! The experiments run on the scaled-down machine/workload pair described in
 //! DESIGN.md; errors are always computed against a full detailed simulation
@@ -17,18 +17,20 @@
 
 use barrierpoint::evaluate::{
     estimate_from_full_run, harmonic_mean, mean, prediction_error, relative_scaling, speedups,
+    PredictionError,
 };
-use barrierpoint::report;
 use barrierpoint::{
-    profile_application_with, reconstruct, reconstruct_with_mode, select_barrierpoints,
-    select_barrierpoints_with, simulate_barrierpoints, ApplicationProfile, ArtifactCache,
-    BarrierPoint, BarrierPointSelection, ExecutionPolicy, ScalingMode, SelectionSpec,
-    SelectionStrategy, SignatureConfig, SimConfig, SimPointConfig, SimPointStrategy, Sweep,
-    TwoPhaseStratified, TwoPhaseStratifiedConfig, WarmupKind,
+    reconstruct, reconstruct_with_mode, select_barrierpoints, select_barrierpoints_with,
+    simulate_barrierpoints, ApplicationProfile, BarrierPoint, BarrierPointSelection,
+    ExecutionPolicy, ScalingMode, Selected, SelectionSpec, SelectionStrategy, SignatureConfig,
+    SimConfig, SimPointConfig, SimPointStrategy, Sweep, TwoPhaseStratified,
+    TwoPhaseStratifiedConfig, WarmupKind,
 };
 use bp_sim::{Machine, RunMetrics};
 use bp_workload::{Benchmark, SyntheticWorkload, Workload, WorkloadConfig};
 use std::fmt::Write as _;
+
+mod report;
 
 /// Configuration of one experiment sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,7 +42,7 @@ pub struct ExperimentConfig {
     /// Core count of the large machine (32 in the paper).
     pub cores_large: usize,
     /// Use the aggressively shrunk "tiny" machine instead of the scaled one
-    /// (used by the Criterion benches to keep `cargo bench` fast).
+    /// (used by [`ExperimentConfig::quick`] to keep `reproduce --quick` fast).
     pub tiny_machine: bool,
 }
 
@@ -50,7 +52,8 @@ impl ExperimentConfig {
         Self { scale: 1.0, cores_small: 8, cores_large: 32, tiny_machine: false }
     }
 
-    /// A reduced configuration for quick runs and Criterion benches.
+    /// The reduced configuration of `reproduce --quick` (and of the unit
+    /// tests): a twentieth of the nominal inputs on the tiny machine.
     pub fn quick() -> Self {
         Self { scale: 0.05, cores_small: 4, cores_large: 8, tiny_machine: true }
     }
@@ -70,21 +73,11 @@ impl ExperimentConfig {
     }
 }
 
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 /// Everything computed once per (benchmark, core count) and shared by several
 /// experiments: the workload, its profile, the default selection and the
 /// detailed-simulation ground truth.
 #[derive(Debug)]
 pub struct PreparedRun {
-    /// The benchmark.
-    pub benchmark: Benchmark,
-    /// Core/thread count.
-    pub cores: usize,
     /// The workload model.
     pub workload: SyntheticWorkload,
     /// The signature profile.
@@ -97,33 +90,23 @@ pub struct PreparedRun {
     pub sim_config: SimConfig,
 }
 
-/// Profiles, selects and runs the ground-truth simulation for one benchmark.
-pub fn prepare(config: &ExperimentConfig, bench: Benchmark, cores: usize) -> PreparedRun {
-    prepare_with_cache(config, bench, cores, None)
+/// Profiles `workload` and selects its barrierpoints with the paper's
+/// default settings (combined signatures, Table II SimPoint parameters).
+/// No experiment simulates through the returned stage, so the profiling
+/// walk collects no warmup bank.
+fn paper_selection(workload: &SyntheticWorkload) -> Selected<'_, SyntheticWorkload> {
+    BarrierPoint::new(workload).with_warmup(WarmupKind::Cold).select().expect("selection succeeds")
 }
 
-/// [`prepare`] with an optional persistent artifact cache: when `cache` is
-/// given, the staged pipeline loads the microarchitecture-independent
-/// profile *and* the barrierpoint selection from disk for workloads already
-/// prepared by an earlier experiment in the sweep (the Figure 6 reuse
-/// property).
-pub fn prepare_with_cache(
-    config: &ExperimentConfig,
-    bench: Benchmark,
-    cores: usize,
-    cache: Option<&ArtifactCache>,
-) -> PreparedRun {
+/// Profiles, selects and runs the ground-truth simulation for one benchmark.
+pub fn prepare(config: &ExperimentConfig, bench: Benchmark, cores: usize) -> PreparedRun {
     let workload = config.workload(bench, cores);
     let sim_config = config.machine(cores);
-    let mut pipeline = BarrierPoint::new(&workload);
-    if let Some(cache) = cache {
-        pipeline = pipeline.with_cache(cache.clone());
-    }
-    let selected = pipeline.select().expect("selection succeeds");
+    let selected = paper_selection(&workload);
     let profile = selected.profile().clone();
     let selection = selected.into_selection();
     let ground = Machine::new(&sim_config).run_full(&workload);
-    PreparedRun { benchmark: bench, cores, workload, profile, selection, ground, sim_config }
+    PreparedRun { workload, profile, selection, ground, sim_config }
 }
 
 /// Figure 1: total number of dynamically executed barriers per benchmark for
@@ -198,39 +181,17 @@ pub fn fig3_ipc_trace(config: &ExperimentConfig) -> String {
     out
 }
 
-/// One row of Figures 4 / 7: a benchmark, a core count and its errors.
-#[derive(Debug, Clone)]
-pub struct AccuracyRow {
-    /// Benchmark name.
-    pub benchmark: String,
-    /// Core count.
-    pub cores: usize,
-    /// Runtime error in percent.
-    pub runtime_percent_error: f64,
-    /// Absolute DRAM APKI difference.
-    pub dram_apki_abs_difference: f64,
-}
-
-fn accuracy_report(title: &str, rows: &[AccuracyRow]) -> String {
+/// The Figures 4 / 7 report: one row per (benchmark, core count) and its
+/// errors, then the averages.
+fn accuracy_report(title: &str, rows: &[(Benchmark, usize, PredictionError)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
-    for row in rows {
-        let _ = writeln!(
-            out,
-            "  {}",
-            report::accuracy_row(
-                &row.benchmark,
-                row.cores,
-                &barrierpoint::evaluate::PredictionError {
-                    runtime_percent_error: row.runtime_percent_error,
-                    dram_apki_abs_difference: row.dram_apki_abs_difference,
-                }
-            )
-        );
+    for (bench, cores, error) in rows {
+        let _ = writeln!(out, "  {}", report::accuracy_row(bench.name(), *cores, error));
     }
-    let avg = mean(&rows.iter().map(|r| r.runtime_percent_error).collect::<Vec<_>>());
-    let max = rows.iter().map(|r| r.runtime_percent_error).fold(0.0f64, f64::max);
-    let avg_apki = mean(&rows.iter().map(|r| r.dram_apki_abs_difference).collect::<Vec<_>>());
+    let avg = mean(&rows.iter().map(|r| r.2.runtime_percent_error).collect::<Vec<_>>());
+    let max = rows.iter().map(|r| r.2.runtime_percent_error).fold(0.0f64, f64::max);
+    let avg_apki = mean(&rows.iter().map(|r| r.2.dram_apki_abs_difference).collect::<Vec<_>>());
     let _ = writeln!(
         out,
         "  average runtime error {avg:.2}%  max {max:.2}%  average APKI difference {avg_apki:.3}"
@@ -239,26 +200,16 @@ fn accuracy_report(title: &str, rows: &[AccuracyRow]) -> String {
 }
 
 /// Figure 4: prediction errors with perfect warmup, both core counts.
-pub fn fig4_perfect_warmup(config: &ExperimentConfig) -> (String, Vec<AccuracyRow>) {
+pub fn fig4_perfect_warmup(config: &ExperimentConfig) -> String {
     let mut rows = Vec::new();
     for &bench in Benchmark::all() {
         for cores in [config.cores_small, config.cores_large] {
             let run = prepare(config, bench, cores);
             let estimate = estimate_from_full_run(&run.selection, &run.ground).expect("estimate");
-            let err = prediction_error(&run.ground, &estimate);
-            rows.push(AccuracyRow {
-                benchmark: bench.name().to_string(),
-                cores,
-                runtime_percent_error: err.runtime_percent_error,
-                dram_apki_abs_difference: err.dram_apki_abs_difference,
-            });
+            rows.push((bench, cores, prediction_error(&run.ground, &estimate)));
         }
     }
-    let text = accuracy_report(
-        "Figure 4: runtime % error and DRAM APKI difference with perfect warmup",
-        &rows,
-    );
-    (text, rows)
+    accuracy_report("Figure 4: runtime % error and DRAM APKI difference with perfect warmup", &rows)
 }
 
 /// Figure 5: average runtime error for every similarity metric and maxK.
@@ -308,15 +259,12 @@ pub fn table3_selection(config: &ExperimentConfig) -> String {
     for &bench in Benchmark::all() {
         for cores in [config.cores_small, config.cores_large] {
             let workload = config.workload(bench, cores);
-            let profile =
-                profile_application_with(&workload, &ExecutionPolicy::Serial).expect("profile");
-            let selection = select_barrierpoints(
-                &profile,
-                &SignatureConfig::combined(),
-                &SimPointConfig::paper(),
-            )
-            .expect("selection");
-            let _ = writeln!(out, "{}", report::table3_row(bench.input_size(), cores, &selection));
+            let selection = paper_selection(&workload);
+            let _ = writeln!(
+                out,
+                "{}",
+                report::table3_row(bench.input_size(), cores, selection.selection())
+            );
         }
     }
     out
@@ -359,7 +307,7 @@ pub fn fig6_cross_validation(config: &ExperimentConfig) -> String {
 
 /// Figure 7: prediction errors when every barrierpoint is simulated in
 /// isolation with the proposed MRU-replay warmup.
-pub fn fig7_mru_warmup(config: &ExperimentConfig) -> (String, Vec<AccuracyRow>) {
+pub fn fig7_mru_warmup(config: &ExperimentConfig) -> String {
     let mut rows = Vec::new();
     for &bench in Benchmark::all() {
         for cores in [config.cores_small, config.cores_large] {
@@ -374,20 +322,13 @@ pub fn fig7_mru_warmup(config: &ExperimentConfig) -> (String, Vec<AccuracyRow>) 
             .expect("simulation succeeds");
             let estimate = reconstruct(&run.selection, &metrics, run.sim_config.core.frequency_ghz)
                 .expect("reconstruction succeeds");
-            let err = prediction_error(&run.ground, &estimate);
-            rows.push(AccuracyRow {
-                benchmark: bench.name().to_string(),
-                cores,
-                runtime_percent_error: err.runtime_percent_error,
-                dram_apki_abs_difference: err.dram_apki_abs_difference,
-            });
+            rows.push((bench, cores, prediction_error(&run.ground, &estimate)));
         }
     }
-    let text = accuracy_report(
+    accuracy_report(
         "Figure 7: runtime % error and DRAM APKI difference with MRU-replay warmup",
         &rows,
-    );
-    (text, rows)
+    )
 }
 
 /// Figure 8: actual versus predicted speedup of the large machine over the
@@ -424,15 +365,7 @@ pub fn fig9_speedups(config: &ExperimentConfig) -> String {
     for &bench in Benchmark::all() {
         for cores in [config.cores_small, config.cores_large] {
             let workload = config.workload(bench, cores);
-            let profile =
-                profile_application_with(&workload, &ExecutionPolicy::Serial).expect("profile");
-            let selection = select_barrierpoints(
-                &profile,
-                &SignatureConfig::combined(),
-                &SimPointConfig::paper(),
-            )
-            .expect("selection");
-            let s = speedups(&selection);
+            let s = speedups(paper_selection(&workload).selection());
             rows.push((format!("{bench}-{cores} serial"), s.serial));
             rows.push((format!("{bench}-{cores} parallel"), s.parallel));
             serial_speedups.push(s.serial);
@@ -457,7 +390,7 @@ pub fn fig9_speedups(config: &ExperimentConfig) -> String {
 }
 
 /// The machine-configuration variants explored by the [`sweep_design_space`]
-/// experiment and the `sweep` bench: the experiment's stock machine, a 25 %
+/// experiment and the repository benchmark's sweeps: the experiment's stock machine, a 25 %
 /// faster clock, and a half-size LLC, for `cores` cores.
 pub fn sweep_machine_variants(
     config: &ExperimentConfig,
@@ -521,7 +454,8 @@ pub struct StrategyAccuracyRow {
 /// benchmark and every [`SELECTION_BUDGETS`] entry, run both the paper's
 /// SimPoint pipeline and the two-phase stratified strategy against the same
 /// profile, and report each selection's IPC / runtime error next to the
-/// detailed-simulation instruction budget it demands.
+/// detailed-simulation instruction budget it demands.  The text ends with
+/// the rows as the JSON document `BENCH_selection.json` holds.
 pub fn selection_strategies(config: &ExperimentConfig) -> (String, Vec<StrategyAccuracyRow>) {
     let mut rows = Vec::new();
     for &bench in Benchmark::all() {
@@ -599,7 +533,35 @@ pub fn selection_strategies(config: &ExperimentConfig) -> (String, Vec<StrategyA
             name, avg_ipc, avg_runtime, avg_instr
         );
     }
+    out.push_str(&selection_json(config.cores_small, &rows));
     (out, rows)
+}
+
+/// The `BENCH_selection.json` document: the [`selection_strategies`] rows,
+/// one line each.
+fn selection_json(threads: usize, rows: &[StrategyAccuracyRow]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|row| {
+            format!(
+                "    {{\"strategy\": \"{}\", \"benchmark\": \"{}\", \"budget\": {}, \
+                 \"barrierpoints\": {}, \"simulated_instructions\": {}, \
+                 \"ipc_percent_error\": {:.4}, \"runtime_percent_error\": {:.4}}}",
+                row.strategy,
+                row.benchmark,
+                row.budget,
+                row.barrierpoints,
+                row.simulated_instructions,
+                row.ipc_percent_error,
+                row.runtime_percent_error,
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"benchmark\": \"selection_strategies\",\n  \"threads\": {threads},\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
 }
 
 /// Ablation (Section VI-A): reconstruction with and without instruction-count
@@ -677,14 +639,41 @@ mod tests {
             assert!(row.simulated_instructions > 0);
             assert!(row.ipc_percent_error.is_finite());
         }
+        // The text ends with the BENCH_selection.json document: both
+        // strategies, one row per (strategy, kernel, budget), every field.
+        let json = &text[text.find("\n{\n").expect("the text ends with a JSON document") + 1..];
+        assert!(json.ends_with("]\n}\n"));
+        assert!(json.contains("\"strategy\": \"simpoint\""));
+        assert!(json.contains("\"strategy\": \"two-phase-stratified\""));
+        let json_rows: Vec<&str> = json.lines().filter(|l| l.contains("\"strategy\": ")).collect();
+        assert_eq!(json_rows.len(), rows.len());
+        for strategy in ["simpoint", "two-phase-stratified"] {
+            for bench in Benchmark::all() {
+                for budget in SELECTION_BUDGETS {
+                    let key = format!(
+                        "{{\"strategy\": \"{strategy}\", \"benchmark\": \"{}\", \"budget\": {budget},",
+                        bench.name()
+                    );
+                    let matches = json_rows.iter().filter(|r| r.contains(&key)).count();
+                    assert_eq!(matches, 1, "{key}");
+                }
+            }
+        }
+        let fields = "strategy benchmark budget barrierpoints simulated_instructions \
+                      ipc_percent_error runtime_percent_error";
+        for row in &json_rows {
+            for field in fields.split_whitespace() {
+                assert!(row.contains(&format!("\"{field}\": ")), "{field} missing: {row}");
+            }
+        }
     }
 
     #[test]
     fn quick_fig4_produces_all_rows() {
         let mut config = ExperimentConfig::quick();
         config.cores_large = config.cores_small; // halve the work for the test
-        let (text, rows) = fig4_perfect_warmup(&config);
-        assert_eq!(rows.len(), Benchmark::all().len() * 2);
+        let text = fig4_perfect_warmup(&config);
+        assert_eq!(text.matches(" cores  runtime error ").count(), Benchmark::all().len() * 2);
         assert!(text.contains("average runtime error"));
     }
 }

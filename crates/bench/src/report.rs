@@ -1,19 +1,13 @@
-//! Text rendering of paper-style tables and figure data.
-//!
-//! The `reproduce` binary in `bp-bench` uses these helpers to print every
-//! table and figure of the paper's evaluation; they are exposed here so that
-//! downstream users can produce the same reports from their own runs.
+//! Text rendering of paper-style tables and figure data, shared by the
+//! experiments in this crate.
 
-use crate::evaluate::PredictionError;
-use crate::select::BarrierPointSelection;
-use crate::sweep::SweepReport;
-use bp_clustering::{SelectionSpec, SimPointConfig};
-use bp_sim::SimConfig;
+use barrierpoint::evaluate::PredictionError;
+use barrierpoint::{BarrierPointSelection, SelectionSpec, SimConfig, SweepReport};
 use std::fmt::Write as _;
 
 /// Renders Table I (simulated system characteristics) for a machine
 /// configuration.
-pub fn table1(config: &SimConfig) -> String {
+pub(crate) fn table1(config: &SimConfig) -> String {
     let m = &config.memory;
     let sockets = m.num_sockets(config.num_cores);
     let mut out = String::new();
@@ -63,16 +57,10 @@ pub fn table1(config: &SimConfig) -> String {
     out
 }
 
-/// Renders Table II (SimPoint parameters) — shorthand for
-/// [`table2_strategy`] with the default SimPoint backend's spec.
-pub fn table2(config: &SimPointConfig) -> String {
-    table2_strategy(&SelectionSpec::SimPoint(*config))
-}
-
 /// Renders a Table II-style parameter listing for any selection strategy:
 /// the paper's Table II for the default SimPoint backend, the analogous
 /// parameter table for every other [`SelectionSpec`].
-pub fn table2_strategy(spec: &SelectionSpec) -> String {
+pub(crate) fn table2_strategy(spec: &SelectionSpec) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table II: {} selection parameters", spec.name());
     for (name, value) in spec.parameters() {
@@ -87,7 +75,11 @@ pub fn table2_strategy(spec: &SelectionSpec) -> String {
 
 /// Renders one Table III row: barrier counts, significant/insignificant
 /// barrierpoint summary and the selected barrierpoints with multipliers.
-pub fn table3_row(input_size: &str, cores: usize, selection: &BarrierPointSelection) -> String {
+pub(crate) fn table3_row(
+    input_size: &str,
+    cores: usize,
+    selection: &BarrierPointSelection,
+) -> String {
     let significant: Vec<_> = selection.significant().collect();
     let insignificant: Vec<_> = selection.insignificant().collect();
     let insig_mult: f64 = insignificant.iter().map(|bp| bp.multiplier).sum();
@@ -112,7 +104,7 @@ pub fn table3_row(input_size: &str, cores: usize, selection: &BarrierPointSelect
 }
 
 /// Header line matching [`table3_row`].
-pub fn table3_header() -> String {
+pub(crate) fn table3_header() -> String {
     format!(
         "{:<18} {:<5} {:>3}  {:>6}  {:>4}  {}  {}",
         "application",
@@ -127,7 +119,7 @@ pub fn table3_header() -> String {
 
 /// Renders one accuracy row (Figures 4 and 7): runtime error and DRAM APKI
 /// difference for one benchmark and core count.
-pub fn accuracy_row(benchmark: &str, cores: usize, error: &PredictionError) -> String {
+pub(crate) fn accuracy_row(benchmark: &str, cores: usize, error: &PredictionError) -> String {
     format!(
         "{:<18} {:>3} cores  runtime error {:>6.2}%  DRAM APKI diff {:>7.4}",
         benchmark, cores, error.runtime_percent_error, error.dram_apki_abs_difference
@@ -137,7 +129,7 @@ pub fn accuracy_row(benchmark: &str, cores: usize, error: &PredictionError) -> S
 /// Renders a [`SweepReport`] as an aligned per-design-point table plus the
 /// stage-execution summary that shows the amortization (one profile pass,
 /// one clustering pass, N simulation legs).
-pub fn sweep_table(report: &SweepReport) -> String {
+pub(crate) fn sweep_table(report: &SweepReport) -> String {
     let mut out = String::new();
     let counters = report.counters();
     let cached = if counters.simulated_cache_hits > 0 {
@@ -188,7 +180,7 @@ pub fn sweep_table(report: &SweepReport) -> String {
 
 /// Renders a simple aligned two-column series (used for Figure 1, 5, 8, 9
 /// outputs).
-pub fn series(title: &str, rows: &[(String, f64)]) -> String {
+pub(crate) fn series(title: &str, rows: &[(String, f64)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     for (label, value) in rows {
@@ -200,10 +192,10 @@ pub fn series(title: &str, rows: &[(String, f64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::profile_application_with;
-    use crate::select::select_barrierpoints;
-    use bp_exec::ExecutionPolicy;
-    use bp_signature::SignatureConfig;
+    use barrierpoint::{
+        profile_application_with, select_barrierpoints, ExecutionPolicy, SignatureConfig,
+        SimPointConfig, Sweep,
+    };
     use bp_workload::{Benchmark, WorkloadConfig};
 
     #[test]
@@ -217,7 +209,7 @@ mod tests {
 
     #[test]
     fn table2_lists_paper_parameters() {
-        let text = table2(&SimPointConfig::paper());
+        let text = table2_strategy(&SelectionSpec::SimPoint(SimPointConfig::paper()));
         assert!(text.contains("15"));
         assert!(text.contains("20"));
     }
@@ -243,11 +235,8 @@ mod tests {
         let base = SimConfig::scaled(2);
         let mut fast = base;
         fast.core.frequency_ghz *= 2.0;
-        let report = crate::Sweep::new(&w)
-            .add_config("base", base)
-            .add_config("fast-clock", fast)
-            .run()
-            .unwrap();
+        let report =
+            Sweep::new(&w).add_config("base", base).add_config("fast-clock", fast).run().unwrap();
         let text = sweep_table(&report);
         assert!(text.contains("npb-is"));
         assert!(text.contains("base"));

@@ -59,8 +59,8 @@
 //!
 //! The [`evaluate`] module adds everything needed to reproduce the paper's
 //! evaluation (prediction errors, cross-core-count validation, relative
-//! scaling, speedup and resource-reduction accounting); [`report`] renders
-//! the paper-style tables.
+//! scaling, speedup and resource-reduction accounting); the `bp-bench`
+//! crate renders the paper-style tables and figures from it.
 //!
 //! ## Quick start
 //!
@@ -128,7 +128,6 @@ pub mod memtier;
 mod pipeline;
 mod profile;
 mod reconstruct;
-pub mod report;
 mod segment;
 mod select;
 mod simulate;

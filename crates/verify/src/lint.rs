@@ -11,7 +11,7 @@
 //!   within the eight preceding lines (stopping at a blank line).
 //! * [`Rule::NoUnwrap`] — no `unwrap()` / `expect(` calls in first-party
 //!   library code (`crates/*/src`, root `src/`) outside `#[cfg(test)]`
-//!   blocks.  `crates/bench` (a criterion harness, not a library) and the
+//!   blocks.  `crates/bench` (the experiment harness, not a library) and the
 //!   vendored stubs are out of scope.
 //! * [`Rule::ForbidUnsafe`] — every crate root (each `src/lib.rs`,
 //!   `src/main.rs`, and `src/bin/*.rs`, vendored stubs included) declares

@@ -19,8 +19,7 @@
 
 use barrierpoint::evaluate::{estimate_from_full_run, relative_scaling};
 use barrierpoint::{
-    report, ArtifactCache, ExecutionPolicy, SimPointConfig, SimPointStrategy, Sweep,
-    TwoPhaseStratified,
+    ArtifactCache, ExecutionPolicy, SimPointConfig, SimPointStrategy, Sweep, TwoPhaseStratified,
 };
 use bp_sim::{Machine, SimConfig};
 use bp_workload::{Benchmark, Workload, WorkloadConfig};
@@ -68,7 +67,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run()?;
     let elapsed = start.elapsed();
 
-    print!("{}", report::sweep_table(&sweep_report));
+    println!(
+        "{:<24} {:>5} {:>6} {:>14} {:>6} {:>10}",
+        "leg", "cores", "GHz", "est. time (ms)", "IPC", "DRAM APKI"
+    );
+    for leg in sweep_report.legs() {
+        let r = leg.reconstruction();
+        println!(
+            "{:<24} {:>5} {:>6.2} {:>14.3} {:>6.2} {:>10.2}",
+            leg.label(),
+            leg.sim_config().num_cores,
+            leg.sim_config().core.frequency_ghz,
+            r.execution_time_seconds() * 1e3,
+            r.aggregate_ipc(),
+            r.dram_apki(),
+        );
+    }
     let c = sweep_report.counters();
     println!(
         "\nsweep of {} design points took {:.2?} — {} profiling pass(es), {} clustering \
