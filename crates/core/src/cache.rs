@@ -104,9 +104,8 @@ use crate::select::BarrierPointSelection;
 use crate::simulate::WarmupKind;
 use crate::stages::Simulated;
 use crate::storage::{RealFs, Storage};
-use crate::sync::{Arc, AtomicU64, Mutex, Ordering};
 use bp_clustering::SelectionStrategy;
-use bp_exec::ExecutionPolicy;
+use bp_exec::{ExecutionPolicy, Mutex};
 use bp_signature::SignatureConfig;
 use bp_sim::SimConfig;
 use bp_workload::{FingerprintHasher, Workload};
@@ -114,6 +113,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Bump whenever the serialized layout of a cached artifact (or the entry
@@ -877,7 +878,7 @@ pub(crate) enum MemoryArtifact {
 
 // The tier itself — one lock around the entries, the LRU clock, the byte
 // total and the bound — lives in [`crate::memtier`], generic over key and
-// value so the interleaving model checker can drive it with small types.
+// value so its unit tests can drive it with small types.
 // The cache instantiates it with the content-address keys and `Arc`-wrapped
 // artifacts above; eviction is exact global LRU.
 

@@ -124,7 +124,7 @@
 mod cache;
 mod error;
 pub mod evaluate;
-pub mod memtier;
+mod memtier;
 mod pipeline;
 mod profile;
 mod reconstruct;
@@ -164,10 +164,6 @@ pub use bp_clustering::{
     SelectionContext, SelectionSpec, SelectionStrategy, SimPointConfig, SimPointStrategy,
     TwoPhaseStratified, TwoPhaseStratifiedConfig,
 };
-/// The synchronization abstraction this crate's concurrency code is written
-/// against (re-exported from `bp-exec`): `std::sync` types in production
-/// builds, `bp-verify`'s modeled types under the `model` feature.
-pub use bp_exec::sync;
 pub use bp_exec::{ExecutionPolicy, WorkerBudget};
 pub use bp_signature::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use bp_sim::SimConfig;

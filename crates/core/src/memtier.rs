@@ -1,7 +1,6 @@
 //! A byte-bounded, least-recently-used in-process cache tier: the core of
-//! the [`ArtifactCache`](crate::ArtifactCache) memory tier, generic so the
-//! model checker (`bp-verify`) drives it with small types through the
-//! [`bp_exec::sync`] seam (the `model` feature swaps in the modeled mutex).
+//! the [`ArtifactCache`](crate::ArtifactCache) memory tier, generic so its
+//! unit tests drive it with small types.
 //!
 //! One mutex guards the entries, the LRU clock, the byte total and the
 //! bound, and every operation, eviction included, runs under it: eviction is
@@ -10,9 +9,10 @@
 //! the tier only from the thread that drives a sweep or a stage, never from
 //! a fan-out worker, so the lock is uncontended in practice.
 
-use crate::sync::{AtomicU64, Mutex, Ordering};
+use bp_exec::Mutex;
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One resident entry: the value, the bytes it charges against the bound
 /// (for the artifact cache, the serialized entry size, so both tiers meter
@@ -69,11 +69,6 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoryTier<K, V> {
         Some(entry.value.clone())
     }
 
-    /// Whether `key` is resident, *without* touching its LRU stamp.
-    pub fn contains(&self, key: &K) -> bool {
-        self.state.lock().entries.contains_key(key)
-    }
-
     /// Inserts (or replaces) `key`, then enforces the byte bound by
     /// dropping least-recently-used entries.  An entry that on its own
     /// exceeds the bound is declined without flushing anything else, which
@@ -118,38 +113,47 @@ impl<K: Hash + Eq + Clone, V: Clone> MemoryTier<K, V> {
     pub fn set_max_bytes(&self, max_bytes: Option<u64>) {
         self.state.lock().max_bytes = max_bytes;
     }
-
-    /// The configured byte bound, if any.
-    pub fn max_bytes(&self) -> Option<u64> {
-        self.state.lock().max_bytes
-    }
-
-    /// The byte accounting total, kept with every change to the entries.
-    pub fn total_bytes(&self) -> u64 {
-        self.state.lock().total_bytes
-    }
-
-    /// The sum of resident entry sizes, recomputed: it equals
-    /// [`total_bytes`](Self::total_bytes).
-    pub fn resident_bytes(&self) -> u64 {
-        self.state.lock().entries.values().map(|entry| entry.bytes).sum()
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
-    }
-
-    /// Whether the tier is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::Barrier;
+
+    /// Read-only views the tests check the tier's state through.
+    impl<K: Hash + Eq, V> MemoryTier<K, V> {
+        /// Whether `key` is resident, *without* touching its LRU stamp.
+        fn contains(&self, key: &K) -> bool {
+            self.state.lock().entries.contains_key(key)
+        }
+
+        /// The configured byte bound, if any.
+        fn max_bytes(&self) -> Option<u64> {
+            self.state.lock().max_bytes
+        }
+
+        /// The byte accounting total, kept with every change to the entries.
+        fn total_bytes(&self) -> u64 {
+            self.state.lock().total_bytes
+        }
+
+        /// The sum of resident entry sizes, recomputed: it equals
+        /// [`total_bytes`](Self::total_bytes).
+        fn resident_bytes(&self) -> u64 {
+            self.state.lock().entries.values().map(|entry| entry.bytes).sum()
+        }
+
+        /// Number of resident entries.
+        fn len(&self) -> usize {
+            self.state.lock().entries.len()
+        }
+
+        /// Whether the tier is empty.
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
+    }
 
     /// Evictions counter for tests.
     fn ctr() -> AtomicU64 {
@@ -233,6 +237,66 @@ mod tests {
         assert_eq!(tier.get(&1), None);
         assert_eq!(tier.total_bytes(), 0);
         assert!(tier.is_empty());
+    }
+
+    /// Byte accounting under a replace race: however two threads racing to
+    /// replace one key interleave, exactly one entry remains and the byte
+    /// total equals the resident entry's size once both are done.
+    #[test]
+    fn byte_accounting_is_exact_after_a_replace_race() {
+        for round in 0..200 {
+            let tier: MemoryTier<u32, u64> = MemoryTier::default();
+            let evictions = ctr();
+            let start = Barrier::new(2);
+            std::thread::scope(|scope| {
+                for (value, bytes) in [(10, 3), (20, 5)] {
+                    let (tier, evictions, start) = (&tier, &evictions, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        tier.insert(1, value, bytes, evictions)
+                    });
+                }
+            });
+            assert_eq!(tier.len(), 1, "a replace race must leave exactly one entry ({round})");
+            assert_eq!(
+                tier.total_bytes(),
+                tier.resident_bytes(),
+                "the byte total must be exact once the race is over ({round})"
+            );
+            assert_eq!(ctr_value(&evictions), 0, "replaces are not evictions ({round})");
+        }
+    }
+
+    /// A lookup next to an evicting insert, in both orders the tier's lock
+    /// can put them: a lookup that hit has made its entry the most recently
+    /// used, so the insert evicts the other one.
+    #[test]
+    fn touched_entry_survives_an_evicting_insert_in_either_order() {
+        for lookup_first in [true, false] {
+            let tier: MemoryTier<u32, u64> = MemoryTier::default();
+            let evictions = ctr();
+            tier.set_max_bytes(Some(2));
+            // Entry 1 first, so it is the LRU candidate when entry 3
+            // overflows the bound...
+            tier.insert(1, 10, 1, &evictions);
+            tier.insert(2, 20, 1, &evictions);
+            // ...while a lookup touches entry 1 before or after the insert.
+            let hit = if lookup_first {
+                let hit = tier.get(&1).is_some();
+                tier.insert(3, 30, 1, &evictions);
+                hit
+            } else {
+                tier.insert(3, 30, 1, &evictions);
+                tier.get(&1).is_some()
+            };
+            if hit {
+                assert!(tier.contains(&1), "a just-touched entry must never be the victim");
+            }
+            assert_eq!(hit, lookup_first, "the insert evicts entry 1 unless it was touched");
+            assert_eq!(ctr_value(&evictions), 1, "exactly one entry is evicted");
+            assert_eq!(tier.total_bytes(), tier.resident_bytes());
+            assert_eq!(tier.total_bytes(), 2, "the bound holds after both operations");
+        }
     }
 
     #[test]

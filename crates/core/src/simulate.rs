@@ -1,7 +1,6 @@
 use crate::error::Error;
 use crate::select::BarrierPointSelection;
-use crate::sync::Mutex;
-use bp_exec::{ExecutionPolicy, WorkerBudget};
+use bp_exec::{ExecutionPolicy, Mutex, WorkerBudget};
 use bp_sim::{Machine, RegionMetrics, SimConfig};
 use bp_warmup::{apply_warmup, MruWarmupData, WarmupStrategy};
 use bp_workload::Workload;

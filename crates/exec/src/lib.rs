@@ -31,11 +31,44 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod sync;
-
-use crate::sync::{Arc, AtomicU64, AtomicUsize, Mutex, Ordering};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, MutexGuard, PoisonError};
 use std::thread::Scope;
+
+/// A `std::sync::Mutex` whose [`lock`](Self::lock) recovers the guard from
+/// a poisoned mutex instead of returning an error.
+///
+/// Poison transparency is a deliberate policy, not a shortcut: every
+/// critical section in this workspace either leaves the guarded data valid
+/// at all times or repairs it on the panic path, so a poisoned lock carries
+/// no information beyond "some thread panicked" — which the panic itself
+/// already propagates through `std::thread::scope`.  Recovering the guard
+/// keeps the panic that surfaces to the user the *original* one instead of
+/// a cascade of `PoisonError` panics on every other worker.
+#[derive(Debug, Default)]
+pub struct Mutex<T>(std::sync::Mutex<T>);
+
+impl<T> Mutex<T> {
+    /// Creates a new mutex guarding `value`.
+    pub const fn new(value: T) -> Self {
+        Self(std::sync::Mutex::new(value))
+    }
+
+    /// Acquires the lock, recovering the guard from a poisoned mutex.
+    pub fn lock(&self) -> MutexGuard<'_, T> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Consumes the mutex, returning the guarded value.
+    pub fn into_inner(self) -> T {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The most helper permits one budget holds: a thread-count cap far above
+/// any host's CPU count.  A larger requested cap saturates here.
+const MAX_HELPER_THREADS: usize = 65_535;
 
 /// A shared pool of helper-thread permits, used to bound the total number of
 /// OS worker threads across *nested* [`ExecutionPolicy::execute_budgeted`]
@@ -50,184 +83,98 @@ use std::thread::Scope;
 /// can immediately re-acquire them.
 ///
 /// Budgets are cheaply cloneable handles to shared state; clones count
-/// against the same pool.
+/// against the same pool.  One lock guards that state: an acquire or a
+/// release is one short critical section, taken once per claimed chunk of a
+/// budgeted fan-out, never per job.
 #[derive(Debug, Clone)]
 pub struct WorkerBudget {
-    inner: Arc<BudgetInner>,
+    pool: Arc<Mutex<Pool>>,
 }
 
-/// Bit layout of [`BudgetInner::state`]: `epoch << 48 | releases << 16 |
-/// permits`.  Everything steal classification needs lives in one word, so a
-/// single CAS observes permits, the in-epoch release count, and the
-/// quiescence epoch *at the same instant* — there is no window in which a
-/// quiescence transition and a concurrent release can be observed in
-/// different orders by different threads (the linearizability gap the old
-/// two-counter baseline scheme merely narrowed).
-const PERMIT_BITS: u32 = 16;
-const RELEASE_BITS: u32 = 32;
-const PERMIT_MASK: u64 = (1 << PERMIT_BITS) - 1;
-const RELEASE_MASK: u64 = (1 << RELEASE_BITS) - 1;
-const RELEASE_SHIFT: u32 = PERMIT_BITS;
-const EPOCH_SHIFT: u32 = PERMIT_BITS + RELEASE_BITS;
-
+/// Everything the budget's lock guards.
 #[derive(Debug)]
-struct BudgetInner {
-    /// Packed `(epoch, releases-in-epoch, permits)` word — see the layout
-    /// constants above.  `permits` is the number of free helper permits;
-    /// `releases` counts [`WorkerBudget::release`] calls since the pool was
-    /// last quiescent (every permit home); `epoch` increments at each
-    /// quiescent instant, in the *same* CAS that returns the final permit
-    /// and zeroes the release count, so an acquire can classify itself as a
-    /// steal (`releases > 0`) from the very word its CAS succeeded against.
-    state: AtomicU64,
+struct Pool {
+    /// Free helper permits.
+    permits: usize,
+    /// The permits the budget was built with; the pool is *quiescent* (every
+    /// fan-out drained) whenever `permits == total`.
     total: usize,
-    /// Monotonic count of every [`WorkerBudget::release`] call, never reset.
-    /// Not used for steal classification (the packed word is); kept as an
-    /// independent conservation check — the stress tests assert it equals
-    /// the number of successful acquires once all permits are home.
-    released: AtomicU64,
-    steals: AtomicU64,
-}
-
-fn pack(epoch: u64, releases: u64, permits: u64) -> u64 {
-    (epoch << EPOCH_SHIFT) | (releases << RELEASE_SHIFT) | permits
+    /// [`WorkerBudget::release`] calls since the pool was last quiescent.
+    /// An acquire that sees a non-zero count takes a permit some fan-out
+    /// dropped while others still run: a steal.
+    releases_in_epoch: u64,
+    /// How many times the pool has gone quiescent.
+    epoch: u64,
+    /// Every release across the budget's lifetime, never reset: the stress
+    /// tests check it against the successful acquires at quiescence.
+    released: u64,
+    /// Acquires classified as steals.
+    steals: u64,
 }
 
 impl WorkerBudget {
     /// A budget with `permits` helper permits (total concurrency of a fan-out
-    /// tree sharing this budget is `permits + 1`), saturated at the packed
-    /// word's field maximum of 65,535.
+    /// tree sharing this budget is `permits + 1`), saturated at 65,535
+    /// helper threads.
     pub fn new(permits: usize) -> Self {
-        let permits = permits.min(PERMIT_MASK as usize);
-        Self {
-            inner: Arc::new(BudgetInner {
-                state: AtomicU64::new(permits as u64),
-                total: permits,
-                released: AtomicU64::new(0),
-                steals: AtomicU64::new(0),
-            }),
-        }
+        let permits = permits.min(MAX_HELPER_THREADS);
+        let pool = Pool {
+            permits,
+            total: permits,
+            releases_in_epoch: 0,
+            epoch: 0,
+            released: 0,
+            steals: 0,
+        };
+        Self { pool: Arc::new(Mutex::new(pool)) }
     }
 
     /// The budget matching `policy`'s worker cap: `cap - 1` permits for
     /// [`ExecutionPolicy::Parallel`] (the calling thread is the first
     /// worker), zero permits for [`ExecutionPolicy::Serial`].
     pub fn for_policy(policy: &ExecutionPolicy) -> Self {
-        match *policy {
-            ExecutionPolicy::Serial => Self::new(0),
-            ExecutionPolicy::Parallel { max_threads } => {
-                let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-                let cap = if max_threads == 0 { hw } else { max_threads };
-                Self::new(cap.max(1) - 1)
-            }
-        }
+        Self::new(policy.worker_count(usize::MAX) - 1)
     }
 
     /// Takes one helper permit if any is available.
     pub fn try_acquire(&self) -> bool {
-        // ordering: Relaxed — this load only seeds the CAS loop; any stale
-        // value is caught (and refreshed) by the compare_exchange failure.
-        let mut current = self.inner.state.load(Ordering::Relaxed);
-        while current & PERMIT_MASK > 0 {
-            // ordering: AcqRel on success — the Acquire half pairs with the
-            // Release half of `release()`'s CAS so a stolen permit observes
-            // everything its releaser published; the Release half pairs with
-            // the next acquirer/releaser of this word.  Relaxed on failure —
-            // a failed CAS only restarts the loop with the observed word.
-            match self.inner.state.compare_exchange_weak(
-                current,
-                current - 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed, // ordering: failure restarts the loop (see above)
-            ) {
-                Ok(_) => {
-                    // Telemetry: a permit acquired from a partially drained
-                    // pool — some sibling fan-out released it and others are
-                    // still holding permits — is a "steal": a worker slot
-                    // migrating into a still-busy fan-out.  Ramp-up acquires
-                    // from a quiescent (full) pool are not counted, even
-                    // when the budget is reused across sequential fan-outs.
-                    // The classification reads the in-epoch release count
-                    // from `current`, the exact word this CAS succeeded
-                    // against, so it is linearized with the acquire itself:
-                    // no interleaving of releases and quiescence transitions
-                    // on other threads can misclassify it.
-                    // ordering: Relaxed — `steals` is a monotonic telemetry
-                    // counter; readers only assert on it after joining the
-                    // worker threads (a stronger happens-before than any
-                    // ordering here could provide), and no other memory is
-                    // published through it.
-                    if (current >> RELEASE_SHIFT) & RELEASE_MASK > 0 {
-                        self.inner.steals.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return true;
-                }
-                Err(observed) => current = observed,
-            }
+        let mut pool = self.pool.lock();
+        if pool.permits == 0 {
+            return false;
         }
-        false
+        pool.permits -= 1;
+        // Telemetry: a permit acquired from a partially drained pool — some
+        // sibling fan-out released it and others are still holding permits
+        // — is a "steal": a worker slot migrating into a still-busy fan-out.
+        // Ramp-up acquires from a quiescent (full) pool are not counted,
+        // even when the budget is reused across sequential fan-outs.
+        if pool.releases_in_epoch > 0 {
+            pool.steals += 1;
+        }
+        true
     }
 
     /// Returns one helper permit to the pool.
     pub fn release(&self) {
-        // ordering: Relaxed — `released` is the independent conservation
-        // counter (monotonic, never reset); it is compared against acquire
-        // counts only after every worker has been joined, so the join edge
-        // already orders it.  Incrementing it *before* the permit goes home
-        // keeps the invariant `released >= acquires classified against the
-        // new epoch` at every instant.
-        self.inner.released.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — seed for the CAS loop, same as try_acquire.
-        let mut current = self.inner.state.load(Ordering::Relaxed);
-        loop {
-            let permits = (current & PERMIT_MASK) + 1;
-            debug_assert!(permits as usize <= self.inner.total, "release without acquire");
-            let epoch = current >> EPOCH_SHIFT;
-            let next = if permits as usize == self.inner.total {
-                // This release makes the pool quiescent — every fan-out
-                // drained.  Later acquires are ordinary ramp-up, not
-                // migration, so the epoch bump and the release-count reset
-                // happen *in this same CAS*: a concurrent release can only
-                // land before it (and be cleared, correctly — its permit was
-                // re-acquired before quiescence or is the one coming home)
-                // or after it (and count toward the new epoch).  The old
-                // two-word scheme had a window between returning the last
-                // permit and recording the baseline; this has none.
-                pack(epoch.wrapping_add(1) & (u64::MAX >> EPOCH_SHIFT), 0, permits)
-            } else {
-                // Saturate rather than wrap: the count is only ever compared
-                // against zero, and wrapping to zero after 2^32 in-epoch
-                // releases would misclassify real steals as ramp-up.
-                let releases = ((current >> RELEASE_SHIFT) & RELEASE_MASK).min(RELEASE_MASK - 1);
-                pack(epoch, releases + 1, permits)
-            };
-            // ordering: AcqRel on success — Release publishes the returning
-            // worker's writes to whichever thread re-acquires this permit;
-            // Acquire pairs with prior releases so the epoch/count fields
-            // this CAS builds on are the latest.  Relaxed on failure — the
-            // loop retries from the observed word.
-            match self.inner.state.compare_exchange_weak(
-                current,
-                next,
-                Ordering::AcqRel,
-                Ordering::Relaxed, // ordering: failure restarts the loop (see above)
-            ) {
-                Ok(_) => return,
-                Err(observed) => current = observed,
-            }
+        let mut pool = self.pool.lock();
+        pool.permits += 1;
+        debug_assert!(pool.permits <= pool.total, "release without acquire");
+        pool.released += 1;
+        if pool.permits == pool.total {
+            // This release makes the pool quiescent — every fan-out drained.
+            // Later acquires are ordinary ramp-up, not migration, so the
+            // epoch ends in this same critical section: no acquire can see
+            // every permit home next to a stale release count.
+            pool.epoch += 1;
+            pool.releases_in_epoch = 0;
+        } else {
+            pool.releases_in_epoch += 1;
         }
     }
 
     /// Permits currently available.
     pub fn available(&self) -> usize {
-        // ordering: Acquire — strengthened from Relaxed as part of the
-        // telemetry-ordering audit: tests (and future daemon admission
-        // logic) assert "pool fully home ⇒ prior workers' effects visible".
-        // Acquire pairs with the Release half of `release()`'s CAS, so
-        // observing `permits == total` here also observes everything those
-        // releasing workers published.  Uncontended Acquire loads are free
-        // on x86 and near-free elsewhere; this is not a hot-path call.
-        (self.inner.state.load(Ordering::Acquire) & PERMIT_MASK) as usize
+        self.pool.lock().permits
     }
 
     /// How many helper threads were recruited from a *partially drained*
@@ -236,31 +183,17 @@ impl WorkerBudget {
     /// home, e.g. the ramp-up of sequential fan-outs reusing one budget) do
     /// not count.  Purely scheduling telemetry: results never depend on it.
     pub fn steal_count(&self) -> u64 {
-        // ordering: Relaxed — audited and deliberately left Relaxed: the
-        // counter is monotonic and carries no payload; every caller that
-        // asserts an exact value first joins the worker threads, and a
-        // mid-flight read is only ever a progress snapshot where a slightly
-        // stale value is indistinguishable from reading a moment earlier.
-        self.inner.steals.load(Ordering::Relaxed)
+        self.pool.lock().steals
     }
+}
 
-    /// Monotonic count of every [`release`](Self::release) call across the
-    /// budget's lifetime (the conservation counter the stress and model
-    /// tests check against successful acquires at quiescence).
-    #[cfg(feature = "model")]
-    pub fn released_total(&self) -> u64 {
-        // ordering: Relaxed — same audit verdict as `steal_count`.
-        self.inner.released.load(Ordering::Relaxed)
-    }
+/// A helper's permit, returned to the budget when the helper ends — also
+/// when one of its jobs panics and the panic unwinds the helper.
+struct Permit<'a>(&'a WorkerBudget);
 
-    /// The in-epoch release count of the packed permit word (model-checking
-    /// accessor: at quiescence this must be zero under every interleaving).
-    #[cfg(feature = "model")]
-    pub fn in_epoch_releases(&self) -> u64 {
-        // ordering: Acquire — pairs with the release CAS like `available`,
-        // so a reader that sees the quiescent word sees the whole epoch
-        // transition.
-        (self.inner.state.load(Ordering::Acquire) >> RELEASE_SHIFT) & RELEASE_MASK
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -280,8 +213,14 @@ struct FanOut<'a, T, F> {
 /// unclaimed jobs remain — this is both the initial ramp-up (a cascade of
 /// spawns) and the mid-flight stealing of permits released by other
 /// fan-outs.
-fn worker_loop<'s, T, F>(scope: &'s Scope<'s, '_>, shared: &'s FanOut<'s, T, F>, helper: bool)
-where
+///
+/// A helper holds its permit for its whole run; the permit goes home when
+/// the helper returns or unwinds.
+fn worker_loop<'s, T, F>(
+    scope: &'s Scope<'s, '_>,
+    shared: &'s FanOut<'s, T, F>,
+    _permit: Option<Permit<'s>>,
+) where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
@@ -298,7 +237,8 @@ where
         }
         let end = (start + shared.chunk).min(shared.jobs);
         if end < shared.jobs && shared.budget.try_acquire() {
-            scope.spawn(move || worker_loop(scope, shared, true));
+            let permit = Permit(shared.budget);
+            scope.spawn(move || worker_loop(scope, shared, Some(permit)));
         }
         for index in start..end {
             local.push((index, (shared.job)(index)));
@@ -306,9 +246,6 @@ where
     }
     if !local.is_empty() {
         shared.collected.lock().extend(local);
-    }
-    if helper {
-        shared.budget.release();
     }
 }
 
@@ -452,7 +389,7 @@ impl ExecutionPolicy {
             jobs,
             chunk: self.chunk_size(jobs),
         };
-        std::thread::scope(|scope| worker_loop(scope, &shared, false));
+        std::thread::scope(|scope| worker_loop(scope, &shared, None));
         let mut results = collected.into_inner();
         results.sort_by_key(|&(index, _)| index);
         debug_assert_eq!(results.len(), jobs);
@@ -595,10 +532,10 @@ mod tests {
     /// fix (`quiesced.fetch_max`) never lost an increment but still read
     /// two separate words in `try_acquire`, so a quiescence transition and
     /// a concurrent release could be observed out of order.  Now permits,
-    /// the in-epoch release count, and the epoch live in one packed word:
-    /// the quiescing release zeroes the count in the same CAS that returns
-    /// the last permit, and an acquire classifies itself from the very word
-    /// its own CAS succeeded against.  Replaying the racy schedule's
+    /// the in-epoch release count, and the epoch sit under one lock: the
+    /// quiescing release zeroes the count in the same critical section that
+    /// returns the last permit, and an acquire classifies itself in the
+    /// critical section that takes its permit.  Replaying the racy schedule's
     /// logical order through the public API must classify the mid-flight
     /// hand-off as a steal and the post-quiescence ramp-up as not one.
     #[test]
@@ -633,7 +570,7 @@ mod tests {
     /// Hammer the budget from many threads over several rounds (every
     /// release racing every other and the quiescence CAS) and check exact
     /// conservation after each round; under the original wiping reset this
-    /// failed with near certainty.  Each round also checks the packed-word
+    /// failed with near certainty.  Each round also checks the pool's
     /// invariants at quiescence: the in-epoch release count is zero once
     /// every permit is home, so the next fan-out's first acquire is
     /// ramp-up, never a steal.
@@ -666,9 +603,8 @@ mod tests {
             });
             total_acquired += acquired;
             assert_eq!(budget.available(), 2, "all permits home after round {round}");
-            let state = budget.inner.state.load(Ordering::Relaxed);
             assert_eq!(
-                (state >> RELEASE_SHIFT) & RELEASE_MASK,
+                budget.pool.lock().releases_in_epoch,
                 0,
                 "the closing release of round {round} zeroed the in-epoch count"
             );
@@ -686,7 +622,7 @@ mod tests {
             total_acquired += 1;
         }
         assert_eq!(
-            budget.inner.released.load(Ordering::Relaxed),
+            budget.pool.lock().released,
             total_acquired,
             "every release must be recorded exactly once — none wiped by quiescence"
         );
@@ -699,6 +635,50 @@ mod tests {
         let policy = ExecutionPolicy::parallel_with(70_000);
         assert_eq!(WorkerBudget::for_policy(&policy).available(), 65_535);
         assert_eq!(WorkerBudget::new(70_000).available(), 65_535);
+    }
+
+    /// On a one-permit budget every release quiesces the pool, so no
+    /// acquire can ever be a steal, however four threads contend for the
+    /// permit.
+    #[test]
+    fn one_permit_pool_never_counts_a_steal_under_contention() {
+        let budget = WorkerBudget::new(1);
+        let iterations = if cfg!(miri) { 25 } else { 1_000 };
+        for round in 0..3 {
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    let budget = budget.clone();
+                    scope.spawn(move || {
+                        for _ in 0..iterations {
+                            if budget.try_acquire() {
+                                budget.release();
+                            }
+                        }
+                    });
+                }
+            });
+            assert_eq!(budget.steal_count(), 0, "a steal was counted in round {round}");
+            assert_eq!(budget.available(), 1);
+        }
+    }
+
+    /// A job that panics unwinds its helper thread; the helper's permit must
+    /// still come home, or a budget shared across fan-outs shrinks for good
+    /// each time a caller catches such a panic.
+    #[test]
+    fn panicking_jobs_return_every_helper_permit() {
+        let budget = WorkerBudget::new(3);
+        let policy = ExecutionPolicy::parallel_with(4);
+        for round in 0..20 {
+            let outcome = std::panic::catch_unwind(|| {
+                policy.execute_budgeted(64, &budget, |_| -> usize {
+                    // Unwinds without the panic hook's message on stderr.
+                    std::panic::resume_unwind(Box::new("job failed"))
+                })
+            });
+            assert!(outcome.is_err(), "the job's panic reaches the caller");
+            assert_eq!(budget.available(), 3, "a permit leaked in round {round}");
+        }
     }
 
     #[test]

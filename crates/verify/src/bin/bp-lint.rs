@@ -1,4 +1,4 @@
-//! `bp-lint` — repo lint for the BarrierPoint concurrency core.
+//! `bp-lint` — repo lint for the BarrierPoint workspace.
 //!
 //! Usage: `bp-lint [--count] [ROOT]` (default: current directory, i.e. the
 //! workspace root when invoked as `cargo run -p bp-verify --bin bp-lint`).

@@ -1,12 +1,12 @@
-//! Source-scanning lint rules for the concurrency core (the `bp-lint`
-//! binary is a thin wrapper over [`run`]).
+//! Source-scanning lint rules for the workspace (the `bp-lint` binary is a
+//! thin wrapper over [`run`]).
 //!
-//! Eight rules, all line-based over the repo's own sources — no external
+//! Seven rules, all line-based over the repo's own sources — no external
 //! parser, so the lint works in the offline vendored build:
 //!
 //! * [`Rule::OrderingJustification`] — every `Ordering::` argument in the
 //!   concurrency core (`crates/exec/src`, `crates/core/src/cache.rs`,
-//!   `crates/core/src/memtier.rs`, `crates/verify/src`) must carry an
+//!   `crates/core/src/memtier.rs`) must carry an
 //!   `// ordering:` justification on the same line or in the comment block
 //!   within the eight preceding lines (stopping at a blank line).
 //! * [`Rule::NoUnwrap`] — no `unwrap()` / `expect(` calls in first-party
@@ -16,9 +16,6 @@
 //! * [`Rule::ForbidUnsafe`] — every crate root (each `src/lib.rs`,
 //!   `src/main.rs`, and `src/bin/*.rs`, vendored stubs included) declares
 //!   `#![forbid(unsafe_code)]`.
-//! * [`Rule::NoStdSync`] — modules ported to the modeled `sync` abstraction
-//!   must not import `std::sync` primitives directly (the abstraction
-//!   modules themselves are the single permitted seam).
 //! * [`Rule::NoStdFs`] — `crates/core/src/cache.rs` must perform all disk
 //!   I/O through the `Storage` seam (`crates/core/src/storage.rs`), never
 //!   via `std::fs` directly: a direct call would bypass fault injection
@@ -60,7 +57,6 @@ use std::path::{Path, PathBuf};
 const PAT_UNWRAP: &str = concat!(".unw", "rap()");
 const PAT_EXPECT: &str = concat!(".exp", "ect(");
 const PAT_ORDERING: &str = concat!("Ordering", "::");
-const PAT_STD_SYNC: &str = concat!("std::", "sync::");
 const PAT_STD_FS: &str = concat!("std::", "fs");
 const PAT_FS_CALL: &str = concat!("fs", "::");
 const PAT_FORBID: &str = concat!("#![forbid(", "unsafe_code)]");
@@ -86,8 +82,6 @@ pub enum Rule {
     NoUnwrap,
     /// Crate root missing `#![forbid(unsafe_code)]`.
     ForbidUnsafe,
-    /// Direct `std::sync` use in a module ported to the sync abstraction.
-    NoStdSync,
     /// Direct `std::fs` use in the cache, bypassing the `Storage` seam.
     NoStdFs,
     /// `SimPointConfig` named in the cache outside tests, re-coupling key
@@ -108,7 +102,6 @@ impl Rule {
             Rule::OrderingJustification => "ordering",
             Rule::NoUnwrap => "unwrap",
             Rule::ForbidUnsafe => "forbid-unsafe",
-            Rule::NoStdSync => "std-sync",
             Rule::NoStdFs => "std-fs",
             Rule::SimPointInCacheKeys => "simpoint-in-cache",
             Rule::CoreDrive => "core-drive",
@@ -261,7 +254,6 @@ fn rel_str(root: &Path, path: &Path) -> String {
 /// Scope of the `Ordering::` justification rule.
 fn in_ordering_scope(rel: &str) -> bool {
     rel.starts_with("crates/exec/src/")
-        || rel.starts_with("crates/verify/src/")
         || rel == "crates/core/src/cache.rs"
         || rel == "crates/core/src/memtier.rs"
 }
@@ -275,17 +267,6 @@ fn in_unwrap_scope(rel: &str) -> bool {
         return rest.split_once('/').is_some_and(|(_, tail)| tail.starts_with("src/"));
     }
     rel.starts_with("src/")
-}
-
-/// Modules ported to the sync abstraction: no direct `std::sync` use.
-/// The abstraction seams (`bp_exec::sync` itself and the modeled types in
-/// `bp-verify`) are exempt — they are the single place the primitives may
-/// be named.
-fn in_std_sync_scope(rel: &str) -> bool {
-    (rel == "crates/exec/src/lib.rs"
-        || rel == "crates/core/src/cache.rs"
-        || rel == "crates/core/src/memtier.rs")
-        && rel != "crates/exec/src/sync.rs"
 }
 
 /// The file whose disk I/O must flow through the `Storage` seam: the
@@ -356,14 +337,12 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
 
     let check_ordering = in_ordering_scope(rel);
     let check_unwrap = in_unwrap_scope(rel);
-    let check_std_sync = in_std_sync_scope(rel);
     let check_std_fs = in_std_fs_scope(rel);
     let check_simpoint = in_simpoint_key_scope(rel);
     let check_drive = in_core_drive_scope(rel);
     let check_cache = in_core_cache_scope(rel);
     if !(check_ordering
         || check_unwrap
-        || check_std_sync
         || check_std_fs
         || check_simpoint
         || check_drive
@@ -403,21 +382,6 @@ pub fn lint_file(rel: &str, content: &str, findings: &mut Vec<Finding>) {
                 line: lineno,
                 rule: Rule::NoUnwrap,
                 message: "unwrap/expect in library code outside #[cfg(test)]".to_string(),
-            });
-        }
-
-        if check_std_sync
-            && !in_test
-            && code.contains(PAT_STD_SYNC)
-            && !allowed(&lines, idx, Rule::NoStdSync)
-        {
-            findings.push(Finding {
-                file: PathBuf::from(rel),
-                line: lineno,
-                rule: Rule::NoStdSync,
-                message: format!(
-                    "direct {PAT_STD_SYNC} use in a module ported to the sync abstraction"
-                ),
             });
         }
 
@@ -646,16 +610,6 @@ mod tests {
         let findings =
             lint_str("crates/foo/src/lib.rs", "#![forbid(unsafe_code)]\npub fn f() {}\n");
         assert!(!findings.iter().any(|f| f.rule == Rule::ForbidUnsafe));
-    }
-
-    #[test]
-    fn std_sync_in_ported_module_is_flagged() {
-        let src = format!("use {}Mutex;\n", PAT_STD_SYNC);
-        let findings = lint_str("crates/core/src/memtier.rs", &src);
-        assert!(findings.iter().any(|f| f.rule == Rule::NoStdSync));
-        // Non-ported modules may use std::sync freely.
-        let findings = lint_str("crates/warmup/src/mru.rs", &src);
-        assert!(!findings.iter().any(|f| f.rule == Rule::NoStdSync));
     }
 
     #[test]

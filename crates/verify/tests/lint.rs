@@ -70,7 +70,7 @@ fn seeded_fixture_tree_produces_exactly_the_expected_findings() {
         "crates/exec/src/lib.rs",
         "#![forbid(unsafe_code)]\n\
          use std::sync::Mutex;\n\
-         use std::sync::atomic::{AtomicU64, Ordering}; // bp-lint: allow(std-sync)\n\
+         use std::sync::atomic::{AtomicU64, Ordering};\n\
          \n\
          pub fn load_unjustified(a: &AtomicU64) -> u64 {\n\
          \x20   a.load(Ordering::Relaxed)\n\
@@ -110,7 +110,6 @@ fn seeded_fixture_tree_produces_exactly_the_expected_findings() {
     let mut expected = vec![
         ("crates/foo/src/lib.rs".to_string(), 0, Rule::ForbidUnsafe.name()),
         ("crates/foo/src/lib.rs".to_string(), 3, Rule::NoUnwrap.name()),
-        ("crates/exec/src/lib.rs".to_string(), 2, Rule::NoStdSync.name()),
         ("crates/exec/src/lib.rs".to_string(), 6, Rule::OrderingJustification.name()),
         ("crates/core/src/cache.rs".to_string(), 1, Rule::NoStdFs.name()),
         ("crates/core/src/cache.rs".to_string(), 4, Rule::NoStdFs.name()),
