@@ -26,24 +26,26 @@ pub(crate) fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// repeat the same inter-barrier region thousands of times, so the distinct
 /// points are usually a small fraction of the inputs.
 pub(crate) struct DistinctPoints {
-    /// The distinct points, in order of first occurrence.
+    /// The distinct points, in order of first occurrence among the items.
     points: Vec<Vec<f64>>,
     /// For every input position, the index of its point in `points`.
     of: Vec<usize>,
 }
 
 impl DistinctPoints {
-    /// Folds `items` whose `key`s are equal bit for bit, and maps each
-    /// distinct item to its point with `point` (called once per distinct
-    /// key, in order of first occurrence).
+    /// Folds `items` whose `key`s are equal bit for bit, maps each distinct
+    /// item to its point with `point` (called once per distinct key, in
+    /// item order), and names, for every input position, the point of item
+    /// `positions[i]`.  Only the items are hashed, not the positions.
     pub(crate) fn new<'a, T>(
         items: &'a [T],
+        positions: impl Iterator<Item = usize>,
         key: impl Fn(&'a T) -> &'a [f64],
         mut point: impl FnMut(&'a T) -> Vec<f64>,
     ) -> Self {
         let mut first: HashMap<BitKey<'a>, usize> = HashMap::new();
         let mut points = Vec::new();
-        let of = items
+        let folded: Vec<usize> = items
             .iter()
             .map(|item| {
                 *first.entry(BitKey::new(key(item))).or_insert_with(|| {
@@ -52,7 +54,7 @@ impl DistinctPoints {
                 })
             })
             .collect();
-        Self { points, of }
+        Self { points, of: positions.map(|i| folded[i]).collect() }
     }
 
     /// Number of input positions.
@@ -182,7 +184,7 @@ pub fn weighted_kmeans(
     assert!(!points.is_empty(), "k-means needs at least one point");
     assert_eq!(points.len(), weights.len(), "one weight per point required");
     assert!(k > 0, "k must be positive");
-    let distinct = DistinctPoints::new(points, Vec::as_slice, Vec::clone);
+    let distinct = DistinctPoints::new(points, 0..points.len(), Vec::as_slice, Vec::clone);
     kmeans(&distinct, weights, k, max_iterations, seed)
 }
 
@@ -204,7 +206,7 @@ pub(crate) fn kmeans(
     // alike, so the per-point assignment is read through `points.of`.
     let mut assigned = vec![0usize; points.points.len()];
 
-    for _ in 0..max_iterations {
+    for iteration in 0..max_iterations {
         // Assignment step.
         let mut changed = false;
         for (a, p) in assigned.iter_mut().zip(&points.points) {
@@ -218,6 +220,11 @@ pub(crate) fn kmeans(
                 *a = best;
                 changed = true;
             }
+        }
+        // An unchanged assignment recomputes the centroids it computed last
+        // time, bit for bit; only iteration 0's centroids come from seeding.
+        if !changed && iteration > 0 {
+            break;
         }
         // Update step (weighted means), summed in input order.
         let mut sums = vec![vec![0.0; dim]; k];

@@ -6,8 +6,10 @@
 //!
 //! Everything above this crate — selection assembly, cache keys, design-space
 //! sweeps, reports — is written against [`SelectionStrategy`]: a backend
-//! takes the per-region [`SignatureVector`](bp_signature::SignatureVector)s
-//! plus a [`SelectionContext`] and
+//! takes a region-indexed view of the signature vectors
+//! ([`RegionVectors`](bp_signature::RegionVectors): the distinct
+//! [`SignatureVector`](bp_signature::SignatureVector)s plus each region's
+//! position among them) and a [`SelectionContext`], and
 //! returns a [`Clustering`] (one representative region per cluster with its
 //! reconstruction multiplier).  A strategy's cacheable identity is its
 //! [`SelectionSpec`], whose serialized bytes double as the strategy
@@ -55,7 +57,7 @@
 //!
 //! // The default SimPoint backend, capped at two clusters…
 //! let simpoint = SimPointStrategy::new(SimPointConfig::default().with_max_k(2));
-//! let clustering = simpoint.select(&vectors, &ctx);
+//! let clustering = simpoint.select((&vectors).into(), &ctx);
 //! assert_eq!(clustering.num_clusters(), 2);
 //! assert_eq!(clustering.assignment(0), clustering.assignment(2));
 //! assert_ne!(clustering.assignment(0), clustering.assignment(1));
@@ -63,7 +65,7 @@
 //! // …and the stratified backend under the same trait: same two behaviours
 //! // found, without any k-means sweep.
 //! let stratified = TwoPhaseStratified::with_budget(2);
-//! assert_eq!(stratified.select(&vectors, &ctx).num_clusters(), 2);
+//! assert_eq!(stratified.select((&vectors).into(), &ctx).num_clusters(), 2);
 //! assert_ne!(simpoint.fingerprint(), stratified.fingerprint());
 //! ```
 

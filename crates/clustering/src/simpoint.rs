@@ -1,7 +1,7 @@
 use crate::bic::bic;
 use crate::kmeans::{kmeans, squared_distance, DistinctPoints};
 use crate::projection::RandomProjection;
-use bp_signature::SignatureVector;
+use bp_signature::{RegionVectors, SignatureVector};
 use serde::{Deserialize, Serialize};
 
 /// SimPoint-style clustering parameters (Table II of the paper).
@@ -141,26 +141,36 @@ impl Clustering {
 /// representative selection favouring regions close to the cluster centre
 /// with ties broken towards longer regions.
 ///
-/// Regions whose signature vectors are equal bit for bit — the repeated
-/// iterations of an iterative kernel — are normalized and projected once,
-/// and k-means searches nearest centroids once per distinct vector, so the
-/// cost scales with the number of distinct signatures rather than regions.
-/// The result is identical to clustering every region on its own.
+/// `vectors` is a region-indexed view ([`RegionVectors`]): a profile's
+/// distinct signature vectors plus each region's position among them, or a
+/// plain slice with one vector per region.  Vectors equal bit for bit — the
+/// repeated iterations of an iterative kernel — are normalized and projected
+/// once, and k-means searches nearest centroids once per distinct vector,
+/// so the cost scales with the number of distinct signatures rather than
+/// regions.  Weights, memberships and representatives are still formed
+/// region by region, so the result is identical to clustering every region
+/// on its own.
 ///
 /// # Panics
 ///
 /// Panics if `vectors` is empty or if the vectors have differing dimensions.
-pub fn cluster_regions(vectors: &[SignatureVector], config: &SimPointConfig) -> Clustering {
+pub fn cluster_regions<'a>(
+    vectors: impl Into<RegionVectors<'a>>,
+    config: &SimPointConfig,
+) -> Clustering {
+    let vectors = vectors.into();
     assert!(!vectors.is_empty(), "cannot cluster zero regions");
-    let dim = vectors[0].dimension();
+    let distinct = vectors.distinct();
+    let dim = distinct[0].dimension();
     assert!(
-        vectors.iter().all(|v| v.dimension() == dim),
+        distinct.iter().all(|v| v.dimension() == dim),
         "all signature vectors must have the same dimension"
     );
 
     // Normalize and project each distinct signature once.
     let projection = RandomProjection::new(dim, config.projected_dimensions, config.seed);
-    let points = DistinctPoints::new(vectors, SignatureVector::values, |v| {
+    let positions = (0..vectors.len()).map(|region| vectors.distinct_of(region));
+    let points = DistinctPoints::new(distinct, positions, SignatureVector::values, |v| {
         projection.project(v.normalized().values())
     });
     let weights: Vec<f64> = vectors.iter().map(|v| v.instructions() as f64).collect();
@@ -335,6 +345,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_input_panics() {
-        let _ = cluster_regions(&[], &SimPointConfig::paper());
+        let _ = cluster_regions(&Vec::new(), &SimPointConfig::paper());
     }
 }

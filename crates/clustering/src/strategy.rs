@@ -21,7 +21,7 @@
 //! refactor (see [`SelectionSpec`]'s serialization notes).
 
 use crate::simpoint::{cluster_regions, ClusterSummary, Clustering, SimPointConfig};
-use bp_signature::SignatureVector;
+use bp_signature::RegionVectors;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::fmt;
 
@@ -65,13 +65,16 @@ pub trait SelectionStrategy: fmt::Debug + Send + Sync {
     /// Short stable identifier (used in sweep labels and reports).
     fn name(&self) -> &'static str;
 
-    /// Clusters the vectors and chooses representatives.
+    /// Clusters the regions' vectors and chooses representatives.
+    ///
+    /// `vectors` is region-indexed: every region reads its vector through
+    /// it, and a backend may work on the distinct vectors once each.
     ///
     /// # Panics
     ///
     /// May panic if `vectors` is empty (callers filter empty profiles out
     /// before reaching the strategy).
-    fn select(&self, vectors: &[SignatureVector], ctx: &SelectionContext) -> Clustering;
+    fn select(&self, vectors: RegionVectors<'_>, ctx: &SelectionContext) -> Clustering;
 
     /// The serializable identity of this strategy instance.
     fn spec(&self) -> SelectionSpec;
@@ -234,7 +237,7 @@ impl SelectionStrategy for SimPointStrategy {
         "simpoint"
     }
 
-    fn select(&self, vectors: &[SignatureVector], _ctx: &SelectionContext) -> Clustering {
+    fn select(&self, vectors: RegionVectors<'_>, _ctx: &SelectionContext) -> Clustering {
         cluster_regions(vectors, &self.config)
     }
 
@@ -333,7 +336,7 @@ impl SelectionStrategy for TwoPhaseStratified {
         "two-phase-stratified"
     }
 
-    fn select(&self, vectors: &[SignatureVector], _ctx: &SelectionContext) -> Clustering {
+    fn select(&self, vectors: RegionVectors<'_>, _ctx: &SelectionContext) -> Clustering {
         stratified_select(vectors, &self.config)
     }
 
@@ -349,33 +352,41 @@ struct Stratum {
     weight: f64,
 }
 
-/// Phase 1: bucket every region by its quantized coarse-feature key.
-/// Strata come back sorted by key (deterministic, input-order independent).
-fn stratify(vectors: &[SignatureVector], config: &TwoPhaseStratifiedConfig) -> Vec<Stratum> {
-    let dim = vectors[0].dimension();
+/// Phase 1: bucket every region by its quantized coarse-feature key (each
+/// distinct vector's key is computed once).  Strata come back sorted by key
+/// (deterministic, input-order independent).
+fn stratify(vectors: RegionVectors<'_>, config: &TwoPhaseStratifiedConfig) -> Vec<Stratum> {
+    let dim = vectors.get(0).dimension();
     let bands = config.bands.clamp(1, dim.max(1));
     let levels = config.levels.max(1);
-    let mut by_key: std::collections::BTreeMap<Vec<usize>, Vec<usize>> =
+    let keys: Vec<Vec<usize>> = vectors
+        .distinct()
+        .iter()
+        .map(|vector| {
+            let normalized = vector.normalized();
+            let values = normalized.values();
+            (0..bands)
+                .map(|band| {
+                    // Contiguous dimension bands; the last band absorbs the
+                    // remainder when `dim` is not divisible by `bands`.
+                    let start = band * dim / bands;
+                    let end = if band + 1 == bands { dim } else { (band + 1) * dim / bands };
+                    let mass: f64 = values[start..end].iter().map(|v| v.abs()).sum();
+                    ((mass * levels as f64) as usize).min(levels - 1)
+                })
+                .collect()
+        })
+        .collect();
+    let mut by_key: std::collections::BTreeMap<&[usize], Vec<usize>> =
         std::collections::BTreeMap::new();
-    for (region, vector) in vectors.iter().enumerate() {
-        let normalized = vector.normalized();
-        let values = normalized.values();
-        let mut key = vec![0usize; bands];
-        for (band, bucket) in key.iter_mut().enumerate() {
-            // Contiguous dimension bands; the last band absorbs the
-            // remainder when `dim` is not divisible by `bands`.
-            let start = band * dim / bands;
-            let end = if band + 1 == bands { dim } else { (band + 1) * dim / bands };
-            let mass: f64 = values[start..end].iter().map(|v| v.abs()).sum();
-            *bucket = ((mass * levels as f64) as usize).min(levels - 1);
-        }
-        by_key.entry(key).or_default().push(region);
+    for region in 0..vectors.len() {
+        by_key.entry(&keys[vectors.distinct_of(region)]).or_default().push(region);
     }
     by_key
         .into_iter()
         .map(|(key, members)| {
-            let weight = members.iter().map(|&m| vectors[m].instructions() as f64).sum();
-            Stratum { key, members, weight }
+            let weight = members.iter().map(|&m| vectors.get(m).instructions() as f64).sum();
+            Stratum { key: key.to_vec(), members, weight }
         })
         .collect()
 }
@@ -450,7 +461,7 @@ fn weight_balanced_chunks(members: &[usize], weights: &[f64], chunks: usize) -> 
 /// # Panics
 ///
 /// Panics if `vectors` is empty (mirrors [`cluster_regions`]).
-fn stratified_select(vectors: &[SignatureVector], config: &TwoPhaseStratifiedConfig) -> Clustering {
+fn stratified_select(vectors: RegionVectors<'_>, config: &TwoPhaseStratifiedConfig) -> Clustering {
     assert!(!vectors.is_empty(), "cannot select from zero regions");
     let weights: Vec<f64> = vectors.iter().map(|v| v.instructions() as f64).collect();
     let total_weight: f64 = weights.iter().sum();
@@ -529,6 +540,7 @@ fn stratified_select(vectors: &[SignatureVector], config: &TwoPhaseStratifiedCon
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_signature::SignatureVector;
     use proptest::prelude::*;
 
     fn vector(values: Vec<f64>, instructions: u64) -> SignatureVector {
@@ -604,7 +616,7 @@ mod tests {
         let vectors = mixed_vectors();
         for budget in [1, 2, 3, 7, 30, 100] {
             let strategy = TwoPhaseStratified::with_budget(budget);
-            let clustering = strategy.select(&vectors, &ctx(&vectors));
+            let clustering = strategy.select((&vectors).into(), &ctx(&vectors));
             let reconstructed: f64 = clustering
                 .clusters()
                 .iter()
@@ -629,15 +641,16 @@ mod tests {
     fn stratified_is_deterministic_across_runs_and_threads() {
         let vectors = mixed_vectors();
         let strategy = TwoPhaseStratified::with_budget(6);
-        let baseline = strategy.select(&vectors, &ctx(&vectors));
+        let baseline = strategy.select((&vectors).into(), &ctx(&vectors));
         for _ in 0..3 {
-            assert_eq!(strategy.select(&vectors, &ctx(&vectors)), baseline);
+            assert_eq!(strategy.select((&vectors).into(), &ctx(&vectors)), baseline);
         }
         // Concurrent invocations (the sweep runs strategies from worker
         // threads) must agree with the serial result too.
         let results: Vec<Clustering> = std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                (0..4).map(|_| scope.spawn(|| strategy.select(&vectors, &ctx(&vectors)))).collect();
+            let handles: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| strategy.select((&vectors).into(), &ctx(&vectors))))
+                .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for result in results {
@@ -646,7 +659,7 @@ mod tests {
         // The context is advisory: a different thread count must not change
         // the selection for identical vectors.
         let other_ctx = SelectionContext { threads: 16, ..ctx(&vectors) };
-        assert_eq!(strategy.select(&vectors, &other_ctx), baseline);
+        assert_eq!(strategy.select((&vectors).into(), &other_ctx), baseline);
     }
 
     /// More budget never removes representation: the represented strata only
@@ -658,7 +671,7 @@ mod tests {
         let mut previous: Option<Clustering> = None;
         for budget in 1..=40 {
             let clustering =
-                TwoPhaseStratified::with_budget(budget).select(&vectors, &ctx(&vectors));
+                TwoPhaseStratified::with_budget(budget).select((&vectors).into(), &ctx(&vectors));
             if let Some(prev) = &previous {
                 assert!(
                     clustering.num_clusters() >= prev.num_clusters(),
@@ -709,10 +722,10 @@ mod tests {
                 })
                 .collect();
             let config = TwoPhaseStratifiedConfig::new(0);
-            let strata = super::stratify(&vectors, &config);
+            let strata = super::stratify((&vectors).into(), &config);
             let budget = strata.len();
             let clustering = TwoPhaseStratified::new(config.with_budget(budget))
-                .select(&vectors, &ctx(&vectors));
+                .select((&vectors).into(), &ctx(&vectors));
             // One representative per stratum: regions of different strata
             // never share a cluster.
             prop_assert_eq!(clustering.num_clusters(), strata.len());

@@ -124,7 +124,9 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 /// checkpoint (`ckpt`) artifact kind.  Version 5 stores each LDV as its
 /// populated bucket prefix (`bp_signature::Ldv`'s codec) and seals entries
 /// with the word-wise [`seal_checksum`] instead of byte-wise FNV-1a.
-const FORMAT_VERSION: u32 = 5;
+/// Version 6 stores a profile's distinct region signatures once each, plus
+/// every region's position among them (`bp_signature::PerRegion`).
+const FORMAT_VERSION: u32 = 6;
 
 /// Name of the persisted-statistics file inside the cache directory.  No
 /// artifact extension, so the eviction scan neither counts nor deletes it.
@@ -1718,7 +1720,8 @@ mod tests {
     /// FNV-1a fingerprint of the raw file bytes.  A reordered key echo, a
     /// moved seal, a changed magic or version, or a changed payload encoding
     /// each change a fingerprint.  The constants were captured for format
-    /// version 5 (sparse LDV payloads, word-wise seal); the other kinds'
+    /// version 6 (interned profile payloads: the distinct signatures, then
+    /// one `u32` per region; sparse LDVs; word-wise seal); the other kinds'
     /// lengths are those of version 4, whose payload layout they share.  The
     /// `cache-state` pin is state version 5: a new file's two slots, the
     /// first at generation 1, the second zeroed.
@@ -1752,14 +1755,14 @@ mod tests {
         cache.flush();
 
         let golden: [(&str, usize, u64); 5] = [
-            ("npb-is-2t-d6c371d7a20694b0.bpprof", 8020, 0x2d14_d943_4a1d_c300),
-            ("npb-is-2t-d6c371d7a20694b0-854085e33a456c6e.bpsel", 764, 0x33e4_3fdf_b96c_efa5),
+            ("npb-is-2t-d6c371d7a20694b0.bpprof", 8072, 0x40a9_7c54_890f_31c2),
+            ("npb-is-2t-d6c371d7a20694b0-854085e33a456c6e.bpsel", 764, 0x2c3e_faac_bc68_4670),
             (
                 "npb-is-2t-d6c371d7a20694b0-bb963799b9cbc17d-c0a950fcb52325b5.bpsim",
                 2118,
-                0xbbf5_af48_d06f_75b7,
+                0x30bc_5d34_1c67_31c4,
             ),
-            ("npb-is-2t-d6c371d7a20694b0.bpckpt", 48998, 0x1b24_a3f2_9735_0089),
+            ("npb-is-2t-d6c371d7a20694b0.bpckpt", 48998, 0x7e2c_339a_b4fc_4a0d),
             ("cache-state", 336, 0x7fa3_9434_9d47_87c9),
         ];
         let names = [
@@ -2802,67 +2805,68 @@ mod tests {
 
     /// Serialized profiles that decode field by field but break a shape
     /// invariant selection indexes by, each named.  The first is the
-    /// regression case: a second region holding 2 BBVs but 1 LDV and 1
+    /// regression case: a second signature holding 2 BBVs but 1 LDV and 1
     /// instruction count, which used to decode and then panic in
-    /// selection with an out-of-bounds index.
+    /// selection with an out-of-bounds index.  The last three break the
+    /// region index: past the signature table, or out of first-occurrence
+    /// order.
     fn malformed_profiles() -> Vec<(&'static str, Vec<u8>)> {
         let empty_ldv = serde::to_vec(&bp_signature::Ldv::new());
         let mut too_many = serde::Serializer::new();
         too_many.write_len(bp_signature::LDV_BUCKETS + 1);
         (0..=bp_signature::LDV_BUCKETS + 1).for_each(|_| too_many.write_u64(1));
         let too_many = too_many.into_bytes();
-        // One region: its per-thread BBVs, serialized LDVs, instructions.
-        type Region<'a> = (Vec<Vec<u64>>, Vec<&'a [u8]>, Vec<u64>);
-        let profile = |threads: u64, regions: Vec<Region<'_>>| {
+        // One signature: its per-thread BBVs, serialized LDVs, instructions.
+        type Signature<'a> = (Vec<Vec<u64>>, Vec<&'a [u8]>, Vec<u64>);
+        let profile = |threads: u64, signatures: Vec<Signature<'_>>, index: Vec<u32>| {
             let mut out = serde::Serializer::new();
             out.write_str("malformed");
             out.write_u64(threads);
-            out.write_len(regions.len());
-            for (bbvs, ldvs, instructions) in regions {
+            out.write_len(signatures.len());
+            for (bbvs, ldvs, instructions) in signatures {
                 bbvs.serialize(&mut out);
                 out.write_len(ldvs.len());
                 ldvs.iter().for_each(|ldv| out.write_bytes(ldv));
                 instructions.serialize(&mut out);
             }
+            out.write_len(index.len());
+            index.into_iter().for_each(|id| out.write_u32(id));
             out.into_bytes()
         };
         let ldv = &empty_ldv[..];
+        let one = || (vec![vec![5, 0]], vec![ldv], vec![5]);
         vec![
-            ("well-formed", profile(1, vec![(vec![vec![5, 0]], vec![ldv], vec![5]); 2])),
+            ("well-formed", profile(1, vec![one()], vec![0, 0])),
             (
-                "region 1 holds 2 BBVs, 1 LDV and 1 instruction count",
+                "signature 1 holds 2 BBVs, 1 LDV and 1 instruction count",
                 profile(
                     1,
-                    vec![
-                        (vec![vec![5, 0]], vec![ldv], vec![5]),
-                        (vec![vec![5, 0], vec![0, 3]], vec![ldv], vec![3]),
-                    ],
+                    vec![one(), (vec![vec![5, 0], vec![0, 3]], vec![ldv], vec![3])],
+                    vec![0, 1],
                 ),
             ),
             (
-                "region 1 has fewer threads than the profile",
+                "signature 1 has fewer threads than the profile",
                 profile(
                     2,
-                    vec![
-                        (vec![vec![5, 0]; 2], vec![ldv; 2], vec![5; 2]),
-                        (vec![vec![5, 0]], vec![ldv], vec![5]),
-                    ],
+                    vec![(vec![vec![5, 0]; 2], vec![ldv; 2], vec![5; 2]), one()],
+                    vec![0, 1],
                 ),
             ),
             (
-                "region 1 has another BBV dimension",
-                profile(
-                    1,
-                    vec![
-                        (vec![vec![5, 0]], vec![ldv], vec![5]),
-                        (vec![vec![5, 0, 1]], vec![ldv], vec![6]),
-                    ],
-                ),
+                "signature 1 has another BBV dimension",
+                profile(1, vec![one(), (vec![vec![5, 0, 1]], vec![ldv], vec![6])], vec![0, 1]),
             ),
             (
                 "an LDV has more than LDV_BUCKETS buckets",
-                profile(1, vec![(vec![vec![5, 0]], vec![&too_many[..]], vec![5])]),
+                profile(1, vec![(vec![vec![5, 0]], vec![&too_many[..]], vec![5])], vec![0]),
             ),
+            ("region 2 names a signature past the table", profile(1, vec![one()], vec![0, 0, 1])),
+            (
+                "region 0 names signature 1 before signature 0",
+                profile(1, vec![one(), (vec![vec![0, 4]], vec![ldv], vec![4])], vec![1, 0]),
+            ),
+            ("no region names signature 1", profile(1, vec![one(), one()], vec![0, 0])),
         ]
     }
 

@@ -1,13 +1,24 @@
 use crate::error::Error;
 use crate::segment::{MruBoundaries, TraceWalk};
 use bp_exec::{ExecutionPolicy, WorkerBudget};
-use bp_signature::{zip_thread_profiles, RegionSignature, SignatureConfig, SignatureVector};
+use bp_signature::{
+    zip_thread_profiles, PerRegion, RegionSignature, SignatureConfig, SignatureVector,
+};
 use bp_warmup::MruSnapshotBank;
 use bp_workload::Workload;
 use serde::{Deserialize, Serialize};
 
-/// The result of the one-time profiling pass over an application: one
-/// [`RegionSignature`] per inter-barrier region.
+/// The result of the one-time profiling pass over an application: the
+/// [`RegionSignature`] of every inter-barrier region.
+///
+/// The signatures are interned ([`PerRegion`]): each distinct signature is
+/// stored once, in order of first occurrence, and every region names its
+/// signature by position.  Iterative kernels repeat a few regions many
+/// times (npb-sp at the repository benchmark's shape: 3,601 regions, 18
+/// distinct signatures), so the profile, its cache entry and the vectors
+/// assembled from it scale with the distinct signatures.  Interning is
+/// exact equality: region `r`'s signature reads back bit for bit as a
+/// region-by-region profile would hold it, and equal profiles compare equal.
 ///
 /// Profiling is microarchitecture-independent (no cache model is involved),
 /// which is what allows the resulting barrierpoints to be reused across
@@ -16,7 +27,7 @@ use serde::{Deserialize, Serialize};
 pub struct ApplicationProfile {
     workload_name: String,
     threads: usize,
-    signatures: Vec<RegionSignature>,
+    signatures: PerRegion<RegionSignature>,
 }
 
 impl ApplicationProfile {
@@ -35,30 +46,34 @@ impl ApplicationProfile {
         self.signatures.len()
     }
 
-    /// The raw per-region signatures.
-    pub fn signatures(&self) -> &[RegionSignature] {
+    /// The raw signatures: the distinct ones plus each region's position
+    /// among them ([`PerRegion::get`] reads one region's).
+    pub fn signatures(&self) -> &PerRegion<RegionSignature> {
         &self.signatures
     }
 
     /// Aggregate instruction count of region `region` (all threads).
     pub fn region_instructions(&self, region: usize) -> u64 {
-        self.signatures[region].total_instructions()
+        self.signatures.get(region).total_instructions()
     }
 
     /// Per-region aggregate instruction counts.
     pub fn all_region_instructions(&self) -> Vec<u64> {
-        self.signatures.iter().map(|s| s.total_instructions()).collect()
+        let distinct: Vec<u64> =
+            self.signatures.distinct().iter().map(RegionSignature::total_instructions).collect();
+        self.signatures.index().iter().map(|&id| distinct[id as usize]).collect()
     }
 
     /// Total instructions over the whole application (all threads).
     pub fn total_instructions(&self) -> u64 {
-        self.signatures.iter().map(|s| s.total_instructions()).sum()
+        self.signatures.iter().map(RegionSignature::total_instructions).sum()
     }
 
-    /// Assembles one signature vector per region under `config` (the input to
-    /// the clustering step).
-    pub fn assemble_vectors(&self, config: &SignatureConfig) -> Vec<SignatureVector> {
-        self.signatures.iter().map(|s| s.assemble(config)).collect()
+    /// Assembles the signature vectors under `config` (the input to the
+    /// clustering step): one per distinct signature, with the profile's
+    /// per-region index.
+    pub fn assemble_vectors(&self, config: &SignatureConfig) -> PerRegion<SignatureVector> {
+        self.signatures.map(|s| s.assemble(config))
     }
 
     /// Zips per-thread streaming profiles into the application profile —
@@ -73,26 +88,28 @@ impl ApplicationProfile {
 }
 
 // Hand-written decoding: clustering indexes every region's signature by
-// thread and concatenates BBVs of one dimension, so a profile whose regions
-// disagree with its thread count or with each other's BBV dimension is a
-// decode error — a cache entry holding one reads as a miss — rather than a
-// panic in selection.
+// thread and concatenates BBVs of one dimension, so a profile whose
+// signatures disagree with its thread count or with each other's BBV
+// dimension is a decode error — a cache entry holding one reads as a miss —
+// rather than a panic in selection.  `PerRegion`'s own decoding rejects a
+// region index past the signature table.
 impl Deserialize for ApplicationProfile {
     fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
         let workload_name = String::deserialize(de)?;
         let threads = usize::deserialize(de)?;
-        let signatures = Vec::<RegionSignature>::deserialize(de)?;
-        let dimension = signatures.first().and_then(|s| s.bbvs().first()).map(|b| b.dimension());
-        for (region, signature) in signatures.iter().enumerate() {
+        let signatures = PerRegion::<RegionSignature>::deserialize(de)?;
+        let distinct = signatures.distinct();
+        let dimension = distinct.first().and_then(|s| s.bbvs().first()).map(|b| b.dimension());
+        for (id, signature) in distinct.iter().enumerate() {
             if signature.num_threads() != threads {
                 return Err(serde::Error::custom(format!(
-                    "region {region} has {} threads, the profile {threads}",
+                    "signature {id} has {} threads, the profile {threads}",
                     signature.num_threads()
                 )));
             }
             if signature.bbvs().iter().any(|bbv| Some(bbv.dimension()) != dimension) {
                 return Err(serde::Error::custom(format!(
-                    "region {region} has a BBV dimension other than {dimension:?}"
+                    "signature {id} has a BBV dimension other than {dimension:?}"
                 )));
             }
         }
@@ -201,8 +218,8 @@ mod tests {
         let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let vectors = profile.assemble_vectors(&SignatureConfig::combined());
         assert_eq!(vectors.len(), 34);
-        let dim = vectors[0].dimension();
-        assert!(vectors.iter().all(|v| v.dimension() == dim));
+        let dim = vectors.get(0).dimension();
+        assert!(vectors.distinct().iter().all(|v| v.dimension() == dim));
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! [`WorkerBudget`], so a re-walk can use more workers than the workload
 //! has threads.  Either way there is one job (restore when resuming, walk
 //! `[from, until)`, snapshot at interior cuts), one fan-out, and one stitch
-//! ([`bp_signature::concat_thread_profiles`] then the per-region zip, and
+//! ([`bp_signature::concat_thread_profiles`], which re-interns each later
+//! segment's distinct per-region outputs, then the region-major zip, which
+//! interns each region's tuple of per-thread outputs; and
 //! [`MruSnapshotBank::from_recorders`]).
 //!
 //! The job's walk is bp-core's only trace-walking loop (the `core-drive`
@@ -451,9 +453,6 @@ impl ThreadWalk {
     ) {
         let mut exec = BlockExecution::default();
         for region in from..until.min(workload.num_regions()) {
-            if let Some(profile) = &mut self.profile {
-                profile.enter_region();
-            }
             if let Some(mru) = &mut self.mru {
                 mru.enter_region(&mut self.engine, region);
             }

@@ -207,8 +207,9 @@ pub fn select_barrierpoints(
 }
 
 /// Selects barrierpoints from `profile` with an arbitrary
-/// [`SelectionStrategy`]: assembles the per-region signature vectors under
-/// `signature_config`, lets the strategy cluster them, and packages the
+/// [`SelectionStrategy`]: assembles one signature vector per distinct
+/// region signature under `signature_config`, lets the strategy cluster the
+/// regions through the profile's per-region index, and packages the
 /// result (representatives, multipliers, region mapping, strategy identity)
 /// as a [`BarrierPointSelection`].
 ///
@@ -224,11 +225,12 @@ pub fn select_barrierpoints_with(
         return Err(Error::EmptyWorkload { workload: profile.workload_name().to_string() });
     }
     let vectors = profile.assemble_vectors(signature_config);
+    let region_instructions = profile.all_region_instructions();
     let ctx = SelectionContext {
         threads: profile.threads(),
-        total_instructions: profile.all_region_instructions().iter().sum(),
+        total_instructions: region_instructions.iter().sum(),
     };
-    let clustering = strategy.select(&vectors, &ctx);
+    let clustering = strategy.select((&vectors).into(), &ctx);
 
     let mut barrierpoints: Vec<BarrierPointInfo> = clustering
         .clusters()
@@ -238,7 +240,7 @@ pub fn select_barrierpoints_with(
             multiplier: cluster.multiplier,
             weight_fraction: cluster.weight_fraction,
             cluster_size: cluster.members.len(),
-            instructions: profile.region_instructions(cluster.representative),
+            instructions: region_instructions[cluster.representative],
         })
         .collect();
     barrierpoints.sort_by_key(|bp| bp.region);
@@ -261,7 +263,7 @@ pub fn select_barrierpoints_with(
         threads: profile.threads(),
         barrierpoints,
         region_to_barrierpoint,
-        region_instructions: profile.all_region_instructions(),
+        region_instructions,
         signature_config: *signature_config,
         spec: strategy.spec(),
     })
@@ -395,7 +397,7 @@ mod tests {
         let profile = profile_application_with(&w, &ExecutionPolicy::Serial).unwrap();
         let config = SignatureConfig::bbv_only();
         let vectors = profile.assemble_vectors(&config);
-        assert!(vectors.iter().all(|v| v.values() == vectors[0].values()));
+        assert!(vectors.iter().all(|v| v.values() == vectors.get(0).values()));
         for simpoint in [SimPointConfig::paper(), SimPointConfig::paper().with_max_k(5)] {
             let selection = select_barrierpoints(&profile, &config, &simpoint).unwrap();
             assert_one_barrierpoint(&selection, 40);

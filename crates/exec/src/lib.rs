@@ -628,8 +628,9 @@ mod tests {
         );
     }
 
-    /// A cap beyond the packed word's permit field saturates instead of
-    /// panicking.  Construction only: no fan-out runs on these budgets.
+    /// A cap beyond `MAX_HELPER_THREADS` (65,535 helper threads) saturates
+    /// there instead of panicking.  Construction only: no fan-out runs on
+    /// these budgets.
     #[test]
     fn oversized_worker_caps_saturate_at_the_permit_field() {
         let policy = ExecutionPolicy::parallel_with(70_000);

@@ -41,6 +41,11 @@ impl Bbv {
         self.counts.iter().sum()
     }
 
+    /// Zeroes every count.
+    pub(crate) fn clear(&mut self) {
+        self.counts.fill(0);
+    }
+
     /// Raw counts slice.
     pub fn counts(&self) -> &[u64] {
         &self.counts

@@ -63,6 +63,12 @@ impl Ldv {
         self.cold
     }
 
+    /// Forgets every recorded access.
+    pub(crate) fn clear(&mut self) {
+        self.buckets.fill(0);
+        self.cold = 0;
+    }
+
     /// Raw bucket counts.
     pub fn buckets(&self) -> &[u64] {
         &self.buckets

@@ -24,9 +24,12 @@
 //! access's stack distance from `bp-workload`'s recency engine
 //! ([`bp_workload::RecencyEngine`]) — one LRU stack per thread, carried
 //! across regions — and [`zip_thread_profiles`] zips the per-thread streams
-//! back into per-region signatures.  Because the per-thread state is
-//! independent across threads, the walks can run on separate OS threads.
-//! A fused cold pass feeds the accumulator and `bp-warmup`'s MRU interval
+//! back into per-region signatures.  Each distinct signature is stored once:
+//! a [`PerRegion`] table holds the distinct values in order of first
+//! occurrence plus every region's position among them, and selection reads
+//! the assembled vectors through the same index ([`RegionVectors`]).
+//! Because the per-thread state is independent across threads, the walks
+//! can run on separate OS threads.  A fused cold pass feeds the accumulator and `bp-warmup`'s MRU interval
 //! recorder from one engine per thread, so the walk finds each access's LRU
 //! stack position once.  The engine checkpoints the carried state, so a
 //! thread's walk can be split into segments that [`concat_thread_profiles`]
@@ -39,13 +42,12 @@
 //! use bp_signature::{zip_thread_profiles, ProfileAccumulator, SignatureConfig};
 //! use bp_workload::{Benchmark, RecencyEngine, Workload, WorkloadConfig};
 //!
-//! let workload = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.05));
+//! let workload = Benchmark::NpbCg.build(&WorkloadConfig::new(4).with_scale(0.05));
 //! let profiles = (0..workload.num_threads())
 //!     .map(|thread| {
 //!         let mut engine = RecencyEngine::new();
 //!         let mut profile = ProfileAccumulator::new(&workload, thread);
 //!         for region in 0..workload.num_regions() {
-//!             profile.enter_region();
 //!             for exec in workload.region_trace(region, thread) {
 //!                 profile.block(&exec);
 //!                 for access in &exec.accesses {
@@ -59,9 +61,12 @@
 //!     })
 //!     .collect();
 //! let signatures = zip_thread_profiles(profiles);
-//! let vector = signatures[0].assemble(&SignatureConfig::combined());
+//! assert_eq!(signatures.len(), workload.num_regions());
+//! let vector = signatures.get(0).assemble(&SignatureConfig::combined());
 //! assert!(!vector.values().is_empty());
-//! assert!(signatures[0].total_instructions() > 0);
+//! assert!(signatures.get(0).total_instructions() > 0);
+//! // The regions repeat a few phases: each distinct signature is stored once.
+//! assert!(signatures.distinct().len() < signatures.len());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,6 +76,7 @@ mod bbv;
 mod collector;
 mod config;
 mod ldv;
+mod per_region;
 mod streaming;
 mod vector;
 
@@ -78,6 +84,7 @@ pub use bbv::Bbv;
 pub use collector::RegionSignature;
 pub use config::{LdvWeighting, SignatureConfig, SignatureKind};
 pub use ldv::{Ldv, LDV_BUCKETS};
+pub use per_region::{PerRegion, RegionVectors};
 pub use streaming::{
     concat_thread_profiles, zip_thread_profiles, ProfileAccumulator, ThreadProfile,
 };

@@ -21,6 +21,22 @@
 //! tests check the walks against a naive region-by-region reference that
 //! keeps each thread's stack as a plain list.
 //!
+//! **The outputs are interned.**  Iterative kernels repeat the same region
+//! thousands of times (npb-sp at the repository benchmark's shape: 3,601
+//! regions, 18 distinct signatures), so no output is kept per region.  The
+//! accumulator counts a region into buffers it reuses, and at the region's
+//! end looks its `(BBV, LDV, instructions)` up in the thread's table by a
+//! folded hash plus an exact comparison: a repeat costs one `u32` region
+//! index entry, and only a new output is copied into the table.  A
+//! [`ThreadProfile`] is that table, in order of first occurrence, plus the
+//! per-region index.  [`zip_thread_profiles`] interns each region's tuple
+//! of per-thread ids the same way and builds one [`RegionSignature`] per
+//! distinct tuple, so the application profile is a [`PerRegion`] table of
+//! distinct signatures plus the region index.  [`concat_thread_profiles`]
+//! re-interns each later segment's table in order, so a segmented walk
+//! yields the sequential walk's tables entry for entry.  Interning is exact
+//! equality: every region reads back bit for bit.
+//!
 //! This matters because profiling is the one pipeline stage BarrierPoint
 //! cannot sample away: the paper's Pin-based profiler runs the full
 //! application at a 20–30x slowdown (Section III).  Thread-parallel profiling
@@ -30,17 +46,36 @@
 use crate::bbv::Bbv;
 use crate::collector::RegionSignature;
 use crate::ldv::Ldv;
+use crate::per_region::{fold, Interner, PerRegion};
 use bp_workload::{BlockExecution, Workload};
 
-/// The complete profile of one thread: per-region BBVs, LDVs and instruction
-/// counts, collected in a single streaming pass with continuous
-/// reuse-distance tracking across regions.
+/// One thread's outputs for one region.
+#[derive(Debug, Clone, PartialEq)]
+struct ThreadRegion {
+    bbv: Bbv,
+    ldv: Ldv,
+    instructions: u64,
+}
+
+impl ThreadRegion {
+    /// The interning hash of a region's outputs.
+    fn hash_of(bbv: &Bbv, ldv: &Ldv, instructions: u64) -> u64 {
+        fold(&[bbv.counts(), ldv.buckets(), &[ldv.cold_accesses(), instructions]])
+    }
+
+    fn hash(&self) -> u64 {
+        Self::hash_of(&self.bbv, &self.ldv, self.instructions)
+    }
+}
+
+/// The complete profile of one thread, collected in a single streaming pass
+/// with continuous reuse-distance tracking across regions: the distinct
+/// per-region outputs (BBV, LDV and instruction count) in order of first
+/// occurrence, plus each region's position among them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadProfile {
     thread: usize,
-    bbvs: Vec<Bbv>,
-    ldvs: Vec<Ldv>,
-    instructions: Vec<u64>,
+    regions: PerRegion<ThreadRegion>,
 }
 
 impl ThreadProfile {
@@ -51,16 +86,12 @@ impl ThreadProfile {
 
     /// Number of regions profiled.
     pub fn num_regions(&self) -> usize {
-        self.bbvs.len()
+        self.regions.len()
     }
 
     /// Total instructions this thread retired over all regions.
     pub fn total_instructions(&self) -> u64 {
-        self.instructions.iter().sum()
-    }
-
-    fn into_components(self) -> (Vec<Bbv>, Vec<Ldv>, Vec<u64>) {
-        (self.bbvs, self.ldvs, self.instructions)
+        self.regions.iter().map(|r| r.instructions).sum()
     }
 }
 
@@ -68,22 +99,23 @@ impl ThreadProfile {
 /// counts — built from the block executions and the stack distances a
 /// [`RecencyEngine`](bp_workload::RecencyEngine) reports for them.
 ///
-/// The accumulator carries nothing across a region boundary: the only
-/// cross-region state of profiling is the engine's LRU stack (its profile
-/// image, when a walk is checkpointed).  That lets one engine serve it and
-/// `bp-warmup`'s MRU interval recorder in a fused walk (bp-core's trace
-/// walk), and makes the partial profiles of a segmented walk prefix-free
+/// A region accumulates into buffers the accumulator reuses;
+/// [`finish_region`](Self::finish_region) interns the region's outputs in
+/// the thread's table (a folded hash plus an exact comparison), so only a
+/// region whose outputs are new is copied.  The accumulator carries nothing
+/// else across a region boundary: the only cross-region state of profiling
+/// is the engine's LRU stack (its profile image, when a walk is
+/// checkpointed).  That lets one engine serve it and `bp-warmup`'s MRU
+/// interval recorder in a fused walk (bp-core's trace walk), and makes the
+/// partial profiles of a segmented walk prefix-free
 /// ([`concat_thread_profiles`]).
 #[derive(Debug)]
 pub struct ProfileAccumulator {
     thread: usize,
-    num_blocks: usize,
-    bbvs: Vec<Bbv>,
-    ldvs: Vec<Ldv>,
-    instructions: Vec<u64>,
-    current_bbv: Bbv,
-    current_ldv: Ldv,
-    current_instructions: u64,
+    regions: Interner<ThreadRegion>,
+    bbv: Bbv,
+    ldv: Ldv,
+    instructions: u64,
 }
 
 impl ProfileAccumulator {
@@ -94,54 +126,44 @@ impl ProfileAccumulator {
     /// Panics if `thread >= workload.num_threads()`.
     pub fn new<W: Workload + ?Sized>(workload: &W, thread: usize) -> Self {
         assert!(thread < workload.num_threads(), "thread {thread} out of range");
-        let num_blocks = workload.block_table().len();
-        let num_regions = workload.num_regions();
         Self {
             thread,
-            num_blocks,
-            bbvs: Vec::with_capacity(num_regions),
-            ldvs: Vec::with_capacity(num_regions),
-            instructions: Vec::with_capacity(num_regions),
-            current_bbv: Bbv::new(num_blocks),
-            current_ldv: Ldv::new(),
-            current_instructions: 0,
+            regions: Interner::new(),
+            bbv: Bbv::new(workload.block_table().len()),
+            ldv: Ldv::new(),
+            instructions: 0,
         }
-    }
-
-    /// Starts a region's outputs.
-    pub fn enter_region(&mut self) {
-        self.current_bbv = Bbv::new(self.num_blocks);
-        self.current_ldv = Ldv::new();
-        self.current_instructions = 0;
     }
 
     /// Counts one block execution's block and instructions (its accesses'
     /// distances arrive through [`distance`](Self::distance)).
     pub fn block(&mut self, exec: &BlockExecution) {
-        self.current_bbv.record(exec.block, exec.instructions);
-        self.current_instructions += u64::from(exec.instructions);
+        self.bbv.record(exec.block, exec.instructions);
+        self.instructions += u64::from(exec.instructions);
     }
 
     /// Records one access's stack distance (`None` for a first access).
     pub fn distance(&mut self, distance: Option<u64>) {
-        self.current_ldv.record(distance);
+        self.ldv.record(distance);
     }
 
-    /// Closes the region's outputs.
+    /// Closes the region: interns its outputs and starts the next region's.
     pub fn finish_region(&mut self) {
-        self.bbvs.push(std::mem::replace(&mut self.current_bbv, Bbv::new(0)));
-        self.ldvs.push(std::mem::take(&mut self.current_ldv));
-        self.instructions.push(self.current_instructions);
+        let Self { regions, bbv, ldv, instructions, .. } = self;
+        let id = regions.intern(
+            ThreadRegion::hash_of(bbv, ldv, *instructions),
+            |r| r.instructions == *instructions && r.bbv == *bbv && r.ldv == *ldv,
+            || ThreadRegion { bbv: bbv.clone(), ldv: ldv.clone(), instructions: *instructions },
+        );
+        regions.push(id);
+        bbv.clear();
+        ldv.clear();
+        *instructions = 0;
     }
 
     /// The completed per-thread profile (one entry per finished region).
     pub fn into_profile(self) -> ThreadProfile {
-        ThreadProfile {
-            thread: self.thread,
-            bbvs: self.bbvs,
-            ldvs: self.ldvs,
-            instructions: self.instructions,
-        }
+        ThreadProfile { thread: self.thread, regions: self.regions.finish() }
     }
 }
 
@@ -151,7 +173,10 @@ impl ProfileAccumulator {
 ///
 /// Per-region outputs are prefix-free — each region's BBV/LDV/instruction
 /// count is fully emitted by whichever segment walked that region — so
-/// stitching is plain concatenation in segment order.  The continuity of the
+/// stitching re-interns each later segment's distinct outputs, in order,
+/// into the first segment's table and appends its regions.  A value new to
+/// the whole first occurs in the segment that adds it, so the stitched table
+/// is the sequential walk's, entry for entry.  The continuity of the
 /// *cross-region* state (reuse distances) is the recency engine's
 /// checkpoint contract ([`bp_workload::RecencyEngine::restore`]), not this
 /// function's concern.
@@ -160,57 +185,59 @@ impl ProfileAccumulator {
 ///
 /// Panics if `segments` is empty or the segments disagree on the thread id.
 pub fn concat_thread_profiles(segments: Vec<ThreadProfile>) -> ThreadProfile {
-    let stitched = segments.into_iter().reduce(|mut whole, part| {
-        assert_eq!(part.thread, whole.thread, "segment profiles must share one thread");
-        whole.bbvs.extend(part.bbvs);
-        whole.ldvs.extend(part.ldvs);
-        whole.instructions.extend(part.instructions);
-        whole
-    });
-    stitched.unwrap_or_else(|| panic!("at least one segment profile required"))
+    let mut segments = segments.into_iter();
+    let Some(first) = segments.next() else { panic!("at least one segment profile required") };
+    let mut whole = Interner::resume(first.regions, ThreadRegion::hash);
+    for part in segments {
+        assert_eq!(part.thread, first.thread, "segment profiles must share one thread");
+        let ids: Vec<u32> = part
+            .regions
+            .distinct()
+            .iter()
+            .map(|region| whole.intern(region.hash(), |r| r == region, || region.clone()))
+            .collect();
+        part.regions.index().iter().for_each(|&id| whole.push(ids[id as usize]));
+    }
+    ThreadProfile { thread: first.thread, regions: whole.finish() }
 }
 
-/// Zips per-thread streaming profiles back into one [`RegionSignature`] per
-/// region (the region-major shape the rest of the pipeline consumes).
+/// Zips per-thread streaming profiles back into the region-major shape the
+/// rest of the pipeline consumes: one [`RegionSignature`] per distinct
+/// tuple of per-thread outputs, in order of first occurrence, plus each
+/// region's position among them.
 ///
 /// # Panics
 ///
 /// Panics if the profiles disagree on region count or are not given in
 /// thread order starting at 0.
-pub fn zip_thread_profiles(profiles: Vec<ThreadProfile>) -> Vec<RegionSignature> {
+pub fn zip_thread_profiles(profiles: Vec<ThreadProfile>) -> PerRegion<RegionSignature> {
     assert!(!profiles.is_empty(), "at least one thread profile required");
     let num_regions = profiles[0].num_regions();
     for (expected, profile) in profiles.iter().enumerate() {
         assert_eq!(profile.thread(), expected, "thread profiles must be in thread order");
         assert_eq!(profile.num_regions(), num_regions, "region count mismatch across threads");
     }
-    let mut per_thread: Vec<_> = profiles
-        .into_iter()
-        .map(|p| {
-            let (bbvs, ldvs, instructions) = p.into_components();
-            (bbvs.into_iter(), ldvs.into_iter(), instructions.into_iter())
-        })
-        .collect();
-    (0..num_regions)
-        .map(|_| {
-            let mut bbvs = Vec::with_capacity(per_thread.len());
-            let mut ldvs = Vec::with_capacity(per_thread.len());
-            let mut instructions = Vec::with_capacity(per_thread.len());
-            for (bbv_iter, ldv_iter, instr_iter) in per_thread.iter_mut() {
-                let (Some(bbv), Some(ldv), Some(instr)) =
-                    (bbv_iter.next(), ldv_iter.next(), instr_iter.next())
-                else {
-                    // Every per-thread iterator was verified to yield
-                    // exactly `num_regions` items.
-                    unreachable!("per-thread signature stream ended early")
-                };
-                bbvs.push(bbv);
-                ldvs.push(ldv);
-                instructions.push(instr);
-            }
-            RegionSignature::new(bbvs, ldvs, instructions)
-        })
-        .collect()
+    // Intern each region's tuple of per-thread ids, then build one
+    // signature per distinct tuple.
+    let mut tuples = Interner::new();
+    let mut tuple = vec![0u64; profiles.len()];
+    for region in 0..num_regions {
+        for (id, profile) in tuple.iter_mut().zip(&profiles) {
+            *id = u64::from(profile.regions.index()[region]);
+        }
+        let id = tuples.intern(fold(&[&tuple]), |t: &Vec<u64>| *t == tuple, || tuple.clone());
+        tuples.push(id);
+    }
+    tuples.finish().map(|tuple| {
+        let (mut bbvs, mut ldvs, mut instructions) = (Vec::new(), Vec::new(), Vec::new());
+        for (&id, profile) in tuple.iter().zip(&profiles) {
+            let region = &profile.regions.distinct()[id as usize];
+            bbvs.push(region.bbv.clone());
+            ldvs.push(region.ldv.clone());
+            instructions.push(region.instructions);
+        }
+        RegionSignature::new(bbvs, ldvs, instructions)
+    })
 }
 
 #[cfg(test)]
@@ -233,7 +260,6 @@ mod tests {
         regions: std::ops::Range<usize>,
     ) {
         for region in regions {
-            profile.enter_region();
             for exec in w.region_trace(region, thread) {
                 profile.block(&exec);
                 for access in &exec.accesses {
@@ -265,7 +291,7 @@ mod tests {
     fn signatures<W: Workload + ?Sized>(
         w: &W,
         regions: std::ops::Range<usize>,
-    ) -> Vec<RegionSignature> {
+    ) -> PerRegion<RegionSignature> {
         let profiles = (0..w.num_threads()).map(|thread| {
             let mut profile = ProfileAccumulator::new(w, thread);
             walk(w, thread, &mut RecencyEngine::new(), &mut profile, regions.clone());
@@ -277,7 +303,7 @@ mod tests {
     /// Region `region` profiled in isolation, with region-local reuse
     /// distances.
     fn isolated<W: Workload + ?Sized>(w: &W, region: usize) -> RegionSignature {
-        signatures(w, region..region + 1).remove(0)
+        signatures(w, region..region + 1).get(0).clone()
     }
 
     #[test]
@@ -316,9 +342,9 @@ mod tests {
         let signatures = signatures(&w, 0..w.num_regions());
         assert_eq!(signatures.len(), 46);
         let config = SignatureConfig::combined();
-        let first = signatures[1].assemble(&config).normalized();
-        let second = signatures[4].assemble(&config).normalized();
-        let third = signatures[7].assemble(&config).normalized();
+        let first = signatures.get(1).assemble(&config).normalized();
+        let second = signatures.get(4).assemble(&config).normalized();
+        let third = signatures.get(7).assemble(&config).normalized();
         let steady = second.euclidean_distance(&third);
         let cold = first.euclidean_distance(&second);
         assert!(
@@ -326,7 +352,10 @@ mod tests {
             "cold-start distance {cold} should exceed steady-state distance {steady}"
         );
         // Cold accesses only appear in the first touches.
-        assert!(signatures[1].ldvs()[0].cold_accesses() > signatures[7].ldvs()[0].cold_accesses());
+        assert!(
+            signatures.get(1).ldvs()[0].cold_accesses()
+                > signatures.get(7).ldvs()[0].cold_accesses()
+        );
     }
 
     #[test]
@@ -429,6 +458,8 @@ mod tests {
         ];
         for thread in 0..4 {
             let sequential = profile_thread(&w, thread);
+            let distinct = sequential.regions.distinct().len();
+            assert!(distinct < regions, "thread {thread}: {distinct} distinct of {regions}");
             for cuts in &cut_sets {
                 let stitched = profile_thread_segmented(&w, thread, cuts);
                 assert_eq!(stitched, sequential, "thread {thread} cuts {cuts:?}");

@@ -1,7 +1,7 @@
 //! Where the cold sweep's trace walk spends its time, kernel by kernel.
 //!
 //! For the eight paper kernels at the repository benchmark's shape (8
-//! threads, scale 0.15, seed 1, serial), it times four passes over each
+//! threads, scale 0.15, seed 1, serial), it times five passes over each
 //! kernel:
 //!
 //! - `trace`: generating every thread's trace of every region, feeding
@@ -10,6 +10,9 @@
 //! - `fused`: `TraceWalk::profile().with_mru(Every, base LLC lines)`, the
 //!   cold sweep's walk (the profile and the MRU warmup bank from one
 //!   recency engine per thread);
+//! - `select`: `select_barrierpoints_with` on the profile walk's profile
+//!   under the paper's SimPoint strategy and combined signatures (vector
+//!   assembly, clustering and the selection artifact);
 //! - `run_full`: `Machine::run_full` at the `base` design point, for scale.
 //!
 //! `mru` is the fused walk's median less the profile's: what the MRU
@@ -21,7 +24,10 @@
 //! cargo run --release --example walk_cost -- [--seed 1] [--scale 0.15] [--reps 5]
 //! ```
 
-use barrierpoint::{ExecutionPolicy, MruBoundaries, TraceWalk};
+use barrierpoint::{
+    select_barrierpoints_with, ExecutionPolicy, MruBoundaries, SignatureConfig, SimPointConfig,
+    SimPointStrategy, TraceWalk,
+};
 use bp_sim::{Machine, SimConfig};
 use bp_workload::{Benchmark, BlockExecution, SyntheticWorkload, Workload, WorkloadConfig};
 use std::time::{Duration, Instant};
@@ -29,7 +35,7 @@ use std::time::{Duration, Instant};
 const THREADS: usize = 8;
 
 /// The timed passes, in the order each kernel runs them.
-const STAGES: [&str; 4] = ["trace", "profile", "fused", "run_full"];
+const STAGES: [&str; 5] = ["trace", "profile", "fused", "select", "run_full"];
 
 fn arg(args: &[String], name: &str, default: &str) -> String {
     args.windows(2).find(|w| w[0] == name).map_or(default.to_string(), |w| w[1].clone())
@@ -71,6 +77,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let llc_lines = base.memory.llc_total_lines(base.num_cores);
     let fused = TraceWalk::profile().with_mru(MruBoundaries::Every, llc_lines);
     let serial = ExecutionPolicy::Serial;
+    let (signature, strategy) =
+        (SignatureConfig::combined(), SimPointStrategy::new(SimPointConfig::paper()));
 
     // samples[kernel][stage][rep]; the kernels of one rep run back to back.
     let mut samples = vec![vec![Vec::with_capacity(reps); STAGES.len()]; kernels.len()];
@@ -81,16 +89,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             times[0].push(start.elapsed());
 
             let start = Instant::now();
-            std::hint::black_box(TraceWalk::profile().run(kernel, &serial, None)?);
+            let walked = std::hint::black_box(TraceWalk::profile().run(kernel, &serial, None)?);
             times[1].push(start.elapsed());
 
             let start = Instant::now();
             std::hint::black_box(fused.run(kernel, &serial, None)?);
             times[2].push(start.elapsed());
 
+            let profile = walked.profile.ok_or("the profile walk returned no profile")?;
+            let start = Instant::now();
+            std::hint::black_box(select_barrierpoints_with(&profile, &signature, &strategy)?);
+            times[3].push(start.elapsed());
+
             let start = Instant::now();
             std::hint::black_box(Machine::new(&base).run_full(kernel));
-            times[3].push(start.elapsed());
+            times[4].push(start.elapsed());
         }
     }
     let total: Vec<Vec<Duration>> = (0..STAGES.len())

@@ -1,16 +1,18 @@
-//! Opening a cache directory written by the previous entry format.
+//! Opening a cache directory written by an earlier entry format.
 //!
 //! Format version 5 changed the profile payload (each LDV stores only its
 //! populated bucket prefix) and every entry's seal (word-wise instead of
-//! byte-wise FNV-1a); state version 4 changed the `cache-state` seal, and
-//! state version 5 made that file two slots updated in place.  This suite
-//! writes version-4 entries of every kind and version-3 and version-4 state
-//! files in their old layouts — reproduced here, and pinned to the bytes
-//! those versions wrote — and checks that a current cache treats them as
-//! stale: misses that are recomputed and overwritten, never errors or
-//! degraded operations; that the size-bounded scan still counts and evicts
-//! them; and that the lifetime counters restart from zero, in a two-slot
-//! file.
+//! byte-wise FNV-1a); version 6 changed the profile payload again (the
+//! distinct region signatures once each, then every region's position
+//! among them, where version 5 stored every region's signature).  State
+//! version 4 changed the `cache-state` seal, and state version 5 made that
+//! file two slots updated in place.  This suite writes version-4 entries of
+//! every kind, a version-5 profile, and version-3 and version-4 state files
+//! in their old layouts — reproduced here, and pinned to the bytes those
+//! versions wrote — and checks that a current cache treats them as stale:
+//! misses that are recomputed and overwritten, never errors or degraded
+//! operations; that the size-bounded scan still counts and evicts them; and
+//! that the lifetime counters restart from zero, in a two-slot file.
 
 use barrierpoint::{
     ApplicationProfile, ArtifactCache, BarrierPoint, CacheStats, CheckpointCacheKey,
@@ -53,7 +55,7 @@ fn v4_profile_payload(profile: &ApplicationProfile) -> Vec<u8> {
     out.write_str(profile.workload_name());
     out.write_u64(profile.threads() as u64);
     out.write_len(profile.num_regions());
-    for region in profile.signatures() {
+    for region in profile.signatures().iter() {
         out.write_len(region.bbvs().len());
         region.bbvs().iter().for_each(|bbv| bbv.serialize(&mut out));
         out.write_len(region.ldvs().len());
@@ -66,10 +68,20 @@ fn v4_profile_payload(profile: &ApplicationProfile) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Rewrites the current entry file at `path` as the version-4 entry of the
-/// same key and artifact: version field 4, the profile payload in the old
-/// layout, the old seal.  The other kinds' payloads did not change.
-fn downgrade_entry(path: &Path) {
+/// A profile in the version-5 payload layout: every region's signature in
+/// region order, LDVs as their populated prefixes.
+fn v5_profile_payload(profile: &ApplicationProfile) -> Vec<u8> {
+    let mut out = serde::Serializer::new();
+    out.write_str(profile.workload_name());
+    out.write_u64(profile.threads() as u64);
+    out.write_len(profile.num_regions());
+    profile.signatures().iter().for_each(|region| region.serialize(&mut out));
+    out.into_bytes()
+}
+
+/// The current entry file at `path` split into its header (magic, version,
+/// key echo) with the version field set to `version`, and its payload.
+fn split_entry(path: &Path, version: u32) -> (Vec<u8>, Vec<u8>) {
     let bytes = fs::read(path).unwrap();
     let ext = path.extension().and_then(|e| e.to_str()).unwrap();
     let fingerprints = match ext {
@@ -79,17 +91,34 @@ fn downgrade_entry(path: &Path) {
         other => panic!("not an entry: {other}"),
     };
     let body = &bytes[..bytes.len() - 8];
-    assert_eq!(body[4..8], 5u32.to_le_bytes(), "{ext}: a current entry");
+    assert_eq!(body[4..8], 6u32.to_le_bytes(), "{ext}: a current entry");
     let mut de = serde::Deserializer::new(&body[8..]);
     let name_len = de.read_len().unwrap();
     de.read_bytes(name_len + 8 * (1 + fingerprints)).unwrap();
     let (header, payload) = body.split_at(body.len() - de.remaining());
-    let mut old = header.to_vec();
-    old[4..8].copy_from_slice(&4u32.to_le_bytes());
-    if ext == "bpprof" {
-        old.extend(v4_profile_payload(&serde::from_slice(payload).unwrap()));
+    let mut header = header.to_vec();
+    header[4..8].copy_from_slice(&version.to_le_bytes());
+    (header, payload.to_vec())
+}
+
+/// Rewrites the current profile entry at `path` as the version-5 entry of
+/// the same key and profile: version field 5, the dense region-by-region
+/// payload, the word-wise seal.
+fn downgrade_profile_to_v5(path: &Path) {
+    let (mut old, payload) = split_entry(path, 5);
+    old.extend(v5_profile_payload(&serde::from_slice(&payload).unwrap()));
+    fs::write(path, seal_word_wise(old)).unwrap();
+}
+
+/// Rewrites the current entry file at `path` as the version-4 entry of the
+/// same key and artifact: version field 4, the profile payload in the old
+/// layout, the old seal.  The other kinds' payloads did not change.
+fn downgrade_entry(path: &Path) {
+    let (mut old, payload) = split_entry(path, 4);
+    if path.extension().is_some_and(|ext| ext == "bpprof") {
+        old.extend(v4_profile_payload(&serde::from_slice(&payload).unwrap()));
     } else {
-        old.extend_from_slice(payload);
+        old.extend(payload);
     }
     fs::write(path, seal_v4(old)).unwrap();
 }
@@ -229,7 +258,7 @@ fn a_sweep_recomputes_and_overwrites_version_4_entries() {
     assert!(stats.checkpoint_misses >= 1, "{stats:?}");
     for name in ENTRY_NAMES {
         let bytes = fs::read(dir.join(name)).unwrap();
-        assert_eq!(bytes[4..8], 5u32.to_le_bytes(), "{name}: overwritten in the current format");
+        assert_eq!(bytes[4..8], 6u32.to_le_bytes(), "{name}: overwritten in the current format");
     }
     drop(cache);
 
@@ -291,5 +320,35 @@ fn a_version_4_state_reads_as_zero_and_is_republished_as_two_slots() {
     assert!(bytes[168..].iter().all(|&b| b == 0), "the second slot starts zeroed");
     assert_eq!(ArtifactCache::new(&dir).lifetime_stats(), stats, "the counters restarted");
     drop(cache);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_version_5_profile_reads_as_a_miss_and_is_republished_at_version_6() {
+    let dir = scratch("profile-v5");
+    let w = workload(0.02);
+    let key = ProfileCacheKey::for_workload(&w);
+    let cache = ArtifactCache::new(&dir);
+    let (profile, cached) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
+    assert!(!cached);
+    drop(cache);
+    let path = dir.join(ENTRY_NAMES[0]);
+    let current = fs::read(&path).unwrap();
+
+    // The (length, FNV-1a) pin format version 5's golden layout test held.
+    downgrade_profile_to_v5(&path);
+    let bytes = fs::read(&path).unwrap();
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (8020, 0x2d14_d943_4a1d_c300), "version-5 bytes");
+
+    let cache = ArtifactCache::new(&dir);
+    assert!(cache.load(&key).unwrap().is_none(), "a version-5 entry is a miss");
+    let (again, cached) = cache.load_or_profile(&w, &ExecutionPolicy::Serial).unwrap();
+    assert!(!cached, "recomputed");
+    assert_eq!(again, profile);
+    let stats = cache.stats();
+    assert_eq!((stats.profile_misses, stats.degraded_loads), (1, 0), "{stats:?}");
+    drop(cache);
+    assert_eq!(fs::read(&path).unwrap(), current, "republished at version 6");
+    assert_eq!(ArtifactCache::new(&dir).load(&key).unwrap().unwrap(), profile);
     fs::remove_dir_all(&dir).ok();
 }

@@ -23,7 +23,6 @@ fn profile_thread<W: Workload + ?Sized>(w: &W, thread: usize) -> ThreadProfile {
     let mut engine = RecencyEngine::new();
     let mut profile = ProfileAccumulator::new(w, thread);
     for region in 0..w.num_regions() {
-        profile.enter_region();
         for exec in w.region_trace(region, thread) {
             profile.block(&exec);
             for access in &exec.accesses {
@@ -84,8 +83,8 @@ fn thread_major_matches_region_major_bit_for_bit() {
         let walks: Vec<_> = (0..4).map(|t| scope.spawn(move || profile_thread(w, t))).collect();
         walks.into_iter().map(|walk| walk.join().unwrap()).collect()
     }));
-    assert_eq!(region_major, serial);
-    assert_eq!(region_major, parallel);
+    assert_eq!(&serial, &region_major[..]);
+    assert_eq!(&parallel, &region_major[..]);
 }
 
 #[test]
