@@ -147,16 +147,6 @@ pub(crate) fn sweep_table(report: &SweepReport) -> String {
         counters.clustering_passes,
         counters.simulate_legs,
     );
-    if report.selections().len() > 1 {
-        for entry in report.selections() {
-            let _ = writeln!(
-                out,
-                "  strategy {:<22} {} barrierpoints",
-                entry.label(),
-                entry.selection().num_barrierpoints(),
-            );
-        }
-    }
     let _ = writeln!(
         out,
         "  {:<18} {:>5} {:>10} {:>14} {:>10} {:>10}",

@@ -15,8 +15,8 @@
 //!   I/O, no deserialization — which is what makes warm *in-process*
 //!   re-sweeps drop below the disk tier's decode floor.  The tier has its
 //!   own LRU order and byte bound ([`ArtifactCache::with_memory_max_bytes`],
-//!   charged at serialized entry size, which for a profile is about a third
-//!   of its resident size).
+//!   charged at serialized entry size, which undercounts a decoded
+//!   profile's dense LDVs).
 //! * a **disk tier**: the persistent, self-validating entry files that
 //!   survive the process and carry the amortization across runs.
 //!
@@ -339,9 +339,9 @@ impl SimulatedCacheKey {
     }
 
     /// Assembles a key from precomputed components — how
-    /// [`Sweep::run`](crate::Sweep::run) derives one key per grid cell from
-    /// components it computes once per run (each point's workload and
-    /// machine, each strategy's selection content).
+    /// [`Sweep::run`](crate::Sweep::run) derives one key per design point
+    /// from components it computes once per run (the workload identity and
+    /// the selection content).
     pub(crate) fn from_parts(
         workload_name: String,
         threads: usize,
@@ -980,10 +980,10 @@ impl ArtifactCache {
     /// degrade to disk hits, never to misses.  `0` disables the memory tier.
     ///
     /// The serialized size undercounts what a profile holds in memory: its
-    /// entry stores each LDV's populated buckets only, while the decoded
-    /// profile keeps all 48, so a profile is charged about a third of its
-    /// resident size (npb-sp at 8 threads, scale 0.15: 5.0 MB charged,
-    /// ≈15 MB resident).
+    /// entry stores each distinct signature's LDVs as their populated
+    /// buckets only, while the decoded profile keeps all 48 buckets of each
+    /// (npb-sp at 8 threads, scale 0.15, is charged its 39,272-byte entry,
+    /// as `examples/artifact_cost.rs` prints).
     ///
     /// The memory tier is shared across clones, so the bound applies to (and
     /// is visible from) every clone of this cache.

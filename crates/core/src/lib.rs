@@ -96,25 +96,36 @@
 //!
 //! ## Design-space sweeps
 //!
-//! [`Sweep`] turns the amortization economy into one call — here a
-//! miniature Figure 6, reusing one selection across two core counts:
+//! [`Sweep`] turns the amortization economy into one call — one workload,
+//! one selection, many machine configurations — and the staged chain's
+//! [`Selected::simulate_on`] carries that selection to the benchmark
+//! rebuilt at another core count (a miniature Figure 6):
 //!
 //! ```
-//! use barrierpoint::Sweep;
+//! use barrierpoint::{BarrierPoint, Sweep};
 //! use bp_sim::SimConfig;
 //! use bp_workload::{Benchmark, WorkloadConfig};
 //!
 //! let w2 = Benchmark::NpbIs.build(&WorkloadConfig::new(2).with_scale(0.02));
 //! let w4 = Benchmark::NpbIs.build(&WorkloadConfig::new(4).with_scale(0.02));
+//! let base = SimConfig::scaled(2);
+//! let mut small_llc = base;
+//! small_llc.memory.l3.size_bytes /= 2;
 //!
 //! let report = Sweep::new(&w2)
-//!     .add_config("2-core", SimConfig::scaled(2))
-//!     .add_point("4-core", SimConfig::scaled(4), &w4) // same selection, other machine
+//!     .add_config("base", base)
+//!     .add_config("small-llc", small_llc)
 //!     .run()?;
 //!
 //! assert_eq!(report.counters().profile_passes, 1);    // profiled once,
 //! assert_eq!(report.counters().clustering_passes, 1); // clustered once,
 //! assert_eq!(report.legs().len(), 2);                 // simulated per config.
+//!
+//! // The same selection drives the 4-thread build on a 4-core machine.
+//! let selected = BarrierPoint::new(&w2).profile()?.select()?;
+//! assert_eq!(selected.selection(), report.selection());
+//! let leg = selected.simulate_on(&w4, &SimConfig::scaled(4))?;
+//! assert!(leg.reconstruction().execution_time_seconds() > 0.0);
 //! # Ok::<(), barrierpoint::Error>(())
 //! ```
 
@@ -147,8 +158,8 @@ pub use profile::{
 };
 pub use reconstruct::{reconstruct, reconstruct_with_mode, ReconstructedRun, ScalingMode};
 pub use segment::{
-    checkpoint_cuts, profile_application_segmented, MruBoundaries, TraceWalk, WalkOutput,
-    WorkloadCheckpoints, DEFAULT_SEGMENTS,
+    profile_application_segmented, MruBoundaries, TraceWalk, WalkOutput, WorkloadCheckpoints,
+    DEFAULT_SEGMENTS,
 };
 pub use select::{
     select_barrierpoints, select_barrierpoints_with, BarrierPointInfo, BarrierPointSelection,

@@ -67,7 +67,7 @@ pub const DEFAULT_SEGMENTS: usize = 8;
 /// to at least 1.  The returned cuts are strictly inside `(0, num_regions)`
 /// — segment `i` covers `[cuts[i-1], cuts[i])` with the implicit outer
 /// bounds `0` and `num_regions`.
-pub fn checkpoint_cuts(num_regions: usize, max_segments: usize) -> Vec<usize> {
+pub(crate) fn checkpoint_cuts(num_regions: usize, max_segments: usize) -> Vec<usize> {
     if num_regions == 0 || max_segments <= 1 {
         return Vec::new();
     }
@@ -288,8 +288,9 @@ impl<'a> TraceWalk<'a> {
         Self { mru: Some((boundaries, capacity.max(1))), ..self }
     }
 
-    /// Walks from region 0 and snapshots the walk's engine at the
-    /// interior cuts of [`checkpoint_cuts`]`(regions, max_segments)`.
+    /// Walks from region 0 and snapshots the walk's engine at the interior
+    /// cuts that split the trace into at most `max_segments` near-equal
+    /// segments (every `ceil(regions / max_segments)`-th region boundary).
     pub fn emitting_checkpoints(self, max_segments: usize) -> Self {
         Self { start: Start::Emitting { max_segments }, ..self }
     }

@@ -339,7 +339,7 @@ pub(crate) fn resolve_profile<W: Workload + ?Sized>(
 }
 
 /// The selection stage's probe: the selection cached under `key`, if any.
-/// Separate from [`select_and_store`] so a sweep can probe every strategy
+/// Separate from [`select_and_store`] so a sweep can probe the selection
 /// before it touches the profile.
 pub(crate) fn probe_selection(
     cache: Option<&ArtifactCache>,
@@ -551,6 +551,7 @@ mod tests {
     use crate::cache::ArtifactCache;
     use crate::pipeline::BarrierPoint;
     use bp_workload::{Benchmark, WorkloadConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn workload(threads: usize) -> impl Workload {
         Benchmark::NpbIs.build(&WorkloadConfig::new(threads).with_scale(0.02))
@@ -658,6 +659,80 @@ mod tests {
         assert_eq!((work.trace_walks, work.warmup_collections), (0, 1));
         assert!(work.segment_walks > 2, "the dedicated walk resumes as segment jobs");
         assert!(work.checkpoint_hits > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A workload that counts the region traces it generates.
+    struct Counting<W> {
+        inner: W,
+        traces: AtomicUsize,
+    }
+
+    impl<W: Workload> Workload for Counting<W> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn num_threads(&self) -> usize {
+            self.inner.num_threads()
+        }
+        fn num_regions(&self) -> usize {
+            self.inner.num_regions()
+        }
+        fn block_table(&self) -> &bp_workload::BlockTable {
+            self.inner.block_table()
+        }
+        fn region_trace(&self, region: usize, thread: usize) -> bp_workload::RegionTrace {
+            self.traces.fetch_add(1, Ordering::Relaxed);
+            self.inner.region_trace(region, thread)
+        }
+        fn region_phase_name(&self, region: usize) -> &str {
+            self.inner.region_phase_name(region)
+        }
+        fn profile_fingerprint(&self) -> u64 {
+            self.inner.profile_fingerprint()
+        }
+    }
+
+    /// `simulate_on` recognises the profiled content by fingerprint, not by
+    /// instance: on a separate, content-identical workload it returns the
+    /// leg `simulate` computes on the profiled one — its warmup served from
+    /// the fused bank without a cache, and with a cache from the leg entry
+    /// or from the profiled content's segment checkpoints.
+    #[test]
+    fn simulate_on_a_content_identical_instance_matches_simulate() {
+        let w = workload(2);
+        let same = Counting { inner: workload(2), traces: AtomicUsize::new(0) };
+        assert_eq!(w.profile_fingerprint(), same.profile_fingerprint());
+        let machine = SimConfig::scaled(2);
+        let mut fast = machine;
+        fast.core.frequency_ghz *= 1.5;
+
+        let selected = BarrierPoint::new(&w).profile().unwrap().select().unwrap();
+        let leg = selected.simulate_on(&same, &machine).unwrap();
+        assert_eq!(leg, selected.simulate(&machine).unwrap());
+        assert_eq!(
+            same.traces.load(Ordering::Relaxed),
+            w.num_threads() * selected.selection().num_barrierpoints(),
+            "the fused bank serves the warmup: only the barrierpoints' own traces are generated"
+        );
+
+        let dir = std::env::temp_dir().join(format!("bp-stage-same-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cache = ArtifactCache::new(&dir);
+        let cold =
+            BarrierPoint::new(&w).with_cache(cache.clone()).profile().unwrap().select().unwrap();
+        assert_eq!(cold.simulate_on(&same, &machine).unwrap(), leg);
+        assert_eq!(cold.simulate(&machine).unwrap(), leg);
+        assert_eq!(cache.stats().simulated_memory_hits, 1, "one leg entry serves both instances");
+
+        // A cache-served profile carries no bank, so a new leg on the
+        // identical instance resumes its warmup walk from the checkpoints.
+        let warm =
+            BarrierPoint::new(&w).with_cache(cache.clone()).profile().unwrap().select().unwrap();
+        assert!(warm.profile_was_cached());
+        let fast_leg = warm.simulate_on(&same, &fast).unwrap();
+        assert_eq!(cache.stats().checkpoint_memory_hits, 1);
+        assert_eq!(fast_leg, selected.simulate(&fast).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -263,25 +263,24 @@ fn cached_simulate_legs_are_bit_identical_to_uncached_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Figure 6: one selection drives legs at two core counts — the profiled
+/// 4-thread build through `simulate`, the 8-thread rebuild of the same
+/// benchmark through `simulate_on`.
 #[test]
-fn cross_core_count_sweep_expresses_figure6_in_one_call() {
-    // Figure 6: one selection drives design points at two core counts.
+fn cross_core_count_legs_express_figure6_through_simulate_on() {
     let bench = Benchmark::NpbFt;
     let w4 = bench.build(&WorkloadConfig::new(4).with_scale(0.05));
     let w8 = bench.build(&WorkloadConfig::new(8).with_scale(0.05));
-    let report = Sweep::new(&w4)
-        .add_config("4c", SimConfig::tiny(4))
-        .add_point("8c", SimConfig::tiny(8), &w8)
-        .run()
-        .unwrap();
-    assert_eq!(report.counters().profile_passes, 1);
-    assert_eq!(report.counters().clustering_passes, 1);
-    let t4 = report.get("4c").unwrap().reconstruction().execution_time_seconds();
-    let t8 = report.get("8c").unwrap().reconstruction().execution_time_seconds();
+    let selected = BarrierPoint::new(&w4).profile().unwrap().select().unwrap();
+    let t4 =
+        selected.simulate(&SimConfig::tiny(4)).unwrap().reconstruction().execution_time_seconds();
+    let t8 = selected
+        .simulate_on(&w8, &SimConfig::tiny(8))
+        .unwrap()
+        .reconstruction()
+        .execution_time_seconds();
     assert!(t4 > 0.0 && t8 > 0.0);
     assert!(t8 < t4, "8 cores should be estimated faster than 4 ({t8} vs {t4})");
-    // The Figure 8 one-liner: predicted speedup of the scaled machine.
-    assert!(report.predicted_speedup("4c", "8c").unwrap() > 1.0);
 }
 
 /// The staged chain (profile → select → one `simulate` per design point)
